@@ -3,7 +3,8 @@ Weisfeiler-Leman tensors, isomorphism-class counts and design-isomorphism
 reports as JSON.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 usage error.
-The environment variable DDWL_MAX_Q overrides the default size cap q <= 11.
+The environment variable DDWL_MAX_Q overrides the default size cap, the
+largest q whose group fits heisenberg.MAX_VERTICES_DEFAULT (q <= 11).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import sys
 from . import coherent, designs, isotest
 from .arith import prime_power
 from .construction import Construction
+from .heisenberg import MAX_VERTICES_DEFAULT
 from .suite import __version__, run_suite
 
 
@@ -24,7 +26,11 @@ class UsageError(Exception):
 
 
 def _max_q() -> int:
-    return int(os.environ.get("DDWL_MAX_Q", "11"))
+    raw = os.environ.get("DDWL_MAX_Q", str(round(MAX_VERTICES_DEFAULT ** (1 / 3))))
+    try:
+        return int(raw)
+    except ValueError:
+        raise UsageError(f"DDWL_MAX_Q = {raw!r} is not an integer") from None
 
 
 def _validated_q(q: int) -> int:
@@ -72,7 +78,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = run_suite(_validated_q(args.q), suite=args.suite)
+    q = _validated_q(args.q)
+    report = run_suite(q, suite=args.suite, max_vertices=_max_q() ** 3)
     _emit(report.to_json(include_timings=not args.no_timings), args.out)
     return 0 if report.ok else 1
 
@@ -163,9 +170,6 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

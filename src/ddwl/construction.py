@@ -39,7 +39,7 @@ import numpy as np
 
 from .arith import prime_power
 from .digraph import Digraph
-from .gf import MAX_Q_DEFAULT, FieldElement, field_create
+from .gf import FieldElement, field_create
 from .heisenberg import MAX_VERTICES_DEFAULT, GroupElement, GroupTable
 
 
@@ -100,17 +100,12 @@ def rho_apply(m: MatrixM, g: GroupElement) -> GroupElement:
 class Construction:
     """All of the above for one odd prime power q, with heavy parts cached."""
 
-    def __init__(
-        self,
-        q: int,
-        max_q: int = MAX_Q_DEFAULT,
-        max_vertices: int = MAX_VERTICES_DEFAULT,
-    ):
+    def __init__(self, q: int, max_vertices: int = MAX_VERTICES_DEFAULT):
         pp = prime_power(q)
         if pp is None:
             raise ValueError(f"q = {q} is not a prime power")
         p, l = pp
-        self.field = field_create(p, l, max_q=max_q)
+        self.field = field_create(p, l)
         self.table = GroupTable(self.field, max_vertices=max_vertices)
         f = self.field
         self.q = q

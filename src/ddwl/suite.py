@@ -1,22 +1,24 @@
-"""Reproducible verification runs: a fixed list of checks per (q, suite),
-each reported with a pass/fail/undetermined status and a data payload.
-
-The full suite runs every check that is feasible at the given q at desk
-scale; the fast suite replaces exhaustive pair loops with fixed-seed samples
-and drops the search-heavy checks.  Identical invocations produce identical
-reports (timings can be suppressed for byte-identical output).
+"""Reproducible verification runs: one registry of checks, walked in order
+by `run_suite` and parametrized over by the acceptance tests.  Each entry
+codes its check once, as `(ctx, exhaustive) -> (status, data)`, and says at
+which q it runs in each suite and where its exhaustive variant stops.  Same
+invocation, same report (timings can be suppressed for byte-identical output).
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
 from . import coherent, designs, isotest, srings
 from .arith import euler_phi
-from .construction import Construction
+from .construction import INFINITY, Construction
+from .heisenberg import MAX_VERTICES_DEFAULT
 
 __version__ = "0.1.0"
 
@@ -61,9 +63,43 @@ class RunReport:
         return out
 
 
-def _check_field_axioms(cons: Construction) -> tuple[str, dict]:
-    f = cons.field
-    q = f.q
+class Context:
+    """What the checks of one (q, suite, seed) run share.  Everything is built
+    on first use, so an error while building it fails the check that asked."""
+
+    def __init__(self, q: int, suite="full", seed=DEFAULT_SEED, max_vertices=MAX_VERTICES_DEFAULT):
+        if suite not in ("full", "fast"):
+            raise ValueError("suite must be 'full' or 'fast'")
+        self.q, self.suite, self.seed, self.max_vertices = q, suite, seed, max_vertices
+        self.closures: dict[int, coherent.CoherentConfiguration] = {}
+
+    @cached_property
+    def cons(self) -> Construction:
+        return Construction(self.q, max_vertices=self.max_vertices)
+
+    @cached_property
+    def ring(self) -> srings.SRing:
+        return srings.SRing.from_construction(self.cons)
+
+    @cached_property
+    def tensor(self) -> srings.StructureConstantTensor:
+        return srings.structure_constants(self.ring)
+
+    @cached_property
+    def cells(self) -> list[np.ndarray]:
+        """{e}, Y_0, ..., Y_{q-1}, the punctured center: the K-orbits."""
+        ys = [self.cons.build_Y(j) for j in range(self.q)]
+        return [np.array([0], dtype=np.int64)] + ys + [self.cons.punctured_center()]
+
+    def closure(self, i: int) -> coherent.CoherentConfiguration:
+        if i not in self.closures:
+            self.closures[i] = coherent.wl_close(self.cons.build_cayley(i))
+        return self.closures[i]
+
+
+def _field_axioms(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
+    """field axioms and (q - 1) / 2 nonzero squares"""
+    f, q = ctx.cons.field, ctx.q
     a = np.arange(q)
     ok = True
     ok &= bool((f.add(a[:, None], a[None, :]) == f.add(a[None, :], a[:, None])).all())
@@ -79,13 +115,14 @@ def _check_field_axioms(cons: Construction) -> tuple[str, dict]:
     return ("pass" if ok else "fail"), {"q": q, "nonzero_squares": squares}
 
 
-def _check_group_axioms(cons: Construction, seed: int) -> tuple[str, dict]:
-    t = cons.table
+def _group_axioms(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
+    """group axioms over all or 10^4 sampled triples, center of order q"""
+    t = ctx.cons.table
     mult, inv, n = t.mult, t.inv, t.n
     ok = bool((mult[0] == np.arange(n)).all() and (mult[:, 0] == np.arange(n)).all())
     ok &= bool((mult[np.arange(n), inv] == 0).all())
-    rng = np.random.default_rng(seed)
-    if n <= 27:
+    rng = np.random.default_rng(ctx.seed)
+    if exhaustive:
         grid = np.arange(n)
         aa, bb, cc = (x.ravel() for x in np.meshgrid(grid, grid, grid, indexing="ij"))
         samples = n**3
@@ -96,89 +133,101 @@ def _check_group_axioms(cons: Construction, seed: int) -> tuple[str, dict]:
         cc = rng.integers(0, n, samples)
     ok &= bool((mult[mult[aa, bb], cc] == mult[aa, mult[bb, cc]]).all())
     center = np.flatnonzero(t.center_mask)
-    ok &= len(center) == cons.q
+    ok &= len(center) == ctx.q
     ok &= bool((mult[np.ix_(center, np.arange(n))] == mult[np.ix_(np.arange(n), center)].T).all())
     return ("pass" if ok else "fail"), {"n": n, "sampled_triples": int(samples)}
 
 
-def _check_k_automorphisms(cons: Construction) -> tuple[str, dict]:
+def _k_automorphisms(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
+    """all q^2 - 1 twist maps are automorphisms of every family digraph"""
+    cons = ctx.cons
     ks = cons.build_K()   # constructor re-verifies the homomorphism property
-    gens = cons.generators_I()
     ok = len(ks) == cons.q**2 - 1
-    checked = 0
+    gens = cons.generators_I()
     for i in gens:
         arcs = cons.build_cayley(i).arcs
-        for k in ks:
-            perm = k.perm
-            if not np.array_equal(arcs[np.ix_(perm, perm)], arcs):
-                ok = False
-            checked += 1
-    return ("pass" if ok else "fail"), {"k_order": len(ks), "graph_checks": checked}
+        ok &= all(np.array_equal(arcs[np.ix_(k.perm, k.perm)], arcs) for k in ks)
+    return ("pass" if ok else "fail"), {"k_order": len(ks), "graph_checks": len(gens) * len(ks)}
 
 
-def _check_orbits(cons: Construction) -> tuple[str, dict]:
-    orbits = cons.k_orbits()   # raises if the partition disagrees with the cells
-    return "pass", {"cells": len(orbits)}
+def _orbit_partition(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
+    """the K-orbits are the q + 2 analytic cells"""
+    orbits = ctx.cons.k_orbits()   # raises if the partition disagrees with the cells
+    ok = {o.tobytes() for o in orbits} == {c.tobytes() for c in ctx.cells}
+    return ("pass" if ok and len(orbits) == ctx.q + 2 else "fail"), {"cells": len(orbits)}
 
 
-def _check_psi_group(cons: Construction) -> tuple[str, dict]:
-    from .construction import INFINITY
-
-    els = [INFINITY] + list(range(cons.q))
-    ok = all(cons.psi(i, INFINITY) is i or cons.psi(i, INFINITY) == i for i in els)
-    for i in els:
-        ok &= cons.psi(i, cons.chi(i)) is INFINITY
-        for j in els:
-            for k in els:
-                if cons.psi(cons.psi(i, j), k) != cons.psi(i, cons.psi(j, k)):
-                    ok = False
+def _psi_group(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
+    """psi is a cyclic group law of order q + 1 with phi(q + 1) generators"""
+    cons, q, psi = ctx.cons, ctx.q, ctx.cons.psi
+    els = [INFINITY] + list(range(q))
+    ok = all(psi(INFINITY, i) == i == psi(i, INFINITY) for i in els)
+    ok &= all(psi(i, cons.chi(i)) is INFINITY for i in els)
+    ok &= all(psi(i, j) in els for i in els for j in els)
+    ok &= all(psi(psi(i, j), k) == psi(i, psi(j, k)) for i in els for j in els for k in els)
     gens = cons.generators_I()
-    ok &= len(gens) == euler_phi(cons.q + 1)
-    ok &= all(cons.psi_order(i) == cons.q + 1 for i in gens)
-    return ("pass" if ok else "fail"), {"order": cons.q + 1, "generators": gens}
+    ok &= len(gens) == euler_phi(q + 1) and all(cons.psi_order(i) == q + 1 for i in gens)
+    return ("pass" if ok else "fail"), {"order": q + 1, "generators": gens}
 
 
-def _check_transversal(ring: srings.SRing) -> tuple[str, dict]:
-    cons = ring.cons
-    results = {i: srings.verify_transversal(ring, i).ok for i in range(cons.q)}
+def _dds_transversal(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
+    """difference multiset (q^2, 0, q) of every X_i, both orders"""
+    results = {i: srings.verify_transversal(ctx.ring, i).ok for i in range(ctx.q)}
     ok = all(results.values())
     return ("pass" if ok else "fail"), {"per_i": {str(k): bool(v) for k, v in results.items()}}
 
 
-def _check_structure_constants(ring: srings.SRing, tensor) -> tuple[str, dict]:
-    report = srings.verify_consts(ring, tensor)
-    data = srings.constants_report(ring, tensor)
+def _structure_constants(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
+    """structure constants match their closed forms"""
+    q = ctx.q
+    report = srings.verify_consts(ctx.ring, ctx.tensor)
+    data = srings.constants_report(ctx.ring, ctx.tensor)
     data["checked"] = report.checked
-    return ("pass" if report.ok else "fail"), data
+    return ("pass" if report.ok and report.checked == q * q * (q + 1) else "fail"), data
 
 
-def _check_tensor_identities(tensor) -> tuple[str, dict]:
-    ok = srings.triangle_identity_holds(tensor) and srings.mass_conservation_holds(tensor)
+def _tensor_identities(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
+    """triangle and mass identities of the convolution tensor"""
+    t = ctx.tensor
+    ok = srings.triangle_identity_holds(t) and srings.mass_conservation_holds(t)
     return ("pass" if ok else "fail"), {}
 
 
-def _check_ddd(cons: Construction) -> tuple[str, dict]:
-    q = cons.q
+def _ddd_parameters(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
+    """(0, q) with loops; loopless: regular q^2 - 1, counts q - [arc-joined]"""
+    cons, q = ctx.cons, ctx.q
+    classes = cons.table.coset_ids
+    # each vertex has q^2 - 1 cross-class out-arcs, none reciprocated
+    joined = q**3 * (q * q - 1)
+    cross = {q - 1: joined, q: q**3 * (q**3 - q) // 2 - joined}
     data = {}
     ok = True
-    for i in cons.generators_I()[:1]:
-        loopy = cons.build_cayley(i, include_identity=True)
+    for i in cons.generators_I():
+        rep = designs.verify_ddd(cons.build_cayley(i), classes, expected=(0, q))
         loopless = cons.build_cayley(i, include_identity=False)
-        rep = designs.verify_ddd(loopy, cons.table.coset_ids, expected=(0, q))
-        rep_ll = designs.verify_ddd(loopless, cons.table.coset_ids, expected=(0, q))
-        ok &= rep.ok
+        rep_ll = designs.verify_ddd(loopless, classes, expected=(0, q))
+        looped_ok = rep.ok and rep.out_degrees == {q * q}
+        loopless_ok = (
+            rep_ll.loopless and rep_ll.asymmetric and not rep_ll.counts_match
+            and rep_ll.out_degrees == rep_ll.in_degrees == {q * q - 1}
+            and set(rep_ll.same_in) == set(rep_ll.same_out) == {0}
+            and (rep_ll.m, rep_ll.n_class) == (q * q, q)
+            and rep_ll.cross_in == rep_ll.cross_out == cross
+        )
         witness = dict(rep_ll.witness) if rep_ll.witness else None
         if witness:
-            witness["pair_elements"] = [
-                cons.table.element_to_json(v) for v in witness["pair"]
-            ]
+            u, v = witness["pair"]
+            joined_ok = loopless.arcs[u, v] or loopless.arcs[v, u]
+            loopless_ok &= not witness["same_class"] and bool(joined_ok)
+            loopless_ok &= witness["common_in"] == witness["common_out"] == q - 1
+            witness["pair_elements"] = [cons.table.element_to_json(w) for w in (u, v)]
+        ok &= looped_ok and loopless_ok and witness is not None
         data[f"i={i}"] = {
             "graph_with_loops": {
-                "ok": rep.ok,
-                "cross_in": rep.cross_in,
-                "cross_out": rep.cross_out,
+                "ok": looped_ok, "cross_in": rep.cross_in, "cross_out": rep.cross_out
             },
             "loopless_companion": {
+                "ok": bool(loopless_ok and witness is not None),
                 "counts_match": rep_ll.counts_match,
                 "cross_in": rep_ll.cross_in,
                 "cross_out": rep_ll.cross_out,
@@ -190,119 +239,134 @@ def _check_ddd(cons: Construction) -> tuple[str, dict]:
     return ("pass" if ok else "fail"), data
 
 
-def _check_wl_closure(cons: Construction, closures: dict) -> tuple[str, dict]:
-    q = cons.q
+def _wl_closure(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
+    """closure rank q + 2, K-orbit cells, tensor = convolution tensor"""
+    cons, q, gens = ctx.cons, ctx.q, ctx.cons.generators_I()
+    want = {c.tobytes() for c in ctx.cells}
     data = {}
     ok = True
-    for i, cc in closures.items():
-        cells = coherent.as_sring_partition(cc, cons.table)
-        want = {cons.build_Y(j).tobytes() for j in range(q)}
-        want.add(np.array([0], dtype=np.int64).tobytes())
-        want.add(cons.punctured_center().tobytes())
-        got = {c.astype(np.int64).tobytes() for c in cells}
-        good = cc.rank == q + 2 and got == want
-        ok &= good
-        data[f"i={i}"] = {"rank": cc.rank, "partition_matches": good, "rounds": cc.rounds}
+    for i in gens if exhaustive else gens[:1]:
+        cc = ctx.closure(i)
+        cells = {c.astype(np.int64).tobytes() for c in coherent.as_sring_partition(cc, cons.table)}
+        color_of_cell = [int(cc.color[0, members[0]]) for members in ctx.cells]
+        mapped = cc.dense_tensor()[np.ix_(color_of_cell, color_of_cell, color_of_cell)]
+        row = data[f"i={i}"] = {
+            "rank": cc.rank,
+            "partition_matches": cc.rank == q + 2 and cells == want,
+            "rounds": cc.rounds,
+            # intersection numbers count w with u -> w -> v, i.e. products y*x
+            "tensor_matches_constants": np.array_equal(mapped, ctx.tensor.c.transpose(1, 0, 2)),
+            "tensor_identities": coherent.tensor_identities_hold(cc),
+        }
+        ok &= row["partition_matches"] and row["tensor_matches_constants"]
+        ok &= row["tensor_identities"]
     return ("pass" if ok else "fail"), data
 
 
-def _check_wl_equivalence(cons: Construction, pairs) -> tuple[str, dict]:
+def _wl_equivalence(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
+    """every pair of generator-labelled digraphs is refinement-equivalent"""
+    cons, gens = ctx.cons, ctx.cons.generators_I()
     data = {}
-    ok = True
-    for i, j in pairs:
-        eq = coherent.wl_equivalent(cons.build_cayley(i), cons.build_cayley(j))
-        ok &= eq
-        data[f"{i},{j}"] = bool(eq)
-    return ("pass" if ok else "fail"), data
+    for ai, a in enumerate(gens):
+        for b in gens[ai + 1:]:
+            data[f"{a},{b}"] = coherent.wl_equivalent(cons.build_cayley(a), cons.build_cayley(b))
+    return ("pass" if all(data.values()) else "fail"), data
 
 
-def tau_hat_color_map(cons, ring, closures, i, j):
-    """Color bijection between the closures of the i- and j-labelled graphs
-    induced by a power map sending i to j."""
-    q1 = cons.q + 1
-    m = next(
-        m for m in range(1, q1 + 1)
-        if np.gcd(m, q1) == 1 and cons.psi_pow(i, m) == j
-    )
-    sigma_cells = srings.tau_hat(ring, m)
-    cc_i, cc_j = closures[i], closures[j]
-    cells = [np.array([0])] + [cons.build_Y(k) for k in range(cons.q)] + [cons.punctured_center()]
-    sigma = np.empty(cc_i.rank, dtype=np.int64)
-    for cell_idx, members in enumerate(cells):
-        color_i = int(cc_i.color[0, members[0]])
-        image = cells[int(sigma_cells[cell_idx])]
-        color_j = int(cc_j.color[0, image[0]])
-        sigma[color_i] = color_j
-    return sigma, m
-
-
-def _check_tau_hat(cons, ring, closures) -> tuple[str, dict]:
+def _tau_hat_transport(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
+    """tau-hat transports the closure tensor and arc colors, every ordered pair"""
+    cons, q1 = ctx.cons, ctx.q + 1
     gens = cons.generators_I()
     data = {}
-    ok = True
-    for j in gens[1:]:
-        i = gens[0]
-        sigma, m = tau_hat_color_map(cons, ring, closures, i, j)
-        good = coherent.verify_algebraic_map(closures[i], closures[j], sigma)
-        # the arc colors of graph i must land on the arc colors of graph j
-        arcs_i = np.unique(closures[i].color[cons.build_cayley(i).arcs])
-        arcs_j = np.unique(closures[j].color[cons.build_cayley(j).arcs])
-        good &= set(int(sigma[c]) for c in arcs_i) == {int(c) for c in arcs_j}
-        ok &= good
-        data[f"{i}->{j}"] = {"exponent": m, "transports": bool(good)}
+    for i in gens:
+        for j in (j for j in gens if j != i):
+            # the color bijection induced by a power map sending i to j
+            m = next(m for m in range(1, q1) if np.gcd(m, q1) == 1 and cons.psi_pow(i, m) == j)
+            sigma_cells = srings.tau_hat(ctx.ring, m)
+            cc_i, cc_j = ctx.closure(i), ctx.closure(j)
+            sigma = np.empty(cc_i.rank, dtype=np.int64)
+            for cell, members in enumerate(ctx.cells):
+                image = ctx.cells[int(sigma_cells[cell])]
+                sigma[int(cc_i.color[0, members[0]])] = int(cc_j.color[0, image[0]])
+            good = coherent.verify_algebraic_map(cc_i, cc_j, sigma)
+            # the arc colors of graph i must land on the arc colors of graph j
+            arcs_i = np.unique(cc_i.color[cons.build_cayley(i).arcs])
+            arcs_j = np.unique(cc_j.color[cons.build_cayley(j).arcs])
+            good &= {int(sigma[c]) for c in arcs_i} == {int(c) for c in arcs_j}
+            data[f"{i}->{j}"] = {"exponent": m, "transports": bool(good)}
+    ok = all(d["transports"] for d in data.values())
     return ("pass" if ok else "fail"), data
 
 
-def _check_algebraic_automorphisms(cons, tensor) -> tuple[str, dict]:
-    autos = srings.algebraic_automorphisms(tensor)
-    want = euler_phi(cons.q + 1)
+def _algebraic_automorphisms(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
+    """at least phi(q + 1) algebraic automorphisms; at most 2 log_p q induced"""
+    autos = srings.algebraic_automorphisms(ctx.tensor)
+    want = euler_phi(ctx.q + 1)
     ok = len(autos) >= want and srings.is_group_closed(autos)
-    return ("pass" if ok else "fail"), {"count": len(autos), "phi_bound": want}
+    data = {"count": len(autos), "phi_bound": want}
+    if exhaustive:
+        found = [srings.is_induced(ctx.ring, sigma).status for sigma in autos]
+        data.update(induced=found.count("induced"), induced_bound=2 * ctx.cons.field.l)
+        if ok and "undetermined" in found:
+            return "undetermined", data
+        ok &= data["induced"] <= data["induced_bound"]
+    return ("pass" if ok else "fail"), data
 
 
-def _check_design_iso(cons: Construction, sample: int | None) -> tuple[str, dict]:
+def _design_isomorphism(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
+    """dev(X_0) ~ dev(X_i) over all or sampled pairs, det(A) nonzero"""
+    cons = ctx.cons
+    sample = None if exhaustive else (1_000_000 if ctx.suite == "full" else 100_000)
     data = {}
     ok = True
     for i in range(cons.q):
         rep = designs.verify_design_iso(cons, i, sample=sample)
-        ok &= rep.crit_holds and rep.det_a_nonzero
+        ok &= rep.crit_holds and rep.det_a_nonzero and rep.pairs_checked == (sample or cons.n**2)
         data[f"i={i}"] = rep.to_json()
     return ("pass" if ok else "fail"), data
 
 
-def _check_one_point_extension(cons, closures) -> tuple[str, dict]:
-    i = cons.generators_I()[0]
-    cc = closures[i]
-    ext = coherent.one_point_extension(cc, cons.table.identity)
-    cells = [np.array([0])] + [cons.build_Y(k) for k in range(cons.q)] + [cons.punctured_center()]
+def _one_point_extension(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
+    """extension fibers, one-color valency-1 relations, regular on Y_0, identities"""
+    cons, t = ctx.cons, ctx.cons.table
+    ext = coherent.one_point_extension(ctx.closure(cons.generators_I()[0]), t.identity)
     got = {np.sort(f).astype(np.int64).tobytes() for f in ext.fibers}
-    want = {c.astype(np.int64).tobytes() for c in cells}
-    fibers_ok = got == want
-
+    fibers_ok = got == {c.tobytes() for c in ctx.cells}
     y0 = cons.build_Y(0)
     valency_ok = True
     for j in range(1, cons.q):
         yj = cons.build_Y(j)
         block = ext.color[np.ix_(y0, yj)]
-        row0 = np.bincount(block[0], minlength=ext.rank)
-        valency_ok &= any(int(row0[c]) == 1 for c in np.unique(block))
+        counts = np.stack([np.bincount(row, minlength=ext.rank) for row in block])
+        # the distinguished valency-1 relation: pairs whose quotient lands in
+        # the cell labelled by psi(j, 0); it must be exactly one color class
+        quot = t.mult[np.ix_(yj, t.inv[y0])]   # quot[b, a] = yj_b * y0_a**-1
+        rel = np.isin(quot, cons.build_Y(cons.psi(j, 0))).T
+        colors = np.unique(block[rel])
+        valency_ok &= bool(
+            (counts == counts[0]).all() and len(colors) == 1
+            and np.array_equal(block == colors[0], rel) and counts[0, colors[0]] == 1
+        )
     block00 = ext.color[np.ix_(y0, y0)]
     per_row = np.stack([np.bincount(row, minlength=ext.rank) for row in block00])
     regular_ok = bool(((per_row == 0) | (per_row == 1)).all())
-
-    ok = fibers_ok and valency_ok and regular_ok
-    return ("pass" if ok else "fail"), {
+    data = {
         "fibers_match_cells": bool(fibers_ok),
         "valency_one_colors": bool(valency_ok),
         "regular_on_Y0": bool(regular_ok),
         "extension_rank": ext.rank,
     }
+    if exhaustive:   # a pure-Python pass over all 8 * 10^4 tensor entries at q = 5
+        data["tensor_identities"] = coherent.tensor_identities_hold(ext)
+    ok = fibers_ok and valency_ok and regular_ok and data.get("tensor_identities", True)
+    return ("pass" if ok else "fail"), data
 
 
-def _check_iso_classes(cons, closures, budget) -> tuple[str, dict]:
-    gens = cons.generators_I()
+def _iso_classes(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
+    """at least phi(q + 1) / (2 log_p q) isomorphism classes, every pair decided"""
+    cons, gens = ctx.cons, ctx.cons.generators_I()
     graphs = [cons.build_cayley(i) for i in gens]
-    result = isotest.iso_class_count(graphs, [closures[i] for i in gens], budget)
+    result = isotest.iso_class_count(graphs, [ctx.closure(i) for i in gens])
     bound = max(1, euler_phi(cons.q + 1) // (2 * cons.field.l))
     status = "pass" if result.exact and result.count >= bound else (
         "undetermined" if not result.exact else "fail"
@@ -316,97 +380,93 @@ def _check_iso_classes(cons, closures, budget) -> tuple[str, dict]:
     }
 
 
-def _check_automorphism_order(cons, closures, budget) -> tuple[str, dict]:
+def _reverse_pair_isomorphism(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
+    """Cay(X_i) ~ Cay(X_chi(i)), witnessed arc by arc"""
+    cons = ctx.cons
     i = cons.generators_I()[0]
-    g = cons.build_cayley(i)
+    j = cons.chi(i)
+    g1, g2 = cons.build_cayley(i), cons.build_cayley(j)
+    cert = isotest.are_isomorphic(g1, g2, ctx.closure(i), ctx.closure(j))
+    # (x, y, z) -> (x, -y, -z) maps X_i onto X_chi(i), so "isomorphic" is expected
+    f = cert.mapping
+    witnessed = cert.isomorphic and np.array_equal(g2.arcs[np.ix_(f, f)], g1.arcs)
+    status = "undetermined" if cert.kind == "undetermined" else ("pass" if witnessed else "fail")
+    return status, {"i": i, "chi_i": j, "result": cert.kind}
+
+
+def _automorphism_order(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
+    """|Aut| = q^3 (q^2 - 1)"""
+    cons = ctx.cons
+    i = cons.generators_I()[0]
     want = cons.q**3 * (cons.q**2 - 1)
     try:
-        order = isotest.automorphism_order(g, closures[i], budget)
+        order = isotest.automorphism_order(cons.build_cayley(i), ctx.closure(i))
     except isotest.BudgetExceeded:
         return "undetermined", {"expected": want}
     return ("pass" if order == want else "fail"), {"order": order, "expected": want}
 
 
-def _check_reverse_pair(cons, closures, budget) -> tuple[str, dict]:
-    i = cons.generators_I()[0]
-    j = cons.chi(i)
-    cert = isotest.are_isomorphic(
-        cons.build_cayley(i),
-        cons.build_cayley(j),
-        closures.get(i),
-        closures.get(j),
-        budget,
-    )
-    status = "undetermined" if cert.kind == "undetermined" else "pass"
-    return status, {"i": i, "chi_i": j, "result": cert.kind}
+ANY = math.inf
+NEVER = (0, 0)
 
 
-def run_suite(q: int, suite: str = "full", seed: int = DEFAULT_SEED) -> RunReport:
-    if suite not in ("full", "fast"):
-        raise ValueError("suite must be 'full' or 'fast'")
-    cons = Construction(q)
-    report = RunReport(q=q, suite=suite, seed=seed, field_json=cons.field.to_json())
-    full = suite == "full"
-    budget = isotest.NODE_BUDGET_DEFAULT
+@dataclass(frozen=True)
+class Check:
+    name: str
+    criterion: str
+    fn: Callable[[Context, bool], tuple[str, dict]]
+    # per suite: (largest q of the exhaustive variant, largest q the check runs at)
+    full: tuple[float, float] = (ANY, ANY)
+    fast: tuple[float, float] = (ANY, ANY)
 
-    gens = cons.generators_I()
-    wl_labels = gens if full else gens[:1]
-    if q > 7:
-        wl_labels = gens[:1]
+    def variant(self, q: int, suite: str) -> str | None:
+        """"exhaustive" or "sampled" at (q, suite); None where it does not run."""
+        exhaustive_to, runs_to = self.full if suite == "full" else self.fast
+        if q > runs_to:
+            return None
+        return "exhaustive" if q <= exhaustive_to else "sampled"
 
-    plan: list[tuple[str, object]] = [
-        ("field_axioms", lambda: _check_field_axioms(cons)),
-        ("group_axioms", lambda: _check_group_axioms(cons, seed)),
-        ("k_automorphisms", lambda: _check_k_automorphisms(cons)),
-        ("orbit_partition", lambda: _check_orbits(cons)),
-        ("psi_group", lambda: _check_psi_group(cons)),
-    ]
 
-    ring = srings.SRing.from_construction(cons)
-    tensor = srings.structure_constants(ring)
-    plan += [
-        ("dds_transversal", lambda: _check_transversal(ring)),
-        ("structure_constants", lambda: _check_structure_constants(ring, tensor)),
-        ("tensor_identities", lambda: _check_tensor_identities(tensor)),
-        ("ddd_parameters", lambda: _check_ddd(cons)),
-    ]
+# The checks in report order, and the one size table: the sampled variants
+# are 10^4 group triples, the first label's closure only, no inducedness
+# search, 10^6 (full) or 10^5 (fast) sampled design pairs, and no tensor
+# identities on the one-point extension.
+REGISTRY = [
+    Check("field_axioms", "12", _field_axioms),
+    Check("group_axioms", "12", _group_axioms, full=(3, ANY), fast=(3, ANY)),
+    Check("k_automorphisms", "8", _k_automorphisms),
+    Check("orbit_partition", "5", _orbit_partition),
+    Check("psi_group", "3", _psi_group),
+    Check("dds_transversal", "2", _dds_transversal),
+    Check("structure_constants", "4", _structure_constants),
+    Check("tensor_identities", "12", _tensor_identities),
+    Check("ddd_parameters", "1", _ddd_parameters),
+    Check("wl_closure", "5", _wl_closure, full=(7, ANY), fast=(0, ANY)),
+    Check("wl_equivalence", "6", _wl_equivalence, full=(7, 7), fast=NEVER),
+    Check("tau_hat_transport", "6", _tau_hat_transport, full=(7, 7), fast=NEVER),
+    Check("algebraic_automorphisms", "9", _algebraic_automorphisms, full=(5, ANY), fast=(5, ANY)),
+    Check("design_isomorphism", "10", _design_isomorphism, full=(5, ANY), fast=(0, ANY)),
+    Check("one_point_extension", "11", _one_point_extension, full=(3, 5), fast=(3, 5)),
+    Check("iso_classes", "7", _iso_classes, full=(7, 7), fast=NEVER),
+    Check("reverse_pair_isomorphism", "7", _reverse_pair_isomorphism, full=(7, 7), fast=NEVER),
+    Check("automorphism_order", "8", _automorphism_order, full=(5, 5), fast=NEVER),
+]
 
-    closures: dict[int, coherent.CoherentConfiguration] = {}
 
-    def get_closures():
-        for i in wl_labels:
-            if i not in closures:
-                closures[i] = coherent.wl_close(cons.build_cayley(i))
-        return closures
-
-    plan += [("wl_closure", lambda: _check_wl_closure(cons, get_closures()))]
-    if len(wl_labels) >= 2:
-        pairs = (
-            [(a, b) for ai, a in enumerate(wl_labels) for b in wl_labels[ai + 1:]]
-            if full and q <= 7
-            else [(wl_labels[0], wl_labels[1])]
-        )
-        plan += [("wl_equivalence", lambda: _check_wl_equivalence(cons, pairs))]
-        plan += [("tau_hat_transport", lambda: _check_tau_hat(cons, ring, get_closures()))]
-    plan += [("algebraic_automorphisms", lambda: _check_algebraic_automorphisms(cons, tensor))]
-
-    sample = None if (full and q <= 5) else (1_000_000 if full else 100_000)
-    plan += [("design_isomorphism", lambda: _check_design_iso(cons, sample))]
-
-    if q <= 5:
-        plan += [("one_point_extension", lambda: _check_one_point_extension(cons, get_closures()))]
-    if full and q <= 7:
-        plan += [("iso_classes", lambda: _check_iso_classes(cons, get_closures(), budget))]
-        plan += [("reverse_pair_isomorphism", lambda: _check_reverse_pair(cons, get_closures(), budget))]
-    if full and q <= 5:
-        plan += [("automorphism_order", lambda: _check_automorphism_order(cons, get_closures(), budget))]
-
-    for name, fn in plan:
+def run_suite(
+    q: int, suite="full", seed=DEFAULT_SEED, max_vertices=MAX_VERTICES_DEFAULT
+) -> RunReport:
+    ctx = Context(q, suite, seed, max_vertices)
+    checks, timings = [], {}
+    for check in REGISTRY:
+        variant = check.variant(q, suite)
+        if variant is None:
+            continue
         t0 = time.perf_counter()
         try:
-            status, data = fn()
+            status, data = check.fn(ctx, variant == "exhaustive")
         except Exception as exc:  # a crashed check is a failed check, loudly
             status, data = "fail", {"error": f"{type(exc).__name__}: {exc}"}
-        report.checks.append(CheckResult(name, status, data))
-        report.timings[name] = round(time.perf_counter() - t0, 3)
-    return report
+        checks.append(CheckResult(check.name, status, data))
+        timings[check.name] = round(time.perf_counter() - t0, 3)
+    return RunReport(q, suite, seed, ctx.cons.field.to_json(), checks, timings)

@@ -1,18 +1,13 @@
 import pytest
 
-from ddwl import Construction, wl_close
-from ddwl.srings import SRing, structure_constants
+from ddwl.suite import Context
 
 ACCEPTANCE_LINES: list[str] = []
 
 
-def record_acceptance(line: str) -> None:
-    ACCEPTANCE_LINES.append(line)
-
-
 @pytest.fixture(scope="session")
 def acceptance_log():
-    return record_acceptance
+    return ACCEPTANCE_LINES.append
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -23,90 +18,62 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 @pytest.fixture(scope="session")
-def cons3():
-    return Construction(3)
+def contexts():
+    """One full-suite registry context per q for the whole session, so each
+    construction, tensor and closure is built once and shared by the
+    fixtures below and the acceptance tests."""
+    return {q: Context(q) for q in (3, 5, 7, 9, 11)}
 
 
 @pytest.fixture(scope="session")
-def cons5():
-    return Construction(5)
+def cons3(contexts):
+    return contexts[3].cons
 
 
 @pytest.fixture(scope="session")
-def cons7():
-    return Construction(7)
+def cons5(contexts):
+    return contexts[5].cons
 
 
 @pytest.fixture(scope="session")
-def cons9():
-    return Construction(9)
+def cons7(contexts):
+    return contexts[7].cons
 
 
 @pytest.fixture(scope="session")
-def cons11():
-    return Construction(11)
+def cons9(contexts):
+    return contexts[9].cons
 
 
-def _closures(cons):
-    return {i: wl_close(cons.build_cayley(i)) for i in cons.generators_I()}
-
-
-@pytest.fixture(scope="session")
-def closures3(cons3):
-    return _closures(cons3)
+def _closures(ctx):
+    return {i: ctx.closure(i) for i in ctx.cons.generators_I()}
 
 
 @pytest.fixture(scope="session")
-def closures5(cons5):
-    return _closures(cons5)
+def closures3(contexts):
+    return _closures(contexts[3])
 
 
 @pytest.fixture(scope="session")
-def closures7(cons7):
-    return _closures(cons7)
+def closures5(contexts):
+    return _closures(contexts[5])
 
 
 @pytest.fixture(scope="session")
-def closure9_first(cons9):
-    i = cons9.generators_I()[0]
-    return i, wl_close(cons9.build_cayley(i))
+def ring3(contexts):
+    return contexts[3].ring
 
 
 @pytest.fixture(scope="session")
-def ring3(cons3):
-    return SRing.from_construction(cons3)
+def ring5(contexts):
+    return contexts[5].ring
 
 
 @pytest.fixture(scope="session")
-def ring5(cons5):
-    return SRing.from_construction(cons5)
+def tensor3(contexts):
+    return contexts[3].tensor
 
 
 @pytest.fixture(scope="session")
-def ring7(cons7):
-    return SRing.from_construction(cons7)
-
-
-@pytest.fixture(scope="session")
-def ring9(cons9):
-    return SRing.from_construction(cons9)
-
-
-@pytest.fixture(scope="session")
-def tensor3(ring3):
-    return structure_constants(ring3)
-
-
-@pytest.fixture(scope="session")
-def tensor5(ring5):
-    return structure_constants(ring5)
-
-
-@pytest.fixture(scope="session")
-def tensor7(ring7):
-    return structure_constants(ring7)
-
-
-@pytest.fixture(scope="session")
-def tensor9(ring9):
-    return structure_constants(ring9)
+def tensor5(contexts):
+    return contexts[5].tensor

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ddwl import srings, suite
 from ddwl.cli import main
 from ddwl.digraph import Digraph
 
@@ -70,6 +71,37 @@ def test_verify_byte_identical_reports(tmp_path, capsys):
 
 def test_verify_rejects_non_prime_power(capsys):
     assert main(["verify", "15"]) == 2
+    capsys.readouterr()
+
+
+def test_verify_usage_errors_exit_2(monkeypatch, capsys):
+    assert main(["verify", "13"]) == 2                  # over the default cap of 11
+    monkeypatch.setenv("DDWL_MAX_Q", "eleven")
+    assert main(["verify", "3"]) == 2
+    assert "DDWL_MAX_Q" in capsys.readouterr().err
+
+
+def test_verify_failed_check_exits_1(tmp_path, monkeypatch, capsys):
+    def broken(ring):
+        raise srings.NotAnSRing("cells are not closed under products")
+
+    monkeypatch.setattr(srings, "structure_constants", broken)
+    out = tmp_path / "r.json"
+    assert main(["verify", "3", "--suite", "fast", "--out", str(out)]) == 1
+    failed = {c["name"] for c in json.loads(out.read_text())["checks"] if c["status"] == "fail"}
+    assert failed == {
+        "structure_constants", "tensor_identities", "wl_closure", "algebraic_automorphisms"
+    }
+    capsys.readouterr()
+
+
+def test_verify_honours_env_cap(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("DDWL_MAX_Q", "13")
+    monkeypatch.setattr(suite, "REGISTRY", suite.REGISTRY[:1])
+    out = tmp_path / "r.json"
+    assert main(["verify", "13", "--suite", "fast", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["q"] == 13 and [c["name"] for c in report["checks"]] == ["field_axioms"]
     capsys.readouterr()
 
 

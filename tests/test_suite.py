@@ -1,0 +1,142 @@
+"""Each registry check that decides its status by a comparison reports
+`fail` on one corrupted input at q = 3, so no check can pass by comparing a
+computation with itself."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from ddwl import designs, isotest, srings, suite
+from ddwl.construction import Construction
+from ddwl.digraph import Digraph
+
+
+def _wrap_cayley(cons, change):
+    build = cons.build_cayley
+    cons.build_cayley = lambda i, include_identity=True: change(i, build(i, include_identity))
+
+
+def _relabel(cons, mp):
+    perm = np.random.default_rng(0).permutation(cons.n)
+    _wrap_cayley(cons, lambda i, g: g.relabeled(perm))
+
+
+def _perturb_delta(cons, mp):
+    cons.delta = 0
+
+
+def _add_arc(i, g):
+    arcs = g.arcs.copy()
+    arcs[0, np.flatnonzero(~arcs[0])[0]] = True
+    return Digraph(arcs)
+
+
+def _bump_tensor(cons, mp):
+    build = srings.structure_constants
+
+    def bumped(ring):
+        t = build(ring)
+        c = t.c.copy()
+        c[0, 0, 0] += 1
+        return dataclasses.replace(t, c=c)
+
+    mp.setattr(srings, "structure_constants", bumped)
+
+
+def _roll_design_map(cons, mp):
+    build = designs.desiso_maps
+
+    def rolled(c, i):
+        maps = build(c, i)
+        return dataclasses.replace(maps, f=np.roll(maps.f, 1))
+
+    mp.setattr(designs, "desiso_maps", rolled)
+
+
+CORRUPTIONS = {
+    "field_axioms": lambda cons, mp: mp.setattr(
+        cons.field, "inv_t", np.roll(cons.field.inv_t, 1)
+    ),
+    "group_axioms": lambda cons, mp: setattr(
+        cons.table, "mult", cons.table.mult[[0, 2, 1, *range(3, cons.n)]]
+    ),
+    "k_automorphisms": _relabel,
+    # k_orbits itself raises when the orbits of too small a K miss the cells
+    "orbit_partition": lambda cons, mp: setattr(cons, "_K", cons.build_K()[:2]),
+    "psi_group": _perturb_delta,
+    "dds_transversal": lambda cons, mp: setattr(cons.table, "inv", np.arange(cons.n)),
+    "structure_constants": _perturb_delta,
+    "tensor_identities": _bump_tensor,
+    "ddd_parameters": _relabel,
+    "wl_closure": _relabel,
+    "wl_equivalence": lambda cons, mp: _wrap_cayley(
+        cons, lambda i, g: g if i == 1 else Digraph(g.arcs & ~np.eye(cons.n, dtype=bool))
+    ),
+    "tau_hat_transport": lambda cons, mp: mp.setattr(
+        srings, "tau_hat", lambda ring, m: np.arange(ring.r)
+    ),
+    "algebraic_automorphisms": lambda cons, mp: mp.setattr(suite, "euler_phi", lambda n: 100),
+    "design_isomorphism": _roll_design_map,
+    "one_point_extension": _relabel,
+    "iso_classes": lambda cons, mp: mp.setattr(suite, "euler_phi", lambda n: 100),
+    "reverse_pair_isomorphism": lambda cons, mp: mp.setattr(
+        isotest, "are_isomorphic",
+        lambda g1, g2, *args: isotest.IsoCertificate("isomorphic", mapping=np.arange(g1.n)),
+    ),
+    "automorphism_order": lambda cons, mp: _wrap_cayley(cons, _add_arc),
+}
+
+
+def _run_one(name, monkeypatch):
+    monkeypatch.setattr(suite, "REGISTRY", [c for c in suite.REGISTRY if c.name == name])
+    (result,) = suite.run_suite(3).checks
+    return result
+
+
+def test_every_check_has_a_corruption():
+    assert set(CORRUPTIONS) == {c.name for c in suite.REGISTRY}
+
+
+@pytest.mark.parametrize("name", list(CORRUPTIONS))
+def test_corrupted_input_fails(name, monkeypatch):
+    cons = Construction(3)
+    CORRUPTIONS[name](cons, monkeypatch)
+    monkeypatch.setattr(suite, "Construction", lambda q, max_vertices: cons)
+    result = _run_one(name, monkeypatch)
+    assert result.status == "fail", result.data
+    assert ("error" in result.data) == (name == "orbit_partition"), result.data
+
+
+@pytest.mark.parametrize("kind", ["non-isomorphic", "undetermined"])
+def test_reverse_pair_takes_the_search_answer(kind, monkeypatch):
+    monkeypatch.setattr(
+        isotest, "are_isomorphic", lambda g1, g2, *args: isotest.IsoCertificate(kind)
+    )
+    result = _run_one("reverse_pair_isomorphism", monkeypatch)
+    assert result.status == {"non-isomorphic": "fail", "undetermined": "undetermined"}[kind]
+    assert result.data["result"] == kind
+
+
+def test_size_table():
+    def plan(q, s):
+        return {c.name: c.variant(q, s) for c in suite.REGISTRY if c.variant(q, s)}
+
+    assert list(plan(5, "full")) == [c.name for c in suite.REGISTRY]
+    assert set(plan(5, "full")) - set(plan(7, "full")) == {
+        "one_point_extension", "automorphism_order"
+    }
+    assert set(plan(7, "full")) - set(plan(9, "full")) == {
+        "wl_equivalence", "tau_hat_transport", "iso_classes", "reverse_pair_isomorphism"
+    }
+    assert set(plan(5, "full")) - set(plan(5, "fast")) == {
+        "wl_equivalence", "tau_hat_transport", "iso_classes", "reverse_pair_isomorphism",
+        "automorphism_order",
+    }
+    sampled = {"wl_closure", "design_isomorphism", "group_axioms"}
+    assert {n for n, v in plan(5, "fast").items() if v == "sampled"} == sampled | {
+        "one_point_extension"
+    }
+    assert {n for n, v in plan(9, "full").items() if v == "sampled"} == sampled | {
+        "algebraic_automorphisms"
+    }
