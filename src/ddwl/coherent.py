@@ -24,6 +24,12 @@ Two interchangeable signature encodings realise the same order:
 
 A round uses one mode throughout, chosen from the current rank, and work is
 blocked over rows to bound scratch memory.
+
+Intersection numbers.  The round that confirms stability gives every pair
+of color t the same key, so that key is the multiset of codes
+(color(u, w), color(w, v)) shared by all pairs of color t: the intersection
+numbers of t, proven well defined for every pair.  The tensor is read off
+those keys.
 """
 
 from __future__ import annotations
@@ -49,12 +55,13 @@ class PairColoring:
 class CoherentConfiguration:
     """Stable pair coloring with fibers, valencies and intersection numbers.
 
-    The tensor is kept sparse: a dict mapping (r, s, t) to the count of
-    middle vertices w with color(u, w) = r, color(w, v) = s for any pair
-    (u, v) of color t.
+    The tensor is kept sparse: an (m, 4) int64 array of rows (r, s, t, count),
+    sorted lexicographically, where count is the number of middle vertices w
+    with color(u, w) = r, color(w, v) = s for any pair (u, v) of color t.  It
+    is read off the signature keys of the round that confirmed stability.
     """
 
-    def __init__(self, coloring: PairColoring, tensor_check: str, seed: int):
+    def __init__(self, coloring: PairColoring, keys: list[bytes]):
         self.coloring = coloring
         self.n = coloring.n
         color = coloring.color
@@ -70,7 +77,10 @@ class CoherentConfiguration:
         self.fiber_of = fiber_of
 
         self._row_counts_check(color)
-        self._build_tensor(color, tensor_check, seed)
+        self.tensor = _tensor_from_keys(keys, self.n, self.rank)
+        _, first = np.unique(color, return_index=True)  # one pair (u, v) per color
+        u, v = np.divmod(first, self.n)
+        self.converse = color[v, u].astype(np.int64)
 
     # -- structure ----------------------------------------------------------
 
@@ -107,49 +117,6 @@ class CoherentConfiguration:
         self.left_fiber = left
         self.right_fiber = right
 
-    def _build_tensor(self, color, tensor_check, seed):
-        n, rank = self.n, self.rank
-        flat = color.ravel()
-        order = np.argsort(flat, kind="stable")
-        sorted_flat = flat[order]
-        bounds = np.searchsorted(sorted_flat, np.arange(rank + 1))
-        reps = order[bounds[:-1]]
-        c64 = color.astype(np.int64)
-
-        def sorted_codes(u, v):
-            return np.sort(c64[u] * rank + c64[:, v])
-
-        tensor: dict[tuple[int, int, int], int] = {}
-        converse = np.empty(rank, dtype=np.int64)
-        rep_pairs = []
-        for t in range(rank):
-            u, v = divmod(int(reps[t]), n)
-            rep_pairs.append((u, v))
-            converse[t] = color[v, u]
-            codes, counts = np.unique(c64[u] * rank + c64[:, v], return_counts=True)
-            for code, count in zip(codes, counts):
-                tensor[(int(code) // rank, int(code) % rank, t)] = int(count)
-        self.tensor = tensor
-        self.converse = converse
-        self.rep_pairs = rep_pairs
-
-        # equal sorted code vectors <=> equal count vectors per pair
-        rng = np.random.default_rng(seed)
-        for t in range(rank):
-            lo, hi = int(bounds[t]), int(bounds[t + 1])
-            if tensor_check == "full":
-                picks = np.arange(lo, hi)
-            else:
-                k = min(100, hi - lo)
-                picks = lo + rng.choice(hi - lo, size=k, replace=False)
-            base = sorted_codes(*rep_pairs[t])
-            for p in picks:
-                u, v = divmod(int(order[p]), n)
-                if not np.array_equal(sorted_codes(u, v), base):
-                    raise RuntimeError(
-                        f"intersection number not well defined on color {t}"
-                    )
-
     # -- views ---------------------------------------------------------------
 
     @property
@@ -165,16 +132,15 @@ class CoherentConfiguration:
 
     def dense_tensor(self) -> np.ndarray:
         t = np.zeros((self.rank, self.rank, self.rank), dtype=np.int64)
-        for (r, s, u), c in self.tensor.items():
-            t[r, s, u] = c
+        r, s, u, c = self.tensor.T
+        t[r, s, u] = c
         return t
 
     def tensor_json(self) -> dict:
-        entries = sorted((r, s, t, c) for (r, s, t), c in self.tensor.items())
         return {
             "rank": self.rank,
             "valencies": [int(v) for v in self.valencies],
-            "tensor": [list(e) for e in entries],
+            "tensor": self.tensor.tolist(),
         }
 
     def refines(self, other: "CoherentConfiguration") -> bool:
@@ -204,7 +170,8 @@ def _initial_coloring(g: Digraph) -> tuple[np.ndarray, int]:
     return _renumber(color)
 
 
-def _refine_round(color: np.ndarray, rank: int) -> tuple[np.ndarray, int]:
+def _refine_round(color: np.ndarray, rank: int) -> tuple[np.ndarray, int, list[bytes]]:
+    """One recoloring; also returns the signature keys, key i naming new color i."""
     n = color.shape[0]
     if n >= 65536:
         raise ValueError("refinement supports fewer than 2**16 vertices")
@@ -248,47 +215,73 @@ def _refine_round(color: np.ndarray, rank: int) -> tuple[np.ndarray, int]:
         keys.update(key_bytes)
         pieces.append((start, stop, inv.astype(np.int64), key_bytes))
 
-    order = {k: i for i, k in enumerate(sorted(keys))}
+    ordered = sorted(keys)
+    order = {k: i for i, k in enumerate(ordered)}
     new = np.empty((n, n), dtype=np.int32)
     for start, stop, inv, key_bytes in pieces:
         lmap = np.array([order[k] for k in key_bytes], dtype=np.int32)
         new[start:stop] = lmap[inv].reshape(stop - start, n)
-    return new, len(order)
+    return new, len(order), ordered
 
 
-def _stable_coloring(color: np.ndarray, rank: int) -> tuple[np.ndarray, int, int]:
+def _stable_coloring(color: np.ndarray, rank: int) -> tuple[np.ndarray, int, int, list[bytes]]:
+    """The stable coloring, its rank, the rounds run and the confirming round's keys."""
     rounds = 0
     while True:
-        new, rank2 = _refine_round(color, rank)
+        new, rank2, keys = _refine_round(color, rank)
         rounds += 1
         if rank2 == rank:
             if not np.array_equal(new, color):
                 raise RuntimeError("renaming not canonical at the stable point")
-            return color, rank, rounds
+            return color, rank, rounds, keys
         color, rank = new, rank2
+
+
+def _tensor_from_keys(keys: list[bytes], n: int, rank: int) -> np.ndarray:
+    """The sorted (r, s, t, count) rows of the intersection tensor.
+
+    In the confirming round every pair of color t received key t, so key t
+    holds the code multiset of all of them: code r * rank + s counts the w
+    with color(u, w) = r and color(w, v) = s.
+    """
+    if rank * rank <= _MODE_A_MAX_CODES:
+        rows = np.frombuffer(b"".join(keys), dtype=">u2").reshape(rank, rank * rank + 2)
+        counts = n - rows[:, 2:].astype(np.int64)
+        t, code = np.nonzero(counts)
+        count = counts[t, code]
+    else:
+        codes = np.frombuffer(b"".join(keys), dtype=">i8").reshape(rank, n + 1)[:, 1:]
+        runs = np.ones((rank, n), dtype=bool)     # each sorted row split into runs of equal codes
+        runs[:, 1:] = codes[:, 1:] != codes[:, :-1]
+        starts = np.flatnonzero(runs)
+        t, code = starts // n, codes.ravel()[starts]
+        count = np.diff(np.append(starts, rank * n))
+    return _lex_sorted(np.column_stack([code // rank, code % rank, t, count]).astype(np.int64))
+
+
+def _lex_sorted(rows: np.ndarray) -> np.ndarray:
+    return rows[np.lexsort(rows.T[::-1])]
 
 
 # -- public operations ---------------------------------------------------------
 
 
-def wl_close(g: Digraph, tensor_check: str = "spot", seed: int = 0) -> CoherentConfiguration:
+def wl_close(g: Digraph) -> CoherentConfiguration:
     """Smallest coherent configuration whose colors refine the arc relation."""
     if g.n < 1:
         raise ValueError("need at least one vertex")
     color0, rank0 = _initial_coloring(g)
-    color, rank, rounds = _stable_coloring(color0, rank0)
-    return CoherentConfiguration(PairColoring(g.n, color, rounds), tensor_check, seed)
+    color, rank, rounds, keys = _stable_coloring(color0, rank0)
+    return CoherentConfiguration(PairColoring(g.n, color, rounds), keys)
 
 
-def one_point_extension(
-    cc: CoherentConfiguration, v: int, tensor_check: str = "spot", seed: int = 0
-) -> CoherentConfiguration:
+def one_point_extension(cc: CoherentConfiguration, v: int) -> CoherentConfiguration:
     """Re-refine with vertex v given a fresh diagonal color; {v} becomes a fiber."""
     seeded = cc.color.copy()
     seeded[v, v] = cc.rank
     color0, rank0 = _renumber(seeded)
-    color, rank, rounds = _stable_coloring(color0, rank0)
-    out = CoherentConfiguration(PairColoring(cc.n, color, rounds), tensor_check, seed)
+    color, rank, rounds, keys = _stable_coloring(color0, rank0)
+    out = CoherentConfiguration(PairColoring(cc.n, color, rounds), keys)
     if not out.refines(cc):
         raise RuntimeError("extension does not refine the base configuration")
     if not any(len(f) == 1 and f[0] == v for f in out.fibers):
@@ -317,7 +310,7 @@ def wl_equivalent(g1: Digraph, g2: Digraph) -> bool:
     arcs[:n, :n] = g1.arcs
     arcs[n:, n:] = g2.arcs
     color0, rank0 = _initial_coloring(Digraph(arcs))
-    color, rank, _ = _stable_coloring(color0, rank0)
+    color, rank, _, _ = _stable_coloring(color0, rank0)
     m1 = np.bincount(color[:n, :n].ravel(), minlength=rank)
     m2 = np.bincount(color[n:, n:].ravel(), minlength=rank)
     return bool(np.array_equal(m1, m2))
@@ -332,31 +325,29 @@ def verify_algebraic_map(
     sigma = np.asarray(sigma, dtype=np.int64)
     if sorted(sigma.tolist()) != list(range(cc1.rank)):
         raise ValueError("sigma is not a bijection on colors")
-    if len(cc1.tensor) != len(cc2.tensor):
-        return False
-    for (r, s, t), c in cc1.tensor.items():
-        if cc2.tensor.get((int(sigma[r]), int(sigma[s]), int(sigma[t]))) != c:
-            return False
-    return True
+    r, s, t, c = cc1.tensor.T
+    moved = np.column_stack([sigma[r], sigma[s], sigma[t], c])
+    return bool(np.array_equal(_lex_sorted(moved), cc2.tensor))
 
 
 def tensor_identities_hold(cc: CoherentConfiguration) -> bool:
-    """Mass conservation and the triangle identity on the sparse tensor."""
+    """Fiber compatibility, mass conservation and the triangle identity on
+    the sorted tensor rows."""
     val, left, right = cc.valencies, cc.left_fiber, cc.right_fiber
-    sums: dict[tuple[int, int], int] = {}
-    for (r, s, t), c in cc.tensor.items():
-        if right[r] != left[s] or left[r] != left[t] or right[s] != right[t]:
-            return False
-        sums[(r, s)] = sums.get((r, s), 0) + c * int(val[t])
-    for r in range(cc.rank):
-        for s in range(cc.rank):
-            if right[r] != left[s]:
-                continue
-            if sums.get((r, s), 0) != int(val[r]) * int(val[s]):
-                return False
-    conv = cc.converse
-    for (r, s, t), c in cc.tensor.items():
-        other = cc.tensor.get((t, int(conv[s]), r), 0)
-        if int(val[t]) * c != int(val[r]) * other:
-            return False
-    return True
+    r, s, t, c = cc.tensor.T
+    if (right[r] != left[s]).any() or (left[r] != left[t]).any() or (right[s] != right[t]).any():
+        return False
+    # sum over t of p^t_rs * val[t] = val[r] * val[s], for every (r, s) meeting in a fiber
+    group = np.flatnonzero(np.r_[True, (r[1:] != r[:-1]) | (s[1:] != s[:-1])])
+    sums = np.add.reduceat(c * val[t], group)
+    fibers = len(cc.fibers)
+    meeting = np.bincount(right, minlength=fibers) @ np.bincount(left, minlength=fibers)
+    if len(group) != meeting or not np.array_equal(sums, val[r[group]] * val[s[group]]):
+        return False
+    # val[t] p^t_rs = val[r] p^r_{t s'} with s' the converse of s: the map
+    # (r, s, t) -> (t, s', r) is an involution, so it must permute the rows
+    moved = val[t] * c
+    if (moved % val[r]).any():
+        return False
+    mirrored = np.column_stack([t, cc.converse[s], r, moved // val[r]])
+    return bool(np.array_equal(_lex_sorted(mirrored), cc.tensor))

@@ -118,6 +118,7 @@ class Construction:
         self.delta = f.inv(f.mul(f.from_int(16), self.epsilon))
         self._K: list[KAutomorphism] | None = None
         self._orbits: list[np.ndarray] | None = None
+        self._cells: list[np.ndarray] | None = None
         self._X: dict[int, np.ndarray] = {}
         self._graphs: dict[tuple[int, bool], Digraph] = {}
 
@@ -181,15 +182,19 @@ class Construction:
                 members.update(fresh.tolist())
                 frontier = fresh
             orbits.append(np.array(sorted(members), dtype=np.int64))
-        expected = [np.array([0], dtype=np.int64), self.punctured_center()] + [
-            self.build_Y(i) for i in range(self.q)
-        ]
         got = {arr.tobytes() for arr in orbits}
-        want = {arr.tobytes() for arr in expected}
+        want = {arr.tobytes() for arr in self.cells()}
         if got != want or len(orbits) != self.q + 2:
             raise RuntimeError("K-orbits do not match the analytic cell list")
         self._orbits = orbits
         return orbits
+
+    def cells(self) -> list[np.ndarray]:
+        """The analytic K-orbits in S-ring order: {e}, Y_0, ..., Y_{q-1}, Z#."""
+        if self._cells is None:
+            ys = [self.build_Y(i) for i in range(self.q)]
+            self._cells = [np.array([0], dtype=np.int64)] + ys + [self.punctured_center()]
+        return self._cells
 
     def punctured_center(self) -> np.ndarray:
         """The q - 1 central vertices other than the identity."""

@@ -32,19 +32,11 @@ class Digraph:
     def in_degrees(self) -> np.ndarray:
         return self.arcs.sum(axis=0)
 
-    def has_loop(self) -> np.ndarray:
-        return self.arcs.diagonal().copy()
-
     def is_asymmetric(self) -> bool:
         """No 2-cycles between distinct vertices; loops are ignored."""
         both = self.arcs & self.arcs.T
         np.fill_diagonal(both, False)
         return not both.any()
-
-    def without_loops(self) -> "Digraph":
-        a = self.arcs.copy()
-        np.fill_diagonal(a, False)
-        return Digraph(a, label=(self.label + " loopless").strip())
 
     def relabeled(self, perm: np.ndarray) -> "Digraph":
         """Rename vertex u to perm[u]."""

@@ -121,6 +121,13 @@ class _PartitionSearch:
 
     # -- search ----------------------------------------------------------------
 
+    def _seeded(self, forced: tuple[tuple[int, int], ...]):
+        """The diagonal partitions with each forced pair (u, v) in a fresh cell."""
+        pi1, pi2 = self.pi1_0.copy(), self.pi2_0.copy()
+        for k, (u, v) in enumerate(forced):
+            pi1[u] = pi2[v] = self.ncells_0 + k
+        return pi1, pi2, self.ncells_0 + len(forced)
+
     def search(self, forced: tuple[tuple[int, int], ...], root_gens_factory=None):
         """A bijection f with c2[f(u), f(v)] = c1[u, v] respecting the forced
         pairs, or None when none exists.
@@ -131,15 +138,9 @@ class _PartitionSearch:
         automorphism of the second graph reaches every orbit member, so this
         loses no solutions).
         """
-        pi1 = self.pi1_0.copy()
-        pi2 = self.pi2_0.copy()
-        ncells = self.ncells_0
-        for k, (u, v) in enumerate(forced):
-            pi1[u] = ncells + k
-            pi2[v] = ncells + k
         self._root_gens_factory = root_gens_factory
         self._root_pending = root_gens_factory is not None
-        return self._descend(pi1, pi2, ncells + len(forced))
+        return self._descend(*self._seeded(forced))
 
     def _descend(self, pi1, pi2, ncells):
         self.nodes += 1
@@ -176,13 +177,19 @@ class _PartitionSearch:
         return None
 
     def refined_cells(self, forced: tuple[tuple[int, int], ...]):
-        pi1 = self.pi1_0.copy()
-        pi2 = self.pi2_0.copy()
-        ncells = self.ncells_0
-        for k, (u, v) in enumerate(forced):
-            pi1[u] = ncells + k
-            pi2[v] = ncells + k
-        return self._refine(pi1, pi2, ncells + len(forced))
+        return self._refine(*self._seeded(forced))
+
+
+def _orbit_close(orbit: set[int], gens: list[np.ndarray]) -> set[int]:
+    frontier = list(orbit)
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = int(g[x])
+            if y not in orbit:
+                orbit.add(y)
+                frontier.append(y)
+    return orbit
 
 
 def _orbit_representatives(candidates: np.ndarray, gens: list[np.ndarray]) -> np.ndarray:
@@ -194,16 +201,7 @@ def _orbit_representatives(candidates: np.ndarray, gens: list[np.ndarray]) -> np
         if vi in seen:
             continue
         reps.append(vi)
-        orbit = {vi}
-        frontier = [vi]
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = int(g[x])
-                if y not in orbit:
-                    orbit.add(y)
-                    frontier.append(y)
-        seen |= orbit
+        seen |= _orbit_close({vi}, gens)
     return np.array(reps, dtype=np.int64)
 
 
@@ -215,7 +213,7 @@ def _closure_invariants(g: Digraph, cc: CoherentConfiguration) -> dict:
     return {
         "rank": cc.rank,
         "color_multiset": tuple(int(x) for x in cc.color_multiset()),
-        "tensor": tuple(sorted((r, s, t, c) for (r, s, t), c in cc.tensor.items())),
+        "tensor": cc.tensor.tobytes(),
         "arc_colors": tuple(arc_colors),
     }
 
@@ -268,18 +266,6 @@ def are_isomorphic(
 
 
 # -- automorphism groups -----------------------------------------------------------
-
-
-def _orbit_close(orbit: set[int], gens: list[np.ndarray]) -> set[int]:
-    frontier = list(orbit)
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = int(g[x])
-            if y not in orbit:
-                orbit.add(y)
-                frontier.append(y)
-    return orbit
 
 
 def _automorphism_group(
@@ -349,13 +335,6 @@ class IsoClassResult:
     exact: bool
     pair_results: dict = field(default_factory=dict)   # (i, j) -> kind or "iso/non-iso via ..."
     certificates: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "count": self.count,
-            "exact": self.exact,
-            "pairs": {f"{i},{j}": v for (i, j), v in sorted(self.pair_results.items())},
-        }
 
 
 def iso_class_count(

@@ -93,14 +93,8 @@ class SRing:
 
     @classmethod
     def from_construction(cls, cons: Construction) -> "SRing":
-        cells = [np.array([0], dtype=np.int64)]
-        names = ["e"]
-        for i in range(cons.q):
-            cells.append(cons.build_Y(i))
-            names.append(f"Y_{i}")
-        cells.append(cons.punctured_center())
-        names.append("Z#")
-        ring = cls(cons, cells, names)
+        names = ["e"] + [f"Y_{i}" for i in range(cons.q)] + ["Z#"]
+        ring = cls(cons, cons.cells(), names)
         # the cells must coincide with the orbit partition of K
         orbit_keys = {o.tobytes() for o in cons.k_orbits()}
         cell_keys = {c.tobytes() for c in ring.cells}

@@ -1,6 +1,9 @@
+import copy
+
 import numpy as np
 import pytest
 
+from ddwl import coherent
 from ddwl.coherent import (
     as_sring_partition,
     one_point_extension,
@@ -37,9 +40,7 @@ def test_closure_rank_q_plus_two(cons3, closures3):
 
 
 def test_closure_partition_matches_cells(cons3, closures3):
-    want = {cons3.build_Y(j).tobytes() for j in range(3)}
-    want.add(np.array([0], dtype=np.int64).tobytes())
-    want.add(cons3.punctured_center().tobytes())
+    want = {c.tobytes() for c in cons3.cells()}
     for cc in closures3.values():
         cells = as_sring_partition(cc, cons3.table)
         assert {c.astype(np.int64).tobytes() for c in cells} == want
@@ -90,12 +91,102 @@ def test_canonical_invariance_under_relabeling(cons3, maker):
         cc2 = wl_close(g.relabeled(perm))
         assert cc2.rank == cc.rank
         assert np.array_equal(cc2.color_multiset(), cc.color_multiset())
-        assert cc2.tensor == cc.tensor
+        assert np.array_equal(cc2.tensor, cc.tensor)
 
 
-def test_tensor_spot_check_full_mode(cons3):
-    cc = wl_close(cons3.build_cayley(1), tensor_check="full")
-    assert tensor_identities_hold(cc)
+@pytest.mark.parametrize(
+    "maker, encoding",
+    [
+        (lambda cons: wl_close(cons.build_cayley(1)), "count"),
+        (lambda cons: wl_close(cons.build_cayley(1, include_identity=False)), "count"),
+        (lambda cons: one_point_extension(wl_close(cons.build_cayley(1)), 0), "sort"),
+        (lambda cons: wl_close(Digraph.random(40, 0.3, seed=3)), "sort"),
+        (lambda cons: wl_close(Digraph.directed_cycle(9)), "count"),
+    ],
+    ids=["closure", "loopless-closure", "extension", "random", "cycle"],
+)
+def test_tensor_brute_force_oracle(cons3, maker, encoding):
+    """Every pair (u, v) of color t has #{w : c(u, w) = r, c(w, v) = s}
+    equal to the stored p^t_rs, counted from the color matrix alone."""
+    cc = maker(cons3)
+    count_mode = cc.rank**2 <= coherent._MODE_A_MAX_CODES
+    assert encoding == ("count" if count_mode else "sort")
+    by_t = cc.tensor[np.argsort(cc.tensor[:, 2], kind="stable")]
+    rows = np.split(by_t[:, [0, 1, 3]], np.flatnonzero(np.diff(by_t[:, 2])) + 1)
+    assert len(rows) == cc.rank
+    c = cc.color.astype(np.int64)
+    for u in range(cc.n):
+        for v in range(cc.n):
+            codes, counts = np.unique(c[u] * cc.rank + c[:, v], return_counts=True)
+            got = np.column_stack([codes // cc.rank, codes % cc.rank, counts])
+            assert np.array_equal(got, rows[c[u, v]]), (u, v)
+
+
+def _with_tensor(cc, tensor):
+    bad = copy.copy(cc)
+    bad.tensor = tensor
+    return bad
+
+
+def _identities_by_loop(cc):
+    """Reference: the three identities entry by entry over a dict of the rows."""
+    val, left, right, conv = cc.valencies, cc.left_fiber, cc.right_fiber, cc.converse
+    p = {(r, s, t): c for r, s, t, c in cc.tensor.tolist()}
+    sums: dict = {}
+    for (r, s, t), c in p.items():
+        if right[r] != left[s] or left[r] != left[t] or right[s] != right[t]:
+            return False
+        sums[(r, s)] = sums.get((r, s), 0) + c * int(val[t])
+        if int(val[t]) * c != int(val[r]) * p.get((t, int(conv[s]), r), 0):
+            return False
+    return all(
+        sums.get((r, s), 0) == val[r] * val[s]
+        for r in range(cc.rank) for s in range(cc.rank) if right[r] == left[s]
+    )
+
+
+def test_tensor_identities_reject_corrupted_tensors(cons3, closures3):
+    cc = closures3[1]
+    ext = one_point_extension(cc, cons3.table.identity)
+    assert len(ext.fibers) > 1
+    r, s, t, _ = ext.tensor.T
+    # p^d_dd of a diagonal color d is its own triangle image: only the mass
+    # conservation sum sees a bump there
+    k = int(np.flatnonzero((r == t) & (ext.converse[s] == s))[0])
+    bumped = ext.tensor.copy()
+    bumped[k, 3] += 1
+    k = len(ext.tensor) // 2
+    # move one entry to a color t whose left fiber is not that of r
+    crossed = ext.tensor.copy()
+    crossed[k, 2] = int(np.flatnonzero(ext.left_fiber != ext.left_fiber[r[k]])[0])
+    # shift one count between two colors of equal valency in the same (r, s)
+    # group: the mass sums stay, only the triangle identity sees it
+    r, s, t, c = cc.tensor.T
+    key = np.column_stack([r, s, cc.valencies[t]]).tolist()
+    a, b = next(
+        (a, b) for a in range(len(key)) for b in range(a + 1, len(key))
+        if key[a] == key[b] and c[b] >= 2
+    )
+    shifted = cc.tensor.copy()
+    shifted[[a, b], 3] += [1, -1]
+    for good in (cc, ext):
+        assert tensor_identities_hold(good) and _identities_by_loop(good)
+    for base, tensor in [
+        (ext, bumped), (ext, np.delete(ext.tensor, k, axis=0)), (ext, crossed), (cc, shifted)
+    ]:
+        bad = _with_tensor(base, tensor)
+        assert not tensor_identities_hold(bad) and not _identities_by_loop(bad)
+
+
+def test_verify_algebraic_map_rejects_corrupted_tensors(cons3, closures3):
+    cc = closures3[1]
+    dropped = _with_tensor(cc, cc.tensor[1:])
+    bumped = _with_tensor(cc, cc.tensor.copy())
+    bumped.tensor[0, 3] += 1
+    identity = np.arange(cc.rank)
+    assert not verify_algebraic_map(cc, dropped, identity)
+    assert not verify_algebraic_map(dropped, cc, identity)
+    assert not verify_algebraic_map(cc, bumped, identity)
 
 
 @pytest.mark.parametrize("q", [3, 5])
@@ -104,9 +195,8 @@ def test_wl_tensor_matches_structure_constants(q, request):
     closures = request.getfixturevalue(f"closures{q}")
     ring = SRing.from_construction(cons)
     tensor = structure_constants(ring)
-    cells = [np.array([0])] + [cons.build_Y(j) for j in range(q)] + [cons.punctured_center()]
     for cc in closures.values():
-        color_of_cell = [int(cc.color[0, members[0]]) for members in cells]
+        color_of_cell = [int(cc.color[0, members[0]]) for members in cons.cells()]
         dense = cc.dense_tensor()
         mapped = dense[np.ix_(color_of_cell, color_of_cell, color_of_cell)]
         # intersection numbers count w with u->w->v, i.e. products y*x
@@ -125,8 +215,7 @@ def test_one_point_extension_fibers_are_cells(cons3, closures3):
     cc = closures3[1]
     ext = one_point_extension(cc, cons3.table.identity)
     got = {np.sort(f).astype(np.int64).tobytes() for f in ext.fibers}
-    cells = [np.array([0])] + [cons3.build_Y(j) for j in range(3)] + [cons3.punctured_center()]
-    assert got == {c.astype(np.int64).tobytes() for c in cells}
+    assert got == {c.tobytes() for c in cons3.cells()}
     assert ext.refines(cc)
     assert tensor_identities_hold(ext)
 

@@ -134,9 +134,7 @@ def test_size_table():
         "automorphism_order",
     }
     sampled = {"wl_closure", "design_isomorphism", "group_axioms"}
-    assert {n for n, v in plan(5, "fast").items() if v == "sampled"} == sampled | {
-        "one_point_extension"
-    }
+    assert {n for n, v in plan(5, "fast").items() if v == "sampled"} == sampled
     assert {n for n, v in plan(9, "full").items() if v == "sampled"} == sampled | {
         "algebraic_automorphisms"
     }
