@@ -13,7 +13,8 @@ in the order of (old color, signature multiset), where multisets are ordered
 by their ascending sorted vectors.  Signatures are compared structurally,
 never hashed, so color names agree between runs and between graphs of equal
 order; that is what makes tensor and multiset comparisons across graphs
-meaningful.
+meaningful, and why WL-equivalence is decided by comparing the closures of
+the two graphs, each refined on its own.
 
 Two interchangeable signature encodings realise the same order:
 
@@ -299,21 +300,27 @@ def as_sring_partition(cc: CoherentConfiguration, table: GroupTable) -> list[np.
     return [np.flatnonzero(row == c) for c in np.unique(row)]
 
 
+def invariants(g: Digraph, cc: CoherentConfiguration) -> dict:
+    """What the canonical closure cc of g shows of g up to 2-WL equivalence:
+    rank, color multiset, intersection tensor and the colors of the arcs."""
+    return {
+        "rank": cc.rank,
+        "color_multiset": tuple(cc.color_multiset().tolist()),
+        "tensor": cc.tensor.tobytes(),
+        "arc_colors": tuple(np.unique(cc.color[g.arcs]).tolist()),
+    }
+
+
 def wl_equivalent(g1: Digraph, g2: Digraph) -> bool:
-    """Disjoint-union criterion: refine both graphs together (arc relations
-    identically colored) and compare the stable color multisets of the two
-    vertex-set blocks."""
+    """2-WL equivalence from the two closures, each refined on its own.
+
+    Color names are canonical, so equal invariants make the identity on
+    colors an algebraic isomorphism of the closures that maps arcs to arcs,
+    which holds exactly when the graphs are WL-equivalent (Chen &
+    Ponomarenko, Lectures on Coherent Configurations, 2019)."""
     if g1.n != g2.n:
         raise ValueError("graphs must have the same number of vertices")
-    n = g1.n
-    arcs = np.zeros((2 * n, 2 * n), dtype=bool)
-    arcs[:n, :n] = g1.arcs
-    arcs[n:, n:] = g2.arcs
-    color0, rank0 = _initial_coloring(Digraph(arcs))
-    color, rank, _, _ = _stable_coloring(color0, rank0)
-    m1 = np.bincount(color[:n, :n].ravel(), minlength=rank)
-    m2 = np.bincount(color[n:, n:].ravel(), minlength=rank)
-    return bool(np.array_equal(m1, m2))
+    return invariants(g1, wl_close(g1)) == invariants(g2, wl_close(g2))
 
 
 def verify_algebraic_map(

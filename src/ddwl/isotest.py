@@ -13,8 +13,9 @@ vertex of the second when refinement stalls.
 Per node the refinement recolors a vertex x by the multiset over all w of
 (cell(w), color(x, w), color(w, x)); only vertices in splittable cells are
 recomputed.  Candidate leaves are verified color-exactly, and every emitted
-isomorphism witness is re-verified arc-exactly before return, so the engine
-never reports a false positive; negatives come from exhausted search.
+isomorphism witness and automorphism generator is re-verified arc-exactly
+before use, so the engine never reports a false positive; negatives come
+from exhausted search.
 
 Automorphism group orders use the orbit-stabilizer chain: the order is the
 orbit length of the first individualized vertex times the order of its
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coherent import CoherentConfiguration, wl_close
+from .coherent import CoherentConfiguration, invariants, wl_close
 from .digraph import Digraph
 
 NODE_BUDGET_DEFAULT = 10_000_000
@@ -55,6 +56,7 @@ class IsoCertificate:
             out["mapping"] = [int(v) for v in self.mapping]
         if self.invariant_diff is not None:
             out["invariant_diff"] = self.invariant_diff
+        out.update(nodes=self.nodes, detail=self.detail)
         return out
 
 
@@ -205,19 +207,6 @@ def _orbit_representatives(candidates: np.ndarray, gens: list[np.ndarray]) -> np
     return np.array(reps, dtype=np.int64)
 
 
-# -- invariants -----------------------------------------------------------------
-
-
-def _closure_invariants(g: Digraph, cc: CoherentConfiguration) -> dict:
-    arc_colors = sorted(int(c) for c in np.unique(cc.color[g.arcs])) if g.arcs.any() else []
-    return {
-        "rank": cc.rank,
-        "color_multiset": tuple(int(x) for x in cc.color_multiset()),
-        "tensor": cc.tensor.tobytes(),
-        "arc_colors": tuple(arc_colors),
-    }
-
-
 def are_isomorphic(
     g1: Digraph,
     g2: Digraph,
@@ -231,8 +220,8 @@ def are_isomorphic(
         raise ValueError("graphs must have the same number of vertices")
     cc1 = cc1 if cc1 is not None else wl_close(g1)
     cc2 = cc2 if cc2 is not None else wl_close(g2)
-    inv1 = _closure_invariants(g1, cc1)
-    inv2 = _closure_invariants(g2, cc2)
+    inv1 = invariants(g1, cc1)
+    inv2 = invariants(g2, cc2)
     if inv1 != inv2:
         keys = sorted(k for k in inv1 if inv1[k] != inv2[k])
         return IsoCertificate(
@@ -248,7 +237,7 @@ def are_isomorphic(
     def root_gens():
         if g2_aut_gens is not None:
             return g2_aut_gens
-        return _automorphism_group(cc2.color, node_budget)[1]
+        return automorphism_generators(g2, cc2, node_budget)[1]
 
     try:
         f = search.search((), root_gens_factory=root_gens)
@@ -300,30 +289,31 @@ def _automorphism_group(
     return order, gens
 
 
-def automorphism_order(
-    g: Digraph,
-    cc: CoherentConfiguration | None = None,
-    node_budget: int = NODE_BUDGET_DEFAULT,
-    fixed: tuple[int, ...] = (),
-) -> int:
-    """Order of the automorphism group (of the stabilizer of the fixed
-    vertices, when given); raises BudgetExceeded when the search cap is hit."""
-    cc = cc if cc is not None else wl_close(g)
-    order, gens = _automorphism_group(cc.color, node_budget, fixed)
-    for f in gens:
-        if not np.array_equal(g.arcs[np.ix_(f, f)], g.arcs):
-            raise RuntimeError("generator failed the arc-exact check")  # engine bug
-    return order
-
-
 def automorphism_generators(
     g: Digraph,
     cc: CoherentConfiguration | None = None,
     node_budget: int = NODE_BUDGET_DEFAULT,
     fixed: tuple[int, ...] = (),
 ) -> tuple[int, list[np.ndarray]]:
+    """Order of the automorphism group (of the stabilizer of the fixed
+    vertices, when given) and generators, each checked arc by arc; raises
+    BudgetExceeded when the search cap is hit."""
     cc = cc if cc is not None else wl_close(g)
-    return _automorphism_group(cc.color, node_budget, fixed)
+    order, gens = _automorphism_group(cc.color, node_budget, fixed)
+    for f in gens:
+        if not np.array_equal(g.arcs[np.ix_(f, f)], g.arcs):
+            raise RuntimeError("generator failed the arc-exact check")  # engine bug
+    return order, gens
+
+
+def automorphism_order(
+    g: Digraph,
+    cc: CoherentConfiguration | None = None,
+    node_budget: int = NODE_BUDGET_DEFAULT,
+    fixed: tuple[int, ...] = (),
+) -> int:
+    """The order that `automorphism_generators` finds."""
+    return automorphism_generators(g, cc, node_budget, fixed)[0]
 
 
 # -- class counting ------------------------------------------------------------------
@@ -371,7 +361,7 @@ def iso_class_count(
     def gens_for(j: int) -> list[np.ndarray]:
         if j not in aut_gens:
             try:
-                aut_gens[j] = _automorphism_group(ccs[j].color, node_budget)[1]
+                aut_gens[j] = automorphism_generators(graphs[j], ccs[j], node_budget)[1]
             except BudgetExceeded:
                 aut_gens[j] = []  # pruning is optional; the pair search keeps its own cap
         return aut_gens[j]

@@ -1,5 +1,8 @@
+import numpy as np
 import pytest
 
+from ddwl import coherent
+from ddwl.digraph import Digraph
 from ddwl.suite import Context
 
 ACCEPTANCE_LINES: list[str] = []
@@ -15,6 +18,26 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_sep("=", "acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def _union_equivalent(g1: Digraph, g2: Digraph) -> bool:
+    """WL-equivalence by refining the disjoint union of g1 and g2 as one
+    digraph and comparing the stable color multisets of its two diagonal
+    blocks.  The oracle for `coherent.wl_equivalent`, which compares the
+    closures of the two graphs refined apart."""
+    n = g1.n
+    arcs = np.zeros((2 * n, 2 * n), dtype=bool)
+    arcs[:n, :n] = g1.arcs
+    arcs[n:, n:] = g2.arcs
+    color, rank, _, _ = coherent._stable_coloring(*coherent._initial_coloring(Digraph(arcs)))
+    m1 = np.bincount(color[:n, :n].ravel(), minlength=rank)
+    m2 = np.bincount(color[n:, n:].ravel(), minlength=rank)
+    return bool(np.array_equal(m1, m2))
+
+
+@pytest.fixture(scope="session")
+def union_equivalent():
+    return _union_equivalent
 
 
 @pytest.fixture(scope="session")

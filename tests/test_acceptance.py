@@ -4,6 +4,7 @@ plus the independent oracles the registry must not stand in for.  All
 checks are exact; one pass/fail line per test in the terminal summary.
 """
 
+import itertools
 import math
 import time
 
@@ -39,7 +40,11 @@ TEST_NAMES = {
 }
 
 # wall-clock ceilings, in seconds, on the slow checks at q = 7
-TIME_LIMITS = {("ddd_parameters", 7): 60.0, ("iso_classes", 7): 600.0}
+TIME_LIMITS = {
+    ("ddd_parameters", 7): 60.0,
+    ("wl_equivalence", 7): 60.0,
+    ("iso_classes", 7): 600.0,
+}
 
 
 def _registry_test(check):
@@ -128,6 +133,22 @@ def test_criterion_04_brute_force_triple_loop(contexts, acceptance_log):
                     brute[cell[x], cell[y], zc] += 1
     assert np.array_equal(brute, ctx.tensor.c)
     acceptance_log("criterion 4 (structure constants by a plain triple loop, q=3): PASS")
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_criterion_06_wl_equivalence_union_oracle(q, contexts, union_equivalent, acceptance_log):
+    """The digraphs of each generator pair are WL-equivalent by refinement of
+    their disjoint union, and criterion 6 (the wl_equivalence check, which
+    compares the two closures as `wl_equivalent` does) agrees.  Every pair at
+    q = 3, 5; the first at q = 7, where one union takes about half a minute."""
+    ctx = contexts[q]
+    wl = next(c for c in REGISTRY if c.name == "wl_equivalence")
+    _, verdicts = wl.fn(ctx, True)
+    pairs = list(itertools.combinations(ctx.cons.generators_I(), 2))
+    for a, b in pairs if q < 7 else pairs[:1]:
+        assert union_equivalent(ctx.cons.build_cayley(a), ctx.cons.build_cayley(b)), (a, b)
+        assert verdicts[f"{a},{b}"] is True, (a, b)
+    acceptance_log(f"criterion 6 (union refinement agrees with the closures, q={q}): PASS")
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9])

@@ -126,6 +126,7 @@ def test_iso_command(tmp_path, capsys):
     assert payload["classes"] == 1
     wit = payload["witnesses"]["1,2"]
     assert wit["type"] == "isomorphic" and len(wit["mapping"]) == 27
+    assert wit["nodes"] > 0 and wit["detail"] == ""
     capsys.readouterr()
 
 

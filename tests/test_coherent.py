@@ -1,7 +1,10 @@
 import copy
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from ddwl import coherent
 from ddwl.coherent import (
@@ -13,6 +16,7 @@ from ddwl.coherent import (
     wl_equivalent,
 )
 from ddwl.digraph import Digraph
+from ddwl.isotest import are_isomorphic
 from ddwl.srings import SRing, structure_constants
 
 
@@ -230,6 +234,72 @@ def test_wl_equivalent_reflexive_and_family(cons3):
 def test_wl_equivalent_rejects_size_mismatch():
     with pytest.raises(ValueError):
         wl_equivalent(Digraph.complete(3), Digraph.complete(4))
+
+
+def test_wl_equivalent_matches_union_oracle_on_family_q3(cons3, union_equivalent):
+    graphs = [
+        cons3.build_cayley(i, include_identity=loops)
+        for i in range(cons3.q) for loops in (True, False)
+    ]
+    verdicts = set()
+    for g1, g2 in itertools.combinations_with_replacement(graphs, 2):
+        verdict = wl_equivalent(g1, g2)
+        assert verdict == union_equivalent(g1, g2), (g1.label, g2.label)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def _cayley_z4_squared(connection: set) -> Digraph:
+    pts = [(a, b) for a in range(4) for b in range(4)]
+    return Digraph(
+        [[((v[0] - u[0]) % 4, (v[1] - u[1]) % 4) in connection for v in pts] for u in pts]
+    )
+
+
+def test_wl_equivalent_shrikhande_and_rook_graph(union_equivalent):
+    """Both are strongly regular (16, 6, 2, 2): WL-equivalent, not isomorphic."""
+    shrikhande = _cayley_z4_squared({(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)})
+    rook = _cayley_z4_squared({(a, 0) for a in (1, 2, 3)} | {(0, a) for a in (1, 2, 3)})
+    assert wl_equivalent(shrikhande, rook) and union_equivalent(shrikhande, rook)
+    assert are_isomorphic(shrikhande, rook).kind == "non-isomorphic"
+
+
+def test_wl_equivalent_separates_hexagon_from_two_triangles(union_equivalent):
+    c6 = Digraph.directed_cycle(6).arcs
+    c3 = Digraph.directed_cycle(3).arcs
+    two_c3 = np.zeros((6, 6), dtype=bool)
+    two_c3[:3, :3] = two_c3[3:, 3:] = c3 | c3.T
+    hexagon, triangles = Digraph(c6 | c6.T), Digraph(two_c3)
+    assert not wl_equivalent(hexagon, triangles)
+    assert not union_equivalent(hexagon, triangles)
+
+
+@st.composite
+def _digraph_pairs(draw):
+    """A digraph on at most 12 vertices, loops allowed, with a relabeled
+    copy, a copy with one arc flipped or an unrelated digraph."""
+    n = draw(st.integers(1, 12))
+    arcs = np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n)))
+    g = Digraph(arcs.reshape(n, n))
+    kind = draw(st.sampled_from(["relabeled", "flipped", "unrelated"]))
+    if kind == "relabeled":
+        return g, g.relabeled(np.array(draw(st.permutations(range(n)))))
+    if kind == "flipped":
+        other = g.arcs.copy()
+        u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        other[u, v] = not other[u, v]
+        return g, Digraph(other)
+    arcs = np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n)))
+    return g, Digraph(arcs.reshape(n, n))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_digraph_pairs())
+def test_wl_equivalent_matches_union_oracle_on_random_pairs(union_equivalent, pair):
+    g1, g2 = pair
+    verdict = wl_equivalent(g1, g2)
+    event(f"equivalent: {verdict}")
+    assert verdict == union_equivalent(g1, g2)
 
 
 def test_verify_algebraic_map_identity_and_bad_swap(cons3, closures3):

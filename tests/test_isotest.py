@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ddwl import isotest
 from ddwl.digraph import Digraph
 from ddwl.isotest import (
     BudgetExceeded,
@@ -97,6 +98,22 @@ def test_stabilizer_structure_q5(cons5, closures5):
         assert (ring.cell_of[f] == ring.cell_of).all()
 
 
+def test_forged_generator_raises(cons3, closures3, monkeypatch):
+    """Every generator the search returns is checked arc by arc, whether it
+    is reported or only prunes an isomorphism search."""
+    g = cons3.build_cayley(1)
+    forged = np.arange(g.n)
+    forged[[0, 1]] = [1, 0]
+    assert not np.array_equal(g.arcs[np.ix_(forged, forged)], g.arcs)
+    monkeypatch.setattr(isotest, "_automorphism_group", lambda *args: (216, [forged]))
+    with pytest.raises(RuntimeError, match="arc-exact"):
+        automorphism_order(g, closures3[1])
+    with pytest.raises(RuntimeError, match="arc-exact"):
+        automorphism_generators(g, closures3[1])
+    with pytest.raises(RuntimeError, match="arc-exact"):
+        are_isomorphic(g, g, closures3[1], closures3[1])
+
+
 def test_budget_exhaustion(cons3, closures3):
     g1, g2 = cons3.build_cayley(1), cons3.build_cayley(2)
     cert = are_isomorphic(g1, g2, closures3[1], closures3[2], node_budget=1)
@@ -145,3 +162,15 @@ def test_certificate_json(cons3, closures3):
     payload = cert.to_json()
     assert payload["type"] == "isomorphic"
     assert len(payload["mapping"]) == 27
+    assert payload["nodes"] == cert.nodes > 0 and payload["detail"] == ""
+    g = Digraph.complete(5)
+    arcs = g.arcs.copy()
+    arcs[0, 1] = False
+    payload = are_isomorphic(g, Digraph(arcs)).to_json()
+    assert payload["nodes"] == 0
+    assert payload["detail"].startswith("canonical closure invariants differ")
+    g = Digraph.directed_cycle(6)
+    cert = are_isomorphic(g, g.relabeled(np.array([1, 0, 2, 3, 4, 5])), node_budget=1)
+    payload = cert.to_json()
+    assert payload == {"type": "undetermined", "nodes": cert.nodes, "detail": cert.detail}
+    assert cert.nodes > 1 and cert.detail == "node budget exhausted"

@@ -118,6 +118,20 @@ def test_reverse_pair_takes_the_search_answer(kind, monkeypatch):
     assert result.data["result"] == kind
 
 
+def test_design_isomorphism_samples_with_the_run_seed(monkeypatch):
+    seeds = []
+    verify = designs.verify_design_iso
+
+    def spy(*args, **kwargs):
+        seeds.append(kwargs.get("seed"))
+        return verify(*args, **kwargs)
+
+    monkeypatch.setattr(designs, "verify_design_iso", spy)
+    status, data = suite._design_isomorphism(suite.Context(7, seed=123), exhaustive=False)
+    assert status == "pass" and seeds == [123] * 7
+    assert {d["mode"] for d in data.values()} == {"sampled"}
+
+
 def test_size_table():
     def plan(q, s):
         return {c.name: c.variant(q, s) for c in suite.REGISTRY if c.variant(q, s)}
