@@ -4,6 +4,7 @@ Weisfeiler-Leman verification suite."""
 from .coherent import (
     CoherentConfiguration,
     as_sring_partition,
+    cayley_close,
     one_point_extension,
     verify_algebraic_map,
     wl_close,
@@ -54,6 +55,7 @@ __all__ = [
     "are_isomorphic",
     "as_sring_partition",
     "automorphism_order",
+    "cayley_close",
     "center",
     "coset_id",
     "dev",

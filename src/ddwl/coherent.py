@@ -26,6 +26,18 @@ Two interchangeable signature encodings realise the same order:
 A round uses one mode throughout, chosen from the current rank, and work is
 blocked over rows to bound scratch memory.
 
+Orbit rows.  When a group of automorphisms of the initial coloring is known,
+a round computes the keys of one representative row per vertex orbit only
+and reads every other row through the group: color(u, v) is the color of
+(rep(u), a_u(v)) for an automorphism a_u sending u to rep(u).  The stable
+coloring is invariant under the group, so every color class meets a
+representative row; the key set, hence the canonical names, the rank, the
+rounds and the tensor, are the dense engine's.  The dense engine is the
+same round with every row a representative.  `orbit_close` is the entry
+point; `cayley_close` (the right translations of a Cayley digraph, one row)
+and `orbit_extension` (a group fixing the individualized vertex) are its
+callers.
+
 Intersection numbers.  The round that confirms stability gives every pair
 of color t the same key, so that key is the multiset of codes
 (color(u, w), color(w, v)) shared by all pairs of color t: the intersection
@@ -36,6 +48,7 @@ those keys.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,6 +57,25 @@ from .heisenberg import GroupTable
 
 _MODE_A_MAX_CODES = 8192       # count mode while rank**2 stays at most this
 _BLOCK_ELEMENT_BUDGET = 8_000_000
+
+
+class NotInvariant(ValueError):
+    """Group data that does not describe automorphisms of the coloring it is given with."""
+
+
+class Orbits(NamedTuple):
+    """One representative row per vertex orbit of a group of automorphisms of
+    an initial coloring: vertex u reads its row as row which[u] of the
+    representative rows, through transversal[u], an automorphism sending u
+    to reps[which[u]]."""
+
+    reps: np.ndarray         # (r,) representative vertices
+    which: np.ndarray        # (n,) index into reps of each vertex's representative
+    transversal: np.ndarray  # (n, n) one vertex permutation per vertex
+
+    def expand(self, rows: np.ndarray) -> np.ndarray:
+        """The full matrix color[u, v] = rows[which[u], transversal[u, v]]."""
+        return rows[self.which[:, None], self.transversal]
 
 
 @dataclass
@@ -171,26 +203,31 @@ def _initial_coloring(g: Digraph) -> tuple[np.ndarray, int]:
     return _renumber(color)
 
 
-def _refine_round(color: np.ndarray, rank: int) -> tuple[np.ndarray, int, list[bytes]]:
-    """One recoloring; also returns the signature keys, key i naming new color i."""
+def _refine_round(
+    color: np.ndarray, rank: int, rows: np.ndarray | None = None
+) -> tuple[np.ndarray, int, list[bytes]]:
+    """One recoloring of the given rows (all rows when None), as a (len(rows), n)
+    matrix; also returns the signature keys, key i naming new color i."""
     n = color.shape[0]
     if n >= 65536:
         raise ValueError("refinement supports fewer than 2**16 vertices")
-    c64 = color.astype(np.int64)
+    m = n if rows is None else len(rows)
     ncodes = rank * rank
     count_mode = ncodes <= _MODE_A_MAX_CODES
+    c64 = None if count_mode else color.astype(np.int64)
     per_row = n * max(n, ncodes) if count_mode else n * n
-    block = max(1, min(n, _BLOCK_ELEMENT_BUDGET // max(1, per_row)))
+    block = max(1, min(m, _BLOCK_ELEMENT_BUDGET // max(1, per_row)))
 
     keys: set[bytes] = set()
     pieces = []
-    for start in range(0, n, block):
-        stop = min(n, start + block)
+    for start in range(0, m, block):
+        stop = min(m, start + block)
         nb = stop - start
-        old = color[start:stop].reshape(nb * n).astype(np.int64)
+        mine = color[start:stop] if rows is None else color[rows[start:stop]]
+        old = mine.reshape(nb * n).astype(np.int64)
         if count_mode:
             # nb * n * ncodes stays below the block budget, so int32 suffices
-            codes = color[start:stop, :, None] * np.int32(rank) + color[None, :, :]
+            codes = mine[:, :, None] * np.int32(rank) + color[None, :, :]
             offs = (
                 np.arange(nb, dtype=np.int32)[:, None, None] * np.int32(n)
                 + np.arange(n, dtype=np.int32)[None, None, :]
@@ -198,19 +235,19 @@ def _refine_round(color: np.ndarray, rank: int) -> tuple[np.ndarray, int, list[b
             codes += offs
             counts = np.bincount(codes.ravel(), minlength=nb * n * ncodes)
             counts = counts.reshape(nb * n, ncodes)
-            rows = np.empty((nb * n, ncodes + 2), dtype=np.uint16)
-            rows[:, 0] = old >> 16
-            rows[:, 1] = old & 0xFFFF
-            rows[:, 2:] = n - counts  # encodes ascending sorted-vector order
-            local, inv = np.unique(rows, axis=0, return_inverse=True)
+            keyrows = np.empty((nb * n, ncodes + 2), dtype=np.uint16)
+            keyrows[:, 0] = old >> 16
+            keyrows[:, 1] = old & 0xFFFF
+            keyrows[:, 2:] = n - counts  # encodes ascending sorted-vector order
+            local, inv = np.unique(keyrows, axis=0, return_inverse=True)
             enc = local.astype(">u2")
         else:
-            codes = c64[start:stop, :, None] * rank + c64[None, :, :]  # axis 1 = w
+            codes = mine.astype(np.int64)[:, :, None] * rank + c64[None, :, :]  # axis 1 = w
             srt = np.sort(codes, axis=1)
-            rows = np.empty((nb * n, n + 1), dtype=np.int64)
-            rows[:, 0] = old
-            rows[:, 1:] = srt.transpose(0, 2, 1).reshape(nb * n, n)
-            local, inv = np.unique(rows, axis=0, return_inverse=True)
+            keyrows = np.empty((nb * n, n + 1), dtype=np.int64)
+            keyrows[:, 0] = old
+            keyrows[:, 1:] = srt.transpose(0, 2, 1).reshape(nb * n, n)
+            local, inv = np.unique(keyrows, axis=0, return_inverse=True)
             enc = local.astype(">i8")
         key_bytes = [enc[k].tobytes() for k in range(len(local))]
         keys.update(key_bytes)
@@ -218,24 +255,28 @@ def _refine_round(color: np.ndarray, rank: int) -> tuple[np.ndarray, int, list[b
 
     ordered = sorted(keys)
     order = {k: i for i, k in enumerate(ordered)}
-    new = np.empty((n, n), dtype=np.int32)
+    new = np.empty((m, n), dtype=np.int32)
     for start, stop, inv, key_bytes in pieces:
         lmap = np.array([order[k] for k in key_bytes], dtype=np.int32)
         new[start:stop] = lmap[inv].reshape(stop - start, n)
     return new, len(order), ordered
 
 
-def _stable_coloring(color: np.ndarray, rank: int) -> tuple[np.ndarray, int, int, list[bytes]]:
-    """The stable coloring, its rank, the rounds run and the confirming round's keys."""
+def _stable_coloring(
+    color: np.ndarray, rank: int, orbits: Orbits | None = None
+) -> tuple[np.ndarray, int, int, list[bytes]]:
+    """The stable coloring, its rank, the rounds run and the confirming round's
+    keys; with orbits, each round refines the representative rows only."""
+    reps = None if orbits is None else orbits.reps
     rounds = 0
     while True:
-        new, rank2, keys = _refine_round(color, rank)
+        new, rank2, keys = _refine_round(color, rank, reps)
         rounds += 1
         if rank2 == rank:
-            if not np.array_equal(new, color):
+            if not np.array_equal(new, color if reps is None else color[reps]):
                 raise RuntimeError("renaming not canonical at the stable point")
             return color, rank, rounds, keys
-        color, rank = new, rank2
+        color, rank = (new if orbits is None else orbits.expand(new)), rank2
 
 
 def _tensor_from_keys(keys: list[bytes], n: int, rank: int) -> np.ndarray:
@@ -267,27 +308,115 @@ def _lex_sorted(rows: np.ndarray) -> np.ndarray:
 # -- public operations ---------------------------------------------------------
 
 
+def _close(
+    color0: np.ndarray, rank0: int, orbits: Orbits | None = None
+) -> CoherentConfiguration:
+    color, rank, rounds, keys = _stable_coloring(color0, rank0, orbits)
+    return CoherentConfiguration(PairColoring(len(color), color, rounds), keys)
+
+
 def wl_close(g: Digraph) -> CoherentConfiguration:
     """Smallest coherent configuration whose colors refine the arc relation."""
     if g.n < 1:
         raise ValueError("need at least one vertex")
-    color0, rank0 = _initial_coloring(g)
-    color, rank, rounds, keys = _stable_coloring(color0, rank0)
-    return CoherentConfiguration(PairColoring(g.n, color, rounds), keys)
+    return _close(*_initial_coloring(g))
 
 
-def one_point_extension(cc: CoherentConfiguration, v: int) -> CoherentConfiguration:
-    """Re-refine with vertex v given a fresh diagonal color; {v} becomes a fiber."""
+def orbit_close(color0: np.ndarray, orbits: Orbits) -> CoherentConfiguration:
+    """The stable refinement of the pair coloring color0, from the
+    representative rows of orbits only; equal to the dense refinement.
+
+    Every transversal row must be an automorphism of color0; the callers
+    prove that for their group.  Checked here, raising NotInvariant: each
+    transversal row is a permutation sending its vertex to its
+    representative, and color0 is read correctly from its representative
+    rows, color0 == orbits.expand(color0[reps])."""
+    n = len(color0)
+    reps, which, transversal = orbits
+    ar = np.arange(n)
+    if (
+        transversal.shape != (n, n)
+        or not np.array_equal(transversal[ar, ar], reps[which])
+        or not (np.sort(transversal, axis=1) == ar).all()
+    ):
+        raise NotInvariant("a transversal row is not a permutation onto its representative")
+    if not np.array_equal(orbits.expand(color0[reps]), color0):
+        raise NotInvariant("the coloring is not its representative rows read through the group")
+    return _close(*_renumber(color0), orbits)
+
+
+def cayley_orbits(table: GroupTable) -> Orbits:
+    """The right translations of the indexed group: one orbit, row e, and
+    transversal[u, v] = v * u**-1."""
+    return Orbits(
+        np.array([table.identity]),
+        np.zeros(table.n, dtype=np.int64),
+        np.ascontiguousarray(table.quotient().T),
+    )
+
+
+def cayley_close(g: Digraph, table: GroupTable) -> CoherentConfiguration:
+    """wl_close(g) for a Cayley digraph over the indexed group, refined from
+    row e alone.  The right translations preserve the initial coloring c
+    exactly when c[u, v] = c[e, v * u**-1] for all u, v, which `orbit_close`
+    checks; NotInvariant when g is not such a digraph."""
+    if g.n != table.n:
+        raise ValueError("graph and group differ in order")
+    return orbit_close(_initial_coloring(g)[0], cayley_orbits(table))
+
+
+def _individualized(cc: CoherentConfiguration, v: int) -> np.ndarray:
     seeded = cc.color.copy()
     seeded[v, v] = cc.rank
-    color0, rank0 = _renumber(seeded)
-    color, rank, rounds, keys = _stable_coloring(color0, rank0)
-    out = CoherentConfiguration(PairColoring(cc.n, color, rounds), keys)
+    return seeded
+
+
+def _checked_extension(
+    cc: CoherentConfiguration, v: int, out: CoherentConfiguration
+) -> CoherentConfiguration:
     if not out.refines(cc):
         raise RuntimeError("extension does not refine the base configuration")
     if not any(len(f) == 1 and f[0] == v for f in out.fibers):
         raise RuntimeError("extension did not isolate the chosen vertex")
     return out
+
+
+def one_point_extension(cc: CoherentConfiguration, v: int) -> CoherentConfiguration:
+    """Re-refine with vertex v given a fresh diagonal color; {v} becomes a fiber."""
+    return _checked_extension(cc, v, _close(*_renumber(_individualized(cc, v))))
+
+
+def orbit_extension(
+    cc: CoherentConfiguration, v: int, perms: list[np.ndarray], cells: list[np.ndarray]
+) -> CoherentConfiguration:
+    """one_point_extension(cc, v), refined from one row per cell.
+
+    Each of perms is checked to fix v and to be an automorphism of cc (so it
+    keeps the colors of row v, f[p] == f), hence of the individualized
+    coloring.  The first member of a cell is its representative, and some
+    perm must carry each vertex to the representative of its cell: true
+    when the cells are the orbits of the group the perms form, as the cells
+    of a family closure are for K.  NotInvariant otherwise.
+    """
+    n = cc.n
+    for p in perms:
+        if p[v] != v or not np.array_equal(cc.color[np.ix_(p, p)], cc.color):
+            raise NotInvariant("a permutation moves v or is not an automorphism of cc")
+    reps = np.array([int(c[0]) for c in cells], dtype=np.int64)
+    which = np.full(n, -1, dtype=np.int64)
+    for j, members in enumerate(cells):
+        which[members] = j
+    transversal = np.empty((n, n), dtype=np.int64)
+    found = np.zeros(n, dtype=bool)
+    for p in perms:
+        u = np.argsort(p)[reps]                  # p(u[j]) = reps[j]
+        fresh = (which[u] == np.arange(len(reps))) & ~found[u]
+        transversal[u[fresh]] = p
+        found[u[fresh]] = True
+    if not found.all():
+        raise NotInvariant("no permutation carries some vertex to its cell's representative")
+    orbits = Orbits(reps, which, transversal)
+    return _checked_extension(cc, v, orbit_close(_individualized(cc, v), orbits))
 
 
 def as_sring_partition(cc: CoherentConfiguration, table: GroupTable) -> list[np.ndarray]:

@@ -229,12 +229,11 @@ class Construction:
         """Cayley digraph with arcs (g, x*g); loops at every vertex iff e is kept."""
         key = (i, include_identity)
         if key not in self._graphs:
-            t = self.table
             conn = self.build_X(i) if include_identity else self.build_Y(i)
             mask = np.zeros(self.n, dtype=bool)
             mask[conn] = True
-            prod = t.mult[:, t.inv]  # prod[v, g] = v * g**-1
-            arcs = mask[prod].T      # arc (g, v) iff v * g**-1 in the connection set
+            # arc (g, v) iff v * g**-1 in the connection set
+            arcs = mask[self.table.quotient()].T
             suffix = "" if include_identity else ", loopless"
             self._graphs[key] = Digraph(arcs, label=f"Cay(q={self.q}, i={i}{suffix})")
         return self._graphs[key]

@@ -59,11 +59,9 @@ class IncidenceStructure:
 
 def dev(cons: Construction, i: int) -> IncidenceStructure:
     """The development of X_i: blocks X_i * g for every group element g."""
-    t = cons.table
     mask = np.zeros(cons.n, dtype=bool)
     mask[cons.build_X(i)] = True
-    prod = t.mult[:, t.inv]            # prod[p, g] = p * g**-1
-    incidence = mask[prod].T           # block g contains p iff p * g**-1 in X_i
+    incidence = mask[cons.table.quotient()].T   # block g contains p iff p * g**-1 in X_i
     replication = incidence.sum(axis=0)
     if not (replication == cons.q**2).all():
         raise RuntimeError("development is not point-regular")  # contradicts counting

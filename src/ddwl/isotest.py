@@ -145,9 +145,9 @@ class _PartitionSearch:
         return self._descend(*self._seeded(forced))
 
     def _descend(self, pi1, pi2, ncells):
-        self.nodes += 1
-        if self.nodes > self.budget:
+        if self.nodes >= self.budget:
             raise BudgetExceeded(f"node budget {self.budget} exhausted")
+        self.nodes += 1
         state = self._refine(pi1, pi2, ncells)
         if state is None:
             return None

@@ -107,9 +107,7 @@ class SRing:
 
     def scheme_coloring(self) -> np.ndarray:
         """Pair coloring color(u, v) = cell of v * u**-1."""
-        t = self.table
-        prod = t.mult[:, t.inv]          # prod[v, u] = v * u**-1
-        return self.cell_of[prod].T.copy()
+        return self.cell_of[self.table.quotient()].T.copy()
 
     def __repr__(self) -> str:
         return f"SRing(q={self.cons.q}, cells={self.r})"

@@ -83,6 +83,14 @@ def closures5(contexts):
 
 
 @pytest.fixture(scope="session")
+def dense_closure7(contexts):
+    """The dense closure of the first q = 7 generator's digraph, about 9 s:
+    the one dense q = 7 refinement the orbit-row closures are held to."""
+    cons = contexts[7].cons
+    return coherent.wl_close(cons.build_cayley(cons.generators_I()[0]))
+
+
+@pytest.fixture(scope="session")
 def ring3(contexts):
     return contexts[3].ring
 

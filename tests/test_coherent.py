@@ -323,3 +323,109 @@ def test_rounds_reported(cons3, closures3):
     for cc in closures3.values():
         assert cc.rounds >= 2
         assert cc.coloring.round == cc.rounds
+
+
+# -- orbit-row engine against the dense engine -----------------------------------
+
+
+def _assert_same_closure(orbit, dense):
+    assert np.array_equal(orbit.color, dense.color)
+    assert np.array_equal(orbit.tensor, dense.tensor)
+    assert orbit.rounds == dense.rounds
+    assert np.array_equal(orbit.converse, dense.converse)
+
+
+@pytest.mark.parametrize("q", [3, 5])
+@pytest.mark.parametrize("loops", [True, False], ids=["looped", "loopless"])
+def test_cayley_close_matches_dense_every_label(q, loops, request):
+    cons = request.getfixturevalue(f"cons{q}")
+    for i in range(q):
+        g = cons.build_cayley(i, include_identity=loops)
+        _assert_same_closure(coherent.cayley_close(g, cons.table), wl_close(g))
+
+
+def test_cayley_close_matches_dense_q7(cons7, dense_closure7):
+    g = cons7.build_cayley(cons7.generators_I()[0])
+    _assert_same_closure(coherent.cayley_close(g, cons7.table), dense_closure7)
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_orbit_extension_matches_dense(q, request):
+    cons = request.getfixturevalue(f"cons{q}")
+    perms = [k.perm for k in cons.build_K()]
+    for i in cons.generators_I() if q == 3 else cons.generators_I()[:1]:
+        cc = coherent.cayley_close(cons.build_cayley(i), cons.table)
+        orbit = coherent.orbit_extension(cc, cons.table.identity, perms, cons.cells())
+        _assert_same_closure(orbit, one_point_extension(cc, cons.table.identity))
+
+
+@st.composite
+def _connection_sets(draw, cons, toggles):
+    """A subset of the group: arbitrary, or a union of K-orbit cells with at
+    most `toggles` elements toggled."""
+    n = cons.n
+    if draw(st.sampled_from(["cells", "cells", "arbitrary"])) == "arbitrary":
+        return np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    mask = np.zeros(n, dtype=bool)
+    for cell in draw(st.lists(st.sampled_from(cons.cells()), max_size=cons.q + 2)):
+        mask[cell] = True
+    for v in draw(st.lists(st.integers(0, n - 1), max_size=toggles)):
+        mask[v] = not mask[v]
+    return mask
+
+
+# no toggles at q = 5: they give closures of rank 15 to 65, on which the
+# dense oracle spends 1.5 to 10 s each; the arbitrary sets still reach rank n
+@pytest.mark.parametrize("q, examples, toggles", [(3, 60, 2), (5, 6, 0)])
+def test_cayley_close_matches_dense_on_generated_connection_sets(
+    q, examples, toggles, request
+):
+    cons = request.getfixturevalue(f"cons{q}")
+    quot = cons.table.quotient()
+    ranks = set()
+
+    @settings(max_examples=examples, deadline=None, derandomize=True)
+    @given(_connection_sets(cons, toggles))
+    def check(mask):
+        g = Digraph(mask[quot].T)   # arc (u, v) iff v * u**-1 in the set
+        orbit = coherent.cayley_close(g, cons.table)
+        ranks.add(orbit.rank)
+        _assert_same_closure(orbit, wl_close(g))
+
+    check()
+    # a Cayley closure has rank at most n, so only q = 5 reaches sort mode
+    modes = {r * r <= coherent._MODE_A_MAX_CODES for r in ranks}
+    assert modes == ({True} if q == 3 else {True, False})
+
+
+def test_orbit_close_rejects_a_forged_transversal(cons3):
+    g = cons3.build_cayley(1)
+    orbits = coherent.cayley_orbits(cons3.table)
+    color0, _ = coherent._initial_coloring(g)
+    u = 5
+    forged = np.arange(g.n)
+    forged[[u, 0]] = [0, u]   # sends u to e, but is not an automorphism
+    assert not np.array_equal(color0[np.ix_(forged, forged)], color0)
+    transversal = orbits.transversal.copy()
+    transversal[u] = forged
+    with pytest.raises(coherent.NotInvariant):
+        coherent.orbit_close(color0, orbits._replace(transversal=transversal))
+    # a relabeled family digraph is not Cayley over the table
+    relabeled = g.relabeled(np.random.default_rng(0).permutation(g.n))
+    with pytest.raises(coherent.NotInvariant):
+        coherent.cayley_close(relabeled, cons3.table)
+
+
+def test_orbit_extension_rejects_a_colour_moving_automorphism(cons3, closures3):
+    """sigma(x, y, z) = (x, -y, -z) is a group automorphism that maps X_i onto
+    X_chi(i), so it moves the colours of row e of the closure of i."""
+    t, f = cons3.table, cons3.field
+    sigma = t._pack(t.ix, f.neg(t.iy), f.neg(t.iz))
+    cc = closures3[1]
+    assert not np.array_equal(cc.color[0][sigma], cc.color[0])
+    perms = [k.perm for k in cons3.build_K()] + [sigma]
+    with pytest.raises(coherent.NotInvariant):
+        coherent.orbit_extension(cc, t.identity, perms, cons3.cells())
+    # too small a group cannot carry every vertex to its cell's representative
+    with pytest.raises(coherent.NotInvariant):
+        coherent.orbit_extension(cc, t.identity, perms[:2], cons3.cells())

@@ -122,6 +122,22 @@ def test_budget_exhaustion(cons3, closures3):
         automorphism_order(g1, closures3[1], node_budget=1)
 
 
+@pytest.mark.parametrize("budget", [1, 2, 3])
+def test_undetermined_certificate_stays_within_budget(cons3, closures3, budget):
+    """The budget is tested before a node is counted: an undetermined answer
+    reports at most `budget` nodes, and a search that needs exactly `budget`
+    nodes completes."""
+    c6 = Digraph.directed_cycle(6).arcs
+    hexagon = Digraph(c6 | c6.T)
+    relabeled = hexagon.relabeled(np.array([3, 1, 2, 0, 4, 5]))
+    cert = are_isomorphic(hexagon, relabeled, node_budget=budget)
+    assert cert.kind == ("isomorphic" if budget == 3 else "undetermined")
+    assert cert.nodes == budget
+    g1, g2 = cons3.build_cayley(1), cons3.build_cayley(2)
+    cert = are_isomorphic(g1, g2, closures3[1], closures3[2], node_budget=budget)
+    assert cert.kind == "undetermined" and 1 <= cert.nodes <= budget
+
+
 def test_iso_class_count_copies(cons3):
     g = cons3.build_cayley(1)
     res = iso_class_count([g, g, g])
@@ -173,4 +189,4 @@ def test_certificate_json(cons3, closures3):
     cert = are_isomorphic(g, g.relabeled(np.array([1, 0, 2, 3, 4, 5])), node_budget=1)
     payload = cert.to_json()
     assert payload == {"type": "undetermined", "nodes": cert.nodes, "detail": cert.detail}
-    assert cert.nodes > 1 and cert.detail == "node budget exhausted"
+    assert cert.nodes == 1 and cert.detail == "node budget exhausted"
