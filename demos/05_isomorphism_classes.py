@@ -5,8 +5,8 @@ produced); at q = 7 the four digraphs fall into exactly two classes even
 though all of them are refinement-equivalent.  Automorphism group orders
 come out as q^3 (q^2 - 1), with the vertex stabilizer of order q^2 - 1.
 
-The q = 7 part re-runs four refinements on 343 vertices; expect about a
-minute in total.
+The q = 7 part re-runs four dense refinements on 343 vertices; expect about
+5 seconds in total on 2 cores.
 """
 
 import numpy as np

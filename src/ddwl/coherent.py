@@ -24,7 +24,10 @@ Two interchangeable signature encodings realise the same order:
   * sort mode (large color count): the sorted code vector itself.
 
 A round uses one mode throughout, chosen from the current rank, and work is
-blocked over rows to bound scratch memory.
+blocked over rows to bound scratch memory.  Each key is one fixed-width
+big-endian byte string, whose bytewise order is the numeric order above;
+`sorted_unique_rows` orders the keys of a block, and the same helper orders
+the vertex signatures of `isotest`.
 
 Orbit rows.  When a group of automorphisms of the initial coloring is known,
 a round computes the keys of one representative row per vertex orbit only
@@ -56,7 +59,7 @@ from .digraph import Digraph
 from .heisenberg import GroupTable
 
 _MODE_A_MAX_CODES = 8192       # count mode while rank**2 stays at most this
-_BLOCK_ELEMENT_BUDGET = 8_000_000
+_BLOCK_ELEMENT_BUDGET = 500_000  # scratch elements per block; larger blocks measured slower
 
 
 class NotInvariant(ValueError):
@@ -94,7 +97,7 @@ class CoherentConfiguration:
     is read off the signature keys of the round that confirmed stability.
     """
 
-    def __init__(self, coloring: PairColoring, keys: list[bytes]):
+    def __init__(self, coloring: PairColoring, keys: np.ndarray):
         self.coloring = coloring
         self.n = coloring.n
         color = coloring.color
@@ -178,9 +181,8 @@ class CoherentConfiguration:
 
     def refines(self, other: "CoherentConfiguration") -> bool:
         """True if every color class of self lies inside one class of other."""
-        pairs = np.stack([self.color.ravel(), other.color.ravel()], axis=1)
-        uniq = np.unique(pairs, axis=0)
-        return len(np.unique(uniq[:, 0])) == len(uniq)
+        pairs = self.color.astype(np.int64) * other.rank + other.color
+        return len(np.unique(pairs)) == self.rank
 
     def __repr__(self) -> str:
         return f"CoherentConfiguration(n={self.n}, rank={self.rank}, rounds={self.rounds})"
@@ -203,11 +205,20 @@ def _initial_coloring(g: Digraph) -> tuple[np.ndarray, int]:
     return _renumber(color)
 
 
+def sorted_unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-D array of nonnegative integers in ascending
+    lexicographic order, each as one big-endian byte string (a V{width}
+    scalar; `.view(">u2")` or `.view(">i8")` reads it back), and the index
+    of each input row among them."""
+    be = np.ascontiguousarray(rows, dtype=rows.dtype.newbyteorder(">"))
+    return np.unique(be.view(f"V{be.shape[1] * be.itemsize}").ravel(), return_inverse=True)
+
+
 def _refine_round(
     color: np.ndarray, rank: int, rows: np.ndarray | None = None
-) -> tuple[np.ndarray, int, list[bytes]]:
+) -> tuple[np.ndarray, int, np.ndarray]:
     """One recoloring of the given rows (all rows when None), as a (len(rows), n)
-    matrix; also returns the signature keys, key i naming new color i."""
+    matrix; also returns the sorted signature keys, key i naming new color i."""
     n = color.shape[0]
     if n >= 65536:
         raise ValueError("refinement supports fewer than 2**16 vertices")
@@ -218,7 +229,6 @@ def _refine_round(
     per_row = n * max(n, ncodes) if count_mode else n * n
     block = max(1, min(m, _BLOCK_ELEMENT_BUDGET // max(1, per_row)))
 
-    keys: set[bytes] = set()
     pieces = []
     for start in range(0, m, block):
         stop = min(m, start + block)
@@ -235,36 +245,25 @@ def _refine_round(
             codes += offs
             counts = np.bincount(codes.ravel(), minlength=nb * n * ncodes)
             counts = counts.reshape(nb * n, ncodes)
-            keyrows = np.empty((nb * n, ncodes + 2), dtype=np.uint16)
-            keyrows[:, 0] = old >> 16
-            keyrows[:, 1] = old & 0xFFFF
-            keyrows[:, 2:] = n - counts  # encodes ascending sorted-vector order
-            local, inv = np.unique(keyrows, axis=0, return_inverse=True)
-            enc = local.astype(">u2")
+            keyrows = np.empty((nb * n, ncodes + 1), dtype=">u2")  # old < rank < 2**16
+            keyrows[:, 0] = old
+            keyrows[:, 1:] = n - counts  # encodes ascending sorted-vector order
         else:
             codes = mine.astype(np.int64)[:, :, None] * rank + c64[None, :, :]  # axis 1 = w
             srt = np.sort(codes, axis=1)
-            keyrows = np.empty((nb * n, n + 1), dtype=np.int64)
+            keyrows = np.empty((nb * n, n + 1), dtype=">i8")
             keyrows[:, 0] = old
             keyrows[:, 1:] = srt.transpose(0, 2, 1).reshape(nb * n, n)
-            local, inv = np.unique(keyrows, axis=0, return_inverse=True)
-            enc = local.astype(">i8")
-        key_bytes = [enc[k].tobytes() for k in range(len(local))]
-        keys.update(key_bytes)
-        pieces.append((start, stop, inv.astype(np.int64), key_bytes))
+        pieces.append(sorted_unique_rows(keyrows))
 
-    ordered = sorted(keys)
-    order = {k: i for i, k in enumerate(ordered)}
-    new = np.empty((m, n), dtype=np.int32)
-    for start, stop, inv, key_bytes in pieces:
-        lmap = np.array([order[k] for k in key_bytes], dtype=np.int32)
-        new[start:stop] = lmap[inv].reshape(stop - start, n)
-    return new, len(order), ordered
+    keys = np.unique(np.concatenate([local for local, _ in pieces]))
+    new = np.concatenate([np.searchsorted(keys, local)[inv] for local, inv in pieces])
+    return new.astype(np.int32).reshape(m, n), len(keys), keys
 
 
 def _stable_coloring(
     color: np.ndarray, rank: int, orbits: Orbits | None = None
-) -> tuple[np.ndarray, int, int, list[bytes]]:
+) -> tuple[np.ndarray, int, int, np.ndarray]:
     """The stable coloring, its rank, the rounds run and the confirming round's
     keys; with orbits, each round refines the representative rows only."""
     reps = None if orbits is None else orbits.reps
@@ -279,7 +278,7 @@ def _stable_coloring(
         color, rank = (new if orbits is None else orbits.expand(new)), rank2
 
 
-def _tensor_from_keys(keys: list[bytes], n: int, rank: int) -> np.ndarray:
+def _tensor_from_keys(keys: np.ndarray, n: int, rank: int) -> np.ndarray:
     """The sorted (r, s, t, count) rows of the intersection tensor.
 
     In the confirming round every pair of color t received key t, so key t
@@ -287,12 +286,12 @@ def _tensor_from_keys(keys: list[bytes], n: int, rank: int) -> np.ndarray:
     with color(u, w) = r and color(w, v) = s.
     """
     if rank * rank <= _MODE_A_MAX_CODES:
-        rows = np.frombuffer(b"".join(keys), dtype=">u2").reshape(rank, rank * rank + 2)
-        counts = n - rows[:, 2:].astype(np.int64)
+        rows = keys.view(">u2").reshape(rank, rank * rank + 1)
+        counts = n - rows[:, 1:].astype(np.int64)
         t, code = np.nonzero(counts)
         count = counts[t, code]
     else:
-        codes = np.frombuffer(b"".join(keys), dtype=">i8").reshape(rank, n + 1)[:, 1:]
+        codes = keys.view(">i8").reshape(rank, n + 1)[:, 1:]
         runs = np.ones((rank, n), dtype=bool)     # each sorted row split into runs of equal codes
         runs[:, 1:] = codes[:, 1:] != codes[:, :-1]
         starts = np.flatnonzero(runs)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coherent import CoherentConfiguration, invariants, wl_close
+from .coherent import CoherentConfiguration, invariants, sorted_unique_rows, wl_close
 from .digraph import Digraph
 
 NODE_BUDGET_DEFAULT = 10_000_000
@@ -85,7 +85,7 @@ class _PartitionSearch:
     # -- partition refinement -------------------------------------------------
 
     def _signatures(self, c, pi, active):
-        rows = np.empty((len(active), self.n + 1), dtype=np.int64)
+        rows = np.empty((len(active), self.n + 1), dtype=">i8")
         rows[:, 0] = pi[active]
         codes = (pi[None, :] * self.mult + c[active, :]) * self.mult + c[:, active].T
         rows[:, 1:] = np.sort(codes, axis=1)
@@ -109,8 +109,7 @@ class _PartitionSearch:
                     self._signatures(self.c2, pi2, active2),
                 ]
             )
-            _, inverse = np.unique(rows, axis=0, return_inverse=True)
-            inverse = inverse.ravel()
+            _, inverse = sorted_unique_rows(rows)
             new1, new2 = pi1.copy(), pi2.copy()
             new1[active1] = ncells + inverse[: len(active1)]
             new2[active2] = ncells + inverse[len(active1):]

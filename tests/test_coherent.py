@@ -98,7 +98,7 @@ def test_canonical_invariance_under_relabeling(cons3, maker):
         assert np.array_equal(cc2.tensor, cc.tensor)
 
 
-@pytest.mark.parametrize(
+_DENSE_REFINEMENTS = pytest.mark.parametrize(
     "maker, encoding",
     [
         (lambda cons: wl_close(cons.build_cayley(1)), "count"),
@@ -109,6 +109,9 @@ def test_canonical_invariance_under_relabeling(cons3, maker):
     ],
     ids=["closure", "loopless-closure", "extension", "random", "cycle"],
 )
+
+
+@_DENSE_REFINEMENTS
 def test_tensor_brute_force_oracle(cons3, maker, encoding):
     """Every pair (u, v) of color t has #{w : c(u, w) = r, c(w, v) = s}
     equal to the stored p^t_rs, counted from the color matrix alone."""
@@ -124,6 +127,34 @@ def test_tensor_brute_force_oracle(cons3, maker, encoding):
             codes, counts = np.unique(c[u] * cc.rank + c[:, v], return_counts=True)
             got = np.column_stack([codes // cc.rank, codes % cc.rank, counts])
             assert np.array_equal(got, rows[c[u, v]]), (u, v)
+
+
+@_DENSE_REFINEMENTS
+def test_refinement_is_independent_of_the_block_size(cons3, maker, encoding, monkeypatch):
+    """One row per block merges the keys of every block: the colors, rank,
+    rounds and tensor are those of the default blocking."""
+    want = maker(cons3)
+    monkeypatch.setattr(coherent, "_BLOCK_ELEMENT_BUDGET", 1)
+    got = maker(cons3)
+    assert got.rank == want.rank
+    _assert_same_closure(got, want)
+
+
+@pytest.mark.parametrize("dtype, big", [(np.uint16, 256), (np.int64, 2**32)])
+def test_sorted_unique_rows_in_numeric_lexicographic_order(dtype, big):
+    """The keys ascend in the order the canonical names are defined by, with
+    entries of several bytes, tied prefixes and duplicate rows."""
+    vals = np.array([0, 1, 127, 128, 255, big - 1, big, big + 1, 3 * big + 200], dtype=dtype)
+    rng = np.random.default_rng(11)
+    rows = vals[rng.integers(0, len(vals), size=(400, 3))]
+    rows = np.concatenate([rows, rows[:50]])
+    keys, inv = coherent.sorted_unique_rows(rows)
+    want = sorted(set(map(tuple, rows.tolist())))
+    assert keys.view(np.dtype(dtype).newbyteorder(">")).reshape(len(keys), 3).tolist() == [
+        list(r) for r in want
+    ]
+    index = {r: i for i, r in enumerate(want)}
+    assert inv.tolist() == [index[r] for r in map(tuple, rows.tolist())]
 
 
 def _with_tensor(cc, tensor):
@@ -220,7 +251,7 @@ def test_one_point_extension_fibers_are_cells(cons3, closures3):
     ext = one_point_extension(cc, cons3.table.identity)
     got = {np.sort(f).astype(np.int64).tobytes() for f in ext.fibers}
     assert got == {c.tobytes() for c in cons3.cells()}
-    assert ext.refines(cc)
+    assert ext.refines(cc) and not cc.refines(ext)
     assert tensor_identities_hold(ext)
 
 
