@@ -1,12 +1,14 @@
 """Difference-multiset and divisible-design checks, plus the explicit
-isomorphism between the block developments of X_0 and X_i.
+isomorphism between the neighbourhood designs of X_0 and X_i.
 
 Everything here is an exact integer computation: convolution coefficients,
 common-neighbor counts per direction, and a full q^6 membership check of
-the criterion  g in X_0*g0  <=>  f(g) in X_i*h(g0).
+the criterion  g in X_0*g0  <=>  f(g) in X_i*h(g0).  Block g0 of the
+design of X_i is the out-neighbourhood X_i*g0, row g0 of the adjacency
+matrix of Cay(H3(q), X_i).
 """
 
-from ddwl import Construction, SRing, dev, verify_ddd, verify_design_iso, verify_transversal
+from ddwl import Construction, SRing, verify_ddd, verify_design_iso, verify_transversal
 from ddwl.designs import desiso_maps
 
 
@@ -30,14 +32,15 @@ def main():
     print(f"{loopless.label}: cross-class counts {ddd2.cross_in}")
     print("  (arc-joined cross pairs drop to q - 1 without the loops)")
 
-    inc = dev(cons, i)
-    print(f"\ndevelopment of X_{i}: {inc.n_blocks} blocks of size "
-          f"{int(inc.incidence[0].sum())}, incidence matrix equals the adjacency matrix")
+    blocks = loopy.arcs   # block g0 = row g0 = X_i * g0
+    print(f"\nneighbourhood design of X_{i}: block g0 is row g0 of the adjacency matrix")
+    print(f"  {blocks.shape[0]} blocks of size {set(blocks.sum(axis=1).tolist())}, "
+          f"every point in {set(blocks.sum(axis=0).tolist())} blocks")
 
     for j in range(q):
         maps = desiso_maps(cons, j)
         report = verify_design_iso(cons, j)
-        print(f"dev(X_0) ~ dev(X_{j}): det(A) index {maps.det_index}, "
+        print(f"design(X_0) ~ design(X_{j}): det(A) index {maps.det_index}, "
               f"criterion holds on {report.pairs_checked} pairs: {report.crit_holds}")
 
 

@@ -11,7 +11,7 @@ from .coherent import (
     wl_equivalent,
 )
 from .construction import INFINITY, Construction, MatrixM, rho_apply
-from .designs import dev, desiso_maps, verify_ddd, verify_design_iso
+from .designs import desiso_maps, verify_ddd, verify_design_iso
 from .digraph import Digraph
 from .gf import (
     Field,
@@ -58,7 +58,6 @@ __all__ = [
     "cayley_close",
     "center",
     "coset_id",
-    "dev",
     "desiso_maps",
     "fe_add",
     "fe_inv",

@@ -161,7 +161,7 @@ def main(argv=None) -> int:
     p.add_argument("--out")
     p.set_defaults(fn=cmd_iso)
 
-    p = sub.add_parser("design", help="verify the development isomorphism for (q, i)")
+    p = sub.add_parser("design", help="verify the neighbourhood-design isomorphism for (q, i)")
     p.add_argument("q", type=int)
     p.add_argument("i", type=int)
     p.add_argument("--out")

@@ -1,13 +1,17 @@
 """Divisible-design verification: common-neighbor counts against the center
-cosets, the block development of a connection set, and the explicit
-isomorphism between the developments of X_0 and X_i.
+cosets, and the explicit isomorphism between the neighbourhood designs of
+X_0 and X_i.
 
-Membership of g in the block X_i * g0 has a closed form in coordinates.
-With g = (al, be, ga) and g0 = (al0, be0, ga0):
+The neighbourhood design of Cay(H3(q), X_i) has one block per group element
+g0, its out-neighbourhood X_i * g0, which is row g0 of the adjacency matrix
+built by `Construction.build_cayley(i)`.  The criterion
 
-    g in X_0 g0  <=>  ga - ga0 = (al - al0)(be + be0) / 2
-    g in X_i g0  <=>  ga - ga0 = (al - al0)(be + be0) / 2
-                                 + ((al - al0)**2 - eps (be - be0)**2) i
+    g in X_0 g0  <=>  f(g) in X_i h(g0)
+
+is checked on those rows; the closed form below only derives f and h.
+With g = (al, be, ga) and g0 = (al0, be0, ga0), g lies in X_i g0 iff
+
+    ga - ga0 = (al - al0)(be + be0) / 2 + ((al - al0)**2 - eps (be - be0)**2) i.
 
 The point map f adds (al**2 - eps be**2) i to the last coordinate.  The
 block-index map h inverts the linear system
@@ -20,52 +24,12 @@ and then translates the last coordinate accordingly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .construction import Construction
 from .digraph import Digraph
-
-
-@dataclass
-class IncidenceStructure:
-    """Points [0, n); one block per group element g, the set X * g.
-
-    Row g of the incidence matrix is the indicator of block g, so the matrix
-    coincides entrywise with the adjacency matrix of the Cayley digraph.
-    """
-
-    incidence: np.ndarray
-
-    @property
-    def n_points(self) -> int:
-        return self.incidence.shape[1]
-
-    @property
-    def n_blocks(self) -> int:
-        return self.incidence.shape[0]
-
-    def blocks(self) -> list[np.ndarray]:
-        return [np.flatnonzero(row) for row in self.incidence]
-
-    def to_text(self) -> str:
-        """Same 0/1 text format as the digraph export, one row per block."""
-        lines = [str(self.n_blocks)]
-        chars = np.where(self.incidence, "1", "0")
-        lines.extend("".join(row) for row in chars)
-        return "\n".join(lines) + "\n"
-
-
-def dev(cons: Construction, i: int) -> IncidenceStructure:
-    """The development of X_i: blocks X_i * g for every group element g."""
-    mask = np.zeros(cons.n, dtype=bool)
-    mask[cons.build_X(i)] = True
-    incidence = mask[cons.table.quotient()].T   # block g contains p iff p * g**-1 in X_i
-    replication = incidence.sum(axis=0)
-    if not (replication == cons.q**2).all():
-        raise RuntimeError("development is not point-regular")  # contradicts counting
-    return IncidenceStructure(incidence)
 
 
 @dataclass
@@ -160,7 +124,6 @@ class DesignIsoMaps:
     f: np.ndarray            # point bijection
     h: np.ndarray            # block-index bijection
     det_index: int           # field index of det(A) = 1 - 16 eps i**2
-    matrix_a: tuple[tuple[int, int], tuple[int, int]]
 
     @property
     def det_nonzero(self) -> bool:
@@ -168,7 +131,8 @@ class DesignIsoMaps:
 
 
 def desiso_maps(cons: Construction, i: int) -> DesignIsoMaps:
-    """The explicit point and block bijections carrying dev(X_0) to dev(X_i)."""
+    """The explicit point and block bijections carrying the neighbourhood
+    design of X_0 to that of X_i."""
     f_ = cons.field
     t = cons.table
     eps = cons.epsilon
@@ -198,24 +162,7 @@ def desiso_maps(cons: Construction, i: int) -> DesignIsoMaps:
         f=f_map.astype(np.int64),
         h=h_map.astype(np.int64),
         det_index=int(det),
-        matrix_a=((int(f_.one), int(a12)), (int(a21), int(f_.one))),
     )
-
-
-def membership_matrix(cons: Construction, i: int) -> np.ndarray:
-    """mat[g, g0] = True iff g lies in the block X_i * g0, by the closed form."""
-    f_ = cons.field
-    t = cons.table
-    al, be, ga = t.ix, t.iy, t.iz
-    d_al = f_.sub(al[:, None], al[None, :])
-    s_be = f_.add(be[:, None], be[None, :])
-    rhs = f_.mul(cons.half, f_.mul(d_al, s_be))
-    if i != 0:
-        d_be = f_.sub(be[:, None], be[None, :])
-        quad = f_.sub(f_.mul(d_al, d_al), f_.mul(cons.epsilon, f_.mul(d_be, d_be)))
-        rhs = f_.add(rhs, f_.mul(quad, i))
-    lhs = f_.sub(ga[:, None], ga[None, :])
-    return lhs == rhs
 
 
 @dataclass
@@ -225,52 +172,35 @@ class DesignIsoReport:
     crit_holds: bool
     det_a_nonzero: bool
     pairs_checked: int
-    mode: str
     witness: dict | None = None
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "q": self.q,
             "i": self.i,
             "crit_holds": self.crit_holds,
             "det_A_nonzero": self.det_a_nonzero,
             "pairs_checked": self.pairs_checked,
-            "mode": self.mode,
         }
+        if self.witness is not None:
+            out["witness"] = self.witness
+        return out
 
 
-def verify_design_iso(
-    cons: Construction,
-    i: int,
-    sample: int | None = None,
-    seed: int = 20240
-) -> DesignIsoReport:
-    """Check g in X_0 g0 <=> f(g) in X_i h(g0) over all pairs, or over a
-    fixed-seed sample of the given size."""
+def verify_design_iso(cons: Construction, i: int) -> DesignIsoReport:
+    """Check g in X_0 g0 <=> f(g) in X_i h(g0) over all n**2 pairs (g0, g):
+    block g0 of each design is row g0 of its Cayley adjacency matrix."""
     maps = desiso_maps(cons, i)
-    m0 = membership_matrix(cons, 0)
-    mi = membership_matrix(cons, i)
-    if sample is None:
-        moved = mi[np.ix_(maps.f, maps.h)]
-        agree = moved == m0
-        pairs_checked = m0.size
-        mode = "full"
-    else:
-        rng = np.random.default_rng(seed)
-        gs = rng.integers(0, cons.n, size=sample)
-        g0s = rng.integers(0, cons.n, size=sample)
-        agree = mi[maps.f[gs], maps.h[g0s]] == m0[gs, g0s]
-        pairs_checked = sample
-        mode = "sampled"
+    arcs0 = cons.build_cayley(0).arcs
+    moved = cons.build_cayley(i).arcs[np.ix_(maps.h, maps.f)]
     report = DesignIsoReport(
         q=cons.q,
         i=i,
-        crit_holds=bool(agree.all()),
+        crit_holds=bool(np.array_equal(moved, arcs0)),
         det_a_nonzero=maps.det_nonzero,
-        pairs_checked=int(pairs_checked),
-        mode=mode,
+        pairs_checked=arcs0.size,
     )
     if not report.crit_holds:
-        bad = np.argwhere(~agree)[0]
-        report.witness = {"g": int(bad[0]), "g0": int(bad[1])}
+        g0, g = (int(v) for v in np.argwhere(moved != arcs0)[0])
+        report.witness = {"g": g, "g0": g0}
     return report

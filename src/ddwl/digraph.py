@@ -60,6 +60,8 @@ class Digraph:
         n = int(lines[0])
         if len(lines) != n + 1:
             raise ValueError("wrong number of rows")
+        if set("".join(lines[1:])) - {"0", "1"}:
+            raise ValueError("adjacency rows may hold only '0' and '1'")
         a = np.array([[c == "1" for c in row] for row in lines[1:]], dtype=bool)
         if a.shape != (n, n):
             raise ValueError("ragged adjacency rows")

@@ -26,7 +26,7 @@ import numpy as np
 
 from .arith import is_prime
 
-MAX_Q_DEFAULT = 729  # 3**6; keeps every table at desk scale
+MAX_Q = 729  # 3**6; keeps every table at desk scale
 
 
 @dataclass(frozen=True)
@@ -214,10 +214,10 @@ def _field_cached(p: int, l: int) -> Field:
     return Field(FieldSpec(p, l, _canonical_modulus(p, l)))
 
 
-def field_create(p: int, l: int, max_q: int = MAX_Q_DEFAULT) -> Field:
+def field_create(p: int, l: int) -> Field:
     """Build GF(p**l) with the canonical modulus.
 
-    p must be an odd prime, l >= 1, and p**l must not exceed max_q.
+    p must be an odd prime, l >= 1, and p**l must not exceed MAX_Q.
     """
     if p == 2:
         raise ValueError("q must be odd")
@@ -225,8 +225,8 @@ def field_create(p: int, l: int, max_q: int = MAX_Q_DEFAULT) -> Field:
         raise ValueError(f"{p} is not prime")
     if l < 1:
         raise ValueError("extension degree must be >= 1")
-    if p**l > max_q:
-        raise ValueError(f"q = {p**l} exceeds the size cap {max_q}")
+    if p**l > MAX_Q:
+        raise ValueError(f"q = {p**l} exceeds the size cap {MAX_Q}")
     return _field_cached(p, l)
 
 

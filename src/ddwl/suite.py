@@ -322,14 +322,13 @@ def _algebraic_automorphisms(ctx: Context, exhaustive: bool) -> tuple[str, dict]
 
 
 def _design_isomorphism(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
-    """dev(X_0) ~ dev(X_i) over all or sampled pairs, det(A) nonzero"""
+    """neighbourhood designs of X_0 and X_i isomorphic on all pairs, det(A) nonzero"""
     cons = ctx.cons
-    sample = None if exhaustive else (1_000_000 if ctx.suite == "full" else 100_000)
     data = {}
     ok = True
     for i in range(cons.q):
-        rep = designs.verify_design_iso(cons, i, sample=sample, seed=ctx.seed)
-        ok &= rep.crit_holds and rep.det_a_nonzero and rep.pairs_checked == (sample or cons.n**2)
+        rep = designs.verify_design_iso(cons, i)
+        ok &= rep.crit_holds and rep.det_a_nonzero
         data[f"i={i}"] = rep.to_json()
     return ("pass" if ok else "fail"), data
 
@@ -435,8 +434,8 @@ class Check:
 
 
 # The checks in report order, and the one size table: the sampled variants
-# are 10^4 group triples, the first label's closure only, no inducedness
-# search, and 10^6 (full) or 10^5 (fast) sampled design pairs.
+# are 10^4 group triples, the first label's closure only, and no inducedness
+# search.
 REGISTRY = [
     Check("field_axioms", "12", _field_axioms),
     Check("group_axioms", "12", _group_axioms, full=(3, ANY), fast=(3, ANY)),
@@ -451,7 +450,7 @@ REGISTRY = [
     Check("wl_equivalence", "6", _wl_equivalence, full=(7, 7), fast=NEVER),
     Check("tau_hat_transport", "6", _tau_hat_transport, full=(7, 7), fast=NEVER),
     Check("algebraic_automorphisms", "9", _algebraic_automorphisms, full=(5, ANY), fast=(5, ANY)),
-    Check("design_isomorphism", "10", _design_isomorphism, full=(5, ANY), fast=(0, ANY)),
+    Check("design_isomorphism", "10", _design_isomorphism),
     Check("one_point_extension", "11", _one_point_extension, full=(7, 7), fast=(7, 7)),
     Check("iso_classes", "7", _iso_classes, full=(7, 7), fast=NEVER),
     Check("reverse_pair_isomorphism", "7", _reverse_pair_isomorphism, full=(7, 7), fast=NEVER),

@@ -1,10 +1,13 @@
 import json
+import pathlib
 
 import pytest
 
 from ddwl import srings, suite
 from ddwl.cli import main
 from ddwl.digraph import Digraph
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def test_build_writes_text_digraph(tmp_path, capsys):
@@ -105,6 +108,17 @@ def test_verify_honours_env_cap(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("suite_name", ["full", "fast"])
+def test_verify_q3_report_matches_the_committed_bytes(suite_name, tmp_path, capsys):
+    """A change to a report changes tests/data/verify_q3_<suite>.json in the
+    same diff; regenerate with
+    `ddwl verify 3 --suite <suite> --no-timings --out tests/data/verify_q3_<suite>.json`."""
+    out = tmp_path / "r.json"
+    assert main(["verify", "3", "--suite", suite_name, "--no-timings", "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / f"verify_q3_{suite_name}.json").read_bytes()
+    capsys.readouterr()
+
+
 def test_wl_tensor_export(tmp_path, capsys):
     out = tmp_path / "t.json"
     assert main(["wl", "3", "1", "--tensor-out", str(out)]) == 0
@@ -138,7 +152,6 @@ def test_design_command(tmp_path, capsys):
         "crit_holds": True,
         "det_A_nonzero": True,
         "i": 3,
-        "mode": "full",
         "pairs_checked": 15625,
         "q": 5,
     }

@@ -185,3 +185,11 @@ def test_digraph_text_round_trip(cons3):
     g = cons3.build_cayley(2)
     again = Digraph.from_text(g.to_text())
     assert np.array_equal(again.arcs, g.arcs)
+
+
+@pytest.mark.parametrize(
+    "text", ["2\n1x\n21\n", "2\n1 \n01\n", "1\nT\n"], ids=["letter", "space", "word"]
+)
+def test_digraph_from_text_rejects_characters_other_than_0_and_1(text):
+    with pytest.raises(ValueError, match="'0' and '1'"):
+        Digraph.from_text(text)
