@@ -5,11 +5,13 @@ Fix a nonsquare eps in GF(q).  The 2x2 matrices
 
     M(a, b) = (a, b; eps*b, a),   (a, b) != (0, 0)
 
-form a cyclic group of order q**2 - 1, and each induces an automorphism
-of H3(q):
+form a cyclic group of order q**2 - 1 (M(a, b) is a + b*sqrt(eps) in
+GF(q**2)*), and each induces an automorphism rho(M(a, b)) of H3(q):
 
     (x, y, z) |-> (a*x + eps*b*y,  b*x + a*y,  F_ab(x, y, z))
     F_ab(x, y, z) = a*b*(x**2/2 + eps*y**2/2) + eps*b**2*x*y + (a**2 - eps*b**2)*z
+
+so K = <rho(M(a0, b0))> for any M(a0, b0) of order q**2 - 1.
 
 The orbits of the resulting group K on H3(q) are {e}, the nontrivial center,
 and q sets Y_i (one per i in GF(q)), where
@@ -142,46 +144,56 @@ class Construction:
         )
         return t._pack(x2, y2, z2)
 
+    def _m_powers(self, m: tuple[int, int]) -> list[tuple[int, int]]:
+        """M(a, b), M(a, b)**2, ... up to the identity (1, 0), in field arithmetic."""
+        f, (a, b), out = self.field, m, [m]
+        while out[-1] != (1, 0) and len(out) < self.q**2:
+            c, d = out[-1]
+            ac_bd = f.add(f.mul(a, c), f.mul(self.epsilon, f.mul(b, d)))
+            out.append((int(ac_bd), int(f.add(f.mul(a, d), f.mul(b, c)))))
+        return out
+
+    def k_generator(self) -> tuple[int, int]:
+        """The first (a, b) in lexicographic order with M(a, b) of order q**2 - 1."""
+        pairs = ((a, b) for a in range(self.q) for b in range(self.q) if a or b)
+        gen = next((m for m in pairs if len(self._m_powers(m)) == self.q**2 - 1), None)
+        if gen is None:
+            raise RuntimeError("no M(a, b) has order q**2 - 1; eps is not a nonsquare")
+        return gen
+
     def build_K(self) -> list[KAutomorphism]:
-        """All q**2 - 1 automorphisms, each checked to be one before return."""
+        """All q**2 - 1 automorphisms in (a, b) order: K = <rho(M(a0, b0))>.
+
+        rho(M(a0, b0)) for (a0, b0) = `k_generator()` is checked to be a
+        bijection and a homomorphism on all n**2 products, so its powers are
+        automorphisms; the k-th must equal the closed form `rho_perm` of
+        M(a0, b0)**k (O(n) each), and the powers must be q**2 - 1 pairs.
+        """
         if self._K is not None:
             return self._K
-        t = self.table
-        mult = t.mult
-        out = []
-        for a in range(self.q):
-            for b in range(self.q):
-                if a == 0 and b == 0:
-                    continue
-                perm = self.rho_perm(a, b)
-                if not np.array_equal(np.sort(perm), np.arange(self.n)):
-                    raise RuntimeError(f"rho({a},{b}) is not a bijection")
-                if not np.array_equal(perm[mult], mult[np.ix_(perm, perm)]):
-                    raise RuntimeError(f"rho({a},{b}) is not a homomorphism")
-                out.append(KAutomorphism(a, b, perm))
-        self._K = out
-        return out
+        mult, gen = self.table.mult, self.k_generator()
+        g = self.rho_perm(*gen)
+        if not np.array_equal(np.sort(g), np.arange(self.n)):
+            raise RuntimeError(f"rho{gen} is not a bijection")
+        if not np.array_equal(g[mult], mult[np.ix_(g, g)]):
+            raise RuntimeError(f"rho{gen} is not a homomorphism")
+        powers, perms, perm = self._m_powers(gen), {}, g
+        if len(set(powers)) != self.q**2 - 1:
+            raise RuntimeError(f"M{gen} has {len(set(powers))} powers, not q**2 - 1")
+        for m in powers:
+            if not np.array_equal(perm, self.rho_perm(*m)):
+                raise RuntimeError(f"rho{m} is not the matching power of rho{gen}")
+            perms[m], perm = perm, g[perm]
+        self._K = [KAutomorphism(a, b, perms[a, b]) for a, b in sorted(perms)]
+        return self._K
 
     def k_orbits(self) -> list[np.ndarray]:
         """Orbit partition of K on the group; exactly q + 2 cells."""
         if self._orbits is not None:
             return self._orbits
-        perms = np.stack([k.perm for k in self.build_K()])
-        seen = np.zeros(self.n, dtype=bool)
-        orbits = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            frontier = np.array([start])
-            members = {start}
-            seen[start] = True
-            while frontier.size:
-                nxt = np.unique(perms[:, frontier])
-                fresh = nxt[~seen[nxt]]
-                seen[fresh] = True
-                members.update(fresh.tolist())
-                frontier = fresh
-            orbits.append(np.array(sorted(members), dtype=np.int64))
+        # K is a group, so column v of its permutations is the orbit of v
+        least = np.stack([k.perm for k in self.build_K()]).min(axis=0)
+        orbits = [np.flatnonzero(least == r) for r in np.unique(least)]
         got = {arr.tobytes() for arr in orbits}
         want = {arr.tobytes() for arr in self.cells()}
         if got != want or len(orbits) != self.q + 2:

@@ -152,7 +152,7 @@ def _group_axioms(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
 def _k_automorphisms(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
     """all q^2 - 1 twist maps are automorphisms of every family digraph"""
     cons = ctx.cons
-    ks = cons.build_K()   # constructor re-verifies the homomorphism property
+    ks = cons.build_K()   # raises unless every element is a group automorphism
     ok = len(ks) == cons.q**2 - 1
     gens = cons.generators_I()
     for i in gens:

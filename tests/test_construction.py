@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,99 @@ def test_build_k_size_and_homomorphism(q):
     for a in ks[:5]:
         for b in ks[:5]:
             assert a.perm[b.perm].tobytes() in perms
+
+
+def _build_k_per_element(cons):
+    """The oracle for `build_K`: every rho(a, b), in (a, b) order, checked on
+    its own to be a bijection and a homomorphism on all n**2 products."""
+    mult, out = cons.table.mult, []
+    for a in range(cons.q):
+        for b in range(cons.q):
+            if a == 0 and b == 0:
+                continue
+            perm = cons.rho_perm(a, b)
+            assert np.array_equal(np.sort(perm), np.arange(cons.n)), (a, b)
+            assert np.array_equal(perm[mult], mult[np.ix_(perm, perm)]), (a, b)
+            out.append((a, b, perm.dtype, perm.tobytes()))
+    return out
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_build_k_matches_the_per_element_proof(q, request):
+    cons = request.getfixturevalue(f"cons{q}")
+    got = [(k.alpha, k.beta, k.perm.dtype, k.perm.tobytes()) for k in cons.build_K()]
+    assert got == _build_k_per_element(cons)
+    assert all(type(k.alpha) is int and type(k.beta) is int for k in cons.build_K())
+
+
+def _corrupt_rho(cons, monkeypatch, which):
+    """Swap two images of rho_perm(*which): still a bijection, no longer an
+    automorphism."""
+    rho = cons.rho_perm
+
+    def corrupted(a, b):
+        perm = rho(a, b)
+        if (a, b) == which:
+            perm[[1, 2]] = perm[[2, 1]]
+        return perm
+
+    monkeypatch.setattr(cons, "rho_perm", corrupted)
+
+
+def test_build_k_rejects_a_wrong_closed_form_for_a_power(monkeypatch):
+    cons = Construction(5)
+    gen = cons.k_generator()
+    power = cons._m_powers(gen)[1]
+    _corrupt_rho(cons, monkeypatch, power)
+    with pytest.raises(RuntimeError, match=re.escape(f"rho{power} is not the matching power")):
+        cons.build_K()
+
+
+def test_build_k_rejects_a_generator_that_is_not_a_homomorphism(monkeypatch):
+    cons = Construction(5)
+    _corrupt_rho(cons, monkeypatch, cons.k_generator())
+    with pytest.raises(RuntimeError, match="is not a homomorphism"):
+        cons.build_K()
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_build_k_rejects_a_generator_of_low_order(q, monkeypatch):
+    cons = Construction(q)
+    # M(0, 1) = sqrt(eps) has order 2 * ord(eps), at most 2 (q - 1) < q**2 - 1;
+    # rho(0, 1) is a genuine automorphism, so only the count of powers fails
+    monkeypatch.setattr(cons, "k_generator", lambda: (0, 1))
+    with pytest.raises(RuntimeError, match=r"has \d+ powers, not q\*\*2 - 1"):
+        cons.build_K()
+    assert cons._K is None
+
+
+def _matmul(f, x, y):
+    """The product of two 2x2 matrices over GF(q), given as rows of indices."""
+    return tuple(
+        tuple(int(f.add(f.mul(x[r][0], y[0][c]), f.mul(x[r][1], y[1][c]))) for c in range(2))
+        for r in range(2)
+    )
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11])
+def test_k_generator_has_full_order(q):
+    cons = Construction(q)
+    f = cons.field
+    a, b = cons.k_generator()
+    m = ((a, b), (int(f.mul(cons.epsilon, b)), a))
+    powers, p = [], m
+    while p != ((1, 0), (0, 1)):
+        powers.append(p[0])
+        p = _matmul(f, p, m)
+    assert len(powers) + 1 == q * q - 1
+    assert powers + [(1, 0)] == cons._m_powers((a, b))
+
+
+def test_k_generator_needs_a_nonsquare():
+    cons = Construction(5)
+    cons.epsilon = 1
+    with pytest.raises(RuntimeError, match="eps is not a nonsquare"):
+        cons.k_generator()
 
 
 def test_k_composition_closure_exhaustive_q3(cons3):

@@ -1,7 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from ddwl.construction import Construction
 from ddwl.designs import desiso_maps, verify_ddd, verify_design_iso
+from ddwl.digraph import Digraph
 
 
 def test_verify_ddd_on_looped_digraph(cons3):
@@ -44,6 +48,68 @@ def test_verify_ddd_nonconstant_witness_fields(cons3):
     u, v = w["pair"]
     assert not w["same_class"]
     assert cons3.table.coset_ids[u] != cons3.table.coset_ids[v]
+
+
+def _ddd_oracle(arcs, class_ids, expected):
+    """Distributions and first deviating pair from int64 matmuls."""
+    a = arcs.astype(np.int64)
+    common = {"out": a @ a.T, "in": a.T @ a}
+    n = len(a)
+    same = class_ids[:, None] == class_ids[None, :]
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    dists = {}
+    for kind, mask in (("same", same & upper), ("cross", ~same & upper)):
+        for d, m in common.items():
+            vals, counts = np.unique(m[mask], return_counts=True)
+            dists[f"{kind}_{d}"] = [(int(v), int(c)) for v, c in zip(vals, counts)]
+    want = np.where(same, expected[0], expected[1])
+    bad = ((common["in"] != want) | (common["out"] != want)) & upper
+    first = [int(x) for x in np.argwhere(bad)[0]] if bad.any() else None
+    return dists, first
+
+
+def _assert_ddd_matches_oracle(g, class_ids, expected):
+    rep = verify_ddd(g, class_ids, expected)
+    dists, first = _ddd_oracle(g.arcs, np.asarray(class_ids), expected)
+    for name, items in dists.items():
+        assert list(getattr(rep, name).items()) == items, name
+    assert (rep.witness["pair"] if rep.witness else None) == first
+    return rep
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+@pytest.mark.parametrize("loops", [True, False], ids=["looped", "loopless"])
+def test_verify_ddd_matches_int64_oracle_on_cayley(q, loops, request):
+    cons = request.getfixturevalue(f"cons{q}")
+    g = cons.build_cayley(cons.generators_I()[0], include_identity=loops)
+    rep = _assert_ddd_matches_oracle(g, cons.table.coset_ids, (0, q))
+    assert rep.counts_match == loops
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_verify_ddd_matches_int64_oracle_on_random_digraphs(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 60))
+    g = Digraph(rng.random((n, n)) < rng.uniform(0.05, 0.9))
+    class_ids = rng.integers(0, int(rng.integers(1, 8)), n)
+    _assert_ddd_matches_oracle(g, class_ids, (0, 1))
+
+
+def test_verify_ddd_refuses_n_beyond_exact_float32():
+    # a stub: the guard must fire before any n x n array is built
+    with pytest.raises(ValueError, match="2\\*\\*24"):
+        verify_ddd(SimpleNamespace(n=2**24), None, (0, 1))
+
+
+def test_vanishing_determinant_is_reported_not_raised():
+    cons = Construction(5)
+    f = cons.field
+    cons.epsilon = f.inv(f.mul(f.from_int(16), 1))   # 1/(16 i**2) at i = 1, a square
+    assert f.is_square(cons.epsilon)
+    assert not desiso_maps(cons, 1).det_nonzero
+    rep = verify_design_iso(cons, 1).to_json()
+    assert rep["det_A_nonzero"] is False and rep["crit_holds"] is False
+    assert set(rep["witness"]) == {"g", "g0"}
 
 
 def test_desiso_identity_case(cons3):

@@ -3,11 +3,13 @@
 computation with itself."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from ddwl import designs, isotest, srings, suite
+from ddwl.cli import main
 from ddwl.construction import Construction
 from ddwl.digraph import Digraph
 
@@ -132,6 +134,23 @@ def test_design_isomorphism_names_the_failing_pair(name, monkeypatch):
         maps = designs.desiso_maps(cons, i)
         g, g0 = entry["witness"]["g"], entry["witness"]["g0"]
         assert arcs_0[g0, g] != cons.build_cayley(i).arcs[maps.h[g0], maps.f[g]]
+
+
+def test_vanishing_determinant_fails_the_design_check(tmp_path, monkeypatch, capsys):
+    cons = Construction(5)
+    f = cons.field
+    cons.epsilon = f.inv(f.mul(f.from_int(16), 1))   # 1/(16 i**2) at i = 1, a square
+    monkeypatch.setattr(suite, "Construction", lambda q, max_vertices: cons)
+    monkeypatch.setattr(
+        suite, "REGISTRY", [c for c in suite.REGISTRY if c.name == "design_isomorphism"]
+    )
+    out = tmp_path / "r.json"
+    assert main(["verify", "5", "--suite", "fast", "--out", str(out)]) == 1
+    (check,) = json.loads(out.read_text())["checks"]
+    assert check["status"] == "fail"
+    entry = check["data"]["i=1"]
+    assert entry["det_A_nonzero"] is False and entry["crit_holds"] is False
+    capsys.readouterr()
 
 
 def test_size_table():
