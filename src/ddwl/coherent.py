@@ -50,7 +50,6 @@ those keys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -81,13 +80,6 @@ class Orbits(NamedTuple):
         return rows[self.which[:, None], self.transversal]
 
 
-@dataclass
-class PairColoring:
-    n: int
-    color: np.ndarray  # (n, n) int32, contiguous ids 0..rank-1
-    round: int         # refinement rounds executed, including the confirming one
-
-
 class CoherentConfiguration:
     """Stable pair coloring with fibers, valencies and intersection numbers.
 
@@ -97,16 +89,14 @@ class CoherentConfiguration:
     is read off the signature keys of the round that confirmed stability.
     """
 
-    def __init__(self, coloring: PairColoring, keys: np.ndarray):
-        self.coloring = coloring
-        self.n = coloring.n
-        color = coloring.color
+    def __init__(self, color: np.ndarray, rounds: int, keys: np.ndarray):
+        self.color = color    # (n, n) int32, contiguous ids 0..rank-1
+        self.rounds = rounds  # refinement rounds run, including the confirming one
+        self.n = len(color)
         self.rank = int(color.max()) + 1 if self.n else 0
 
         diag = color.diagonal()
-        fiber_colors = np.unique(diag)
-        self.fiber_colors = [int(c) for c in fiber_colors]
-        self.fibers = [np.flatnonzero(diag == c) for c in fiber_colors]
+        self.fibers = [np.flatnonzero(diag == c) for c in np.unique(diag)]
         fiber_of = np.empty(self.n, dtype=np.int32)
         for k, verts in enumerate(self.fibers):
             fiber_of[verts] = k
@@ -154,14 +144,6 @@ class CoherentConfiguration:
         self.right_fiber = right
 
     # -- views ---------------------------------------------------------------
-
-    @property
-    def color(self) -> np.ndarray:
-        return self.coloring.color
-
-    @property
-    def rounds(self) -> int:
-        return self.coloring.round
 
     def color_multiset(self) -> np.ndarray:
         return np.bincount(self.color.ravel(), minlength=self.rank)
@@ -311,7 +293,7 @@ def _close(
     color0: np.ndarray, rank0: int, orbits: Orbits | None = None
 ) -> CoherentConfiguration:
     color, rank, rounds, keys = _stable_coloring(color0, rank0, orbits)
-    return CoherentConfiguration(PairColoring(len(color), color, rounds), keys)
+    return CoherentConfiguration(color, rounds, keys)
 
 
 def wl_close(g: Digraph) -> CoherentConfiguration:

@@ -187,11 +187,9 @@ def _expected_const(cons: Construction, i: int, j: int, k) -> int:
     return q + 1
 
 
-def verify_consts(ring: SRing, tensor: StructureConstantTensor | None = None) -> ConstsReport:
+def verify_consts(ring: SRing, tensor: StructureConstantTensor) -> ConstsReport:
     """Compare every computed c[Y_i, Y_j, Y_k] and c[Y_i, Y_j, Z#] to the closed forms."""
     cons = ring.cons
-    if tensor is None:
-        tensor = structure_constants(ring)
     q = cons.q
     report = ConstsReport(q=q, checked=0)
     for i in range(q):
@@ -208,12 +206,13 @@ def verify_consts(ring: SRing, tensor: StructureConstantTensor | None = None) ->
     return report
 
 
-def constants_report(ring: SRing, tensor: StructureConstantTensor | None = None) -> dict:
-    """Full JSON report: cells, nonzero constants, closed-form mismatches."""
-    if tensor is None:
-        tensor = structure_constants(ring)
+def constants_report(ring: SRing, tensor: StructureConstantTensor) -> dict:
+    """Full JSON report: cells, nonzero constants, closed-form mismatches and
+    the number of constants checked."""
+    report = verify_consts(ring, tensor)
     out = tensor.to_json(ring.cons.q)
-    out["closed_form_mismatches"] = verify_consts(ring, tensor).mismatches
+    out["closed_form_mismatches"] = report.mismatches
+    out["checked"] = report.checked
     return out
 
 

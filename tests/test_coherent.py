@@ -353,7 +353,7 @@ def test_verify_algebraic_map_rank_mismatch(cons3, closures3):
 def test_rounds_reported(cons3, closures3):
     for cc in closures3.values():
         assert cc.rounds >= 2
-        assert cc.coloring.round == cc.rounds
+        assert f"rounds={cc.rounds})" in repr(cc)
 
 
 # -- orbit-row engine against the dense engine -----------------------------------

@@ -165,6 +165,7 @@ def test_constants_report_json(ring3, tensor3):
     assert report["q"] == 3
     assert [c["name"] for c in report["cells"]] == ["e", "Y_0", "Y_1", "Y_2", "Z#"]
     assert report["closed_form_mismatches"] == []
+    assert report["checked"] == 3 * 3 * 4
     assert all(len(entry) == 4 and entry[3] > 0 for entry in report["constants"])
 
 

@@ -28,10 +28,20 @@ def _perturb_delta(cons, mp):
     cons.delta = 0
 
 
-def _add_arc(i, g):
-    arcs = g.arcs.copy()
-    arcs[0, np.flatnonzero(~arcs[0])[0]] = True
-    return Digraph(arcs)
+def _join_next_orbit(cons, mp):
+    """Adds Y_{i+1} to the connection set of X_i: the digraph stays Cayley and
+    K-invariant, so the closure and extension engines accept it."""
+    build = cons.build_cayley
+    _wrap_cayley(cons, lambda i, g: Digraph(g.arcs | build((i + 1) % cons.q, False).arcs))
+
+
+def _forge_k_element(cons):
+    """Replaces the perm of one listed K element other than the generator
+    with a permutation outside K (it moves the identity)."""
+    ks = list(cons.build_K())
+    j = next(j for j, k in enumerate(ks) if (k.alpha, k.beta) != cons.k_generator())
+    ks[j] = dataclasses.replace(ks[j], perm=ks[j].perm[::-1].copy())
+    cons._K = ks
 
 
 def _bump_tensor(cons, mp):
@@ -71,7 +81,7 @@ CORRUPTIONS = {
     "structure_constants": _perturb_delta,
     "tensor_identities": _bump_tensor,
     "ddd_parameters": _relabel,
-    "wl_closure": _relabel,
+    "wl_closure": _join_next_orbit,
     "wl_equivalence": lambda cons, mp: _wrap_cayley(
         cons, lambda i, g: g if i == 1 else Digraph(g.arcs & ~np.eye(cons.n, dtype=bool))
     ),
@@ -80,19 +90,19 @@ CORRUPTIONS = {
     ),
     "algebraic_automorphisms": lambda cons, mp: mp.setattr(suite, "euler_phi", lambda n: 100),
     "design_isomorphism": _roll_design_map,
-    "one_point_extension": _relabel,
+    "one_point_extension": _join_next_orbit,
     "iso_classes": lambda cons, mp: mp.setattr(suite, "euler_phi", lambda n: 100),
     "reverse_pair_isomorphism": lambda cons, mp: mp.setattr(
         isotest, "are_isomorphic",
         lambda g1, g2, *args: isotest.IsoCertificate("isomorphic", mapping=np.arange(g1.n)),
     ),
-    "automorphism_order": lambda cons, mp: _wrap_cayley(cons, _add_arc),
+    "automorphism_order": _join_next_orbit,
 }
 
 
-def _run_one(name, monkeypatch):
+def _run_one(name, monkeypatch, q=3):
     monkeypatch.setattr(suite, "REGISTRY", [c for c in suite.REGISTRY if c.name == name])
-    (result,) = suite.run_suite(3).checks
+    (result,) = suite.run_suite(q).checks
     return result
 
 
@@ -108,6 +118,54 @@ def test_corrupted_input_fails(name, monkeypatch):
     result = _run_one(name, monkeypatch)
     assert result.status == "fail", result.data
     assert ("error" in result.data) == (name == "orbit_partition"), result.data
+
+
+@pytest.mark.parametrize("name", ["wl_closure", "one_point_extension"])
+def test_non_cayley_digraph_fails_loudly(name, tmp_path, monkeypatch, capsys):
+    """The closure and the extension have one engine each: a relabelled digraph
+    is not Cayley over the table, and the check reports the engine's refusal."""
+    cons = Construction(3)
+    _relabel(cons, monkeypatch)
+    monkeypatch.setattr(suite, "Construction", lambda q, max_vertices: cons)
+    monkeypatch.setattr(suite, "REGISTRY", [c for c in suite.REGISTRY if c.name == name])
+    out = tmp_path / "r.json"
+    assert main(["verify", "3", "--no-timings", "--out", str(out)]) == 1
+    (check,) = json.loads(out.read_text())["checks"]
+    assert check["status"] == "fail"
+    assert check["data"]["error"].startswith("NotInvariant: "), check["data"]
+    capsys.readouterr()
+
+
+def test_forged_k_element_fails_k_automorphisms(monkeypatch):
+    cons = Construction(3)
+    _forge_k_element(cons)
+    monkeypatch.setattr(suite, "Construction", lambda q, max_vertices: cons)
+    result = _run_one("k_automorphisms", monkeypatch)
+    assert result.status == "fail" and "error" not in result.data, result.data
+
+
+@pytest.mark.parametrize("q", [3, 5])
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_k_automorphisms_agrees_with_every_element_on_every_label(q, corrupt, monkeypatch):
+    """Oracle: each of the q^2 - 1 elements of K against the arcs of every label."""
+    cons = Construction(q)
+    if corrupt:
+        _relabel(cons, monkeypatch)
+    monkeypatch.setattr(suite, "Construction", lambda q, max_vertices: cons)
+    every = all(
+        np.array_equal(arcs[np.ix_(k.perm, k.perm)], arcs)
+        for arcs in (cons.build_cayley(i).arcs for i in cons.generators_I())
+        for k in cons.build_K()
+    )
+    assert every != corrupt
+    result = _run_one("k_automorphisms", monkeypatch, q)
+    assert result.status == ("pass" if every else "fail"), result.data
+
+
+def test_k_automorphisms_checks_each_label_once(monkeypatch):
+    result = _run_one("k_automorphisms", monkeypatch, 9)
+    assert result.status == "pass"
+    assert result.data == {"k_order": 80, "graph_checks": len(Construction(9).generators_I())}
 
 
 @pytest.mark.parametrize("kind", ["non-isomorphic", "undetermined"])
