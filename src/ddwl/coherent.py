@@ -29,15 +29,17 @@ big-endian byte string, whose bytewise order is the numeric order above;
 `sorted_unique_rows` orders the keys of a block, and the same helper orders
 the vertex signatures of `isotest`.
 
-Orbit rows.  When a group of automorphisms of the initial coloring is known,
-a round computes the keys of one representative row per vertex orbit only
-and reads every other row through the group: color(u, v) is the color of
-(rep(u), a_u(v)) for an automorphism a_u sending u to rep(u).  The stable
+Orbit rows.  Given generators of a group of automorphisms of the initial
+coloring, a round computes the keys of one representative row per vertex
+orbit only and reads every other row through the group: color(u, v) is the
+color of (rep(u), a_u(v)) for an automorphism a_u sending u to rep(u), a
+product of generators found by one breadth-first pass (a Schreier
+transversal; Seress, Permutation Group Algorithms, 2003).  The stable
 coloring is invariant under the group, so every color class meets a
 representative row; the key set, hence the canonical names, the rank, the
 rounds and the tensor, are the dense engine's.  The dense engine is the
 same round with every row a representative.  `orbit_close` is the entry
-point; `cayley_close` (the right translations of a Cayley digraph, one row)
+point; `cayley_close` (right translations of a Cayley digraph, one row)
 and `orbit_extension` (a group fixing the individualized vertex) are its
 callers.
 
@@ -303,47 +305,50 @@ def wl_close(g: Digraph) -> CoherentConfiguration:
     return _close(*_initial_coloring(g))
 
 
-def orbit_close(color0: np.ndarray, orbits: Orbits) -> CoherentConfiguration:
-    """The stable refinement of the pair coloring color0, from the
-    representative rows of orbits only; equal to the dense refinement.
-
-    Every transversal row must be an automorphism of color0; the callers
-    prove that for their group.  Checked here, raising NotInvariant: each
-    transversal row is a permutation sending its vertex to its
-    representative, and color0 is read correctly from its representative
-    rows, color0 == orbits.expand(color0[reps])."""
+def orbit_close(color0: np.ndarray, gens: list[np.ndarray]) -> CoherentConfiguration:
+    """The stable refinement of the pair coloring color0, from one row per
+    orbit (its least vertex) of the group the permutations gens generate;
+    equal to the dense refinement.  Each generator s is proven once to be a
+    permutation with color0[s(u), s(v)] == color0[u, v], else NotInvariant.
+    The breadth-first pass that reaches w = s(u) from u sets T[w] = T[u] s**-1,
+    so each row of this Schreier transversal is a product of proven
+    automorphisms sending its vertex to its representative."""
     n = len(color0)
-    reps, which, transversal = orbits
     ar = np.arange(n)
-    if (
-        transversal.shape != (n, n)
-        or not np.array_equal(transversal[ar, ar], reps[which])
-        or not (np.sort(transversal, axis=1) == ar).all()
-    ):
-        raise NotInvariant("a transversal row is not a permutation onto its representative")
-    if not np.array_equal(orbits.expand(color0[reps]), color0):
-        raise NotInvariant("the coloring is not its representative rows read through the group")
-    return _close(*_renumber(color0), orbits)
-
-
-def cayley_orbits(table: GroupTable) -> Orbits:
-    """The right translations of the indexed group: one orbit, row e, and
-    transversal[u, v] = v * u**-1."""
-    return Orbits(
-        np.array([table.identity]),
-        np.zeros(table.n, dtype=np.int64),
-        np.ascontiguousarray(table.quotient().T),
-    )
+    steps = []
+    for s in gens:
+        if not (np.array_equal(np.sort(s), ar) and np.array_equal(color0[np.ix_(s, s)], color0)):
+            raise NotInvariant("a generator is not an automorphism of the coloring")
+        steps.append((s, np.argsort(s)))
+    which = np.full(n, -1, dtype=np.int64)
+    transversal = np.empty((n, n), dtype=np.int32)
+    reps: list[int] = []
+    for r in range(n):
+        if which[r] >= 0:
+            continue
+        which[r], transversal[r] = len(reps), ar
+        reps.append(r)
+        queue = [r]
+        for u in queue:
+            for s, s_inv in steps:
+                w = s[u]
+                if which[w] < 0:
+                    which[w], transversal[w] = which[r], transversal[u][s_inv]
+                    queue.append(w)
+    return _close(*_renumber(color0), Orbits(np.array(reps), which, transversal))
 
 
 def cayley_close(g: Digraph, table: GroupTable) -> CoherentConfiguration:
     """wl_close(g) for a Cayley digraph over the indexed group, refined from
-    row e alone.  The right translations preserve the initial coloring c
-    exactly when c[u, v] = c[e, v * u**-1] for all u, v, which `orbit_close`
-    checks; NotInvariant when g is not such a digraph."""
+    row e alone.  The generators are the right translations by (t**k, 0, 0)
+    and (0, t**k, 0), k < l, for t the field's generator over GF(p): they
+    generate the group, and `orbit_close` checks each against the initial
+    coloring; NotInvariant when g is not a Cayley digraph over the table."""
     if g.n != table.n:
         raise ValueError("graph and group differ in order")
-    return orbit_close(_initial_coloring(g)[0], cayley_orbits(table))
+    q, f = table.q, table.field
+    gens = [table.mult[:, f.p**k * t] for k in range(f.l) for t in (q * q, q)]
+    return orbit_close(_initial_coloring(g)[0], gens)
 
 
 def _individualized(cc: CoherentConfiguration, v: int) -> np.ndarray:
@@ -368,36 +373,13 @@ def one_point_extension(cc: CoherentConfiguration, v: int) -> CoherentConfigurat
 
 
 def orbit_extension(
-    cc: CoherentConfiguration, v: int, perms: list[np.ndarray], cells: list[np.ndarray]
+    cc: CoherentConfiguration, v: int, gens: list[np.ndarray]
 ) -> CoherentConfiguration:
-    """one_point_extension(cc, v), refined from one row per cell.
-
-    Each of perms is checked to fix v and to be an automorphism of cc (so it
-    keeps the colors of row v, f[p] == f), hence of the individualized
-    coloring.  The first member of a cell is its representative, and some
-    perm must carry each vertex to the representative of its cell: true
-    when the cells are the orbits of the group the perms form, as the cells
-    of a family closure are for K.  NotInvariant otherwise.
-    """
-    n = cc.n
-    for p in perms:
-        if p[v] != v or not np.array_equal(cc.color[np.ix_(p, p)], cc.color):
-            raise NotInvariant("a permutation moves v or is not an automorphism of cc")
-    reps = np.array([int(c[0]) for c in cells], dtype=np.int64)
-    which = np.full(n, -1, dtype=np.int64)
-    for j, members in enumerate(cells):
-        which[members] = j
-    transversal = np.empty((n, n), dtype=np.int64)
-    found = np.zeros(n, dtype=bool)
-    for p in perms:
-        u = np.argsort(p)[reps]                  # p(u[j]) = reps[j]
-        fresh = (which[u] == np.arange(len(reps))) & ~found[u]
-        transversal[u[fresh]] = p
-        found[u[fresh]] = True
-    if not found.all():
-        raise NotInvariant("no permutation carries some vertex to its cell's representative")
-    orbits = Orbits(reps, which, transversal)
-    return _checked_extension(cc, v, orbit_close(_individualized(cc, v), orbits))
+    """one_point_extension(cc, v), refined from one row per orbit of the group
+    gens generate: for a family closure and v = e, K's generator gives one
+    row per K-orbit.  Each generator must fix v and be an automorphism of cc,
+    as `orbit_close` checks on the individualized coloring; else NotInvariant."""
+    return _checked_extension(cc, v, orbit_close(_individualized(cc, v), gens))
 
 
 def as_sring_partition(cc: CoherentConfiguration, table: GroupTable) -> list[np.ndarray]:

@@ -122,7 +122,6 @@ class Construction:
         self._orbits: list[np.ndarray] | None = None
         self._cells: list[np.ndarray] | None = None
         self._X: dict[int, np.ndarray] = {}
-        self._graphs: dict[tuple[int, bool], Digraph] = {}
 
     # -- the automorphism group K ------------------------------------------
 
@@ -239,16 +238,11 @@ class Construction:
 
     def build_cayley(self, i: int, include_identity: bool = True) -> Digraph:
         """Cayley digraph with arcs (g, x*g); loops at every vertex iff e is kept."""
-        key = (i, include_identity)
-        if key not in self._graphs:
-            conn = self.build_X(i) if include_identity else self.build_Y(i)
-            mask = np.zeros(self.n, dtype=bool)
-            mask[conn] = True
-            # arc (g, v) iff v * g**-1 in the connection set
-            arcs = mask[self.table.quotient()].T
-            suffix = "" if include_identity else ", loopless"
-            self._graphs[key] = Digraph(arcs, label=f"Cay(q={self.q}, i={i}{suffix})")
-        return self._graphs[key]
+        conn = self.build_X(i) if include_identity else self.build_Y(i)
+        arcs = np.zeros((self.n, self.n), dtype=bool)
+        arcs[np.arange(self.n), self.table.mult[conn]] = True  # row x of mult: g -> x * g
+        suffix = "" if include_identity else ", loopless"
+        return Digraph(arcs, label=f"Cay(q={self.q}, i={i}{suffix})")
 
     # -- the extended index group ------------------------------------------
 

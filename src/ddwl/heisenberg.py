@@ -110,10 +110,6 @@ class GroupTable:
         q = self.q
         return (ix.astype(np.int64) * q * q + iy.astype(np.int64) * q + iz).astype(np.int32)
 
-    def quotient(self) -> np.ndarray:
-        """quot[v, u] = v * u**-1, a fresh n x n table on every call."""
-        return self.mult[:, self.inv]
-
     def vertex_index(self, g: GroupElement) -> int:
         return g.x.index * self.q**2 + g.y.index * self.q + g.z.index
 

@@ -106,8 +106,10 @@ class SRing:
         return self.r - 1
 
     def scheme_coloring(self) -> np.ndarray:
-        """Pair coloring color(u, v) = cell of v * u**-1."""
-        return self.cell_of[self.table.quotient()].T.copy()
+        """Pair coloring color(u, v) = cell of v * u**-1, set as color(u, x * u) = cell of x."""
+        color = np.empty_like(self.table.mult, dtype=self.cell_of.dtype)
+        color[np.arange(self.table.n), self.table.mult] = self.cell_of[:, None]
+        return color
 
     def __repr__(self) -> str:
         return f"SRing(q={self.cons.q}, cells={self.r})"

@@ -94,8 +94,8 @@ class Context:
     def extension(self, i: int) -> coherent.CoherentConfiguration:
         """The one-point extension at e of closure i, one row per K-orbit."""
         cons = self.cons
-        perms = [k.perm for k in cons.build_K()]
-        return coherent.orbit_extension(self.closure(i), cons.table.identity, perms, cons.cells())
+        gen = cons.rho_perm(*cons.k_generator())
+        return coherent.orbit_extension(self.closure(i), cons.table.identity, [gen])
 
 
 def _field_axioms(ctx: Context, exhaustive: bool) -> tuple[str, dict]:

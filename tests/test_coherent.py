@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import itertools
 
 import numpy as np
@@ -383,11 +384,26 @@ def test_cayley_close_matches_dense_q7(cons7, dense_closure7):
 @pytest.mark.parametrize("q", [3, 5])
 def test_orbit_extension_matches_dense(q, request):
     cons = request.getfixturevalue(f"cons{q}")
-    perms = [k.perm for k in cons.build_K()]
+    gen = cons.rho_perm(*cons.k_generator())
     for i in cons.generators_I() if q == 3 else cons.generators_I()[:1]:
         cc = coherent.cayley_close(cons.build_cayley(i), cons.table)
-        orbit = coherent.orbit_extension(cc, cons.table.identity, perms, cons.cells())
+        orbit = coherent.orbit_extension(cc, cons.table.identity, [gen])
         _assert_same_closure(orbit, one_point_extension(cc, cons.table.identity))
+
+
+def test_orbit_extension_q7_pinned(contexts):
+    """The q = 7 extension of the first generator, pinned byte for byte: its
+    dense oracle takes about 5 s, too long for the module tests."""
+    ctx = contexts[7]
+    ext = ctx.extension(ctx.cons.generators_I()[0])
+    assert (ext.rank, ext.rounds) == (2459, 4)
+    assert (ext.color.dtype, ext.tensor.dtype) == (np.int32, np.int64)
+    assert hashlib.sha256(ext.color.tobytes()).hexdigest() == (
+        "1e740de7bc1cff5629771773474f8ce9867e512acfe24c973d6764e42d48dfc1"
+    )
+    assert hashlib.sha256(ext.tensor.tobytes()).hexdigest() == (
+        "01feee0df187023bc55f9983da42846c11f95e9945e3dd842d3741d25f3b0ac5"
+    )
 
 
 @st.composite
@@ -412,7 +428,7 @@ def test_cayley_close_matches_dense_on_generated_connection_sets(
     q, examples, toggles, request
 ):
     cons = request.getfixturevalue(f"cons{q}")
-    quot = cons.table.quotient()
+    quot = cons.table.mult[:, cons.table.inv]   # quot[v, u] = v * u**-1
     ranks = set()
 
     @settings(max_examples=examples, deadline=None, derandomize=True)
@@ -429,18 +445,51 @@ def test_cayley_close_matches_dense_on_generated_connection_sets(
     assert modes == ({True} if q == 3 else {True, False})
 
 
-def test_orbit_close_rejects_a_forged_transversal(cons3):
+def _spy_orbits(monkeypatch):
+    """Record the Orbits each orbit-row refinement is run with."""
+    seen, close = [], coherent._close
+
+    def spy(color0, rank0, orbits=None):
+        seen.append(orbits)
+        return close(color0, rank0, orbits)
+
+    monkeypatch.setattr(coherent, "_close", spy)
+    return seen
+
+
+def _assert_schreier(orbits, color0):
+    """Every transversal row is an automorphism of color0 sending its vertex
+    to its representative, the least vertex of its orbit."""
+    reps, which, transversal = orbits
+    n = len(color0)
+    assert np.array_equal(transversal[np.arange(n), np.arange(n)], reps[which])
+    for j, r in enumerate(reps):
+        assert r == np.flatnonzero(which == j).min()
+    for t in transversal:
+        assert np.array_equal(np.sort(t), np.arange(n))
+        assert np.array_equal(color0[np.ix_(t, t)], color0)
+
+
+def test_cayley_close_has_one_orbit(cons3, monkeypatch):
+    seen = _spy_orbits(monkeypatch)
     g = cons3.build_cayley(1)
-    orbits = coherent.cayley_orbits(cons3.table)
+    coherent.cayley_close(g, cons3.table)
+    (orbits,) = seen
+    assert orbits.reps.tolist() == [cons3.table.identity]
+    _assert_schreier(orbits, coherent._initial_coloring(g)[0])
+
+
+def test_orbit_close_rejects_a_forged_generator(cons3):
+    g = cons3.build_cayley(1)
     color0, _ = coherent._initial_coloring(g)
     u = 5
     forged = np.arange(g.n)
     forged[[u, 0]] = [0, u]   # sends u to e, but is not an automorphism
     assert not np.array_equal(color0[np.ix_(forged, forged)], color0)
-    transversal = orbits.transversal.copy()
-    transversal[u] = forged
+    translations = [cons3.table.mult[:, 9], cons3.table.mult[:, 3]]  # by (1, 0, 0), (0, 1, 0)
+    coherent.orbit_close(color0, translations)
     with pytest.raises(coherent.NotInvariant):
-        coherent.orbit_close(color0, orbits._replace(transversal=transversal))
+        coherent.orbit_close(color0, translations + [forged])
     # a relabeled family digraph is not Cayley over the table
     relabeled = g.relabeled(np.random.default_rng(0).permutation(g.n))
     with pytest.raises(coherent.NotInvariant):
@@ -449,14 +498,34 @@ def test_orbit_close_rejects_a_forged_transversal(cons3):
 
 def test_orbit_extension_rejects_a_colour_moving_automorphism(cons3, closures3):
     """sigma(x, y, z) = (x, -y, -z) is a group automorphism that maps X_i onto
-    X_chi(i), so it moves the colours of row e of the closure of i."""
+    X_chi(i), so it moves the colours of row e of the closure of i; a right
+    translation is an automorphism of the closure that moves e."""
     t, f = cons3.table, cons3.field
     sigma = t._pack(t.ix, f.neg(t.iy), f.neg(t.iz))
     cc = closures3[1]
     assert not np.array_equal(cc.color[0][sigma], cc.color[0])
-    perms = [k.perm for k in cons3.build_K()] + [sigma]
+    gen = cons3.rho_perm(*cons3.k_generator())
     with pytest.raises(coherent.NotInvariant):
-        coherent.orbit_extension(cc, t.identity, perms, cons3.cells())
-    # too small a group cannot carry every vertex to its cell's representative
+        coherent.orbit_extension(cc, t.identity, [gen, sigma])
+    translation = t.mult[:, 9]   # u -> u * (1, 0, 0)
+    assert np.array_equal(cc.color[np.ix_(translation, translation)], cc.color)
     with pytest.raises(coherent.NotInvariant):
-        coherent.orbit_extension(cc, t.identity, perms[:2], cons3.cells())
+        coherent.orbit_extension(cc, t.identity, [gen, translation])
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_orbit_extension_from_a_subgroup_of_k(q, request, monkeypatch):
+    """The square of K's generator generates a subgroup of index 2, whose
+    orbits split each Y_i in two halves: more representative rows, the same
+    extension as the dense engine's."""
+    cons = request.getfixturevalue(f"cons{q}")
+    gen = cons.rho_perm(*cons.k_generator())
+    cc = coherent.cayley_close(cons.build_cayley(cons.generators_I()[0]), cons.table)
+    seen = _spy_orbits(monkeypatch)
+    orbit = coherent.orbit_extension(cc, cons.table.identity, [gen[gen]])
+    _assert_same_closure(orbit, one_point_extension(cc, cons.table.identity))
+    orbits = seen[0]
+    _assert_schreier(orbits, coherent._individualized(cc, cons.table.identity))
+    for i in range(q):
+        halves = np.bincount(orbits.which[cons.build_Y(i)])
+        assert sorted(halves[halves > 0].tolist()) == [(q * q - 1) // 2] * 2
