@@ -15,7 +15,9 @@ Per node the refinement recolors a vertex x by the multiset over all w of
 recomputed.  Candidate leaves are verified color-exactly, and every emitted
 isomorphism witness and automorphism generator is re-verified arc-exactly
 before use, so the engine never reports a false positive; negatives come
-from exhausted search.
+from exhausted search.  An isomorphism search prunes its first branching
+node by the automorphisms of the second graph, which are searched for only
+once a root candidate has failed: a candidate's orbit then fails with it.
 
 Automorphism group orders use the orbit-stabilizer chain: the order is the
 orbit length of the first individualized vertex times the order of its
@@ -25,6 +27,8 @@ stabilizer, with found generators closing orbits to skip searches.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
+from itertools import combinations
 
 import numpy as np
 
@@ -73,8 +77,7 @@ class _PartitionSearch:
         self.budget = node_budget
         self.nodes = 0
         self.mult = max(int(self.c1.max()), int(self.c2.max())) + 2 + 2 * self.n
-        self._root_gens_factory = None
-        self._root_pending = False
+        self._prune = None
 
         d1, d2 = self.c1.diagonal(), self.c2.diagonal()
         vals = np.unique(np.concatenate([d1, d2]))
@@ -129,18 +132,17 @@ class _PartitionSearch:
             pi1[u] = pi2[v] = self.ncells_0 + k
         return pi1, pi2, self.ncells_0 + len(forced)
 
-    def search(self, forced: tuple[tuple[int, int], ...], root_gens_factory=None):
+    def search(self, forced: tuple[tuple[int, int], ...], prune=None):
         """A bijection f with c2[f(u), f(v)] = c1[u, v] respecting the forced
         pairs, or None when none exists.
 
-        root_gens_factory, when given, supplies automorphism generators of
-        the second coloring; at the first branching node the candidates are
-        then cut to orbit representatives (composing a witness with an
-        automorphism of the second graph reaches every orbit member, so this
-        loses no solutions).
+        prune, when given, maps a failed candidate v of the first branching
+        node to its orbit under the automorphisms of the second coloring;
+        the rest of that orbit is then skipped (composing a solution with an
+        automorphism of the second coloring moves v anywhere in its orbit,
+        so the orbit fails with v).  Only sound with no forced pairs.
         """
-        self._root_gens_factory = root_gens_factory
-        self._root_pending = root_gens_factory is not None
+        self._prune = prune
         return self._descend(*self._seeded(forced))
 
     def _descend(self, pi1, pi2, ncells):
@@ -151,34 +153,37 @@ class _PartitionSearch:
         if state is None:
             return None
         pi1, pi2, ncells = state
-        sizes = np.bincount(pi1, minlength=ncells)
-        if sizes.max() <= 1:
+        target = _target_cell(pi1, ncells)
+        if target is None:
             f = np.empty(self.n, dtype=np.int64)
             f[np.argsort(pi1)] = np.argsort(pi2)
             if np.array_equal(self.c2[np.ix_(f, f)], self.c1):
                 return f
             return None
-        # smallest splittable cell, ties by lowest id; branch vertices ascending
-        target = int(np.flatnonzero(sizes == sizes[sizes >= 2].min())[0])
         u = int(np.flatnonzero(pi1 == target)[0])
-        candidates = np.flatnonzero(pi2 == target)
-        if self._root_pending:
-            self._root_pending = False  # prune only the outermost branching
-            if len(candidates) > 8:
-                gens = self._root_gens_factory()
-                if gens:
-                    candidates = _orbit_representatives(candidates, gens)
-        for v in candidates:
+        prune, self._prune = self._prune, None  # prune only the outermost branching
+        ruled_out: set[int] = set()
+        for v in np.flatnonzero(pi2 == target).tolist():
+            if v in ruled_out:
+                continue
             b1, b2 = pi1.copy(), pi2.copy()
             b1[u] = ncells
             b2[v] = ncells
             f = self._descend(b1, b2, ncells + 1)
             if f is not None:
                 return f
+            if prune is not None:
+                ruled_out |= prune(v)
         return None
 
-    def refined_cells(self, forced: tuple[tuple[int, int], ...]):
-        return self._refine(*self._seeded(forced))
+
+def _target_cell(pi: np.ndarray, ncells: int) -> int | None:
+    """The branching cell: the smallest splittable one, ties by lowest id;
+    None when the partition is discrete."""
+    sizes = np.bincount(pi, minlength=ncells)
+    if sizes.max() <= 1:
+        return None
+    return int(np.flatnonzero(sizes == sizes[sizes >= 2].min())[0])
 
 
 def _orbit_close(orbit: set[int], gens: list[np.ndarray]) -> set[int]:
@@ -193,26 +198,12 @@ def _orbit_close(orbit: set[int], gens: list[np.ndarray]) -> set[int]:
     return orbit
 
 
-def _orbit_representatives(candidates: np.ndarray, gens: list[np.ndarray]) -> np.ndarray:
-    """Lowest member of each orbit of the group generated by gens, among candidates."""
-    seen: set[int] = set()
-    reps = []
-    for v in candidates:
-        vi = int(v)
-        if vi in seen:
-            continue
-        reps.append(vi)
-        seen |= _orbit_close({vi}, gens)
-    return np.array(reps, dtype=np.int64)
-
-
 def are_isomorphic(
     g1: Digraph,
     g2: Digraph,
     cc1: CoherentConfiguration | None = None,
     cc2: CoherentConfiguration | None = None,
     node_budget: int = NODE_BUDGET_DEFAULT,
-    g2_aut_gens: list[np.ndarray] | None = None,
 ) -> IsoCertificate:
     """Exact isomorphism test with a verified witness either way."""
     if g1.n != g2.n:
@@ -232,14 +223,9 @@ def are_isomorphic(
             detail=f"canonical closure invariants differ: {keys}",
         )
     search = _PartitionSearch(cc1.color, cc2.color, node_budget)
-
-    def root_gens():
-        if g2_aut_gens is not None:
-            return g2_aut_gens
-        return automorphism_generators(g2, cc2, node_budget)[1]
-
+    aut_gens = cache(lambda: automorphism_generators(g2, cc2, node_budget)[1])
     try:
-        f = search.search((), root_gens_factory=root_gens)
+        f = search.search((), prune=lambda v: _orbit_close({v}, aut_gens()))
     except BudgetExceeded:
         return IsoCertificate("undetermined", nodes=search.nodes, detail="node budget exhausted")
     if f is None:
@@ -262,14 +248,13 @@ def _automorphism_group(
     search = _PartitionSearch(color, color, node_budget)
 
     def rec(forced: tuple[tuple[int, int], ...]) -> tuple[int, list[np.ndarray]]:
-        state = search.refined_cells(forced)
+        state = search._refine(*search._seeded(forced))
         if state is None:
             raise RuntimeError("self-refinement disagreed with itself")  # engine bug
         pi1, _, ncells = state
-        sizes = np.bincount(pi1, minlength=ncells)
-        if sizes.max() <= 1:
+        target = _target_cell(pi1, ncells)
+        if target is None:
             return 1, []
-        target = int(np.flatnonzero(sizes == sizes[sizes >= 2].min())[0])
         members = np.flatnonzero(pi1 == target)
         u = int(members[0])
         sub_order, gens = rec(forced + ((u, u),))
@@ -322,8 +307,9 @@ def automorphism_order(
 class IsoClassResult:
     count: int
     exact: bool
-    pair_results: dict = field(default_factory=dict)   # (i, j) -> kind or "iso/non-iso via ..."
-    certificates: dict = field(default_factory=dict)
+    # (i, j) -> the tested kind, or one read from the classes plus " (via transitivity)"
+    pair_results: dict = field(default_factory=dict)
+    certificates: dict = field(default_factory=dict)   # tested pairs (i, j) -> IsoCertificate
 
 
 def iso_class_count(
@@ -331,70 +317,39 @@ def iso_class_count(
     ccs: list[CoherentConfiguration] | None = None,
     node_budget: int = NODE_BUDGET_DEFAULT,
 ) -> IsoClassResult:
-    """Number of isomorphism classes by pairwise testing with transitivity
-    shortcuts; an undetermined pair demotes the answer to a lower bound."""
-    m = len(graphs)
-    if m == 0:
-        return IsoClassResult(0, True)
+    """Number of isomorphism classes.  Each graph is tested against one
+    representative per class found so far and joins the first class it is
+    isomorphic to, or becomes a representative; untested pairs are labelled
+    from their classes.  When two representatives are not proven
+    non-isomorphic (an undetermined test), the count is a lower bound: the
+    representatives proven non-isomorphic to every earlier one."""
     if ccs is None:
         ccs = [wl_close(g) for g in graphs]
-    parent = list(range(m))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    noniso: set[tuple[int, int]] = set()
-
-    def proven_noniso(a, b) -> bool:
-        ra, rb = find(a), find(b)
-        return any({find(x), find(y)} == {ra, rb} for x, y in noniso)
+    reps: list[int] = []
+    rep_of: list[int] = []
+    certificates: dict = {}
+    for j, g in enumerate(graphs):
+        for r in reps:
+            cert = are_isomorphic(graphs[r], g, ccs[r], ccs[j], node_budget)
+            certificates[(r, j)] = cert
+            if cert.isomorphic:
+                rep_of.append(r)
+                break
+        else:
+            rep_of.append(j)
+            reps.append(j)
 
     pair_results: dict = {}
-    certificates: dict = {}
-    undetermined = False
-    aut_gens: dict[int, list[np.ndarray]] = {}
-
-    def gens_for(j: int) -> list[np.ndarray]:
-        if j not in aut_gens:
-            try:
-                aut_gens[j] = automorphism_generators(graphs[j], ccs[j], node_budget)[1]
-            except BudgetExceeded:
-                aut_gens[j] = []  # pruning is optional; the pair search keeps its own cap
-        return aut_gens[j]
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            if find(i) == find(j):
-                pair_results[(i, j)] = "isomorphic (via transitivity)"
-                continue
-            if proven_noniso(i, j):
-                pair_results[(i, j)] = "non-isomorphic (via transitivity)"
-                continue
-            cert = are_isomorphic(
-                graphs[i], graphs[j], ccs[i], ccs[j], node_budget, g2_aut_gens=gens_for(j)
-            )
-            certificates[(i, j)] = cert
-            pair_results[(i, j)] = cert.kind
-            if cert.kind == "isomorphic":
-                parent[find(i)] = find(j)
-            elif cert.kind == "non-isomorphic":
-                noniso.add((i, j))
-            else:
-                undetermined = True
-
-    reps = {find(i) for i in range(m)}
-    if not undetermined:
-        return IsoClassResult(len(reps), True, pair_results, certificates)
-    # lower bound: the largest set of components that are pairwise proven distinct
-    rep_list = sorted(reps)
-    best = 1
-    for mask in range(1, 1 << len(rep_list)):
-        chosen = [rep_list[k] for k in range(len(rep_list)) if mask >> k & 1]
-        if all(
-            proven_noniso(a, b) for ai, a in enumerate(chosen) for b in chosen[ai + 1:]
-        ):
-            best = max(best, len(chosen))
-    return IsoClassResult(best, False, pair_results, certificates)
+    for i, j in combinations(range(len(graphs)), 2):
+        if (i, j) in certificates:
+            pair_results[(i, j)] = certificates[(i, j)].kind
+        elif rep_of[i] == rep_of[j]:
+            pair_results[(i, j)] = "isomorphic (via transitivity)"
+        else:
+            a, b = sorted((rep_of[i], rep_of[j]))
+            pair_results[(i, j)] = certificates[(a, b)].kind + " (via transitivity)"
+    distinct = [
+        b for b in reps
+        if all(certificates[(a, b)].kind == "non-isomorphic" for a in reps if a < b)
+    ]
+    return IsoClassResult(len(distinct), len(distinct) == len(reps), pair_results, certificates)

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .construction import INFINITY, Construction
+from .isotest import BudgetExceeded, _PartitionSearch
 
 
 class NotAnSRing(ValueError):
@@ -367,8 +368,6 @@ def is_induced(ring: SRing, sigma, node_budget: int = 2_000_000) -> InducednessR
 
     A timeout is reported as undetermined, never as a negative answer.
     """
-    from .isotest import BudgetExceeded, _PartitionSearch
-
     sigma = np.asarray(sigma, dtype=np.int64)
     scheme = ring.scheme_coloring()
     recolored = sigma[scheme].astype(np.int32)

@@ -40,6 +40,22 @@ def union_equivalent():
     return _union_equivalent
 
 
+def _cayley_z4_squared(connection: set) -> Digraph:
+    pts = [(a, b) for a in range(4) for b in range(4)]
+    return Digraph(
+        [[((v[0] - u[0]) % 4, (v[1] - u[1]) % 4) in connection for v in pts] for u in pts]
+    )
+
+
+@pytest.fixture(scope="session")
+def shrikhande_and_rook():
+    """The Shrikhande graph and the 4 x 4 rook's graph, both Cayley over
+    Z4 x Z4 and strongly regular (16, 6, 2, 2): WL-equivalent, not isomorphic."""
+    shrikhande = _cayley_z4_squared({(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)})
+    rook = _cayley_z4_squared({(a, 0) for a in (1, 2, 3)} | {(0, a) for a in (1, 2, 3)})
+    return shrikhande, rook
+
+
 @pytest.fixture(scope="session")
 def contexts():
     """One full-suite registry context per q for the whole session, so each

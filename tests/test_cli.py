@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 
@@ -141,6 +142,22 @@ def test_iso_command(tmp_path, capsys):
     wit = payload["witnesses"]["1,2"]
     assert wit["type"] == "isomorphic" and len(wit["mapping"]) == 27
     assert wit["nodes"] > 0 and wit["detail"] == ""
+    capsys.readouterr()
+
+
+ISO_SHA256 = {
+    5: "d0708a402959c05bcb154c83ded70a456a6834298b110a7c354c81fc17c97363",
+    7: "80aeef0528d13f56dfac3ee844b3006dbe5dd03013740ee9edfb87f98508436c",
+}
+
+
+@pytest.mark.parametrize("q", sorted(ISO_SHA256))
+def test_iso_command_pinned(q, tmp_path, capsys):
+    """`ddwl iso q` byte for byte: the class verdicts, every witness mapping
+    and every node count of the search."""
+    out = tmp_path / "iso.json"
+    assert main(["iso", str(q), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == ISO_SHA256[q]
     capsys.readouterr()
 
 

@@ -281,17 +281,9 @@ def test_wl_equivalent_matches_union_oracle_on_family_q3(cons3, union_equivalent
     assert verdicts == {True, False}
 
 
-def _cayley_z4_squared(connection: set) -> Digraph:
-    pts = [(a, b) for a in range(4) for b in range(4)]
-    return Digraph(
-        [[((v[0] - u[0]) % 4, (v[1] - u[1]) % 4) in connection for v in pts] for u in pts]
-    )
-
-
-def test_wl_equivalent_shrikhande_and_rook_graph(union_equivalent):
+def test_wl_equivalent_shrikhande_and_rook_graph(shrikhande_and_rook, union_equivalent):
     """Both are strongly regular (16, 6, 2, 2): WL-equivalent, not isomorphic."""
-    shrikhande = _cayley_z4_squared({(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)})
-    rook = _cayley_z4_squared({(a, 0) for a in (1, 2, 3)} | {(0, a) for a in (1, 2, 3)})
+    shrikhande, rook = shrikhande_and_rook
     assert wl_equivalent(shrikhande, rook) and union_equivalent(shrikhande, rook)
     assert are_isomorphic(shrikhande, rook).kind == "non-isomorphic"
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ddwl import isotest
+from ddwl import isotest, suite
 from ddwl.digraph import Digraph
 from ddwl.isotest import (
     BudgetExceeded,
@@ -98,9 +98,11 @@ def test_stabilizer_structure_q5(cons5, closures5):
         assert (ring.cell_of[f] == ring.cell_of).all()
 
 
-def test_forged_generator_raises(cons3, closures3, monkeypatch):
+def test_forged_generator_raises(cons3, closures3, shrikhande_and_rook, monkeypatch):
     """Every generator the search returns is checked arc by arc, whether it
-    is reported or only prunes an isomorphism search."""
+    is reported or only prunes an isomorphism search.  The Shrikhande and
+    rook's graphs are WL-equivalent and not isomorphic, so the first root
+    candidate fails and the search asks for the rook's graph's generators."""
     g = cons3.build_cayley(1)
     forged = np.arange(g.n)
     forged[[0, 1]] = [1, 0]
@@ -110,8 +112,40 @@ def test_forged_generator_raises(cons3, closures3, monkeypatch):
         automorphism_order(g, closures3[1])
     with pytest.raises(RuntimeError, match="arc-exact"):
         automorphism_generators(g, closures3[1])
+    shrikhande, rook = shrikhande_and_rook
+    forged = np.arange(rook.n)
+    forged[[0, 1]] = [1, 0]
+    assert not np.array_equal(rook.arcs[np.ix_(forged, forged)], rook.arcs)
+    monkeypatch.setattr(isotest, "_automorphism_group", lambda *args: (1152, [forged]))
     with pytest.raises(RuntimeError, match="arc-exact"):
-        are_isomorphic(g, g, closures3[1], closures3[1])
+        are_isomorphic(shrikhande, rook)
+
+
+def _count_generator_searches(monkeypatch) -> list:
+    calls = []
+    search = isotest.automorphism_generators
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(isotest, "automorphism_generators", spy)
+    return calls
+
+
+def test_automorphisms_searched_only_after_a_root_candidate_fails(contexts, monkeypatch):
+    """Isomorphic pairs of vertex-transitive digraphs succeed at the first
+    root candidate; only the two non-isomorphic pairs at q = 7 (a
+    representative against the first graph of each other class) need Aut(g2)."""
+    calls = _count_generator_searches(monkeypatch)
+    assert suite._iso_classes(contexts[5], True)[0] == "pass"
+    assert suite._reverse_pair_isomorphism(contexts[5], True)[0] == "pass"
+    assert calls == []
+    ctx = contexts[7]
+    gens = ctx.cons.generators_I()
+    res = iso_class_count([ctx.cons.build_cayley(i) for i in gens], [ctx.closure(i) for i in gens])
+    assert (res.count, res.exact) == (2, True)
+    assert len(calls) == 2
 
 
 def test_budget_exhaustion(cons3, closures3):
@@ -171,6 +205,64 @@ def test_iso_class_count_mixed():
     res = iso_class_count([g1, g2, g3])
     assert res.exact and res.count == 2
     assert res.pair_results[(1, 2)] == "isomorphic"
+
+
+def _scripted_class_count(monkeypatch, kinds: dict):
+    """iso_class_count over four placeholder graphs, with each tested pair's
+    answer taken from kinds; returns the result and the tested pairs in order."""
+    tested = []
+
+    def scripted(g1, g2, *args):
+        tested.append((g1, g2))
+        return isotest.IsoCertificate(kinds[(g1, g2)])
+
+    monkeypatch.setattr(isotest, "are_isomorphic", scripted)
+    return iso_class_count([0, 1, 2, 3], [None] * 4), tested
+
+
+def test_iso_class_count_tests_one_representative_per_class(monkeypatch):
+    kinds = {
+        (0, 1): "non-isomorphic",
+        (0, 2): "non-isomorphic",
+        (1, 2): "isomorphic",
+        (0, 3): "isomorphic",
+    }
+    res, tested = _scripted_class_count(monkeypatch, kinds)
+    assert tested == [(0, 1), (0, 2), (1, 2), (0, 3)]
+    assert (res.count, res.exact) == (2, True)
+    assert sorted(res.certificates) == sorted(kinds)
+    assert res.pair_results == {
+        **kinds,
+        (1, 3): "non-isomorphic (via transitivity)",
+        (2, 3): "non-isomorphic (via transitivity)",
+    }
+
+
+def test_iso_class_count_lower_bound_rule(monkeypatch):
+    """Representatives 0, 1 and 2, with 0 and 1 undetermined: 1 is not proven
+    distinct from 0, so the count is the lower bound 2 ({0, 2})."""
+    kinds = {
+        (0, 1): "undetermined",
+        (0, 2): "non-isomorphic",
+        (1, 2): "non-isomorphic",
+        (0, 3): "isomorphic",
+    }
+    res, tested = _scripted_class_count(monkeypatch, kinds)
+    assert tested == [(0, 1), (0, 2), (1, 2), (0, 3)]
+    assert (res.count, res.exact) == (2, False)
+    assert res.pair_results == {
+        **kinds,
+        (1, 3): "undetermined (via transitivity)",
+        (2, 3): "non-isomorphic (via transitivity)",
+    }
+    kinds[(0, 2)] = "undetermined"
+    res, _ = _scripted_class_count(monkeypatch, kinds)
+    assert (res.count, res.exact) == (1, False)  # 2 is proven distinct from 1 only
+
+
+def test_iso_class_count_empty():
+    res = iso_class_count([])
+    assert (res.count, res.exact, res.pair_results, res.certificates) == (0, True, {}, {})
 
 
 def test_certificate_json(cons3, closures3):
