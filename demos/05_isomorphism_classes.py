@@ -5,20 +5,22 @@ produced); at q = 7 the four digraphs fall into exactly two classes even
 though all of them are refinement-equivalent.  Automorphism group orders
 come out as q^3 (q^2 - 1), with the vertex stabilizer of order q^2 - 1.
 
-The q = 7 part re-runs four dense refinements on 343 vertices; expect about
-5 seconds in total on 2 cores.
+The closures are refined from the identity row by the group's right
+translations (`cayley_close`, as `ddwl iso` and the suite do), and those
+translations, recorded on each closure, prune the isomorphism search; expect
+about 1 second in total on 2 cores.
 """
 
 import numpy as np
 
-from ddwl import Construction, are_isomorphic, automorphism_order, iso_class_count, wl_close
+from ddwl import Construction, are_isomorphic, automorphism_order, cayley_close, iso_class_count
 
 
 def family(q):
     cons = Construction(q)
     gens = cons.generators_I()
     graphs = [cons.build_cayley(i) for i in gens]
-    closures = [wl_close(g) for g in graphs]
+    closures = [cayley_close(g, cons.table) for g in graphs]
     return cons, gens, graphs, closures
 
 

@@ -106,9 +106,9 @@ class CoherentConfiguration:
 
         self._row_counts_check(color)
         self.tensor = _tensor_from_keys(keys, self.n, self.rank)
-        _, first = np.unique(color, return_index=True)  # one pair (u, v) per color
-        u, v = np.divmod(first, self.n)
-        self.converse = color[v, u].astype(np.int64)
+        self.converse = np.empty(self.rank, dtype=np.int64)
+        self.converse[color] = color.T
+        self.generators: list[np.ndarray] = []  # proven automorphisms of the initial coloring
 
     # -- structure ----------------------------------------------------------
 
@@ -176,8 +176,10 @@ class CoherentConfiguration:
 
 
 def _renumber(color: np.ndarray) -> tuple[np.ndarray, int]:
-    vals, inv = np.unique(color, return_inverse=True)
-    return inv.reshape(color.shape).astype(np.int32), len(vals)
+    present = np.zeros(int(color.max()) + 1, dtype=bool)
+    present[color] = True
+    names = np.cumsum(present, dtype=np.int32) - 1
+    return names[color], int(names[-1]) + 1
 
 
 def _initial_coloring(g: Digraph) -> tuple[np.ndarray, int]:
@@ -312,7 +314,8 @@ def orbit_close(color0: np.ndarray, gens: list[np.ndarray]) -> CoherentConfigura
     permutation with color0[s(u), s(v)] == color0[u, v], else NotInvariant.
     The breadth-first pass that reaches w = s(u) from u sets T[w] = T[u] s**-1,
     so each row of this Schreier transversal is a product of proven
-    automorphisms sending its vertex to its representative."""
+    automorphisms sending its vertex to its representative.  The result keeps
+    the proven generators as `generators`."""
     n = len(color0)
     ar = np.arange(n)
     steps = []
@@ -335,7 +338,9 @@ def orbit_close(color0: np.ndarray, gens: list[np.ndarray]) -> CoherentConfigura
                 if which[w] < 0:
                     which[w], transversal[w] = which[r], transversal[u][s_inv]
                     queue.append(w)
-    return _close(*_renumber(color0), Orbits(np.array(reps), which, transversal))
+    cc = _close(*_renumber(color0), Orbits(np.array(reps), which, transversal))
+    cc.generators = [s for s, _ in steps]
+    return cc
 
 
 def cayley_close(g: Digraph, table: GroupTable) -> CoherentConfiguration:

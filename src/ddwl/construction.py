@@ -223,12 +223,8 @@ class Construction:
     def build_X(self, i: int) -> np.ndarray:
         """The q**2 vertices (a, b, gamma_i(a, b)); meets every coset of Z once."""
         if i not in self._X:
-            q = self.q
-            a = np.repeat(np.arange(q, dtype=np.int32), q)
-            b = np.tile(np.arange(q, dtype=np.int32), q)
-            z = self.gamma(i, a, b)
-            verts = a.astype(np.int64) * q * q + b.astype(np.int64) * q + z
-            self._X[i] = np.sort(verts)
+            a, b = np.indices((self.q, self.q), dtype=np.int32).reshape(2, -1)
+            self._X[i] = np.sort(self.table._pack(a, b, self.gamma(i, a, b))).astype(np.int64)
         return self._X[i]
 
     def build_Y(self, i: int) -> np.ndarray:

@@ -12,8 +12,10 @@ GroupTable fixes the vertex indexing used by every digraph in this package:
 
     vertex(x, y, z) = index(x) * q**2 + index(y) * q + index(z)
 
-and precomputes the q**3 x q**3 multiplication table plus inverses, center
-and coset ids, so adjacency matrices are bit-exact across runs.
+and precomputes the q**3 x q**3 multiplication table, read off the q x q
+field tables over the axes (x1, y1, z1, x2, y2, z2) with no other n**2-sized
+scratch, plus inverses, center and coset ids, so adjacency matrices are
+bit-exact across runs.
 """
 
 from __future__ import annotations
@@ -88,27 +90,21 @@ class GroupTable:
         self.q, self.n = q, n
         self.identity = 0
 
-        v = np.arange(n, dtype=np.int64)
-        self.ix = (v // (q * q)).astype(np.int32)
-        self.iy = ((v // q) % q).astype(np.int32)
-        self.iz = (v % q).astype(np.int32)
-
-        f = field
-        xu, yu, zu = self.ix[:, None], self.iy[:, None], self.iz[:, None]
-        xv, yv, zv = self.ix[None, :], self.iy[None, :], self.iz[None, :]
-        zz = f.add(f.add(zu, zv), f.mul(xu, yv))
-        self.mult = self._pack(f.add(xu, xv), f.add(yu, yv), zz)
-
+        self.ix, self.iy, self.iz = np.indices((q, q, q), dtype=np.int32).reshape(3, n)
+        add, mul = field.add_t, field.mul_t
+        x1, y1, z1, x2, y2, z2 = np.ix_(*[np.arange(q)] * 6)  # lookups of <= q**4 entries
+        z = add[add[z1, z2], mul[x1, y2]]
+        self.mult = self._pack(add[x1, x2], add[y1, y2], z).reshape(n, n)
         self.inv = self._pack(
-            f.neg(self.ix), f.neg(self.iy), f.sub(f.mul(self.ix, self.iy), self.iz)
+            field.neg(self.ix), field.neg(self.iy), field.sub(field.mul(self.ix, self.iy), self.iz)
         )
-
         self.center_mask = (self.ix == 0) & (self.iy == 0)
-        self.coset_ids = (self.ix.astype(np.int64) * q + self.iy).astype(np.int32)
+        self.coset_ids = self.ix * q + self.iy
 
     def _pack(self, ix, iy, iz) -> np.ndarray:
+        """Vertex indices (x*q + y)*q + z of int32 index arrays, in int32: q**3 < 2**31."""
         q = self.q
-        return (ix.astype(np.int64) * q * q + iy.astype(np.int64) * q + iz).astype(np.int32)
+        return (ix * q + iy) * q + iz
 
     def vertex_index(self, g: GroupElement) -> int:
         return g.x.index * self.q**2 + g.y.index * self.q + g.z.index

@@ -13,11 +13,12 @@ vertex of the second when refinement stalls.
 Per node the refinement recolors a vertex x by the multiset over all w of
 (cell(w), color(x, w), color(w, x)); only vertices in splittable cells are
 recomputed.  Candidate leaves are verified color-exactly, and every emitted
-isomorphism witness and automorphism generator is re-verified arc-exactly
-before use, so the engine never reports a false positive; negatives come
-from exhausted search.  An isomorphism search prunes its first branching
-node by the automorphisms of the second graph, which are searched for only
-once a root candidate has failed: a candidate's orbit then fails with it.
+isomorphism witness and searched automorphism generator is re-verified
+arc-exactly before use, so the engine never reports a false positive;
+negatives come from exhausted search.  An isomorphism search prunes its
+first branching node by the generators cc2 records (`orbit_close` proved
+them on its initial coloring), else by Aut(g2), searched for only once a
+root candidate has failed: a candidate's orbit then fails with it.
 
 Automorphism group orders use the orbit-stabilizer chain: the order is the
 orbit length of the first individualized vertex times the order of its
@@ -223,7 +224,7 @@ def are_isomorphic(
             detail=f"canonical closure invariants differ: {keys}",
         )
     search = _PartitionSearch(cc1.color, cc2.color, node_budget)
-    aut_gens = cache(lambda: automorphism_generators(g2, cc2, node_budget)[1])
+    aut_gens = cache(lambda: cc2.generators or automorphism_generators(g2, cc2, node_budget)[1])
     try:
         f = search.search((), prune=lambda v: _orbit_close({v}, aut_gens()))
     except BudgetExceeded:

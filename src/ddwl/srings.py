@@ -7,9 +7,10 @@ sums expands over cells with nonnegative integer coefficients
 
     c[X][Y][Z] = #{(x, y) in X x Y : x*y = z},   independent of z in Z.
 
-The tensor is computed by full convolution over the multiplication table, so
-representative independence is verified for every z as a side effect; a
-violation means the partition is not closed and raises NotAnSRing.
+The tensor and the transversal check count group products one way,
+`_difference_multiset` (one bincount per pair of cells), so representative
+independence is verified for every z as a side effect; a violation means
+the partition is not closed and raises NotAnSRing.
 
 A cell bijection sigma is an algebraic automorphism when it preserves the
 whole tensor.  The power maps i -> i**m of the extended index group induce
@@ -117,13 +118,12 @@ class SRing:
 
 
 def structure_constants(ring: SRing) -> StructureConstantTensor:
-    """Full convolution tensor; every representative z is checked."""
+    """Full convolution tensor by cell-pair product counts; every z is checked."""
     cons, r, n = ring.cons, ring.r, ring.cons.n
-    cu = ring.cell_of.astype(np.int64)
-    counts = np.zeros((r, r, n), dtype=np.int64)
-    left = np.broadcast_to(cu[:, None], (n, n))
-    right = np.broadcast_to(cu[None, :], (n, n))
-    np.add.at(counts, (left.ravel(), right.ravel(), cons.table.mult.ravel()), 1)
+    counts = np.empty((r, r, n), dtype=np.int64)
+    for x, left in enumerate(ring.cells):
+        for y, right in enumerate(ring.cells):
+            counts[x, y] = _difference_multiset(cons, left, right)
 
     c = np.zeros((r, r, r), dtype=np.int64)
     for z_cell, members in enumerate(ring.cells):
@@ -247,7 +247,7 @@ class TransversalReport:
 
 
 def _difference_multiset(cons: Construction, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Counts of the products u * v for u in left, v in right."""
+    """Counts of the products u * v for u in left, v in right; one bincount up to 4M."""
     t = cons.table
     conv = np.zeros(cons.n, dtype=np.int64)
     chunk = max(1, 4_000_000 // max(1, len(right)))

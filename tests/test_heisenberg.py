@@ -1,3 +1,6 @@
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -142,3 +145,50 @@ def test_mixed_field_operands_rejected():
 def test_vertex_cap():
     with pytest.raises(ValueError):
         GroupTable(field_create(13, 1))  # 13**3 > 1331
+
+
+def closed_form_rows(t, rows):
+    """Oracle: rows of the table by the n**2-broadcast closed form through
+    Field.add / Field.mul and int64 packing."""
+    f, q = t.field, t.q
+    xu, yu, zu = t.ix[rows, None], t.iy[rows, None], t.iz[rows, None]
+    xv, yv, zv = t.ix[None, :], t.iy[None, :], t.iz[None, :]
+    zz = f.add(f.add(zu, zv), f.mul(xu, yv))
+    x, y = f.add(xu, xv).astype(np.int64), f.add(yu, yv).astype(np.int64)
+    return x * q * q + y * q + zz
+
+
+@pytest.mark.parametrize("p,l", [(3, 1), (5, 1), (7, 1), (3, 2), (13, 1)])
+def test_table_matches_closed_form(p, l):
+    f = field_create(p, l)
+    t = GroupTable(f, max_vertices=13**3)
+    q, n = t.q, t.n
+    assert t.mult.dtype == np.int32 and t.mult.shape == (n, n)
+    for start in range(0, n, q * q):  # one x1 slab at a time keeps the oracle small
+        rows = np.arange(start, start + q * q)
+        assert np.array_equal(t.mult[rows], closed_form_rows(t, rows))
+    neg_x, neg_y = f.neg(t.ix).astype(np.int64), f.neg(t.iy).astype(np.int64)
+    want_inv = neg_x * q * q + neg_y * q + f.sub(f.mul(t.ix, t.iy), t.iz)
+    assert t.inv.dtype == np.int32 and np.array_equal(t.inv, want_inv)
+    assert np.array_equal(t.coset_ids, t.ix.astype(np.int64) * q + t.iy)
+
+
+def test_pack_is_int32_and_exact():
+    t = GroupTable(field_create(3, 2))
+    packed = t._pack(t.ix, t.iy, t.iz)
+    assert packed.dtype == np.int32 and np.array_equal(packed, np.arange(t.n))
+    # the largest supported field: q**3 - 1 = 729**3 - 1 still fits in int32
+    top = np.array([0, 728], dtype=np.int32)
+    packed = GroupTable._pack(SimpleNamespace(q=729), top, top, top)
+    assert packed.dtype == np.int32 and packed.tolist() == [0, 729**3 - 1]
+
+
+def test_table_build_holds_no_other_n2_scratch():
+    f = field_create(3, 2)
+    tracemalloc.start()
+    try:
+        t = GroupTable(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * t.mult.nbytes

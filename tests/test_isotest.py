@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ddwl import isotest, suite
+from ddwl.coherent import wl_close
 from ddwl.digraph import Digraph
 from ddwl.isotest import (
     BudgetExceeded,
@@ -133,19 +134,32 @@ def _count_generator_searches(monkeypatch) -> list:
     return calls
 
 
-def test_automorphisms_searched_only_after_a_root_candidate_fails(contexts, monkeypatch):
+def test_automorphisms_searched_only_after_a_root_candidate_fails(
+    contexts, shrikhande_and_rook, monkeypatch
+):
     """Isomorphic pairs of vertex-transitive digraphs succeed at the first
-    root candidate; only the two non-isomorphic pairs at q = 7 (a
-    representative against the first graph of each other class) need Aut(g2)."""
+    root candidate.  The two non-isomorphic pairs at q = 7 fail a root
+    candidate, but their Cayley closures record the right translations,
+    which make the root one orbit, so Aut(g2) is never searched.  Dense
+    closures record no generators: the WL-equivalent Shrikhande and rook's
+    graphs fail the first candidate and search Aut(rook) exactly once."""
     calls = _count_generator_searches(monkeypatch)
     assert suite._iso_classes(contexts[5], True)[0] == "pass"
     assert suite._reverse_pair_isomorphism(contexts[5], True)[0] == "pass"
     assert calls == []
     ctx = contexts[7]
     gens = ctx.cons.generators_I()
-    res = iso_class_count([ctx.cons.build_cayley(i) for i in gens], [ctx.closure(i) for i in gens])
+    closures = [ctx.closure(i) for i in gens]
+    assert all(len(cc.generators) == 2 * ctx.cons.field.l for cc in closures)
+    res = iso_class_count([ctx.cons.build_cayley(i) for i in gens], closures)
     assert (res.count, res.exact) == (2, True)
-    assert len(calls) == 2
+    assert calls == []
+    shrikhande, rook = shrikhande_and_rook
+    closures = [wl_close(shrikhande), wl_close(rook)]
+    assert closures[1].generators == []
+    cert = are_isomorphic(shrikhande, rook, *closures)
+    assert cert.kind == "non-isomorphic"
+    assert len(calls) == 1 and calls[0] is rook
 
 
 def test_budget_exhaustion(cons3, closures3):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from ddwl.arith import euler_phi
 from ddwl.srings import (
     NotAnSRing,
     SRing,
+    _difference_multiset,
     algebraic_automorphisms,
     is_group_closed,
     is_induced,
@@ -57,6 +60,47 @@ def test_non_inverse_closed_rejected(cons3):
 
 def test_structure_constants_match_brute_force_q3(cons3, tensor3):
     assert np.array_equal(tensor3.c, brute_tensor_q3(cons3))
+
+
+def add_at_counts(ring):
+    """Oracle: counts[X, Y, z] = #{(x, y) in X x Y : x * y = z}, by np.add.at
+    over three n**2-long index arrays."""
+    n = ring.cons.n
+    cu = ring.cell_of.astype(np.int64)
+    counts = np.zeros((ring.r, ring.r, n), dtype=np.int64)
+    left = np.broadcast_to(cu[:, None], (n, n))
+    right = np.broadcast_to(cu[None, :], (n, n))
+    np.add.at(counts, (left.ravel(), right.ravel(), ring.table.mult.ravel()), 1)
+    return counts
+
+
+@pytest.mark.parametrize("q", [3, 5, 9])
+def test_structure_constants_match_add_at_oracle(q, contexts):
+    ring = contexts[q].ring
+    counts = add_at_counts(ring)
+    for x, left in enumerate(ring.cells):
+        for y, right in enumerate(ring.cells):
+            assert np.array_equal(_difference_multiset(ring.cons, left, right), counts[x, y])
+    reps = [int(members[0]) for members in ring.cells]
+    assert np.array_equal(structure_constants(ring).c, counts[:, :, reps])
+
+
+def test_difference_multiset_chunks_past_4m_products(cons7):
+    left, right = np.tile(np.arange(cons7.n), 40), np.arange(cons7.n)
+    assert len(left) * len(right) > 4_000_000  # two row chunks
+    conv = _difference_multiset(cons7, left, right)
+    assert conv.tolist() == [len(left)] * cons7.n
+
+
+def test_structure_constants_hold_no_n2_scratch(contexts):
+    ring = contexts[9].ring
+    tracemalloc.start()
+    try:
+        structure_constants(ring)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * ring.table.mult.nbytes
 
 
 def test_identity_convolution(tensor3):
