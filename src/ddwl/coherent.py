@@ -47,7 +47,8 @@ Intersection numbers.  The round that confirms stability gives every pair
 of color t the same key, so that key is the multiset of codes
 (color(u, w), color(w, v)) shared by all pairs of color t: the intersection
 numbers of t, proven well defined for every pair.  The tensor is read off
-those keys.
+those keys, its rows ordered by one int64 key (r * rank + s) * rank + t,
+once sorted rows, scatters and bincounts have checked the valencies.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ class CoherentConfiguration:
     """Stable pair coloring with fibers, valencies and intersection numbers.
 
     The tensor is kept sparse: an (m, 4) int64 array of rows (r, s, t, count),
-    sorted lexicographically, where count is the number of middle vertices w
+    in (r, s, t) order, where count is the number of middle vertices w
     with color(u, w) = r, color(w, v) = s for any pair (u, v) of color t.  It
     is read off the signature keys of the round that confirmed stability.
     """
@@ -97,14 +98,14 @@ class CoherentConfiguration:
         self.n = len(color)
         self.rank = int(color.max()) + 1 if self.n else 0
 
-        diag = color.diagonal()
-        self.fibers = [np.flatnonzero(diag == c) for c in np.unique(diag)]
-        fiber_of = np.empty(self.n, dtype=np.int32)
-        for k, verts in enumerate(self.fibers):
-            fiber_of[verts] = k
-        self.fiber_of = fiber_of
+        # fibers in order of their diagonal color; heads[k] is the least vertex of fiber k
+        _, heads, self.fiber_of = np.unique(
+            color.diagonal(), return_index=True, return_inverse=True
+        )
+        sizes = np.bincount(self.fiber_of)
+        self.fibers = np.split(np.argsort(self.fiber_of, kind="stable"), np.cumsum(sizes)[:-1])
 
-        self._row_counts_check(color)
+        self._row_counts_check(color, heads, sizes)
         self.tensor = _tensor_from_keys(keys, self.n, self.rank)
         self.converse = np.empty(self.rank, dtype=np.int64)
         self.converse[color] = color.T
@@ -112,38 +113,33 @@ class CoherentConfiguration:
 
     # -- structure ----------------------------------------------------------
 
-    def _row_counts_check(self, color):
-        """Valencies: each color occurs equally often in every row of its left fiber."""
-        n, rank = self.n, self.rank
-        counts = np.zeros((n, rank), dtype=np.int64)
-        ar = np.arange(n)
-        for u in ar:
-            counts[u] = np.bincount(color[u], minlength=rank)
-        valencies = np.zeros(rank, dtype=np.int64)
-        left = np.full(rank, -1, dtype=np.int64)
-        right = np.full(rank, -1, dtype=np.int64)
-        for k, verts in enumerate(self.fibers):
-            block = counts[verts]
-            if block.size and not (block == block[0]).all():
-                raise RuntimeError("row counts vary inside a fiber; coloring unstable")
-            present = np.flatnonzero(block[0]) if block.size else []
-            for s in present:
-                if left[s] != -1:
-                    raise RuntimeError("color occurs in two distinct left fibers")
-                left[s] = k
-                valencies[s] = block[0, s]
-        for s in range(rank):
-            u = np.flatnonzero(color[int(self.fibers[left[s]][0])] == s)[0]
-            right[s] = self.fiber_of[u]
+    def _row_counts_check(self, color, heads, sizes):
+        """Valencies: each color occurs equally often in every row of its left fiber
+        (equal sorted rows) and in no other fiber; the first fiber that fails raises."""
+        srt = np.sort(color, axis=1)
+        vary = np.bincount(self.fiber_of, (srt != srt[heads[self.fiber_of]]).any(axis=1)) > 0
+        # left[s]: the first fiber whose head row holds s; a later one holding s clashes
+        head_rows = color[heads]
+        # full-shape operands: numpy 2.4's ufunc.at misreads 1-D values over 2-D indices
+        fiber, col = np.indices(head_rows.shape)
+        left = np.full(self.rank, len(heads), dtype=np.int64)
+        np.minimum.at(left, head_rows, fiber)
+        bad = np.flatnonzero(vary | (left[head_rows] != fiber).any(axis=1))
+        if len(bad) and vary[bad[0]]:
+            raise RuntimeError("row counts vary inside a fiber; coloring unstable")
+        if len(bad):
+            raise RuntimeError("color occurs in two distinct left fibers")
+        # each color now lies in one head row: its count there, and the fiber of
+        # the first column that holds it
+        valencies = np.bincount(head_rows.ravel(), minlength=self.rank)
+        column = np.full(self.rank, self.n, dtype=np.int64)
+        np.minimum.at(column, head_rows, col)
+        right = self.fiber_of[column]
         # row sums: colors inside one fiber product account for the whole block
-        for k, verts in enumerate(self.fibers):
-            for k2, verts2 in enumerate(self.fibers):
-                sel = (left == k) & (right == k2)
-                if valencies[sel].sum() != len(verts2):
-                    raise RuntimeError("fiber-block row sum mismatch")
-        self.valencies = valencies
-        self.left_fiber = left
-        self.right_fiber = right
+        sums = np.bincount(left * len(heads) + right, valencies, len(heads) ** 2)
+        if (sums.reshape(len(heads), -1) != sizes).any():
+            raise RuntimeError("fiber-block row sum mismatch")
+        self.valencies, self.left_fiber, self.right_fiber = valencies, left, right
 
     # -- views ---------------------------------------------------------------
 
@@ -283,11 +279,16 @@ def _tensor_from_keys(keys: np.ndarray, n: int, rank: int) -> np.ndarray:
         starts = np.flatnonzero(runs)
         t, code = starts // n, codes.ravel()[starts]
         count = np.diff(np.append(starts, rank * n))
-    return _lex_sorted(np.column_stack([code // rank, code % rank, t, count]).astype(np.int64))
+    rows = np.column_stack([code // rank, code % rank, t, count]).astype(np.int64, copy=False)
+    return _lex_sorted(rows, rank)
 
 
-def _lex_sorted(rows: np.ndarray) -> np.ndarray:
-    return rows[np.lexsort(rows.T[::-1])]
+def _lex_sorted(rows: np.ndarray, rank: int) -> np.ndarray:
+    """Tensor rows (r, s, t, count), each (r, s, t) once, in (r, s, t) order."""
+    if rank**3 >= 2**63:
+        raise ValueError("tensor order supports ranks with rank**3 < 2**63")
+    r, s, t = rows[:, 0], rows[:, 1], rows[:, 2]
+    return rows[np.argsort((r * rank + s) * rank + t)]
 
 
 # -- public operations ---------------------------------------------------------
@@ -431,7 +432,7 @@ def verify_algebraic_map(
         raise ValueError("sigma is not a bijection on colors")
     r, s, t, c = cc1.tensor.T
     moved = np.column_stack([sigma[r], sigma[s], sigma[t], c])
-    return bool(np.array_equal(_lex_sorted(moved), cc2.tensor))
+    return bool(np.array_equal(_lex_sorted(moved, cc2.rank), cc2.tensor))
 
 
 def tensor_identities_hold(cc: CoherentConfiguration) -> bool:
@@ -454,4 +455,4 @@ def tensor_identities_hold(cc: CoherentConfiguration) -> bool:
     if (moved % val[r]).any():
         return False
     mirrored = np.column_stack([t, cc.converse[s], r, moved // val[r]])
-    return bool(np.array_equal(_lex_sorted(mirrored), cc.tensor))
+    return bool(np.array_equal(_lex_sorted(mirrored, cc.rank), cc.tensor))

@@ -18,7 +18,6 @@ import numpy as np
 from . import coherent, designs, isotest, srings
 from .arith import euler_phi
 from .construction import INFINITY, Construction
-from .heisenberg import MAX_VERTICES_DEFAULT
 
 __version__ = "0.1.0"
 
@@ -67,15 +66,15 @@ class Context:
     """What the checks of one (q, suite, seed) run share.  Everything is built
     on first use, so an error while building it fails the check that asked."""
 
-    def __init__(self, q: int, suite="full", seed=DEFAULT_SEED, max_vertices=MAX_VERTICES_DEFAULT):
+    def __init__(self, q: int, suite="full", seed=DEFAULT_SEED):
         if suite not in ("full", "fast"):
             raise ValueError("suite must be 'full' or 'fast'")
-        self.q, self.suite, self.seed, self.max_vertices = q, suite, seed, max_vertices
+        self.q, self.suite, self.seed = q, suite, seed
         self.closures: dict[int, coherent.CoherentConfiguration] = {}
 
     @cached_property
     def cons(self) -> Construction:
-        return Construction(self.q, max_vertices=self.max_vertices)
+        return Construction(self.q, max_vertices=self.q**3)
 
     @cached_property
     def ring(self) -> srings.SRing:
@@ -342,19 +341,18 @@ def _one_point_extension(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
     for j in range(1, cons.q):
         yj = cons.build_Y(j)
         block = ext.color[np.ix_(y0, yj)]
-        counts = np.stack([np.bincount(row, minlength=ext.rank) for row in block])
+        srt = np.sort(block, axis=1)   # equal sorted rows: equal color counts
         # the distinguished valency-1 relation: pairs whose quotient lands in
         # the cell labelled by psi(j, 0); it must be exactly one color class
         quot = t.mult[np.ix_(yj, t.inv[y0])]   # quot[b, a] = yj_b * y0_a**-1
         rel = np.isin(quot, cons.build_Y(cons.psi(j, 0))).T
         colors = np.unique(block[rel])
         valency_ok &= bool(
-            (counts == counts[0]).all() and len(colors) == 1
-            and np.array_equal(block == colors[0], rel) and counts[0, colors[0]] == 1
+            (srt == srt[0]).all() and len(colors) == 1
+            and np.array_equal(block == colors[0], rel) and (block[0] == colors[0]).sum() == 1
         )
-    block00 = ext.color[np.ix_(y0, y0)]
-    per_row = np.stack([np.bincount(row, minlength=ext.rank) for row in block00])
-    regular_ok = bool(((per_row == 0) | (per_row == 1)).all())
+    # no color twice in a row of Y_0 x Y_0: every sorted row strictly increases
+    regular_ok = bool((np.diff(np.sort(ext.color[np.ix_(y0, y0)], axis=1), axis=1) > 0).all())
     data = {
         "fibers_match_cells": bool(fibers_ok),
         "valency_one_colors": bool(valency_ok),
@@ -456,10 +454,8 @@ REGISTRY = [
 ]
 
 
-def run_suite(
-    q: int, suite="full", seed=DEFAULT_SEED, max_vertices=MAX_VERTICES_DEFAULT
-) -> RunReport:
-    ctx = Context(q, suite, seed, max_vertices)
+def run_suite(q: int, suite="full", seed=DEFAULT_SEED) -> RunReport:
+    ctx = Context(q, suite, seed)
     checks, timings = [], {}
     for check in REGISTRY:
         variant = check.variant(q, suite)

@@ -100,7 +100,7 @@ def closures5(contexts):
 
 @pytest.fixture(scope="session")
 def dense_closure7(contexts):
-    """The dense closure of the first q = 7 generator's digraph, about 9 s:
+    """The dense closure of the first q = 7 generator's digraph, about 1.1 s:
     the one dense q = 7 refinement the orbit-row closures are held to."""
     cons = contexts[7].cons
     return coherent.wl_close(cons.build_cayley(cons.generators_I()[0]))

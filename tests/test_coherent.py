@@ -396,6 +396,15 @@ def test_orbit_extension_q7_pinned(contexts):
     assert hashlib.sha256(ext.tensor.tobytes()).hexdigest() == (
         "01feee0df187023bc55f9983da42846c11f95e9945e3dd842d3741d25f3b0ac5"
     )
+    pins = {
+        "valencies": "46c253ea36698235011ee717bd9ce33c569e326f3f8e864941deca674547372c",
+        "left_fiber": "115888566a3af819e81829e234e1f84375090cc654e8bf4d79b7d1b525ea43d9",
+        "right_fiber": "1e29dcc48a92b31d7dc00d488e9b1755a567fea03260cf788386f120688bc8d6",
+        "converse": "ad5f9e40315252d2d18a77e448a7137aa68272388e3ee125155bc374699d1a04",
+    }
+    for name, digest in pins.items():
+        got = getattr(ext, name)
+        assert got.dtype == np.int64 and hashlib.sha256(got.tobytes()).hexdigest() == digest
 
 
 @st.composite
@@ -521,3 +530,162 @@ def test_orbit_extension_from_a_subgroup_of_k(q, request, monkeypatch):
     for i in range(q):
         halves = np.bincount(orbits.which[cons.build_Y(i)])
         assert sorted(halves[halves > 0].tolist()) == [(q * q - 1) // 2] * 2
+
+
+# -- fiber structure and tensor order against the retired loops --------------------
+
+
+def _row_counts_by_loop(color):
+    """Reference: the per-vertex, per-color loops `_row_counts_check` once ran,
+    over an n x rank count matrix.  Returns the fibers, valencies, left fibers
+    and right fibers of a stable coloring, and raises on an unstable one."""
+    n, rank = len(color), int(color.max()) + 1
+    diag = color.diagonal()
+    fibers = [np.flatnonzero(diag == c) for c in np.unique(diag)]
+    fiber_of = np.empty(n, dtype=np.int32)
+    for k, verts in enumerate(fibers):
+        fiber_of[verts] = k
+    counts = np.zeros((n, rank), dtype=np.int64)
+    for u in range(n):
+        counts[u] = np.bincount(color[u], minlength=rank)
+    valencies = np.zeros(rank, dtype=np.int64)
+    left = np.full(rank, -1, dtype=np.int64)
+    right = np.full(rank, -1, dtype=np.int64)
+    for k, verts in enumerate(fibers):
+        block = counts[verts]
+        if not (block == block[0]).all():
+            raise RuntimeError("row counts vary inside a fiber; coloring unstable")
+        for s in np.flatnonzero(block[0]):
+            if left[s] != -1:
+                raise RuntimeError("color occurs in two distinct left fibers")
+            left[s] = k
+            valencies[s] = block[0, s]
+    for s in range(rank):
+        u = np.flatnonzero(color[int(fibers[left[s]][0])] == s)[0]
+        right[s] = fiber_of[u]
+    for k in range(len(fibers)):
+        for k2, verts2 in enumerate(fibers):
+            if valencies[(left == k) & (right == k2)].sum() != len(verts2):
+                raise RuntimeError("fiber-block row sum mismatch")
+    return fibers, valencies, left, right
+
+
+def _assert_structure_matches_loop(cc):
+    fibers, valencies, left, right = _row_counts_by_loop(cc.color)
+    assert [f.tolist() for f in cc.fibers] == [f.tolist() for f in fibers]
+    for got, want in [(cc.valencies, valencies), (cc.left_fiber, left), (cc.right_fiber, right)]:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def _outcome(build):
+    """("pass", what build returns), or the message of the error it raises."""
+    try:
+        return "pass", build()
+    except RuntimeError as exc:
+        return str(exc), None
+    except IndexError:   # a color id below the rank that occurs nowhere
+        return "IndexError", None
+
+
+@pytest.mark.parametrize(
+    "color, message",
+    [
+        ([[0, 1, 1], [1, 0, 2], [1, 2, 0]], "row counts vary inside a fiber; coloring unstable"),
+        ([[0, 2], [2, 1]], "color occurs in two distinct left fibers"),
+        # fiber {0, 1} reaches colour 2 in both fibers: its block sums are 3 and 1
+        ([[0, 2, 2], [2, 0, 2], [3, 3, 1]], "fiber-block row sum mismatch"),
+    ],
+    ids=["varying-rows", "two-left-fibers", "row-sum"],
+)
+def test_unstable_colorings_fail_loudly(color, message):
+    color = np.array(color, dtype=np.int32)
+    with pytest.raises(RuntimeError) as raised:
+        coherent.CoherentConfiguration(color, 1, None)
+    assert str(raised.value) == message
+    with pytest.raises(RuntimeError) as raised:
+        _row_counts_by_loop(color)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_structure_matches_loop_on_closures_and_extensions(q, request):
+    cons = request.getfixturevalue(f"cons{q}")
+    gen = cons.rho_perm(*cons.k_generator())
+    for i in range(q):
+        for loops in (True, False):
+            cc = coherent.cayley_close(cons.build_cayley(i, include_identity=loops), cons.table)
+            _assert_structure_matches_loop(cc)
+            _assert_structure_matches_loop(
+                coherent.orbit_extension(cc, cons.table.identity, [gen])
+            )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 12).flatmap(
+    lambda n: st.lists(st.booleans(), min_size=n * n, max_size=n * n).map(
+        lambda arcs: Digraph(np.array(arcs).reshape(n, n))
+    )
+))
+def test_structure_matches_loop_on_generated_digraphs(g):
+    cc = wl_close(g)
+    _assert_structure_matches_loop(cc)
+    _assert_structure_matches_loop(one_point_extension(cc, g.n - 1))
+
+
+@st.composite
+def _colorings(draw):
+    """An arbitrary pair coloring on at most 4 vertices: ids below 4, or
+    renamed to 0..rank-1, or a stable coloring with two ids swapped."""
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["raw", "renamed", "swapped"]))
+    if kind == "swapped":
+        arcs = np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n)))
+        color = wl_close(Digraph(arcs.reshape(n, n))).color.copy()
+        a, b = draw(st.integers(0, n * n - 1)), draw(st.integers(0, n * n - 1))
+        color.flat[[a, b]] = color.flat[[b, a]]
+        return color
+    ids = np.array(draw(st.lists(st.integers(0, 3), min_size=n * n, max_size=n * n)))
+    color = ids.astype(np.int32).reshape(n, n)
+    return coherent._renumber(color)[0] if kind == "renamed" else color
+
+
+def test_structure_raises_as_the_loop_on_generated_colorings(monkeypatch):
+    """Each coloring the loop rejects is rejected with the same message, and
+    each it accepts gets the same fibers and valencies."""
+    monkeypatch.setattr(coherent, "_tensor_from_keys", lambda keys, n, rank: None)
+    seen = set()
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_colorings())
+    def check(color):
+        got = _outcome(lambda: coherent.CoherentConfiguration(color, 1, None))
+        want = _outcome(lambda: _row_counts_by_loop(color))
+        assert got[0] == want[0]
+        if got[0] == "pass":
+            _assert_structure_matches_loop(got[1])
+        seen.add(got[0])
+
+    check()
+    assert seen == {
+        "pass", "IndexError", "row counts vary inside a fiber; coloring unstable",
+        "color occurs in two distinct left fibers", "fiber-block row sum mismatch",
+    }
+
+
+@_DENSE_REFINEMENTS
+def test_tensor_key_order_matches_lexsort(cons3, maker, encoding):
+    cc = maker(cons3)
+    rows = cc.tensor[np.random.default_rng(5).permutation(len(cc.tensor))]
+    want = rows[np.lexsort(rows.T[::-1])]
+    assert np.array_equal(want, cc.tensor)
+    assert np.array_equal(coherent._lex_sorted(rows, cc.rank), want)
+
+
+def test_tensor_key_rank_guard():
+    """rank**3 keys fit int64 up to rank 2**21 - 1, whose largest key sorts
+    last; from 2**21 the order refuses, before it allocates anything."""
+    rank = 2**21 - 1
+    rows = np.array([[rank - 1] * 3 + [1], [0, 0, 1, 1], [rank - 1, rank - 1, 0, 1]])
+    assert coherent._lex_sorted(rows, rank).tolist() == rows[[1, 2, 0]].tolist()
+    with pytest.raises(ValueError, match=r"rank\*\*3 < 2\*\*63"):
+        coherent._lex_sorted(np.empty((0, 4), dtype=np.int64), 2**21)

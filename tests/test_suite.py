@@ -230,3 +230,11 @@ def test_size_table():
     assert {n for n, v in plan(9, "full").items() if v == "sampled"} == sampled | {
         "algebraic_automorphisms"
     }
+
+
+def test_run_suite_takes_any_q(monkeypatch):
+    """The registry says where each check runs, and the command line's
+    DDWL_MAX_Q is the one cap on q: `run_suite` builds the q it is given."""
+    monkeypatch.setattr(suite, "REGISTRY", suite.REGISTRY[:1])
+    report = suite.run_suite(13, "fast")
+    assert report.ok and [c.name for c in report.checks] == ["field_axioms"]
