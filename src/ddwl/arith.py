@@ -1,21 +1,7 @@
-"""Small number-theoretic helpers: primality, prime-power shape, Euler phi."""
+"""Small number-theoretic helpers: prime-power shape (n is prime exactly
+when it is (n, 1)) and Euler phi."""
 
 from __future__ import annotations
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
 
 
 def prime_power(n: int) -> tuple[int, int] | None:

@@ -48,7 +48,8 @@ of color t the same key, so that key is the multiset of codes
 (color(u, w), color(w, v)) shared by all pairs of color t: the intersection
 numbers of t, proven well defined for every pair.  The tensor is read off
 those keys, its rows ordered by one int64 key (r * rank + s) * rank + t,
-once sorted rows, scatters and bincounts have checked the valencies.
+once sorted rows, scatters and bincounts have checked the valencies.  The
+checks on a tensor compare moved rows with it through the same key.
 """
 
 from __future__ import annotations
@@ -97,6 +98,8 @@ class CoherentConfiguration:
         self.rounds = rounds  # refinement rounds run, including the confirming one
         self.n = len(color)
         self.rank = int(color.max()) + 1 if self.n else 0
+        if not self.color_multiset().all():
+            raise ValueError("color ids are not exactly 0..rank-1")
 
         # fibers in order of their diagonal color; heads[k] is the least vertex of fiber k
         _, heads, self.fiber_of = np.unique(
@@ -279,16 +282,30 @@ def _tensor_from_keys(keys: np.ndarray, n: int, rank: int) -> np.ndarray:
         starts = np.flatnonzero(runs)
         t, code = starts // n, codes.ravel()[starts]
         count = np.diff(np.append(starts, rank * n))
-    rows = np.column_stack([code // rank, code % rank, t, count]).astype(np.int64, copy=False)
-    return _lex_sorted(rows, rank)
+    r, s = np.divmod(code, rank)
+    rows = np.column_stack([r, s, t, count]).astype(np.int64, copy=False)
+    return rows[np.argsort(_tensor_key(r, s, t, rank))]
 
 
-def _lex_sorted(rows: np.ndarray, rank: int) -> np.ndarray:
-    """Tensor rows (r, s, t, count), each (r, s, t) once, in (r, s, t) order."""
+def _tensor_key(r: np.ndarray, s: np.ndarray, t: np.ndarray, rank: int) -> np.ndarray:
+    """The int64 key (r * rank + s) * rank + t of each triple: its numeric
+    order is (r, s, t) order."""
     if rank**3 >= 2**63:
         raise ValueError("tensor order supports ranks with rank**3 < 2**63")
-    r, s, t = rows[:, 0], rows[:, 1], rows[:, 2]
-    return rows[np.argsort((r * rank + s) * rank + t)]
+    return (r * rank + s) * rank + t
+
+
+def _matches_tensor(cc: CoherentConfiguration, r, s, t, weight, tensor_weight) -> bool:
+    """True iff the triples (r, s, t) are the rows of cc.tensor in some order,
+    the triple that lands on row i with weight tensor_weight[i].  False for a
+    tensor whose keys do not strictly increase, such as one holding a triple
+    twice."""
+    ref = _tensor_key(*cc.tensor[:, :3].T, cc.rank)
+    if len(r) != len(ref) or (ref[1:] <= ref[:-1]).any():
+        return False
+    key = _tensor_key(r, s, t, cc.rank)
+    order = np.argsort(key)
+    return bool(np.array_equal(key[order], ref) and np.array_equal(weight[order], tensor_weight))
 
 
 # -- public operations ---------------------------------------------------------
@@ -431,8 +448,7 @@ def verify_algebraic_map(
     if sorted(sigma.tolist()) != list(range(cc1.rank)):
         raise ValueError("sigma is not a bijection on colors")
     r, s, t, c = cc1.tensor.T
-    moved = np.column_stack([sigma[r], sigma[s], sigma[t], c])
-    return bool(np.array_equal(_lex_sorted(moved, cc2.rank), cc2.tensor))
+    return _matches_tensor(cc2, sigma[r], sigma[s], sigma[t], c, cc2.tensor[:, 3])
 
 
 def tensor_identities_hold(cc: CoherentConfiguration) -> bool:
@@ -444,15 +460,13 @@ def tensor_identities_hold(cc: CoherentConfiguration) -> bool:
         return False
     # sum over t of p^t_rs * val[t] = val[r] * val[s], for every (r, s) meeting in a fiber
     group = np.flatnonzero(np.r_[True, (r[1:] != r[:-1]) | (s[1:] != s[:-1])])
-    sums = np.add.reduceat(c * val[t], group)
+    weight = c * val[t]
+    sums = np.add.reduceat(weight, group)
     fibers = len(cc.fibers)
     meeting = np.bincount(right, minlength=fibers) @ np.bincount(left, minlength=fibers)
     if len(group) != meeting or not np.array_equal(sums, val[r[group]] * val[s[group]]):
         return False
     # val[t] p^t_rs = val[r] p^r_{t s'} with s' the converse of s: the map
-    # (r, s, t) -> (t, s', r) is an involution, so it must permute the rows
-    moved = val[t] * c
-    if (moved % val[r]).any():
-        return False
-    mirrored = np.column_stack([t, cc.converse[s], r, moved // val[r]])
-    return bool(np.array_equal(_lex_sorted(mirrored, cc.rank), cc.tensor))
+    # (r, s, t) -> (t, s', r) is an involution, so it permutes the rows and
+    # keeps the weight val[t] p^t_rs of each
+    return _matches_tensor(cc, t, cc.converse[s], r, weight, weight)

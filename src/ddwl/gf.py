@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import is_prime
+from .arith import prime_power
 
 MAX_Q = 729  # 3**6; keeps every table at desk scale
 
@@ -221,7 +221,7 @@ def field_create(p: int, l: int) -> Field:
     """
     if p == 2:
         raise ValueError("q must be odd")
-    if not is_prime(p):
+    if prime_power(p) != (p, 1):
         raise ValueError(f"{p} is not prime")
     if l < 1:
         raise ValueError("extension degree must be >= 1")
@@ -233,7 +233,8 @@ def field_create(p: int, l: int) -> Field:
 # -- typed operation surface ------------------------------------------------
 
 
-def _common_field(a: FieldElement, b: FieldElement) -> Field:
+def _common_field(a, b) -> Field:
+    """The one field of two field or group elements."""
     if a.field is not b.field:
         raise ValueError("operands come from different fields")
     return a.field

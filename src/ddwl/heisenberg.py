@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import Field, FieldElement
+from .gf import Field, FieldElement, _common_field
 
 MAX_VERTICES_DEFAULT = 1331  # 11**3; the largest group the tables will hold
 
@@ -41,12 +41,6 @@ class GroupElement:
 
     def __repr__(self) -> str:
         return f"GroupElement({self.x.index}, {self.y.index}, {self.z.index})"
-
-
-def _common_field(a: GroupElement, b: GroupElement) -> Field:
-    if a.field is not b.field:
-        raise ValueError("operands come from different fields")
-    return a.field
 
 
 def g_mul(a: GroupElement, b: GroupElement) -> GroupElement:

@@ -232,18 +232,15 @@ class TransversalReport:
 
     @property
     def ok(self) -> bool:
+        """Both products are q^2 e + 0 (Z - e) + q (G - Z)."""
         q = self.q
-        fwd = (
-            self.at_identity == q * q
-            and self.on_center <= {0}
-            and self.elsewhere == {q}
+        return all(
+            at == q * q and center <= {0} and rest == {q}
+            for at, center, rest in [
+                (self.at_identity, self.on_center, self.elsewhere),
+                (self.mirrored_at_identity, self.mirrored_on_center, self.mirrored_elsewhere),
+            ]
         )
-        mir = (
-            self.mirrored_at_identity == q * q
-            and self.mirrored_on_center <= {0}
-            and self.mirrored_elsewhere == {q}
-        )
-        return fwd and mir
 
 
 def _difference_multiset(cons: Construction, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -268,18 +265,12 @@ def verify_transversal(ring: SRing, i: int) -> TransversalReport:
     outside[0] = False
     outside[center_rest] = False
 
-    fwd = _difference_multiset(cons, x, x_inv)
-    mir = _difference_multiset(cons, x_inv, x)
-    return TransversalReport(
-        q=cons.q,
-        i=i,
-        at_identity=int(fwd[0]),
-        on_center=set(fwd[center_rest].tolist()),
-        elsewhere=set(fwd[outside].tolist()),
-        mirrored_at_identity=int(mir[0]),
-        mirrored_on_center=set(mir[center_rest].tolist()),
-        mirrored_elsewhere=set(mir[outside].tolist()),
-    )
+    def split(conv):  # at the identity, on Z - e, elsewhere
+        return int(conv[0]), set(conv[center_rest].tolist()), set(conv[outside].tolist())
+
+    fwd = split(_difference_multiset(cons, x, x_inv))
+    mir = split(_difference_multiset(cons, x_inv, x))
+    return TransversalReport(cons.q, i, *fwd, *mir)
 
 
 def tau_hat(ring: SRing, m: int) -> np.ndarray:

@@ -161,6 +161,24 @@ def test_iso_command_pinned(q, tmp_path, capsys):
     capsys.readouterr()
 
 
+VERIFY_SHA256 = {
+    (5, "full"): "798a578b078cfed3785b1aa23ac4cd9d08214043e9232538c23e5978aeadc407",
+    (5, "fast"): "225fed53e5e725c7d699754d7b2f7261b652b7e219e7b346286229f1a2504ba3",
+    (7, "full"): "e350ff6cacc1b224cdad3416c4023f68f6278581513f5b9d63de435dd026430a",
+}
+
+
+@pytest.mark.parametrize("q, suite_name", sorted(VERIFY_SHA256))
+def test_verify_report_pinned(q, suite_name, tmp_path, capsys):
+    """`ddwl verify q --suite <suite> --no-timings` byte for byte, past the
+    committed q = 3 reports: every verdict and every reported count."""
+    out = tmp_path / "r.json"
+    args = ["verify", str(q), "--suite", suite_name, "--no-timings", "--out", str(out)]
+    assert main(args) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_SHA256[q, suite_name]
+    capsys.readouterr()
+
+
 def test_design_command(tmp_path, capsys):
     out = tmp_path / "d.json"
     assert main(["design", "5", "3", "--out", str(out)]) == 0

@@ -225,6 +225,21 @@ def test_verify_algebraic_map_rejects_corrupted_tensors(cons3, closures3):
     assert not verify_algebraic_map(cc, bumped, identity)
 
 
+@pytest.mark.parametrize("first", [1, 2], ids=["count-1-first", "count-2-first"])
+def test_tensor_checks_reject_a_triple_held_twice(closures3, first):
+    """The entry (1, 4, 1, 3) split into counts 1 and 2 keeps every mass sum;
+    both checks refuse the split, in either row order."""
+    cc = closures3[1]
+    k = int(np.flatnonzero((cc.tensor[:, :3] == [1, 4, 1]).all(axis=1))[0])
+    assert cc.tensor[k].tolist() == [1, 4, 1, 3]
+    split = [[1, 4, 1, first], [1, 4, 1, 3 - first]]
+    bad = _with_tensor(cc, np.insert(np.delete(cc.tensor, k, axis=0), k, split, axis=0))
+    identity = np.arange(cc.rank)
+    assert not tensor_identities_hold(bad)
+    assert not verify_algebraic_map(bad, bad, identity)
+    assert not verify_algebraic_map(cc, bad, identity)
+
+
 @pytest.mark.parametrize("q", [3, 5])
 def test_wl_tensor_matches_structure_constants(q, request):
     cons = request.getfixturevalue(f"cons{q}")
@@ -540,6 +555,8 @@ def _row_counts_by_loop(color):
     over an n x rank count matrix.  Returns the fibers, valencies, left fibers
     and right fibers of a stable coloring, and raises on an unstable one."""
     n, rank = len(color), int(color.max()) + 1
+    if len(np.unique(color)) != rank:
+        raise ValueError("color ids are not exactly 0..rank-1")
     diag = color.diagonal()
     fibers = [np.flatnonzero(diag == c) for c in np.unique(diag)]
     fiber_of = np.empty(n, dtype=np.int32)
@@ -581,10 +598,8 @@ def _outcome(build):
     """("pass", what build returns), or the message of the error it raises."""
     try:
         return "pass", build()
-    except RuntimeError as exc:
+    except (RuntimeError, ValueError) as exc:
         return str(exc), None
-    except IndexError:   # a color id below the rank that occurs nowhere
-        return "IndexError", None
 
 
 @pytest.mark.parametrize(
@@ -667,7 +682,8 @@ def test_structure_raises_as_the_loop_on_generated_colorings(monkeypatch):
 
     check()
     assert seen == {
-        "pass", "IndexError", "row counts vary inside a fiber; coloring unstable",
+        "pass", "color ids are not exactly 0..rank-1",
+        "row counts vary inside a fiber; coloring unstable",
         "color occurs in two distinct left fibers", "fiber-block row sum mismatch",
     }
 
@@ -678,7 +694,7 @@ def test_tensor_key_order_matches_lexsort(cons3, maker, encoding):
     rows = cc.tensor[np.random.default_rng(5).permutation(len(cc.tensor))]
     want = rows[np.lexsort(rows.T[::-1])]
     assert np.array_equal(want, cc.tensor)
-    assert np.array_equal(coherent._lex_sorted(rows, cc.rank), want)
+    assert np.array_equal(rows[np.argsort(coherent._tensor_key(*rows[:, :3].T, cc.rank))], want)
 
 
 def test_tensor_key_rank_guard():
@@ -686,6 +702,6 @@ def test_tensor_key_rank_guard():
     last; from 2**21 the order refuses, before it allocates anything."""
     rank = 2**21 - 1
     rows = np.array([[rank - 1] * 3 + [1], [0, 0, 1, 1], [rank - 1, rank - 1, 0, 1]])
-    assert coherent._lex_sorted(rows, rank).tolist() == rows[[1, 2, 0]].tolist()
+    assert np.argsort(coherent._tensor_key(*rows[:, :3].T, rank)).tolist() == [1, 2, 0]
     with pytest.raises(ValueError, match=r"rank\*\*3 < 2\*\*63"):
-        coherent._lex_sorted(np.empty((0, 4), dtype=np.int64), 2**21)
+        coherent._tensor_key(*np.empty((3, 0), dtype=np.int64), 2**21)
