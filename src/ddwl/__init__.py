@@ -10,23 +10,11 @@ from .coherent import (
     wl_close,
     wl_equivalent,
 )
-from .construction import INFINITY, Construction, MatrixM, rho_apply
+from .construction import INFINITY, Construction
 from .designs import desiso_maps, verify_ddd, verify_design_iso
 from .digraph import Digraph
-from .gf import (
-    Field,
-    FieldElement,
-    FieldSpec,
-    fe_add,
-    fe_inv,
-    fe_is_square,
-    fe_mul,
-    fe_neg,
-    fe_sub,
-    field_create,
-    find_nonsquare,
-)
-from .heisenberg import GroupElement, GroupTable, center, coset_id, g_inv, g_mul, is_central
+from .gf import Field, FieldElement, FieldSpec, field_create, find_nonsquare
+from .heisenberg import GroupElement, GroupTable, center, coset_id, g_inv, g_mul
 from .isotest import are_isomorphic, automorphism_order, iso_class_count
 from .srings import (
     SRing,
@@ -48,7 +36,6 @@ __all__ = [
     "GroupElement",
     "GroupTable",
     "INFINITY",
-    "MatrixM",
     "SRing",
     "__version__",
     "algebraic_automorphisms",
@@ -59,20 +46,12 @@ __all__ = [
     "center",
     "coset_id",
     "desiso_maps",
-    "fe_add",
-    "fe_inv",
-    "fe_is_square",
-    "fe_mul",
-    "fe_neg",
-    "fe_sub",
     "field_create",
     "find_nonsquare",
     "g_inv",
     "g_mul",
-    "is_central",
     "iso_class_count",
     "one_point_extension",
-    "rho_apply",
     "run_suite",
     "structure_constants",
     "tau_hat",

@@ -4,7 +4,8 @@ reports as JSON.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 usage error.
 The environment variable DDWL_MAX_Q overrides the default size cap, the
-largest q whose group fits heisenberg.MAX_VERTICES_DEFAULT (q <= 11).
+largest q whose group fits Construction's default vertex cap,
+construction.MAX_VERTICES_DEFAULT (q <= 11).
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ import sys
 
 from . import coherent, designs, isotest
 from .arith import prime_power
-from .construction import Construction
-from .heisenberg import MAX_VERTICES_DEFAULT
+from .construction import MAX_VERTICES_DEFAULT, Construction
 from .suite import __version__, run_suite
 
 

@@ -88,9 +88,10 @@ class CoherentConfiguration:
     """Stable pair coloring with fibers, valencies and intersection numbers.
 
     The tensor is kept sparse: an (m, 4) int64 array of rows (r, s, t, count),
-    in (r, s, t) order, where count is the number of middle vertices w
-    with color(u, w) = r, color(w, v) = s for any pair (u, v) of color t.  It
-    is read off the signature keys of the round that confirmed stability.
+    in (r, s, t) order and stored column by column, where count is the number
+    of middle vertices w with color(u, w) = r, color(w, v) = s for any pair
+    (u, v) of color t.  It is read off the signature keys of the round that
+    confirmed stability.
     """
 
     def __init__(self, color: np.ndarray, rounds: int, keys: np.ndarray):
@@ -283,8 +284,11 @@ def _tensor_from_keys(keys: np.ndarray, n: int, rank: int) -> np.ndarray:
         t, code = starts // n, codes.ravel()[starts]
         count = np.diff(np.append(starts, rank * n))
     r, s = np.divmod(code, rank)
-    rows = np.column_stack([r, s, t, count]).astype(np.int64, copy=False)
-    return rows[np.argsort(_tensor_key(r, s, t, rank))]
+    order = np.argsort(_tensor_key(r, s, t, rank))
+    rows = np.empty((len(order), 4), dtype=np.int64, order="F")  # contiguous columns
+    for k, column in enumerate((r, s, t, count)):
+        rows[:, k] = column[order]
+    return rows
 
 
 def _tensor_key(r: np.ndarray, s: np.ndarray, t: np.ndarray, rank: int) -> np.ndarray:

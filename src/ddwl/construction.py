@@ -41,8 +41,10 @@ import numpy as np
 
 from .arith import prime_power
 from .digraph import Digraph
-from .gf import FieldElement, field_create
-from .heisenberg import MAX_VERTICES_DEFAULT, GroupElement, GroupTable
+from .gf import field_create
+from .heisenberg import GroupTable
+
+MAX_VERTICES_DEFAULT = 1331  # 11**3; the largest group the tables will hold
 
 
 class _Infinity:
@@ -56,22 +58,6 @@ class _Infinity:
 
 INFINITY = _Infinity()
 
-# an extended index is either a field element index (int) or INFINITY
-ExtendedIndex = int | _Infinity
-
-
-@dataclass(frozen=True)
-class MatrixM:
-    """A matrix (alpha, beta; eps*beta, alpha) with (alpha, beta) != (0, 0)."""
-
-    alpha: FieldElement
-    beta: FieldElement
-    epsilon: FieldElement
-
-    def __post_init__(self):
-        if self.alpha.index == 0 and self.beta.index == 0:
-            raise ValueError("(alpha, beta) = (0, 0) is excluded")
-
 
 @dataclass(frozen=True)
 class KAutomorphism:
@@ -83,22 +69,6 @@ class KAutomorphism:
         return f"KAutomorphism(alpha={self.alpha}, beta={self.beta})"
 
 
-def rho_apply(m: MatrixM, g: GroupElement) -> GroupElement:
-    """Image of g under the automorphism induced by m."""
-    f = g.field
-    a, b, eps = m.alpha.index, m.beta.index, m.epsilon.index
-    x, y, z = g.x.index, g.y.index, g.z.index
-    half = f.inv(f.from_int(2))
-    x2 = f.add(f.mul(a, x), f.mul(eps, f.mul(b, y)))
-    y2 = f.add(f.mul(b, x), f.mul(a, y))
-    ab = f.mul(a, b)
-    quad = f.mul(half, f.add(f.mul(x, x), f.mul(eps, f.mul(y, y))))
-    cross = f.mul(f.mul(eps, f.mul(b, b)), f.mul(x, y))
-    norm = f.sub(f.mul(a, a), f.mul(eps, f.mul(b, b)))
-    z2 = f.add(f.add(f.mul(ab, quad), cross), f.mul(norm, z))
-    return GroupElement(f.element(x2), f.element(y2), f.element(z2))
-
-
 class Construction:
     """All of the above for one odd prime power q, with heavy parts cached."""
 
@@ -106,9 +76,10 @@ class Construction:
         pp = prime_power(q)
         if pp is None:
             raise ValueError(f"q = {q} is not a prime power")
-        p, l = pp
-        self.field = field_create(p, l)
-        self.table = GroupTable(self.field, max_vertices=max_vertices)
+        if q**3 > max_vertices:
+            raise ValueError(f"|G| = {q**3} exceeds the vertex cap {max_vertices}")
+        self.field = field_create(*pp)
+        self.table = GroupTable(self.field)
         f = self.field
         self.q = q
         self.n = self.table.n

@@ -110,9 +110,8 @@ def verify_ddd(g: Digraph, class_ids: np.ndarray, expected: tuple[int, int]) -> 
         bad = (((common_in != lam1) | (common_out != lam1)) & same_upper) | (
             ((common_in != lam2) | (common_out != lam2)) & cross_upper
         )
-        pairs = np.argwhere(bad)
-        if len(pairs):
-            al, be = (int(x) for x in pairs[0])
+        if bad.any():
+            al, be = (int(x) for x in np.unravel_index(np.argmax(bad), bad.shape))
             report.witness = {
                 "pair": [al, be],
                 "same_class": bool(same[al, be]),

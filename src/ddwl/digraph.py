@@ -1,7 +1,8 @@
-"""Dense digraphs on a fixed vertex set [0, n), with a plain-text exchange format.
+"""Dense digraphs on a fixed vertex set [0, n), with a plain-text export format.
 
 The text format is: first line n, then n lines of n characters '0'/'1'
 giving the adjacency matrix row by row.  It is bit-exact across platforms.
+`ddwl build` writes it; the tests read it back.
 """
 
 from __future__ import annotations
@@ -53,35 +54,3 @@ class Digraph:
         chars = np.where(self.arcs, "1", "0")
         lines.extend("".join(row) for row in chars)
         return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def from_text(text: str) -> "Digraph":
-        lines = text.strip().split("\n")
-        n = int(lines[0])
-        if len(lines) != n + 1:
-            raise ValueError("wrong number of rows")
-        if set("".join(lines[1:])) - {"0", "1"}:
-            raise ValueError("adjacency rows may hold only '0' and '1'")
-        a = np.array([[c == "1" for c in row] for row in lines[1:]], dtype=bool)
-        if a.shape != (n, n):
-            raise ValueError("ragged adjacency rows")
-        return Digraph(a)
-
-    @staticmethod
-    def complete(n: int) -> "Digraph":
-        a = np.ones((n, n), dtype=bool)
-        np.fill_diagonal(a, False)
-        return Digraph(a, label=f"complete({n})")
-
-    @staticmethod
-    def directed_cycle(n: int) -> "Digraph":
-        a = np.zeros((n, n), dtype=bool)
-        a[np.arange(n), (np.arange(n) + 1) % n] = True
-        return Digraph(a, label=f"cycle({n})")
-
-    @staticmethod
-    def random(n: int, p: float, seed: int) -> "Digraph":
-        rng = np.random.default_rng(seed)
-        a = rng.random((n, n)) < p
-        np.fill_diagonal(a, False)
-        return Digraph(a, label=f"random({n}, {p}, seed={seed})")

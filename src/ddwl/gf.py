@@ -192,16 +192,6 @@ class Field:
             raise ValueError(f"index {index} outside [0, {self.q})")
         return FieldElement(self, index)
 
-    def element_from_coeffs(self, coeffs) -> FieldElement:
-        coeffs = [c % self.p for c in coeffs]
-        if len(coeffs) != self.l:
-            raise ValueError(f"need {self.l} coefficients")
-        index = sum(c * self.p**k for k, c in enumerate(coeffs))
-        return FieldElement(self, index)
-
-    def elements(self):
-        return [FieldElement(self, i) for i in range(self.q)]
-
     def to_json(self) -> dict:
         return {"p": self.p, "l": self.l, "modulus": list(self.spec.modulus[: self.l])}
 
@@ -230,41 +220,14 @@ def field_create(p: int, l: int) -> Field:
     return _field_cached(p, l)
 
 
-# -- typed operation surface ------------------------------------------------
+# -- element views ---------------------------------------------------------
 
 
 def _common_field(a, b) -> Field:
-    """The one field of two field or group elements."""
+    """The one field of two group elements."""
     if a.field is not b.field:
         raise ValueError("operands come from different fields")
     return a.field
-
-
-def fe_add(a: FieldElement, b: FieldElement) -> FieldElement:
-    f = _common_field(a, b)
-    return f.element(f.add(a.index, b.index))
-
-
-def fe_sub(a: FieldElement, b: FieldElement) -> FieldElement:
-    f = _common_field(a, b)
-    return f.element(f.sub(a.index, b.index))
-
-
-def fe_mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    f = _common_field(a, b)
-    return f.element(f.mul(a.index, b.index))
-
-
-def fe_neg(a: FieldElement) -> FieldElement:
-    return a.field.element(a.field.neg(a.index))
-
-
-def fe_inv(a: FieldElement) -> FieldElement:
-    return a.field.element(a.field.inv(a.index))
-
-
-def fe_is_square(a: FieldElement) -> bool:
-    return a.field.is_square(a.index)
 
 
 def find_nonsquare(field: Field) -> FieldElement:

@@ -26,8 +26,6 @@ import numpy as np
 
 from .gf import Field, FieldElement, _common_field
 
-MAX_VERTICES_DEFAULT = 1331  # 11**3; the largest group the tables will hold
-
 
 @dataclass(frozen=True)
 class GroupElement:
@@ -59,10 +57,6 @@ def g_inv(a: GroupElement) -> GroupElement:
     return GroupElement(f.element(x), f.element(y), f.element(z))
 
 
-def is_central(a: GroupElement) -> bool:
-    return a.x.index == 0 and a.y.index == 0
-
-
 def coset_id(a: GroupElement) -> int:
     """Index of the coset Z*a; equal for a, b iff their (x, y) parts agree."""
     return a.x.index * a.field.q + a.y.index
@@ -75,11 +69,9 @@ def center(table: "GroupTable") -> list[GroupElement]:
 class GroupTable:
     """Indexed H3(q) with vectorised multiplication and inverse tables."""
 
-    def __init__(self, field: Field, max_vertices: int = MAX_VERTICES_DEFAULT):
+    def __init__(self, field: Field):
         q = field.q
         n = q**3
-        if n > max_vertices:
-            raise ValueError(f"|G| = {n} exceeds the vertex cap {max_vertices}")
         self.field = field
         self.q, self.n = q, n
         self.identity = 0

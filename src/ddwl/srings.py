@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .construction import INFINITY, Construction
-from .isotest import BudgetExceeded, _PartitionSearch
+from .isotest import NODE_BUDGET_DEFAULT, BudgetExceeded, _PartitionSearch
 
 
 class NotAnSRing(ValueError):
@@ -354,7 +354,7 @@ class InducednessResult:
     mapping: np.ndarray | None = None
 
 
-def is_induced(ring: SRing, sigma, node_budget: int = 2_000_000) -> InducednessResult:
+def is_induced(ring: SRing, sigma, node_budget: int = NODE_BUDGET_DEFAULT) -> InducednessResult:
     """Search for a vertex bijection f with cell(f(v) f(u)^-1) = sigma(cell(v u^-1)).
 
     A timeout is reported as undetermined, never as a negative answer.

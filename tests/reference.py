@@ -1,0 +1,75 @@
+"""Constructors and scalar references that only the tests use.
+
+`from_text` reads the 0/1 text format that `ddwl build` writes.  `MatrixM`
+and `rho_apply` are the element-by-element automorphism map that
+`Construction.rho_perm` is compared against.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from ddwl.digraph import Digraph
+from ddwl.gf import FieldElement
+from ddwl.heisenberg import GroupElement
+
+
+def from_text(text: str) -> Digraph:
+    lines = text.strip().split("\n")
+    n = int(lines[0])
+    if len(lines) != n + 1:
+        raise ValueError("wrong number of rows")
+    if set("".join(lines[1:])) - {"0", "1"}:
+        raise ValueError("adjacency rows may hold only '0' and '1'")
+    a = np.array([[c == "1" for c in row] for row in lines[1:]], dtype=bool)
+    if a.shape != (n, n):
+        raise ValueError("ragged adjacency rows")
+    return Digraph(a)
+
+
+def complete(n: int) -> Digraph:
+    a = np.ones((n, n), dtype=bool)
+    np.fill_diagonal(a, False)
+    return Digraph(a, label=f"complete({n})")
+
+
+def directed_cycle(n: int) -> Digraph:
+    a = np.zeros((n, n), dtype=bool)
+    a[np.arange(n), (np.arange(n) + 1) % n] = True
+    return Digraph(a, label=f"cycle({n})")
+
+
+def random_digraph(n: int, p: float, seed: int) -> Digraph:
+    rng = np.random.default_rng(seed)
+    a = rng.random((n, n)) < p
+    np.fill_diagonal(a, False)
+    return Digraph(a, label=f"random({n}, {p}, seed={seed})")
+
+
+@dataclass(frozen=True)
+class MatrixM:
+    """A matrix (alpha, beta; eps*beta, alpha) with (alpha, beta) != (0, 0)."""
+
+    alpha: FieldElement
+    beta: FieldElement
+    epsilon: FieldElement
+
+    def __post_init__(self):
+        if self.alpha.index == 0 and self.beta.index == 0:
+            raise ValueError("(alpha, beta) = (0, 0) is excluded")
+
+
+def rho_apply(m: MatrixM, g: GroupElement) -> GroupElement:
+    """Image of g under the automorphism induced by m."""
+    f = g.field
+    a, b, eps = m.alpha.index, m.beta.index, m.epsilon.index
+    x, y, z = g.x.index, g.y.index, g.z.index
+    half = f.inv(f.from_int(2))
+    x2 = f.add(f.mul(a, x), f.mul(eps, f.mul(b, y)))
+    y2 = f.add(f.mul(b, x), f.mul(a, y))
+    ab = f.mul(a, b)
+    quad = f.mul(half, f.add(f.mul(x, x), f.mul(eps, f.mul(y, y))))
+    cross = f.mul(f.mul(eps, f.mul(b, b)), f.mul(x, y))
+    norm = f.sub(f.mul(a, a), f.mul(eps, f.mul(b, b)))
+    z2 = f.add(f.add(f.mul(ab, quad), cross), f.mul(norm, z))
+    return GroupElement(f.element(x2), f.element(y2), f.element(z2))

@@ -6,7 +6,7 @@ import pytest
 
 from ddwl import srings, suite
 from ddwl.cli import main
-from ddwl.digraph import Digraph
+from reference import from_text
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -14,7 +14,7 @@ DATA = pathlib.Path(__file__).parent / "data"
 def test_build_writes_text_digraph(tmp_path, capsys):
     out = tmp_path / "g.txt"
     assert main(["build", "3", "1", "--out", str(out)]) == 0
-    g = Digraph.from_text(out.read_text())
+    g = from_text(out.read_text())
     assert g.n == 27
     assert set(g.out_degrees().tolist()) == {9}
     legend = capsys.readouterr().out
@@ -24,7 +24,7 @@ def test_build_writes_text_digraph(tmp_path, capsys):
 def test_build_q9(tmp_path, capsys):
     out = tmp_path / "g9.txt"
     assert main(["build", "9", "2", "--out", str(out)]) == 0
-    g = Digraph.from_text(out.read_text())
+    g = from_text(out.read_text())
     assert g.n == 729
     assert set(g.out_degrees().tolist()) == {81}
     legend = capsys.readouterr().out
@@ -34,7 +34,7 @@ def test_build_q9(tmp_path, capsys):
 def test_build_loopless(tmp_path):
     out = tmp_path / "g.txt"
     assert main(["build", "3", "1", "--loopless", "--out", str(out)]) == 0
-    g = Digraph.from_text(out.read_text())
+    g = from_text(out.read_text())
     assert not g.arcs.diagonal().any()
 
 

@@ -3,10 +3,11 @@ import re
 import numpy as np
 import pytest
 
+from ddwl import construction
 from ddwl.arith import euler_phi
-from ddwl.construction import INFINITY, Construction, MatrixM, rho_apply
-from ddwl.digraph import Digraph
-from ddwl.heisenberg import GroupElement, g_mul
+from ddwl.construction import INFINITY, Construction
+from ddwl.heisenberg import GroupElement
+from reference import MatrixM, from_text, rho_apply
 
 
 def element(cons, x, y, z):
@@ -41,6 +42,18 @@ def test_matrix_m_excludes_zero_pair(cons3):
     f = cons3.field
     with pytest.raises(ValueError):
         MatrixM(f.element(0), f.element(0), f.element(cons3.epsilon))
+
+
+def test_vertex_cap(monkeypatch):
+    def unbuilt(*args):
+        raise AssertionError("built past the vertex cap")
+
+    monkeypatch.setattr(construction, "field_create", unbuilt)
+    monkeypatch.setattr(construction, "GroupTable", unbuilt)
+    with pytest.raises(ValueError, match="2197 exceeds the vertex cap 1331"):
+        Construction(13)
+    monkeypatch.undo()
+    assert Construction(13, max_vertices=13**3).n == 13**3
 
 
 @pytest.mark.parametrize("q", [3, 5, 9])
@@ -278,7 +291,7 @@ def test_generators_small_cases(cons3, cons7):
 
 def test_digraph_text_round_trip(cons3):
     g = cons3.build_cayley(2)
-    again = Digraph.from_text(g.to_text())
+    again = from_text(g.to_text())
     assert np.array_equal(again.arcs, g.arcs)
 
 
@@ -287,4 +300,4 @@ def test_digraph_text_round_trip(cons3):
 )
 def test_digraph_from_text_rejects_characters_other_than_0_and_1(text):
     with pytest.raises(ValueError, match="'0' and '1'"):
-        Digraph.from_text(text)
+        from_text(text)

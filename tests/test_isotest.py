@@ -12,6 +12,7 @@ from ddwl.isotest import (
     iso_class_count,
 )
 from ddwl.srings import SRing
+from reference import complete, directed_cycle, random_digraph
 
 
 def test_self_isomorphism(cons3, closures3):
@@ -33,7 +34,7 @@ def test_permuted_copy(cons3, closures3):
 
 
 def test_invariant_distinguisher():
-    g1 = Digraph.complete(5)
+    g1 = complete(5)
     a = g1.arcs.copy()
     a[0, 1] = False
     g2 = Digraph(a)
@@ -43,7 +44,7 @@ def test_invariant_distinguisher():
 
 
 def test_random_digraph_pairs():
-    g = Digraph.random(14, 0.35, seed=41)
+    g = random_digraph(14, 0.35, seed=41)
     perm = np.random.default_rng(1).permutation(14)
     assert are_isomorphic(g, g.relabeled(perm)).isomorphic
     a = g.arcs.copy()
@@ -54,13 +55,13 @@ def test_random_digraph_pairs():
 
 def test_size_mismatch_rejected():
     with pytest.raises(ValueError):
-        are_isomorphic(Digraph.complete(3), Digraph.complete(4))
+        are_isomorphic(complete(3), complete(4))
 
 
 def test_automorphism_orders_known_graphs():
-    assert automorphism_order(Digraph.complete(5)) == 120
-    assert automorphism_order(Digraph.directed_cycle(6)) == 6
-    assert automorphism_order(Digraph.directed_cycle(9)) == 9
+    assert automorphism_order(complete(5)) == 120
+    assert automorphism_order(directed_cycle(6)) == 6
+    assert automorphism_order(directed_cycle(9)) == 9
 
 
 def test_automorphism_order_family_q3(cons3, closures3):
@@ -175,7 +176,7 @@ def test_undetermined_certificate_stays_within_budget(cons3, closures3, budget):
     """The budget is tested before a node is counted: an undetermined answer
     reports at most `budget` nodes, and a search that needs exactly `budget`
     nodes completes."""
-    c6 = Digraph.directed_cycle(6).arcs
+    c6 = directed_cycle(6).arcs
     hexagon = Digraph(c6 | c6.T)
     relabeled = hexagon.relabeled(np.array([3, 1, 2, 0, 4, 5]))
     cert = are_isomorphic(hexagon, relabeled, node_budget=budget)
@@ -213,8 +214,8 @@ def test_iso_class_count_lower_bound_on_budget_exhaustion(cons3, closures3):
 
 
 def test_iso_class_count_mixed():
-    g1 = Digraph.complete(8)
-    g2 = Digraph.directed_cycle(8)
+    g1 = complete(8)
+    g2 = directed_cycle(8)
     g3 = g2.relabeled(np.random.default_rng(5).permutation(8))
     res = iso_class_count([g1, g2, g3])
     assert res.exact and res.count == 2
@@ -285,13 +286,13 @@ def test_certificate_json(cons3, closures3):
     assert payload["type"] == "isomorphic"
     assert len(payload["mapping"]) == 27
     assert payload["nodes"] == cert.nodes > 0 and payload["detail"] == ""
-    g = Digraph.complete(5)
+    g = complete(5)
     arcs = g.arcs.copy()
     arcs[0, 1] = False
     payload = are_isomorphic(g, Digraph(arcs)).to_json()
     assert payload["nodes"] == 0
     assert payload["detail"].startswith("canonical closure invariants differ")
-    g = Digraph.directed_cycle(6)
+    g = directed_cycle(6)
     cert = are_isomorphic(g, g.relabeled(np.array([1, 0, 2, 3, 4, 5])), node_budget=1)
     payload = cert.to_json()
     assert payload == {"type": "undetermined", "nodes": cert.nodes, "detail": cert.detail}

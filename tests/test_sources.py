@@ -1,0 +1,42 @@
+"""Every function and class defined in src/ddwl has a caller in the program.
+
+A definition counts as called when its name occurs as a whole word outside
+its own lines in src/ddwl (the package `__init__` aside), demos/ or
+perfbench/.  Constructors and oracles that only the tests use live under
+tests/.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted(p for p in (ROOT / "src" / "ddwl").glob("*.py") if p.name != "__init__.py")
+SEARCHED = MODULES + sorted((ROOT / "demos").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
+
+
+def _definitions(path: Path):
+    """(name, first line, last line) of every function and class, dunders aside."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                yield node.name, node.lineno, node.end_lineno
+
+
+def _has_caller(name: str, home: Path, first: int, last: int) -> bool:
+    word = re.compile(rf"\b{re.escape(name)}\b")
+    for path in SEARCHED:
+        lines = path.read_text().splitlines()
+        if path == home:
+            lines = lines[: first - 1] + lines[last:]
+        if any(word.search(line) for line in lines):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.stem)
+def test_every_definition_has_a_caller(module):
+    uncalled = [name for name, a, b in _definitions(module) if not _has_caller(name, module, a, b)]
+    assert uncalled == [], f"{module.name}: nothing in the program calls {uncalled}"
