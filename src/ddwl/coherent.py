@@ -367,15 +367,12 @@ def orbit_close(color0: np.ndarray, gens: list[np.ndarray]) -> CoherentConfigura
 
 def cayley_close(g: Digraph, table: GroupTable) -> CoherentConfiguration:
     """wl_close(g) for a Cayley digraph over the indexed group, refined from
-    row e alone.  The generators are the right translations by (t**k, 0, 0)
-    and (0, t**k, 0), k < l, for t the field's generator over GF(p): they
+    row e alone.  The generators are `table.right_translations()`: they
     generate the group, and `orbit_close` checks each against the initial
     coloring; NotInvariant when g is not a Cayley digraph over the table."""
     if g.n != table.n:
         raise ValueError("graph and group differ in order")
-    q, f = table.q, table.field
-    gens = [table.mult[:, f.p**k * t] for k in range(f.l) for t in (q * q, q)]
-    return orbit_close(_initial_coloring(g)[0], gens)
+    return orbit_close(_initial_coloring(g)[0], table.right_translations())
 
 
 def _individualized(cc: CoherentConfiguration, v: int) -> np.ndarray:

@@ -209,7 +209,11 @@ class Construction:
         arcs = np.zeros((self.n, self.n), dtype=bool)
         arcs[np.arange(self.n), self.table.mult[conn]] = True  # row x of mult: g -> x * g
         suffix = "" if include_identity else ", loopless"
-        return Digraph(arcs, label=f"Cay(q={self.q}, i={i}{suffix})")
+        return Digraph(
+            arcs,
+            label=f"Cay(q={self.q}, i={i}{suffix})",
+            translations=self.table.right_translations(),
+        )
 
     # -- the extended index group ------------------------------------------
 

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coherent import NotInvariant
 from .construction import Construction
 from .digraph import Digraph
 
@@ -67,38 +68,95 @@ class DDDReport:
         return self.regular and self.asymmetric and self.counts_match
 
 
+def _prove_translations(g: Digraph, class_ids: np.ndarray) -> None:
+    """Prove that g.translations generate a group of automorphisms of g that
+    permutes the classes and is transitive on the vertices; else
+    NotInvariant.  After one scan of the arcs, each translation costs
+    O(n |row 0|).  A permutation s that maps every arc
+    to an arc maps the arc set onto itself, so arcs[s][:, s] == arcs."""
+    n, arcs = g.n, g.arcs
+    gens = [np.asarray(s) for s in g.translations]
+    rows, cols = np.divmod(np.flatnonzero(arcs), n)  # np.nonzero(arcs), four times faster
+    _, labels = np.unique(class_ids, return_inverse=True)
+    m = int(labels.max()) + 1
+    for s in gens:
+        if s.shape != (n,) or s.dtype.kind not in "iu" or not np.array_equal(np.sort(s), np.arange(n)):
+            raise NotInvariant("a translation is not a permutation of the vertices")
+        if not arcs[s[rows], s[cols]].all():
+            raise NotInvariant("a translation maps an arc to a non-arc")
+        if len(np.unique(labels * m + labels[s])) != m:
+            raise NotInvariant("a translation does not permute the classes")
+    reached = np.zeros(n, dtype=bool)
+    reached[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        images = np.concatenate([s[frontier] for s in gens])
+        frontier = np.unique(images[~reached[images]])
+        reached[frontier] = True
+    if not reached.all():
+        raise NotInvariant("the translations do not act transitively")
+
+
 def verify_ddd(g: Digraph, class_ids: np.ndarray, expected: tuple[int, int]) -> DDDReport:
     """Per-direction common-neighbor counts over unordered vertex pairs.
 
     For each pair, the number of common dominators (w with arcs to both) and
     common dominated vertices (w with arcs from both) is tallied separately
     for same-class and cross-class pairs; the report keeps the distribution
-    of observed values and a witness pair for the first deviation from the
-    expected (lambda1, lambda2).  The counts are float32 matmuls, exact because
-    every partial sum is an integer <= n < 2**24; a larger n raises.
+    of observed values and a witness pair, the first deviation from the
+    expected (lambda1, lambda2) in row-major order.
+
+    A digraph that carries `translations` is counted from row 0: once
+    `_prove_translations` has shown that they generate a transitive group of
+    automorphisms permuting the classes, the pairs (u, v) and (0, v') with
+    v' the image of v under an element sending u to 0 have the same counts
+    and class relation.  So each value in row 0 of A.A^T and A^T.A, over
+    v != 0, stands for n/2 unordered pairs, and the first deviating pair lies
+    in row 0.  A plain digraph takes the dense oracle: float32 matmuls, exact
+    because every partial sum is an integer <= n < 2**24; a larger n raises.
     """
     if g.n >= 2**24:
         raise ValueError(f"n = {g.n} >= 2**24: float32 counts would not be exact")
-    a = g.arcs.astype(np.float32)
-    common_out = (a @ a.T).astype(np.int32)
-    common_in = (a.T @ a).astype(np.int32)
     class_ids = np.asarray(class_ids)
-    upper = np.triu(np.ones((g.n, g.n), dtype=bool), k=1)
-    same = class_ids[:, None] == class_ids[None, :]
+    a = g.arcs
+    if g.translations:
+        _prove_translations(g, class_ids)
+        # (1, n) rows, so the witness below reads them as it reads matrices
+        common_out = a[:, a[0]].sum(axis=1)[None, :]
+        common_in = a[a[:, 0]].sum(axis=0)[None, :]
+        same = (class_ids == class_ids[0])[None, :]
+        upper = (np.arange(g.n) > 0)[None, :]
+        out_degrees, in_degrees = {int(a[0].sum())}, {int(a[:, 0].sum())}
+        asymmetric = not (a[0] & a[:, 0])[1:].any()
+        loopless = not a[0, 0]
+        weight = g.n  # ordered pairs per entry, two per unordered pair
+    else:
+        af = a.astype(np.float32)
+        common_out = (af @ af.T).astype(np.int32)
+        common_in = (af.T @ af).astype(np.int32)
+        same = class_ids[:, None] == class_ids[None, :]
+        upper = np.triu(np.ones((g.n, g.n), dtype=bool), k=1)
+        out_degrees = set(np.unique(g.out_degrees()).tolist())
+        in_degrees = set(np.unique(g.in_degrees()).tolist())
+        asymmetric = g.is_asymmetric()
+        loopless = not a.diagonal().any()
+        weight = 2  # each entry is one unordered pair
     same_upper, cross_upper = same & upper, ~same & upper
 
     def dist(matrix, mask):
-        counts = np.bincount(matrix[mask])
+        counts, odd = np.divmod(np.bincount(matrix[mask]) * weight, 2)
+        if odd.any():
+            raise RuntimeError("row 0 stands for a fractional number of unordered pairs")
         return {int(v): int(counts[v]) for v in np.flatnonzero(counts)}
 
     report = DDDReport(
         v=g.n,
         m=len(np.unique(class_ids)),
         n_class=int(np.bincount(class_ids).max()),
-        out_degrees=set(np.unique(g.out_degrees()).tolist()),
-        in_degrees=set(np.unique(g.in_degrees()).tolist()),
-        asymmetric=g.is_asymmetric(),
-        loopless=not g.arcs.diagonal().any(),
+        out_degrees=out_degrees,
+        in_degrees=in_degrees,
+        asymmetric=asymmetric,
+        loopless=loopless,
         same_in=dist(common_in, same_upper),
         same_out=dist(common_out, same_upper),
         cross_in=dist(common_in, cross_upper),
@@ -195,7 +253,7 @@ def verify_design_iso(cons: Construction, i: int) -> DesignIsoReport:
     block g0 of each design is row g0 of its Cayley adjacency matrix."""
     maps = desiso_maps(cons, i)
     arcs0 = cons.build_cayley(0).arcs
-    moved = cons.build_cayley(i).arcs[np.ix_(maps.h, maps.f)]
+    moved = cons.build_cayley(i).arcs[maps.h][:, maps.f]  # rows, then columns: faster than np.ix_
     report = DesignIsoReport(
         q=cons.q,
         i=i,

@@ -16,6 +16,10 @@ import numpy as np
 class Digraph:
     arcs: np.ndarray
     label: str = field(default="")
+    # vertex permutations claimed to be automorphisms that act transitively
+    # (a Cayley digraph's right translations); `designs.verify_ddd` proves the
+    # claim before it counts from one row.  Only `build_cayley` sets them.
+    translations: tuple = field(default=(), repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.arcs, dtype=bool)

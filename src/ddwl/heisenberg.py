@@ -92,6 +92,19 @@ class GroupTable:
         q = self.q
         return (ix * q + iy) * q + iz
 
+    def right_translations(self) -> tuple[np.ndarray, ...]:
+        """The vertex permutations u -> u * h for h = (t**k, 0, 0) and then
+        (0, t**k, 0), k < l, with t the field's generator over GF(p), from the
+        closed form (x, y, z) * (hx, hy, 0) = (x + hx, y + hy, z + x * hy).
+        The 2l elements h generate H3(q), so the translations act transitively."""
+        f = self.field
+        out = []
+        for k in range(f.l):
+            tk = f.p**k  # the index of t**k
+            out.append(self._pack(f.add(self.ix, tk), self.iy, self.iz))
+            out.append(self._pack(self.ix, f.add(self.iy, tk), f.add(self.iz, f.mul(self.ix, tk))))
+        return tuple(out)
+
     def vertex_index(self, g: GroupElement) -> int:
         return g.x.index * self.q**2 + g.y.index * self.q + g.z.index
 

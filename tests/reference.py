@@ -1,6 +1,7 @@
 """Constructors and scalar references that only the tests use.
 
-`from_text` reads the 0/1 text format that `ddwl build` writes.  `MatrixM`
+`from_text` reads the 0/1 text format that `ddwl build` writes;
+`move_one_arc` spoils a Cayley digraph that keeps its translations.  `MatrixM`
 and `rho_apply` are the element-by-element automorphism map that
 `Construction.rho_perm` is compared against.
 """
@@ -25,6 +26,15 @@ def from_text(text: str) -> Digraph:
     if a.shape != (n, n):
         raise ValueError("ragged adjacency rows")
     return Digraph(a)
+
+
+def move_one_arc(g: Digraph) -> Digraph:
+    """g with its arc (0, v), v the second out-neighbour of 0, moved to
+    (0, w), w the first vertex 0 does not dominate; the translations kept."""
+    arcs = g.arcs.copy()
+    v, w = np.flatnonzero(arcs[0])[1], np.flatnonzero(~arcs[0])[0]
+    arcs[0, v], arcs[0, w] = False, True
+    return Digraph(arcs, label=g.label, translations=g.translations)
 
 
 def complete(n: int) -> Digraph:

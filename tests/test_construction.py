@@ -301,3 +301,15 @@ def test_digraph_text_round_trip(cons3):
 def test_digraph_from_text_rejects_characters_other_than_0_and_1(text):
     with pytest.raises(ValueError, match="'0' and '1'"):
         from_text(text)
+
+
+def test_only_cayley_digraphs_carry_translations(cons3, cons9):
+    for cons in (cons3, cons9):
+        for loops in (True, False):
+            g = cons.build_cayley(1, include_identity=loops)
+            want = cons.table.right_translations()
+            assert len(g.translations) == len(want) == 2 * cons.field.l
+            assert all(np.array_equal(s, w) for s, w in zip(g.translations, want))
+            assert "translations" not in repr(g)
+            relabeled = g.relabeled(np.arange(cons.n)[::-1])
+            assert relabeled.translations == () and from_text(g.to_text()).translations == ()

@@ -3,9 +3,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from ddwl.coherent import NotInvariant
 from ddwl.construction import Construction
 from ddwl.designs import desiso_maps, verify_ddd, verify_design_iso
 from ddwl.digraph import Digraph
+from reference import move_one_arc
 
 
 def test_verify_ddd_on_looped_digraph(cons3):
@@ -84,6 +86,98 @@ def test_verify_ddd_matches_int64_oracle_on_cayley(q, loops, request):
     g = cons.build_cayley(cons.generators_I()[0], include_identity=loops)
     rep = _assert_ddd_matches_oracle(g, cons.table.coset_ids, (0, q))
     assert rep.counts_match == loops
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+@pytest.mark.parametrize("loops", [True, False], ids=["looped", "loopless"])
+def test_verify_ddd_dense_path_matches_int64_oracle_on_cayley(q, loops, request):
+    """The same digraphs without their translations take the dense path."""
+    cons = request.getfixturevalue(f"cons{q}")
+    g = Digraph(cons.build_cayley(cons.generators_I()[0], include_identity=loops).arcs)
+    assert g.translations == ()
+    rep = _assert_ddd_matches_oracle(g, cons.table.coset_ids, (0, q))
+    assert rep.counts_match == loops
+
+
+def _ordered(value):
+    """A report field with the order of every dict made visible."""
+    if isinstance(value, dict):
+        return [(k, _ordered(v)) for k, v in value.items()]
+    return value
+
+
+def _assert_one_row_equals_dense(g, class_ids, expected):
+    assert g.translations
+    one_row = verify_ddd(g, class_ids, expected)
+    dense = verify_ddd(Digraph(g.arcs, label=g.label), class_ids, expected)
+    assert _ordered(vars(one_row)) == _ordered(vars(dense))
+    return one_row
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_verify_ddd_one_row_equals_dense_on_every_label(q, request):
+    cons = request.getfixturevalue(f"cons{q}")
+    for i in range(q):
+        for loops in (True, False):
+            g = cons.build_cayley(i, include_identity=loops)
+            rep = _assert_one_row_equals_dense(g, cons.table.coset_ids, (0, q))
+            assert rep.counts_match == loops and (rep.witness is None) == loops
+
+
+def test_verify_ddd_one_row_equals_dense_on_generators_q11(contexts):
+    cons = contexts[11].cons
+    for i in cons.generators_I():
+        for loops in (True, False):
+            g = cons.build_cayley(i, include_identity=loops)
+            _assert_one_row_equals_dense(g, cons.table.coset_ids, (0, 11))
+
+
+def test_verify_ddd_refuses_a_moved_arc(cons5):
+    with pytest.raises(NotInvariant, match="non-arc"):
+        verify_ddd(move_one_arc(cons5.build_cayley(1)), cons5.table.coset_ids, (0, 5))
+
+
+def test_verify_ddd_refuses_translations_that_are_not_transitive(cons5):
+    g = cons5.build_cayley(1)
+    y_step = cons5.table.right_translations()[1]   # u -> u * (0, 1, 0)
+    with pytest.raises(NotInvariant, match="transitively"):
+        verify_ddd(Digraph(g.arcs, translations=(y_step,)), cons5.table.coset_ids, (0, 5))
+
+
+def test_verify_ddd_refuses_classes_the_translations_do_not_permute(cons5):
+    g = cons5.build_cayley(1)
+    class_ids = np.random.default_rng(0).integers(0, 25, cons5.n)
+    with pytest.raises(NotInvariant, match="classes"):
+        verify_ddd(g, class_ids, (0, 5))
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [lambda s: np.where(s == s[1], s[0], s), lambda s: s[:-1], lambda s: s.astype(np.float64)],
+    ids=["repeated", "short", "float"],
+)
+def test_verify_ddd_refuses_a_translation_that_is_not_a_permutation(cons5, spoil):
+    g = cons5.build_cayley(1)
+    steps = list(g.translations)
+    steps[0] = spoil(steps[0])
+    with pytest.raises(NotInvariant, match="permutation"):
+        verify_ddd(Digraph(g.arcs, translations=tuple(steps)), cons5.table.coset_ids, (0, 5))
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_verify_ddd_one_row_fails_a_swapped_connection_element(q, request):
+    """Cay(H, X') for X' = X_i with one element swapped for a vertex outside
+    it is still Cayley, so the proofs pass; the counts fail, with the dense
+    path's witness."""
+    cons = request.getfixturevalue(f"cons{q}")
+    i = cons.generators_I()[0]
+    conn = cons.build_X(i).copy()
+    conn[1] = np.setdiff1d(np.arange(cons.n), conn)[0]
+    arcs = np.zeros((cons.n, cons.n), dtype=bool)
+    arcs[np.arange(cons.n), cons.table.mult[conn]] = True
+    g = Digraph(arcs, translations=cons.table.right_translations())
+    rep = _assert_one_row_equals_dense(g, cons.table.coset_ids, (0, q))
+    assert not rep.counts_match and rep.witness is not None
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -187,3 +187,16 @@ def test_table_build_holds_no_other_n2_scratch():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * t.mult.nbytes
+
+
+@pytest.mark.parametrize("p,l", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_right_translations_are_mult_columns(p, l):
+    """u -> u * h from the closed form equals column h of the table, for
+    h = (t**k, 0, 0) and then (0, t**k, 0), k < l; q = 9 has l = 2."""
+    t = GroupTable(field_create(p, l))
+    q = t.q
+    hs = [p**k * step for k in range(l) for step in (q * q, q)]
+    got = t.right_translations()
+    assert len(got) == 2 * l
+    for s, h in zip(got, hs):
+        assert s.dtype == np.int32 and np.array_equal(s, t.mult[:, h])

@@ -12,6 +12,7 @@ from ddwl import designs, isotest, srings, suite
 from ddwl.cli import main
 from ddwl.construction import Construction
 from ddwl.digraph import Digraph
+from reference import move_one_arc
 
 
 def _wrap_cayley(cons, change):
@@ -120,12 +121,9 @@ def test_corrupted_input_fails(name, monkeypatch):
     assert ("error" in result.data) == (name == "orbit_partition"), result.data
 
 
-@pytest.mark.parametrize("name", ["wl_closure", "one_point_extension"])
-def test_non_cayley_digraph_fails_loudly(name, tmp_path, monkeypatch, capsys):
-    """The closure and the extension have one engine each: a relabelled digraph
-    is not Cayley over the table, and the check reports the engine's refusal."""
-    cons = Construction(3)
-    _relabel(cons, monkeypatch)
+def _assert_verify_reports_not_invariant(cons, name, tmp_path, monkeypatch, capsys):
+    """`ddwl verify 3` on cons, with only the named check, exits 1 and reports
+    the engine's NotInvariant as the check's error."""
     monkeypatch.setattr(suite, "Construction", lambda q, max_vertices: cons)
     monkeypatch.setattr(suite, "REGISTRY", [c for c in suite.REGISTRY if c.name == name])
     out = tmp_path / "r.json"
@@ -134,6 +132,23 @@ def test_non_cayley_digraph_fails_loudly(name, tmp_path, monkeypatch, capsys):
     assert check["status"] == "fail"
     assert check["data"]["error"].startswith("NotInvariant: "), check["data"]
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", ["wl_closure", "one_point_extension"])
+def test_non_cayley_digraph_fails_loudly(name, tmp_path, monkeypatch, capsys):
+    """The closure and the extension have one engine each: a relabelled digraph
+    is not Cayley over the table, and the check reports the engine's refusal."""
+    cons = Construction(3)
+    _relabel(cons, monkeypatch)
+    _assert_verify_reports_not_invariant(cons, name, tmp_path, monkeypatch, capsys)
+
+
+def test_moved_arc_fails_ddd_parameters_loudly(tmp_path, monkeypatch, capsys):
+    """The one-row counts prove the translations on the arcs: a digraph that
+    carries them but is not invariant is refused, never counted."""
+    cons = Construction(3)
+    _wrap_cayley(cons, lambda i, g: move_one_arc(g))
+    _assert_verify_reports_not_invariant(cons, "ddd_parameters", tmp_path, monkeypatch, capsys)
 
 
 def test_forged_k_element_fails_k_automorphisms(monkeypatch):
