@@ -4,7 +4,6 @@ Weisfeiler-Leman verification suite."""
 from .coherent import (
     CoherentConfiguration,
     as_sring_partition,
-    cayley_close,
     one_point_extension,
     verify_algebraic_map,
     wl_close,
@@ -42,7 +41,6 @@ __all__ = [
     "are_isomorphic",
     "as_sring_partition",
     "automorphism_order",
-    "cayley_close",
     "center",
     "coset_id",
     "desiso_maps",

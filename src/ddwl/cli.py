@@ -88,7 +88,7 @@ def cmd_wl(args) -> int:
     cons = _construction(args.q)
     i = _validated_i(cons, args.i)
     g = cons.build_cayley(i, include_identity=not args.loopless)
-    cc = coherent.cayley_close(g, cons.table)  # with or without loops, g is Cayley
+    cc = coherent.wl_close(g)
     payload = {"q": args.q, "i": i, "label": g.label, "n": g.n, "rounds": cc.rounds}
     payload.update(cc.tensor_json())
     _emit(payload, args.tensor_out)
@@ -99,8 +99,7 @@ def cmd_iso(args) -> int:
     cons = _construction(args.q)
     gens = cons.generators_I()
     graphs = [cons.build_cayley(i) for i in gens]
-    closures = [coherent.cayley_close(g, cons.table) for g in graphs]
-    result = isotest.iso_class_count(graphs, closures)
+    result = isotest.iso_class_count(graphs)
     payload = {
         "q": args.q,
         "labels": gens,

@@ -38,10 +38,11 @@ transversal; Seress, Permutation Group Algorithms, 2003).  The stable
 coloring is invariant under the group, so every color class meets a
 representative row; the key set, hence the canonical names, the rank, the
 rounds and the tensor, are the dense engine's.  The dense engine is the
-same round with every row a representative.  `orbit_close` is the entry
-point; `cayley_close` (right translations of a Cayley digraph, one row)
-and `orbit_extension` (a group fixing the individualized vertex) are its
-callers.
+same round with every row a representative.  `wl_close` runs `orbit_close`
+on a digraph that carries translations (a Cayley digraph's right
+translations: one row) and the dense engine on any other;
+`orbit_extension` (a group fixing the individualized vertex) is the other
+caller.
 
 Intersection numbers.  The round that confirms stability gives every pair
 of color t the same key, so that key is the multiset of codes
@@ -323,10 +324,22 @@ def _close(
 
 
 def wl_close(g: Digraph) -> CoherentConfiguration:
-    """Smallest coherent configuration whose colors refine the arc relation."""
+    """Smallest coherent configuration whose colors refine the arc relation:
+    by `orbit_close` from g's translations when it carries them (NotInvariant
+    unless they are automorphisms of g), else by the dense engine."""
     if g.n < 1:
         raise ValueError("need at least one vertex")
+    if g.translations:
+        return orbit_close(_initial_coloring(g)[0], list(g.translations))
     return _close(*_initial_coloring(g))
+
+
+def as_permutation(s, n: int) -> np.ndarray:
+    """s as an integer array of shape (n,) holding 0..n-1 once each; else NotInvariant."""
+    s = np.asarray(s)
+    if s.shape != (n,) or s.dtype.kind not in "iu" or not np.array_equal(np.sort(s), np.arange(n)):
+        raise NotInvariant("a generator is not a permutation of the vertices")
+    return s
 
 
 def orbit_close(color0: np.ndarray, gens: list[np.ndarray]) -> CoherentConfiguration:
@@ -342,7 +355,8 @@ def orbit_close(color0: np.ndarray, gens: list[np.ndarray]) -> CoherentConfigura
     ar = np.arange(n)
     steps = []
     for s in gens:
-        if not (np.array_equal(np.sort(s), ar) and np.array_equal(color0[np.ix_(s, s)], color0)):
+        s = as_permutation(s, n)
+        if not np.array_equal(color0[np.ix_(s, s)], color0):
             raise NotInvariant("a generator is not an automorphism of the coloring")
         steps.append((s, np.argsort(s)))
     which = np.full(n, -1, dtype=np.int64)
@@ -363,16 +377,6 @@ def orbit_close(color0: np.ndarray, gens: list[np.ndarray]) -> CoherentConfigura
     cc = _close(*_renumber(color0), Orbits(np.array(reps), which, transversal))
     cc.generators = [s for s, _ in steps]
     return cc
-
-
-def cayley_close(g: Digraph, table: GroupTable) -> CoherentConfiguration:
-    """wl_close(g) for a Cayley digraph over the indexed group, refined from
-    row e alone.  The generators are `table.right_translations()`: they
-    generate the group, and `orbit_close` checks each against the initial
-    coloring; NotInvariant when g is not a Cayley digraph over the table."""
-    if g.n != table.n:
-        raise ValueError("graph and group differ in order")
-    return orbit_close(_initial_coloring(g)[0], table.right_translations())
 
 
 def _individualized(cc: CoherentConfiguration, v: int) -> np.ndarray:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import NotInvariant
+from .coherent import NotInvariant, as_permutation
 from .construction import Construction
 from .digraph import Digraph
 
@@ -75,13 +75,11 @@ def _prove_translations(g: Digraph, class_ids: np.ndarray) -> None:
     O(n |row 0|).  A permutation s that maps every arc
     to an arc maps the arc set onto itself, so arcs[s][:, s] == arcs."""
     n, arcs = g.n, g.arcs
-    gens = [np.asarray(s) for s in g.translations]
+    gens = [as_permutation(s, n) for s in g.translations]
     rows, cols = np.divmod(np.flatnonzero(arcs), n)  # np.nonzero(arcs), four times faster
     _, labels = np.unique(class_ids, return_inverse=True)
     m = int(labels.max()) + 1
     for s in gens:
-        if s.shape != (n,) or s.dtype.kind not in "iu" or not np.array_equal(np.sort(s), np.arange(n)):
-            raise NotInvariant("a translation is not a permutation of the vertices")
         if not arcs[s[rows], s[cols]].all():
             raise NotInvariant("a translation maps an arc to a non-arc")
         if len(np.unique(labels * m + labels[s])) != m:

@@ -16,9 +16,9 @@ import numpy as np
 class Digraph:
     arcs: np.ndarray
     label: str = field(default="")
-    # vertex permutations claimed to be automorphisms that act transitively
-    # (a Cayley digraph's right translations); `designs.verify_ddd` proves the
-    # claim before it counts from one row.  Only `build_cayley` sets them.
+    # claimed automorphisms acting transitively (a Cayley digraph's right translations,
+    # set only by `build_cayley`): `designs.verify_ddd` proves the claim and counts from
+    # one row, `coherent.wl_close` proves them automorphisms and refines one row per orbit.
     translations: tuple = field(default=(), repr=False, compare=False)
 
     def __post_init__(self):

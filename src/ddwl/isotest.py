@@ -16,9 +16,9 @@ recomputed.  Candidate leaves are verified color-exactly, and every emitted
 isomorphism witness and searched automorphism generator is re-verified
 arc-exactly before use, so the engine never reports a false positive;
 negatives come from exhausted search.  An isomorphism search prunes its
-first branching node by the generators cc2 records (`orbit_close` proved
-them on its initial coloring), else by Aut(g2), searched for only once a
-root candidate has failed: a candidate's orbit then fails with it.
+first branching node by the generators cc2 records (the translations
+`wl_close` proved when g2 carries them), else by Aut(g2), searched for only
+once a root candidate has failed: a candidate's orbit then fails with it.
 
 Automorphism group orders use the orbit-stabilizer chain: the order is the
 orbit length of the first individualized vertex times the order of its

@@ -85,9 +85,9 @@ class Context:
         return srings.structure_constants(self.ring)
 
     def closure(self, i: int) -> coherent.CoherentConfiguration:
-        """The closure of digraph i, refined from row e."""
+        """The closure of digraph i, refined from row e by its translations."""
         if i not in self.closures:
-            self.closures[i] = coherent.cayley_close(self.cons.build_cayley(i), self.cons.table)
+            self.closures[i] = coherent.wl_close(self.cons.build_cayley(i))
         return self.closures[i]
 
     def extension(self, i: int) -> coherent.CoherentConfiguration:

@@ -206,6 +206,7 @@ def test_criterion_12_wl_tensor_matches_structure_constants(
     gens = ctx.cons.generators_I()
     if q == 7:
         dense = request.getfixturevalue("dense_closure7")
+        assert dense.generators == [] and ctx.closure(gens[0]).generators
         assert np.array_equal(dense.color, ctx.closure(gens[0]).color)
     wl = next(c for c in REGISTRY if c.name == "wl_closure")
     for i in gens if wl.variant(q, "full") == "exhaustive" else gens[:1]:
@@ -236,6 +237,7 @@ def test_criterion_12_relabeling_invariance(cons3, acceptance_log):
         cc = wl_close(g)
         for _ in range(10):
             cc2 = wl_close(g.relabeled(rng.permutation(g.n)))
+            assert cc2.generators == []   # a relabelled copy carries no translations
             assert cc2.rank == cc.rank
             assert np.array_equal(cc2.color_multiset(), cc.color_multiset())
             assert np.array_equal(cc2.tensor, cc.tensor)

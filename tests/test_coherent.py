@@ -95,17 +95,23 @@ def test_canonical_invariance_under_relabeling(cons3, maker):
     for _ in range(10):
         perm = rng.permutation(g.n)
         cc2 = wl_close(g.relabeled(perm))
+        assert cc2.generators == []   # a relabelled copy carries no translations
         assert cc2.rank == cc.rank
         assert np.array_equal(cc2.color_multiset(), cc.color_multiset())
         assert np.array_equal(cc2.tensor, cc.tensor)
 
 
+def _plain(g):
+    """g without its translations, which `wl_close` refines densely."""
+    return Digraph(g.arcs)
+
+
 _DENSE_REFINEMENTS = pytest.mark.parametrize(
     "maker, encoding",
     [
-        (lambda cons: wl_close(cons.build_cayley(1)), "count"),
-        (lambda cons: wl_close(cons.build_cayley(1, include_identity=False)), "count"),
-        (lambda cons: one_point_extension(wl_close(cons.build_cayley(1)), 0), "sort"),
+        (lambda cons: wl_close(_plain(cons.build_cayley(1))), "count"),
+        (lambda cons: wl_close(_plain(cons.build_cayley(1, include_identity=False))), "count"),
+        (lambda cons: one_point_extension(wl_close(_plain(cons.build_cayley(1))), 0), "sort"),
         (lambda cons: wl_close(random_digraph(40, 0.3, seed=3)), "sort"),
         (lambda cons: wl_close(directed_cycle(9)), "count"),
     ],
@@ -138,8 +144,8 @@ def test_refinement_is_independent_of_the_block_size(cons3, maker, encoding, mon
     want = maker(cons3)
     monkeypatch.setattr(coherent, "_BLOCK_ELEMENT_BUDGET", 1)
     got = maker(cons3)
-    assert got.rank == want.rank
-    _assert_same_closure(got, want)
+    assert got.rank == want.rank and got.generators == want.generators == []
+    _assert_same_coloring(got, want)
 
 
 @pytest.mark.parametrize("dtype, big", [(np.uint16, 256), (np.int64, 2**32)])
@@ -368,11 +374,18 @@ def test_rounds_reported(cons3, closures3):
 # -- orbit-row engine against the dense engine -----------------------------------
 
 
+def _assert_same_coloring(a, b):
+    assert np.array_equal(a.color, b.color)
+    assert np.array_equal(a.tensor, b.tensor)
+    assert a.rounds == b.rounds
+    assert np.array_equal(a.converse, b.converse)
+
+
 def _assert_same_closure(orbit, dense):
-    assert np.array_equal(orbit.color, dense.color)
-    assert np.array_equal(orbit.tensor, dense.tensor)
-    assert orbit.rounds == dense.rounds
-    assert np.array_equal(orbit.converse, dense.converse)
+    """The orbit-row refinement equals its dense oracle, and each ran on the
+    engine it is named after: only the orbit side proved generators."""
+    assert len(orbit.generators) > 0 and dense.generators == []
+    _assert_same_coloring(orbit, dense)
 
 
 @pytest.mark.parametrize("q", [3, 5])
@@ -381,12 +394,12 @@ def test_cayley_close_matches_dense_every_label(q, loops, request):
     cons = request.getfixturevalue(f"cons{q}")
     for i in range(q):
         g = cons.build_cayley(i, include_identity=loops)
-        _assert_same_closure(coherent.cayley_close(g, cons.table), wl_close(g))
+        _assert_same_closure(wl_close(g), wl_close(_plain(g)))
 
 
 def test_cayley_close_matches_dense_q7(cons7, dense_closure7):
     g = cons7.build_cayley(cons7.generators_I()[0])
-    _assert_same_closure(coherent.cayley_close(g, cons7.table), dense_closure7)
+    _assert_same_closure(wl_close(g), dense_closure7)
 
 
 @pytest.mark.parametrize("q", [3, 5])
@@ -394,9 +407,10 @@ def test_orbit_extension_matches_dense(q, request):
     cons = request.getfixturevalue(f"cons{q}")
     gen = cons.rho_perm(*cons.k_generator())
     for i in cons.generators_I() if q == 3 else cons.generators_I()[:1]:
-        cc = coherent.cayley_close(cons.build_cayley(i), cons.table)
-        orbit = coherent.orbit_extension(cc, cons.table.identity, [gen])
-        _assert_same_closure(orbit, one_point_extension(cc, cons.table.identity))
+        g = cons.build_cayley(i)
+        orbit = coherent.orbit_extension(wl_close(g), cons.table.identity, [gen])
+        dense = one_point_extension(wl_close(_plain(g)), cons.table.identity)
+        _assert_same_closure(orbit, dense)
 
 
 def test_orbit_extension_q7_pinned(contexts):
@@ -447,15 +461,16 @@ def test_cayley_close_matches_dense_on_generated_connection_sets(
 ):
     cons = request.getfixturevalue(f"cons{q}")
     quot = cons.table.mult[:, cons.table.inv]   # quot[v, u] = v * u**-1
+    translations = cons.table.right_translations()
     ranks = set()
 
     @settings(max_examples=examples, deadline=None, derandomize=True)
     @given(_connection_sets(cons, toggles))
     def check(mask):
-        g = Digraph(mask[quot].T)   # arc (u, v) iff v * u**-1 in the set
-        orbit = coherent.cayley_close(g, cons.table)
+        arcs = mask[quot].T   # arc (u, v) iff v * u**-1 in the set
+        orbit = wl_close(Digraph(arcs, translations=translations))
         ranks.add(orbit.rank)
-        _assert_same_closure(orbit, wl_close(g))
+        _assert_same_closure(orbit, wl_close(Digraph(arcs)))
 
     check()
     # a Cayley closure has rank at most n, so only q = 5 reaches sort mode
@@ -489,12 +504,39 @@ def _assert_schreier(orbits, color0):
 
 
 def test_cayley_close_has_one_orbit(cons3, monkeypatch):
+    """`wl_close` refines a family digraph from row e by its translations,
+    which the closure records as its generators."""
     seen = _spy_orbits(monkeypatch)
     g = cons3.build_cayley(1)
-    coherent.cayley_close(g, cons3.table)
+    cc = wl_close(g)
     (orbits,) = seen
     assert orbits.reps.tolist() == [cons3.table.identity]
     _assert_schreier(orbits, coherent._initial_coloring(g)[0])
+    assert len(cc.generators) == len(g.translations) == 2 * cons3.field.l
+    assert all(np.array_equal(a, b) for a, b in zip(cc.generators, g.translations))
+
+
+def test_wl_close_is_dense_without_translations(cons3, monkeypatch):
+    """A relabelled family digraph and a plain copy carry no translations:
+    the dense engine refines them and records no generators."""
+    g = cons3.build_cayley(1)
+    seen = _spy_orbits(monkeypatch)
+    for plain in (g.relabeled(np.random.default_rng(0).permutation(g.n)), _plain(g)):
+        assert wl_close(plain).generators == []
+    assert seen == [None, None]
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [lambda s: np.where(s == s[1], s[0], s), lambda s: s[:-1], lambda s: s.astype(np.float64)],
+    ids=["repeated", "short", "float"],
+)
+def test_wl_close_refuses_a_translation_that_is_not_a_permutation(cons3, spoil):
+    g = cons3.build_cayley(1)
+    steps = list(g.translations)
+    steps[0] = spoil(steps[0])
+    with pytest.raises(coherent.NotInvariant, match="permutation"):
+        wl_close(Digraph(g.arcs, translations=tuple(steps)))
 
 
 def test_orbit_close_rejects_a_forged_generator(cons3):
@@ -511,7 +553,7 @@ def test_orbit_close_rejects_a_forged_generator(cons3):
     # a relabeled family digraph is not Cayley over the table
     relabeled = g.relabeled(np.random.default_rng(0).permutation(g.n))
     with pytest.raises(coherent.NotInvariant):
-        coherent.cayley_close(relabeled, cons3.table)
+        wl_close(Digraph(relabeled.arcs, translations=cons3.table.right_translations()))
 
 
 def test_orbit_extension_rejects_a_colour_moving_automorphism(cons3, closures3):
@@ -538,7 +580,7 @@ def test_orbit_extension_from_a_subgroup_of_k(q, request, monkeypatch):
     extension as the dense engine's."""
     cons = request.getfixturevalue(f"cons{q}")
     gen = cons.rho_perm(*cons.k_generator())
-    cc = coherent.cayley_close(cons.build_cayley(cons.generators_I()[0]), cons.table)
+    cc = wl_close(cons.build_cayley(cons.generators_I()[0]))
     seen = _spy_orbits(monkeypatch)
     orbit = coherent.orbit_extension(cc, cons.table.identity, [gen[gen]])
     _assert_same_closure(orbit, one_point_extension(cc, cons.table.identity))
@@ -630,7 +672,7 @@ def test_structure_matches_loop_on_closures_and_extensions(q, request):
     gen = cons.rho_perm(*cons.k_generator())
     for i in range(q):
         for loops in (True, False):
-            cc = coherent.cayley_close(cons.build_cayley(i, include_identity=loops), cons.table)
+            cc = wl_close(cons.build_cayley(i, include_identity=loops))
             _assert_structure_matches_loop(cc)
             _assert_structure_matches_loop(
                 coherent.orbit_extension(cc, cons.table.identity, [gen])

@@ -1,4 +1,5 @@
-"""Every function and class defined in src/ddwl has a caller in the program.
+"""Every function and class defined in src/ddwl has a caller in the program,
+and every name the package exports is bound.
 
 A definition counts as called when its name occurs as a whole word outside
 its own lines in src/ddwl (the package `__init__` aside), demos/ or
@@ -11,6 +12,8 @@ import re
 from pathlib import Path
 
 import pytest
+
+import ddwl
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(p for p in (ROOT / "src" / "ddwl").glob("*.py") if p.name != "__init__.py")
@@ -40,3 +43,7 @@ def _has_caller(name: str, home: Path, first: int, last: int) -> bool:
 def test_every_definition_has_a_caller(module):
     uncalled = [name for name, a, b in _definitions(module) if not _has_caller(name, module, a, b)]
     assert uncalled == [], f"{module.name}: nothing in the program calls {uncalled}"
+
+
+def test_every_export_is_bound():
+    assert [name for name in ddwl.__all__ if not hasattr(ddwl, name)] == []

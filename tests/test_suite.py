@@ -25,15 +25,30 @@ def _relabel(cons, mp):
     _wrap_cayley(cons, lambda i, g: g.relabeled(perm))
 
 
+def _relabel_keeping_translations(cons, mp):
+    """Relabels the digraphs but leaves them the table's right translations,
+    which are then no automorphisms of the digraphs they are attached to."""
+    perm = np.random.default_rng(0).permutation(cons.n)
+    _wrap_cayley(
+        cons, lambda i, g: Digraph(g.relabeled(perm).arcs, translations=g.translations)
+    )
+
+
 def _perturb_delta(cons, mp):
     cons.delta = 0
 
 
 def _join_next_orbit(cons, mp):
     """Adds Y_{i+1} to the connection set of X_i: the digraph stays Cayley and
-    K-invariant, so the closure and extension engines accept it."""
+    K-invariant and keeps its translations, so the closure and extension
+    engines accept it."""
     build = cons.build_cayley
-    _wrap_cayley(cons, lambda i, g: Digraph(g.arcs | build((i + 1) % cons.q, False).arcs))
+    _wrap_cayley(
+        cons,
+        lambda i, g: Digraph(
+            g.arcs | build((i + 1) % cons.q, False).arcs, translations=g.translations
+        ),
+    )
 
 
 def _forge_k_element(cons):
@@ -84,7 +99,10 @@ CORRUPTIONS = {
     "ddd_parameters": _relabel,
     "wl_closure": _join_next_orbit,
     "wl_equivalence": lambda cons, mp: _wrap_cayley(
-        cons, lambda i, g: g if i == 1 else Digraph(g.arcs & ~np.eye(cons.n, dtype=bool))
+        cons,
+        lambda i, g: g if i == 1 else Digraph(
+            g.arcs & ~np.eye(cons.n, dtype=bool), translations=g.translations
+        ),
     ),
     "tau_hat_transport": lambda cons, mp: mp.setattr(
         srings, "tau_hat", lambda ring, m: np.arange(ring.r)
@@ -136,11 +154,22 @@ def _assert_verify_reports_not_invariant(cons, name, tmp_path, monkeypatch, caps
 
 @pytest.mark.parametrize("name", ["wl_closure", "one_point_extension"])
 def test_non_cayley_digraph_fails_loudly(name, tmp_path, monkeypatch, capsys):
-    """The closure and the extension have one engine each: a relabelled digraph
-    is not Cayley over the table, and the check reports the engine's refusal."""
+    """A relabelled digraph that still carries the table's translations is not
+    Cayley over the table: the orbit-row engine refuses it, and the check
+    reports the refusal."""
+    cons = Construction(3)
+    _relabel_keeping_translations(cons, monkeypatch)
+    _assert_verify_reports_not_invariant(cons, name, tmp_path, monkeypatch, capsys)
+
+
+def test_plain_relabeled_digraph_fails_wl_closure(monkeypatch):
+    """A relabelled digraph without translations is refined densely; its
+    closure's identity row misses the cells, a plain comparison failure."""
     cons = Construction(3)
     _relabel(cons, monkeypatch)
-    _assert_verify_reports_not_invariant(cons, name, tmp_path, monkeypatch, capsys)
+    monkeypatch.setattr(suite, "Construction", lambda q, max_vertices: cons)
+    result = _run_one("wl_closure", monkeypatch)
+    assert result.status == "fail" and "error" not in result.data, result.data
 
 
 def test_moved_arc_fails_ddd_parameters_loudly(tmp_path, monkeypatch, capsys):
