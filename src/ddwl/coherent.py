@@ -217,6 +217,7 @@ def _refine_round(
     block = max(1, min(m, _BLOCK_ELEMENT_BUDGET // max(1, per_row)))
 
     pieces = []
+    scratch = np.empty((block, n, n), dtype=np.int32) if count_mode else None  # reused per block
     for start in range(0, m, block):
         stop = min(m, start + block)
         nb = stop - start
@@ -224,7 +225,7 @@ def _refine_round(
         old = mine.reshape(nb * n).astype(np.int64)
         if count_mode:
             # nb * n * ncodes stays below the block budget, so int32 suffices
-            codes = mine[:, :, None] * np.int32(rank) + color[None, :, :]
+            codes = np.add(mine[:, :, None] * np.int32(rank), color[None, :, :], out=scratch[:nb])
             offs = (
                 np.arange(nb, dtype=np.int32)[:, None, None] * np.int32(n)
                 + np.arange(n, dtype=np.int32)[None, None, :]
@@ -234,7 +235,7 @@ def _refine_round(
             counts = counts.reshape(nb * n, ncodes)
             keyrows = np.empty((nb * n, ncodes + 1), dtype=">u2")  # old < rank < 2**16
             keyrows[:, 0] = old
-            keyrows[:, 1:] = n - counts  # encodes ascending sorted-vector order
+            np.subtract(n, counts, out=keyrows[:, 1:], casting="unsafe")  # n - counts, in place
         else:
             codes = mine.astype(np.int64)[:, :, None] * rank + c64[None, :, :]  # axis 1 = w
             srt = np.sort(codes, axis=1)
@@ -342,23 +343,47 @@ def as_permutation(s, n: int) -> np.ndarray:
     return s
 
 
+def fixes_coloring(color: np.ndarray, perms: list[np.ndarray]) -> bool:
+    """True iff color[s(u), s(v)] == color[u, v] for all pairs and all
+    permutations s in perms, checked outside the largest color class: s is a
+    bijection on pairs, so once it maps every other class into itself, each
+    class maps onto itself.  On a digraph's arcs that is the arc list."""
+    if color.dtype == bool:
+        outside = ~color if 2 * np.count_nonzero(color) > color.size else color
+    else:
+        sizes = [np.count_nonzero(color == c) for c in range(int(color.max()) + 1)]
+        outside = color != np.argmax(sizes)
+    rows, cols = np.divmod(np.flatnonzero(outside), len(color))
+    values = color[rows, cols]
+    return all(np.array_equal(color[s[rows], s[cols]], values) for s in perms)
+
+
+def reaches_every_vertex(perms: list[np.ndarray], n: int) -> bool:
+    """True iff the orbit of vertex 0 under the group perms generate is [0, n)."""
+    reached, frontier = np.zeros(n, dtype=bool), np.zeros(1, dtype=np.int64)
+    reached[0] = True
+    while frontier.size:
+        images = np.concatenate([s[frontier] for s in perms])
+        frontier = np.unique(images[~reached[images]])
+        reached[frontier] = True
+    return bool(reached.all())
+
+
 def orbit_close(color0: np.ndarray, gens: list[np.ndarray]) -> CoherentConfiguration:
     """The stable refinement of the pair coloring color0, from one row per
     orbit (its least vertex) of the group the permutations gens generate;
-    equal to the dense refinement.  Each generator s is proven once to be a
-    permutation with color0[s(u), s(v)] == color0[u, v], else NotInvariant.
-    The breadth-first pass that reaches w = s(u) from u sets T[w] = T[u] s**-1,
-    so each row of this Schreier transversal is a product of proven
-    automorphisms sending its vertex to its representative.  The result keeps
-    the proven generators as `generators`."""
+    equal to the dense refinement.  `fixes_coloring` proves the generators
+    automorphisms of color0 once (of an initial coloring, on the arc list),
+    else NotInvariant.  The breadth-first pass that reaches w = s(u) from u
+    sets T[w] = T[u] s**-1, so each row of this Schreier transversal is a
+    product of proven automorphisms sending its vertex to its representative.
+    The result keeps the proven generators as `generators`."""
     n = len(color0)
     ar = np.arange(n)
-    steps = []
-    for s in gens:
-        s = as_permutation(s, n)
-        if not np.array_equal(color0[np.ix_(s, s)], color0):
-            raise NotInvariant("a generator is not an automorphism of the coloring")
-        steps.append((s, np.argsort(s)))
+    perms = [as_permutation(s, n) for s in gens]
+    if not fixes_coloring(color0, perms):
+        raise NotInvariant("a generator is not an automorphism of the coloring")
+    steps = [(s, np.argsort(s)) for s in perms]
     which = np.full(n, -1, dtype=np.int64)
     transversal = np.empty((n, n), dtype=np.int32)
     reps: list[int] = []

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import prime_power
+from .coherent import reaches_every_vertex
 from .digraph import Digraph
 from .gf import field_create
 from .heisenberg import GroupTable
@@ -134,18 +135,22 @@ class Construction:
     def build_K(self) -> list[KAutomorphism]:
         """All q**2 - 1 automorphisms in (a, b) order: K = <rho(M(a0, b0))>.
 
-        rho(M(a0, b0)) for (a0, b0) = `k_generator()` is checked to be a
-        bijection and a homomorphism on all n**2 products, so its powers are
-        automorphisms; the k-th must equal the closed form `rho_perm` of
-        M(a0, b0)**k (O(n) each), and the powers must be q**2 - 1 pairs.
-        """
+        g = rho(M(a0, b0)) for (a0, b0) = `k_generator()` must be a bijection with
+        g(u h) == g(u) g(h) for all u and each h = s(e) of a right translation s,
+        proven u -> u h, whose orbit of e is H3(q): the h generate, so by induction
+        on word length g is a homomorphism (O(n l)), and its powers automorphisms.
+        The k-th must equal `rho_perm` of M(a0, b0)**k (O(n) each); q**2 - 1 of them."""
         if self._K is not None:
             return self._K
         mult, gen = self.table.mult, self.k_generator()
         g = self.rho_perm(*gen)
         if not np.array_equal(np.sort(g), np.arange(self.n)):
             raise RuntimeError(f"rho{gen} is not a bijection")
-        if not np.array_equal(g[mult], mult[np.ix_(g, g)]):
+        steps = self.table.right_translations()
+        translations = all(np.array_equal(s, mult[:, s[0]]) for s in steps)
+        if not (translations and reaches_every_vertex(steps, self.n)):
+            raise RuntimeError("the right translations are not u -> u * h for h generating H3(q)")
+        if not all(np.array_equal(g[s], mult[g, g[s[0]]]) for s in steps):
             raise RuntimeError(f"rho{gen} is not a homomorphism")
         powers, perms, perm = self._m_powers(gen), {}, g
         if len(set(powers)) != self.q**2 - 1:

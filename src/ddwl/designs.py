@@ -3,12 +3,14 @@ cosets, and the explicit isomorphism between the neighbourhood designs of
 X_0 and X_i.
 
 The neighbourhood design of Cay(H3(q), X_i) has one block per group element
-g0, its out-neighbourhood X_i * g0, which is row g0 of the adjacency matrix
-built by `Construction.build_cayley(i)`.  The criterion
+g0, its out-neighbourhood X_i * g0.  The criterion
 
     g in X_0 g0  <=>  f(g) in X_i h(g0)
 
-is checked on those rows; the closed form below only derives f and h.
+holds on all n**2 pairs (g0, g) once f and h are permutations, |X_0| = |X_i|
+and f(x g0) h(g0)**-1 lies in X_i for all x in X_0 and g0: the injective map
+(g0, g) -> (h(g0), f(g)) then sends the n |X_0| incidences of design 0 onto
+the n |X_i| of design i.  The closed form below only derives f and h.
 With g = (al, be, ga) and g0 = (al0, be0, ga0), g lies in X_i g0 iff
 
     ga - ga0 = (al - al0)(be + be0) / 2 + ((al - al0)**2 - eps (be - be0)**2) i.
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import NotInvariant, as_permutation
+from .coherent import NotInvariant, as_permutation, fixes_coloring, reaches_every_vertex
 from .construction import Construction
 from .digraph import Digraph
 
@@ -69,29 +71,17 @@ class DDDReport:
 
 
 def _prove_translations(g: Digraph, class_ids: np.ndarray) -> None:
-    """Prove that g.translations generate a group of automorphisms of g that
-    permutes the classes and is transitive on the vertices; else
-    NotInvariant.  After one scan of the arcs, each translation costs
-    O(n |row 0|).  A permutation s that maps every arc
-    to an arc maps the arc set onto itself, so arcs[s][:, s] == arcs."""
-    n, arcs = g.n, g.arcs
-    gens = [as_permutation(s, n) for s in g.translations]
-    rows, cols = np.divmod(np.flatnonzero(arcs), n)  # np.nonzero(arcs), four times faster
+    """Prove that g.translations generate a group of automorphisms of g, on
+    the arc list (`fixes_coloring`), that permutes the classes and is
+    transitive on the vertices; else NotInvariant."""
+    gens = [as_permutation(s, g.n) for s in g.translations]
+    if not fixes_coloring(g.arcs, gens):
+        raise NotInvariant("a translation maps an arc to a non-arc")
     _, labels = np.unique(class_ids, return_inverse=True)
     m = int(labels.max()) + 1
-    for s in gens:
-        if not arcs[s[rows], s[cols]].all():
-            raise NotInvariant("a translation maps an arc to a non-arc")
-        if len(np.unique(labels * m + labels[s])) != m:
-            raise NotInvariant("a translation does not permute the classes")
-    reached = np.zeros(n, dtype=bool)
-    reached[0] = True
-    frontier = np.zeros(1, dtype=np.int64)
-    while frontier.size:
-        images = np.concatenate([s[frontier] for s in gens])
-        frontier = np.unique(images[~reached[images]])
-        reached[frontier] = True
-    if not reached.all():
+    if any(len(np.unique(labels * m + labels[s])) != m for s in gens):
+        raise NotInvariant("a translation does not permute the classes")
+    if not reaches_every_vertex(gens, g.n):
         raise NotInvariant("the translations do not act transitively")
 
 
@@ -116,6 +106,8 @@ def verify_ddd(g: Digraph, class_ids: np.ndarray, expected: tuple[int, int]) -> 
     if g.n >= 2**24:
         raise ValueError(f"n = {g.n} >= 2**24: float32 counts would not be exact")
     class_ids = np.asarray(class_ids)
+    if class_ids.shape != (g.n,):
+        raise ValueError(f"class_ids has shape {class_ids.shape}; the digraph has {g.n} vertices")
     a = g.arcs
     if g.translations:
         _prove_translations(g, class_ids)
@@ -247,19 +239,19 @@ class DesignIsoReport:
 
 
 def verify_design_iso(cons: Construction, i: int) -> DesignIsoReport:
-    """Check g in X_0 g0 <=> f(g) in X_i h(g0) over all n**2 pairs (g0, g):
-    block g0 of each design is row g0 of its Cayley adjacency matrix."""
-    maps = desiso_maps(cons, i)
-    arcs0 = cons.build_cayley(0).arcs
-    moved = cons.build_cayley(i).arcs[maps.h][:, maps.f]  # rows, then columns: faster than np.ix_
-    report = DesignIsoReport(
-        q=cons.q,
-        i=i,
-        crit_holds=bool(np.array_equal(moved, arcs0)),
-        det_a_nonzero=maps.det_nonzero,
-        pairs_checked=arcs0.size,
+    """The criterion over all n**2 pairs (g0, g), from the block list of design 0;
+    a failure's witness is the first pair where the moved adjacency matrices differ."""
+    maps, t, n = desiso_maps(cons, i), cons.table, cons.n
+    x0, xi = cons.build_X(0), cons.build_X(i)
+    in_xi = np.isin(np.arange(n), xi)
+    holds = (
+        all(np.array_equal(np.sort(p), np.arange(n)) for p in (maps.f, maps.h))
+        and len(np.unique(x0)) == len(np.unique(xi))
+        and bool(in_xi[t.mult[maps.f[t.mult[x0]], t.inv[maps.h]]].all())  # (|X_0|, n) blocks
     )
-    if not report.crit_holds:
-        g0, g = (int(v) for v in np.argwhere(moved != arcs0)[0])
+    report = DesignIsoReport(cons.q, i, holds, maps.det_nonzero, pairs_checked=n * n)
+    if not holds:
+        moved = cons.build_cayley(i).arcs[maps.h][:, maps.f]  # rows, then columns
+        g0, g = divmod(int(np.flatnonzero(moved != cons.build_cayley(0).arcs)[0]), n)
         report.witness = {"g": g, "g0": g0}
     return report

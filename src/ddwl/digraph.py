@@ -47,7 +47,7 @@ class Digraph:
         """Rename vertex u to perm[u]."""
         perm = np.asarray(perm)
         n = self.n
-        if sorted(perm.tolist()) != list(range(n)):
+        if sorted(perm.tolist()) != list(range(n)) or perm.dtype.kind not in "iu":
             raise ValueError("perm must be a permutation of [0, n)")
         a = np.empty_like(self.arcs)
         a[np.ix_(perm, perm)] = self.arcs

@@ -153,9 +153,7 @@ def _k_automorphisms(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
     ok = len(ks) == len(listed) == order and np.array_equal(powers[-1], np.arange(cons.n))
     ok &= listed == {p.tobytes() for p in powers}
     gens = cons.generators_I()
-    for i in gens:
-        arcs = cons.build_cayley(i).arcs
-        ok &= np.array_equal(arcs[np.ix_(g, g)], arcs)
+    ok &= all(coherent.fixes_coloring(cons.build_cayley(i).arcs, [g]) for i in gens)
     return ("pass" if ok else "fail"), {"k_order": len(ks), "graph_checks": len(gens)}
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ddwl import coherent
+from ddwl.construction import Construction
 from ddwl.digraph import Digraph
 from ddwl.suite import Context
 
@@ -82,6 +83,12 @@ def cons7(contexts):
 @pytest.fixture(scope="session")
 def cons9(contexts):
     return contexts[9].cons
+
+
+@pytest.fixture(scope="session")
+def cons13():
+    """q = 13, n = 2197: the construction the n**2-free checks are held to."""
+    return Construction(13, max_vertices=13**3)
 
 
 def _closures(ctx):

@@ -1,7 +1,9 @@
 """Constructors and scalar references that only the tests use.
 
 `from_text` reads the 0/1 text format that `ddwl build` writes;
-`move_one_arc` spoils a Cayley digraph that keeps its translations.  `MatrixM`
+`move_one_arc` spoils a Cayley digraph that keeps its translations.
+`fixes_densely` and `design_iso_densely` are the n x n comparisons that
+`coherent.fixes_coloring` and `designs.verify_design_iso` replaced.  `MatrixM`
 and `rho_apply` are the element-by-element automorphism map that
 `Construction.rho_perm` is compared against.
 """
@@ -35,6 +37,20 @@ def move_one_arc(g: Digraph) -> Digraph:
     v, w = np.flatnonzero(arcs[0])[1], np.flatnonzero(~arcs[0])[0]
     arcs[0, v], arcs[0, w] = False, True
     return Digraph(arcs, label=g.label, translations=g.translations)
+
+
+def fixes_densely(color: np.ndarray, s: np.ndarray) -> bool:
+    """color[s(u), s(v)] == color[u, v] on all n**2 pairs."""
+    return bool(np.array_equal(color[s][:, s], color))  # rows, then columns: faster than np.ix_
+
+
+def design_iso_densely(cons, maps) -> tuple[bool, list[int] | None]:
+    """Whether row h(g0), column f(g) of the adjacency matrix of Cay(X_i)
+    equals row g0, column g of that of Cay(X_0) for all n**2 pairs, and the
+    first pair [g0, g] in row-major order where it does not."""
+    moved = cons.build_cayley(maps.i).arcs[maps.h][:, maps.f]
+    bad = np.argwhere(moved != cons.build_cayley(0).arcs)
+    return not len(bad), ([int(v) for v in bad[0]] if len(bad) else None)
 
 
 def complete(n: int) -> Digraph:

@@ -19,7 +19,7 @@ from ddwl.coherent import (
 from ddwl.digraph import Digraph
 from ddwl.isotest import are_isomorphic
 from ddwl.srings import SRing, structure_constants
-from reference import complete, directed_cycle, random_digraph
+from reference import complete, directed_cycle, fixes_densely, random_digraph
 
 
 def test_complete_digraph_rank_two():
@@ -589,6 +589,43 @@ def test_orbit_extension_from_a_subgroup_of_k(q, request, monkeypatch):
     for i in range(q):
         halves = np.bincount(orbits.which[cons.build_Y(i)])
         assert sorted(halves[halves > 0].tolist()) == [(q * q - 1) // 2] * 2
+
+
+def _candidate_perms(cons):
+    """The right translations and K's generator, automorphisms of every family
+    digraph, and two permutations that are not: u -> h * u for a non-central
+    h, and a transposition."""
+    t = cons.table
+    steps = list(t.right_translations())
+    swap = np.arange(cons.n)
+    swap[[1, 2]] = [2, 1]
+    return steps + [cons.rho_perm(*cons.k_generator()), t.mult[steps[1][0]], swap]
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 13])
+def test_fixes_coloring_equals_the_dense_oracle_on_every_label(q, request):
+    """On the arcs of every label; at q <= 9 also on their complement, where
+    the arcs are the largest class, and on the initial coloring."""
+    cons = request.getfixturevalue(f"cons{q}")
+    perms = _candidate_perms(cons)
+    for i in range(q):
+        g = cons.build_cayley(i)
+        colorings = [g.arcs] + ([~g.arcs, coherent._initial_coloring(g)[0]] if q <= 9 else [])
+        for color in colorings:
+            got = [coherent.fixes_coloring(color, [s]) for s in perms]
+            assert got == [fixes_densely(color, s) for s in perms]
+            assert got[: len(perms) - 2] == [True] * (len(perms) - 2) and not got[-1]
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_fixes_coloring_equals_the_dense_oracle_on_an_individualized_closure(q, request):
+    cons = request.getfixturevalue(f"cons{q}")
+    perms = _candidate_perms(cons)
+    for cc in request.getfixturevalue(f"closures{q}").values():
+        color = coherent._individualized(cc, cons.table.identity)
+        got = [coherent.fixes_coloring(color, [s]) for s in perms]
+        assert got == [fixes_densely(color, s) for s in perms]
+        assert got[len(perms) - 3] and not got[0]   # K's generator fixes e; a translation moves it
 
 
 # -- fiber structure and tensor order against the retired loops --------------------

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from ddwl import construction
 from ddwl.arith import euler_phi
 from ddwl.construction import INFINITY, Construction
+from ddwl.digraph import Digraph
 from ddwl.heisenberg import GroupElement
 from reference import MatrixM, from_text, rho_apply
 
@@ -130,6 +132,57 @@ def test_build_k_rejects_a_generator_of_low_order(q, monkeypatch):
     with pytest.raises(RuntimeError, match=r"has \d+ powers, not q\*\*2 - 1"):
         cons.build_K()
     assert cons._K is None
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 13])
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_build_k_generator_proof_equals_the_dense_one(q, corrupt, monkeypatch):
+    """Oracle: the generator's homomorphism check over all n**2 products."""
+    cons = Construction(q, max_vertices=q**3)
+    if corrupt:
+        _corrupt_rho(cons, monkeypatch, cons.k_generator())
+    g, mult = cons.rho_perm(*cons.k_generator()), cons.table.mult
+    dense = np.array_equal(g[mult], mult[np.ix_(g, g)])
+    assert dense != corrupt
+    if dense:
+        assert len(cons.build_K()) == q * q - 1
+    else:
+        with pytest.raises(RuntimeError, match="is not a homomorphism"):
+            cons.build_K()
+
+
+def _spoil_translations(cons, monkeypatch, spoil):
+    steps = list(cons.table.right_translations())
+    monkeypatch.setattr(cons.table, "right_translations", lambda: tuple(spoil(steps)))
+
+
+def test_build_k_rejects_a_translation_that_is_not_right_multiplication(monkeypatch):
+    cons = Construction(5)
+    mult = cons.table.mult
+    # u -> h * u for h = (0, 1, 0) joins the translations: a permutation sending e
+    # to h, not u -> u * h, next to steps that do generate H3(q)
+    _spoil_translations(cons, monkeypatch, lambda steps: steps + [mult[steps[1][0]]])
+    with pytest.raises(RuntimeError, match="right translations are not"):
+        cons.build_K()
+
+
+def test_build_k_rejects_translations_that_do_not_generate(monkeypatch):
+    cons = Construction(5)
+    # the steps by (1, 0, 0) reach only the vertices (x, 0, 0)
+    _spoil_translations(cons, monkeypatch, lambda steps: steps[::2])
+    with pytest.raises(RuntimeError, match="right translations are not"):
+        cons.build_K()
+
+
+def test_build_k_peak_stays_below_one_n2_array():
+    cons = Construction(13, max_vertices=13**3)
+    tracemalloc.start()
+    try:
+        assert len(cons.build_K()) == 168
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * cons.n**2
 
 
 def _matmul(f, x, y):
@@ -313,3 +366,9 @@ def test_only_cayley_digraphs_carry_translations(cons3, cons9):
             assert "translations" not in repr(g)
             relabeled = g.relabeled(np.arange(cons.n)[::-1])
             assert relabeled.translations == () and from_text(g.to_text()).translations == ()
+
+
+def test_relabeled_refuses_a_float_permutation():
+    g = Digraph(np.eye(4, dtype=bool))
+    with pytest.raises(ValueError, match="permutation"):
+        g.relabeled(np.arange(4, dtype=float))

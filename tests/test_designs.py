@@ -1,13 +1,16 @@
+import dataclasses
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from ddwl import designs
 from ddwl.coherent import NotInvariant
 from ddwl.construction import Construction
 from ddwl.designs import desiso_maps, verify_ddd, verify_design_iso
 from ddwl.digraph import Digraph
-from reference import move_one_arc
+from reference import design_iso_densely, move_one_arc
 
 
 def test_verify_ddd_on_looped_digraph(cons3):
@@ -180,6 +183,14 @@ def test_verify_ddd_one_row_fails_a_swapped_connection_element(q, request):
     assert not rep.counts_match and rep.witness is not None
 
 
+@pytest.mark.parametrize("plain", [False, True], ids=["one-row", "dense"])
+def test_verify_ddd_refuses_class_ids_of_the_wrong_length(cons3, plain):
+    g = cons3.build_cayley(1)
+    g = Digraph(g.arcs) if plain else g
+    with pytest.raises(ValueError, match=r"shape \(5,\); the digraph has 27 vertices"):
+        verify_ddd(g, cons3.table.coset_ids[:5], (0, 3))
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_verify_ddd_matches_int64_oracle_on_random_digraphs(seed):
     rng = np.random.default_rng(seed)
@@ -228,14 +239,16 @@ def test_det_nonzero_for_all_i(q, request):
         assert np.array_equal(np.sort(maps.h), np.arange(cons.n))
 
 
-@pytest.mark.parametrize("q", [3, 5, 7])
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 13])
 def test_design_iso_exhaustive(q, request):
+    """Every label passes, as the dense comparison of the adjacency matrices does."""
     cons = request.getfixturevalue(f"cons{q}")
     for i in range(q):
         rep = verify_design_iso(cons, i)
         assert rep.crit_holds and rep.det_a_nonzero
         assert rep.pairs_checked == cons.n**2
         assert rep.witness is None and "witness" not in rep.to_json()
+        assert design_iso_densely(cons, desiso_maps(cons, i)) == (True, None)
 
 
 def _assert_blocks_map_onto_blocks(cons):
@@ -257,3 +270,75 @@ def test_design_iso_block_sets_q3(cons3):
 
 def test_design_iso_block_sets_q5(cons5):
     _assert_blocks_map_onto_blocks(cons5)
+
+
+def _spoil_x(change):
+    """build_X(i) for i != 0 changed by change(x, outside), outside the
+    vertices not in X_i."""
+
+    def spoil(cons, monkeypatch):
+        build = cons.build_X
+
+        def spoiled(i):
+            x = build(i)
+            return x if i == 0 else change(x.copy(), np.setdiff1d(np.arange(cons.n), x))
+
+        monkeypatch.setattr(cons, "build_X", spoiled)
+
+    return spoil
+
+
+def _spoil_maps(change):
+    def spoil(cons, monkeypatch):
+        build = designs.desiso_maps
+        monkeypatch.setattr(designs, "desiso_maps", lambda c, i: change(build(c, i)))
+
+    return spoil
+
+
+def _swap(x, outside):
+    """|X_i| stays q**2, so only the block check can fail."""
+    x[1] = outside[0]
+    return x
+
+
+SPOILS = {
+    "swap-X_i": _spoil_x(_swap),
+    # every block of design 0 still maps into a block of design i
+    "grow-X_i": _spoil_x(lambda x, outside: np.append(x, outside[0])),
+    "roll-f": _spoil_maps(lambda m: dataclasses.replace(m, f=np.roll(m.f, 1))),
+    "roll-h": _spoil_maps(lambda m: dataclasses.replace(m, h=np.roll(m.h, 1))),
+    # f(x g0) h(g0)**-1 = e lies in X_i, but f and h are no bijections
+    "collapse-f-h": _spoil_maps(
+        lambda m: dataclasses.replace(m, f=np.zeros_like(m.f), h=np.zeros_like(m.h))
+    ),
+}
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+@pytest.mark.parametrize("spoil", list(SPOILS.values()), ids=list(SPOILS))
+def test_design_iso_fails_a_spoiled_input_with_the_dense_witness(q, spoil, request, monkeypatch):
+    cons = request.getfixturevalue(f"cons{q}")
+    spoil(cons, monkeypatch)
+    for i in range(1, q):
+        rep = verify_design_iso(cons, i)
+        holds, first = design_iso_densely(cons, designs.desiso_maps(cons, i))
+        assert not holds and not rep.crit_holds
+        assert [rep.witness["g0"], rep.witness["g"]] == first
+
+
+def test_design_iso_builds_no_n2_array_on_a_passing_label(cons13, monkeypatch):
+    """A passing label is decided on the block lists: no Cayley digraph is
+    built, and the traced peak stays below one n x n int32 array."""
+    calls = []
+    monkeypatch.setattr(cons13, "build_cayley", lambda *args, **kw: calls.append(args))
+    for i in (1, 5):
+        tracemalloc.start()
+        try:
+            rep = verify_design_iso(cons13, i)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.crit_holds and rep.pairs_checked == cons13.n**2
+        assert peak < 4 * cons13.n**2
+    assert calls == []

@@ -188,6 +188,14 @@ def test_forged_k_element_fails_k_automorphisms(monkeypatch):
     assert result.status == "fail" and "error" not in result.data, result.data
 
 
+def test_moved_arc_fails_k_automorphisms(monkeypatch):
+    cons = Construction(3)
+    _wrap_cayley(cons, lambda i, g: move_one_arc(g))
+    monkeypatch.setattr(suite, "Construction", lambda q, max_vertices: cons)
+    result = _run_one("k_automorphisms", monkeypatch)
+    assert result.status == "fail" and "error" not in result.data, result.data
+
+
 @pytest.mark.parametrize("q", [3, 5])
 @pytest.mark.parametrize("corrupt", [False, True])
 def test_k_automorphisms_agrees_with_every_element_on_every_label(q, corrupt, monkeypatch):
