@@ -2,7 +2,8 @@
 Weisfeiler-Leman tensors, isomorphism-class counts and design-isomorphism
 reports as JSON.
 
-Exit codes: 0 all checks passed, 1 a check failed, 2 usage error.
+Exit codes: 0 all checks passed, 1 a check failed, 2 usage error (an
+output path that cannot be written is one, found before any work).
 The environment variable DDWL_MAX_Q overrides the default size cap, the
 largest q whose group fits Construction's default vertex cap,
 construction.MAX_VERTICES_DEFAULT (q <= 11).
@@ -54,6 +55,20 @@ def _validated_i(cons: Construction, i: int) -> int:
     return i
 
 
+def _check_writable(path: str | None) -> None:
+    """UsageError unless path, when given, can be opened for writing; checked
+    before any work, and without creating the file."""
+    if path is None:
+        return
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        raise UsageError(f"cannot write {path}: it is a directory")
+    if not os.path.isdir(parent):
+        raise UsageError(f"cannot write {path}: no directory {parent}")
+    if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        raise UsageError(f"cannot write {path}: permission denied")
+
+
 def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if out:
@@ -64,10 +79,11 @@ def _emit(payload: dict, out: str | None) -> None:
 
 
 def cmd_build(args) -> int:
+    path = args.out or f"cay_q{args.q}_i{args.i}{'_loopless' if args.loopless else ''}.txt"
+    _check_writable(path)
     cons = _construction(args.q)
     i = _validated_i(cons, args.i)
     g = cons.build_cayley(i, include_identity=not args.loopless)
-    path = args.out or f"cay_q{args.q}_i{i}{'_loopless' if args.loopless else ''}.txt"
     with open(path, "w") as fh:
         fh.write(g.to_text())
     print(f"wrote {g.n}-vertex digraph {g.label} to {path}")
@@ -78,6 +94,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_writable(args.out)
     q = _validated_q(args.q)
     report = run_suite(q, suite=args.suite)
     _emit(report.to_json(include_timings=not args.no_timings), args.out)
@@ -85,6 +102,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_wl(args) -> int:
+    _check_writable(args.tensor_out)
     cons = _construction(args.q)
     i = _validated_i(cons, args.i)
     g = cons.build_cayley(i, include_identity=not args.loopless)
@@ -96,6 +114,7 @@ def cmd_wl(args) -> int:
 
 
 def cmd_iso(args) -> int:
+    _check_writable(args.out)
     cons = _construction(args.q)
     gens = cons.generators_I()
     graphs = [cons.build_cayley(i) for i in gens]
@@ -118,6 +137,7 @@ def cmd_iso(args) -> int:
 
 
 def cmd_design(args) -> int:
+    _check_writable(args.out)
     cons = _construction(args.q)
     i = _validated_i(cons, args.i)
     report = designs.verify_design_iso(cons, i)

@@ -24,10 +24,17 @@ Two interchangeable signature encodings realise the same order:
   * sort mode (large color count): the sorted code vector itself.
 
 A round uses one mode throughout, chosen from the current rank, and work is
-blocked over rows to bound scratch memory.  Each key is one fixed-width
-big-endian byte string, whose bytewise order is the numeric order above;
-`sorted_unique_rows` orders the keys of a block, and the same helper orders
-the vertex signatures of `isotest`.
+blocked over rows to bound scratch memory.  In count mode the count of code
+r * rank + s at (u, v) is the intersection number #{w : color(u, w) = r,
+color(w, v) = s} = (A_r A_s)[u, v], A_r the 0/1 matrix of color r: the
+coherent-algebra form of 2-WL (Weisfeiler & Leman 1968).  A round that
+refines every row at rank at most `_PRODUCT_MAX_RANK` computes the counts
+as float32 products of these matrices; each is at most n < 2**16 < 2**24,
+so the products are exact and the keys are those of the other count-mode
+kernel, one bincount of the codes, which orbit-row rounds and higher ranks
+use.  Each key is one fixed-width big-endian byte string, whose bytewise
+order is the numeric order above; `sorted_unique_rows` orders the keys of a
+block, and the same helper orders the vertex signatures of `isotest`.
 
 Orbit rows.  Given generators of a group of automorphisms of the initial
 coloring, a round computes the keys of one representative row per vertex
@@ -63,6 +70,12 @@ from .digraph import Digraph
 from .heisenberg import GroupTable
 
 _MODE_A_MAX_CODES = 8192       # count mode while rank**2 stays at most this
+# Count mode by matrix products on full-matrix rounds up to this rank.  On a
+# 2-core x86-64 VM with one BLAS thread, a round on a cyclic-group coloring
+# ran as fast by products as by bincount at rank 12-13 for n = 343 and at
+# rank 10-11 for n = 729.  Orbit-row closures took 1.6x (q = 7) and 2.2x (q = 13)
+# as long by products: every one-row round pays for a one-hot of all n**2 pairs.
+_PRODUCT_MAX_RANK = 10
 _BLOCK_ELEMENT_BUDGET = 500_000  # scratch elements per block; larger blocks measured slower
 
 
@@ -212,18 +225,39 @@ def _refine_round(
     m = n if rows is None else len(rows)
     ncodes = rank * rank
     count_mode = ncodes <= _MODE_A_MAX_CODES
+    products = rows is None and rank <= _PRODUCT_MAX_RANK
     c64 = None if count_mode else color.astype(np.int64)
-    per_row = n * max(n, ncodes) if count_mode else n * n
+    if products:
+        per_row = 2 * n * ncodes  # the float32 products and their uint16 copy
+    else:
+        per_row = n * max(n, ncodes) if count_mode else n * n
     block = max(1, min(m, _BLOCK_ELEMENT_BUDGET // max(1, per_row)))
 
     pieces = []
-    scratch = np.empty((block, n, n), dtype=np.int32) if count_mode else None  # reused per block
+    if products:
+        # onehot[w, v, s] = [color(w, v) = s], so onehot.reshape(n, n * rank) is
+        # the A_s side by side; each count is at most n < 2**16 < 2**24, exact in float32
+        onehot = np.empty((n, n, rank), dtype=np.float32)
+        np.equal(color[:, :, None], np.arange(rank, dtype=np.int32), out=onehot)
+        right = onehot.reshape(n, n * rank)
+        prod = np.empty((block * rank, n * rank), dtype=np.float32)  # reused per block
+        flipped = np.empty((block, rank, n, rank), dtype=np.uint16)  # reused per block
+    elif count_mode:
+        scratch = np.empty((block, n, n), dtype=np.int32)  # reused per block
     for start in range(0, m, block):
         stop = min(m, start + block)
         nb = stop - start
         mine = color[start:stop] if rows is None else color[rows[start:stop]]
-        old = mine.reshape(nb * n).astype(np.int64)
         if count_mode:
+            keyrows = np.empty((nb * n, ncodes + 1), dtype=">u2")  # old < rank < 2**16
+            keyrows[:, 0] = mine.reshape(nb * n)
+        if products:
+            # [(u, r), (v, s)] = (A_r A_s)[u, v]; n - counts, then moved to [u, v, r, s]
+            left = onehot[start:stop].transpose(0, 2, 1).reshape(nb * rank, n)
+            counts = np.matmul(left, right, out=prod[: nb * rank]).reshape(nb, rank, n, rank)
+            np.subtract(n, counts, out=flipped[:nb], casting="unsafe")
+            keyrows[:, 1:].reshape(nb, n, rank, rank)[...] = flipped[:nb].transpose(0, 2, 1, 3)
+        elif count_mode:
             # nb * n * ncodes stays below the block budget, so int32 suffices
             codes = np.add(mine[:, :, None] * np.int32(rank), color[None, :, :], out=scratch[:nb])
             offs = (
@@ -233,14 +267,12 @@ def _refine_round(
             codes += offs
             counts = np.bincount(codes.ravel(), minlength=nb * n * ncodes)
             counts = counts.reshape(nb * n, ncodes)
-            keyrows = np.empty((nb * n, ncodes + 1), dtype=">u2")  # old < rank < 2**16
-            keyrows[:, 0] = old
             np.subtract(n, counts, out=keyrows[:, 1:], casting="unsafe")  # n - counts, in place
         else:
             codes = mine.astype(np.int64)[:, :, None] * rank + c64[None, :, :]  # axis 1 = w
             srt = np.sort(codes, axis=1)
             keyrows = np.empty((nb * n, n + 1), dtype=">i8")
-            keyrows[:, 0] = old
+            keyrows[:, 0] = mine.reshape(nb * n)
             keyrows[:, 1:] = srt.transpose(0, 2, 1).reshape(nb * n, n)
         pieces.append(sorted_unique_rows(keyrows))
 
@@ -343,17 +375,30 @@ def as_permutation(s, n: int) -> np.ndarray:
     return s
 
 
-def fixes_coloring(color: np.ndarray, perms: list[np.ndarray]) -> bool:
-    """True iff color[s(u), s(v)] == color[u, v] for all pairs and all
-    permutations s in perms, checked outside the largest color class: s is a
-    bijection on pairs, so once it maps every other class into itself, each
-    class maps onto itself.  On a digraph's arcs that is the arc list."""
+def _outside_largest_class(color: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The rows and columns of the pairs outside the largest color class, or
+    None when that class holds less than half the pairs: the index arrays
+    would then outweigh a dense gather of all n**2 pairs."""
     if color.dtype == bool:
         outside = ~color if 2 * np.count_nonzero(color) > color.size else color
     else:
         sizes = [np.count_nonzero(color == c) for c in range(int(color.max()) + 1)]
+        if 2 * max(sizes) < color.size:
+            return None
         outside = color != np.argmax(sizes)
-    rows, cols = np.divmod(np.flatnonzero(outside), len(color))
+    return np.divmod(np.flatnonzero(outside), len(color))
+
+
+def fixes_coloring(color: np.ndarray, perms: list[np.ndarray]) -> bool:
+    """True iff color[s(u), s(v)] == color[u, v] for all pairs and all
+    permutations s in perms, checked outside the largest color class when it
+    holds at least half the pairs: s is a bijection on pairs, so once it maps
+    every other class into itself, each class maps onto itself.  On a
+    digraph's arcs that is the arc list."""
+    outside = _outside_largest_class(color)
+    if outside is None:
+        return all(np.array_equal(color[s][:, s], color) for s in perms)  # faster than np.ix_
+    rows, cols = outside
     values = color[rows, cols]
     return all(np.array_equal(color[s[rows], s[cols]], values) for s in perms)
 

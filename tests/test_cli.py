@@ -4,7 +4,7 @@ import pathlib
 
 import pytest
 
-from ddwl import srings, suite
+from ddwl import cli, srings, suite
 from ddwl.cli import main
 from reference import from_text
 
@@ -83,6 +83,45 @@ def test_verify_usage_errors_exit_2(monkeypatch, capsys):
     monkeypatch.setenv("DDWL_MAX_Q", "eleven")
     assert main(["verify", "3"]) == 2
     assert "DDWL_MAX_Q" in capsys.readouterr().err
+
+
+_COMMANDS = [
+    ["build", "3", "1", "--out"],
+    ["verify", "9", "--suite", "fast", "--no-timings", "--out"],
+    ["wl", "3", "1", "--tensor-out"],
+    ["iso", "3", "--out"],
+    ["design", "3", "1", "--out"],
+]
+
+
+@pytest.mark.parametrize("argv", _COMMANDS, ids=[a[0] for a in _COMMANDS])
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_output_is_a_usage_error_before_any_work(argv, where, tmp_path, monkeypatch, capsys):
+    """An output that cannot be opened exits 2 with an error line, before the
+    suite runs or the group is built, and leaves no file behind."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "run_suite", spy)
+    monkeypatch.setattr(cli, "Construction", spy)
+    target = tmp_path / "absent" / "x.json" if where == "missing-directory" else tmp_path
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv + [str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and str(target) in err
+    assert calls == []
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_build_default_path_is_checked_before_any_work(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cay_q3_i1.txt").mkdir()
+    monkeypatch.setattr(cli, "Construction", None)   # any use would raise
+    assert main(["build", "3", "1"]) == 2
+    assert "cay_q3_i1.txt: it is a directory" in capsys.readouterr().err
 
 
 def test_verify_failed_check_exits_1(tmp_path, monkeypatch, capsys):

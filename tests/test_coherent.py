@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,6 +147,80 @@ def test_refinement_is_independent_of_the_block_size(cons3, maker, encoding, mon
     got = maker(cons3)
     assert got.rank == want.rank and got.generators == want.generators == []
     _assert_same_coloring(got, want)
+
+
+def _compare_kernels(monkeypatch) -> list[int]:
+    """Run every later refinement round twice, on the kernel `_refine_round`
+    picks and with `_PRODUCT_MAX_RANK = 0`, which forces the bincount kernel,
+    and assert the two return the same bytes.  The list returned fills with
+    the ranks of the rounds that ran on matrix products."""
+    refine, limit = coherent._refine_round, coherent._PRODUCT_MAX_RANK
+    by_products: list[int] = []
+
+    def both(color, rank, rows=None):
+        got = refine(color, rank, rows)
+        monkeypatch.setattr(coherent, "_PRODUCT_MAX_RANK", 0)
+        want = refine(color, rank, rows)
+        monkeypatch.setattr(coherent, "_PRODUCT_MAX_RANK", limit)
+        assert got[1] == want[1]
+        for a, b in ((got[0], want[0]), (got[2], want[2])):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes()
+        if rows is None and rank <= limit:
+            by_products.append(rank)
+        return got
+
+    monkeypatch.setattr(coherent, "_refine_round", both)
+    return by_products
+
+
+@pytest.mark.parametrize("loops", [True, False], ids=["looped", "loopless"])
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_product_rounds_equal_the_bincount_kernel_on_every_label(q, loops, request, monkeypatch):
+    """Relabelled plain copies refine densely, so every round of rank up to
+    the limit runs on products and is held to the bincount kernel."""
+    cons = request.getfixturevalue(f"cons{q}")
+    perm = np.random.default_rng(q).permutation(cons.n)
+    by_products = _compare_kernels(monkeypatch)
+    for i in range(q):
+        g = cons.build_cayley(i, include_identity=loops).relabeled(perm)
+        assert wl_close(g).generators == []
+    assert len(by_products) >= q
+
+
+def test_dense_q7_closure_peak_stays_below_14_mb(cons7):
+    """The seeded relabelled copy the benchmark refines: its rounds hold one
+    float32 one-hot of n * n * rank entries (4.2 MB at rank 9) and one block
+    of products; a second copy of the one-hot would pass 14 MB."""
+    g = cons7.build_cayley(cons7.generators_I()[0]).relabeled(
+        np.random.default_rng(1).permutation(cons7.n)
+    )
+    tracemalloc.start()
+    try:
+        assert wl_close(g).rank == 9
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 14e6
+
+
+@pytest.mark.parametrize("budget", [None, 1], ids=["default-blocks", "one-row-blocks"])
+@pytest.mark.parametrize("case", ["cycle", "random-at-limit", "random-above-limit"])
+def test_product_rounds_equal_the_bincount_kernel_on_small_inputs(case, budget, monkeypatch):
+    """The directed 9-cycle, and random colorings whose rank is the product
+    limit (the first round runs on products) and one more (it does not)."""
+    if budget is not None:
+        monkeypatch.setattr(coherent, "_BLOCK_ELEMENT_BUDGET", budget)
+    limit = coherent._PRODUCT_MAX_RANK
+    by_products = _compare_kernels(monkeypatch)
+    if case == "cycle":
+        assert wl_close(directed_cycle(9)).rank == 9
+        assert by_products and max(by_products) == 9
+    else:
+        rank = limit + (case == "random-above-limit")
+        color = np.random.default_rng(rank).integers(0, rank, size=(30, 30), dtype=np.int32)
+        color.flat[:rank] = np.arange(rank)   # every color occurs
+        coherent._stable_coloring(color, rank)
+        assert by_products == ([limit] if rank == limit else [])
 
 
 @pytest.mark.parametrize("dtype, big", [(np.uint16, 256), (np.int64, 2**32)])
@@ -612,6 +687,7 @@ def test_fixes_coloring_equals_the_dense_oracle_on_every_label(q, request):
         g = cons.build_cayley(i)
         colorings = [g.arcs] + ([~g.arcs, coherent._initial_coloring(g)[0]] if q <= 9 else [])
         for color in colorings:
+            assert coherent._outside_largest_class(color) is not None   # the pair-list branch
             got = [coherent.fixes_coloring(color, [s]) for s in perms]
             assert got == [fixes_densely(color, s) for s in perms]
             assert got[: len(perms) - 2] == [True] * (len(perms) - 2) and not got[-1]
@@ -619,10 +695,12 @@ def test_fixes_coloring_equals_the_dense_oracle_on_every_label(q, request):
 
 @pytest.mark.parametrize("q", [3, 5])
 def test_fixes_coloring_equals_the_dense_oracle_on_an_individualized_closure(q, request):
+    """No class holds half the pairs, so the check gathers the whole moved matrix."""
     cons = request.getfixturevalue(f"cons{q}")
     perms = _candidate_perms(cons)
     for cc in request.getfixturevalue(f"closures{q}").values():
         color = coherent._individualized(cc, cons.table.identity)
+        assert coherent._outside_largest_class(color) is None   # the dense branch
         got = [coherent.fixes_coloring(color, [s]) for s in perms]
         assert got == [fixes_densely(color, s) for s in perms]
         assert got[len(perms) - 3] and not got[0]   # K's generator fixes e; a translation moves it
