@@ -375,49 +375,57 @@ def as_permutation(s, n: int) -> np.ndarray:
     return s
 
 
-def _outside_largest_class(color: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The rows and columns of the pairs outside the largest color class, or
-    None when that class holds less than half the pairs: the index arrays
-    would then outweigh a dense gather of all n**2 pairs."""
-    if color.dtype == bool:
-        outside = ~color if 2 * np.count_nonzero(color) > color.size else color
-    else:
-        sizes = [np.count_nonzero(color == c) for c in range(int(color.max()) + 1)]
-        if 2 * max(sizes) < color.size:
+def _outside_largest_class(c1: np.ndarray, c2: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The rows and columns of the pairs outside c1's largest color class, or
+    None when that class holds less than half the pairs (the index arrays
+    would then outweigh a dense gather of all n**2 pairs) or c2 has another
+    number of pairs of its color.  Bool colorings are counted without a copy."""
+    if c1.dtype == bool:
+        ones = np.count_nonzero(c1)
+        if np.count_nonzero(c2) != ones:
             return None
-        outside = color != np.argmax(sizes)
-    return np.divmod(np.flatnonzero(outside), len(color))
+        outside = ~c1 if 2 * ones > c1.size else c1
+    else:
+        sizes = np.bincount(c1.ravel())
+        largest = np.argmax(sizes)
+        if 2 * sizes[largest] < c1.size or np.count_nonzero(c2 == largest) != sizes[largest]:
+            return None
+        outside = c1 != largest
+    return np.divmod(np.flatnonzero(outside), len(c1))
 
 
-def fixes_coloring(color: np.ndarray, perms: list[np.ndarray]) -> bool:
-    """True iff color[s(u), s(v)] == color[u, v] for all pairs and all
-    permutations s in perms, checked outside the largest color class when it
-    holds at least half the pairs: s is a bijection on pairs, so once it maps
-    every other class into itself, each class maps onto itself.  On a
-    digraph's arcs that is the arc list."""
-    outside = _outside_largest_class(color)
+def carries(c1: np.ndarray, c2: np.ndarray, perms: list[np.ndarray]) -> bool:
+    """True iff c2[s(u), s(v)] == c1[u, v] for all pairs and every vertex
+    permutation s in perms (see `as_permutation`).  When c1's largest class
+    holds at least half the pairs and c2 has as many pairs of its color, the
+    pairs outside it are checked alone: s is a bijection on pairs, so once it
+    maps them into c2's pairs of other colors it maps them onto those, and
+    the largest class onto its color in c2.  On a digraph's arcs that is the
+    arc list: arcs that land on arcs, as many as the target has."""
+    outside = _outside_largest_class(c1, c2)
     if outside is None:
-        return all(np.array_equal(color[s][:, s], color) for s in perms)  # faster than np.ix_
+        return all(np.array_equal(c2[s][:, s], c1) for s in perms)  # faster than np.ix_
     rows, cols = outside
-    values = color[rows, cols]
-    return all(np.array_equal(color[s[rows], s[cols]], values) for s in perms)
+    values = c1[rows, cols]
+    return all(np.array_equal(c2[s[rows], s[cols]], values) for s in perms)
 
 
-def reaches_every_vertex(perms: list[np.ndarray], n: int) -> bool:
-    """True iff the orbit of vertex 0 under the group perms generate is [0, n)."""
-    reached, frontier = np.zeros(n, dtype=bool), np.zeros(1, dtype=np.int64)
-    reached[0] = True
-    while frontier.size:
+def orbit_mask(v: int, perms: list[np.ndarray], n: int) -> np.ndarray:
+    """The orbit of vertex v under the group perms generate, as a boolean
+    mask over [0, n)."""
+    reached, frontier = np.zeros(n, dtype=bool), np.array([v])
+    reached[v] = True
+    while perms and frontier.size:
         images = np.concatenate([s[frontier] for s in perms])
         frontier = np.unique(images[~reached[images]])
         reached[frontier] = True
-    return bool(reached.all())
+    return reached
 
 
 def orbit_close(color0: np.ndarray, gens: list[np.ndarray]) -> CoherentConfiguration:
     """The stable refinement of the pair coloring color0, from one row per
     orbit (its least vertex) of the group the permutations gens generate;
-    equal to the dense refinement.  `fixes_coloring` proves the generators
+    equal to the dense refinement.  `carries` proves the generators
     automorphisms of color0 once (of an initial coloring, on the arc list),
     else NotInvariant.  The breadth-first pass that reaches w = s(u) from u
     sets T[w] = T[u] s**-1, so each row of this Schreier transversal is a
@@ -426,7 +434,7 @@ def orbit_close(color0: np.ndarray, gens: list[np.ndarray]) -> CoherentConfigura
     n = len(color0)
     ar = np.arange(n)
     perms = [as_permutation(s, n) for s in gens]
-    if not fixes_coloring(color0, perms):
+    if not carries(color0, color0, perms):
         raise NotInvariant("a generator is not an automorphism of the coloring")
     steps = [(s, np.argsort(s)) for s in perms]
     which = np.full(n, -1, dtype=np.int64)
@@ -516,12 +524,11 @@ def wl_equivalent(g1: Digraph, g2: Digraph) -> bool:
 def verify_algebraic_map(
     cc1: CoherentConfiguration, cc2: CoherentConfiguration, sigma
 ) -> bool:
-    """True iff the color bijection sigma transports the full intersection tensor."""
+    """True iff the color bijection sigma transports the full intersection
+    tensor; NotInvariant unless sigma is a permutation of the colors."""
     if cc1.rank != cc2.rank:
         raise ValueError("rank mismatch")
-    sigma = np.asarray(sigma, dtype=np.int64)
-    if sorted(sigma.tolist()) != list(range(cc1.rank)):
-        raise ValueError("sigma is not a bijection on colors")
+    sigma = as_permutation(sigma, cc1.rank).astype(np.int64)
     r, s, t, c = cc1.tensor.T
     return _matches_tensor(cc2, sigma[r], sigma[s], sigma[t], c, cc2.tensor[:, 3])
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import prime_power
-from .coherent import reaches_every_vertex
+from .coherent import as_permutation, orbit_mask
 from .digraph import Digraph
 from .gf import field_create
 from .heisenberg import GroupTable
@@ -143,12 +143,10 @@ class Construction:
         if self._K is not None:
             return self._K
         mult, gen = self.table.mult, self.k_generator()
-        g = self.rho_perm(*gen)
-        if not np.array_equal(np.sort(g), np.arange(self.n)):
-            raise RuntimeError(f"rho{gen} is not a bijection")
+        g = as_permutation(self.rho_perm(*gen), self.n)
         steps = self.table.right_translations()
         translations = all(np.array_equal(s, mult[:, s[0]]) for s in steps)
-        if not (translations and reaches_every_vertex(steps, self.n)):
+        if not (translations and orbit_mask(0, steps, self.n).all()):
             raise RuntimeError("the right translations are not u -> u * h for h generating H3(q)")
         if not all(np.array_equal(g[s], mult[g, g[s[0]]]) for s in steps):
             raise RuntimeError(f"rho{gen} is not a homomorphism")

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import NotInvariant, as_permutation, fixes_coloring, reaches_every_vertex
+from .coherent import NotInvariant, as_permutation, carries, orbit_mask
 from .construction import Construction
 from .digraph import Digraph
 
@@ -72,16 +72,16 @@ class DDDReport:
 
 def _prove_translations(g: Digraph, class_ids: np.ndarray) -> None:
     """Prove that g.translations generate a group of automorphisms of g, on
-    the arc list (`fixes_coloring`), that permutes the classes and is
-    transitive on the vertices; else NotInvariant."""
+    the arc list (`carries`), that permutes the classes and is transitive on
+    the vertices; else NotInvariant."""
     gens = [as_permutation(s, g.n) for s in g.translations]
-    if not fixes_coloring(g.arcs, gens):
+    if not carries(g.arcs, g.arcs, gens):
         raise NotInvariant("a translation maps an arc to a non-arc")
     _, labels = np.unique(class_ids, return_inverse=True)
     m = int(labels.max()) + 1
     if any(len(np.unique(labels * m + labels[s])) != m for s in gens):
         raise NotInvariant("a translation does not permute the classes")
-    if not reaches_every_vertex(gens, g.n):
+    if not orbit_mask(0, gens, g.n).all():
         raise NotInvariant("the translations do not act transitively")
 
 
@@ -244,11 +244,13 @@ def verify_design_iso(cons: Construction, i: int) -> DesignIsoReport:
     maps, t, n = desiso_maps(cons, i), cons.table, cons.n
     x0, xi = cons.build_X(0), cons.build_X(i)
     in_xi = np.isin(np.arange(n), xi)
-    holds = (
-        all(np.array_equal(np.sort(p), np.arange(n)) for p in (maps.f, maps.h))
-        and len(np.unique(x0)) == len(np.unique(xi))
-        and bool(in_xi[t.mult[maps.f[t.mult[x0]], t.inv[maps.h]]].all())  # (|X_0|, n) blocks
-    )
+    try:
+        f, h = (as_permutation(p, n) for p in (maps.f, maps.h))
+        holds = len(np.unique(x0)) == len(np.unique(xi)) and bool(
+            in_xi[t.mult[f[t.mult[x0]], t.inv[h]]].all()  # (|X_0|, n) blocks
+        )
+    except NotInvariant:  # det(A) = 0 collapses h
+        holds = False
     report = DesignIsoReport(cons.q, i, holds, maps.det_nonzero, pairs_checked=n * n)
     if not holds:
         moved = cons.build_cayley(i).arcs[maps.h][:, maps.f]  # rows, then columns

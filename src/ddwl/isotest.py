@@ -11,10 +11,11 @@ and a vertex of the first graph is individualized against each compatible
 vertex of the second when refinement stalls.
 
 Per node the refinement recolors a vertex x by the multiset over all w of
-(cell(w), color(x, w), color(w, x)); only vertices in splittable cells are
-recomputed.  Candidate leaves are verified color-exactly, and every emitted
-isomorphism witness and searched automorphism generator is re-verified
-arc-exactly before use, so the engine never reports a false positive;
+(cell(w), color(x, w)), color(w, x) being a function of color(x, w) in a
+stable coloring; only vertices in splittable cells are recomputed.  Candidate
+leaves are verified color-exactly, and every emitted isomorphism witness and
+searched automorphism generator arc-exactly (`coherent.carries`) before use,
+so the engine never reports a false positive;
 negatives come from exhausted search.  An isomorphism search prunes its
 first branching node by the generators cc2 records (the translations
 `wl_close` proved when g2 carries them), else by Aut(g2), searched for only
@@ -33,7 +34,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .coherent import CoherentConfiguration, invariants, sorted_unique_rows, wl_close
+from .coherent import CoherentConfiguration, carries, invariants, orbit_mask
+from .coherent import sorted_unique_rows, wl_close
 from .digraph import Digraph
 
 NODE_BUDGET_DEFAULT = 10_000_000
@@ -77,7 +79,7 @@ class _PartitionSearch:
         self.n = c1.shape[0]
         self.budget = node_budget
         self.nodes = 0
-        self.mult = max(int(self.c1.max()), int(self.c2.max())) + 2 + 2 * self.n
+        self.mult = max(int(self.c1.max()), int(self.c2.max())) + 1
         self._prune = None
 
         d1, d2 = self.c1.diagonal(), self.c2.diagonal()
@@ -91,7 +93,7 @@ class _PartitionSearch:
     def _signatures(self, c, pi, active):
         rows = np.empty((len(active), self.n + 1), dtype=">i8")
         rows[:, 0] = pi[active]
-        codes = (pi[None, :] * self.mult + c[active, :]) * self.mult + c[:, active].T
+        codes = pi[None, :] * self.mult + c[active, :]
         rows[:, 1:] = np.sort(codes, axis=1)
         return rows
 
@@ -138,10 +140,10 @@ class _PartitionSearch:
         pairs, or None when none exists.
 
         prune, when given, maps a failed candidate v of the first branching
-        node to its orbit under the automorphisms of the second coloring;
-        the rest of that orbit is then skipped (composing a solution with an
-        automorphism of the second coloring moves v anywhere in its orbit,
-        so the orbit fails with v).  Only sound with no forced pairs.
+        node to the mask of its orbit under the automorphisms of the second
+        coloring; the rest of that orbit is then skipped (composing a solution
+        with an automorphism of the second coloring moves v anywhere in its
+        orbit, so the orbit fails with v).  Only sound with no forced pairs.
         """
         self._prune = prune
         return self._descend(*self._seeded(forced))
@@ -158,14 +160,12 @@ class _PartitionSearch:
         if target is None:
             f = np.empty(self.n, dtype=np.int64)
             f[np.argsort(pi1)] = np.argsort(pi2)
-            if np.array_equal(self.c2[np.ix_(f, f)], self.c1):
-                return f
-            return None
+            return f if carries(self.c1, self.c2, [f]) else None
         u = int(np.flatnonzero(pi1 == target)[0])
         prune, self._prune = self._prune, None  # prune only the outermost branching
-        ruled_out: set[int] = set()
+        ruled_out = np.zeros(self.n, dtype=bool)
         for v in np.flatnonzero(pi2 == target).tolist():
-            if v in ruled_out:
+            if ruled_out[v]:
                 continue
             b1, b2 = pi1.copy(), pi2.copy()
             b1[u] = ncells
@@ -185,18 +185,6 @@ def _target_cell(pi: np.ndarray, ncells: int) -> int | None:
     if sizes.max() <= 1:
         return None
     return int(np.flatnonzero(sizes == sizes[sizes >= 2].min())[0])
-
-
-def _orbit_close(orbit: set[int], gens: list[np.ndarray]) -> set[int]:
-    frontier = list(orbit)
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = int(g[x])
-            if y not in orbit:
-                orbit.add(y)
-                frontier.append(y)
-    return orbit
 
 
 def are_isomorphic(
@@ -226,7 +214,7 @@ def are_isomorphic(
     search = _PartitionSearch(cc1.color, cc2.color, node_budget)
     aut_gens = cache(lambda: cc2.generators or automorphism_generators(g2, cc2, node_budget)[1])
     try:
-        f = search.search((), prune=lambda v: _orbit_close({v}, aut_gens()))
+        f = search.search((), prune=lambda v: orbit_mask(v, aut_gens(), g2.n))
     except BudgetExceeded:
         return IsoCertificate("undetermined", nodes=search.nodes, detail="node budget exhausted")
     if f is None:
@@ -235,7 +223,7 @@ def are_isomorphic(
             nodes=search.nodes,
             detail="exhaustive individualization-refinement found no bijection",
         )
-    if not np.array_equal(g2.arcs[np.ix_(f, f)], g1.arcs):
+    if not carries(g1.arcs, g2.arcs, [f]):
         raise RuntimeError("witness failed the arc-exact check")  # engine bug
     return IsoCertificate("isomorphic", mapping=f, nodes=search.nodes)
 
@@ -259,15 +247,15 @@ def _automorphism_group(
         members = np.flatnonzero(pi1 == target)
         u = int(members[0])
         sub_order, gens = rec(forced + ((u, u),))
-        orbit = {u}
+        orbit = orbit_mask(u, gens, search.n)
         for v in members[1:]:
-            if int(v) in orbit:
+            if orbit[v]:
                 continue
             f = search.search(forced + ((u, int(v)),))
             if f is not None:
                 gens.append(f)
-                _orbit_close(orbit, gens)
-        return len(orbit & set(int(m) for m in members)) * sub_order, gens
+                orbit = orbit_mask(u, gens, search.n)
+        return int(np.count_nonzero(orbit[members])) * sub_order, gens
 
     base = tuple((w, w) for w in fixed)
     order, gens = rec(base)
@@ -285,9 +273,8 @@ def automorphism_generators(
     BudgetExceeded when the search cap is hit."""
     cc = cc if cc is not None else wl_close(g)
     order, gens = _automorphism_group(cc.color, node_budget, fixed)
-    for f in gens:
-        if not np.array_equal(g.arcs[np.ix_(f, f)], g.arcs):
-            raise RuntimeError("generator failed the arc-exact check")  # engine bug
+    if not carries(g.arcs, g.arcs, gens):
+        raise RuntimeError("generator failed the arc-exact check")  # engine bug
     return order, gens
 
 

@@ -90,6 +90,12 @@ class Context:
             self.closures[i] = coherent.wl_close(self.cons.build_cayley(i))
         return self.closures[i]
 
+    def cell_colors(self, i: int) -> np.ndarray:
+        """The color of each analytic cell, in `Construction.cells` order, in
+        row e of closure i."""
+        heads = [cell[0] for cell in self.cons.cells()]
+        return self.closure(i).color[self.cons.table.identity, heads]
+
     def extension(self, i: int) -> coherent.CoherentConfiguration:
         """The one-point extension at e of closure i, one row per K-orbit."""
         cons = self.cons
@@ -153,7 +159,7 @@ def _k_automorphisms(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
     ok = len(ks) == len(listed) == order and np.array_equal(powers[-1], np.arange(cons.n))
     ok &= listed == {p.tobytes() for p in powers}
     gens = cons.generators_I()
-    ok &= all(coherent.fixes_coloring(cons.build_cayley(i).arcs, [g]) for i in gens)
+    ok &= all(coherent.carries(a, a, [g]) for a in (cons.build_cayley(i).arcs for i in gens))
     return ("pass" if ok else "fail"), {"k_order": len(ks), "graph_checks": len(gens)}
 
 
@@ -253,7 +259,7 @@ def _wl_closure(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
     for i in gens if exhaustive else gens[:1]:
         cc = ctx.closure(i)
         cells = {c.astype(np.int64).tobytes() for c in coherent.as_sring_partition(cc, cons.table)}
-        color_of_cell = [int(cc.color[0, members[0]]) for members in cons.cells()]
+        color_of_cell = ctx.cell_colors(i)
         mapped = cc.dense_tensor()[np.ix_(color_of_cell, color_of_cell, color_of_cell)]
         row = data[f"i={i}"] = {
             "rank": cc.rank,
@@ -279,7 +285,7 @@ def _wl_equivalence(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
 def _tau_hat_transport(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
     """tau-hat transports the closure tensor and arc colors, every ordered pair"""
     cons, q1 = ctx.cons, ctx.q + 1
-    gens, cells = cons.generators_I(), cons.cells()
+    gens = cons.generators_I()
     data = {}
     for i in gens:
         for j in (j for j in gens if j != i):
@@ -287,10 +293,8 @@ def _tau_hat_transport(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
             m = next(m for m in range(1, q1) if np.gcd(m, q1) == 1 and cons.psi_pow(i, m) == j)
             sigma_cells = srings.tau_hat(ctx.ring, m)
             cc_i, cc_j = ctx.closure(i), ctx.closure(j)
-            sigma = np.empty(cc_i.rank, dtype=np.int64)
-            for cell, members in enumerate(cells):
-                image = cells[int(sigma_cells[cell])]
-                sigma[int(cc_i.color[0, members[0]])] = int(cc_j.color[0, image[0]])
+            # sigma sends the color of cell k in closure i to that of cell sigma_cells[k] in j
+            sigma = ctx.cell_colors(j)[sigma_cells][np.argsort(ctx.cell_colors(i))]
             good = coherent.verify_algebraic_map(cc_i, cc_j, sigma)
             # the arc colors of graph i must land on the arc colors of graph j
             arcs_i = np.unique(cc_i.color[cons.build_cayley(i).arcs])
@@ -389,7 +393,7 @@ def _reverse_pair_isomorphism(ctx: Context, exhaustive: bool) -> tuple[str, dict
     cert = isotest.are_isomorphic(g1, g2, ctx.closure(i), ctx.closure(j))
     # (x, y, z) -> (x, -y, -z) maps X_i onto X_chi(i), so "isomorphic" is expected
     f = cert.mapping
-    witnessed = cert.isomorphic and np.array_equal(g2.arcs[np.ix_(f, f)], g1.arcs)
+    witnessed = cert.isomorphic and coherent.carries(g1.arcs, g2.arcs, [f])
     status = "undetermined" if cert.kind == "undetermined" else ("pass" if witnessed else "fail")
     return status, {"i": i, "chi_i": j, "result": cert.kind}
 

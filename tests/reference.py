@@ -2,8 +2,9 @@
 
 `from_text` reads the 0/1 text format that `ddwl build` writes;
 `move_one_arc` spoils a Cayley digraph that keeps its translations.
-`fixes_densely` and `design_iso_densely` are the n x n comparisons that
-`coherent.fixes_coloring` and `designs.verify_design_iso` replaced.  `MatrixM`
+`carries_densely` and `design_iso_densely` are the n x n comparisons that
+`coherent.carries` and `designs.verify_design_iso` replaced; `orbit_by_sets`
+is the set-based closure that `coherent.orbit_mask` replaced.  `MatrixM`
 and `rho_apply` are the element-by-element automorphism map that
 `Construction.rho_perm` is compared against.
 """
@@ -39,9 +40,22 @@ def move_one_arc(g: Digraph) -> Digraph:
     return Digraph(arcs, label=g.label, translations=g.translations)
 
 
-def fixes_densely(color: np.ndarray, s: np.ndarray) -> bool:
-    """color[s(u), s(v)] == color[u, v] on all n**2 pairs."""
-    return bool(np.array_equal(color[s][:, s], color))  # rows, then columns: faster than np.ix_
+def carries_densely(c1: np.ndarray, c2: np.ndarray, s: np.ndarray) -> bool:
+    """c2[s(u), s(v)] == c1[u, v] on all n**2 pairs."""
+    return bool(np.array_equal(c2[np.ix_(s, s)], c1))
+
+
+def orbit_by_sets(v: int, perms: list[np.ndarray]) -> set[int]:
+    """The orbit of v under the group perms generate, one image at a time."""
+    orbit, frontier = {v}, [v]
+    while frontier:
+        x = frontier.pop()
+        for s in perms:
+            y = int(s[x])
+            if y not in orbit:
+                orbit.add(y)
+                frontier.append(y)
+    return orbit
 
 
 def design_iso_densely(cons, maps) -> tuple[bool, list[int] | None]:

@@ -20,7 +20,14 @@ from ddwl.coherent import (
 from ddwl.digraph import Digraph
 from ddwl.isotest import are_isomorphic
 from ddwl.srings import SRing, structure_constants
-from reference import complete, directed_cycle, fixes_densely, random_digraph
+from reference import (
+    carries_densely,
+    complete,
+    directed_cycle,
+    move_one_arc,
+    orbit_by_sets,
+    random_digraph,
+)
 
 
 def test_complete_digraph_rank_two():
@@ -687,9 +694,9 @@ def test_fixes_coloring_equals_the_dense_oracle_on_every_label(q, request):
         g = cons.build_cayley(i)
         colorings = [g.arcs] + ([~g.arcs, coherent._initial_coloring(g)[0]] if q <= 9 else [])
         for color in colorings:
-            assert coherent._outside_largest_class(color) is not None   # the pair-list branch
-            got = [coherent.fixes_coloring(color, [s]) for s in perms]
-            assert got == [fixes_densely(color, s) for s in perms]
+            assert coherent._outside_largest_class(color, color) is not None   # the pair list
+            got = [coherent.carries(color, color, [s]) for s in perms]
+            assert got == [carries_densely(color, color, s) for s in perms]
             assert got[: len(perms) - 2] == [True] * (len(perms) - 2) and not got[-1]
 
 
@@ -700,10 +707,69 @@ def test_fixes_coloring_equals_the_dense_oracle_on_an_individualized_closure(q, 
     perms = _candidate_perms(cons)
     for cc in request.getfixturevalue(f"closures{q}").values():
         color = coherent._individualized(cc, cons.table.identity)
-        assert coherent._outside_largest_class(color) is None   # the dense branch
-        got = [coherent.fixes_coloring(color, [s]) for s in perms]
-        assert got == [fixes_densely(color, s) for s in perms]
+        assert coherent._outside_largest_class(color, color) is None   # the dense branch
+        got = [coherent.carries(color, color, [s]) for s in perms]
+        assert got == [carries_densely(color, color, s) for s in perms]
         assert got[len(perms) - 3] and not got[0]   # K's generator fixes e; a translation moves it
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_carries_equals_the_dense_oracle_between_two_digraphs(q, request):
+    """A relabelling carries a family digraph onto its relabelled copy, arcs
+    and closures alike; it fails once one arc of the copy is moved, and the
+    identity fails g1 against g1 with one arc added, where every arc still
+    lands on an arc and only the count of the target's arcs tells."""
+    cons = request.getfixturevalue(f"cons{q}")
+    g1 = cons.build_cayley(cons.generators_I()[0])
+    p = np.random.default_rng(q).permutation(g1.n)
+    g2 = g1.relabeled(p)
+    pairs = [(g1.arcs, g2.arcs), (wl_close(g1).color, wl_close(g2).color)]
+    pairs.append((g1.arcs, move_one_arc(g2).arcs))
+    grown = g1.arcs.copy()
+    grown[0, np.flatnonzero(~grown[0])[0]] = True
+    ident = np.arange(g1.n)
+    cases = [(c1, c2, p) for c1, c2 in pairs] + [(g1.arcs, grown, ident)]
+    got = [coherent.carries(c1, c2, [s]) for c1, c2, s in cases]
+    assert got == [carries_densely(c1, c2, s) for c1, c2, s in cases] == [True, True, False, False]
+    assert coherent._outside_largest_class(*pairs[0]) is not None   # the arc list
+    assert coherent._outside_largest_class(*pairs[1]) is None   # no class holds half the pairs
+    assert coherent._outside_largest_class(g1.arcs, grown) is None   # |A| != |B|
+    assert (grown[g1.arcs]).all()
+
+
+def test_carries_on_a_discrete_coloring_gathers_densely():
+    """Every pair its own color: one bincount picks the dense branch."""
+    n = 343
+    c1 = np.arange(n * n).reshape(n, n)
+    p = np.random.default_rng(0).permutation(n)
+    c2 = np.empty_like(c1)
+    c2[np.ix_(p, p)] = c1
+    assert coherent._outside_largest_class(c1, c2) is None
+    perms = [p, np.arange(n), p[::-1]]
+    got = [coherent.carries(c1, c2, [s]) for s in perms]
+    assert got == [carries_densely(c1, c2, s) for s in perms] == [True, False, False]
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_orbit_mask_of_k_generator_gives_the_cells(q, request):
+    cons = request.getfixturevalue(f"cons{q}")
+    gen = [cons.rho_perm(*cons.k_generator())]
+    for cell in cons.cells():
+        mask = coherent.orbit_mask(int(cell[0]), gen, cons.n)
+        assert np.array_equal(np.flatnonzero(mask), cell)
+        assert set(np.flatnonzero(mask).tolist()) == orbit_by_sets(int(cell[0]), gen)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_orbit_mask_of_the_x_translations_is_one_row(q, request):
+    """The steps u -> u * (t**k, 0, 0) reach the q vertices (a, 0, 0) from e."""
+    cons = request.getfixturevalue(f"cons{q}")
+    steps = list(cons.table.right_translations())
+    mask = coherent.orbit_mask(cons.table.identity, steps[::2], cons.n)
+    assert np.count_nonzero(mask) == q
+    assert (cons.table.iy[mask] == 0).all() and (cons.table.iz[mask] == 0).all()
+    assert coherent.orbit_mask(cons.table.identity, steps, cons.n).all()
+    assert np.flatnonzero(coherent.orbit_mask(3, [], cons.n)).tolist() == [3]
 
 
 # -- fiber structure and tensor order against the retired loops --------------------

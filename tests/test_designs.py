@@ -308,6 +308,10 @@ SPOILS = {
     "grow-X_i": _spoil_x(lambda x, outside: np.append(x, outside[0])),
     "roll-f": _spoil_maps(lambda m: dataclasses.replace(m, f=np.roll(m.f, 1))),
     "roll-h": _spoil_maps(lambda m: dataclasses.replace(m, h=np.roll(m.h, 1))),
+    # not a permutation: as_permutation's NotInvariant reads as a failed criterion
+    "repeat-f": _spoil_maps(
+        lambda m: dataclasses.replace(m, f=np.where(m.f == m.f[1], m.f[0], m.f))
+    ),
     # f(x g0) h(g0)**-1 = e lies in X_i, but f and h are no bijections
     "collapse-f-h": _spoil_maps(
         lambda m: dataclasses.replace(m, f=np.zeros_like(m.f), h=np.zeros_like(m.h))
