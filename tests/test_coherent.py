@@ -714,16 +714,17 @@ def test_fixes_coloring_equals_the_dense_oracle_on_an_individualized_closure(q, 
 
 
 @pytest.mark.parametrize("q", [3, 5, 7])
-def test_carries_equals_the_dense_oracle_between_two_digraphs(q, request):
+def test_carries_equals_the_dense_oracle_between_two_digraphs(q, contexts):
     """A relabelling carries a family digraph onto its relabelled copy, arcs
     and closures alike; it fails once one arc of the copy is moved, and the
     identity fails g1 against g1 with one arc added, where every arc still
     lands on an arc and only the count of the target's arcs tells."""
-    cons = request.getfixturevalue(f"cons{q}")
-    g1 = cons.build_cayley(cons.generators_I()[0])
+    ctx = contexts[q]
+    i = ctx.cons.generators_I()[0]
+    g1 = ctx.cons.build_cayley(i)
     p = np.random.default_rng(q).permutation(g1.n)
     g2 = g1.relabeled(p)
-    pairs = [(g1.arcs, g2.arcs), (wl_close(g1).color, wl_close(g2).color)]
+    pairs = [(g1.arcs, g2.arcs), (ctx.closure(i).color, wl_close(g2).color)]
     pairs.append((g1.arcs, move_one_arc(g2).arcs))
     grown = g1.arcs.copy()
     grown[0, np.flatnonzero(~grown[0])[0]] = True
@@ -734,7 +735,7 @@ def test_carries_equals_the_dense_oracle_between_two_digraphs(q, request):
     assert coherent._outside_largest_class(*pairs[0]) is not None   # the arc list
     assert coherent._outside_largest_class(*pairs[1]) is None   # no class holds half the pairs
     assert coherent._outside_largest_class(g1.arcs, grown) is None   # |A| != |B|
-    assert (grown[g1.arcs]).all()
+    assert grown[g1.arcs].all()
 
 
 def test_carries_on_a_discrete_coloring_gathers_densely():
