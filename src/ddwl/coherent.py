@@ -38,18 +38,18 @@ block, and the same helper orders the vertex signatures of `isotest`.
 
 Orbit rows.  Given generators of a group of automorphisms of the initial
 coloring, a round computes the keys of one representative row per vertex
-orbit only and reads every other row through the group: color(u, v) is the
-color of (rep(u), a_u(v)) for an automorphism a_u sending u to rep(u), a
-product of generators found by one breadth-first pass (a Schreier
-transversal; Seress, Permutation Group Algorithms, 2003).  The stable
-coloring is invariant under the group, so every color class meets a
-representative row; the key set, hence the canonical names, the rank, the
-rounds and the tensor, are the dense engine's.  The dense engine is the
-same round with every row a representative.  `wl_close` runs `orbit_close`
-on a digraph that carries translations (a Cayley digraph's right
-translations: one row) and the dense engine on any other;
-`orbit_extension` (a group fixing the individualized vertex) is the other
-caller.
+orbit (its least vertex) only and copies every other row down one
+breadth-first forest over the generators: the vertices w = s(u) first
+reached from u by a generator s take row u moved by s, as color(s(u), s(v))
+= color(u, v).  The stable coloring is invariant under the group,
+so every color class meets a representative row; the key set, hence the
+canonical names, the rank, the rounds and the tensor, are those of a
+round on every row.  That round, the dense engine, is the trivial group:
+every vertex is its own representative and there are no steps.
+`wl_close` runs `orbit_close` from a digraph's translations (a Cayley
+digraph's right translations: one row; none for any other digraph), and
+`orbit_extension` from a group fixing the individualized vertex (none for
+`one_point_extension`).
 
 Intersection numbers.  The round that confirms stability gives every pair
 of color t the same key, so that key is the multiset of codes
@@ -85,17 +85,22 @@ class NotInvariant(ValueError):
 
 class Orbits(NamedTuple):
     """One representative row per vertex orbit of a group of automorphisms of
-    an initial coloring: vertex u reads its row as row which[u] of the
-    representative rows, through transversal[u], an automorphism sending u
-    to reps[which[u]]."""
+    an initial coloring, and the breadth-first forest that reaches every
+    other vertex from them: step (w, u, s) reaches the vertices w = s(u)
+    from the vertices u by a generator s."""
 
-    reps: np.ndarray         # (r,) representative vertices
-    which: np.ndarray        # (n,) index into reps of each vertex's representative
-    transversal: np.ndarray  # (n, n) one vertex permutation per vertex
+    reps: np.ndarray  # (r,) the least vertex of each orbit, ascending
+    steps: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
     def expand(self, rows: np.ndarray) -> np.ndarray:
-        """The full matrix color[u, v] = rows[which[u], transversal[u, v]]."""
-        return rows[self.which[:, None], self.transversal]
+        """rows[k] as row reps[k], then color[s(u), s(v)] = color[u, v] for each step."""
+        if not self.steps:
+            return rows  # every vertex is a representative
+        color = np.empty((rows.shape[1],) * 2, dtype=rows.dtype)
+        color[self.reps] = rows
+        for w, u, s in self.steps:
+            color[w[:, None], s] = color[u]
+        return color
 
 
 class CoherentConfiguration:
@@ -196,13 +201,14 @@ def _renumber(color: np.ndarray) -> tuple[np.ndarray, int]:
     return names[color], int(names[-1]) + 1
 
 
-def _initial_coloring(g: Digraph) -> tuple[np.ndarray, int]:
+def _initial_coloring(g: Digraph) -> np.ndarray:
+    """Looped diagonal 0, loop-free diagonal 1, arcs 2, non-arcs 3; not renumbered."""
     n = g.n
     color = np.full((n, n), 3, dtype=np.int32)
     color[g.arcs] = 2
     d = np.arange(n)
     color[d, d] = np.where(g.arcs.diagonal(), 0, 1)
-    return _renumber(color)
+    return color
 
 
 def sorted_unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -215,17 +221,17 @@ def sorted_unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _refine_round(
-    color: np.ndarray, rank: int, rows: np.ndarray | None = None
+    color: np.ndarray, rank: int, rows: np.ndarray
 ) -> tuple[np.ndarray, int, np.ndarray]:
-    """One recoloring of the given rows (all rows when None), as a (len(rows), n)
-    matrix; also returns the sorted signature keys, key i naming new color i."""
+    """One recoloring of the given ascending rows, as a (len(rows), n) matrix;
+    also returns the sorted signature keys, key i naming new color i."""
     n = color.shape[0]
     if n >= 65536:
         raise ValueError("refinement supports fewer than 2**16 vertices")
-    m = n if rows is None else len(rows)
+    m = len(rows)
     ncodes = rank * rank
     count_mode = ncodes <= _MODE_A_MAX_CODES
-    products = rows is None and rank <= _PRODUCT_MAX_RANK
+    products = m == n and rank <= _PRODUCT_MAX_RANK  # rows are then 0..n-1
     c64 = None if count_mode else color.astype(np.int64)
     if products:
         per_row = 2 * n * ncodes  # the float32 products and their uint16 copy
@@ -247,7 +253,7 @@ def _refine_round(
     for start in range(0, m, block):
         stop = min(m, start + block)
         nb = stop - start
-        mine = color[start:stop] if rows is None else color[rows[start:stop]]
+        mine = color[rows[start:stop]]
         if count_mode:
             keyrows = np.empty((nb * n, ncodes + 1), dtype=">u2")  # old < rank < 2**16
             keyrows[:, 0] = mine.reshape(nb * n)
@@ -282,20 +288,19 @@ def _refine_round(
 
 
 def _stable_coloring(
-    color: np.ndarray, rank: int, orbits: Orbits | None = None
-) -> tuple[np.ndarray, int, int, np.ndarray]:
-    """The stable coloring, its rank, the rounds run and the confirming round's
-    keys; with orbits, each round refines the representative rows only."""
-    reps = None if orbits is None else orbits.reps
+    color: np.ndarray, rank: int, orbits: Orbits
+) -> tuple[np.ndarray, int, np.ndarray]:
+    """The stable coloring, the rounds run and the confirming round's keys;
+    each round refines the representative rows only."""
     rounds = 0
     while True:
-        new, rank2, keys = _refine_round(color, rank, reps)
+        new, rank2, keys = _refine_round(color, rank, orbits.reps)
         rounds += 1
         if rank2 == rank:
-            if not np.array_equal(new, color if reps is None else color[reps]):
+            if not np.array_equal(new, color[orbits.reps]):
                 raise RuntimeError("renaming not canonical at the stable point")
-            return color, rank, rounds, keys
-        color, rank = (new if orbits is None else orbits.expand(new)), rank2
+            return color, rounds, keys
+        color, rank = orbits.expand(new), rank2
 
 
 def _tensor_from_keys(keys: np.ndarray, n: int, rank: int) -> np.ndarray:
@@ -349,22 +354,13 @@ def _matches_tensor(cc: CoherentConfiguration, r, s, t, weight, tensor_weight) -
 # -- public operations ---------------------------------------------------------
 
 
-def _close(
-    color0: np.ndarray, rank0: int, orbits: Orbits | None = None
-) -> CoherentConfiguration:
-    color, rank, rounds, keys = _stable_coloring(color0, rank0, orbits)
-    return CoherentConfiguration(color, rounds, keys)
-
-
 def wl_close(g: Digraph) -> CoherentConfiguration:
-    """Smallest coherent configuration whose colors refine the arc relation:
-    by `orbit_close` from g's translations when it carries them (NotInvariant
-    unless they are automorphisms of g), else by the dense engine."""
+    """Smallest coherent configuration whose colors refine the arc relation,
+    by `orbit_close` from g's translations (NotInvariant unless they are
+    automorphisms of g); a digraph without them refines every row."""
     if g.n < 1:
         raise ValueError("need at least one vertex")
-    if g.translations:
-        return orbit_close(_initial_coloring(g)[0], list(g.translations))
-    return _close(*_initial_coloring(g))
+    return orbit_close(_initial_coloring(g), list(g.translations))
 
 
 def as_permutation(s, n: int) -> np.ndarray:
@@ -410,50 +406,53 @@ def carries(c1: np.ndarray, c2: np.ndarray, perms: list[np.ndarray]) -> bool:
     return all(np.array_equal(c2[s[rows], s[cols]], values) for s in perms)
 
 
+def _breadth_first(roots, perms: list[np.ndarray], n: int) -> tuple[np.ndarray, list]:
+    """The vertices reached from roots by the permutations perms, a boolean
+    mask over [0, n), and the breadth-first forest: the steps (w, u, s), one
+    layer at a time, list the vertices w = s(u) first reached from u by s in
+    perms (distinct, as one permutation sends distinct vertices apart)."""
+    reached, frontier, steps = np.zeros(n, dtype=bool), np.asarray(roots), []
+    reached[frontier] = True
+    while perms and frontier.size:
+        layer = []
+        for s in perms:
+            images = s[frontier]
+            new = ~reached[images]
+            w = images[new]
+            reached[w] = True
+            layer.append(w)
+            if w.size:
+                steps.append((w, frontier[new], s))
+        frontier = np.concatenate(layer)
+    return reached, steps
+
+
 def orbit_mask(v: int, perms: list[np.ndarray], n: int) -> np.ndarray:
     """The orbit of vertex v under the group perms generate, as a boolean
     mask over [0, n)."""
-    reached, frontier = np.zeros(n, dtype=bool), np.array([v])
-    reached[v] = True
-    while perms and frontier.size:
-        images = np.concatenate([s[frontier] for s in perms])
-        frontier = np.unique(images[~reached[images]])
-        reached[frontier] = True
-    return reached
+    return _breadth_first([v], perms, n)[0]
 
 
 def orbit_close(color0: np.ndarray, gens: list[np.ndarray]) -> CoherentConfiguration:
     """The stable refinement of the pair coloring color0, from one row per
     orbit (its least vertex) of the group the permutations gens generate;
-    equal to the dense refinement.  `carries` proves the generators
+    with no gens, of every row.  `carries` proves the generators
     automorphisms of color0 once (of an initial coloring, on the arc list),
-    else NotInvariant.  The breadth-first pass that reaches w = s(u) from u
-    sets T[w] = T[u] s**-1, so each row of this Schreier transversal is a
-    product of proven automorphisms sending its vertex to its representative.
-    The result keeps the proven generators as `generators`."""
+    else NotInvariant.  One breadth-first forest from all representatives
+    copies the other rows down: row s(u) is row u moved by s, a proven
+    automorphism.  The result keeps the proven generators as `generators`."""
     n = len(color0)
-    ar = np.arange(n)
     perms = [as_permutation(s, n) for s in gens]
-    if not carries(color0, color0, perms):
+    if perms and not carries(color0, color0, perms):
         raise NotInvariant("a generator is not an automorphism of the coloring")
-    steps = [(s, np.argsort(s)) for s in perms]
-    which = np.full(n, -1, dtype=np.int64)
-    transversal = np.empty((n, n), dtype=np.int32)
-    reps: list[int] = []
+    reps, reached = [], np.zeros(n, dtype=bool)
     for r in range(n):
-        if which[r] >= 0:
-            continue
-        which[r], transversal[r] = len(reps), ar
-        reps.append(r)
-        queue = [r]
-        for u in queue:
-            for s, s_inv in steps:
-                w = s[u]
-                if which[w] < 0:
-                    which[w], transversal[w] = which[r], transversal[u][s_inv]
-                    queue.append(w)
-    cc = _close(*_renumber(color0), Orbits(np.array(reps), which, transversal))
-    cc.generators = [s for s, _ in steps]
+        if not reached[r]:
+            reps.append(r)
+            reached |= orbit_mask(r, perms, n)
+    orbits = Orbits(np.array(reps), _breadth_first(reps, perms, n)[1])
+    cc = CoherentConfiguration(*_stable_coloring(*_renumber(color0), orbits))
+    cc.generators = perms
     return cc
 
 
@@ -475,7 +474,7 @@ def _checked_extension(
 
 def one_point_extension(cc: CoherentConfiguration, v: int) -> CoherentConfiguration:
     """Re-refine with vertex v given a fresh diagonal color; {v} becomes a fiber."""
-    return _checked_extension(cc, v, _close(*_renumber(_individualized(cc, v))))
+    return orbit_extension(cc, v, [])
 
 
 def orbit_extension(

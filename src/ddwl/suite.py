@@ -385,15 +385,15 @@ def _iso_classes(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
 
 
 def _reverse_pair_isomorphism(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
-    """Cay(X_i) ~ Cay(X_chi(i)), witnessed arc by arc"""
-    cons = ctx.cons
+    """Cay(X_i) ~ Cay(X_chi(i)): the search says so, and the closed-form
+    sigma(x, y, z) = (x, -y, -z) carries the arcs"""
+    cons, t, f = ctx.cons, ctx.cons.table, ctx.cons.field
     i = cons.generators_I()[0]
     j = cons.chi(i)
     g1, g2 = cons.build_cayley(i), cons.build_cayley(j)
     cert = isotest.are_isomorphic(g1, g2, ctx.closure(i), ctx.closure(j))
-    # (x, y, z) -> (x, -y, -z) maps X_i onto X_chi(i), so "isomorphic" is expected
-    f = cert.mapping
-    witnessed = cert.isomorphic and coherent.carries(g1.arcs, g2.arcs, [f])
+    sigma = coherent.as_permutation(t._pack(t.ix, f.neg(t.iy), f.neg(t.iz)), cons.n)
+    witnessed = cert.isomorphic and coherent.carries(g1.arcs, g2.arcs, [sigma])
     status = "undetermined" if cert.kind == "undetermined" else ("pass" if witnessed else "fail")
     return status, {"i": i, "chi_i": j, "result": cert.kind}
 

@@ -5,6 +5,7 @@ from ddwl import coherent
 from ddwl.construction import Construction
 from ddwl.digraph import Digraph
 from ddwl.suite import Context
+from reference import on_every_row
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -30,9 +31,9 @@ def _union_equivalent(g1: Digraph, g2: Digraph) -> bool:
     arcs = np.zeros((2 * n, 2 * n), dtype=bool)
     arcs[:n, :n] = g1.arcs
     arcs[n:, n:] = g2.arcs
-    color, rank, _, _ = coherent._stable_coloring(*coherent._initial_coloring(Digraph(arcs)))
-    m1 = np.bincount(color[:n, :n].ravel(), minlength=rank)
-    m2 = np.bincount(color[n:, n:].ravel(), minlength=rank)
+    cc = on_every_row(lambda: coherent.wl_close(Digraph(arcs)))
+    m1 = np.bincount(cc.color[:n, :n].ravel(), minlength=cc.rank)
+    m2 = np.bincount(cc.color[n:, n:].ravel(), minlength=cc.rank)
     return bool(np.array_equal(m1, m2))
 
 
@@ -111,7 +112,8 @@ def dense_closure7(contexts):
     the one dense q = 7 refinement the orbit-row closures are held to.  The
     plain copy carries no translations, so `wl_close` refines every row."""
     cons = contexts[7].cons
-    return coherent.wl_close(Digraph(cons.build_cayley(cons.generators_I()[0]).arcs))
+    g = Digraph(cons.build_cayley(cons.generators_I()[0]).arcs)
+    return on_every_row(lambda: coherent.wl_close(g))
 
 
 @pytest.fixture(scope="session")

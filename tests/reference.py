@@ -6,13 +6,17 @@
 `coherent.carries` and `designs.verify_design_iso` replaced; `orbit_by_sets`
 is the set-based closure that `coherent.orbit_mask` replaced.  `MatrixM`
 and `rho_apply` are the element-by-element automorphism map that
-`Construction.rho_perm` is compared against.
+`Construction.rho_perm` is compared against.  `on_every_row` runs the
+dense side of an oracle test and asserts that every refinement in it
+refined every row.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+import pytest
 
+from ddwl import coherent
 from ddwl.digraph import Digraph
 from ddwl.gf import FieldElement
 from ddwl.heisenberg import GroupElement
@@ -43,6 +47,24 @@ def move_one_arc(g: Digraph) -> Digraph:
 def carries_densely(c1: np.ndarray, c2: np.ndarray, s: np.ndarray) -> bool:
     """c2[s(u), s(v)] == c1[u, v] on all n**2 pairs."""
     return bool(np.array_equal(c2[np.ix_(s, s)], c1))
+
+
+def on_every_row(make):
+    """make(), asserting that each refinement it ran had every vertex as its
+    own representative and no steps: the trivial group, the dense engine."""
+    seen, stable = [], coherent._stable_coloring
+
+    def spy(color, rank, orbits):
+        seen.append((len(color), orbits))
+        return stable(color, rank, orbits)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coherent, "_stable_coloring", spy)
+        out = make()
+    assert seen
+    for n, orbits in seen:
+        assert np.array_equal(orbits.reps, np.arange(n)) and orbits.steps == []
+    return out
 
 
 def orbit_by_sets(v: int, perms: list[np.ndarray]) -> set[int]:

@@ -25,6 +25,7 @@ from reference import (
     complete,
     directed_cycle,
     move_one_arc,
+    on_every_row,
     orbit_by_sets,
     random_digraph,
 )
@@ -164,7 +165,7 @@ def _compare_kernels(monkeypatch) -> list[int]:
     refine, limit = coherent._refine_round, coherent._PRODUCT_MAX_RANK
     by_products: list[int] = []
 
-    def both(color, rank, rows=None):
+    def both(color, rank, rows):
         got = refine(color, rank, rows)
         monkeypatch.setattr(coherent, "_PRODUCT_MAX_RANK", 0)
         want = refine(color, rank, rows)
@@ -172,7 +173,7 @@ def _compare_kernels(monkeypatch) -> list[int]:
         assert got[1] == want[1]
         for a, b in ((got[0], want[0]), (got[2], want[2])):
             assert (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes()
-        if rows is None and rank <= limit:
+        if len(rows) == len(color) and rank <= limit:
             by_products.append(rank)
         return got
 
@@ -210,6 +211,20 @@ def test_dense_q7_closure_peak_stays_below_14_mb(cons7):
     assert peak < 14e6
 
 
+def test_q13_closure_peak_stays_below_seven_colour_matrices(cons13):
+    """The q = 13 closure from row e keeps no n x n table of permutations
+    beside its colour matrices: its tracemalloc peak stays below 7 n**2
+    int32 entries (135 MB), which one more n x n int32 table would pass."""
+    g = cons13.build_cayley(cons13.generators_I()[0])
+    tracemalloc.start()
+    try:
+        assert wl_close(g).rank == 15
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * g.n**2 * 4
+
+
 @pytest.mark.parametrize("budget", [None, 1], ids=["default-blocks", "one-row-blocks"])
 @pytest.mark.parametrize("case", ["cycle", "random-at-limit", "random-above-limit"])
 def test_product_rounds_equal_the_bincount_kernel_on_small_inputs(case, budget, monkeypatch):
@@ -226,7 +241,7 @@ def test_product_rounds_equal_the_bincount_kernel_on_small_inputs(case, budget, 
         rank = limit + (case == "random-above-limit")
         color = np.random.default_rng(rank).integers(0, rank, size=(30, 30), dtype=np.int32)
         color.flat[:rank] = np.arange(rank)   # every color occurs
-        coherent._stable_coloring(color, rank)
+        coherent._stable_coloring(color, rank, coherent.Orbits(np.arange(30), []))
         assert by_products == ([limit] if rank == limit else [])
 
 
@@ -476,7 +491,7 @@ def test_cayley_close_matches_dense_every_label(q, loops, request):
     cons = request.getfixturevalue(f"cons{q}")
     for i in range(q):
         g = cons.build_cayley(i, include_identity=loops)
-        _assert_same_closure(wl_close(g), wl_close(_plain(g)))
+        _assert_same_closure(wl_close(g), on_every_row(lambda: wl_close(_plain(g))))
 
 
 def test_cayley_close_matches_dense_q7(cons7, dense_closure7):
@@ -491,7 +506,9 @@ def test_orbit_extension_matches_dense(q, request):
     for i in cons.generators_I() if q == 3 else cons.generators_I()[:1]:
         g = cons.build_cayley(i)
         orbit = coherent.orbit_extension(wl_close(g), cons.table.identity, [gen])
-        dense = one_point_extension(wl_close(_plain(g)), cons.table.identity)
+        dense = on_every_row(
+            lambda: one_point_extension(wl_close(_plain(g)), cons.table.identity)
+        )
         _assert_same_closure(orbit, dense)
 
 
@@ -552,7 +569,7 @@ def test_cayley_close_matches_dense_on_generated_connection_sets(
         arcs = mask[quot].T   # arc (u, v) iff v * u**-1 in the set
         orbit = wl_close(Digraph(arcs, translations=translations))
         ranks.add(orbit.rank)
-        _assert_same_closure(orbit, wl_close(Digraph(arcs)))
+        _assert_same_closure(orbit, on_every_row(lambda: wl_close(Digraph(arcs))))
 
     check()
     # a Cayley closure has rank at most n, so only q = 5 reaches sort mode
@@ -561,28 +578,36 @@ def test_cayley_close_matches_dense_on_generated_connection_sets(
 
 
 def _spy_orbits(monkeypatch):
-    """Record the Orbits each orbit-row refinement is run with."""
-    seen, close = [], coherent._close
+    """Record the Orbits each refinement is run with."""
+    seen, stable = [], coherent._stable_coloring
 
-    def spy(color0, rank0, orbits=None):
+    def spy(color, rank, orbits):
         seen.append(orbits)
-        return close(color0, rank0, orbits)
+        return stable(color, rank, orbits)
 
-    monkeypatch.setattr(coherent, "_close", spy)
+    monkeypatch.setattr(coherent, "_stable_coloring", spy)
     return seen
 
 
-def _assert_schreier(orbits, color0):
-    """Every transversal row is an automorphism of color0 sending its vertex
-    to its representative, the least vertex of its orbit."""
-    reps, which, transversal = orbits
+def _assert_forest(orbits, color0, gens):
+    """Each step (w, u, s) moves by s, an automorphism of color0, u to w;
+    each vertex is reached exactly once, after its parent; each
+    representative is the least vertex of its orbit under gens.  Returns
+    the representative of every vertex."""
     n = len(color0)
-    assert np.array_equal(transversal[np.arange(n), np.arange(n)], reps[which])
-    for j, r in enumerate(reps):
-        assert r == np.flatnonzero(which == j).min()
-    for t in transversal:
-        assert np.array_equal(np.sort(t), np.arange(n))
-        assert np.array_equal(color0[np.ix_(t, t)], color0)
+    root = np.full(n, -1)
+    root[orbits.reps] = orbits.reps
+    for w, u, s in orbits.steps:
+        assert np.array_equal(np.sort(s), np.arange(n)) and np.array_equal(s[u], w)
+        assert carries_densely(color0, color0, s)
+        assert (root[u] >= 0).all() and (root[w] < 0).all() and len(set(w.tolist())) == len(w)
+        root[w] = root[u]
+    assert (root >= 0).all()
+    for s in gens:
+        assert np.array_equal(root[s], root)   # the trees are the orbits
+    for r in orbits.reps:
+        assert r == np.flatnonzero(root == r).min()
+    return root
 
 
 def test_cayley_close_has_one_orbit(cons3, monkeypatch):
@@ -593,7 +618,7 @@ def test_cayley_close_has_one_orbit(cons3, monkeypatch):
     cc = wl_close(g)
     (orbits,) = seen
     assert orbits.reps.tolist() == [cons3.table.identity]
-    _assert_schreier(orbits, coherent._initial_coloring(g)[0])
+    _assert_forest(orbits, coherent._initial_coloring(g), g.translations)
     assert len(cc.generators) == len(g.translations) == 2 * cons3.field.l
     assert all(np.array_equal(a, b) for a, b in zip(cc.generators, g.translations))
 
@@ -605,7 +630,9 @@ def test_wl_close_is_dense_without_translations(cons3, monkeypatch):
     seen = _spy_orbits(monkeypatch)
     for plain in (g.relabeled(np.random.default_rng(0).permutation(g.n)), _plain(g)):
         assert wl_close(plain).generators == []
-    assert seen == [None, None]
+    assert len(seen) == 2
+    for orbits in seen:
+        assert np.array_equal(orbits.reps, np.arange(g.n)) and orbits.steps == []
 
 
 @pytest.mark.parametrize(
@@ -623,7 +650,7 @@ def test_wl_close_refuses_a_translation_that_is_not_a_permutation(cons3, spoil):
 
 def test_orbit_close_rejects_a_forged_generator(cons3):
     g = cons3.build_cayley(1)
-    color0, _ = coherent._initial_coloring(g)
+    color0 = coherent._initial_coloring(g)
     u = 5
     forged = np.arange(g.n)
     forged[[u, 0]] = [0, u]   # sends u to e, but is not an automorphism
@@ -666,11 +693,12 @@ def test_orbit_extension_from_a_subgroup_of_k(q, request, monkeypatch):
     seen = _spy_orbits(monkeypatch)
     orbit = coherent.orbit_extension(cc, cons.table.identity, [gen[gen]])
     _assert_same_closure(orbit, one_point_extension(cc, cons.table.identity))
-    orbits = seen[0]
-    _assert_schreier(orbits, coherent._individualized(cc, cons.table.identity))
+    forest, trivial = seen
+    assert np.array_equal(trivial.reps, np.arange(cons.n)) and trivial.steps == []
+    root = _assert_forest(forest, coherent._individualized(cc, cons.table.identity), [gen[gen]])
     for i in range(q):
-        halves = np.bincount(orbits.which[cons.build_Y(i)])
-        assert sorted(halves[halves > 0].tolist()) == [(q * q - 1) // 2] * 2
+        _, halves = np.unique(root[cons.build_Y(i)], return_counts=True)
+        assert halves.tolist() == [(q * q - 1) // 2] * 2
 
 
 def _candidate_perms(cons):
@@ -692,7 +720,7 @@ def test_fixes_coloring_equals_the_dense_oracle_on_every_label(q, request):
     perms = _candidate_perms(cons)
     for i in range(q):
         g = cons.build_cayley(i)
-        colorings = [g.arcs] + ([~g.arcs, coherent._initial_coloring(g)[0]] if q <= 9 else [])
+        colorings = [g.arcs] + ([~g.arcs, coherent._initial_coloring(g)] if q <= 9 else [])
         for color in colorings:
             assert coherent._outside_largest_class(color, color) is not None   # the pair list
             got = [coherent.carries(color, color, [s]) for s in perms]

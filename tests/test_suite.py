@@ -111,10 +111,8 @@ CORRUPTIONS = {
     "design_isomorphism": _roll_design_map,
     "one_point_extension": _join_next_orbit,
     "iso_classes": lambda cons, mp: mp.setattr(suite, "euler_phi", lambda n: 100),
-    "reverse_pair_isomorphism": lambda cons, mp: mp.setattr(
-        isotest, "are_isomorphic",
-        lambda g1, g2, *args: isotest.IsoCertificate("isomorphic", mapping=np.arange(g1.n)),
-    ),
+    # Cay(X_i) against itself: the search finds the identity, sigma moves X_i
+    "reverse_pair_isomorphism": lambda cons, mp: setattr(cons, "chi", lambda i: i),
     "automorphism_order": _join_next_orbit,
 }
 
