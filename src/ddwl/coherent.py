@@ -8,7 +8,10 @@ pair (u, v) by its old color together with the multiset over all w of the
 code pairs (color(u, w), color(w, v)); rounds repeat until the partition
 stops splitting, and one extra round confirms stability.
 
-Canonical renaming.  After each round the new colors are numbered 0, 1, ...
+Canonical renaming.  The initial coloring's classes are numbered 0, 1, ...
+as it is built, and a refinement runs on the coloring it is handed; only an
+individualized coloring is renumbered first, as its fresh diagonal color can
+leave a gap.  After each round the new colors are numbered 0, 1, ...
 in the order of (old color, signature multiset), where multisets are ordered
 by their ascending sorted vectors.  Signatures are compared structurally,
 never hashed, so color names agree between runs and between graphs of equal
@@ -202,12 +205,16 @@ def _renumber(color: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _initial_coloring(g: Digraph) -> np.ndarray:
-    """Looped diagonal 0, loop-free diagonal 1, arcs 2, non-arcs 3; not renumbered."""
+    """Looped diagonal, loop-free diagonal, arcs, non-arcs, numbered 0, 1, ...
+    in that order over the classes that occur."""
     n = g.n
-    color = np.full((n, n), 3, dtype=np.int32)
-    color[g.arcs] = 2
+    loops = np.count_nonzero(g.arcs.diagonal())
+    arcs = np.count_nonzero(g.arcs) - loops  # off the diagonal
+    ids = np.cumsum([loops > 0, loops < n, arcs > 0, arcs < n * n - n], dtype=np.int32) - 1
+    color = np.full((n, n), ids[3], dtype=np.int32)
+    color[g.arcs] = ids[2]
     d = np.arange(n)
-    color[d, d] = np.where(g.arcs.diagonal(), 0, 1)
+    color[d, d] = np.where(g.arcs.diagonal(), ids[0], ids[1])
     return color
 
 
@@ -367,7 +374,7 @@ def as_permutation(s, n: int) -> np.ndarray:
     """s as an integer array of shape (n,) holding 0..n-1 once each; else NotInvariant."""
     s = np.asarray(s)
     if s.shape != (n,) or s.dtype.kind not in "iu" or not np.array_equal(np.sort(s), np.arange(n)):
-        raise NotInvariant("a generator is not a permutation of the vertices")
+        raise NotInvariant(f"a map is not a permutation of 0..{n - 1}")
     return s
 
 
@@ -434,13 +441,14 @@ def orbit_mask(v: int, perms: list[np.ndarray], n: int) -> np.ndarray:
 
 
 def orbit_close(color0: np.ndarray, gens: list[np.ndarray]) -> CoherentConfiguration:
-    """The stable refinement of the pair coloring color0, from one row per
-    orbit (its least vertex) of the group the permutations gens generate;
-    with no gens, of every row.  `carries` proves the generators
-    automorphisms of color0 once (of an initial coloring, on the arc list),
-    else NotInvariant.  One breadth-first forest from all representatives
-    copies the other rows down: row s(u) is row u moved by s, a proven
-    automorphism.  The result keeps the proven generators as `generators`."""
+    """The stable refinement of the int32 pair coloring color0, whose ids
+    are 0..rank-1, from one row per orbit (its least vertex) of the group
+    the permutations gens generate; with no gens, of every row.  `carries`
+    proves the generators automorphisms of color0 once (of an initial
+    coloring, on the arc list), else NotInvariant.  One breadth-first forest
+    from all representatives copies the other rows down: row s(u) is row u
+    moved by s, a proven automorphism.  The result keeps the proven
+    generators as `generators`."""
     n = len(color0)
     perms = [as_permutation(s, n) for s in gens]
     if perms and not carries(color0, color0, perms):
@@ -451,15 +459,17 @@ def orbit_close(color0: np.ndarray, gens: list[np.ndarray]) -> CoherentConfigura
             reps.append(r)
             reached |= orbit_mask(r, perms, n)
     orbits = Orbits(np.array(reps), _breadth_first(reps, perms, n)[1])
-    cc = CoherentConfiguration(*_stable_coloring(*_renumber(color0), orbits))
+    cc = CoherentConfiguration(*_stable_coloring(color0, int(color0.max()) + 1, orbits))
     cc.generators = perms
     return cc
 
 
 def _individualized(cc: CoherentConfiguration, v: int) -> np.ndarray:
+    """cc's coloring with (v, v) in a fresh color, renumbered: v's old
+    diagonal color is gone when {v} was a fiber already."""
     seeded = cc.color.copy()
     seeded[v, v] = cc.rank
-    return seeded
+    return _renumber(seeded)[0]
 
 
 def _checked_extension(

@@ -44,11 +44,11 @@ class Digraph:
         return not both.any()
 
     def relabeled(self, perm: np.ndarray) -> "Digraph":
-        """Rename vertex u to perm[u]."""
-        perm = np.asarray(perm)
-        n = self.n
-        if sorted(perm.tolist()) != list(range(n)) or perm.dtype.kind not in "iu":
-            raise ValueError("perm must be a permutation of [0, n)")
+        """Rename vertex u to perm[u]; `coherent.as_permutation` proves perm
+        (its NotInvariant is a ValueError)."""
+        from .coherent import as_permutation  # coherent imports this module
+
+        perm = as_permutation(perm, self.n)
         a = np.empty_like(self.arcs)
         a[np.ix_(perm, perm)] = self.arcs
         return Digraph(a, label=self.label)

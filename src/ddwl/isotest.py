@@ -74,15 +74,13 @@ class _PartitionSearch:
     def __init__(self, c1: np.ndarray, c2: np.ndarray, node_budget: int):
         if c1.shape != c2.shape or c1.shape[0] != c1.shape[1]:
             raise ValueError("colorings must be square and of equal order")
-        self.c1 = c1.astype(np.int64)
-        self.c2 = c2.astype(np.int64)
+        self.c1, self.c2 = c1, c2  # searched as given; `_signatures` widens to int64
         self.n = c1.shape[0]
         self.budget = node_budget
         self.nodes = 0
-        self.mult = max(int(self.c1.max()), int(self.c2.max())) + 1
-        self._prune = None
+        self.mult = max(int(c1.max()), int(c2.max())) + 1
 
-        d1, d2 = self.c1.diagonal(), self.c2.diagonal()
+        d1, d2 = c1.diagonal(), c2.diagonal()
         vals = np.unique(np.concatenate([d1, d2]))
         self.pi1_0 = np.searchsorted(vals, d1).astype(np.int64)
         self.pi2_0 = np.searchsorted(vals, d2).astype(np.int64)
@@ -145,10 +143,9 @@ class _PartitionSearch:
         with an automorphism of the second coloring moves v anywhere in its
         orbit, so the orbit fails with v).  Only sound with no forced pairs.
         """
-        self._prune = prune
-        return self._descend(*self._seeded(forced))
+        return self._descend(*self._seeded(forced), prune)
 
-    def _descend(self, pi1, pi2, ncells):
+    def _descend(self, pi1, pi2, ncells, prune=None):
         if self.nodes >= self.budget:
             raise BudgetExceeded(f"node budget {self.budget} exhausted")
         self.nodes += 1
@@ -162,7 +159,6 @@ class _PartitionSearch:
             f[np.argsort(pi1)] = np.argsort(pi2)
             return f if carries(self.c1, self.c2, [f]) else None
         u = int(np.flatnonzero(pi1 == target)[0])
-        prune, self._prune = self._prune, None  # prune only the outermost branching
         ruled_out = np.zeros(self.n, dtype=bool)
         for v in np.flatnonzero(pi2 == target).tolist():
             if ruled_out[v]:
@@ -170,7 +166,7 @@ class _PartitionSearch:
             b1, b2 = pi1.copy(), pi2.copy()
             b1[u] = ncells
             b2[v] = ncells
-            f = self._descend(b1, b2, ncells + 1)
+            f = self._descend(b1, b2, ncells + 1)  # prune only the outermost branching
             if f is not None:
                 return f
             if prune is not None:
@@ -231,10 +227,17 @@ def are_isomorphic(
 # -- automorphism groups -----------------------------------------------------------
 
 
-def _automorphism_group(
-    color: np.ndarray, node_budget: int, fixed: tuple[int, ...] = ()
+def automorphism_generators(
+    g: Digraph,
+    cc: CoherentConfiguration | None = None,
+    node_budget: int = NODE_BUDGET_DEFAULT,
+    fixed: tuple[int, ...] = (),
 ) -> tuple[int, list[np.ndarray]]:
-    search = _PartitionSearch(color, color, node_budget)
+    """Order of the automorphism group (of the stabilizer of the fixed
+    vertices, when given) and generators, each checked arc by arc; raises
+    BudgetExceeded when the search cap is hit."""
+    cc = cc if cc is not None else wl_close(g)
+    search = _PartitionSearch(cc.color, cc.color, node_budget)
 
     def rec(forced: tuple[tuple[int, int], ...]) -> tuple[int, list[np.ndarray]]:
         state = search._refine(*search._seeded(forced))
@@ -257,22 +260,7 @@ def _automorphism_group(
                 orbit = orbit_mask(u, gens, search.n)
         return int(np.count_nonzero(orbit[members])) * sub_order, gens
 
-    base = tuple((w, w) for w in fixed)
-    order, gens = rec(base)
-    return order, gens
-
-
-def automorphism_generators(
-    g: Digraph,
-    cc: CoherentConfiguration | None = None,
-    node_budget: int = NODE_BUDGET_DEFAULT,
-    fixed: tuple[int, ...] = (),
-) -> tuple[int, list[np.ndarray]]:
-    """Order of the automorphism group (of the stabilizer of the fixed
-    vertices, when given) and generators, each checked arc by arc; raises
-    BudgetExceeded when the search cap is hit."""
-    cc = cc if cc is not None else wl_close(g)
-    order, gens = _automorphism_group(cc.color, node_budget, fixed)
+    order, gens = rec(tuple((w, w) for w in fixed))
     if not carries(g.arcs, g.arcs, gens):
         raise RuntimeError("generator failed the arc-exact check")  # engine bug
     return order, gens

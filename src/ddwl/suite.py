@@ -63,13 +63,11 @@ class RunReport:
 
 
 class Context:
-    """What the checks of one (q, suite, seed) run share.  Everything is built
-    on first use, so an error while building it fails the check that asked."""
+    """What the checks of one (q, seed) run share.  Everything is built on
+    first use, so an error while building it fails the check that asked."""
 
-    def __init__(self, q: int, suite="full", seed=DEFAULT_SEED):
-        if suite not in ("full", "fast"):
-            raise ValueError("suite must be 'full' or 'fast'")
-        self.q, self.suite, self.seed = q, suite, seed
+    def __init__(self, q: int, seed=DEFAULT_SEED):
+        self.q, self.seed = q, seed
         self.closures: dict[int, coherent.CoherentConfiguration] = {}
 
     @cached_property
@@ -286,20 +284,20 @@ def _tau_hat_transport(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
     """tau-hat transports the closure tensor and arc colors, every ordered pair"""
     cons, q1 = ctx.cons, ctx.q + 1
     gens = cons.generators_I()
+    arc_colors = {
+        i: coherent.invariants(cons.build_cayley(i), ctx.closure(i))["arc_colors"] for i in gens
+    }
     data = {}
     for i in gens:
         for j in (j for j in gens if j != i):
             # the color bijection induced by a power map sending i to j
             m = next(m for m in range(1, q1) if np.gcd(m, q1) == 1 and cons.psi_pow(i, m) == j)
             sigma_cells = srings.tau_hat(ctx.ring, m)
-            cc_i, cc_j = ctx.closure(i), ctx.closure(j)
             # sigma sends the color of cell k in closure i to that of cell sigma_cells[k] in j
             sigma = ctx.cell_colors(j)[sigma_cells][np.argsort(ctx.cell_colors(i))]
-            good = coherent.verify_algebraic_map(cc_i, cc_j, sigma)
+            good = coherent.verify_algebraic_map(ctx.closure(i), ctx.closure(j), sigma)
             # the arc colors of graph i must land on the arc colors of graph j
-            arcs_i = np.unique(cc_i.color[cons.build_cayley(i).arcs])
-            arcs_j = np.unique(cc_j.color[cons.build_cayley(j).arcs])
-            good &= {int(sigma[c]) for c in arcs_i} == {int(c) for c in arcs_j}
+            good &= {int(sigma[c]) for c in arc_colors[i]} == set(arc_colors[j])
             data[f"{i}->{j}"] = {"exponent": m, "transports": bool(good)}
     ok = all(d["transports"] for d in data.values())
     return ("pass" if ok else "fail"), data
@@ -457,7 +455,9 @@ REGISTRY = [
 
 
 def run_suite(q: int, suite="full", seed=DEFAULT_SEED) -> RunReport:
-    ctx = Context(q, suite, seed)
+    if suite not in ("full", "fast"):
+        raise ValueError("suite must be 'full' or 'fast'")
+    ctx = Context(q, seed)
     checks, timings = [], {}
     for check in REGISTRY:
         variant = check.variant(q, suite)

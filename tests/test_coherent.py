@@ -88,6 +88,18 @@ def test_refinement_refines_initial_classes(cons3):
     assert arc_colors.isdisjoint(non_arc_colors)
 
 
+def test_initial_coloring_numbers_the_classes_that_occur():
+    """Every digraph on one and two vertices meets each combination of the
+    four classes; the coloring equals the classes 0..3 renumbered."""
+    for n in (1, 2):
+        for bits in range(2 ** (n * n)):
+            arcs = np.array([(bits >> k) & 1 for k in range(n * n)], dtype=bool).reshape(n, n)
+            raw = np.where(arcs, 2, 3).astype(np.int32)
+            np.fill_diagonal(raw, np.where(arcs.diagonal(), 0, 1))
+            want = coherent._renumber(raw)[0]
+            assert np.array_equal(coherent._initial_coloring(Digraph(arcs)), want)
+
+
 @pytest.mark.parametrize(
     "maker",
     [
@@ -223,6 +235,21 @@ def test_q13_closure_peak_stays_below_seven_colour_matrices(cons13):
     finally:
         tracemalloc.stop()
     assert peak < 7 * g.n**2 * 4
+
+
+def test_q13_closure_refines_its_initial_coloring_without_a_copy(cons13):
+    """The initial coloring is numbered as it is built, and `orbit_close`
+    refines it as it is handed, with no renumbered copy beside it: the
+    q = 13 closure's tracemalloc peak stays below 6 n**2 int32 entries
+    (115.8 MB), which that one more n x n int32 copy would pass."""
+    g = cons13.build_cayley(cons13.generators_I()[0])
+    tracemalloc.start()
+    try:
+        assert wl_close(g).rank == 15
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * g.n**2 * 4
 
 
 @pytest.mark.parametrize("budget", [None, 1], ids=["default-blocks", "one-row-blocks"])

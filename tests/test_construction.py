@@ -372,3 +372,10 @@ def test_relabeled_refuses_a_float_permutation():
     g = Digraph(np.eye(4, dtype=bool))
     with pytest.raises(ValueError, match="permutation"):
         g.relabeled(np.arange(4, dtype=float))
+
+
+@pytest.mark.parametrize("perm", [[0, 1, 2], [0, 1, 1, 3]], ids=["short", "repeated"])
+def test_relabeled_refuses_a_short_or_repeating_permutation(perm):
+    g = Digraph(np.eye(4, dtype=bool))
+    with pytest.raises(ValueError, match="permutation"):
+        g.relabeled(np.array(perm))

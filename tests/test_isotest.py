@@ -110,18 +110,30 @@ def test_forged_generator_raises(cons3, closures3, shrikhande_and_rook, monkeypa
     forged = np.arange(g.n)
     forged[[0, 1]] = [1, 0]
     assert not np.array_equal(g.arcs[np.ix_(forged, forged)], g.arcs)
-    monkeypatch.setattr(isotest, "_automorphism_group", lambda *args: (216, [forged]))
-    with pytest.raises(RuntimeError, match="arc-exact"):
+    _forge_generator_searches(monkeypatch, forged)
+    with pytest.raises(RuntimeError, match="generator failed the arc-exact"):
         automorphism_order(g, closures3[1])
-    with pytest.raises(RuntimeError, match="arc-exact"):
+    with pytest.raises(RuntimeError, match="generator failed the arc-exact"):
         automorphism_generators(g, closures3[1])
     shrikhande, rook = shrikhande_and_rook
     forged = np.arange(rook.n)
     forged[[0, 1]] = [1, 0]
     assert not np.array_equal(rook.arcs[np.ix_(forged, forged)], rook.arcs)
-    monkeypatch.setattr(isotest, "_automorphism_group", lambda *args: (1152, [forged]))
-    with pytest.raises(RuntimeError, match="arc-exact"):
+    _forge_generator_searches(monkeypatch, forged)
+    with pytest.raises(RuntimeError, match="generator failed the arc-exact"):
         are_isomorphic(shrikhande, rook)
+
+
+def _forge_generator_searches(monkeypatch, forged):
+    """Each search with forced pairs, as the automorphism-generator search
+    runs, returns forged; the unforced search of `are_isomorphic` runs as
+    it is, so it still prunes by the generators its failed root asks for."""
+    search = isotest._PartitionSearch.search
+    monkeypatch.setattr(
+        isotest._PartitionSearch,
+        "search",
+        lambda self, forced, prune=None: forged if forced else search(self, forced, prune),
+    )
 
 
 def _count_generator_searches(monkeypatch) -> list:

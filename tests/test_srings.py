@@ -174,11 +174,12 @@ def test_algebraic_automorphisms_q3(tensor3):
         assert a[tensor3.rank - 1] == tensor3.rank - 1   # the center cell too
 
 
-def test_algebraic_automorphism_cap(tensor3):
-    from ddwl.srings import SearchCapExceeded
+def test_algebraic_automorphism_cap(tensor3, monkeypatch):
+    from ddwl import srings
 
-    with pytest.raises(SearchCapExceeded):
-        algebraic_automorphisms(tensor3, cap=2)
+    monkeypatch.setattr(srings, "_AUTOMORPHISM_SEARCH_CAP", 2)
+    with pytest.raises(srings.SearchCapExceeded):
+        algebraic_automorphisms(tensor3)
 
 
 def test_tau_hat(cons3, ring3, tensor3):

@@ -72,6 +72,21 @@ def _bump_tensor(cons, mp):
     mp.setattr(srings, "structure_constants", bumped)
 
 
+def _count_e_times_e_on_the_center(cons, mp):
+    """Counts e * e once more on every element of Z#: each cell stays
+    constant, so the tensor is built, with c[e, e, Z#] = 1, which breaks
+    mass conservation but no closed form of Y_i * Y_j."""
+    count, center, e = srings._difference_multiset, cons.punctured_center(), cons.table.identity
+
+    def miscounted(c, left, right):
+        conv = count(c, left, right)
+        if len(left) == len(right) == 1 and left[0] == right[0] == e:
+            conv[center] += 1
+        return conv
+
+    mp.setattr(srings, "_difference_multiset", miscounted)
+
+
 def _roll_design_map(cons, mp, name="f"):
     build = designs.desiso_maps
 
@@ -135,6 +150,24 @@ def test_corrupted_input_fails(name, monkeypatch):
     result = _run_one(name, monkeypatch)
     assert result.status == "fail", result.data
     assert ("error" in result.data) == (name == "orbit_partition"), result.data
+
+
+@pytest.mark.parametrize(
+    "name, status", [("structure_constants", "pass"), ("tensor_identities", "fail")]
+)
+def test_miscounted_tensor_fails_criterion_12_by_verdict(name, status, monkeypatch):
+    """A tensor that breaks a group-counting identity is built, and only the
+    identity check says so, by its verdict."""
+    cons = Construction(3)
+    _count_e_times_e_on_the_center(cons, monkeypatch)
+    monkeypatch.setattr(suite, "Construction", lambda q, max_vertices: cons)
+    result = _run_one(name, monkeypatch)
+    assert result.status == status and "error" not in result.data, result.data
+
+
+def test_run_suite_refuses_an_unknown_suite():
+    with pytest.raises(ValueError, match="suite must be"):
+        suite.run_suite(3, "bogus")
 
 
 def _assert_verify_reports_not_invariant(cons, name, tmp_path, monkeypatch, capsys):
