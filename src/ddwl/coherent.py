@@ -13,11 +13,12 @@ as it is built, and a refinement runs on the coloring it is handed; only an
 individualized coloring is renumbered first, as its fresh diagonal color can
 leave a gap.  After each round the new colors are numbered 0, 1, ...
 in the order of (old color, signature multiset), where multisets are ordered
-by their ascending sorted vectors.  Signatures are compared structurally,
-never hashed, so color names agree between runs and between graphs of equal
-order; that is what makes tensor and multiset comparisons across graphs
-meaningful, and why WL-equivalence is decided by comparing the closures of
-the two graphs, each refined on its own.
+by their ascending sorted vectors.  A fingerprint only decides which
+signatures are compared: equality is byte for byte and order structural, so
+color names agree between runs and between graphs of equal order; that is
+what makes tensor and multiset comparisons across graphs meaningful, and
+why WL-equivalence is decided by comparing the closures of the two graphs,
+each refined on its own.
 
 Two interchangeable signature encodings realise the same order:
 
@@ -80,6 +81,8 @@ _MODE_A_MAX_CODES = 8192       # count mode while rank**2 stays at most this
 # as long by products: every one-row round pays for a one-hot of all n**2 pairs.
 _PRODUCT_MAX_RANK = 10
 _BLOCK_ELEMENT_BUDGET = 500_000  # scratch elements per block; larger blocks measured slower
+_COMPARE_BYTES = 1 << 16  # sorted rows gathered per pass of `sorted_unique_rows`
+_FINGERPRINT_MULTIPLIER = 0x9E3779B97F4A7C15  # odd: 2**64 / golden ratio
 
 
 class NotInvariant(ValueError):
@@ -222,9 +225,34 @@ def sorted_unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of a 2-D array of nonnegative integers in ascending
     lexicographic order, each as one big-endian byte string (a V{width}
     scalar; `.view(">u2")` or `.view(">i8")` reads it back), and the index
-    of each input row among them."""
-    be = np.ascontiguousarray(rows, dtype=rows.dtype.newbyteorder(">"))
-    return np.unique(be.view(f"V{be.shape[1] * be.itemsize}").ravel(), return_inverse=True)
+    of each input row among them: `np.unique` of the V{width} rows.
+
+    Only the run heads are sorted as byte strings.  The rows are ordered by
+    a fingerprint, the sum mod 2**64 of their words times odd weights (so
+    rows one word apart never collide), and cut into runs wherever two
+    neighbours differ byte for byte; `np.unique` of the heads orders them
+    and merges equal heads that a collision put in separate runs."""
+    rows = np.ascontiguousarray(rows)
+    m, nbytes = len(rows), rows.shape[1] * rows.itemsize
+    words = rows.view(f"u{next(s for s in (8, 4, 2, 1) if nbytes % s == 0)}")
+    weights = np.arange(1, 2 * words.shape[1], 2, dtype=np.uint64)
+    weights *= np.uint64(_FINGERPRINT_MULTIPLIER)
+    # einsum widens the words to uint64 in buffered pieces, never the whole array
+    fingerprint = np.einsum("ij,j->i", words, weights)
+    order = np.argsort(fingerprint, kind="stable")
+    fingerprint = fingerprint[order]
+    head = np.ones(m, dtype=bool)
+    np.not_equal(fingerprint[1:], fingerprint[:-1], out=head[1:])
+    step = max(1, _COMPARE_BYTES // nbytes)  # rows compared per gather
+    for start in range(1, m, step):
+        ordered = words[order[start - 1 : start + step]]
+        head[start : start + step] |= (ordered[1:] != ordered[:-1]).any(axis=1)
+    heads = rows[order[head]].astype(rows.dtype.newbyteorder(">"), copy=False)
+    keys, inverse = np.unique(heads.view(f"V{nbytes}").ravel(), return_inverse=True)
+    inverse = inverse[np.cumsum(head) - 1]  # of each sorted row
+    out = np.empty_like(inverse)  # the one array kept, made once the scratch is freed
+    out[order] = inverse
+    return keys, out
 
 
 def _refine_round(
@@ -440,6 +468,27 @@ def orbit_mask(v: int, perms: list[np.ndarray], n: int) -> np.ndarray:
     return _breadth_first([v], perms, n)[0]
 
 
+def _orbits(perms: list[np.ndarray], n: int) -> Orbits:
+    """The least vertex of each orbit of the group perms generate and the
+    breadth-first forest from all of them.  Every vertex starts labelled by
+    itself; each sweep gives u and s(u) the lesser of their labels for every
+    generator s, then jumps each label to its label's label, until a sweep
+    changes nothing.  Labels only fall and stay inside their orbit, and at
+    the end they agree across every generator, so each is its orbit's least
+    vertex: the orbits are the components of the graph u -- s(u)."""
+    label = np.arange(n)
+    while True:
+        new = label
+        for s in perms:
+            new = np.minimum(new, new[s])
+            new[s] = np.minimum(new[s], new)
+        new = new[new]
+        if np.array_equal(new, label):
+            reps = np.flatnonzero(label == np.arange(n))
+            return Orbits(reps, _breadth_first(reps, perms, n)[1])
+        label = new
+
+
 def orbit_close(color0: np.ndarray, gens: list[np.ndarray]) -> CoherentConfiguration:
     """The stable refinement of the int32 pair coloring color0, whose ids
     are 0..rank-1, from one row per orbit (its least vertex) of the group
@@ -453,13 +502,7 @@ def orbit_close(color0: np.ndarray, gens: list[np.ndarray]) -> CoherentConfigura
     perms = [as_permutation(s, n) for s in gens]
     if perms and not carries(color0, color0, perms):
         raise NotInvariant("a generator is not an automorphism of the coloring")
-    reps, reached = [], np.zeros(n, dtype=bool)
-    for r in range(n):
-        if not reached[r]:
-            reps.append(r)
-            reached |= orbit_mask(r, perms, n)
-    orbits = Orbits(np.array(reps), _breadth_first(reps, perms, n)[1])
-    cc = CoherentConfiguration(*_stable_coloring(color0, int(color0.max()) + 1, orbits))
+    cc = CoherentConfiguration(*_stable_coloring(color0, int(color0.max()) + 1, _orbits(perms, n)))
     cc.generators = perms
     return cc
 

@@ -89,7 +89,7 @@ class _PartitionSearch:
     # -- partition refinement -------------------------------------------------
 
     def _signatures(self, c, pi, active):
-        rows = np.empty((len(active), self.n + 1), dtype=">i8")
+        rows = np.empty((len(active), self.n + 1), dtype=np.int64)
         rows[:, 0] = pi[active]
         codes = pi[None, :] * self.mult + c[active, :]
         rows[:, 1:] = np.sort(codes, axis=1)
@@ -102,11 +102,11 @@ class _PartitionSearch:
             s2 = np.bincount(pi2, minlength=ncells)
             if not np.array_equal(s1, s2):
                 return None
-            splittable = np.flatnonzero(s1 >= 2)
-            if splittable.size == 0:
+            splittable = s1 >= 2
+            if not splittable.any():
                 return pi1, pi2, ncells
-            active1 = np.flatnonzero(np.isin(pi1, splittable))
-            active2 = np.flatnonzero(np.isin(pi2, splittable))
+            active1 = np.flatnonzero(splittable[pi1])
+            active2 = np.flatnonzero(splittable[pi2])
             rows = np.vstack(
                 [
                     self._signatures(self.c1, pi1, active1),

@@ -148,14 +148,22 @@ def test_verify_honours_env_cap(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("suite_name", ["full", "fast"])
-def test_verify_q3_report_matches_the_committed_bytes(suite_name, tmp_path, capsys):
-    """A change to a report changes tests/data/verify_q3_<suite>.json in the
+@pytest.mark.parametrize(
+    "q, suite_name",
+    [
+        pytest.param(3, "full", id="full"),
+        pytest.param(3, "fast", id="fast"),
+        # sort-mode keys (extension rank 657) and non-trivial isomorphism searches
+        pytest.param(5, "full", id="q5-full"),
+    ],
+)
+def test_verify_q3_report_matches_the_committed_bytes(q, suite_name, tmp_path, capsys):
+    """A change to a report changes tests/data/verify_q<q>_<suite>.json in the
     same diff; regenerate with
-    `ddwl verify 3 --suite <suite> --no-timings --out tests/data/verify_q3_<suite>.json`."""
+    `ddwl verify <q> --suite <suite> --no-timings --out tests/data/verify_q<q>_<suite>.json`."""
     out = tmp_path / "r.json"
-    assert main(["verify", "3", "--suite", suite_name, "--no-timings", "--out", str(out)]) == 0
-    assert out.read_bytes() == (DATA / f"verify_q3_{suite_name}.json").read_bytes()
+    assert main(["verify", str(q), "--suite", suite_name, "--no-timings", "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / f"verify_q{q}_{suite_name}.json").read_bytes()
     capsys.readouterr()
 
 
@@ -201,7 +209,6 @@ def test_iso_command_pinned(q, tmp_path, capsys):
 
 
 VERIFY_SHA256 = {
-    (5, "full"): "798a578b078cfed3785b1aa23ac4cd9d08214043e9232538c23e5978aeadc407",
     (5, "fast"): "225fed53e5e725c7d699754d7b2f7261b652b7e219e7b346286229f1a2504ba3",
     (7, "full"): "e350ff6cacc1b224cdad3416c4023f68f6278581513f5b9d63de435dd026430a",
 }
@@ -210,7 +217,7 @@ VERIFY_SHA256 = {
 @pytest.mark.parametrize("q, suite_name", sorted(VERIFY_SHA256))
 def test_verify_report_pinned(q, suite_name, tmp_path, capsys):
     """`ddwl verify q --suite <suite> --no-timings` byte for byte, past the
-    committed q = 3 reports: every verdict and every reported count."""
+    committed reports: every verdict and every reported count."""
     out = tmp_path / "r.json"
     args = ["verify", str(q), "--suite", suite_name, "--no-timings", "--out", str(out)]
     assert main(args) == 0

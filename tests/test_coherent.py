@@ -272,7 +272,23 @@ def test_product_rounds_equal_the_bincount_kernel_on_small_inputs(case, budget, 
         assert by_products == ([limit] if rank == limit else [])
 
 
-@pytest.mark.parametrize("dtype, big", [(np.uint16, 256), (np.int64, 2**32)])
+def _assert_as_np_unique(rows):
+    """sorted_unique_rows(rows) is np.unique of the big-endian V{width} rows,
+    byte for byte: keys, inverse, dtypes and shapes."""
+    be = np.ascontiguousarray(rows, dtype=rows.dtype.newbyteorder(">"))
+    want_keys, want_inv = np.unique(
+        be.view(f"V{be.shape[1] * be.itemsize}").ravel(), return_inverse=True
+    )
+    keys, inv = coherent.sorted_unique_rows(rows)
+    assert (keys.dtype, keys.shape) == (want_keys.dtype, want_keys.shape)
+    assert keys.tobytes() == want_keys.tobytes()
+    assert (inv.dtype, inv.shape) == (want_inv.dtype, want_inv.shape)
+    assert np.array_equal(inv, want_inv)
+
+
+@pytest.mark.parametrize(
+    "dtype, big", [(np.uint16, 256), (np.int64, 2**32), (">u2", 256), (">i8", 2**32)]
+)
 def test_sorted_unique_rows_in_numeric_lexicographic_order(dtype, big):
     """The keys ascend in the order the canonical names are defined by, with
     entries of several bytes, tied prefixes and duplicate rows."""
@@ -287,6 +303,43 @@ def test_sorted_unique_rows_in_numeric_lexicographic_order(dtype, big):
     ]
     index = {r: i for i, r in enumerate(want)}
     assert inv.tolist() == [index[r] for r in map(tuple, rows.tolist())]
+    _assert_as_np_unique(rows)
+
+
+def _rows(dtype, m, width, values, seed=3):
+    return np.random.default_rng(seed).integers(0, values, size=(m, width)).astype(dtype)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        pytest.param(_rows(">u2", 600, 17, 3), id="u2-odd-words"),
+        pytest.param(_rows(">u2", 600, 10, 3), id="u2-4-byte-words"),
+        pytest.param(_rows(">i8", 300, 40, 2**40), id="i8"),
+        pytest.param(_rows("<i8", 300, 126, 4), id="native-i8"),
+        pytest.param(_rows(">u2", 0, 5, 3), id="m0"),
+        pytest.param(_rows(">i8", 1, 5, 3), id="m1"),
+        pytest.param(np.full((50, 7), 9, dtype=">u2"), id="all-equal"),
+        pytest.param(np.arange(240, dtype=">i8").reshape(80, 3)[::-1], id="all-distinct"),
+        pytest.param(_rows(">u2", 300, 3, 2), id="6-byte-rows"),
+        pytest.param(_rows(np.uint8, 300, 5, 2), id="5-byte-rows"),
+        pytest.param(_rows(">u2", 5000, 20, 2), id="several-compare-passes"),
+    ],
+)
+def test_sorted_unique_rows_is_np_unique_of_the_byte_rows(rows):
+    _assert_as_np_unique(rows)
+
+
+@pytest.mark.parametrize("compare_bytes", [1, 1 << 16])
+@pytest.mark.parametrize("dtype", [">u2", ">i8"])
+def test_sorted_unique_rows_where_every_fingerprint_collides(dtype, compare_bytes, monkeypatch):
+    """With zero weights every row has one fingerprint: equal rows A, B, A
+    interleaved fall in separate runs, and the heads' sort still merges them."""
+    monkeypatch.setattr(coherent, "_FINGERPRINT_MULTIPLIER", 0)
+    monkeypatch.setattr(coherent, "_COMPARE_BYTES", compare_bytes)
+    a, b = np.array([[0, 2, 1], [0, 1, 2]], dtype=dtype)
+    _assert_as_np_unique(np.array([a, b, a], dtype=dtype))
+    _assert_as_np_unique(_rows(dtype, 400, 3, 3)[np.random.default_rng(5).permutation(400)])
 
 
 def _with_tensor(cc, tensor):
@@ -814,6 +867,44 @@ def test_orbit_mask_of_k_generator_gives_the_cells(q, request):
         mask = coherent.orbit_mask(int(cell[0]), gen, cons.n)
         assert np.array_equal(np.flatnonzero(mask), cell)
         assert set(np.flatnonzero(mask).tolist()) == orbit_by_sets(int(cell[0]), gen)
+
+
+def _assert_orbits(perms, n):
+    """coherent._orbits gives the brute-force orbit minima as representatives
+    and the forest from them."""
+    orbits = coherent._orbits(perms, n)
+    minima = sorted({min(orbit_by_sets(v, perms)) for v in range(n)})
+    assert orbits.reps.dtype == np.int64 and orbits.reps.tolist() == minima
+    want = coherent._breadth_first(np.array(minima), perms, n)[1]
+    assert len(orbits.steps) == len(want)
+    for got, step in zip(orbits.steps, want):
+        assert all(np.array_equal(x, y) for x, y in zip(got, step))
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_orbits_of_k_are_the_cells(q, request):
+    cons = request.getfixturevalue(f"cons{q}")
+    gen = cons.rho_perm(*cons.k_generator())
+    _assert_orbits([gen], cons.n)
+    least = sorted(int(c.min()) for c in cons.cells())
+    assert coherent._orbits([gen], cons.n).reps.tolist() == least
+    _assert_orbits([k.perm for k in cons.build_K()], cons.n)
+    _assert_orbits([], cons.n)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_orbits_of_random_permutation_groups(seed):
+    """Generators that each cycle a random handful of vertices, so the
+    orbits vary in number and size."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 80))
+    perms = []
+    for _ in range(int(rng.integers(0, 4))):
+        s = np.arange(n)
+        moved = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        s[moved] = np.roll(moved, int(rng.integers(1, 4)))
+        perms.append(s)
+    _assert_orbits(perms, n)
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9])
