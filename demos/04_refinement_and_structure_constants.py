@@ -13,11 +13,11 @@ from ddwl import (
     as_sring_partition,
     structure_constants,
     tau_hat,
+    verify_algebraic_map,
     verify_consts,
     wl_close,
     wl_equivalent,
 )
-from ddwl.srings import transports_tensor
 
 
 def main():
@@ -45,7 +45,7 @@ def main():
     print(f"tensor-preserving cell bijections: {len(autos)}")
     sigma = tau_hat(ring, m=5)
     print(f"power-map bijection (m=5) transports the tensor: "
-          f"{transports_tensor(tensor, sigma)}")
+          f"{verify_algebraic_map(tensor, tensor, sigma)}")
 
     print(f"\nrefinement cannot tell the family apart: "
           f"wl_equivalent = {wl_equivalent(g, cons.build_cayley(gens[1]))}")

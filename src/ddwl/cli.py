@@ -57,9 +57,11 @@ def _validated_i(cons: Construction, i: int) -> int:
 
 def _check_writable(path: str | None) -> None:
     """UsageError unless path, when given, can be opened for writing; checked
-    before any work, and without creating the file."""
+    before any work, and without creating the file.  An empty path is none."""
     if path is None:
         return
+    if not path:
+        raise UsageError("cannot write an empty path")
     parent = os.path.dirname(os.path.abspath(path))
     if os.path.isdir(path):
         raise UsageError(f"cannot write {path}: it is a directory")
@@ -79,7 +81,8 @@ def _emit(payload: dict, out: str | None) -> None:
 
 
 def cmd_build(args) -> int:
-    path = args.out or f"cay_q{args.q}_i{args.i}{'_loopless' if args.loopless else ''}.txt"
+    default = f"cay_q{args.q}_i{args.i}{'_loopless' if args.loopless else ''}.txt"
+    path = default if args.out is None else args.out
     _check_writable(path)
     cons = _construction(args.q)
     i = _validated_i(cons, args.i)

@@ -61,7 +61,9 @@ of color t the same key, so that key is the multiset of codes
 numbers of t, proven well defined for every pair.  The tensor is read off
 those keys, its rows ordered by one int64 key (r * rank + s) * rank + t,
 once sorted rows, scatters and bincounts have checked the valencies.  The
-checks on a tensor compare moved rows with it through the same key.
+checks on a tensor compare moved rows with it through the same key; they
+read only rank, valencies, converse, fiber ids and tensor rows, so they
+check an S-ring's convolution tensor (one fiber) as they check a closure.
 """
 
 from __future__ import annotations
@@ -174,12 +176,6 @@ class CoherentConfiguration:
 
     def color_multiset(self) -> np.ndarray:
         return np.bincount(self.color.ravel(), minlength=self.rank)
-
-    def dense_tensor(self) -> np.ndarray:
-        t = np.zeros((self.rank, self.rank, self.rank), dtype=np.int64)
-        r, s, u, c = self.tensor.T
-        t[r, s, u] = c
-        return t
 
     def tensor_json(self) -> dict:
         return {
@@ -577,7 +573,8 @@ def verify_algebraic_map(
     cc1: CoherentConfiguration, cc2: CoherentConfiguration, sigma
 ) -> bool:
     """True iff the color bijection sigma transports the full intersection
-    tensor; NotInvariant unless sigma is a permutation of the colors."""
+    tensor of cc1 onto that of cc2; NotInvariant unless sigma is a
+    permutation of the colors.  Either side may be an S-ring's tensor."""
     if cc1.rank != cc2.rank:
         raise ValueError("rank mismatch")
     sigma = as_permutation(sigma, cc1.rank).astype(np.int64)
@@ -587,7 +584,7 @@ def verify_algebraic_map(
 
 def tensor_identities_hold(cc: CoherentConfiguration) -> bool:
     """Fiber compatibility, mass conservation and the triangle identity on
-    the sorted tensor rows."""
+    the sorted tensor rows, of a closure or of an S-ring's tensor."""
     val, left, right = cc.valencies, cc.left_fiber, cc.right_fiber
     r, s, t, c = cc.tensor.T
     if (right[r] != left[s]).any() or (left[r] != left[t]).any() or (right[s] != right[t]).any():
@@ -596,8 +593,7 @@ def tensor_identities_hold(cc: CoherentConfiguration) -> bool:
     group = np.flatnonzero(np.r_[True, (r[1:] != r[:-1]) | (s[1:] != s[:-1])])
     weight = c * val[t]
     sums = np.add.reduceat(weight, group)
-    fibers = len(cc.fibers)
-    meeting = np.bincount(right, minlength=fibers) @ np.bincount(left, minlength=fibers)
+    meeting = np.bincount(right) @ np.bincount(left)  # every fiber id is some color's
     if len(group) != meeting or not np.array_equal(sums, val[r[group]] * val[s[group]]):
         return False
     # val[t] p^t_rs = val[r] p^r_{t s'} with s' the converse of s: the map

@@ -195,7 +195,10 @@ class Construction:
         return f.add(f.mul(f.mul(a, b), self.half), f.mul(quad, i))
 
     def build_X(self, i: int) -> np.ndarray:
-        """The q**2 vertices (a, b, gamma_i(a, b)); meets every coset of Z once."""
+        """The q**2 vertices (a, b, gamma_i(a, b)); meets every coset of Z once.
+        ValueError unless 0 <= i < q."""
+        if not 0 <= i < self.q:
+            raise ValueError(f"label i = {i} is outside [0, {self.q})")
         if i not in self._X:
             a, b = np.indices((self.q, self.q), dtype=np.int32).reshape(2, -1)
             self._X[i] = np.sort(self.table._pack(a, b, self.gamma(i, a, b))).astype(np.int64)

@@ -74,7 +74,7 @@ class _PartitionSearch:
     def __init__(self, c1: np.ndarray, c2: np.ndarray, node_budget: int):
         if c1.shape != c2.shape or c1.shape[0] != c1.shape[1]:
             raise ValueError("colorings must be square and of equal order")
-        self.c1, self.c2 = c1, c2  # searched as given; `_signatures` widens to int64
+        self.c1, self.c2 = c1, c2  # searched as given; `_refine` widens to int64
         self.n = c1.shape[0]
         self.budget = node_budget
         self.nodes = 0
@@ -88,13 +88,6 @@ class _PartitionSearch:
 
     # -- partition refinement -------------------------------------------------
 
-    def _signatures(self, c, pi, active):
-        rows = np.empty((len(active), self.n + 1), dtype=np.int64)
-        rows[:, 0] = pi[active]
-        codes = pi[None, :] * self.mult + c[active, :]
-        rows[:, 1:] = np.sort(codes, axis=1)
-        return rows
-
     def _refine(self, pi1, pi2, ncells):
         """Refine both sides to joint stability; None when sides disagree."""
         while True:
@@ -107,12 +100,16 @@ class _PartitionSearch:
                 return pi1, pi2, ncells
             active1 = np.flatnonzero(splittable[pi1])
             active2 = np.flatnonzero(splittable[pi2])
-            rows = np.vstack(
-                [
-                    self._signatures(self.c1, pi1, active1),
-                    self._signatures(self.c2, pi2, active2),
-                ]
-            )
+            # both sides' vertex signatures in one array: the cell, then the
+            # sorted codes cell(w) * mult + color(v, w) over all w
+            rows = np.empty((len(active1) + len(active2), self.n + 1), dtype=np.int64)
+            for c, pi, active, side in (
+                (self.c1, pi1, active1, rows[: len(active1)]),
+                (self.c2, pi2, active2, rows[len(active1):]),
+            ):
+                side[:, 0] = pi[active]
+                np.add(pi * self.mult, c[active], out=side[:, 1:])
+                side[:, 1:].sort(axis=1)
             _, inverse = sorted_unique_rows(rows)
             new1, new2 = pi1.copy(), pi2.copy()
             new1[active1] = ncells + inverse[: len(active1)]

@@ -12,9 +12,13 @@ The tensor and the transversal check count group products one way,
 independence is verified for every z as a side effect; a violation means
 the partition is not closed and raises NotAnSRing.
 
-A cell bijection sigma is an algebraic automorphism when it preserves the
-whole tensor.  The power maps i -> i**m of the extended index group induce
-such bijections (tau_hat); backtracking enumeration finds all of them.
+The tensor is checked as the intersection tensor of the partition's Cayley
+scheme (one fiber, cell sizes as valencies, inverse cells as converse) by
+the routines that check every closure, `coherent.tensor_identities_hold`
+and `coherent.verify_algebraic_map`.  A cell bijection sigma is an algebraic
+automorphism when it preserves the whole tensor.  The power maps i -> i**m
+of the extended index group induce such bijections (tau_hat); backtracking
+enumeration finds all of them.
 """
 
 from __future__ import annotations
@@ -42,13 +46,27 @@ class SearchCapExceeded(RuntimeError):
 @dataclass
 class StructureConstantTensor:
     c: np.ndarray                  # (r, r, r) int64, c[X, Y, Z]
-    sizes: np.ndarray              # (r,) cell sizes
-    inv_cell: np.ndarray           # (r,) cell of elementwise inverses
+    valencies: np.ndarray          # (r,) cell sizes
+    converse: np.ndarray           # (r,) cell of elementwise inverses
     names: list[str]
 
     @property
     def rank(self) -> int:
-        return len(self.sizes)
+        return len(self.valencies)
+
+    @property
+    def left_fiber(self) -> np.ndarray:
+        return np.zeros(self.rank, dtype=np.int64)
+
+    right_fiber = left_fiber
+
+    @property
+    def tensor(self) -> np.ndarray:
+        """The sorted (r, s, t, count) rows of the nonzero p^Z_XY = c[Y, X, Z]:
+        w u^-1 in X and v w^-1 in Y multiply to v u^-1 in Z."""
+        p = self.c.transpose(1, 0, 2)
+        rows = np.argwhere(p)
+        return np.column_stack([rows, p[tuple(rows.T)]])
 
     def to_json(self, q: int) -> dict:
         entries = [
@@ -58,7 +76,7 @@ class StructureConstantTensor:
         return {
             "q": q,
             "cells": [
-                {"name": n, "size": int(s)} for n, s in zip(self.names, self.sizes)
+                {"name": n, "size": int(s)} for n, s in zip(self.names, self.valencies)
             ],
             "constants": entries,
         }
@@ -122,8 +140,7 @@ class SRing:
 
 def structure_constants(ring: SRing) -> StructureConstantTensor:
     """Full convolution tensor by cell-pair product counts; every z is
-    checked, else NotAnSRing.  The `tensor_identities` check tests the
-    triangle and mass identities."""
+    checked, else NotAnSRing."""
     cons, r, n = ring.cons, ring.r, ring.cons.n
     counts = np.empty((r, r, n), dtype=np.int64)
     for x, left in enumerate(ring.cells):
@@ -142,23 +159,6 @@ def structure_constants(ring: SRing) -> StructureConstantTensor:
         c[:, :, z_cell] = block[:, :, 0]
 
     return StructureConstantTensor(c, ring.sizes.copy(), ring.inv_cell.copy(), list(ring.names))
-
-
-def triangle_identity_holds(t: StructureConstantTensor) -> bool:
-    """|Z| c[X,Y,Z*] = |X| c[Y,Z,X*] = |Y| c[Z,X,Y*] for all cell triples."""
-    c, sizes, inv = t.c, t.sizes, t.inv_cell
-    m = c[:, :, inv]  # m[X, Y, Z] = c[X, Y, Z*]
-    a = sizes[None, None, :] * m
-    b = sizes[:, None, None] * m.transpose(2, 0, 1)  # |X| c[Y, Z, X*]
-    d = sizes[None, :, None] * m.transpose(1, 2, 0)  # |Y| c[Z, X, Y*]
-    return bool((a == b).all() and (a == d).all())
-
-
-def mass_conservation_holds(t: StructureConstantTensor) -> bool:
-    """sum_Z c[X,Y,Z] |Z| = |X| |Y| for all X, Y."""
-    lhs = (t.c * t.sizes[None, None, :]).sum(axis=2)
-    rhs = t.sizes[:, None] * t.sizes[None, :]
-    return bool((lhs == rhs).all())
 
 
 @dataclass
@@ -293,12 +293,6 @@ def tau_hat(ring: SRing, m: int) -> np.ndarray:
     return sigma
 
 
-def transports_tensor(t: StructureConstantTensor, sigma) -> bool:
-    sigma = np.asarray(sigma, dtype=np.int64)
-    moved = t.c[np.ix_(sigma, sigma, sigma)]
-    return bool(np.array_equal(t.c, moved))
-
-
 def algebraic_automorphisms(t: StructureConstantTensor) -> list[np.ndarray]:
     """All cell bijections preserving the tensor, by backtracking.
 
@@ -308,7 +302,7 @@ def algebraic_automorphisms(t: StructureConstantTensor) -> list[np.ndarray]:
     r, cap = t.rank, _AUTOMORPHISM_SEARCH_CAP
     if r > cap:
         raise SearchCapExceeded(f"rank {r} exceeds the search cap {cap}")
-    c, sizes, inv = t.c, t.sizes, t.inv_cell
+    c, sizes, inv = t.c, t.valencies, t.converse
     sigma = np.full(r, -1, dtype=np.int64)
     used = np.zeros(r, dtype=bool)
     found: list[np.ndarray] = []

@@ -197,9 +197,7 @@ def _structure_constants(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
 
 def _tensor_identities(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
     """triangle and mass identities of the convolution tensor"""
-    t = ctx.tensor
-    ok = srings.triangle_identity_holds(t) and srings.mass_conservation_holds(t)
-    return ("pass" if ok else "fail"), {}
+    return ("pass" if coherent.tensor_identities_hold(ctx.tensor) else "fail"), {}
 
 
 def _ddd_parameters(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
@@ -257,14 +255,15 @@ def _wl_closure(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
     for i in gens if exhaustive else gens[:1]:
         cc = ctx.closure(i)
         cells = {c.astype(np.int64).tobytes() for c in coherent.as_sring_partition(cc, cons.table)}
-        color_of_cell = ctx.cell_colors(i)
-        mapped = cc.dense_tensor()[np.ix_(color_of_cell, color_of_cell, color_of_cell)]
+        partition_matches = cc.rank == q + 2 and cells == want
         row = data[f"i={i}"] = {
             "rank": cc.rank,
-            "partition_matches": cc.rank == q + 2 and cells == want,
+            "partition_matches": partition_matches,
             "rounds": cc.rounds,
-            # intersection numbers count w with u -> w -> v, i.e. products y*x
-            "tensor_matches_constants": np.array_equal(mapped, ctx.tensor.c.transpose(1, 0, 2)),
+            # each cell's constants moved to its color; the colors are a
+            # bijection of the cells only once the partition matches
+            "tensor_matches_constants": partition_matches
+            and coherent.verify_algebraic_map(ctx.tensor, cc, ctx.cell_colors(i)),
             "tensor_identities": coherent.tensor_identities_hold(cc),
         }
         ok &= row["partition_matches"] and row["tensor_matches_constants"]

@@ -8,10 +8,12 @@ is the set-based closure that `coherent.orbit_mask` replaced.  `MatrixM`
 and `rho_apply` are the element-by-element automorphism map that
 `Construction.rho_perm` is compared against.  `on_every_row` runs the
 dense side of an oracle test and asserts that every refinement in it
-refined every row.
+refined every row.  `dense_tensor` spreads a closure's sparse tensor rows
+over a rank**3 array; `shift_within_a_product` spoils a convolution tensor
+so that only the triangle identity sees it.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -47,6 +49,23 @@ def move_one_arc(g: Digraph) -> Digraph:
 def carries_densely(c1: np.ndarray, c2: np.ndarray, s: np.ndarray) -> bool:
     """c2[s(u), s(v)] == c1[u, v] on all n**2 pairs."""
     return bool(np.array_equal(c2[np.ix_(s, s)], c1))
+
+
+def dense_tensor(cc) -> np.ndarray:
+    """t[r, s, t] = p^t_rs, zero off the tensor rows."""
+    dense = np.zeros((cc.rank,) * 3, dtype=np.int64)
+    r, s, t, c = cc.tensor.T
+    dense[r, s, t] = c
+    return dense
+
+
+def shift_within_a_product(tensor, ring):
+    """tensor with one count of Y_1 * Y_1 moved from Y_{q-1} to Y_0, two
+    cells of equal size: every mass sum keeps, the triangle identity breaks."""
+    c, y1 = tensor.c.copy(), ring.y_cell(1)
+    c[y1, y1, ring.y_cell(0)] += 1
+    c[y1, y1, ring.y_cell(ring.cons.q - 1)] -= 1
+    return replace(tensor, c=c)
 
 
 def on_every_row(make):

@@ -95,9 +95,10 @@ _COMMANDS = [
 
 
 @pytest.mark.parametrize("argv", _COMMANDS, ids=[a[0] for a in _COMMANDS])
-@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory", "empty"])
 def test_unwritable_output_is_a_usage_error_before_any_work(argv, where, tmp_path, monkeypatch, capsys):
-    """An output that cannot be opened exits 2 with an error line, before the
+    """An output that cannot be opened, or an empty path (neither standard
+    output nor the default file), exits 2 with an error line, before the
     suite runs or the group is built, and leaves no file behind."""
     calls = []
 
@@ -107,7 +108,9 @@ def test_unwritable_output_is_a_usage_error_before_any_work(argv, where, tmp_pat
 
     monkeypatch.setattr(cli, "run_suite", spy)
     monkeypatch.setattr(cli, "Construction", spy)
-    target = tmp_path / "absent" / "x.json" if where == "missing-directory" else tmp_path
+    monkeypatch.chdir(tmp_path)
+    targets = {"missing-directory": tmp_path / "absent" / "x.json", "directory": tmp_path}
+    target = targets.get(where, "")
     before = sorted(tmp_path.rglob("*"))
     assert main(argv + [str(target)]) == 2
     err = capsys.readouterr().err

@@ -23,6 +23,7 @@ from ddwl.srings import SRing, structure_constants
 from reference import (
     carries_densely,
     complete,
+    dense_tensor,
     directed_cycle,
     move_one_arc,
     on_every_row,
@@ -432,10 +433,10 @@ def test_wl_tensor_matches_structure_constants(q, request):
     tensor = structure_constants(ring)
     for cc in closures.values():
         color_of_cell = [int(cc.color[0, members[0]]) for members in cons.cells()]
-        dense = cc.dense_tensor()
-        mapped = dense[np.ix_(color_of_cell, color_of_cell, color_of_cell)]
+        mapped = dense_tensor(cc)[np.ix_(color_of_cell, color_of_cell, color_of_cell)]
         # intersection numbers count w with u->w->v, i.e. products y*x
         assert np.array_equal(mapped, tensor.c.transpose(1, 0, 2))
+        assert verify_algebraic_map(tensor, cc, np.array(color_of_cell))
 
 
 def test_one_point_extension_of_complete_digraph():

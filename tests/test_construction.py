@@ -266,6 +266,16 @@ def test_connection_sets(q):
         assert (counts == 1).all()
 
 
+@pytest.mark.parametrize("i", [-1, 3])
+def test_build_x_refuses_a_label_outside_the_field(i):
+    """-1 would index the field tables from the end and return X_2."""
+    cons = Construction(3)
+    for build in (cons.build_X, cons.build_Y, cons.build_cayley):
+        with pytest.raises(ValueError, match="outside"):
+            build(i)
+    assert i not in cons._X
+
+
 def test_cayley_digraph_shape(cons3):
     g = cons3.build_cayley(1)
     assert g.n == 27

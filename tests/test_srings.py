@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ddwl.arith import euler_phi
+from ddwl.coherent import orbit_close, tensor_identities_hold, verify_algebraic_map
 from ddwl.srings import (
     NotAnSRing,
     SRing,
@@ -11,14 +12,12 @@ from ddwl.srings import (
     algebraic_automorphisms,
     is_group_closed,
     is_induced,
-    mass_conservation_holds,
     structure_constants,
     tau_hat,
-    transports_tensor,
-    triangle_identity_holds,
     verify_consts,
     verify_transversal,
 )
+from reference import shift_within_a_product
 
 
 def brute_tensor_q3(cons):
@@ -146,9 +145,29 @@ def test_closed_form_spot_values(cons3, ring3, tensor3, cons5, ring5, tensor5):
 
 @pytest.mark.parametrize("q", [3, 5])
 def test_tensor_identities(q, request):
-    tensor = request.getfixturevalue(f"tensor{q}")
-    assert triangle_identity_holds(tensor)
-    assert mass_conservation_holds(tensor)
+    """The identities hold, and one count moved between two cells of equal
+    size in one product keeps every mass sum but breaks the triangles."""
+    ring, tensor = request.getfixturevalue(f"ring{q}"), request.getfixturevalue(f"tensor{q}")
+    assert tensor_identities_hold(tensor)
+    shifted = shift_within_a_product(tensor, ring)
+    sizes = shifted.valencies
+    assert ((shifted.c * sizes).sum(axis=2) == np.outer(sizes, sizes)).all()
+    assert not tensor_identities_hold(shifted)
+
+
+@pytest.mark.parametrize("cells", ["orbits", "singletons"])
+def test_tensor_rows_are_those_of_the_cayley_scheme(cells, cons3, ring3):
+    """The rows equal the intersection tensor of the partition's Cayley
+    scheme, refined as a coloring, on the K-orbits and on the singletons,
+    whose products do not commute, so the order of X and Y shows."""
+    ring = ring3 if cells == "orbits" else SRing(
+        cons3, [[g] for g in range(cons3.n)], [str(g) for g in range(cons3.n)]
+    )
+    tensor = structure_constants(ring)
+    cc = orbit_close(ring.scheme_coloring(), [])
+    assert np.array_equal(cc.color, ring.scheme_coloring())  # stable, names kept
+    assert np.array_equal(tensor.tensor, cc.tensor)
+    assert tensor_identities_hold(tensor)
 
 
 @pytest.mark.parametrize("q", [3, 5])
@@ -185,7 +204,7 @@ def test_algebraic_automorphism_cap(tensor3, monkeypatch):
 def test_tau_hat(cons3, ring3, tensor3):
     assert tau_hat(ring3, 1).tolist() == [0, 1, 2, 3, 4]
     for m in (1, 3):
-        assert transports_tensor(tensor3, tau_hat(ring3, m))
+        assert verify_algebraic_map(tensor3, tensor3, tau_hat(ring3, m))
     with pytest.raises(ValueError):
         tau_hat(ring3, 2)   # gcd(2, 4) != 1
 
@@ -200,7 +219,24 @@ def test_tau_hat_reaches_every_generator_pair(cons5, ring5, tensor5):
             )
             sigma = tau_hat(ring5, m)
             assert sigma[ring5.y_cell(i)] == ring5.y_cell(j)
-            assert transports_tensor(tensor5, sigma)
+            assert verify_algebraic_map(tensor5, tensor5, sigma)
+
+
+def test_verify_algebraic_map_agrees_with_the_automorphism_search(tensor5):
+    """Every listed automorphism transports the tensor, and every swap of two
+    cells that is not listed fails, the swap of Y_0 and Y_1 among them."""
+    autos = algebraic_automorphisms(tensor5)
+    listed = {a.tobytes() for a in autos}
+    assert all(verify_algebraic_map(tensor5, tensor5, a) for a in autos)
+    rejected = []
+    for a in range(tensor5.rank):
+        for b in range(a + 1, tensor5.rank):
+            sigma = np.arange(tensor5.rank)
+            sigma[[a, b]] = sigma[[b, a]]
+            if sigma.tobytes() not in listed:
+                assert not verify_algebraic_map(tensor5, tensor5, sigma), (a, b)
+                rejected.append((a, b))
+    assert (1, 2) in rejected  # Y_0 and Y_1
 
 
 def test_constants_report_json(ring3, tensor3):

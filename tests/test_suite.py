@@ -12,7 +12,7 @@ from ddwl import designs, isotest, srings, suite
 from ddwl.cli import main
 from ddwl.construction import Construction
 from ddwl.digraph import Digraph
-from reference import move_one_arc
+from reference import move_one_arc, shift_within_a_product
 
 
 def _wrap_cayley(cons, change):
@@ -163,6 +163,16 @@ def test_miscounted_tensor_fails_criterion_12_by_verdict(name, status, monkeypat
     monkeypatch.setattr(suite, "Construction", lambda q, max_vertices: cons)
     result = _run_one(name, monkeypatch)
     assert result.status == status and "error" not in result.data, result.data
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_triangle_only_shift_fails_tensor_identities_by_verdict(q, monkeypatch):
+    build = srings.structure_constants
+    monkeypatch.setattr(
+        srings, "structure_constants", lambda ring: shift_within_a_product(build(ring), ring)
+    )
+    result = _run_one("tensor_identities", monkeypatch, q)
+    assert result.status == "fail" and "error" not in result.data, result.data
 
 
 def test_run_suite_refuses_an_unknown_suite():
