@@ -437,6 +437,27 @@ def carries(c1: np.ndarray, c2: np.ndarray, perms: list[np.ndarray]) -> bool:
     return all(np.array_equal(c2[s[rows], s[cols]], values) for s in perms)
 
 
+def carries_out(out1: np.ndarray, out2: np.ndarray, perms: list[np.ndarray]) -> bool:
+    """True iff every vertex permutation s in perms (see `as_permutation`)
+    carries the digraph with out-neighbour lists out1 onto the one with
+    out2: sort(s[out1[u]]) == out2[s(u)] for every u.  Lists of another
+    shape hold another number of arcs.  Each row of both (n, k) lists must
+    strictly ascend, else NotInvariant; then s maps the n k arcs of out1 one
+    to one into the n k arcs of out2, hence onto them."""
+    if out1.shape != out2.shape:
+        return False
+    for out in (out1,) if out2 is out1 else (out1, out2):
+        if not (out[:, 1:] > out[:, :-1]).all():
+            raise NotInvariant("an out-neighbour list repeats a vertex or is out of order")
+    for s in perms:
+        # in the lists' dtype, int32 from a Digraph; np.take would copy out1 as int64
+        moved = np.asarray(s, dtype=out1.dtype)[out1]
+        moved.sort(axis=1)
+        if not np.array_equal(moved, out2[s]):
+            return False
+    return True
+
+
 def _breadth_first(roots, perms: list[np.ndarray], n: int) -> tuple[np.ndarray, list]:
     """The vertices reached from roots by the permutations perms, a boolean
     mask over [0, n), and the breadth-first forest: the steps (w, u, s), one

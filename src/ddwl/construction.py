@@ -210,13 +210,13 @@ class Construction:
         return x[x != 0]
 
     def build_cayley(self, i: int, include_identity: bool = True) -> Digraph:
-        """Cayley digraph with arcs (g, x*g); loops at every vertex iff e is kept."""
+        """Cayley digraph with arcs (g, x*g); loops at every vertex iff e is kept.
+        It holds the (n, |X|) out-neighbour lists X*g, column g of the rows
+        of `mult` at the connection set; its n x n `arcs` are built on first read."""
         conn = self.build_X(i) if include_identity else self.build_Y(i)
-        arcs = np.zeros((self.n, self.n), dtype=bool)
-        arcs[np.arange(self.n), self.table.mult[conn]] = True  # row x of mult: g -> x * g
         suffix = "" if include_identity else ", loopless"
-        return Digraph(
-            arcs,
+        return Digraph.from_out(
+            self.table.mult[conn].T,  # row x of mult: g -> x * g
             label=f"Cay(q={self.q}, i={i}{suffix})",
             translations=self.table.right_translations(),
         )

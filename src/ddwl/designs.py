@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import NotInvariant, as_permutation, carries, orbit_mask
+from .coherent import NotInvariant, as_permutation, carries_out, orbit_mask
 from .construction import Construction
 from .digraph import Digraph
 
@@ -72,10 +72,10 @@ class DDDReport:
 
 def _prove_translations(g: Digraph, class_ids: np.ndarray) -> None:
     """Prove that g.translations generate a group of automorphisms of g, on
-    the arc list (`carries`), that permutes the classes and is transitive on
-    the vertices; else NotInvariant."""
+    the out-neighbour lists (`carries_out`), that permutes the classes and is
+    transitive on the vertices; else NotInvariant."""
     gens = [as_permutation(s, g.n) for s in g.translations]
-    if not carries(g.arcs, g.arcs, gens):
+    if not carries_out(g.out, g.out, gens):
         raise NotInvariant("a translation maps an arc to a non-arc")
     _, labels = np.unique(class_ids, return_inverse=True)
     m = int(labels.max()) + 1
@@ -94,33 +94,41 @@ def verify_ddd(g: Digraph, class_ids: np.ndarray, expected: tuple[int, int]) -> 
     of observed values and a witness pair, the first deviation from the
     expected (lambda1, lambda2) in row-major order.
 
-    A digraph that carries `translations` is counted from row 0: once
-    `_prove_translations` has shown that they generate a transitive group of
-    automorphisms permuting the classes, the pairs (u, v) and (0, v') with
-    v' the image of v under an element sending u to 0 have the same counts
-    and class relation.  So each value in row 0 of A.A^T and A^T.A, over
-    v != 0, stands for n/2 unordered pairs, and the first deviating pair lies
-    in row 0.  A plain digraph takes the dense oracle: float32 matmuls, exact
-    because every partial sum is an integer <= n < 2**24; a larger n raises.
+    A digraph that carries `translations` is counted from row 0 of its
+    (n, k) out-neighbour lists, in O(n k) memory: once `_prove_translations`
+    has shown that they generate a transitive group of automorphisms
+    permuting the classes, the pairs (u, v) and (0, v') with v' the image of
+    v under an element sending u to 0 have the same counts and class
+    relation.  So each value in row 0 of A.A^T and A^T.A, over v != 0,
+    stands for n/2 unordered pairs, and the first deviating pair lies in
+    row 0.  Row 0 of A.A^T counts, for each v, the out-neighbours of v that
+    0 dominates; row 0 of A^T.A counts each v once for every in-neighbour
+    of 0 that dominates it.  A plain digraph takes the dense oracle: float32
+    matmuls, exact because every partial sum is an integer <= n < 2**24; a
+    larger n raises.
     """
     if g.n >= 2**24:
         raise ValueError(f"n = {g.n} >= 2**24: float32 counts would not be exact")
     class_ids = np.asarray(class_ids)
     if class_ids.shape != (g.n,):
         raise ValueError(f"class_ids has shape {class_ids.shape}; the digraph has {g.n} vertices")
-    a = g.arcs
     if g.translations:
         _prove_translations(g, class_ids)
+        out = g.out
+        to0 = (out == 0).any(axis=1)  # the in-neighbours of 0
+        from0 = np.zeros(g.n, dtype=bool)
+        from0[out[0]] = True  # the out-neighbours of 0
         # (1, n) rows, so the witness below reads them as it reads matrices
-        common_out = a[:, a[0]].sum(axis=1)[None, :]
-        common_in = a[a[:, 0]].sum(axis=0)[None, :]
+        common_out = from0[out].sum(axis=1)[None, :]
+        common_in = np.bincount(out[to0].ravel(), minlength=g.n)[None, :]
         same = (class_ids == class_ids[0])[None, :]
         upper = (np.arange(g.n) > 0)[None, :]
-        out_degrees, in_degrees = {int(a[0].sum())}, {int(a[:, 0].sum())}
-        asymmetric = not (a[0] & a[:, 0])[1:].any()
-        loopless = not a[0, 0]
+        out_degrees, in_degrees = {out.shape[1]}, {int(to0.sum())}
+        asymmetric = not (from0 & to0)[1:].any()
+        loopless = not from0[0]
         weight = g.n  # ordered pairs per entry, two per unordered pair
     else:
+        a = g.arcs
         af = a.astype(np.float32)
         common_out = (af @ af.T).astype(np.int32)
         common_in = (af.T @ af).astype(np.int32)

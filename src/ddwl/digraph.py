@@ -1,4 +1,11 @@
-"""Dense digraphs on a fixed vertex set [0, n), with a plain-text export format.
+"""Digraphs on a fixed vertex set [0, n), held as a dense adjacency matrix or
+as out-neighbour lists, with a plain-text export format.
+
+A digraph built from lists (`Digraph.from_out`, as `build_cayley` builds the
+family) holds an (n, k) array whose row u lists the k out-neighbours of u in
+ascending order; its n x n `arcs` matrix is scattered from the lists on first
+read and kept.  A digraph built from `arcs` derives the lists from the matrix
+on first read of `out`, which needs every out-degree equal.
 
 The text format is: first line n, then n lines of n characters '0'/'1'
 giving the adjacency matrix row by row.  It is bit-exact across platforms.
@@ -7,29 +14,68 @@ giving the adjacency matrix row by row.  It is bit-exact across platforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 
-@dataclass
 class Digraph:
-    arcs: np.ndarray
-    label: str = field(default="")
-    # claimed automorphisms acting transitively (a Cayley digraph's right translations,
-    # set only by `build_cayley`): `designs.verify_ddd` proves the claim and counts from
-    # one row, `coherent.wl_close` proves them automorphisms and refines one row per orbit.
-    translations: tuple = field(default=(), repr=False, compare=False)
+    """A digraph on [0, n).  `translations` are claimed automorphisms acting
+    transitively (a Cayley digraph's right translations, set only by
+    `build_cayley`): `designs.verify_ddd` proves the claim on the
+    out-neighbour lists and counts from one row, `coherent.wl_close` proves
+    them automorphisms and refines one row per orbit."""
 
-    def __post_init__(self):
-        a = np.asarray(self.arcs, dtype=bool)
+    def __init__(self, arcs, label: str = "", translations: tuple = ()):
+        a = np.asarray(arcs, dtype=bool)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("arcs must be a square matrix")
-        self.arcs = a
+        self._arcs, self._out = a, None
+        self.label, self.translations = label, translations
+
+    @classmethod
+    def from_out(cls, out, label: str = "", translations: tuple = ()) -> "Digraph":
+        """The digraph whose vertex u dominates the vertices out[u], for an
+        (n, k) integer array with entries in [0, n); the rows are kept sorted."""
+        out = np.asarray(out)
+        if out.ndim != 2 or out.dtype.kind not in "iu":
+            raise ValueError("out must be a two-dimensional integer array")
+        if out.size and (out.min() < 0 or out.max() >= len(out)):
+            raise ValueError(f"out-neighbours must lie in [0, {len(out)})")
+        g = cls.__new__(cls)
+        g._arcs, g._out = None, np.array(out, dtype=np.int32, order="C")  # a copy
+        g._out.sort(axis=1)
+        g.label, g.translations = label, translations
+        return g
+
+    def __repr__(self) -> str:
+        return f"Digraph(n={self.n}, label={self.label!r})"
 
     @property
     def n(self) -> int:
-        return self.arcs.shape[0]
+        return len(self._out) if self._arcs is None else len(self._arcs)
+
+    @property
+    def arcs(self) -> np.ndarray:
+        """The n x n bool adjacency matrix, scattered from the lists once."""
+        if self._arcs is None:
+            a = np.zeros((self.n, self.n), dtype=bool)
+            a[np.arange(self.n)[:, None], self._out] = True
+            self._arcs = a
+        return self._arcs
+
+    @property
+    def out(self) -> np.ndarray:
+        """The (n, k) int32 out-neighbour lists, each row ascending; derived
+        from `arcs` once.  NotInvariant unless every out-degree is the same,
+        as it is under a transitive group of automorphisms."""
+        if self._out is None:
+            from .coherent import NotInvariant  # coherent imports this module
+
+            degrees = self._arcs.sum(axis=1)
+            k = int(degrees.max(initial=0))
+            if (degrees != k).any():
+                raise NotInvariant("the out-degrees differ, so no group acts transitively")
+            self._out = np.nonzero(self._arcs)[1].astype(np.int32).reshape(self.n, k)
+        return self._out
 
     def out_degrees(self) -> np.ndarray:
         return self.arcs.sum(axis=1)

@@ -157,7 +157,7 @@ def _k_automorphisms(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
     ok = len(ks) == len(listed) == order and np.array_equal(powers[-1], np.arange(cons.n))
     ok &= listed == {p.tobytes() for p in powers}
     gens = cons.generators_I()
-    ok &= all(coherent.carries(a, a, [g]) for a in (cons.build_cayley(i).arcs for i in gens))
+    ok &= all(coherent.carries_out(o, o, [g]) for o in (cons.build_cayley(i).out for i in gens))
     return ("pass" if ok else "fail"), {"k_order": len(ks), "graph_checks": len(gens)}
 
 
@@ -224,7 +224,7 @@ def _ddd_parameters(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
         witness = dict(rep_ll.witness) if rep_ll.witness else None
         if witness:
             u, v = witness["pair"]
-            joined_ok = loopless.arcs[u, v] or loopless.arcs[v, u]
+            joined_ok = v in loopless.out[u] or u in loopless.out[v]
             loopless_ok &= not witness["same_class"] and bool(joined_ok)
             loopless_ok &= witness["common_in"] == witness["common_out"] == q - 1
             witness["pair_elements"] = [cons.table.element_to_json(w) for w in (u, v)]

@@ -2,6 +2,8 @@
 
 `from_text` reads the 0/1 text format that `ddwl build` writes;
 `move_one_arc` spoils a Cayley digraph that keeps its translations.
+`cayley_arcs_densely` is the n x n scatter that `build_cayley`'s
+out-neighbour lists replaced.
 `carries_densely` and `design_iso_densely` are the n x n comparisons that
 `coherent.carries` and `designs.verify_design_iso` replaced; `orbit_by_sets`
 is the set-based closure that `coherent.orbit_mask` replaced.  `MatrixM`
@@ -44,6 +46,15 @@ def move_one_arc(g: Digraph) -> Digraph:
     v, w = np.flatnonzero(arcs[0])[1], np.flatnonzero(~arcs[0])[0]
     arcs[0, v], arcs[0, w] = False, True
     return Digraph(arcs, label=g.label, translations=g.translations)
+
+
+def cayley_arcs_densely(cons, i: int, include_identity: bool = True) -> np.ndarray:
+    """The adjacency matrix of Cay(X_i), arcs (g, x * g) scattered from the
+    rows of the multiplication table at the connection set."""
+    conn = cons.build_X(i) if include_identity else cons.build_Y(i)
+    arcs = np.zeros((cons.n, cons.n), dtype=bool)
+    arcs[np.arange(cons.n), cons.table.mult[conn]] = True  # row x of mult: g -> x * g
+    return arcs
 
 
 def carries_densely(c1: np.ndarray, c2: np.ndarray, s: np.ndarray) -> bool:

@@ -860,6 +860,36 @@ def test_carries_on_a_discrete_coloring_gathers_densely():
     assert got == [carries_densely(c1, c2, s) for s in perms] == [True, False, False]
 
 
+@pytest.mark.parametrize("q", [3, 5])
+def test_carries_out_equals_carries_on_the_arcs(q, request):
+    """The list check agrees with `carries` on the arcs for the translations,
+    K's generator, a left multiplication, a transposition and the identity:
+    on every label, looped and loopless, on a copy with one arc moved, and
+    from the digraph onto that copy."""
+    cons = request.getfixturevalue(f"cons{q}")
+    perms = _candidate_perms(cons) + [np.arange(cons.n)]
+    for i in range(q):
+        for loops in (True, False):
+            g = cons.build_cayley(i, include_identity=loops)
+            moved = move_one_arc(g)
+            for a, b in ((g, g), (moved, moved), (g, moved)):
+                got = [coherent.carries_out(a.out, b.out, [s]) for s in perms]
+                assert got == [coherent.carries(a.arcs, b.arcs, [s]) for s in perms]
+            assert coherent.carries_out(g.out, g.out, perms[:-3])   # translations, K
+            assert not coherent.carries_out(g.out, moved.out, perms[-1:])
+
+
+def test_carries_out_refuses_a_list_that_repeats_a_vertex(cons3):
+    """On either side; lists of another shape are simply not carried."""
+    g, ident = cons3.build_cayley(1), [np.arange(cons3.n)]
+    repeated = g.out.copy()
+    repeated[0, 1] = repeated[0, 0]
+    for a, b in ((repeated, g.out), (g.out, repeated), (repeated, repeated)):
+        with pytest.raises(coherent.NotInvariant, match="repeats a vertex"):
+            coherent.carries_out(a, b, ident)
+    assert not coherent.carries_out(g.out, g.out[:, 1:], ident)
+
+
 @pytest.mark.parametrize("q", [5, 7])
 def test_orbit_mask_of_k_generator_gives_the_cells(q, request):
     cons = request.getfixturevalue(f"cons{q}")

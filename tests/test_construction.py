@@ -6,10 +6,11 @@ import pytest
 
 from ddwl import construction
 from ddwl.arith import euler_phi
+from ddwl.coherent import NotInvariant
 from ddwl.construction import INFINITY, Construction
 from ddwl.digraph import Digraph
 from ddwl.heisenberg import GroupElement
-from reference import MatrixM, from_text, rho_apply
+from reference import MatrixM, cayley_arcs_densely, from_text, rho_apply
 
 
 def element(cons, x, y, z):
@@ -350,6 +351,42 @@ def test_generators_small_cases(cons3, cons7):
     assert len(seq) == 4
     assert cons3.generators_I() == [1, 2]
     assert len(cons7.generators_I()) == 4
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+@pytest.mark.parametrize("loops", [True, False], ids=["looped", "loopless"])
+def test_cayley_lists_scatter_to_the_dense_arcs_byte_for_byte(q, loops, request):
+    """`build_cayley` holds sorted int32 out-neighbour lists; the `arcs` built
+    from them on every label, and the text of a generator label's digraph,
+    are the bytes of the old multiplication-table scatter."""
+    cons = request.getfixturevalue(f"cons{q}")
+    for i in range(q):
+        g = cons.build_cayley(i, include_identity=loops)
+        want = cayley_arcs_densely(cons, i, loops)
+        assert g.out.dtype == np.int32 and g.out.shape == (cons.n, cons.q**2 - (not loops))
+        assert np.array_equal(g.out, np.nonzero(want)[1].reshape(cons.n, -1))
+        assert g.arcs.dtype == want.dtype and g.arcs.shape == want.shape
+        assert g.arcs.tobytes() == want.tobytes()
+        if i == cons.generators_I()[0]:
+            assert g.to_text() == Digraph(want).to_text()
+
+
+def test_digraph_lists_from_arcs_need_equal_out_degrees():
+    """A digraph given by arcs derives its lists once; unequal out-degrees
+    admit no transitive group of automorphisms."""
+    g = Digraph(np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=bool))
+    assert g.out.tolist() == [[1, 2], [0, 2], [0, 1]] and g.out is g.out
+    with pytest.raises(NotInvariant, match="out-degrees differ"):
+        Digraph(np.triu(np.ones((3, 3), dtype=bool))).out
+
+
+@pytest.mark.parametrize(
+    "out", [[[0, 3]], [[0, -1], [1, 0]], [[0.0, 1.0], [1.0, 0.0]], [0, 1]],
+    ids=["too-large", "negative", "float", "one-dimensional"],
+)
+def test_digraph_from_out_refuses_lists_that_name_no_vertices(out):
+    with pytest.raises(ValueError, match="out"):
+        Digraph.from_out(np.array(out))
 
 
 def test_digraph_text_round_trip(cons3):

@@ -154,6 +154,45 @@ def test_verify_ddd_refuses_classes_the_translations_do_not_permute(cons5):
         verify_ddd(g, class_ids, (0, 5))
 
 
+def test_verify_ddd_refuses_translations_on_unequal_out_degrees(cons5):
+    """One arc added at vertex 0: a transitive group of automorphisms would
+    make every out-degree equal, so the claimed translations are refused
+    before any list is read."""
+    g = cons5.build_cayley(1)
+    arcs = g.arcs.copy()
+    arcs[0, np.flatnonzero(~arcs[0])[0]] = True
+    with pytest.raises(NotInvariant, match="out-degrees differ"):
+        verify_ddd(Digraph(arcs, translations=g.translations), cons5.table.coset_ids, (0, 5))
+
+
+@pytest.mark.parametrize("loops", [True, False], ids=["looped", "loopless"])
+def test_verify_ddd_refuses_an_out_list_with_a_repeated_neighbour(cons5, loops):
+    """Row 0 names its first out-neighbour twice and its second not at all:
+    the rows keep their length, but not their count of arcs."""
+    g = cons5.build_cayley(1, include_identity=loops)
+    out = g.out.copy()
+    out[0, 1] = out[0, 0]
+    forged = Digraph.from_out(out, translations=g.translations)
+    with pytest.raises(NotInvariant, match="repeats a vertex"):
+        verify_ddd(forged, cons5.table.coset_ids, (0, 5))
+
+
+def test_verify_ddd_on_q13_lists_stays_below_one_n2_matrix(cons13):
+    """The one-row path reads the (n, q**2) out-neighbour lists only: its
+    traced peak stays below the n**2 bytes of one bool adjacency matrix, which
+    reading `arcs` anywhere on the path would allocate."""
+    for loops in (True, False):
+        g = cons13.build_cayley(cons13.generators_I()[0], include_identity=loops)
+        tracemalloc.start()
+        try:
+            rep = verify_ddd(g, cons13.table.coset_ids, (0, 13))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.ok == loops and rep.out_degrees == {169 - (not loops)}
+        assert peak < cons13.n**2
+
+
 @pytest.mark.parametrize(
     "spoil",
     [lambda s: np.where(s == s[1], s[0], s), lambda s: s[:-1], lambda s: s.astype(np.float64)],

@@ -214,7 +214,7 @@ def test_plain_relabeled_digraph_fails_wl_closure(monkeypatch):
 
 
 def test_moved_arc_fails_ddd_parameters_loudly(tmp_path, monkeypatch, capsys):
-    """The one-row counts prove the translations on the arcs: a digraph that
+    """The one-row counts prove the translations on the lists: a digraph that
     carries them but is not invariant is refused, never counted."""
     cons = Construction(3)
     _wrap_cayley(cons, lambda i, g: move_one_arc(g))
@@ -259,6 +259,19 @@ def test_k_automorphisms_checks_each_label_once(monkeypatch):
     result = _run_one("k_automorphisms", monkeypatch, 9)
     assert result.status == "pass"
     assert result.data == {"k_order": 80, "graph_checks": len(Construction(9).generators_I())}
+
+
+@pytest.mark.parametrize("name", ["k_automorphisms", "ddd_parameters"])
+def test_list_checks_read_no_adjacency_matrix(name, monkeypatch):
+    """Both checks read the out-neighbour lists only: with `arcs` unreadable
+    they still pass."""
+
+    def unreadable(g):
+        raise AssertionError("read the n x n arcs")
+
+    monkeypatch.setattr(Digraph, "arcs", property(unreadable))
+    result = _run_one(name, monkeypatch, 5)
+    assert result.status == "pass", result.data
 
 
 @pytest.mark.parametrize("kind", ["non-isomorphic", "undetermined"])
