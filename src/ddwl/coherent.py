@@ -50,10 +50,11 @@ so every color class meets a representative row; the key set, hence the
 canonical names, the rank, the rounds and the tensor, are those of a
 round on every row.  That round, the dense engine, is the trivial group:
 every vertex is its own representative and there are no steps.
-`wl_close` runs `orbit_close` from a digraph's translations (a Cayley
-digraph's right translations: one row; none for any other digraph), and
-`orbit_extension` from a group fixing the individualized vertex (none for
-`one_point_extension`).
+`wl_close` refines from a digraph's translations, proven once on its
+out-neighbour lists by `Digraph.translations` (a Cayley digraph's right
+translations: one row; none for any other digraph), and `orbit_extension`
+runs `orbit_close`, which proves its generators on the coloring, from a
+group fixing the individualized vertex (none for `one_point_extension`).
 
 Intersection numbers.  The round that confirms stability gives every pair
 of color t the same key, so that key is the multiset of codes
@@ -387,11 +388,12 @@ def _matches_tensor(cc: CoherentConfiguration, r, s, t, weight, tensor_weight) -
 
 def wl_close(g: Digraph) -> CoherentConfiguration:
     """Smallest coherent configuration whose colors refine the arc relation,
-    by `orbit_close` from g's translations (NotInvariant unless they are
-    automorphisms of g); a digraph without them refines every row."""
+    refined from one row per orbit of g's translations, which reading
+    `Digraph.translations` proves automorphisms of g, hence of its initial
+    coloring (else NotInvariant); a digraph without them refines every row."""
     if g.n < 1:
         raise ValueError("need at least one vertex")
-    return orbit_close(_initial_coloring(g), list(g.translations))
+    return _orbit_refine(_initial_coloring(g), list(g.translations))
 
 
 def as_permutation(s, n: int) -> np.ndarray:
@@ -402,39 +404,11 @@ def as_permutation(s, n: int) -> np.ndarray:
     return s
 
 
-def _outside_largest_class(c1: np.ndarray, c2: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The rows and columns of the pairs outside c1's largest color class, or
-    None when that class holds less than half the pairs (the index arrays
-    would then outweigh a dense gather of all n**2 pairs) or c2 has another
-    number of pairs of its color.  Bool colorings are counted without a copy."""
-    if c1.dtype == bool:
-        ones = np.count_nonzero(c1)
-        if np.count_nonzero(c2) != ones:
-            return None
-        outside = ~c1 if 2 * ones > c1.size else c1
-    else:
-        sizes = np.bincount(c1.ravel())
-        largest = np.argmax(sizes)
-        if 2 * sizes[largest] < c1.size or np.count_nonzero(c2 == largest) != sizes[largest]:
-            return None
-        outside = c1 != largest
-    return np.divmod(np.flatnonzero(outside), len(c1))
-
-
 def carries(c1: np.ndarray, c2: np.ndarray, perms: list[np.ndarray]) -> bool:
     """True iff c2[s(u), s(v)] == c1[u, v] for all pairs and every vertex
-    permutation s in perms (see `as_permutation`).  When c1's largest class
-    holds at least half the pairs and c2 has as many pairs of its color, the
-    pairs outside it are checked alone: s is a bijection on pairs, so once it
-    maps them into c2's pairs of other colors it maps them onto those, and
-    the largest class onto its color in c2.  On a digraph's arcs that is the
-    arc list: arcs that land on arcs, as many as the target has."""
-    outside = _outside_largest_class(c1, c2)
-    if outside is None:
-        return all(np.array_equal(c2[s][:, s], c1) for s in perms)  # faster than np.ix_
-    rows, cols = outside
-    values = c1[rows, cols]
-    return all(np.array_equal(c2[s[rows], s[cols]], values) for s in perms)
+    permutation s in perms (see `as_permutation`), compared on the whole
+    moved matrix."""
+    return all(np.array_equal(c2[s][:, s], c1) for s in perms)  # faster than np.ix_
 
 
 def carries_out(out1: np.ndarray, out2: np.ndarray, perms: list[np.ndarray]) -> bool:
@@ -510,16 +484,20 @@ def orbit_close(color0: np.ndarray, gens: list[np.ndarray]) -> CoherentConfigura
     """The stable refinement of the int32 pair coloring color0, whose ids
     are 0..rank-1, from one row per orbit (its least vertex) of the group
     the permutations gens generate; with no gens, of every row.  `carries`
-    proves the generators automorphisms of color0 once (of an initial
-    coloring, on the arc list), else NotInvariant.  One breadth-first forest
-    from all representatives copies the other rows down: row s(u) is row u
-    moved by s, a proven automorphism.  The result keeps the proven
-    generators as `generators`."""
-    n = len(color0)
-    perms = [as_permutation(s, n) for s in gens]
+    proves the generators automorphisms of color0 once, else NotInvariant.
+    One breadth-first forest from all representatives copies the other rows
+    down: row s(u) is row u moved by s, a proven automorphism.  The result
+    keeps the proven generators as `generators`."""
+    perms = [as_permutation(s, len(color0)) for s in gens]
     if perms and not carries(color0, color0, perms):
         raise NotInvariant("a generator is not an automorphism of the coloring")
-    cc = CoherentConfiguration(*_stable_coloring(color0, int(color0.max()) + 1, _orbits(perms, n)))
+    return _orbit_refine(color0, perms)
+
+
+def _orbit_refine(color0: np.ndarray, perms: list[np.ndarray]) -> CoherentConfiguration:
+    """`orbit_close` from proven automorphisms perms of color0."""
+    orbits = _orbits(perms, len(color0))
+    cc = CoherentConfiguration(*_stable_coloring(color0, int(color0.max()) + 1, orbits))
     cc.generators = perms
     return cc
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import NotInvariant, as_permutation, carries_out, orbit_mask
+from .coherent import NotInvariant, as_permutation
 from .construction import Construction
 from .digraph import Digraph
 
@@ -70,21 +70,6 @@ class DDDReport:
         return self.regular and self.asymmetric and self.counts_match
 
 
-def _prove_translations(g: Digraph, class_ids: np.ndarray) -> None:
-    """Prove that g.translations generate a group of automorphisms of g, on
-    the out-neighbour lists (`carries_out`), that permutes the classes and is
-    transitive on the vertices; else NotInvariant."""
-    gens = [as_permutation(s, g.n) for s in g.translations]
-    if not carries_out(g.out, g.out, gens):
-        raise NotInvariant("a translation maps an arc to a non-arc")
-    _, labels = np.unique(class_ids, return_inverse=True)
-    m = int(labels.max()) + 1
-    if any(len(np.unique(labels * m + labels[s])) != m for s in gens):
-        raise NotInvariant("a translation does not permute the classes")
-    if not orbit_mask(0, gens, g.n).all():
-        raise NotInvariant("the translations do not act transitively")
-
-
 def verify_ddd(g: Digraph, class_ids: np.ndarray, expected: tuple[int, int]) -> DDDReport:
     """Per-direction common-neighbor counts over unordered vertex pairs.
 
@@ -95,17 +80,17 @@ def verify_ddd(g: Digraph, class_ids: np.ndarray, expected: tuple[int, int]) -> 
     expected (lambda1, lambda2) in row-major order.
 
     A digraph that carries `translations` is counted from row 0 of its
-    (n, k) out-neighbour lists, in O(n k) memory: once `_prove_translations`
-    has shown that they generate a transitive group of automorphisms
-    permuting the classes, the pairs (u, v) and (0, v') with v' the image of
-    v under an element sending u to 0 have the same counts and class
-    relation.  So each value in row 0 of A.A^T and A^T.A, over v != 0,
-    stands for n/2 unordered pairs, and the first deviating pair lies in
-    row 0.  Row 0 of A.A^T counts, for each v, the out-neighbours of v that
-    0 dominates; row 0 of A^T.A counts each v once for every in-neighbour
-    of 0 that dominates it.  A plain digraph takes the dense oracle: float32
-    matmuls, exact because every partial sum is an integer <= n < 2**24; a
-    larger n raises.
+    (n, k) out-neighbour lists, in O(n k) memory: `Digraph.translations`
+    proves on first read that they generate a transitive group of
+    automorphisms, and once each is shown here to permute the classes, the
+    pairs (u, v) and (0, v') with v' the image of v under an element sending
+    u to 0 have the same counts and class relation.  So each value in row 0
+    of A.A^T and A^T.A, over v != 0, stands for n/2 unordered pairs, and the
+    first deviating pair lies in row 0.  Row 0 of A.A^T counts, for each v,
+    the out-neighbours of v that 0 dominates; row 0 of A^T.A counts each v
+    once for every in-neighbour of 0 that dominates it.  A plain digraph
+    takes the dense oracle: float32 matmuls, exact because every partial sum
+    is an integer <= n < 2**24; a larger n raises.
     """
     if g.n >= 2**24:
         raise ValueError(f"n = {g.n} >= 2**24: float32 counts would not be exact")
@@ -113,7 +98,10 @@ def verify_ddd(g: Digraph, class_ids: np.ndarray, expected: tuple[int, int]) -> 
     if class_ids.shape != (g.n,):
         raise ValueError(f"class_ids has shape {class_ids.shape}; the digraph has {g.n} vertices")
     if g.translations:
-        _prove_translations(g, class_ids)
+        _, labels = np.unique(class_ids, return_inverse=True)
+        m = int(labels.max()) + 1
+        if any(len(np.unique(labels * m + labels[s])) != m for s in g.translations):
+            raise NotInvariant("a translation does not permute the classes")
         out = g.out
         to0 = (out == 0).any(axis=1)  # the in-neighbours of 0
         from0 = np.zeros(g.n, dtype=bool)

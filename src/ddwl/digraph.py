@@ -5,7 +5,8 @@ A digraph built from lists (`Digraph.from_out`, as `build_cayley` builds the
 family) holds an (n, k) array whose row u lists the k out-neighbours of u in
 ascending order; its n x n `arcs` matrix is scattered from the lists on first
 read and kept.  A digraph built from `arcs` derives the lists from the matrix
-on first read of `out`, which needs every out-degree equal.
+on first read of `out`, which needs every out-degree equal.  The translations
+a digraph claims are proven on its lists on first read of `translations`.
 
 The text format is: first line n, then n lines of n characters '0'/'1'
 giving the adjacency matrix row by row.  It is bit-exact across platforms.
@@ -18,18 +19,17 @@ import numpy as np
 
 
 class Digraph:
-    """A digraph on [0, n).  `translations` are claimed automorphisms acting
-    transitively (a Cayley digraph's right translations, set only by
-    `build_cayley`): `designs.verify_ddd` proves the claim on the
-    out-neighbour lists and counts from one row, `coherent.wl_close` proves
-    them automorphisms and refines one row per orbit."""
+    """A digraph on [0, n).  The claimed `translations` (a Cayley digraph's
+    right translations, given only by `build_cayley`) are proven once, on
+    first read of `translations`: `designs.verify_ddd` counts from one row
+    and `coherent.wl_close` refines one row from them."""
 
     def __init__(self, arcs, label: str = "", translations: tuple = ()):
         a = np.asarray(arcs, dtype=bool)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("arcs must be a square matrix")
         self._arcs, self._out = a, None
-        self.label, self.translations = label, translations
+        self.label, self._claimed, self._translations = label, translations, None
 
     @classmethod
     def from_out(cls, out, label: str = "", translations: tuple = ()) -> "Digraph":
@@ -43,7 +43,7 @@ class Digraph:
         g = cls.__new__(cls)
         g._arcs, g._out = None, np.array(out, dtype=np.int32, order="C")  # a copy
         g._out.sort(axis=1)
-        g.label, g.translations = label, translations
+        g.label, g._claimed, g._translations = label, translations, None
         return g
 
     def __repr__(self) -> str:
@@ -52,6 +52,24 @@ class Digraph:
     @property
     def n(self) -> int:
         return len(self._out) if self._arcs is None else len(self._arcs)
+
+    @property
+    def translations(self) -> tuple:
+        """The claimed translations, proven on first read and kept: each is a
+        permutation (`coherent.as_permutation`) that maps the out-neighbour
+        lists onto themselves (`coherent.carries_out`), and together they
+        reach every vertex from 0 (`coherent.orbit_mask`), so they generate
+        a transitive group of automorphisms; else NotInvariant."""
+        if self._translations is None:
+            from .coherent import NotInvariant, as_permutation, carries_out, orbit_mask
+
+            perms = tuple(as_permutation(s, self.n) for s in self._claimed)
+            if perms and not carries_out(self.out, self.out, perms):
+                raise NotInvariant("a translation maps an arc to a non-arc")
+            if perms and not orbit_mask(0, perms, self.n).all():
+                raise NotInvariant("the translations do not act transitively")
+            self._translations = perms
+        return self._translations
 
     @property
     def arcs(self) -> np.ndarray:

@@ -17,8 +17,8 @@ leaves are verified color-exactly, and every emitted isomorphism witness and
 searched automorphism generator arc-exactly (`coherent.carries`) before use,
 so the engine never reports a false positive;
 negatives come from exhausted search.  An isomorphism search prunes its
-first branching node by the generators cc2 records (the translations
-`wl_close` proved when g2 carries them), else by Aut(g2), searched for only
+first branching node by the generators cc2 records (g2's translations,
+when it carries them), else by Aut(g2), searched for only
 once a root candidate has failed: a candidate's orbit then fails with it.
 
 Automorphism group orders use the orbit-stabilizer chain: the order is the

@@ -304,8 +304,11 @@ def _tau_hat_transport(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
 
 def _algebraic_automorphisms(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
     """at least phi(q + 1) algebraic automorphisms; at most 2 log_p q induced"""
-    autos = srings.algebraic_automorphisms(ctx.tensor)
     want = euler_phi(ctx.q + 1)
+    try:
+        autos = srings.algebraic_automorphisms(ctx.tensor)
+    except srings.SearchCapExceeded:  # a spent budget, as in `_automorphism_order`
+        return "undetermined", {"phi_bound": want}
     ok = len(autos) >= want and srings.is_group_closed(autos)
     data = {"count": len(autos), "phi_bound": want}
     if exhaustive:
@@ -390,7 +393,7 @@ def _reverse_pair_isomorphism(ctx: Context, exhaustive: bool) -> tuple[str, dict
     g1, g2 = cons.build_cayley(i), cons.build_cayley(j)
     cert = isotest.are_isomorphic(g1, g2, ctx.closure(i), ctx.closure(j))
     sigma = coherent.as_permutation(t._pack(t.ix, f.neg(t.iy), f.neg(t.iz)), cons.n)
-    witnessed = cert.isomorphic and coherent.carries(g1.arcs, g2.arcs, [sigma])
+    witnessed = cert.isomorphic and coherent.carries_out(g1.out, g2.out, [sigma])
     status = "undetermined" if cert.kind == "undetermined" else ("pass" if witnessed else "fail")
     return status, {"i": i, "chi_i": j, "result": cert.kind}
 

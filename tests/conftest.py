@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from ddwl.suite import Context
 from reference import on_every_row
 
 ACCEPTANCE_LINES: list[str] = []
+SOURCES = Path(__file__).resolve().parents[1] / "src" / "ddwl"
 
 
 @pytest.fixture(scope="session")
@@ -16,6 +19,9 @@ def acceptance_log():
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
+    """The acceptance lines, and the src/ddwl line count as `wc -l` gives it."""
+    lines = sum(p.read_bytes().count(b"\n") for p in SOURCES.glob("*.py"))
+    terminalreporter.write_sep("=", f"src/ddwl: {lines} lines")
     if ACCEPTANCE_LINES:
         terminalreporter.write_sep("=", "acceptance criteria")
         for line in ACCEPTANCE_LINES:

@@ -17,6 +17,7 @@ from ddwl.coherent import (
     wl_close,
     wl_equivalent,
 )
+from ddwl.designs import verify_ddd
 from ddwl.digraph import Digraph
 from ddwl.isotest import are_isomorphic
 from ddwl.srings import SRing, structure_constants
@@ -729,6 +730,29 @@ def test_wl_close_refuses_a_translation_that_is_not_a_permutation(cons3, spoil):
         wl_close(Digraph(g.arcs, translations=tuple(steps)))
 
 
+def test_translations_are_proven_once_on_the_lists(cons3, monkeypatch):
+    """`verify_ddd` and then `wl_close` on one family digraph prove its
+    translations once, by `carries_out`; the closure never calls `carries`,
+    which still proves the generator of `orbit_extension` on its coloring."""
+    dense = {i: on_every_row(lambda: wl_close(_plain(cons3.build_cayley(i)))) for i in range(3)}
+    calls, carries_out = [], coherent.carries_out
+    monkeypatch.setattr(coherent, "carries_out", lambda *a: calls.append(a) or carries_out(*a))
+    g = cons3.build_cayley(1)
+    verify_ddd(g, cons3.table.coset_ids, (0, 3))
+    cc = wl_close(g)
+    assert len(calls) == 1
+
+    def refuse(*args):
+        raise AssertionError("carries was called")
+
+    monkeypatch.setattr(coherent, "carries", refuse)
+    for i in range(3):
+        _assert_same_closure(wl_close(cons3.build_cayley(i)), dense[i])
+    gen = cons3.rho_perm(*cons3.k_generator())
+    with pytest.raises(AssertionError, match="carries was called"):
+        coherent.orbit_extension(cc, cons3.table.identity, [gen])
+
+
 def test_orbit_close_rejects_a_forged_generator(cons3):
     g = cons3.build_cayley(1)
     color0 = coherent._initial_coloring(g)
@@ -803,7 +827,6 @@ def test_fixes_coloring_equals_the_dense_oracle_on_every_label(q, request):
         g = cons.build_cayley(i)
         colorings = [g.arcs] + ([~g.arcs, coherent._initial_coloring(g)] if q <= 9 else [])
         for color in colorings:
-            assert coherent._outside_largest_class(color, color) is not None   # the pair list
             got = [coherent.carries(color, color, [s]) for s in perms]
             assert got == [carries_densely(color, color, s) for s in perms]
             assert got[: len(perms) - 2] == [True] * (len(perms) - 2) and not got[-1]
@@ -811,12 +834,12 @@ def test_fixes_coloring_equals_the_dense_oracle_on_every_label(q, request):
 
 @pytest.mark.parametrize("q", [3, 5])
 def test_fixes_coloring_equals_the_dense_oracle_on_an_individualized_closure(q, request):
-    """No class holds half the pairs, so the check gathers the whole moved matrix."""
+    """K's generator fixes e and carries the individualized coloring; a
+    translation moves e."""
     cons = request.getfixturevalue(f"cons{q}")
     perms = _candidate_perms(cons)
     for cc in request.getfixturevalue(f"closures{q}").values():
         color = coherent._individualized(cc, cons.table.identity)
-        assert coherent._outside_largest_class(color, color) is None   # the dense branch
         got = [coherent.carries(color, color, [s]) for s in perms]
         assert got == [carries_densely(color, color, s) for s in perms]
         assert got[len(perms) - 3] and not got[0]   # K's generator fixes e; a translation moves it
@@ -841,20 +864,16 @@ def test_carries_equals_the_dense_oracle_between_two_digraphs(q, contexts):
     cases = [(c1, c2, p) for c1, c2 in pairs] + [(g1.arcs, grown, ident)]
     got = [coherent.carries(c1, c2, [s]) for c1, c2, s in cases]
     assert got == [carries_densely(c1, c2, s) for c1, c2, s in cases] == [True, True, False, False]
-    assert coherent._outside_largest_class(*pairs[0]) is not None   # the arc list
-    assert coherent._outside_largest_class(*pairs[1]) is None   # no class holds half the pairs
-    assert coherent._outside_largest_class(g1.arcs, grown) is None   # |A| != |B|
     assert grown[g1.arcs].all()
 
 
 def test_carries_on_a_discrete_coloring_gathers_densely():
-    """Every pair its own color: one bincount picks the dense branch."""
+    """Every pair its own color: only the relabelling carries c1 onto c2."""
     n = 343
     c1 = np.arange(n * n).reshape(n, n)
     p = np.random.default_rng(0).permutation(n)
     c2 = np.empty_like(c1)
     c2[np.ix_(p, p)] = c1
-    assert coherent._outside_largest_class(c1, c2) is None
     perms = [p, np.arange(n), p[::-1]]
     got = [coherent.carries(c1, c2, [s]) for s in perms]
     assert got == [carries_densely(c1, c2, s) for s in perms] == [True, False, False]
@@ -862,10 +881,11 @@ def test_carries_on_a_discrete_coloring_gathers_densely():
 
 @pytest.mark.parametrize("q", [3, 5])
 def test_carries_out_equals_carries_on_the_arcs(q, request):
-    """The list check agrees with `carries` on the arcs for the translations,
-    K's generator, a left multiplication, a transposition and the identity:
-    on every label, looped and loopless, on a copy with one arc moved, and
-    from the digraph onto that copy."""
+    """The list check agrees with `carries` on the arcs and on the initial
+    colorings, which `wl_close` refines from translations proven on the
+    lists, for the translations, K's generator, a left multiplication, a
+    transposition and the identity: on every label, looped and loopless, on
+    a copy with one arc moved, and from the digraph onto that copy."""
     cons = request.getfixturevalue(f"cons{q}")
     perms = _candidate_perms(cons) + [np.arange(cons.n)]
     for i in range(q):
@@ -875,6 +895,8 @@ def test_carries_out_equals_carries_on_the_arcs(q, request):
             for a, b in ((g, g), (moved, moved), (g, moved)):
                 got = [coherent.carries_out(a.out, b.out, [s]) for s in perms]
                 assert got == [coherent.carries(a.arcs, b.arcs, [s]) for s in perms]
+                c1, c2 = coherent._initial_coloring(a), coherent._initial_coloring(b)
+                assert got == [coherent.carries(c1, c2, [s]) for s in perms]
             assert coherent.carries_out(g.out, g.out, perms[:-3])   # translations, K
             assert not coherent.carries_out(g.out, moved.out, perms[-1:])
 

@@ -344,3 +344,11 @@ def test_run_suite_takes_any_q(monkeypatch):
     monkeypatch.setattr(suite, "REGISTRY", suite.REGISTRY[:1])
     report = suite.run_suite(13, "fast")
     assert report.ok and [c.name for c in report.checks] == ["field_axioms"]
+
+
+def test_spent_automorphism_search_cap_is_undetermined(monkeypatch):
+    """A closure rank above the algebraic-automorphism search cap is a spent
+    budget, as a spent node budget is for `automorphism_order`."""
+    monkeypatch.setattr(srings, "_AUTOMORPHISM_SEARCH_CAP", 4)   # rank q + 2 = 5 at q = 3
+    result = _run_one("algebraic_automorphisms", monkeypatch)
+    assert result.status == "undetermined" and "error" not in result.data, result.data
