@@ -39,6 +39,11 @@ kernel, one bincount of the codes, which orbit-row rounds and higher ranks
 use.  Each key is one fixed-width big-endian byte string, whose bytewise
 order is the numeric order above; `sorted_unique_rows` orders the keys of a
 block, and the same helper orders the vertex signatures of `isotest`.
+Count-mode keys hold n - counts <= n < 2**16 as uint16.  Sort-mode keys
+hold codes below rank**2, and the vertex signatures of `isotest` codes below
+ncells * mult, at the width `code_dtype` gives: uint16 while the codes fit
+2**16, uint32 while they fit 2**32, int64 beyond.  On nonnegative codes
+unsigned order is int64 order, so the width changes no name.
 
 Orbit rows.  Given generators of a group of automorphisms of the initial
 coloring, a round computes the keys of one representative row per vertex
@@ -60,7 +65,8 @@ Intersection numbers.  The round that confirms stability gives every pair
 of color t the same key, so that key is the multiset of codes
 (color(u, w), color(w, v)) shared by all pairs of color t: the intersection
 numbers of t, proven well defined for every pair.  The tensor is read off
-those keys, its rows ordered by one int64 key (r * rank + s) * rank + t,
+those keys at their code width, widening only the codes that start a run,
+its rows ordered by one int64 key (r * rank + s) * rank + t,
 once sorted rows, scatters and bincounts have checked the valencies.  The
 checks on a tensor compare moved rows with it through the same key; they
 read only rank, valencies, converse, fiber ids and tensor rows, so they
@@ -218,10 +224,20 @@ def _initial_coloring(g: Digraph) -> np.ndarray:
     return color
 
 
+def code_dtype(limit: int) -> np.dtype:
+    """The width that holds the signature codes 0..limit-1: uint16 while
+    limit <= 2**16, uint32 while limit <= 2**32, int64 beyond.  On
+    nonnegative codes each orders rows as int64 does."""
+    for dtype in (np.uint16, np.uint32):
+        if limit <= np.iinfo(dtype).max + 1:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
+
+
 def sorted_unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of a 2-D array of nonnegative integers in ascending
     lexicographic order, each as one big-endian byte string (a V{width}
-    scalar; `.view(">u2")` or `.view(">i8")` reads it back), and the index
+    scalar; `.view(">u2")` or `.view(">u4")` reads it back), and the index
     of each input row among them: `np.unique` of the V{width} rows.
 
     Only the run heads are sorted as byte strings.  The rows are ordered by
@@ -264,7 +280,9 @@ def _refine_round(
     ncodes = rank * rank
     count_mode = ncodes <= _MODE_A_MAX_CODES
     products = m == n and rank <= _PRODUCT_MAX_RANK  # rows are then 0..n-1
-    c64 = None if count_mode else color.astype(np.int64)
+    wide = None if count_mode else code_dtype(ncodes)  # the codes r * rank + s
+    # cw[v, w] = color(w, v): a block's codes are (u, v, w), sorted along w in place
+    cw = None if count_mode else np.ascontiguousarray(color.T, dtype=wide)
     if products:
         per_row = 2 * n * ncodes  # the float32 products and their uint16 copy
     else:
@@ -307,11 +325,11 @@ def _refine_round(
             counts = counts.reshape(nb * n, ncodes)
             np.subtract(n, counts, out=keyrows[:, 1:], casting="unsafe")  # n - counts, in place
         else:
-            codes = mine.astype(np.int64)[:, :, None] * rank + c64[None, :, :]  # axis 1 = w
-            srt = np.sort(codes, axis=1)
-            keyrows = np.empty((nb * n, n + 1), dtype=">i8")
+            codes = mine.astype(wide)[:, None, :] * wide.type(rank) + cw[None, :, :]  # axis 2 = w
+            codes.sort(axis=2)
+            keyrows = np.empty((nb * n, n + 1), dtype=wide.newbyteorder(">"))
             keyrows[:, 0] = mine.reshape(nb * n)
-            keyrows[:, 1:] = srt.transpose(0, 2, 1).reshape(nb * n, n)
+            keyrows[:, 1:] = codes.reshape(nb * n, n)
         pieces.append(sorted_unique_rows(keyrows))
 
     keys = np.unique(np.concatenate([local for local, _ in pieces]))
@@ -348,11 +366,13 @@ def _tensor_from_keys(keys: np.ndarray, n: int, rank: int) -> np.ndarray:
         t, code = np.nonzero(counts)
         count = counts[t, code]
     else:
-        codes = keys.view(">i8").reshape(rank, n + 1)[:, 1:]
+        flat = keys.view(code_dtype(rank * rank).newbyteorder(">"))  # row t: old color, codes
+        codes = flat.reshape(rank, n + 1)[:, 1:]
         runs = np.ones((rank, n), dtype=bool)     # each sorted row split into runs of equal codes
         runs[:, 1:] = codes[:, 1:] != codes[:, :-1]
         starts = np.flatnonzero(runs)
-        t, code = starts // n, codes.ravel()[starts]
+        t = starts // n
+        code = flat[starts + t + 1].astype(np.int64)  # only the run heads widen
         count = np.diff(np.append(starts, rank * n))
     r, s = np.divmod(code, rank)
     order = np.argsort(_tensor_key(r, s, t, rank))

@@ -12,7 +12,10 @@ vertex of the second when refinement stalls.
 
 Per node the refinement recolors a vertex x by the multiset over all w of
 (cell(w), color(x, w)), color(w, x) being a function of color(x, w) in a
-stable coloring; only vertices in splittable cells are recomputed.  Candidate
+stable coloring; only vertices in splittable cells are recomputed.  Their
+codes cell(w) * mult + color(x, w) lie below ncells * mult and are sorted at
+the width `coherent.code_dtype` gives for it (uint16 while it is at most
+2**16), whose order is int64 order.  Candidate
 leaves are verified color-exactly, and every emitted isomorphism witness and
 searched automorphism generator arc-exactly (`coherent.carries`) before use,
 so the engine never reports a false positive;
@@ -35,7 +38,7 @@ from itertools import combinations
 import numpy as np
 
 from .coherent import CoherentConfiguration, carries, invariants, orbit_mask
-from .coherent import sorted_unique_rows, wl_close
+from .coherent import code_dtype, sorted_unique_rows, wl_close
 from .digraph import Digraph
 
 NODE_BUDGET_DEFAULT = 10_000_000
@@ -74,7 +77,7 @@ class _PartitionSearch:
     def __init__(self, c1: np.ndarray, c2: np.ndarray, node_budget: int):
         if c1.shape != c2.shape or c1.shape[0] != c1.shape[1]:
             raise ValueError("colorings must be square and of equal order")
-        self.c1, self.c2 = c1, c2  # searched as given; `_refine` widens to int64
+        self.c1, self.c2 = c1, c2  # searched as given; `_refine` codes at its own width
         self.n = c1.shape[0]
         self.budget = node_budget
         self.nodes = 0
@@ -101,14 +104,17 @@ class _PartitionSearch:
             active1 = np.flatnonzero(splittable[pi1])
             active2 = np.flatnonzero(splittable[pi2])
             # both sides' vertex signatures in one array: the cell, then the
-            # sorted codes cell(w) * mult + color(v, w) over all w
-            rows = np.empty((len(active1) + len(active2), self.n + 1), dtype=np.int64)
+            # sorted codes cell(w) * mult + color(v, w) over all w, each below
+            # ncells * mult
+            wide = code_dtype(ncells * self.mult)
+            rows = np.empty((len(active1) + len(active2), self.n + 1), dtype=wide)
             for c, pi, active, side in (
                 (self.c1, pi1, active1, rows[: len(active1)]),
                 (self.c2, pi2, active2, rows[len(active1):]),
             ):
                 side[:, 0] = pi[active]
-                np.add(pi * self.mult, c[active], out=side[:, 1:])
+                cells = (pi * self.mult).astype(wide)
+                np.add(cells, c[active], out=side[:, 1:], dtype=wide, casting="unsafe")
                 side[:, 1:].sort(axis=1)
             _, inverse = sorted_unique_rows(rows)
             new1, new2 = pi1.copy(), pi2.copy()

@@ -12,7 +12,11 @@ and `rho_apply` are the element-by-element automorphism map that
 dense side of an oracle test and asserts that every refinement in it
 refined every row.  `dense_tensor` spreads a closure's sparse tensor rows
 over a rank**3 array; `shift_within_a_product` spoils a convolution tensor
-so that only the triangle identity sees it.
+so that only the triangle identity sees it.  `refine_round_int64`,
+`tensor_from_int64_keys` and `refine_partition_int64` code the sort-mode
+pair signatures, read their tensor and code the vertex signatures of the
+isomorphism search in int64, as the engines did before they chose the
+narrowest width that holds the codes.
 """
 
 from dataclasses import dataclass, replace
@@ -95,6 +99,61 @@ def on_every_row(make):
     for n, orbits in seen:
         assert np.array_equal(orbits.reps, np.arange(n)) and orbits.steps == []
     return out
+
+
+def refine_round_int64(color, rank: int, rows):
+    """One sort-mode recoloring of the given rows: each pair (u, v) keyed by
+    the big-endian int64 row of its old color and its sorted codes
+    color(u, w) * rank + color(w, v), one np.unique over all of them.  The
+    new colors, the rank and the keys, as `coherent._refine_round` returns."""
+    n = len(color)
+    c = color.astype(np.int64)
+    mine = c[rows]
+    codes = np.sort(mine[:, :, None] * rank + c[None, :, :], axis=1)  # axis 1 = w
+    keyrows = np.empty((len(rows) * n, n + 1), dtype=">i8")
+    keyrows[:, 0] = mine.ravel()
+    keyrows[:, 1:] = codes.transpose(0, 2, 1).reshape(len(rows) * n, n)
+    keys, inverse = np.unique(keyrows.view(f"V{8 * (n + 1)}").ravel(), return_inverse=True)
+    return inverse.astype(np.int32).reshape(len(rows), n), len(keys), keys
+
+
+def tensor_from_int64_keys(keys, n: int, rank: int) -> np.ndarray:
+    """The (r, s, t, count) rows in (r, s, t) order, read off the int64
+    sort-mode keys of a confirming round: key t holds its old color t and
+    the sorted codes r * rank + s of one pair of color t."""
+    codes = keys.view(">i8").reshape(rank, n + 1)[:, 1:].astype(np.int64)
+    rows = []
+    for t in range(rank):
+        code, count = np.unique(codes[t], return_counts=True)
+        rows += [(c // rank, c % rank, t, k) for c, k in zip(code.tolist(), count.tolist())]
+    return np.array(sorted(rows), dtype=np.int64).reshape(-1, 4)
+
+
+def refine_partition_int64(search, pi1, pi2, ncells):
+    """`isotest._PartitionSearch._refine` with each vertex signature an int64
+    row: the vertex's cell, then its sorted codes cell(w) * mult + color(x, w)
+    over all w, the rows of both sides named by np.unique in numeric order."""
+    while True:
+        s1 = np.bincount(pi1, minlength=ncells)
+        if not np.array_equal(s1, np.bincount(pi2, minlength=ncells)):
+            return None
+        splittable = s1 >= 2
+        if not splittable.any():
+            return pi1, pi2, ncells
+        sides = []
+        for c, pi in ((search.c1, pi1), (search.c2, pi2)):
+            active = np.flatnonzero(splittable[pi])
+            codes = np.sort(pi.astype(np.int64) * search.mult + c[active], axis=1)
+            sides.append((active, np.column_stack([pi[active], codes])))
+        (active1, rows1), (active2, rows2) = sides
+        inverse = np.unique(np.vstack([rows1, rows2]), axis=0, return_inverse=True)[1].ravel()
+        new1, new2 = pi1.copy(), pi2.copy()
+        new1[active1] = ncells + inverse[: len(active1)]
+        new2[active2] = ncells + inverse[len(active1):]
+        vals = np.unique(np.concatenate([new1, new2]))
+        if len(vals) == ncells:
+            return pi1, pi2, ncells
+        pi1, pi2, ncells = np.searchsorted(vals, new1), np.searchsorted(vals, new2), len(vals)
 
 
 def orbit_by_sets(v: int, perms: list[np.ndarray]) -> set[int]:

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -209,6 +212,34 @@ def test_iso_command_pinned(q, tmp_path, capsys):
     assert main(["iso", str(q), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == ISO_SHA256[q]
     capsys.readouterr()
+
+
+def test_iso_q7_matches_the_committed_bytes(tmp_path, capsys):
+    """`ddwl iso 7` byte for byte: every witness mapping and node count of the
+    search; regenerate with `ddwl iso 7 --out tests/data/iso_q7.json`."""
+    out = tmp_path / "iso.json"
+    assert main(["iso", "7", "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "iso_q7.json").read_bytes()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "5", "--no-timings"], ["verify", "4"]], ids=["verify-5", "usage-error"]
+)
+def test_python_m_ddwl_runs_the_command_line(argv, capsys):
+    """`python -m ddwl` in a fresh interpreter prints and exits as `cli.main`."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "ddwl", *argv],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    code = main(argv)
+    want = capsys.readouterr()
+    assert (done.returncode, done.stdout, done.stderr) == (code, want.out, want.err)
 
 
 VERIFY_SHA256 = {

@@ -30,6 +30,8 @@ from reference import (
     on_every_row,
     orbit_by_sets,
     random_digraph,
+    refine_round_int64,
+    tensor_from_int64_keys,
 )
 
 
@@ -342,6 +344,112 @@ def test_sorted_unique_rows_where_every_fingerprint_collides(dtype, compare_byte
     a, b = np.array([[0, 2, 1], [0, 1, 2]], dtype=dtype)
     _assert_as_np_unique(np.array([a, b, a], dtype=dtype))
     _assert_as_np_unique(_rows(dtype, 400, 3, 3)[np.random.default_rng(5).permutation(400)])
+
+
+# -- signature code widths ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "limit, width",
+    [(1, np.uint16), (2**16, np.uint16), (2**16 + 1, np.uint32), (2**32, np.uint32),
+     (2**32 + 1, np.int64), (2**40, np.int64)],
+)
+def test_code_dtype_is_the_narrowest_width_holding_the_codes(limit, width):
+    assert coherent.code_dtype(limit) == np.dtype(width)
+
+
+def _assert_round_equals_int64(got, color, rank, rows):
+    """got, a sort-mode `_refine_round(color, rank, rows)`, equals the int64
+    key builder: the same new colors and rank, and keys at the width that
+    holds rank**2 which widen to the int64 keys row for row."""
+    new, rank2, keys = got
+    want_new, want_rank, want_keys = refine_round_int64(color, rank, rows)
+    n = len(color)
+    wide = coherent.code_dtype(rank * rank).newbyteorder(">")
+    assert keys.dtype == np.dtype(f"V{(n + 1) * wide.itemsize}")
+    assert (new.dtype, rank2) == (want_new.dtype, want_rank)
+    assert new.tobytes() == want_new.tobytes()
+    narrow = keys.view(wide).reshape(rank2, n + 1).astype(">i8")
+    assert narrow.tobytes() == want_keys.tobytes()
+
+
+@pytest.mark.parametrize("q, width", [(3, np.uint16), (5, np.uint32)])
+def test_extension_rounds_equal_the_int64_keys(q, width, contexts, monkeypatch):
+    """Every sort-mode round of each one-point extension, and the tensor read
+    off its confirming round, equal those of int64 keys; the q = 3 extension
+    (rank 95) keys in uint16, the q = 5 one (rank 657) in uint32."""
+    ctx = contexts[q]
+    refine, confirming = coherent._refine_round, []
+
+    def checked(color, rank, rows):
+        got = refine(color, rank, rows)
+        if rank * rank > coherent._MODE_A_MAX_CODES:
+            _assert_round_equals_int64(got, color, rank, rows)
+            confirming[:] = [got[2], len(color), rank]
+        return got
+
+    monkeypatch.setattr(coherent, "_refine_round", checked)
+    for i in ctx.cons.generators_I():
+        ext = ctx.extension(i)
+        assert coherent.code_dtype(ext.rank**2) == width and confirming[2] == ext.rank
+        keys, n, rank = confirming
+        got = coherent._tensor_from_keys(keys, n, rank)
+        assert got.tobytes() == ext.tensor.tobytes()
+        wide_keys = refine_round_int64(ext.color, rank, np.arange(n))[2]
+        want = tensor_from_int64_keys(wide_keys, n, rank)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+
+def _coloring(n, rank, seed):
+    """A random (n, n) int32 coloring in which each of 0..rank-1 occurs."""
+    color = np.random.default_rng(seed).integers(0, rank, size=(n, n), dtype=np.int32)
+    color.flat[:rank] = np.arange(rank)
+    return color
+
+
+@pytest.mark.parametrize("rank, width", [(256, np.uint16), (257, np.uint32)])
+def test_pair_keys_either_side_of_the_uint16_switch(rank, width):
+    """rank 256 codes up to 256**2 - 1 keys in uint16; at rank 257 the code
+    257**2 - 1 would wrap there, and the keys are uint32."""
+    color = _coloring(20, rank, seed=rank)
+    for rows in (np.arange(20), np.arange(0, 20, 3)):
+        got = coherent._refine_round(color, rank, rows)
+        assert got[2].itemsize == 21 * np.dtype(width).itemsize
+        _assert_round_equals_int64(got, color, rank, rows)
+
+
+@pytest.mark.parametrize("rank", [256, 257])
+def test_tensor_from_keys_either_side_of_the_uint16_switch(rank):
+    """Rows of sorted codes up to rank**2 - 1, read at the width that holds
+    them, give the tensor rows of the same keys held as int64."""
+    n, rng = 12, np.random.default_rng(rank)
+    rows = np.empty((rank, n + 1), dtype=np.int64)
+    rows[:, 0] = np.arange(rank)
+    rows[:, 1:] = np.sort(rng.integers(rank * rank - 40, rank * rank, size=(rank, n)), axis=1)
+    rows[::2, 1:] = np.sort(rng.integers(0, 3, size=(len(rows[::2]), n)), axis=1)
+    wide = coherent.code_dtype(rank * rank).newbyteorder(">")
+    keys = rows.astype(wide).view(f"V{(n + 1) * wide.itemsize}").ravel()
+    got = coherent._tensor_from_keys(keys, n, rank)
+    want = tensor_from_int64_keys(rows.astype(">i8").view(f"V{8 * (n + 1)}").ravel(), n, rank)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_q7_extension_peak_stays_below_the_int64_keys(contexts):
+    """The q = 7 extension (rank 2459) keys its sort-mode rounds in uint32 and
+    widens only the run heads of its confirming round's keys: its tracemalloc
+    peak, 86.0 MB with numpy 2.4, stays below the 89.4 MB of int64 keys.
+    An int64 copy of the rank x n code matrix (6.7 MB) would pass it."""
+    ctx = contexts[7]
+    i = ctx.cons.generators_I()[0]
+    ctx.closure(i)
+    tracemalloc.start()
+    try:
+        assert ctx.extension(i).rank == 2459
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 89.4e6
 
 
 def _with_tensor(cc, tensor):

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from ddwl.isotest import (
     iso_class_count,
 )
 from ddwl.srings import SRing
-from reference import complete, directed_cycle, random_digraph
+from reference import complete, directed_cycle, random_digraph, refine_partition_int64
 
 
 def test_self_isomorphism(cons3, closures3):
@@ -310,3 +312,65 @@ def test_certificate_json(cons3, closures3):
     payload = cert.to_json()
     assert payload == {"type": "undetermined", "nodes": cert.nodes, "detail": cert.detail}
     assert cert.nodes == 1 and cert.detail == "node budget exhausted"
+
+
+# -- signature code widths ------------------------------------------------------------
+
+
+def _spy_widths(monkeypatch) -> list:
+    """The dtype of each signature matrix the search sorts, in call order."""
+    widths, unique = [], isotest.sorted_unique_rows
+
+    def spy(rows):
+        widths.append(rows.dtype)
+        return unique(rows)
+
+    monkeypatch.setattr(isotest, "sorted_unique_rows", spy)
+    return widths
+
+
+def _family_searches(ctx) -> list:
+    gens = ctx.cons.generators_I()
+    out = []
+    for i, j in combinations(gens, 2):
+        g1, g2 = ctx.cons.build_cayley(i), ctx.cons.build_cayley(j)
+        cert = are_isomorphic(g1, g2, ctx.closure(i), ctx.closure(j))
+        mapping = None if cert.mapping is None else cert.mapping.tobytes()
+        out.append((i, j, cert.kind, mapping, cert.nodes))
+    return out
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_family_searches_equal_the_int64_signatures(q, contexts, monkeypatch):
+    """Every pair of the family, searched on uint16 vertex signatures, gives
+    the verdict, witness and node count of int64 signatures."""
+    widths = _spy_widths(monkeypatch)
+    got = _family_searches(contexts[q])
+    assert set(widths) == {np.dtype(np.uint16)}
+    assert sum(nodes for *_, nodes in got) > 0
+    monkeypatch.setattr(isotest._PartitionSearch, "_refine", refine_partition_int64)
+    assert _family_searches(contexts[q]) == got
+
+
+@pytest.mark.parametrize("mult, width", [(2**16, np.uint16), (2**16 + 1, np.uint32)])
+def test_vertex_signatures_either_side_of_the_uint16_switch(mult, width, monkeypatch):
+    """One cell and colors below mult: the first round's codes stay below
+    ncells * mult = mult.  Only vertex 0 sees color mult - 1, which at
+    mult = 2**16 + 1 would wrap to 0 in uint16 and leave vertex 0 in the cell
+    of the rest; the refinement and the search equal the int64 ones."""
+    c1 = np.zeros((6, 6), dtype=np.int32)
+    c1[0, 1], c1[2, 3] = mult - 1, 7
+    perm = np.random.default_rng(mult).permutation(6)
+    c2 = np.empty_like(c1)
+    c2[np.ix_(perm, perm)] = c1
+    search = isotest._PartitionSearch(c1, c2, 100)
+    widths = _spy_widths(monkeypatch)
+    pi1, pi2, ncells = search._refine(*search._seeded(()))
+    assert widths[0] == np.dtype(width) and pi1[0] != pi1[4]
+    want = refine_partition_int64(search, *search._seeded(()))
+    assert ncells == want[2] and np.array_equal(pi1, want[0]) and np.array_equal(pi2, want[1])
+    f = search.search(())
+    assert np.array_equal(f[np.argsort(f)], np.arange(6)) and np.array_equal(c2[np.ix_(f, f)], c1)
+    nodes, search.nodes = search.nodes, 0
+    monkeypatch.setattr(isotest._PartitionSearch, "_refine", refine_partition_int64)
+    assert np.array_equal(search.search(()), f) and search.nodes == nodes
