@@ -437,14 +437,17 @@ def carries_out(out1: np.ndarray, out2: np.ndarray, perms: list[np.ndarray]) -> 
     out2: sort(s[out1[u]]) == out2[s(u)] for every u.  Lists of another
     shape hold another number of arcs.  Each row of both (n, k) lists must
     strictly ascend, else NotInvariant; then s maps the n k arcs of out1 one
-    to one into the n k arcs of out2, hence onto them."""
+    to one into the n k arcs of out2, hence onto them.
+
+    The images are gathered and sorted in out1's dtype, which must hold
+    n - 1, as a `Digraph`'s `code_dtype(n)` (uint16 to n = 2**16) does;
+    np.take would copy out1 as int64."""
     if out1.shape != out2.shape:
         return False
     for out in (out1,) if out2 is out1 else (out1, out2):
         if not (out[:, 1:] > out[:, :-1]).all():
             raise NotInvariant("an out-neighbour list repeats a vertex or is out of order")
     for s in perms:
-        # in the lists' dtype, int32 from a Digraph; np.take would copy out1 as int64
         moved = np.asarray(s, dtype=out1.dtype)[out1]
         moved.sort(axis=1)
         if not np.array_equal(moved, out2[s]):

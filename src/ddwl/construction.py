@@ -212,7 +212,9 @@ class Construction:
     def build_cayley(self, i: int, include_identity: bool = True) -> Digraph:
         """Cayley digraph with arcs (g, x*g); loops at every vertex iff e is kept.
         It holds the (n, |X|) out-neighbour lists X*g, column g of the rows
-        of `mult` at the connection set; its n x n `arcs` are built on first read."""
+        of `mult` at the connection set, sorted, at `coherent.code_dtype(n)`;
+        its n x n `arcs` are built on first read.  `designs.verify_design_iso`
+        builds its block lists the same way, without the digraph."""
         conn = self.build_X(i) if include_identity else self.build_Y(i)
         suffix = "" if include_identity else ", loopless"
         return Digraph.from_out(

@@ -3,14 +3,17 @@ cosets, and the explicit isomorphism between the neighbourhood designs of
 X_0 and X_i.
 
 The neighbourhood design of Cay(H3(q), X_i) has one block per group element
-g0, its out-neighbourhood X_i * g0.  The criterion
+g0, its out-neighbourhood X_i * g0: row g0 of the digraph's out-neighbour
+lists.  The criterion
 
     g in X_0 g0  <=>  f(g) in X_i h(g0)
 
-holds on all n**2 pairs (g0, g) once f and h are permutations, |X_0| = |X_i|
-and f(x g0) h(g0)**-1 lies in X_i for all x in X_0 and g0: the injective map
-(g0, g) -> (h(g0), f(g)) then sends the n |X_0| incidences of design 0 onto
-the n |X_i| of design i.  The closed form below only derives f and h.
+holds on all n**2 pairs (g0, g) once f and h are permutations and, for every
+g0, f maps the block X_0 g0 one to one onto the block X_i h(g0): then
+g in X_0 g0 gives f(g) in X_i h(g0), and f(g) in X_i h(g0) = f(X_0 g0) gives
+g in X_0 g0, f being injective.  `verify_design_iso` checks the blocks with
+`coherent.carries_out`, the check that proves a digraph's translations.
+The closed form below only derives f and h.
 With g = (al, be, ga) and g0 = (al0, be0, ga0), g lies in X_i g0 iff
 
     ga - ga0 = (al - al0)(be + be0) / 2 + ((al - al0)**2 - eps (be - be0)**2) i.
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import NotInvariant, as_permutation
+from .coherent import NotInvariant, as_permutation, carries_out
 from .construction import Construction
 from .digraph import Digraph
 
@@ -235,16 +238,23 @@ class DesignIsoReport:
 
 
 def verify_design_iso(cons: Construction, i: int) -> DesignIsoReport:
-    """The criterion over all n**2 pairs (g0, g), from the block list of design 0;
-    a failure's witness is the first pair where the moved adjacency matrices differ."""
-    maps, t, n = desiso_maps(cons, i), cons.table, cons.n
-    x0, xi = cons.build_X(0), cons.build_X(i)
-    in_xi = np.isin(np.arange(n), xi)
+    """The criterion over all n**2 pairs (g0, g), on the block lists: sorted
+    X_0 g0 and X_i g, built as `build_cayley` builds its out-neighbour lists.
+    Design 0's lists reindexed by h**-1 f are carried onto design i's by f
+    (`coherent.carries_out`): for every u, with g0 = h**-1(f(u)), the sorted
+    f[X_0 g0] equals X_i h(g0).  A resized X_i is a list of another shape; a
+    repeated point, or an f or h that is no permutation, raises NotInvariant
+    and fails the criterion.  A failure's witness is the first pair where
+    the moved adjacency matrices differ."""
+    maps, n = desiso_maps(cons, i), cons.n
+
+    def blocks(j: int) -> np.ndarray:  # row g: X_j g, column g of mult's rows at X_j
+        return Digraph.from_out(cons.table.mult[cons.build_X(j)].T).out
+
     try:
         f, h = (as_permutation(p, n) for p in (maps.f, maps.h))
-        holds = len(np.unique(x0)) == len(np.unique(xi)) and bool(
-            in_xi[t.mult[f[t.mult[x0]], t.inv[h]]].all()  # (|X_0|, n) blocks
-        )
+        moved0 = blocks(0)[np.argsort(h)[f]]  # row u: X_0 g0, g0 = h**-1(f(u))
+        holds = carries_out(moved0, blocks(i), [f])
     except NotInvariant:  # det(A) = 0 collapses h
         holds = False
     report = DesignIsoReport(cons.q, i, holds, maps.det_nonzero, pairs_checked=n * n)

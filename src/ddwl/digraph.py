@@ -3,10 +3,13 @@ as out-neighbour lists, with a plain-text export format.
 
 A digraph built from lists (`Digraph.from_out`, as `build_cayley` builds the
 family) holds an (n, k) array whose row u lists the k out-neighbours of u in
-ascending order; its n x n `arcs` matrix is scattered from the lists on first
-read and kept.  A digraph built from `arcs` derives the lists from the matrix
-on first read of `out`, which needs every out-degree equal.  The translations
-a digraph claims are proven on its lists on first read of `translations`.
+ascending order, at `coherent.code_dtype(n)`: uint16 while n <= 2**16 (every
+family digraph to q = 37), uint32 beyond.  Its users only index, compare and
+count the lists, so the width changes no value.  Its n x n `arcs` matrix is
+scattered from the lists on first read and kept.  A digraph built from
+`arcs` derives the lists from the matrix on first read of `out`, which needs
+every out-degree equal.  The translations a digraph claims are proven on its
+lists on first read of `translations`.
 
 The text format is: first line n, then n lines of n characters '0'/'1'
 giving the adjacency matrix row by row.  It is bit-exact across platforms.
@@ -34,14 +37,17 @@ class Digraph:
     @classmethod
     def from_out(cls, out, label: str = "", translations: tuple = ()) -> "Digraph":
         """The digraph whose vertex u dominates the vertices out[u], for an
-        (n, k) integer array with entries in [0, n); the rows are kept sorted."""
+        (n, k) integer array with entries in [0, n); the rows are kept sorted,
+        at the narrowest width that holds 0..n-1 (`coherent.code_dtype`)."""
+        from .coherent import code_dtype  # coherent imports this module
+
         out = np.asarray(out)
         if out.ndim != 2 or out.dtype.kind not in "iu":
             raise ValueError("out must be a two-dimensional integer array")
         if out.size and (out.min() < 0 or out.max() >= len(out)):
             raise ValueError(f"out-neighbours must lie in [0, {len(out)})")
         g = cls.__new__(cls)
-        g._arcs, g._out = None, np.array(out, dtype=np.int32, order="C")  # a copy
+        g._arcs, g._out = None, np.array(out, dtype=code_dtype(len(out)), order="C")  # a copy
         g._out.sort(axis=1)
         g.label, g._claimed, g._translations = label, translations, None
         return g
@@ -82,17 +88,19 @@ class Digraph:
 
     @property
     def out(self) -> np.ndarray:
-        """The (n, k) int32 out-neighbour lists, each row ascending; derived
-        from `arcs` once.  NotInvariant unless every out-degree is the same,
-        as it is under a transitive group of automorphisms."""
+        """The (n, k) out-neighbour lists at `coherent.code_dtype(n)`, each
+        row ascending; derived from `arcs` once.  NotInvariant unless every
+        out-degree is the same, as it is under a transitive group of
+        automorphisms."""
         if self._out is None:
-            from .coherent import NotInvariant  # coherent imports this module
+            from .coherent import NotInvariant, code_dtype  # coherent imports this module
 
             degrees = self._arcs.sum(axis=1)
             k = int(degrees.max(initial=0))
             if (degrees != k).any():
                 raise NotInvariant("the out-degrees differ, so no group acts transitively")
-            self._out = np.nonzero(self._arcs)[1].astype(np.int32).reshape(self.n, k)
+            cols = np.nonzero(self._arcs)[1].astype(code_dtype(self.n))
+            self._out = cols.reshape(self.n, k)
         return self._out
 
     def out_degrees(self) -> np.ndarray:

@@ -18,6 +18,7 @@ import numpy as np
 from . import coherent, designs, isotest, srings
 from .arith import euler_phi
 from .construction import INFINITY, Construction
+from .digraph import Digraph
 
 __version__ = "0.1.0"
 
@@ -64,10 +65,13 @@ class RunReport:
 
 class Context:
     """What the checks of one (q, seed) run share.  Everything is built on
-    first use, so an error while building it fails the check that asked."""
+    first use, so an error while building it fails the check that asked.
+    Each family digraph is built once, so its translations are proven once
+    per run."""
 
     def __init__(self, q: int, seed=DEFAULT_SEED):
         self.q, self.seed = q, seed
+        self.digraphs: dict[tuple[int, bool], Digraph] = {}
         self.closures: dict[int, coherent.CoherentConfiguration] = {}
 
     @cached_property
@@ -82,10 +86,16 @@ class Context:
     def tensor(self) -> srings.StructureConstantTensor:
         return srings.structure_constants(self.ring)
 
+    def digraph(self, i: int, loops: bool = True) -> Digraph:
+        """Cay(X_i), or its loopless companion Cay(Y_i) without loops."""
+        if (i, loops) not in self.digraphs:
+            self.digraphs[i, loops] = self.cons.build_cayley(i, include_identity=loops)
+        return self.digraphs[i, loops]
+
     def closure(self, i: int) -> coherent.CoherentConfiguration:
         """The closure of digraph i, refined from row e by its translations."""
         if i not in self.closures:
-            self.closures[i] = coherent.wl_close(self.cons.build_cayley(i))
+            self.closures[i] = coherent.wl_close(self.digraph(i))
         return self.closures[i]
 
     def cell_colors(self, i: int) -> np.ndarray:
@@ -157,7 +167,7 @@ def _k_automorphisms(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
     ok = len(ks) == len(listed) == order and np.array_equal(powers[-1], np.arange(cons.n))
     ok &= listed == {p.tobytes() for p in powers}
     gens = cons.generators_I()
-    ok &= all(coherent.carries_out(o, o, [g]) for o in (cons.build_cayley(i).out for i in gens))
+    ok &= all(coherent.carries_out(o, o, [g]) for o in (ctx.digraph(i).out for i in gens))
     return ("pass" if ok else "fail"), {"k_order": len(ks), "graph_checks": len(gens)}
 
 
@@ -210,8 +220,8 @@ def _ddd_parameters(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
     data = {}
     ok = True
     for i in cons.generators_I():
-        rep = designs.verify_ddd(cons.build_cayley(i), classes, expected=(0, q))
-        loopless = cons.build_cayley(i, include_identity=False)
+        rep = designs.verify_ddd(ctx.digraph(i), classes, expected=(0, q))
+        loopless = ctx.digraph(i, loops=False)
         rep_ll = designs.verify_ddd(loopless, classes, expected=(0, q))
         looped_ok = rep.ok and rep.out_degrees == {q * q}
         loopless_ok = (
@@ -273,8 +283,8 @@ def _wl_closure(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
 
 def _wl_equivalence(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
     """every pair of generator-labelled digraphs is refinement-equivalent"""
-    cons, gens = ctx.cons, ctx.cons.generators_I()
-    inv = {i: coherent.invariants(cons.build_cayley(i), ctx.closure(i)) for i in gens}
+    gens = ctx.cons.generators_I()
+    inv = {i: coherent.invariants(ctx.digraph(i), ctx.closure(i)) for i in gens}
     data = {f"{a},{b}": inv[a] == inv[b] for ai, a in enumerate(gens) for b in gens[ai + 1:]}
     return ("pass" if all(data.values()) else "fail"), data
 
@@ -284,7 +294,7 @@ def _tau_hat_transport(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
     cons, q1 = ctx.cons, ctx.q + 1
     gens = cons.generators_I()
     arc_colors = {
-        i: coherent.invariants(cons.build_cayley(i), ctx.closure(i))["arc_colors"] for i in gens
+        i: coherent.invariants(ctx.digraph(i), ctx.closure(i))["arc_colors"] for i in gens
     }
     data = {}
     for i in gens:
@@ -369,7 +379,7 @@ def _one_point_extension(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
 def _iso_classes(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
     """at least phi(q + 1) / (2 log_p q) isomorphism classes, every pair decided"""
     cons, gens = ctx.cons, ctx.cons.generators_I()
-    graphs = [cons.build_cayley(i) for i in gens]
+    graphs = [ctx.digraph(i) for i in gens]
     result = isotest.iso_class_count(graphs, [ctx.closure(i) for i in gens])
     bound = max(1, euler_phi(cons.q + 1) // (2 * cons.field.l))
     status = "pass" if result.exact and result.count >= bound else (
@@ -390,7 +400,7 @@ def _reverse_pair_isomorphism(ctx: Context, exhaustive: bool) -> tuple[str, dict
     cons, t, f = ctx.cons, ctx.cons.table, ctx.cons.field
     i = cons.generators_I()[0]
     j = cons.chi(i)
-    g1, g2 = cons.build_cayley(i), cons.build_cayley(j)
+    g1, g2 = ctx.digraph(i), ctx.digraph(j)
     cert = isotest.are_isomorphic(g1, g2, ctx.closure(i), ctx.closure(j))
     sigma = coherent.as_permutation(t._pack(t.ix, f.neg(t.iy), f.neg(t.iz)), cons.n)
     witnessed = cert.isomorphic and coherent.carries_out(g1.out, g2.out, [sigma])
@@ -404,7 +414,7 @@ def _automorphism_order(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
     i = cons.generators_I()[0]
     want = cons.q**3 * (cons.q**2 - 1)
     try:
-        order = isotest.automorphism_order(cons.build_cayley(i), ctx.closure(i))
+        order = isotest.automorphism_order(ctx.digraph(i), ctx.closure(i))
     except isotest.BudgetExceeded:
         return "undetermined", {"expected": want}
     return ("pass" if order == want else "fail"), {"order": order, "expected": want}

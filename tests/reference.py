@@ -4,9 +4,12 @@
 `move_one_arc` spoils a Cayley digraph that keeps its translations.
 `cayley_arcs_densely` is the n x n scatter that `build_cayley`'s
 out-neighbour lists replaced.
-`carries_densely` and `design_iso_densely` are the n x n comparisons that
-`coherent.carries` and `designs.verify_design_iso` replaced; `orbit_by_sets`
-is the set-based closure that `coherent.orbit_mask` replaced.  `MatrixM`
+`carries_densely` is the n x n comparison that `coherent.carries`
+replaced, and `design_iso_densely` the n x n comparison of moved adjacency
+matrices that `designs.verify_design_iso` decides on block lists with
+`coherent.carries_out`, and still makes for a failure's witness;
+`orbit_by_sets` is the set-based closure that `coherent.orbit_mask`
+replaced.  `MatrixM`
 and `rho_apply` are the element-by-element automorphism map that
 `Construction.rho_perm` is compared against.  `on_every_row` runs the
 dense side of an oracle test and asserts that every refinement in it

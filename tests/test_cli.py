@@ -245,6 +245,8 @@ def test_python_m_ddwl_runs_the_command_line(argv, capsys):
 VERIFY_SHA256 = {
     (5, "fast"): "225fed53e5e725c7d699754d7b2f7261b652b7e219e7b346286229f1a2504ba3",
     (7, "full"): "e350ff6cacc1b224cdad3416c4023f68f6278581513f5b9d63de435dd026430a",
+    (9, "fast"): "5351c51ec1f39c501fd32ed2857e7ef09c87bd050cca75d19be9819959c35800",
+    (11, "fast"): "8c08b77d870374b763569244e99ccef04e0a27bbc586cbd832449b5334b661b0",
 }
 
 

@@ -1009,6 +1009,29 @@ def test_carries_out_equals_carries_on_the_arcs(q, request):
             assert not coherent.carries_out(g.out, moved.out, perms[-1:])
 
 
+@pytest.mark.parametrize("q", [5, 7])
+def test_carries_out_gives_the_same_verdicts_on_uint16_and_int32_lists(q, request):
+    """A family digraph's lists are uint16; int32 copies of them, on either
+    side or both, get the same verdict for the translations, K's generator,
+    the two non-automorphisms and the identity, on every label and on a copy
+    with one arc moved."""
+    cons = request.getfixturevalue(f"cons{q}")
+    perms = _candidate_perms(cons) + [np.arange(cons.n)]
+    for i in range(q):
+        g = cons.build_cayley(i)
+        moved = move_one_arc(g)
+        assert g.out.dtype == moved.out.dtype == np.uint16
+        for a, b in ((g.out, g.out), (moved.out, moved.out), (g.out, moved.out)):
+            a32, b32 = a.astype(np.int32), b.astype(np.int32)
+            verdicts = [
+                [coherent.carries_out(x, y, [s]) for s in perms]
+                for x, y in ((a, b), (a32, b), (a, b32), (a32, b32))
+            ]
+            assert all(v == verdicts[0] for v in verdicts)
+        assert coherent.carries_out(g.out, g.out, perms[:-3])   # translations, K
+        assert not coherent.carries_out(g.out, moved.out, perms[-1:])
+
+
 def test_carries_out_refuses_a_list_that_repeats_a_vertex(cons3):
     """On either side; lists of another shape are simply not carried."""
     g, ident = cons3.build_cayley(1), [np.arange(cons3.n)]

@@ -274,6 +274,22 @@ def test_list_checks_read_no_adjacency_matrix(name, monkeypatch):
     assert result.status == "pass", result.data
 
 
+def test_run_suite_proves_each_digraph_once(monkeypatch):
+    """`Context` builds each (label, loops) digraph once, so the full q = 7
+    suite proves translations 8 times: once for each of the 4 generator
+    labels, looped and loopless."""
+    proven, translations = [], Digraph.translations
+
+    def counting(g):
+        if g._translations is None and g._claimed:
+            proven.append(g)
+        return translations.fget(g)
+
+    monkeypatch.setattr(Digraph, "translations", property(counting))
+    assert suite.run_suite(7, "full").ok
+    assert len(proven) == len({g.label for g in proven}) == 8
+
+
 @pytest.mark.parametrize("kind", ["non-isomorphic", "undetermined"])
 def test_reverse_pair_takes_the_search_answer(kind, monkeypatch):
     monkeypatch.setattr(
