@@ -99,8 +99,7 @@ class Digraph:
             k = int(degrees.max(initial=0))
             if (degrees != k).any():
                 raise NotInvariant("the out-degrees differ, so no group acts transitively")
-            cols = np.nonzero(self._arcs)[1].astype(code_dtype(self.n))
-            self._out = cols.reshape(self.n, k)
+            self._out = np.nonzero(self._arcs)[1].astype(code_dtype(self.n)).reshape(self.n, k)
         return self._out
 
     def out_degrees(self) -> np.ndarray:

@@ -87,7 +87,7 @@ class Context:
         return srings.structure_constants(self.ring)
 
     def digraph(self, i: int, loops: bool = True) -> Digraph:
-        """Cay(X_i), or its loopless companion Cay(Y_i) without loops."""
+        """Cay(X_i), or its loopless companion Cay(Y_i) when loops is False."""
         if (i, loops) not in self.digraphs:
             self.digraphs[i, loops] = self.cons.build_cayley(i, include_identity=loops)
         return self.digraphs[i, loops]
