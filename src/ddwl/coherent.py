@@ -64,12 +64,11 @@ group fixing the individualized vertex (none for `one_point_extension`).
 Intersection numbers.  The round that confirms stability gives every pair
 of color t the same key, so that key is the multiset of codes
 (color(u, w), color(w, v)) shared by all pairs of color t: the intersection
-numbers of t, proven well defined for every pair.  The tensor is read off
-those keys at their code width, widening only the codes that start a run,
-its rows ordered by one int64 key (r * rank + s) * rank + t,
-once sorted rows, scatters and bincounts have checked the valencies.  The
-checks on a tensor compare moved rows with it through the same key; they
-read only rank, valencies, converse, fiber ids and tensor rows, so they
+numbers of t, proven well defined for every pair.  Once sorted rows,
+scatters and bincounts have checked the valencies, the tensor is read off
+those keys in code order, then t, which is (r, s, t) order.  The checks on
+a tensor compare moved rows with it by the int64 key (r * rank + s) * rank + t;
+they read only rank, valencies, converse, fiber ids and tensor rows, so they
 check an S-ring's convolution tensor (one fiber) as they check a closure.
 """
 
@@ -354,37 +353,38 @@ def _stable_coloring(
 
 
 def _tensor_from_keys(keys: np.ndarray, n: int, rank: int) -> np.ndarray:
-    """The sorted (r, s, t, count) rows of the intersection tensor.
+    """The (r, s, t, count) rows of the intersection tensor, in (r, s, t) order.
 
     In the confirming round every pair of color t received key t, so key t
     holds the code multiset of all of them: code r * rank + s counts the w
-    with color(u, w) = r and color(w, v) = s.
+    with color(u, w) = r and color(w, v) = s.  Code order, then t, is
+    (r, s, t) order: that of count mode's counts read transposed, and of
+    sort mode's t-major run heads after one stable sort by code.
     """
     if rank * rank <= _MODE_A_MAX_CODES:
-        rows = keys.view(">u2").reshape(rank, rank * rank + 1)
-        counts = n - rows[:, 1:].astype(np.int64)
-        t, code = np.nonzero(counts)
-        count = counts[t, code]
+        counts = n - keys.view(">u2").reshape(rank, -1)[:, 1:].T.astype(np.int64)  # [code, t]
+        code, t = np.nonzero(counts)
+        count = counts[code, t]
     else:
-        flat = keys.view(code_dtype(rank * rank).newbyteorder(">"))  # row t: old color, codes
+        wide = code_dtype(rank * rank)
+        flat = keys.view(wide.newbyteorder(">"))  # row t: old color, codes
         codes = flat.reshape(rank, n + 1)[:, 1:]
         runs = np.ones((rank, n), dtype=bool)     # each sorted row split into runs of equal codes
         runs[:, 1:] = codes[:, 1:] != codes[:, :-1]
         starts = np.flatnonzero(runs)
-        t = starts // n
-        code = flat[starts + t + 1].astype(np.int64)  # only the run heads widen
-        count = np.diff(np.append(starts, rank * n))
-    r, s = np.divmod(code, rank)
-    order = np.argsort(_tensor_key(r, s, t, rank))
-    rows = np.empty((len(order), 4), dtype=np.int64, order="F")  # contiguous columns
-    for k, column in enumerate((r, s, t, count)):
-        rows[:, k] = column[order]
+        count, t = np.diff(starts, append=rank * n), starts // n
+        code = flat[starts + t + 1].astype(wide)  # only the run heads are read
+        order = np.argsort(code, kind="stable")
+        code, t, count = code[order], t[order], count[order]
+    rows = np.empty((len(code), 4), dtype=np.int64, order="F")  # contiguous columns
+    np.divmod(code, rank, out=(rows[:, 0], rows[:, 1]))
+    rows[:, 2], rows[:, 3] = t, count
     return rows
 
 
 def _tensor_key(r: np.ndarray, s: np.ndarray, t: np.ndarray, rank: int) -> np.ndarray:
-    """The int64 key (r * rank + s) * rank + t of each triple: its numeric
-    order is (r, s, t) order."""
+    """The int64 key (r * rank + s) * rank + t of each triple, in (r, s, t)
+    order: `_matches_tensor` compares moved triples with a tensor by it."""
     if rank**3 >= 2**63:
         raise ValueError("tensor order supports ranks with rank**3 < 2**63")
     return (r * rank + s) * rank + t

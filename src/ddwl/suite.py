@@ -66,12 +66,12 @@ class RunReport:
 class Context:
     """What the checks of one (q, seed) run share.  Everything is built on
     first use, so an error while building it fails the check that asked.
-    Each family digraph is built once, so its translations are proven once
-    per run."""
+    Each family digraph Cay(X_i) is built once, so its translations are
+    proven once per run."""
 
     def __init__(self, q: int, seed=DEFAULT_SEED):
         self.q, self.seed = q, seed
-        self.digraphs: dict[tuple[int, bool], Digraph] = {}
+        self.digraphs: dict[int, Digraph] = {}
         self.closures: dict[int, coherent.CoherentConfiguration] = {}
 
     @cached_property
@@ -86,11 +86,11 @@ class Context:
     def tensor(self) -> srings.StructureConstantTensor:
         return srings.structure_constants(self.ring)
 
-    def digraph(self, i: int, loops: bool = True) -> Digraph:
-        """Cay(X_i), or its loopless companion Cay(Y_i) when loops is False."""
-        if (i, loops) not in self.digraphs:
-            self.digraphs[i, loops] = self.cons.build_cayley(i, include_identity=loops)
-        return self.digraphs[i, loops]
+    def digraph(self, i: int) -> Digraph:
+        """Cay(X_i); `_ddd_parameters` builds and drops Cay(Y_i) itself."""
+        if i not in self.digraphs:
+            self.digraphs[i] = self.cons.build_cayley(i)
+        return self.digraphs[i]
 
     def closure(self, i: int) -> coherent.CoherentConfiguration:
         """The closure of digraph i, refined from row e by its translations."""
@@ -221,7 +221,7 @@ def _ddd_parameters(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
     ok = True
     for i in cons.generators_I():
         rep = designs.verify_ddd(ctx.digraph(i), classes, expected=(0, q))
-        loopless = ctx.digraph(i, loops=False)
+        loopless = cons.build_cayley(i, include_identity=False)
         rep_ll = designs.verify_ddd(loopless, classes, expected=(0, q))
         looped_ok = rep.ok and rep.out_degrees == {q * q}
         loopless_ok = (

@@ -185,6 +185,25 @@ def test_wl_tensor_export(tmp_path, capsys):
     capsys.readouterr()
 
 
+WL_SHA256 = {
+    "3 1": "abb1b44d57a3437e37236aa4fe21b32d53b58e1d8961ca4dcd997d39df6488b4",
+    "5 1": "8a80e8b804768e2f94ee6ba0310a61d46e2628183a4599deb987c5b297a376dd",
+    "7 2": "ce613a76c24edb62ec7dd95a8b849c44955ea6d76164b35fdcf160781e7395be",
+    "7 2 --loopless": "7ed0fce9a8f6d3cb2899d5c8edc9dd612e7e17681b55faa4574f186f1fb1d40d",
+    "9 1": "6e6c81cbfd239b6eacead82a670cd9316c14250392161346fa47355893858bc6",
+}
+
+
+@pytest.mark.parametrize("args", sorted(WL_SHA256))
+def test_wl_tensor_pinned(args, tmp_path, capsys):
+    """`ddwl wl q i --tensor-out` byte for byte: the rank, the valencies and
+    every (r, s, t, count) row of the closure's intersection tensor, in order."""
+    out = tmp_path / "t.json"
+    assert main(["wl", *args.split(), "--tensor-out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == WL_SHA256[args]
+    capsys.readouterr()
+
+
 def test_iso_command(tmp_path, capsys):
     out = tmp_path / "iso.json"
     assert main(["iso", "3", "--out", str(out)]) == 0

@@ -435,11 +435,28 @@ def test_tensor_from_keys_either_side_of_the_uint16_switch(rank):
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+EXTENSION_TENSOR_SHA256 = {
+    5: "a298fb4696f3e5b5bbc16b3786307953e6ac0b3cc26a0cc141269b35c6cf74fe",
+    7: "01feee0df187023bc55f9983da42846c11f95e9945e3dd842d3741d25f3b0ac5",
+}
+
+
+@pytest.mark.parametrize("q", sorted(EXTENSION_TENSOR_SHA256))
+def test_extension_tensor_pinned(contexts, q):
+    """The sort-mode tensor of the one-point extension at the first generator
+    label (rank 657 at q = 5, 2459 at q = 7) byte for byte: every row, in order."""
+    ctx = contexts[q]
+    tensor = ctx.extension(ctx.cons.generators_I()[0]).tensor
+    assert tensor.dtype == np.int64 and tensor.flags.f_contiguous
+    assert hashlib.sha256(tensor.tobytes()).hexdigest() == EXTENSION_TENSOR_SHA256[q]
+
+
 def test_q7_extension_peak_stays_below_the_int64_keys(contexts):
     """The q = 7 extension (rank 2459) keys its sort-mode rounds in uint32 and
-    widens only the run heads of its confirming round's keys: its tracemalloc
-    peak, 86.0 MB with numpy 2.4, stays below the 89.4 MB of int64 keys.
-    An int64 copy of the rank x n code matrix (6.7 MB) would pass it."""
+    takes its tensor's (r, s, t) order from the confirming keys: its
+    tracemalloc peak, 62.5 MB with numpy 2.4, stays below 64.0 MB.  An int64
+    key and argsort over the 840,751 tensor rows (about four more 6.7 MB
+    arrays; 86.0 MB in all) fail it."""
     ctx = contexts[7]
     i = ctx.cons.generators_I()[0]
     ctx.closure(i)
@@ -449,7 +466,7 @@ def test_q7_extension_peak_stays_below_the_int64_keys(contexts):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 89.4e6
+    assert peak < 64.0e6
 
 
 def _with_tensor(cc, tensor):
@@ -1244,13 +1261,33 @@ def test_structure_raises_as_the_loop_on_generated_colorings(monkeypatch):
     }
 
 
-@_DENSE_REFINEMENTS
-def test_tensor_key_order_matches_lexsort(cons3, maker, encoding):
-    cc = maker(cons3)
+def _assert_in_lexsort_order(cc):
+    """cc.tensor holds each (r, s, t) once, in lexicographic order, which is
+    the order of `_tensor_key`."""
     rows = cc.tensor[np.random.default_rng(5).permutation(len(cc.tensor))]
     want = rows[np.lexsort(rows.T[::-1])]
     assert np.array_equal(want, cc.tensor)
-    assert np.array_equal(rows[np.argsort(coherent._tensor_key(*rows[:, :3].T, cc.rank))], want)
+    key = coherent._tensor_key(*rows[:, :3].T, cc.rank)
+    assert np.array_equal(rows[np.argsort(key)], want)
+    assert len(np.unique(key)) == len(key)
+
+
+@_DENSE_REFINEMENTS
+def test_tensor_key_order_matches_lexsort(cons3, maker, encoding):
+    _assert_in_lexsort_order(maker(cons3))
+
+
+@pytest.mark.parametrize("engine, encoding", [("closure", "count"), ("extension", "sort")])
+@pytest.mark.parametrize("q", [3, 5])
+def test_suite_tensors_are_in_lexsort_order(contexts, q, engine, encoding):
+    """The tensors of the engines the suite runs, on every generator label:
+    the orbit-row closures (count mode, read transposed) and the K-orbit
+    extensions (sort mode, one stable sort of the run heads by code)."""
+    ctx = contexts[q]
+    for i in ctx.cons.generators_I():
+        cc = getattr(ctx, engine)(i)
+        assert encoding == ("count" if cc.rank**2 <= coherent._MODE_A_MAX_CODES else "sort")
+        _assert_in_lexsort_order(cc)
 
 
 def test_tensor_key_rank_guard():

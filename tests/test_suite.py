@@ -275,9 +275,9 @@ def test_list_checks_read_no_adjacency_matrix(name, monkeypatch):
 
 
 def test_run_suite_proves_each_digraph_once(monkeypatch):
-    """`Context` builds each (label, loops) digraph once, so the full q = 7
-    suite proves translations 8 times: once for each of the 4 generator
-    labels, looped and loopless."""
+    """`Context` builds each label's Cay(X_i) once and `ddd_parameters` each
+    loopless companion once, so the full q = 7 suite proves translations 8
+    times: once for each of the 4 generator labels, looped and loopless."""
     proven, translations = [], Digraph.translations
 
     def counting(g):
@@ -288,6 +288,18 @@ def test_run_suite_proves_each_digraph_once(monkeypatch):
     monkeypatch.setattr(Digraph, "translations", property(counting))
     assert suite.run_suite(7, "full").ok
     assert len(proven) == len({g.label for g in proven}) == 8
+
+
+def test_context_holds_only_the_looped_digraphs():
+    """`ddd_parameters` reads the loopless companions and drops them: the
+    `Context` then holds Cay(X_i) alone, keyed by label, loops at every vertex."""
+    ctx = suite.Context(5)
+    assert suite._ddd_parameters(ctx, True)[0] == "pass"
+    gens = ctx.cons.generators_I()
+    assert sorted(ctx.digraphs) == sorted(gens)
+    for i in gens:
+        g = ctx.digraphs[i]
+        assert g.out.shape == (125, 25) and (g.out == np.arange(125)[:, None]).any(axis=1).all()
 
 
 @pytest.mark.parametrize("kind", ["non-isomorphic", "undetermined"])
