@@ -33,12 +33,16 @@ r * rank + s at (u, v) is the intersection number #{w : color(u, w) = r,
 color(w, v) = s} = (A_r A_s)[u, v], A_r the 0/1 matrix of color r: the
 coherent-algebra form of 2-WL (Weisfeiler & Leman 1968).  A round that
 refines every row at rank at most `_PRODUCT_MAX_RANK` computes the counts
-as float32 products of these matrices; each is at most n < 2**16 < 2**24,
-so the products are exact and the keys are those of the other count-mode
-kernel, one bincount of the codes, which orbit-row rounds and higher ranks
-use.  Each key is one fixed-width big-endian byte string, whose bytewise
-order is the numeric order above; `sorted_unique_rows` orders the keys of a
-block, and the same helper orders the vertex signatures of `isotest`.
+by one float64 product per block: the 0/1 rows of the A_r times a right
+operand that packs the digits n - count(r, s), base n + 1, as many to a
+word as keep it below 2**53, big-endian and in code order.  Every partial
+sum is then a nonnegative integer below 2**53, exact in any summation
+order, and the words order the keys as the digits do; the distinct keys
+are unpacked to those of the other count-mode kernel, one bincount of the
+codes, which orbit-row rounds and higher ranks use.  Each key is one
+fixed-width big-endian byte string, whose bytewise order is the numeric
+order above; `sorted_unique_rows` orders the keys of a block, and the same
+helper orders the vertex signatures of `isotest`.
 Count-mode keys hold n - counts <= n < 2**16 as uint16.  Sort-mode keys
 hold codes below rank**2, and the vertex signatures of `isotest` codes below
 ncells * mult, at the width `code_dtype` gives: uint16 while the codes fit
@@ -82,11 +86,12 @@ from .digraph import Digraph
 from .heisenberg import GroupTable
 
 _MODE_A_MAX_CODES = 8192       # count mode while rank**2 stays at most this
-# Count mode by matrix products on full-matrix rounds up to this rank.  On a
-# 2-core x86-64 VM with one BLAS thread, a round on a cyclic-group coloring
-# ran as fast by products as by bincount at rank 12-13 for n = 343 and at
-# rank 10-11 for n = 729.  Orbit-row closures took 1.6x (q = 7) and 2.2x (q = 13)
-# as long by products: every one-row round pays for a one-hot of all n**2 pairs.
+# Count mode by packed-digit products on full-matrix rounds up to this rank.
+# On a 2-core x86-64 VM with one BLAS thread, one round on a random n = 343
+# coloring (nearly every key distinct) took 175 ms by products and 309 ms by
+# bincount at rank 6, 407 against 438 ms at rank 10, but 781 against 587 ms
+# at rank 14; the dense q = 7 closure's rank-9 round took 0.08 against 0.19 s.
+# Orbit-row rounds keep the bincount: one row would pay for all n**2 pairs.
 _PRODUCT_MAX_RANK = 10
 _BLOCK_ELEMENT_BUDGET = 500_000  # scratch elements per block; larger blocks measured slower
 _COMPARE_BYTES = 1 << 16  # sorted rows gathered per pass of `sorted_unique_rows`
@@ -283,36 +288,51 @@ def _refine_round(
     # cw[v, w] = color(w, v): a block's codes are (u, v, w), sorted along w in place
     cw = None if count_mode else np.ascontiguousarray(color.T, dtype=wide)
     if products:
-        per_row = 2 * n * ncodes  # the float32 products and their uint16 copy
+        # the digits n - count(r, s) <= n, base n + 1, `width` to a float64 word
+        # so that a word stays below 2**53; digit s of r lies in word s // width
+        base, width = n + 1, 1
+        while width < rank and base ** (width + 1) <= 2**53:
+            width += 1
+        nwords = -(-rank // width)
+        per_row = 4 * n * rank * nwords  # float64 products and int64 key words, 8 bytes each
     else:
         per_row = n * max(n, ncodes) if count_mode else n * n
     block = max(1, min(m, _BLOCK_ELEMENT_BUDGET // max(1, per_row)))
 
     pieces = []
     if products:
-        # onehot[w, v, s] = [color(w, v) = s], so onehot.reshape(n, n * rank) is
-        # the A_s side by side; each count is at most n < 2**16 < 2**24, exact in float32
-        onehot = np.empty((n, n, rank), dtype=np.float32)
-        np.equal(color[:, :, None], np.arange(rank, dtype=np.int32), out=onehot)
-        right = onehot.reshape(n, n * rank)
-        prod = np.empty((block * rank, n * rank), dtype=np.float32)  # reused per block
-        flipped = np.empty((block, rank, n, rank), dtype=np.uint16)  # reused per block
+        # big-endian: the power of digit s is base ** (digits after s in its word)
+        s = np.arange(rank)
+        place = np.zeros((rank, nwords))
+        after = np.minimum(width, rank - s // width * width) - 1 - s % width
+        place[s, s // width] = base**after
+        top = n * place.sum(axis=0)  # word j with every digit n: all counts 0
+        right = place[color].reshape(n, n * nwords)  # [w, (v, j)] = place[color(w, v), j]
+        left = np.empty((block, rank, n))  # reused per block
+        prod = np.empty((block * rank, n * nwords))  # reused per block
     elif count_mode:
         scratch = np.empty((block, n, n), dtype=np.int32)  # reused per block
     for start in range(0, m, block):
         stop = min(m, start + block)
         nb = stop - start
         mine = color[rows[start:stop]]
-        if count_mode:
+        if products:
+            # left[(u, r), w] = [color(u, w) = r], so [(u, r), (v, j)] packs the counts
+            # (A_r A_s)[u, v] of word j, exact as every partial sum is an integer
+            # below 2**53; top - packed counts, moved to [u, v, r, j]
+            np.equal(mine[:, None, :], np.arange(rank, dtype=np.int32)[:, None], out=left[:nb])
+            packed = np.matmul(left[:nb].reshape(nb * rank, n), right, out=prod[: nb * rank])
+            keyrows = np.empty((nb * n, 1 + rank * nwords), dtype=np.int64)
+            keyrows[:, 0] = mine.reshape(nb * n)
+            np.subtract(
+                top,
+                packed.reshape(nb, rank, n, nwords).transpose(0, 2, 1, 3),
+                out=keyrows[:, 1:].reshape(nb, n, rank, nwords),
+                casting="unsafe",
+            )
+        elif count_mode:
             keyrows = np.empty((nb * n, ncodes + 1), dtype=">u2")  # old < rank < 2**16
             keyrows[:, 0] = mine.reshape(nb * n)
-        if products:
-            # [(u, r), (v, s)] = (A_r A_s)[u, v]; n - counts, then moved to [u, v, r, s]
-            left = onehot[start:stop].transpose(0, 2, 1).reshape(nb * rank, n)
-            counts = np.matmul(left, right, out=prod[: nb * rank]).reshape(nb, rank, n, rank)
-            np.subtract(n, counts, out=flipped[:nb], casting="unsafe")
-            keyrows[:, 1:].reshape(nb, n, rank, rank)[...] = flipped[:nb].transpose(0, 2, 1, 3)
-        elif count_mode:
             # nb * n * ncodes stays below the block budget, so int32 suffices
             codes = np.add(mine[:, :, None] * np.int32(rank), color[None, :, :], out=scratch[:nb])
             offs = (
@@ -333,6 +353,18 @@ def _refine_round(
 
     keys = np.unique(np.concatenate([local for local, _ in pieces]))
     new = np.concatenate([np.searchsorted(keys, local)[inv] for local, inv in pieces])
+    if products:
+        # the distinct keys in the bincount kernel's layout: old color, then n - count
+        # of code r * rank + s, peeled off word j = s // width of r, last digit first
+        words = keys.view(">i8").reshape(len(keys), 1 + rank * nwords)
+        flat = np.empty((len(keys), ncodes + 1), dtype=">u2")
+        flat[:, 0] = words[:, 0]
+        digits = flat[:, 1:].reshape(len(keys), rank, rank)
+        rest = words[:, 1:].reshape(len(keys), rank, nwords).transpose(2, 0, 1)
+        rest = np.ascontiguousarray(rest, dtype=np.int64)  # [j, key, r]
+        for i in reversed(range(rank)):
+            rest[i // width], digits[:, :, i] = np.divmod(rest[i // width], base)
+        keys = flat.view(f"V{2 * (ncodes + 1)}").ravel()
     return new.astype(np.int32).reshape(m, n), len(keys), keys
 
 
@@ -374,8 +406,10 @@ def _tensor_from_keys(keys: np.ndarray, n: int, rank: int) -> np.ndarray:
         starts = np.flatnonzero(runs)
         count, t = np.diff(starts, append=rank * n), starts // n
         code = flat[starts + t + 1].astype(wide)  # only the run heads are read
+        del runs, starts  # freed, as is `order`, before the result is allocated
         order = np.argsort(code, kind="stable")
         code, t, count = code[order], t[order], count[order]
+        del order
     rows = np.empty((len(code), 4), dtype=np.int64, order="F")  # contiguous columns
     np.divmod(code, rank, out=(rows[:, 0], rows[:, 1]))
     rows[:, 2], rows[:, 3] = t, count

@@ -211,10 +211,13 @@ def test_product_rounds_equal_the_bincount_kernel_on_every_label(q, loops, reque
     assert len(by_products) >= q
 
 
-def test_dense_q7_closure_peak_stays_below_14_mb(cons7):
-    """The seeded relabelled copy the benchmark refines: its rounds hold one
-    float32 one-hot of n * n * rank entries (4.2 MB at rank 9) and one block
-    of products; a second copy of the one-hot would pass 14 MB."""
+def test_dense_q7_closure_peak_stays_below_9_mb(cons7):
+    """The seeded relabelled copy the benchmark refines: its product rounds
+    hold the packed-digit right operand of n * n * ceil(rank / width) float64
+    words (1.9 MB at rank 9) and one block of products and key words, a
+    tracemalloc peak of 7.8 MB with numpy 2.4.  A float32 one-hot of
+    n * n * rank entries in their place (4.2 MB at rank 9; a 9.9 MB peak)
+    fails 9 MB."""
     g = cons7.build_cayley(cons7.generators_I()[0]).relabeled(
         np.random.default_rng(1).permutation(cons7.n)
     )
@@ -224,7 +227,7 @@ def test_dense_q7_closure_peak_stays_below_14_mb(cons7):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 14e6
+    assert peak < 9.0e6
 
 
 def test_q13_closure_peak_stays_below_seven_colour_matrices(cons13):
@@ -256,11 +259,26 @@ def test_q13_closure_refines_its_initial_coloring_without_a_copy(cons13):
     assert peak < 6 * g.n**2 * 4
 
 
+def _digits_per_word(n: int) -> int:
+    """The most digits 0..n, base n + 1, one float64 word holds exactly:
+    the largest w with (n + 1)**w <= 2**53."""
+    w = 0
+    while (n + 1) ** (w + 1) <= 2**53:
+        w += 1
+    return w
+
+
 @pytest.mark.parametrize("budget", [None, 1], ids=["default-blocks", "one-row-blocks"])
-@pytest.mark.parametrize("case", ["cycle", "random-at-limit", "random-above-limit"])
+@pytest.mark.parametrize(
+    "case",
+    ["cycle", "random-at-limit", "random-above-limit", "width-switch-below", "width-switch-at"],
+)
 def test_product_rounds_equal_the_bincount_kernel_on_small_inputs(case, budget, monkeypatch):
     """The directed 9-cycle, and random colorings whose rank is the product
-    limit (the first round runs on products) and one more (it does not)."""
+    limit (the first round runs on products) and one more (it does not).
+    At the product limit, one round on either side of the least n that
+    packs 6 digits per word, not 7: each r's codes fill one word of exactly
+    that many digits and one of fewer."""
     if budget is not None:
         monkeypatch.setattr(coherent, "_BLOCK_ELEMENT_BUDGET", budget)
     limit = coherent._PRODUCT_MAX_RANK
@@ -268,6 +286,16 @@ def test_product_rounds_equal_the_bincount_kernel_on_small_inputs(case, budget, 
     if case == "cycle":
         assert wl_close(directed_cycle(9)).rank == 9
         assert by_products and max(by_products) == 9
+    elif case.startswith("width-switch"):
+        switch = next(n for n in range(1, 2**16) if _digits_per_word(n) < 7)
+        n = switch - (case == "width-switch-below")
+        width = _digits_per_word(n)
+        assert (_digits_per_word(switch - 1), _digits_per_word(switch)) == (7, 6)
+        assert limit // width == 1 and 0 < limit % width  # one full word, one shorter
+        color = np.random.default_rng(n).integers(0, limit, size=(n, n), dtype=np.int32)
+        color.flat[:limit] = np.arange(limit)   # every color occurs
+        coherent._refine_round(color, limit, np.arange(n))
+        assert by_products == [limit]
     else:
         rank = limit + (case == "random-above-limit")
         color = np.random.default_rng(rank).integers(0, rank, size=(30, 30), dtype=np.int32)
@@ -453,10 +481,11 @@ def test_extension_tensor_pinned(contexts, q):
 
 def test_q7_extension_peak_stays_below_the_int64_keys(contexts):
     """The q = 7 extension (rank 2459) keys its sort-mode rounds in uint32 and
-    takes its tensor's (r, s, t) order from the confirming keys: its
-    tracemalloc peak, 62.5 MB with numpy 2.4, stays below 64.0 MB.  An int64
-    key and argsort over the 840,751 tensor rows (about four more 6.7 MB
-    arrays; 86.0 MB in all) fail it."""
+    takes its tensor's (r, s, t) order from the confirming keys, freeing the
+    run starts and the sort order before the result is allocated: its
+    tracemalloc peak, 48.2 MB with numpy 2.4, stays below 50.0 MB.  Either
+    of those 6.7 MB int64 arrays held on, or an int64 key and argsort over
+    the 840,751 tensor rows, fails it."""
     ctx = contexts[7]
     i = ctx.cons.generators_I()[0]
     ctx.closure(i)
@@ -466,7 +495,7 @@ def test_q7_extension_peak_stays_below_the_int64_keys(contexts):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64.0e6
+    assert peak < 50.0e6
 
 
 def _with_tensor(cc, tensor):
