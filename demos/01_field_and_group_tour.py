@@ -1,38 +1,38 @@
 """A walk through the two algebraic layers: GF(q) and the Heisenberg group.
 
 Builds GF(9) with its canonical modulus, finds the least nonsquare, and then
-multiplies a few unitriangular matrices via the (x, y, z) triple encoding.
+multiplies a few unitriangular matrices, each held as its vertex index and
+read back as the (x, y, z) triple of its free entries.
 """
 
-from ddwl import GroupTable, center, coset_id, field_create, find_nonsquare, g_inv, g_mul
+import numpy as np
+
+from ddwl import GroupTable, field_create
 
 
 def main():
     f9 = field_create(3, 2)
     print(f"GF(9) as GF(3)[t] modulo t^2 + 1: {f9}")
-    eps = find_nonsquare(f9)
+    eps = f9.nonsquare()
     squares = sorted({int(f9.mul(a, a)) for a in range(9)})
     print(f"squares (as indices): {squares}")
-    print(f"least nonsquare: index {eps.index}, coefficients {eps.coeffs}\n")
+    print(f"least nonsquare: index {eps}, coefficients {f9.coeff_rows[eps].tolist()}\n")
 
     f3 = field_create(3, 1)
     table = GroupTable(f3)
     print(f"{table}: vertex of (x, y, z) is ix*9 + iy*3 + iz")
-    a = table.element(table.vertex_index(table.element(0)))  # identity
-    g = table.element(9)   # (1, 0, 0)
-    h = table.element(3)   # (0, 1, 0)
-    print(f"g = {g}, h = {h}")
-    print(f"g * h = {g_mul(g, h)}   (the central coordinate picks up x1*y2)")
-    print(f"h * g = {g_mul(h, g)}   (noncommutative)")
-    print(f"g^-1  = {g_inv(g)}")
+    g, h = 9, 3  # (1, 0, 0) and (0, 1, 0)
+    mt, show = table.mult, table.element_to_json
+    print(f"g = {show(g)}, h = {show(h)}")
+    print(f"g * h = {show(mt[g, h])}   (the central coordinate picks up x1*y2)")
+    print(f"h * g = {show(mt[h, g])}   (noncommutative)")
+    print(f"g^-1  = {show(table.inv[g])}")
 
-    zs = center(table)
-    print(f"\ncenter has {len(zs)} elements: {zs}")
-    ids = sorted({coset_id(table.element(v)) for v in range(table.n)})
-    print(f"distinct center-coset ids: {len(ids)} (= q^2)")
+    zs = np.flatnonzero(table.center_mask)
+    print(f"\ncenter has {len(zs)} elements: {[show(v) for v in zs]}")
+    print(f"distinct center-coset ids: {len(np.unique(table.coset_ids))} (= q^2)")
 
     # the multiplication table is exact and vectorised
-    mt = table.mult
     print(f"\nassociativity spot check: "
           f"{bool((mt[mt[4, 11], 17] == mt[4, mt[11, 17]]).all())}")
 

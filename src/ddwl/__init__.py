@@ -12,8 +12,8 @@ from .coherent import (
 from .construction import INFINITY, Construction
 from .designs import desiso_maps, verify_ddd, verify_design_iso
 from .digraph import Digraph
-from .gf import Field, FieldElement, FieldSpec, field_create, find_nonsquare
-from .heisenberg import GroupElement, GroupTable, center, coset_id, g_inv, g_mul
+from .gf import Field, FieldSpec, field_create
+from .heisenberg import GroupTable
 from .isotest import are_isomorphic, automorphism_order, iso_class_count
 from .srings import (
     SRing,
@@ -30,9 +30,7 @@ __all__ = [
     "Construction",
     "Digraph",
     "Field",
-    "FieldElement",
     "FieldSpec",
-    "GroupElement",
     "GroupTable",
     "INFINITY",
     "SRing",
@@ -41,13 +39,8 @@ __all__ = [
     "are_isomorphic",
     "as_sring_partition",
     "automorphism_order",
-    "center",
-    "coset_id",
     "desiso_maps",
     "field_create",
-    "find_nonsquare",
-    "g_inv",
-    "g_mul",
     "iso_class_count",
     "one_point_extension",
     "run_suite",

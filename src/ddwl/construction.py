@@ -94,6 +94,7 @@ class Construction:
         self._orbits: list[np.ndarray] | None = None
         self._cells: list[np.ndarray] | None = None
         self._X: dict[int, np.ndarray] = {}
+        self._blocks0: np.ndarray | None = None
 
     # -- the automorphism group K ------------------------------------------
 
@@ -213,8 +214,7 @@ class Construction:
         """Cayley digraph with arcs (g, x*g); loops at every vertex iff e is kept.
         It holds the (n, |X|) out-neighbour lists X*g, column g of the rows
         of `mult` at the connection set, sorted, at `coherent.code_dtype(n)`;
-        its n x n `arcs` are built on first read.  `designs.verify_design_iso`
-        builds its block lists the same way, without the digraph."""
+        its n x n `arcs` are built on first read."""
         conn = self.build_X(i) if include_identity else self.build_Y(i)
         suffix = "" if include_identity else ", loopless"
         return Digraph.from_out(
@@ -222,6 +222,13 @@ class Construction:
             label=f"Cay(q={self.q}, i={i}{suffix})",
             translations=self.table.right_translations(),
         )
+
+    def blocks0(self) -> np.ndarray:
+        """The block lists of design 0, `build_cayley(0).out`, built once and
+        kept: `designs.verify_design_iso` carries them onto every design."""
+        if self._blocks0 is None:
+            self._blocks0 = self.build_cayley(0).out
+        return self._blocks0
 
     # -- the extended index group ------------------------------------------
 

@@ -239,22 +239,19 @@ class DesignIsoReport:
 
 def verify_design_iso(cons: Construction, i: int) -> DesignIsoReport:
     """The criterion over all n**2 pairs (g0, g), on the block lists: sorted
-    X_0 g0 and X_i g, built as `build_cayley` builds its out-neighbour lists.
-    Design 0's lists reindexed by h**-1 f are carried onto design i's by f
-    (`coherent.carries_out`): for every u, with g0 = h**-1(f(u)), the sorted
-    f[X_0 g0] equals X_i h(g0).  A resized X_i is a list of another shape; a
-    repeated point, or an f or h that is no permutation, raises NotInvariant
-    and fails the criterion.  A failure's witness is the first pair where
-    the moved adjacency matrices differ."""
+    X_0 g0 and X_i g, the out-neighbour lists of `build_cayley(0)` (kept by
+    `Construction.blocks0`) and `build_cayley(i)`.
+    Design 0's lists are carried by f (`coherent.carries_out`) onto design
+    i's reindexed by h f**-1: for every g0, the sorted f[X_0 g0] equals
+    X_i h(g0).  A resized X_i is a list of another shape; a repeated point,
+    or an f or h that is no permutation, raises NotInvariant and fails the
+    criterion.  A failure's witness is the first pair where the moved
+    adjacency matrices differ."""
     maps, n = desiso_maps(cons, i), cons.n
-
-    def blocks(j: int) -> np.ndarray:  # row g: X_j g, column g of mult's rows at X_j
-        return Digraph.from_out(cons.table.mult[cons.build_X(j)].T).out
-
     try:
         f, h = (as_permutation(p, n) for p in (maps.f, maps.h))
-        moved0 = blocks(0)[np.argsort(h)[f]]  # row u: X_0 g0, g0 = h**-1(f(u))
-        holds = carries_out(moved0, blocks(i), [f])
+        moved = cons.build_cayley(i).out[h[np.argsort(f)]]  # row f(g0): X_i h(g0)
+        holds = carries_out(cons.blocks0(), moved, [f])
     except NotInvariant:  # det(A) = 0 collapses h
         holds = False
     report = DesignIsoReport(cons.q, i, holds, maps.det_nonzero, pairs_checked=n * n)

@@ -9,9 +9,9 @@ Every element carries an integer index
 
     index(a) = sum(coeffs[k] * p**k)
 
-which is a bijection onto [0, q).  All bulk arithmetic is table driven on
-indices so the group and digraph layers can stay fully vectorised; the
-FieldElement wrapper exposes the coefficient view.
+which is a bijection onto [0, q).  An element is its index: all arithmetic
+is table driven on indices, so the group and digraph layers stay fully
+vectorised, and row a of `coeff_rows` holds the coefficients of a.
 
 Squareness is decided by exponentiation, a**((q-1)/2) in {0, 1}, not by a
 table, so one code path serves every supported q.
@@ -39,19 +39,6 @@ class FieldSpec:
     p: int
     l: int
     modulus: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    field: "Field"
-    index: int
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return tuple(int(c) for c in self.field.coeff_rows[self.index])
-
-    def __repr__(self) -> str:
-        return f"FieldElement(q={self.field.q}, index={self.index}, coeffs={self.coeffs})"
 
 
 def _poly_mod(a: list[int], b: list[int], p: int) -> list[int]:
@@ -184,14 +171,6 @@ class Field:
             self._nonsquare = next(a for a in range(self.q) if not self.is_square(a))
         return self._nonsquare
 
-    # -- element view ------------------------------------------------------
-
-    def element(self, index: int) -> FieldElement:
-        index = int(index)
-        if not 0 <= index < self.q:
-            raise ValueError(f"index {index} outside [0, {self.q})")
-        return FieldElement(self, index)
-
     def to_json(self) -> dict:
         return {"p": self.p, "l": self.l, "modulus": list(self.spec.modulus[: self.l])}
 
@@ -219,16 +198,3 @@ def field_create(p: int, l: int) -> Field:
         raise ValueError(f"q = {p**l} exceeds the size cap {MAX_Q}")
     return _field_cached(p, l)
 
-
-# -- element views ---------------------------------------------------------
-
-
-def _common_field(a, b) -> Field:
-    """The one field of two group elements."""
-    if a.field is not b.field:
-        raise ValueError("operands come from different fields")
-    return a.field
-
-
-def find_nonsquare(field: Field) -> FieldElement:
-    return field.element(field.nonsquare())

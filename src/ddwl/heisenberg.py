@@ -1,6 +1,7 @@
 """The Heisenberg group of 3x3 upper unitriangular matrices over GF(q).
 
-An element is the triple (x, y, z) of free entries; the matrix product gives
+A matrix is fixed by the triple (x, y, z) of its free entries; the matrix
+product gives
 
     (x1, y1, z1) * (x2, y2, z2) = (x1 + x2, y1 + y2, z1 + z2 + x1*y2)
     (x, y, z)**-1               = (-x, -y, x*y - z)
@@ -8,62 +9,23 @@ An element is the triple (x, y, z) of free entries; the matrix product gives
 The group has q**3 elements, its center Z = {(0, 0, z)} has q elements, and
 the right coset of Z containing g is determined by the pair (x, y).
 
-GroupTable fixes the vertex indexing used by every digraph in this package:
+An element is its vertex index, which GroupTable fixes for every digraph in
+this package:
 
     vertex(x, y, z) = index(x) * q**2 + index(y) * q + index(z)
 
-and precomputes the q**3 x q**3 multiplication table, read off the q x q
-field tables over the axes (x1, y1, z1, x2, y2, z2) with no other n**2-sized
-scratch, plus inverses, center and coset ids, so adjacency matrices are
-bit-exact across runs.
+`element_to_json` reads the triple back.  GroupTable precomputes the
+q**3 x q**3 multiplication table, read off the q x q field tables over the
+axes (x1, y1, z1, x2, y2, z2) with no other n**2-sized scratch, plus
+inverses, center and coset ids, so adjacency matrices are bit-exact across
+runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .gf import Field, FieldElement, _common_field
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    x: FieldElement
-    y: FieldElement
-    z: FieldElement
-
-    @property
-    def field(self) -> Field:
-        return self.x.field
-
-    def __repr__(self) -> str:
-        return f"GroupElement({self.x.index}, {self.y.index}, {self.z.index})"
-
-
-def g_mul(a: GroupElement, b: GroupElement) -> GroupElement:
-    f = _common_field(a, b)
-    x = f.add(a.x.index, b.x.index)
-    y = f.add(a.y.index, b.y.index)
-    z = f.add(f.add(a.z.index, b.z.index), f.mul(a.x.index, b.y.index))
-    return GroupElement(f.element(x), f.element(y), f.element(z))
-
-
-def g_inv(a: GroupElement) -> GroupElement:
-    f = a.field
-    x = f.neg(a.x.index)
-    y = f.neg(a.y.index)
-    z = f.sub(f.mul(a.x.index, a.y.index), a.z.index)
-    return GroupElement(f.element(x), f.element(y), f.element(z))
-
-
-def coset_id(a: GroupElement) -> int:
-    """Index of the coset Z*a; equal for a, b iff their (x, y) parts agree."""
-    return a.x.index * a.field.q + a.y.index
-
-
-def center(table: "GroupTable") -> list[GroupElement]:
-    return [table.element(v) for v in np.flatnonzero(table.center_mask)]
+from .gf import Field
 
 
 class GroupTable:
@@ -104,15 +66,6 @@ class GroupTable:
             out.append(self._pack(f.add(self.ix, tk), self.iy, self.iz))
             out.append(self._pack(self.ix, f.add(self.iy, tk), f.add(self.iz, f.mul(self.ix, tk))))
         return tuple(out)
-
-    def vertex_index(self, g: GroupElement) -> int:
-        return g.x.index * self.q**2 + g.y.index * self.q + g.z.index
-
-    def element(self, v: int) -> GroupElement:
-        f = self.field
-        return GroupElement(
-            f.element(int(self.ix[v])), f.element(int(self.iy[v])), f.element(int(self.iz[v]))
-        )
 
     def element_to_json(self, v: int) -> list[int]:
         return [int(self.ix[v]), int(self.iy[v]), int(self.iz[v])]

@@ -9,13 +9,13 @@ replaced, and `design_iso_densely` the n x n comparison of moved adjacency
 matrices that `designs.verify_design_iso` decides on block lists with
 `coherent.carries_out`, and still makes for a failure's witness;
 `orbit_by_sets` is the set-based closure that `coherent.orbit_mask`
-replaced.  `MatrixM`
-and `rho_apply` are the element-by-element automorphism map that
-`Construction.rho_perm` is compared against.  `on_every_row` runs the
-dense side of an oracle test and asserts that every refinement in it
-refined every row.  `dense_tensor` spreads a closure's sparse tensor rows
-over a rank**3 array; `shift_within_a_product` spoils a convolution tensor
-so that only the triangle identity sees it.  `refine_round_int64`,
+replaced.  `MatrixM` and `rho_apply` are the automorphism map on one
+(x, y, z) triple of field indices at a time, that `Construction.rho_perm`
+is compared against.  `on_every_row` runs the dense side of an oracle test
+and asserts that every refinement in it refined every row.  `dense_tensor`
+spreads a closure's sparse tensor rows over a rank**3 array;
+`shift_within_a_product` spoils a convolution tensor so that only the
+triangle identity sees it.  `refine_round_int64`,
 `tensor_from_int64_keys` and `refine_partition_int64` code the sort-mode
 pair signatures, read their tensor and code the vertex signatures of the
 isomorphism search in int64, as the engines did before they chose the
@@ -29,8 +29,6 @@ import pytest
 
 from ddwl import coherent
 from ddwl.digraph import Digraph
-from ddwl.gf import FieldElement
-from ddwl.heisenberg import GroupElement
 
 
 def from_text(text: str) -> Digraph:
@@ -202,22 +200,23 @@ def random_digraph(n: int, p: float, seed: int) -> Digraph:
 
 @dataclass(frozen=True)
 class MatrixM:
-    """A matrix (alpha, beta; eps*beta, alpha) with (alpha, beta) != (0, 0)."""
+    """A matrix (alpha, beta; eps*beta, alpha) with (alpha, beta) != (0, 0),
+    its entries field indices."""
 
-    alpha: FieldElement
-    beta: FieldElement
-    epsilon: FieldElement
+    alpha: int
+    beta: int
+    epsilon: int
 
     def __post_init__(self):
-        if self.alpha.index == 0 and self.beta.index == 0:
+        if self.alpha == 0 and self.beta == 0:
             raise ValueError("(alpha, beta) = (0, 0) is excluded")
 
 
-def rho_apply(m: MatrixM, g: GroupElement) -> GroupElement:
-    """Image of g under the automorphism induced by m."""
-    f = g.field
-    a, b, eps = m.alpha.index, m.beta.index, m.epsilon.index
-    x, y, z = g.x.index, g.y.index, g.z.index
+def rho_apply(f, m: MatrixM, g: tuple[int, int, int]) -> tuple[int, int, int]:
+    """Image of the group element g = (x, y, z), a triple of indices of the
+    field f, under the automorphism induced by m, one scalar at a time."""
+    a, b, eps = m.alpha, m.beta, m.epsilon
+    x, y, z = g
     half = f.inv(f.from_int(2))
     x2 = f.add(f.mul(a, x), f.mul(eps, f.mul(b, y)))
     y2 = f.add(f.mul(b, x), f.mul(a, y))
@@ -226,4 +225,4 @@ def rho_apply(m: MatrixM, g: GroupElement) -> GroupElement:
     cross = f.mul(f.mul(eps, f.mul(b, b)), f.mul(x, y))
     norm = f.sub(f.mul(a, a), f.mul(eps, f.mul(b, b)))
     z2 = f.add(f.add(f.mul(ab, quad), cross), f.mul(norm, z))
-    return GroupElement(f.element(x2), f.element(y2), f.element(z2))
+    return int(x2), int(y2), int(z2)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from ddwl.gf import field_create, find_nonsquare
+from ddwl.gf import field_create
 
-FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)]
+FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3)]
 
 
 def brute_modulus(p, l):
@@ -57,6 +57,11 @@ def test_canonical_modulus_f25_matches_scan_oracle():
     assert f.spec.modulus == brute_modulus(5, 2) == (1, 1, 1)  # t**2 + t + 1
 
 
+def test_canonical_modulus_f27_matches_scan_oracle():
+    f = field_create(3, 3)
+    assert f.spec.modulus == brute_modulus(3, 3) == (1, 0, 2, 1)  # t**3 + 2t**2 + 1
+
+
 def test_field_create_rejects_bad_parameters():
     with pytest.raises(ValueError):
         field_create(2, 1)
@@ -74,7 +79,7 @@ def test_arithmetic_examples():
     assert field_create(3, 1).mul(2, 2) == 1  # 4 = 1 mod 3
     f9 = field_create(3, 2)
     t = 3  # the index of t: coefficients (0, 1)
-    assert f9.element(t).coeffs == (0, 1)
+    assert f9.coeff_rows[t].tolist() == [0, 1]
     assert f9.mul(t, t) == 2  # t**2 = -1 = 2 under t**2 + 1
 
 
@@ -131,24 +136,28 @@ def test_square_examples():
 
 
 def test_find_nonsquare_values():
-    assert find_nonsquare(field_create(3, 1)).index == 2
-    assert find_nonsquare(field_create(5, 1)).index == 2
+    assert field_create(3, 1).nonsquare() == 2
+    assert field_create(5, 1).nonsquare() == 2
     # F9 squares enumerate to {0, 1, 2, t, 2t}; the first nonsquare is 1 + t
     f9 = field_create(3, 2)
     squares = {int(f9.mul(a, a)) for a in range(9)}
     assert squares == {0, 1, 2, 3, 6}
-    assert find_nonsquare(f9).index == 4
-    assert find_nonsquare(f9).coeffs == (1, 1)
+    assert f9.nonsquare() == 4
+    assert f9.coeff_rows[4].tolist() == [1, 1]
+    # -1 is a nonsquare in GF(27), 27 = 3 mod 4, so the least one lies in GF(3)
+    f27 = field_create(3, 3)
+    assert f27.nonsquare() == 2
+    assert f27.coeff_rows[2].tolist() == [2, 0, 0]
 
 
 @pytest.mark.parametrize("p,l", FIELDS)
 def test_element_index_round_trip(p, l):
     f = field_create(p, l)
+    assert f.coeff_rows.shape == (f.q, l)
     for index in range(f.q):
-        a = f.element(index)
-        assert a.index == index == sum(c * p**k for k, c in enumerate(a.coeffs))
-    with pytest.raises(ValueError):
-        f.element(f.q)
+        coeffs = f.coeff_rows[index]
+        assert ((0 <= coeffs) & (coeffs < p)).all()
+        assert index == sum(int(c) * p**k for k, c in enumerate(coeffs))
 
 
 def test_negation_and_subtraction():

@@ -5,19 +5,28 @@ import numpy as np
 import pytest
 
 from ddwl.gf import field_create
-from ddwl.heisenberg import GroupElement, GroupTable, center, coset_id, g_inv, g_mul
+from ddwl.heisenberg import GroupTable
 
 
-def element(f, x, y, z):
-    return GroupElement(f.element(x), f.element(y), f.element(z))
+def vertex(q, x, y, z):
+    """The vertex of the triple (x, y, z) of field indices."""
+    return (x * q + y) * q + z
+
+
+def triple(q, v):
+    """The triple of field indices of vertex v, by base-q digits."""
+    xy, z = divmod(int(v), q)
+    return divmod(xy, q) + (z,)
 
 
 def matrix_oracle(f, a, b):
-    """Oracle: multiply the 3x3 unitriangular matrices over the field."""
+    """Oracle: multiply the 3x3 unitriangular matrices over the field; a and
+    b are triples of field indices, and so is the product."""
     def mat(g):
+        x, y, z = g
         return [
-            [1, g.x.index, g.z.index],
-            [0, 1, g.y.index],
+            [1, x, z],
+            [0, 1, y],
             [0, 0, 1],
         ]
 
@@ -29,13 +38,15 @@ def matrix_oracle(f, a, b):
             for k in range(3):
                 acc = f.add(acc, f.mul(ma[r][k], mb[k][c]))
             out[r][c] = int(acc)
-    return element(f, out[0][1], out[1][2], out[0][2])
+    return out[0][1], out[1][2], out[0][2]
 
 
 def test_product_example_against_matrix_oracle():
     f = field_create(3, 1)
-    a, b = element(f, 1, 0, 0), element(f, 0, 1, 0)
-    assert g_mul(a, b) == matrix_oracle(f, a, b) == element(f, 1, 1, 1)
+    t = GroupTable(f)
+    a, b = (1, 0, 0), (0, 1, 0)
+    got = t.mult[vertex(3, *a), vertex(3, *b)]
+    assert triple(3, got) == matrix_oracle(f, a, b) == (1, 1, 1)
 
 
 def test_all_products_match_matrix_oracle_q3():
@@ -43,9 +54,7 @@ def test_all_products_match_matrix_oracle_q3():
     t = GroupTable(f)
     for u in range(t.n):
         for v in range(t.n):
-            got = g_mul(t.element(u), t.element(v))
-            assert t.vertex_index(got) == t.mult[u, v]
-            assert got == matrix_oracle(f, t.element(u), t.element(v))
+            assert triple(t.q, t.mult[u, v]) == matrix_oracle(f, triple(t.q, u), triple(t.q, v))
 
 
 @pytest.mark.parametrize("p,l", [(5, 1), (3, 2)])
@@ -54,28 +63,26 @@ def test_sampled_products_match_matrix_oracle(p, l):
     t = GroupTable(f)
     rng = np.random.default_rng(11)
     for u, v in zip(rng.integers(0, t.n, 300), rng.integers(0, t.n, 300)):
-        got = g_mul(t.element(int(u)), t.element(int(v)))
-        assert got == matrix_oracle(f, t.element(int(u)), t.element(int(v)))
-        assert t.vertex_index(got) == t.mult[u, v]
+        a, b = triple(t.q, u), triple(t.q, v)
+        assert triple(t.q, t.mult[u, v]) == matrix_oracle(f, a, b)
+        assert matrix_oracle(f, a, triple(t.q, t.inv[u])) == (0, 0, 0)
 
 
 def test_identity_and_inverses():
     f = field_create(3, 1)
     t = GroupTable(f)
-    e = t.element(0)
     for v in range(t.n):
-        g = t.element(v)
-        assert g_mul(e, g) == g
-        assert g_mul(g, g_inv(g)) == e
-    assert g_inv(element(f, 1, 1, 0)) == element(f, 2, 2, 1)
-    assert g_inv(e) == e
+        assert t.mult[0, v] == v
+        assert matrix_oracle(f, triple(3, v), triple(3, t.inv[v])) == (0, 0, 0)
+    assert triple(3, t.inv[vertex(3, 1, 1, 0)]) == (2, 2, 1)
+    assert t.inv[0] == 0
 
 
 def test_central_inverse_and_products():
-    f = field_create(5, 1)
-    z1, z2 = element(f, 0, 0, 2), element(f, 0, 0, 4)
-    assert g_mul(z1, z2) == element(f, 0, 0, 1)
-    assert g_inv(z1) == element(f, 0, 0, 3)
+    t = GroupTable(field_create(5, 1))
+    z1, z2 = vertex(5, 0, 0, 2), vertex(5, 0, 0, 4)
+    assert t.mult[z1, z2] == vertex(5, 0, 0, 1)
+    assert t.inv[z1] == vertex(5, 0, 0, 3)
 
 
 @pytest.mark.parametrize("p,l", [(3, 1), (5, 1), (7, 1), (3, 2)])
@@ -99,12 +106,11 @@ def test_group_axioms(p, l):
 def test_center():
     f = field_create(3, 1)
     t = GroupTable(f)
-    assert t.center_mask[t.vertex_index(element(f, 0, 0, 1))]
-    assert not t.center_mask[t.vertex_index(element(f, 1, 0, 0))]
-    zs = center(t)
-    assert [(g.x.index, g.y.index) for g in zs] == [(0, 0)] * 3
-    n = t.n
+    assert t.center_mask[vertex(3, 0, 0, 1)]
+    assert not t.center_mask[vertex(3, 1, 0, 0)]
     cz = np.flatnonzero(t.center_mask)
+    assert [triple(3, v)[:2] for v in cz] == [(0, 0)] * 3
+    n = t.n
     # central elements commute with everything, and Zg = gZ
     assert (t.mult[np.ix_(cz, np.arange(n))] == t.mult[np.ix_(np.arange(n), cz)].T).all()
     for g in range(n):
@@ -116,9 +122,9 @@ def test_center():
 def test_coset_ids():
     f = field_create(3, 1)
     t = GroupTable(f)
-    assert coset_id(element(f, 0, 0, 0)) == coset_id(element(f, 0, 0, 1))
-    assert coset_id(element(f, 1, 0, 0)) != coset_id(element(f, 0, 0, 0))
-    assert len(set(coset_id(t.element(v)) for v in range(t.n))) == 9
+    assert t.coset_ids[vertex(3, 0, 0, 0)] == t.coset_ids[vertex(3, 0, 0, 1)]
+    assert t.coset_ids[vertex(3, 1, 0, 0)] != t.coset_ids[vertex(3, 0, 0, 0)]
+    assert len(set(t.coset_ids.tolist())) == 9
     # a, b share a coset id iff a * b**-1 is central
     for a in range(t.n):
         for b in range(t.n):
@@ -127,19 +133,12 @@ def test_coset_ids():
 
 
 def test_vertex_indexing():
-    f = field_create(3, 1)
-    t = GroupTable(f)
-    g = element(f, 1, 2, 0)
-    assert t.vertex_index(g) == 1 * 9 + 2 * 3 + 0
+    t = GroupTable(field_create(3, 1))
+    assert vertex(3, 1, 2, 0) == 1 * 9 + 2 * 3 + 0
     for v in range(t.n):
-        assert t.vertex_index(t.element(v)) == v
-    assert t.element_to_json(t.vertex_index(g)) == [1, 2, 0]
-
-
-def test_mixed_field_operands_rejected():
-    f3, f5 = field_create(3, 1), field_create(5, 1)
-    with pytest.raises(ValueError):
-        g_mul(element(f3, 1, 0, 0), element(f5, 1, 0, 0))
+        assert t.element_to_json(v) == list(triple(3, v))
+        assert vertex(3, *triple(3, v)) == v
+    assert t.element_to_json(vertex(3, 1, 2, 0)) == [1, 2, 0]
 
 
 def closed_form_rows(t, rows):

@@ -2,9 +2,9 @@
 and every name the package exports is bound.
 
 A definition counts as called when its name occurs as a whole word outside
-its own lines in src/ddwl (the package `__init__` aside), demos/ or
-perfbench/.  Constructors and oracles that only the tests use live under
-tests/.
+its own lines in src/ddwl (the package `__init__` aside) or perfbench/.
+Demos and tests read the library but do not count as its callers:
+constructors and oracles that only the tests use live under tests/.
 """
 
 import ast
@@ -17,7 +17,7 @@ import ddwl
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(p for p in (ROOT / "src" / "ddwl").glob("*.py") if p.name != "__init__.py")
-SEARCHED = MODULES + sorted((ROOT / "demos").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
+SEARCHED = MODULES + sorted((ROOT / "perfbench").rglob("*.py"))
 
 
 def _definitions(path: Path):
