@@ -407,7 +407,11 @@ def _tensor_from_keys(keys: np.ndarray, n: int, rank: int) -> np.ndarray:
         count, t = np.diff(starts, append=rank * n), starts // n
         code = flat[starts + t + 1].astype(wide)  # only the run heads are read
         del runs, starts  # freed, as is `order`, before the result is allocated
-        order = np.argsort(code, kind="stable")
+        if wide == np.uint32:  # two stable radix passes of 16 bits: low half, then high
+            order = np.argsort(code.astype(np.uint16), kind="stable")
+            order = order[np.argsort((code[order] >> 16).astype(np.uint16), kind="stable")]
+        else:
+            order = np.argsort(code, kind="stable")
         code, t, count = code[order], t[order], count[order]
         del order
     rows = np.empty((len(code), 4), dtype=np.int64, order="F")  # contiguous columns

@@ -99,10 +99,12 @@ class Construction:
     # -- the automorphism group K ------------------------------------------
 
     def rho_perm(self, a: int, b: int) -> np.ndarray:
-        """Vertex permutation of the automorphism induced by (a, b; eps*b, a)."""
+        """Vertex permutation of the automorphism induced by (a, b; eps*b, a).
+        Every term but norm*z depends on the coset (x, y) alone, so it is
+        evaluated on the q x q grid (`GroupTable.coset_affine`)."""
         f, t = self.field, self.table
         eps = self.epsilon
-        x, y, z = t.ix, t.iy, t.iz
+        x, y = np.indices((self.q, self.q), dtype=np.int32)
         x2 = f.add(f.mul(a, x), f.mul(eps, f.mul(b, y)))
         y2 = f.add(f.mul(b, x), f.mul(a, y))
         ab = f.mul(a, b)
@@ -110,11 +112,10 @@ class Construction:
         s_y2 = f.mul(f.mul(ab, eps), self.half)        # coefficient of y**2
         s_xy = f.mul(eps, f.mul(b, b))                 # coefficient of x*y
         norm = f.sub(f.mul(a, a), f.mul(eps, f.mul(b, b)))
-        z2 = f.add(
-            f.add(f.mul(s_x2, f.mul(x, x)), f.mul(s_y2, f.mul(y, y))),
-            f.add(f.mul(s_xy, f.mul(x, y)), f.mul(norm, z)),
+        quad = f.add(
+            f.add(f.mul(s_x2, f.mul(x, x)), f.mul(s_y2, f.mul(y, y))), f.mul(s_xy, f.mul(x, y))
         )
-        return t._pack(x2, y2, z2)
+        return t.coset_affine(x2, y2, quad, norm)
 
     def _m_powers(self, m: tuple[int, int]) -> list[tuple[int, int]]:
         """M(a, b), M(a, b)**2, ... up to the identity (1, 0), in field arithmetic."""
@@ -167,7 +168,7 @@ class Construction:
             return self._orbits
         # K is a group, so column v of its permutations is the orbit of v
         least = np.stack([k.perm for k in self.build_K()]).min(axis=0)
-        orbits = [np.flatnonzero(least == r) for r in np.unique(least)]
+        orbits = [np.flatnonzero(least == r) for r in np.flatnonzero(least == np.arange(self.n))]
         got = {arr.tobytes() for arr in orbits}
         want = {arr.tobytes() for arr in self.cells()}
         if got != want or len(orbits) != self.q + 2:

@@ -103,7 +103,7 @@ def verify_ddd(g: Digraph, class_ids: np.ndarray, expected: tuple[int, int]) -> 
     if g.translations:
         _, labels = np.unique(class_ids, return_inverse=True)
         m = int(labels.max()) + 1
-        if any(len(np.unique(labels * m + labels[s])) != m for s in g.translations):
+        if any(np.count_nonzero(np.bincount(labels * m + labels[s])) != m for s in g.translations):
             raise NotInvariant("a translation does not permute the classes")
         out = g.out
         to0 = (out == 0).any(axis=1)  # the in-neighbours of 0
@@ -138,10 +138,11 @@ def verify_ddd(g: Digraph, class_ids: np.ndarray, expected: tuple[int, int]) -> 
             raise RuntimeError("row 0 stands for a fractional number of unordered pairs")
         return {int(v): int(counts[v]) for v in np.flatnonzero(counts)}
 
+    class_sizes = np.bincount(class_ids)
     report = DDDReport(
         v=g.n,
-        m=len(np.unique(class_ids)),
-        n_class=int(np.bincount(class_ids).max()),
+        m=int(np.count_nonzero(class_sizes)),
+        n_class=int(class_sizes.max()),
         out_degrees=out_degrees,
         in_degrees=in_degrees,
         asymmetric=asymmetric,
@@ -182,15 +183,17 @@ class DesignIsoMaps:
 
 def desiso_maps(cons: Construction, i: int) -> DesignIsoMaps:
     """The explicit point and block bijections carrying the neighbourhood
-    design of X_0 to that of X_i."""
+    design of X_0 to that of X_i.  Both add to the last coordinate a term
+    of the coset (al, be) alone, so they are evaluated on the q x q grid
+    and broadcast over ga (`GroupTable.coset_affine`)."""
     f_ = cons.field
     t = cons.table
     eps = cons.epsilon
     four = f_.from_int(4)
-    al, be, ga = t.ix, t.iy, t.iz
+    al, be = np.indices((cons.q, cons.q), dtype=np.int32)
 
     norm = f_.sub(f_.mul(al, al), f_.mul(eps, f_.mul(be, be)))
-    f_map = t._pack(al, be, f_.add(ga, f_.mul(norm, i)))
+    f_map = t.coset_affine(al, be, f_.mul(norm, i), f_.one)
 
     a12 = f_.neg(f_.mul(four, f_.mul(eps, i)))     # A = (1, a12; a21, 1)
     a21 = f_.neg(f_.mul(four, i))
@@ -202,11 +205,12 @@ def desiso_maps(cons: Construction, i: int) -> DesignIsoMaps:
     al2 = f_.mul(det_inv, f_.sub(al, f_.mul(a12, be)))
     be2 = f_.mul(det_inv, f_.sub(be, f_.mul(a21, al)))
     norm2 = f_.sub(f_.mul(al2, al2), f_.mul(eps, f_.mul(be2, be2)))
-    ga2 = f_.sub(
-        f_.add(f_.sub(ga, f_.mul(cons.half, f_.mul(al, be))), f_.mul(cons.half, f_.mul(al2, be2))),
+    # ga'' = ga - al be / 2 + al'' be'' / 2 - norm'' i
+    shift = f_.sub(
+        f_.sub(f_.mul(cons.half, f_.mul(al2, be2)), f_.mul(cons.half, f_.mul(al, be))),
         f_.mul(norm2, i),
     )
-    h_map = t._pack(al2, be2, ga2)
+    h_map = t.coset_affine(al2, be2, shift, f_.one)
     return DesignIsoMaps(
         i=i,
         f=f_map.astype(np.int64),

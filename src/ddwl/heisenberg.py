@@ -43,9 +43,7 @@ class GroupTable:
         x1, y1, z1, x2, y2, z2 = np.ix_(*[np.arange(q)] * 6)  # lookups of <= q**4 entries
         z = add[add[z1, z2], mul[x1, y2]]
         self.mult = self._pack(add[x1, x2], add[y1, y2], z).reshape(n, n)
-        self.inv = self._pack(
-            field.neg(self.ix), field.neg(self.iy), field.sub(field.mul(self.ix, self.iy), self.iz)
-        )
+        self.inv = self.inverse(np.arange(n))
         self.center_mask = (self.ix == 0) & (self.iy == 0)
         self.coset_ids = self.ix * q + self.iy
 
@@ -53,6 +51,21 @@ class GroupTable:
         """Vertex indices (x*q + y)*q + z of int32 index arrays, in int32: q**3 < 2**31."""
         q = self.q
         return (ix * q + iy) * q + iz
+
+    def inverse(self, v: np.ndarray) -> np.ndarray:
+        """The vertices of the inverses of the vertices v, from the closed form
+        (x, y, z)**-1 = (-x, -y, x*y - z), never from `inv`."""
+        f, x, y, z = self.field, self.ix[v], self.iy[v], self.iz[v]
+        return self._pack(f.neg(x), f.neg(y), f.sub(f.mul(x, y), z))
+
+    def coset_affine(self, x2, y2, shift, scale: int) -> np.ndarray:
+        """The vertex of (x2, y2, shift + scale*z) for every vertex (x, y, z),
+        with x2, y2 and shift given per center coset as q x q index arrays
+        over (x, y): a map of that shape is evaluated on the q**2 cosets and
+        broadcast once over z, one lookup of n entries."""
+        f, q = self.field, self.q
+        z2 = f.add(np.reshape(shift, (q * q, 1)), f.mul(scale, np.arange(q, dtype=np.int32)))
+        return self._pack(np.reshape(x2, (q * q, 1)), np.reshape(y2, (q * q, 1)), z2).reshape(-1)
 
     def right_translations(self) -> tuple[np.ndarray, ...]:
         """The vertex permutations u -> u * h for h = (t**k, 0, 0) and then

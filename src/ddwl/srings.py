@@ -7,10 +7,19 @@ sums expands over cells with nonnegative integer coefficients
 
     c[X][Y][Z] = #{(x, y) in X x Y : x*y = z},   independent of z in Z.
 
-The tensor and the transversal check count group products one way,
-`_difference_multiset` (one bincount per pair of cells), so representative
-independence is verified for every z as a side effect; a violation means
-the partition is not closed and raises NotAnSRing.
+The independence is proven, not counted.  `SRing.from_construction` takes
+the cells that `Construction.k_orbits` proves to be the orbits of K, a
+group of automorphisms (`Construction.build_K`); an automorphism k fixing
+every cell carries the pairs (x, y) with x*y = z one to one onto those
+with x*y = k(z), so a count over cells is constant on each orbit, the
+orbit lemma behind Schur rings (Wielandt, Finite Permutation Groups, ch.
+IV; Muzychuk & Ponomarenko, Europ. J. Combin. 30, 2009).  So every count
+is made at the least point z of each cell, as #{y : z*y**-1 in X, y in Y}
+with y**-1 from the closed form: one row of the multiplication table per
+cell.  A ring without that proof is counted only where each cell is one
+point; any other cell raises NotAnSRing.  The transversal check counts
+X_i * X_i^-1 the same way: K fixes X_i and X_i^-1 setwise, so the product
+is constant on each cell too.
 
 The tensor is checked as the intersection tensor of the partition's Cayley
 scheme (one fiber, cell sizes as valencies, inverse cells as converse) by
@@ -83,7 +92,9 @@ class StructureConstantTensor:
 
 
 class SRing:
-    """An inverse-closed partition of the group with {e} as a cell."""
+    """An inverse-closed partition of the group with {e} as a cell.
+    `cells_are_k_orbits` records whether the cells are proven to be the
+    orbits of K, which `from_construction` alone proves."""
 
     def __init__(self, cons: Construction, cells: list[np.ndarray], names: list[str]):
         self.cons = cons
@@ -92,15 +103,19 @@ class SRing:
         self.cells = [np.asarray(c, dtype=np.int64) for c in cells]
         self.names = list(names)
         self.r = len(cells)
+        self.cells_are_k_orbits = False
 
         cell_of = np.full(n, -1, dtype=np.int32)
         for k, members in enumerate(self.cells):
+            if not len(members):
+                raise NotAnSRing(f"cell {self.names[k]} is empty")
             if (cell_of[members] != -1).any():
                 raise NotAnSRing("cells overlap")
             cell_of[members] = k
         if (cell_of == -1).any():
             raise NotAnSRing("cells do not cover the group")
         self.cell_of = cell_of
+        self.reps = np.array([members.min() for members in self.cells])   # the least of each cell
         self.sizes = np.array([len(c) for c in self.cells], dtype=np.int64)
 
         if self.cells[self.cell_of[cons.table.identity]].size != 1:
@@ -108,8 +123,8 @@ class SRing:
 
         inv_cell = np.empty(self.r, dtype=np.int64)
         for k, members in enumerate(self.cells):
-            images = np.unique(cell_of[self.table.inv[members]])
-            if len(images) != 1:
+            images = cell_of[self.table.inv[members]]
+            if (images != images[0]).any():
                 raise NotAnSRing(f"cell {self.names[k]} is not inverse-closed")
             inv_cell[k] = images[0]
         self.inv_cell = inv_cell
@@ -119,6 +134,7 @@ class SRing:
         names = ["e"] + [f"Y_{i}" for i in range(cons.q)] + ["Z#"]
         ring = cls(cons, cons.cells(), names)
         cons.k_orbits()   # raises unless the cells are the orbit partition of K
+        ring.cells_are_k_orbits = True
         return ring
 
     def y_cell(self, i: int) -> int:
@@ -138,26 +154,41 @@ class SRing:
         return f"SRing(q={self.cons.q}, cells={self.r})"
 
 
+def _cell_counts(ring: SRing, left: list[np.ndarray], right: list[np.ndarray]) -> np.ndarray:
+    """counts[Z, a, b] = #{(u, v) in left[a] x right[b] : u * v = z} at the
+    least point z of each cell Z, for two lists of disjoint unions of cells.
+
+    The counts are constant on each cell of a ring whose cells are proven
+    K-orbits, and trivially on a cell of one point; a ring with neither
+    raises NotAnSRing.  u = z * v**-1, with v**-1 from the closed form: one
+    gather from `mult` per cell and v, and one bincount."""
+    if not ring.cells_are_k_orbits and (ring.sizes > 1).any():
+        raise NotAnSRing("the cells are not proven K-orbits, so no count on them is constant")
+    label, right_label = (_union_labels(ring, sets) for sets in (left, right))
+    na, nb = len(left), len(right)
+    t, v = ring.table, np.concatenate(right)
+    u = t.mult[ring.reps[:, None], t.inverse(v)]    # row Z: z * v**-1
+    key = (np.arange(ring.r)[:, None] * (na + 1) + label[u]) * nb + right_label[v]
+    counts = np.bincount(key.ravel(), minlength=ring.r * (na + 1) * nb)
+    return counts.reshape(ring.r, na + 1, nb)[:, :na]
+
+
+def _union_labels(ring: SRing, sets: list[np.ndarray]) -> np.ndarray:
+    """label[u] = a for u in sets[a], and len(sets) off them; NotAnSRing
+    unless the sets are disjoint unions of cells."""
+    label = np.full(ring.cons.n, len(sets), dtype=np.int64)
+    for a, members in enumerate(sets):
+        label[members] = a
+    unions = (label == label[ring.reps][ring.cell_of]).all()
+    if not unions or np.count_nonzero(label < len(sets)) != sum(map(len, sets)):
+        raise NotAnSRing("the product's factors are not disjoint unions of cells")
+    return label
+
+
 def structure_constants(ring: SRing) -> StructureConstantTensor:
-    """Full convolution tensor by cell-pair product counts; every z is
-    checked, else NotAnSRing."""
-    cons, r, n = ring.cons, ring.r, ring.cons.n
-    counts = np.empty((r, r, n), dtype=np.int64)
-    for x, left in enumerate(ring.cells):
-        for y, right in enumerate(ring.cells):
-            counts[x, y] = _difference_multiset(cons, left, right)
-
-    c = np.zeros((r, r, r), dtype=np.int64)
-    for z_cell, members in enumerate(ring.cells):
-        block = counts[:, :, members]
-        if not (block == block[:, :, :1]).all():
-            x, y = np.argwhere((block != block[:, :, :1]).any(axis=2))[0]
-            raise NotAnSRing(
-                f"product {ring.names[x]}*{ring.names[y]} is not constant on "
-                f"{ring.names[z_cell]}"
-            )
-        c[:, :, z_cell] = block[:, :, 0]
-
+    """The convolution tensor, counted at one point per cell (`_cell_counts`)."""
+    counts = _cell_counts(ring, ring.cells, ring.cells)     # [Z, X, Y]
+    c = np.ascontiguousarray(counts.transpose(1, 2, 0))
     return StructureConstantTensor(c, ring.sizes.copy(), ring.inv_cell.copy(), list(ring.names))
 
 
@@ -245,34 +276,23 @@ class TransversalReport:
         )
 
 
-def _difference_multiset(cons: Construction, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Counts of the products u * v for u in left, v in right; one bincount up to 4M."""
-    t = cons.table
-    conv = np.zeros(cons.n, dtype=np.int64)
-    chunk = max(1, 4_000_000 // max(1, len(right)))
-    for s in range(0, len(left), chunk):
-        block = t.mult[np.ix_(left[s : s + chunk], right)]
-        conv += np.bincount(block.ravel(), minlength=cons.n)
-    return conv
-
-
 def verify_transversal(ring: SRing, i: int) -> TransversalReport:
-    """Coefficients of X_i * X_i^(-1) (and the mirrored product) over the group."""
+    """Coefficients of X_i * X_i^(-1) (and the mirrored product) over the
+    group, X_i^(-1) read through `GroupTable.inv`.  K fixes X_i and X_i^(-1)
+    setwise, so both are counted at one point per cell (`_cell_counts`)."""
     cons = ring.cons
-    t = cons.table
     x = cons.build_X(i)
-    x_inv = np.sort(t.inv[x]).astype(np.int64)
+    x_inv = ring.table.inv[x]
     center_rest = cons.punctured_center()
     outside = np.ones(cons.n, dtype=bool)
     outside[0] = False
     outside[center_rest] = False
 
-    def split(conv):  # at the identity, on Z - e, elsewhere
+    def split(left, right):  # at the identity, on Z - e, elsewhere
+        conv = _cell_counts(ring, [left], [right])[:, 0, 0][ring.cell_of]
         return int(conv[0]), set(conv[center_rest].tolist()), set(conv[outside].tolist())
 
-    fwd = split(_difference_multiset(cons, x, x_inv))
-    mir = split(_difference_multiset(cons, x_inv, x))
-    return TransversalReport(cons.q, i, *fwd, *mir)
+    return TransversalReport(cons.q, i, *split(x, x_inv), *split(x_inv, x))
 
 
 def tau_hat(ring: SRing, m: int) -> np.ndarray:

@@ -11,7 +11,11 @@ matrices that `designs.verify_design_iso` decides on block lists with
 `orbit_by_sets` is the set-based closure that `coherent.orbit_mask`
 replaced.  `MatrixM` and `rho_apply` are the automorphism map on one
 (x, y, z) triple of field indices at a time, that `Construction.rho_perm`
-is compared against.  `on_every_row` runs the dense side of an oracle test
+is compared against; `desiso_apply` is the pair of design maps on one
+vertex at a time, that `designs.desiso_maps` is compared against.
+`difference_multiset` counts the products u * v over two sets at every
+point of the group, the full count that `srings` replaced by one point per
+cell.  `on_every_row` runs the dense side of an oracle test
 and asserts that every refinement in it refined every row.  `dense_tensor`
 spreads a closure's sparse tensor rows over a rank**3 array;
 `shift_within_a_product` spoils a convolution tensor so that only the
@@ -226,3 +230,31 @@ def rho_apply(f, m: MatrixM, g: tuple[int, int, int]) -> tuple[int, int, int]:
     norm = f.sub(f.mul(a, a), f.mul(eps, f.mul(b, b)))
     z2 = f.add(f.add(f.mul(ab, quad), cross), f.mul(norm, z))
     return int(x2), int(y2), int(z2)
+
+
+def desiso_apply(cons, i: int, v: int) -> tuple[int, int]:
+    """The images f(v) and h(v) of the vertex v = (al, be, ga) under the
+    maps carrying the neighbourhood design of X_0 to that of X_i, one
+    field scalar at a time."""
+    f, eps, half = cons.field, cons.epsilon, cons.half
+    al, be, ga = cons.table.element_to_json(v)
+    norm = f.sub(f.mul(al, al), f.mul(eps, f.mul(be, be)))
+    image_f = (al, be, int(f.add(ga, f.mul(norm, i))))
+    four = f.from_int(4)
+    a12, a21 = f.neg(f.mul(four, f.mul(eps, i))), f.neg(f.mul(four, i))
+    det = f.sub(f.one, f.mul(a12, a21))
+    det_inv = f.inv(det) if det else 0
+    al2 = f.mul(det_inv, f.sub(al, f.mul(a12, be)))
+    be2 = f.mul(det_inv, f.sub(be, f.mul(a21, al)))
+    norm2 = f.sub(f.mul(al2, al2), f.mul(eps, f.mul(be2, be2)))
+    ga2 = f.sub(ga, f.mul(half, f.mul(al, be)))
+    ga2 = f.sub(f.add(ga2, f.mul(half, f.mul(al2, be2))), f.mul(norm2, i))
+    image_h = (int(al2), int(be2), int(ga2))
+    q = cons.q
+    return tuple(int((x * q + y) * q + z) for x, y, z in (image_f, image_h))
+
+
+def difference_multiset(cons, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Counts of the products u * v for u in left, v in right at every point
+    of the group, one bincount over the table block."""
+    return np.bincount(cons.table.mult[np.ix_(left, right)].ravel(), minlength=cons.n)

@@ -25,13 +25,20 @@ def test_rho_fixes_identity_and_example(cons3):
     assert rho_apply(cons3.field, m, (1, 0, 0)) == (0, 1, 0)
 
 
-def test_rho_perm_agrees_with_typed_map(cons5):
-    t = cons5.table
-    perm = cons5.rho_perm(2, 3)
-    m = MatrixM(2, 3, cons5.epsilon)
-    for v in range(0, cons5.n, 7):
-        x, y, z = rho_apply(cons5.field, m, tuple(t.element_to_json(v)))
-        assert (x * cons5.q + y) * cons5.q + z == perm[v]
+def test_rho_perm_agrees_with_typed_map(cons3, cons5, cons9):
+    """The coset-grid evaluation against `rho_apply` on every vertex, for
+    every (a, b) != (0, 0) at q = 3, 5 and 9 (l = 2)."""
+    for cons in (cons3, cons5, cons9):
+        q = cons.q
+        triples = [tuple(cons.table.element_to_json(v)) for v in range(cons.n)]
+        for a in range(q):
+            for b in range(q):
+                if a or b:
+                    m = MatrixM(a, b, cons.epsilon)
+                    images = (rho_apply(cons.field, m, g) for g in triples)
+                    perm = cons.rho_perm(a, b)
+                    assert perm.dtype == np.int32, (q, a, b)
+                    assert perm.tolist() == [(x * q + y) * q + z for x, y, z in images], (q, a, b)
 
 
 def test_matrix_m_excludes_zero_pair(cons3):

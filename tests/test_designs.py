@@ -10,7 +10,7 @@ from ddwl.coherent import NotInvariant
 from ddwl.construction import Construction
 from ddwl.designs import desiso_maps, verify_ddd, verify_design_iso
 from ddwl.digraph import Digraph
-from reference import design_iso_densely, move_one_arc
+from reference import design_iso_densely, desiso_apply, move_one_arc
 
 
 def test_verify_ddd_on_looped_digraph(cons3):
@@ -276,6 +276,18 @@ def test_det_nonzero_for_all_i(q, request):
         # both maps are bijections
         assert np.array_equal(np.sort(maps.f), np.arange(cons.n))
         assert np.array_equal(np.sort(maps.h), np.arange(cons.n))
+
+
+@pytest.mark.parametrize("q", [3, 5, 9])
+def test_desiso_maps_equal_the_per_vertex_maps(q, request):
+    """The coset-grid evaluation against `desiso_apply` on every vertex, for
+    every label; q = 9 is l = 2."""
+    cons = request.getfixturevalue(f"cons{q}")
+    for i in range(q):
+        maps = desiso_maps(cons, i)
+        want = np.array([desiso_apply(cons, i, v) for v in range(cons.n)], dtype=np.int64)
+        assert maps.f.dtype == maps.h.dtype == np.int64
+        assert np.array_equal(maps.f, want[:, 0]) and np.array_equal(maps.h, want[:, 1]), i
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 13])

@@ -1,14 +1,16 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ddwl.arith import euler_phi
 from ddwl.coherent import orbit_close, tensor_identities_hold, verify_algebraic_map
+from ddwl.construction import Construction
 from ddwl.srings import (
     NotAnSRing,
     SRing,
-    _difference_multiset,
+    _cell_counts,
     algebraic_automorphisms,
     is_group_closed,
     is_induced,
@@ -17,7 +19,7 @@ from ddwl.srings import (
     verify_consts,
     verify_transversal,
 )
-from reference import shift_within_a_product
+from reference import difference_multiset, shift_within_a_product
 
 
 def brute_tensor_q3(cons):
@@ -73,22 +75,21 @@ def add_at_counts(ring):
     return counts
 
 
-@pytest.mark.parametrize("q", [3, 5, 9])
-def test_structure_constants_match_add_at_oracle(q, contexts):
-    ring = contexts[q].ring
+def _ring(q, contexts, cons13):
+    return contexts[q].ring if q in contexts else SRing.from_construction(cons13)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13])
+def test_structure_constants_match_add_at_oracle(q, contexts, cons13):
+    """The full count is constant on every cell, as K proves, and its value
+    at the least point of each cell is the one-point count."""
+    ring = _ring(q, contexts, cons13)
     counts = add_at_counts(ring)
-    for x, left in enumerate(ring.cells):
-        for y, right in enumerate(ring.cells):
-            assert np.array_equal(_difference_multiset(ring.cons, left, right), counts[x, y])
-    reps = [int(members[0]) for members in ring.cells]
-    assert np.array_equal(structure_constants(ring).c, counts[:, :, reps])
-
-
-def test_difference_multiset_chunks_past_4m_products(cons7):
-    left, right = np.tile(np.arange(cons7.n), 40), np.arange(cons7.n)
-    assert len(left) * len(right) > 4_000_000  # two row chunks
-    conv = _difference_multiset(cons7, left, right)
-    assert conv.tolist() == [len(left)] * cons7.n
+    for members in ring.cells:
+        assert (counts[:, :, members] == counts[:, :, members[:1]]).all()
+    at_reps = counts[:, :, ring.reps]
+    assert np.array_equal(_cell_counts(ring, ring.cells, ring.cells).transpose(1, 2, 0), at_reps)
+    assert np.array_equal(structure_constants(ring).c, at_reps)
 
 
 def test_structure_constants_hold_no_n2_scratch(contexts):
@@ -99,7 +100,53 @@ def test_structure_constants_hold_no_n2_scratch(contexts):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * ring.table.mult.nbytes
+    assert peak < 36 * ring.r * ring.cons.n  # 249,724 B measured: 34.3 bytes per (cell, point)
+
+
+def test_an_unproven_ring_is_counted_only_on_one_point_cells(cons3):
+    """The analytic cells without the proof that they are K-orbits are not
+    counted; singleton cells are, as each count is at its only point."""
+    names = ["e"] + [f"Y_{i}" for i in range(3)] + ["Z#"]
+    with pytest.raises(NotAnSRing, match="not proven K-orbits"):
+        structure_constants(SRing(cons3, cons3.cells(), names))
+    singletons = SRing(cons3, [[g] for g in range(cons3.n)], [str(g) for g in range(cons3.n)])
+    assert structure_constants(singletons).c.sum() == cons3.n**2
+
+
+def _swap_two_images_of_a_power(cons, monkeypatch):
+    power, rho = cons._m_powers(cons.k_generator())[1], cons.rho_perm
+
+    def swapped(a, b):
+        perm = rho(a, b)
+        if (a, b) == power:
+            perm[[1, 2]] = perm[[2, 1]]
+        return perm
+
+    monkeypatch.setattr(cons, "rho_perm", swapped)
+
+
+def _move_the_identity(cons, monkeypatch):
+    ks = list(cons.build_K())
+    ks[1] = replace(ks[1], perm=ks[1].perm[::-1].copy())
+    cons._K = ks
+
+
+@pytest.mark.parametrize(
+    "forge",
+    [
+        _swap_two_images_of_a_power,
+        _move_the_identity,
+        lambda cons, monkeypatch: setattr(cons, "_K", cons.build_K()[:2]),
+    ],
+    ids=["perm_swapped", "identity_moved", "truncated"],
+)
+def test_a_forged_k_makes_from_construction_raise(forge, monkeypatch):
+    """No ring, so no one-point count, comes from a K that is not proven."""
+    cons = Construction(5)
+    forge(cons, monkeypatch)
+    monkeypatch.setattr("ddwl.srings._cell_counts", None)
+    with pytest.raises(RuntimeError):
+        SRing.from_construction(cons)
 
 
 def test_identity_convolution(tensor3):
@@ -110,7 +157,8 @@ def test_identity_convolution(tensor3):
 
 def test_representative_dependence_detected(cons5):
     # splitting the center cell into inverse-closed halves keeps the
-    # partition axioms but breaks convolution constancy
+    # partition axioms but breaks convolution constancy; no K-orbit proof
+    # covers such cells, so the one-point counter refuses them
     cells = (
         [np.array([0])]
         + [cons5.build_Y(i) for i in range(5)]
@@ -180,6 +228,49 @@ def test_transversal(q, request):
         assert rep.on_center == {0}
         assert rep.elsewhere == {q}
         assert rep.mirrored_at_identity == q * q
+
+
+def _split(cons, conv):
+    center_rest = cons.punctured_center()
+    outside = np.ones(cons.n, dtype=bool)
+    outside[[0, *center_rest]] = False
+    return int(conv[0]), set(conv[center_rest].tolist()), set(conv[outside].tolist())
+
+
+def _full_transversal(cons, i):
+    x = cons.build_X(i)
+    x_inv = np.sort(cons.table.inv[x])
+    fwd, mir = difference_multiset(cons, x, x_inv), difference_multiset(cons, x_inv, x)
+    return (*_split(cons, fwd), *_split(cons, mir))
+
+
+def _fields(rep):
+    return (
+        rep.at_identity, rep.on_center, rep.elsewhere,
+        rep.mirrored_at_identity, rep.mirrored_on_center, rep.mirrored_elsewhere,
+    )
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13])
+def test_transversal_matches_the_full_count(q, contexts, cons13):
+    ring = _ring(q, contexts, cons13)
+    for i in range(q):
+        assert _fields(verify_transversal(ring, i)) == _full_transversal(ring.cons, i), i
+
+
+def test_transversal_reads_the_inverse_table(ring3, monkeypatch):
+    """X_i^-1 comes from `GroupTable.inv`: with the identity there, each
+    product is X_i * X_i, counted as in full, which fails by verdict for
+    every X_i but the symmetric X_0; with a table whose X_i^-1 is no union
+    of cells, the one-point count refuses."""
+    cons = ring3.cons
+    monkeypatch.setattr(cons.table, "inv", np.arange(cons.n))
+    reports = [verify_transversal(ring3, i) for i in range(3)]
+    assert [_fields(rep) for rep in reports] == [_full_transversal(cons, i) for i in range(3)]
+    assert [rep.ok for rep in reports] == [True, False, False]
+    monkeypatch.setattr(cons.table, "inv", np.roll(np.arange(cons.n), 1))
+    with pytest.raises(NotAnSRing, match="not disjoint unions of cells"):
+        verify_transversal(ring3, 1)
 
 
 def test_algebraic_automorphisms_q3(tensor3):

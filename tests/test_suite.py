@@ -73,18 +73,20 @@ def _bump_tensor(cons, mp):
 
 
 def _count_e_times_e_on_the_center(cons, mp):
-    """Counts e * e once more on every element of Z#: each cell stays
-    constant, so the tensor is built, with c[e, e, Z#] = 1, which breaks
-    mass conservation but no closed form of Y_i * Y_j."""
-    count, center, e = srings._difference_multiset, cons.punctured_center(), cons.table.identity
+    """Counts e * e once more at the point of Z# that the one-point counter
+    reads for the whole cell: the tensor is built, with c[e, e, Z#] = 1,
+    which breaks mass conservation but no closed form of Y_i * Y_j."""
+    count, e = srings._cell_counts, cons.table.identity
 
-    def miscounted(c, left, right):
-        conv = count(c, left, right)
-        if len(left) == len(right) == 1 and left[0] == right[0] == e:
-            conv[center] += 1
-        return conv
+    def miscounted(ring, left, right):
+        counts = count(ring, left, right)
+        for a, x in enumerate(left):
+            for b, y in enumerate(right):
+                if len(x) == len(y) == 1 and x[0] == y[0] == e:
+                    counts[ring.center_cell, a, b] += 1
+        return counts
 
-    mp.setattr(srings, "_difference_multiset", miscounted)
+    mp.setattr(srings, "_cell_counts", miscounted)
 
 
 def _roll_design_map(cons, mp, name="f"):
