@@ -96,6 +96,7 @@ _PRODUCT_MAX_RANK = 10
 _BLOCK_ELEMENT_BUDGET = 500_000  # scratch elements per block; larger blocks measured slower
 _COMPARE_BYTES = 1 << 16  # sorted rows gathered per pass of `sorted_unique_rows`
 _FINGERPRINT_MULTIPLIER = 0x9E3779B97F4A7C15  # odd: 2**64 / golden ratio
+_TAKE_ELEMENTS = 1 << 16  # list entries cast to intp per block of `carries_out`
 
 
 class NotInvariant(ValueError):
@@ -197,8 +198,10 @@ class CoherentConfiguration:
 
     def refines(self, other: "CoherentConfiguration") -> bool:
         """True if every color class of self lies inside one class of other."""
-        pairs = self.color.astype(np.int64) * other.rank + other.color
-        return len(np.unique(pairs)) == self.rank
+        # one pair's color in other per color of self, then every pair against it
+        image = np.empty(self.rank, dtype=other.color.dtype)
+        image[self.color] = other.color
+        return bool(np.array_equal(image[self.color], other.color))
 
     def __repr__(self) -> str:
         return f"CoherentConfiguration(n={self.n}, rank={self.rank}, rounds={self.rounds})"
@@ -351,8 +354,9 @@ def _refine_round(
             keyrows[:, 1:] = codes.reshape(nb * n, n)
         pieces.append(sorted_unique_rows(keyrows))
 
-    keys = np.unique(np.concatenate([local for local, _ in pieces]))
-    new = np.concatenate([np.searchsorted(keys, local)[inv] for local, inv in pieces])
+    keys, merged = np.unique(np.concatenate([local for local, _ in pieces]), return_inverse=True)
+    starts = np.cumsum([0] + [len(local) for local, _ in pieces])
+    new = np.concatenate([merged[start:][inv] for start, (_, inv) in zip(starts, pieces)])
     if products:
         # the distinct keys in the bincount kernel's layout: old color, then n - count
         # of code r * rank + s, peeled off word j = s // width of r, last digit first
@@ -477,19 +481,26 @@ def carries_out(out1: np.ndarray, out2: np.ndarray, perms: list[np.ndarray]) -> 
     strictly ascend, else NotInvariant; then s maps the n k arcs of out1 one
     to one into the n k arcs of out2, hence onto them.
 
-    The images are gathered and sorted in out1's dtype, which must hold
-    n - 1, as a `Digraph`'s `code_dtype(n)` (uint16 to n = 2**16) does;
-    np.take would copy out1 as int64."""
+    The lists are read in blocks of rows of about `_TAKE_ELEMENTS` entries:
+    each block is cast to intp once and serves every permutation, as
+    `np.take` gathers from an intp index without widening it, while a
+    narrow index is widened whole on every gather.  The images are gathered
+    from s held in out1's dtype, which must hold n - 1, as a `Digraph`'s
+    `code_dtype(n)` (uint16 to n = 2**16) does, and sorted in it."""
     if out1.shape != out2.shape:
         return False
     for out in (out1,) if out2 is out1 else (out1, out2):
         if not (out[:, 1:] > out[:, :-1]).all():
             raise NotInvariant("an out-neighbour list repeats a vertex or is out of order")
-    for s in perms:
-        moved = np.asarray(s, dtype=out1.dtype)[out1]
-        moved.sort(axis=1)
-        if not np.array_equal(moved, out2[s]):
-            return False
+    narrow = [np.asarray(s, dtype=out1.dtype) for s in perms]
+    rows = max(1, _TAKE_ELEMENTS // max(1, out1.shape[1]))
+    for start in range(0, len(out1), rows):
+        block = out1[start : start + rows].astype(np.intp)
+        for s, images in zip(perms, narrow):
+            moved = np.take(images, block)
+            moved.sort(axis=1)
+            if not np.array_equal(moved, out2[s[start : start + rows]]):
+                return False
     return True
 
 
@@ -603,7 +614,7 @@ def as_sring_partition(cc: CoherentConfiguration, table: GroupTable) -> list[np.
     basic-set partition of the closure's group-ring structure.
     """
     row = cc.color[table.identity]
-    return [np.flatnonzero(row == c) for c in np.unique(row)]
+    return [np.flatnonzero(row == c) for c in np.flatnonzero(np.bincount(row))]
 
 
 def invariants(g: Digraph, cc: CoherentConfiguration) -> dict:
@@ -613,7 +624,7 @@ def invariants(g: Digraph, cc: CoherentConfiguration) -> dict:
         "rank": cc.rank,
         "color_multiset": tuple(cc.color_multiset().tolist()),
         "tensor": cc.tensor.tobytes(),
-        "arc_colors": tuple(np.unique(cc.color[g.arcs]).tolist()),
+        "arc_colors": tuple(np.flatnonzero(np.bincount(cc.color[g.arcs])).tolist()),
     }
 
 

@@ -125,8 +125,8 @@ def verify_ddd(g: Digraph, class_ids: np.ndarray, expected: tuple[int, int]) -> 
         common_in = (af.T @ af).astype(np.int32)
         same = class_ids[:, None] == class_ids[None, :]
         upper = np.triu(np.ones((g.n, g.n), dtype=bool), k=1)
-        out_degrees = set(np.unique(g.out_degrees()).tolist())
-        in_degrees = set(np.unique(g.in_degrees()).tolist())
+        out_degrees = set(g.out_degrees().tolist())
+        in_degrees = set(g.in_degrees().tolist())
         asymmetric = g.is_asymmetric()
         loopless = not a.diagonal().any()
         weight = 2  # each entry is one unordered pair

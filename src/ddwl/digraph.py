@@ -77,6 +77,21 @@ class Digraph:
             self._translations = perms
         return self._translations
 
+    def without_loops(self) -> "Digraph":
+        """This digraph minus its loops, from its lists, holding the
+        translations proven on this one (proving them first): an
+        automorphism maps loops to loops, so it maps the other arcs onto the
+        other arcs.  NotInvariant unless every vertex or none has a loop."""
+        from .coherent import NotInvariant  # coherent imports this module
+
+        proven, out = self.translations, self.out
+        keep = out != np.arange(self.n)[:, None]
+        if np.count_nonzero(~keep) not in (0, self.n):
+            raise NotInvariant("some vertices have loops and some do not")
+        g = Digraph.from_out(out[keep].reshape(self.n, -1), label=f"{self.label} minus loops")
+        g._claimed = g._translations = proven
+        return g
+
     @property
     def arcs(self) -> np.ndarray:
         """The n x n bool adjacency matrix, scattered from the lists once."""

@@ -58,14 +58,19 @@ class GroupTable:
         f, x, y, z = self.field, self.ix[v], self.iy[v], self.iz[v]
         return self._pack(f.neg(x), f.neg(y), f.sub(f.mul(x, y), z))
 
-    def coset_affine(self, x2, y2, shift, scale: int) -> np.ndarray:
+    def coset_affine(self, x2, y2, shift, scale) -> np.ndarray:
         """The vertex of (x2, y2, shift + scale*z) for every vertex (x, y, z),
         with x2, y2 and shift given per center coset as q x q index arrays
         over (x, y): a map of that shape is evaluated on the q**2 cosets and
-        broadcast once over z, one lookup of n entries."""
-        f, q = self.field, self.q
-        z2 = f.add(np.reshape(shift, (q * q, 1)), f.mul(scale, np.arange(q, dtype=np.int32)))
-        return self._pack(np.reshape(x2, (q * q, 1)), np.reshape(y2, (q * q, 1)), z2).reshape(-1)
+        broadcast once over z, one lookup of n entries.  For a batch of maps,
+        scale is an array of shape (m,), x2, y2 and shift are (m, q, q) and
+        the result is (m, n)."""
+        f, q, lead = self.field, self.q, np.shape(scale)
+        cosets = lead + (q * q, 1)
+        z = f.mul(np.reshape(scale, lead + (1, 1)), np.arange(q, dtype=np.int32))
+        z2 = f.add(np.reshape(shift, cosets), z)
+        vertices = self._pack(np.reshape(x2, cosets), np.reshape(y2, cosets), z2)
+        return vertices.reshape(lead + (-1,))
 
     def right_translations(self) -> tuple[np.ndarray, ...]:
         """The vertex permutations u -> u * h for h = (t**k, 0, 0) and then

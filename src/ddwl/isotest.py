@@ -83,10 +83,8 @@ class _PartitionSearch:
         self.nodes = 0
         self.mult = max(int(c1.max()), int(c2.max())) + 1
 
-        d1, d2 = c1.diagonal(), c2.diagonal()
-        vals = np.unique(np.concatenate([d1, d2]))
-        self.pi1_0 = np.searchsorted(vals, d1).astype(np.int64)
-        self.pi2_0 = np.searchsorted(vals, d2).astype(np.int64)
+        vals, cells = np.unique(np.concatenate([c1.diagonal(), c2.diagonal()]), return_inverse=True)
+        self.pi1_0, self.pi2_0 = np.split(cells.astype(np.int64), 2)
         self.ncells_0 = len(vals)
 
     # -- partition refinement -------------------------------------------------
@@ -120,12 +118,13 @@ class _PartitionSearch:
             new1, new2 = pi1.copy(), pi2.copy()
             new1[active1] = ncells + inverse[: len(active1)]
             new2[active2] = ncells + inverse[len(active1):]
-            vals = np.unique(np.concatenate([new1, new2]))
-            new1 = np.searchsorted(vals, new1)
-            new2 = np.searchsorted(vals, new2)
-            if len(vals) == ncells:
+            # renumber the cells that occur 0, 1, ... in order of their ids
+            present = np.zeros(ncells + len(active1) + len(active2), dtype=bool)
+            present[new1] = present[new2] = True
+            names = np.cumsum(present) - 1
+            if names[-1] + 1 == ncells:
                 return pi1, pi2, ncells
-            pi1, pi2, ncells = new1, new2, len(vals)
+            pi1, pi2, ncells = names[new1], names[new2], int(names[-1]) + 1
 
     # -- search ----------------------------------------------------------------
 

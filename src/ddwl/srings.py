@@ -203,42 +203,48 @@ class ConstsReport:
         return not self.mismatches
 
 
-def _expected_const(cons: Construction, i: int, j: int, k) -> int:
-    """Closed form for the coefficient of cell k (a Y index or 'Z#') in Y_i * Y_j."""
+def _expected_consts(cons: Construction) -> np.ndarray:
+    """The closed forms of c[Y_i, Y_j, Y_k] at [i, j, k] and of c[Y_i, Y_j, Z#]
+    at [i, j, q], a (q, q, q + 1) array; the first rule that applies holds:
+
+        j = -i:       q - 2 at k in {i, -i} when i = 0, q - 1 there otherwise,
+                      q at every other k, 0 at Z#;
+        k = psi(i, j): 1;
+        i != j:       q at k in {i, j};
+        k = i = j:    q - 1;
+        otherwise:    q + 1."""
     q = cons.q
-    f = cons.field
-    neg_i = int(f.neg(i))
-    if k == "Z#":
-        return 0 if j == neg_i else q + 1
-    if j == neg_i:
-        if k not in (i, neg_i):
-            return q
-        return q - 2 if i == 0 else q - 1
-    if k == cons.psi(i, j):
-        return 1
-    if i != j and k in (i, j):
-        return q
-    if k == i == j:
-        return q - 1
-    return q + 1
+    i, j, k = np.ix_(range(q), range(q), range(q))
+    neg_i = cons.field.neg(i)
+    opposite = j == neg_i
+    own = (k == i) | (k == j)
+    rules = [
+        (opposite & ((k == i) | (k == neg_i)), np.where(i == 0, q - 2, q - 1)),
+        (opposite, q),
+        (k == cons.psi_table()[:, :, None], 1),
+        ((i != j) & own, q),
+        (own, q - 1),
+    ]
+    conditions, values = zip(*rules)
+    want = np.full((q, q, q + 1), q + 1, dtype=np.int64)
+    want[:, :, :q] = np.select(conditions, values, q + 1)
+    want[:, :, q] = np.where(opposite[:, :, 0], 0, q + 1)
+    return want
 
 
 def verify_consts(ring: SRing, tensor: StructureConstantTensor) -> ConstsReport:
-    """Compare every computed c[Y_i, Y_j, Y_k] and c[Y_i, Y_j, Z#] to the closed forms."""
+    """Compare every computed c[Y_i, Y_j, Y_k] and c[Y_i, Y_j, Z#] to the
+    closed forms; the mismatches in (i, j, k) order, Z# after the Y cells."""
     cons = ring.cons
     q = cons.q
-    report = ConstsReport(q=q, checked=0)
-    for i in range(q):
-        for j in range(q):
-            for k in list(range(q)) + ["Z#"]:
-                z_cell = ring.center_cell if k == "Z#" else ring.y_cell(k)
-                got = int(tensor.c[ring.y_cell(i), ring.y_cell(j), z_cell])
-                want = _expected_const(cons, i, j, k)
-                report.checked += 1
-                if got != want:
-                    report.mismatches.append(
-                        {"i": i, "j": j, "k": k, "expected": want, "got": got}
-                    )
+    ys = [ring.y_cell(k) for k in range(q)]
+    got = tensor.c[np.ix_(ys, ys, ys + [ring.center_cell])]
+    want = _expected_consts(cons)
+    report = ConstsReport(q=q, checked=want.size)
+    for i, j, k in np.argwhere(got != want).tolist():
+        expected, found = int(want[i, j, k]), int(got[i, j, k])
+        label = "Z#" if k == q else k
+        report.mismatches.append({"i": i, "j": j, "k": label, "expected": expected, "got": found})
     return report
 
 

@@ -87,7 +87,7 @@ class Context:
         return srings.structure_constants(self.ring)
 
     def digraph(self, i: int) -> Digraph:
-        """Cay(X_i); `_ddd_parameters` builds and drops Cay(Y_i) itself."""
+        """Cay(X_i); `_ddd_parameters` derives and drops Cay(Y_i) itself."""
         if i not in self.digraphs:
             self.digraphs[i] = self.cons.build_cayley(i)
         return self.digraphs[i]
@@ -156,16 +156,19 @@ def _k_automorphisms(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
     """K is the q^2 - 1 powers of one twist map, an automorphism of every family digraph"""
     cons = ctx.cons
     ks = cons.build_K()   # raises unless rho(M(a0, b0)) is a group automorphism
-    g = cons.rho_perm(*cons.k_generator())
+    gen = cons.k_generator()
+    g = cons.rho_perm(*gen)
     # K = <g>: the listed K is q^2 - 1 distinct perms, the powers of g up to the
-    # identity; a power of a digraph automorphism is one too, so only g meets the arcs
+    # identity, each listed under the power of M(a0, b0) with its exponent; a
+    # power of a digraph automorphism is one too, so only g meets the arcs
     order = cons.q**2 - 1
     powers = [g]
     while len(powers) < order:
         powers.append(g[powers[-1]])
-    listed = {k.perm.tobytes() for k in ks}
-    ok = len(ks) == len(listed) == order and np.array_equal(powers[-1], np.arange(cons.n))
-    ok &= listed == {p.tobytes() for p in powers}
+    listed = sorted(((k.alpha, k.beta), k.perm.tobytes()) for k in ks)
+    ok = len(ks) == len({p for _, p in listed}) == order
+    ok &= np.array_equal(powers[-1], np.arange(cons.n))
+    ok &= listed == sorted(zip(cons._m_powers(gen), (p.tobytes() for p in powers)))
     gens = cons.generators_I()
     ok &= all(coherent.carries_out(o, o, [g]) for o in (ctx.digraph(i).out for i in gens))
     return ("pass" if ok else "fail"), {"k_order": len(ks), "graph_checks": len(gens)}
@@ -221,7 +224,7 @@ def _ddd_parameters(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
     ok = True
     for i in cons.generators_I():
         rep = designs.verify_ddd(ctx.digraph(i), classes, expected=(0, q))
-        loopless = cons.build_cayley(i, include_identity=False)
+        loopless = ctx.digraph(i).without_loops()
         rep_ll = designs.verify_ddd(loopless, classes, expected=(0, q))
         looped_ok = rep.ok and rep.out_degrees == {q * q}
         loopless_ok = (
@@ -358,7 +361,7 @@ def _one_point_extension(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
         # the cell labelled by psi(j, 0); it must be exactly one color class
         quot = t.mult[np.ix_(yj, t.inv[y0])]   # quot[b, a] = yj_b * y0_a**-1
         rel = np.isin(quot, cons.build_Y(cons.psi(j, 0))).T
-        colors = np.unique(block[rel])
+        colors = np.flatnonzero(np.bincount(block[rel]))
         valency_ok &= bool(
             (srt == srt[0]).all() and len(colors) == 1
             and np.array_equal(block == colors[0], rel) and (block[0] == colors[0]).sum() == 1

@@ -13,6 +13,10 @@ replaced.  `MatrixM` and `rho_apply` are the automorphism map on one
 (x, y, z) triple of field indices at a time, that `Construction.rho_perm`
 is compared against; `desiso_apply` is the pair of design maps on one
 vertex at a time, that `designs.desiso_maps` is compared against.
+`corrupt_rho` spoils one closed form of `Construction.rho_perm`, in a
+scalar or a batched call.  `expected_const` is one closed form of a
+structure constant at a time, and `consts_mismatches` the loop over all of
+them that `srings.verify_consts` replaced by arrays.
 `difference_multiset` counts the products u * v over two sets at every
 point of the group, the full count that `srings` replaced by one point per
 cell.  `on_every_row` runs the dense side of an oracle test
@@ -258,3 +262,54 @@ def difference_multiset(cons, left: np.ndarray, right: np.ndarray) -> np.ndarray
     """Counts of the products u * v for u in left, v in right at every point
     of the group, one bincount over the table block."""
     return np.bincount(cons.table.mult[np.ix_(left, right)].ravel(), minlength=cons.n)
+
+
+def corrupt_rho(cons, monkeypatch, which: tuple[int, int]) -> None:
+    """Swap two images of the permutation `cons.rho_perm` gives for the pair
+    which, in a scalar call or as one member of a batched one: still a
+    bijection, no longer an automorphism."""
+    rho = cons.rho_perm
+
+    def corrupted(a, b):
+        perms = rho(a, b)
+        for perm, pair in zip(np.atleast_2d(perms), zip(np.ravel(a), np.ravel(b))):
+            if pair == which:
+                perm[[1, 2]] = perm[[2, 1]]
+        return perms
+
+    monkeypatch.setattr(cons, "rho_perm", corrupted)
+
+
+def expected_const(cons, i: int, j: int, k) -> int:
+    """Closed form for the coefficient of cell k (a Y index or 'Z#') in Y_i * Y_j."""
+    q = cons.q
+    f = cons.field
+    neg_i = int(f.neg(i))
+    if k == "Z#":
+        return 0 if j == neg_i else q + 1
+    if j == neg_i:
+        if k not in (i, neg_i):
+            return q
+        return q - 2 if i == 0 else q - 1
+    if k == cons.psi(i, j):
+        return 1
+    if i != j and k in (i, j):
+        return q
+    if k == i == j:
+        return q - 1
+    return q + 1
+
+
+def consts_mismatches(ring, tensor) -> list[dict]:
+    """Every c[Y_i, Y_j, Y_k] and c[Y_i, Y_j, Z#] against `expected_const`,
+    one at a time, in (i, j, k) order with Z# last."""
+    q, out = ring.cons.q, []
+    for i in range(q):
+        for j in range(q):
+            for k in list(range(q)) + ["Z#"]:
+                z_cell = ring.center_cell if k == "Z#" else ring.y_cell(k)
+                got = int(tensor.c[ring.y_cell(i), ring.y_cell(j), z_cell])
+                want = expected_const(ring.cons, i, j, k)
+                if got != want:
+                    out.append({"i": i, "j": j, "k": k, "expected": want, "got": got})
+    return out

@@ -1078,6 +1078,29 @@ def test_carries_out_gives_the_same_verdicts_on_uint16_and_int32_lists(q, reques
         assert not coherent.carries_out(g.out, moved.out, perms[-1:])
 
 
+@pytest.mark.parametrize("where", ["middle_block", "last_row"])
+def test_carries_out_reads_every_block(where, cons13):
+    """The q = 13 lists span six blocks of `_TAKE_ELEMENTS` entries; one arc
+    moved in the first row of a middle block or in the last row is found on
+    either side, by the identity and by the translations, on uint16 and
+    int32 lists alike, and the unmoved lists are carried."""
+    out = cons13.build_cayley(1).out
+    rows = coherent._TAKE_ELEMENTS // out.shape[1]
+    blocks = -(-len(out) // rows)
+    assert blocks >= 3
+    u = rows * (blocks // 2) if where == "middle_block" else len(out) - 1
+    moved = out.copy()
+    moved[u, 0] = np.setdiff1d(np.arange(cons13.n), out[u])[0]
+    moved[u].sort()
+    ident, steps = [np.arange(cons13.n)], list(cons13.table.right_translations())
+    for dtype in (np.uint16, np.int32):
+        a, b = out.astype(dtype), moved.astype(dtype)
+        assert coherent.carries_out(a, a, ident + steps) and coherent.carries_out(b, b, ident)
+        for perms in (ident, steps):
+            assert not coherent.carries_out(a, b, perms)
+            assert not coherent.carries_out(b, a, perms)
+
+
 def test_carries_out_refuses_a_list_that_repeats_a_vertex(cons3):
     """On either side; lists of another shape are simply not carried."""
     g, ident = cons3.build_cayley(1), [np.arange(cons3.n)]

@@ -9,7 +9,7 @@ from ddwl.arith import euler_phi
 from ddwl.coherent import NotInvariant, code_dtype
 from ddwl.construction import INFINITY, Construction
 from ddwl.digraph import Digraph
-from reference import MatrixM, cayley_arcs_densely, from_text, rho_apply
+from reference import MatrixM, cayley_arcs_densely, corrupt_rho, from_text, rho_apply
 
 
 def test_rho_identity_matrix_is_identity_map(cons3):
@@ -27,18 +27,21 @@ def test_rho_fixes_identity_and_example(cons3):
 
 def test_rho_perm_agrees_with_typed_map(cons3, cons5, cons9):
     """The coset-grid evaluation against `rho_apply` on every vertex, for
-    every (a, b) != (0, 0) at q = 3, 5 and 9 (l = 2)."""
+    every (a, b) != (0, 0) at q = 3, 5 and 9 (l = 2); one batched call on
+    all the pairs gives the scalar calls' rows."""
     for cons in (cons3, cons5, cons9):
         q = cons.q
         triples = [tuple(cons.table.element_to_json(v)) for v in range(cons.n)]
-        for a in range(q):
-            for b in range(q):
-                if a or b:
-                    m = MatrixM(a, b, cons.epsilon)
-                    images = (rho_apply(cons.field, m, g) for g in triples)
-                    perm = cons.rho_perm(a, b)
-                    assert perm.dtype == np.int32, (q, a, b)
-                    assert perm.tolist() == [(x * q + y) * q + z for x, y, z in images], (q, a, b)
+        pairs = [(a, b) for a in range(q) for b in range(q) if a or b]
+        for a, b in pairs:
+            m = MatrixM(a, b, cons.epsilon)
+            images = (rho_apply(cons.field, m, g) for g in triples)
+            perm = cons.rho_perm(a, b)
+            assert perm.dtype == np.int32, (q, a, b)
+            assert perm.tolist() == [(x * q + y) * q + z for x, y, z in images], (q, a, b)
+        batch = cons.rho_perm(*np.array(pairs).T)
+        assert batch.dtype == np.int32 and batch.shape == (len(pairs), cons.n)
+        assert np.array_equal(batch, np.stack([cons.rho_perm(a, b) for a, b in pairs]))
 
 
 def test_matrix_m_excludes_zero_pair(cons3):
@@ -93,32 +96,33 @@ def test_build_k_matches_the_per_element_proof(q, request):
     assert all(type(k.alpha) is int and type(k.beta) is int for k in cons.build_K())
 
 
-def _corrupt_rho(cons, monkeypatch, which):
-    """Swap two images of rho_perm(*which): still a bijection, no longer an
-    automorphism."""
-    rho = cons.rho_perm
-
-    def corrupted(a, b):
-        perm = rho(a, b)
-        if (a, b) == which:
-            perm[[1, 2]] = perm[[2, 1]]
-        return perm
-
-    monkeypatch.setattr(cons, "rho_perm", corrupted)
-
-
 def test_build_k_rejects_a_wrong_closed_form_for_a_power(monkeypatch):
     cons = Construction(5)
     gen = cons.k_generator()
     power = cons._m_powers(gen)[1]
-    _corrupt_rho(cons, monkeypatch, power)
+    corrupt_rho(cons, monkeypatch, power)
     with pytest.raises(RuntimeError, match=re.escape(f"rho{power} is not the matching power")):
+        cons.build_K()
+
+
+@pytest.mark.parametrize("position", [1, -2], ids=["first_chunk", "last_partial_chunk"])
+def test_build_k_checks_every_chunk_of_closed_forms(position, monkeypatch):
+    """At q = 5 the 24 powers go to `rho_perm` as one chunk of 16 and one
+    of 8; a wrong closed form in either is found."""
+    cons = Construction(5)
+    powers = cons._m_powers(cons.k_generator())
+    sizes, rho = [], cons.rho_perm
+    monkeypatch.setattr(cons, "rho_perm", lambda a, b: sizes.append(np.size(a)) or rho(a, b))
+    assert len(cons.build_K()) == 24 and sizes == [1, 16, 8]
+    cons._K = None
+    corrupt_rho(cons, monkeypatch, powers[position])
+    with pytest.raises(RuntimeError, match=re.escape(f"rho{powers[position]} is not the matching")):
         cons.build_K()
 
 
 def test_build_k_rejects_a_generator_that_is_not_a_homomorphism(monkeypatch):
     cons = Construction(5)
-    _corrupt_rho(cons, monkeypatch, cons.k_generator())
+    corrupt_rho(cons, monkeypatch, cons.k_generator())
     with pytest.raises(RuntimeError, match="is not a homomorphism"):
         cons.build_K()
 
@@ -140,7 +144,7 @@ def test_build_k_generator_proof_equals_the_dense_one(q, corrupt, monkeypatch):
     """Oracle: the generator's homomorphism check over all n**2 products."""
     cons = Construction(q, max_vertices=q**3)
     if corrupt:
-        _corrupt_rho(cons, monkeypatch, cons.k_generator())
+        corrupt_rho(cons, monkeypatch, cons.k_generator())
     g, mult = cons.rho_perm(*cons.k_generator()), cons.table.mult
     dense = np.array_equal(g[mult], mult[np.ix_(g, g)])
     assert dense != corrupt
@@ -205,6 +209,17 @@ def test_k_generator_has_full_order(q):
         p = _matmul(f, p, m)
     assert len(powers) + 1 == q * q - 1
     assert powers + [(1, 0)] == cons._m_powers((a, b))
+
+
+def test_k_generator_searches_once():
+    cons = Construction(5)
+    gen = cons.k_generator()
+
+    def searched(m):
+        raise AssertionError("searched again")
+
+    cons._m_powers = searched
+    assert cons.k_generator() == gen
 
 
 def test_k_generator_needs_a_nonsquare():
@@ -369,6 +384,28 @@ def test_cayley_lists_scatter_to_the_dense_arcs_byte_for_byte(q, loops, request)
         assert g.arcs.tobytes() == want.tobytes()
         if i == cons.generators_I()[0]:
             assert g.to_text() == Digraph(want).to_text()
+
+
+@pytest.mark.parametrize("q", [3, 5, 9])
+def test_without_loops_is_the_loopless_cayley_digraph_proven_once(q, request, monkeypatch):
+    """The lists of `build_cayley(i, include_identity=False)`, byte for byte,
+    holding the looped digraph's proven translations: reading them proves
+    nothing again."""
+    cons = request.getfixturevalue(f"cons{q}")
+    for i in range(q):
+        g = cons.build_cayley(i)
+        loopless = g.without_loops()
+        want = cons.build_cayley(i, include_identity=False).out
+        assert loopless.out.dtype == want.dtype and np.array_equal(loopless.out, want)
+        with monkeypatch.context() as m:
+            m.setattr("ddwl.coherent.carries_out", None)
+            assert loopless.translations is g.translations and len(g.translations) > 0
+
+
+def test_without_loops_needs_loops_at_every_vertex_or_none():
+    assert Digraph(np.eye(3, dtype=bool)).without_loops().out.shape == (3, 0)
+    with pytest.raises(NotInvariant, match="some vertices have loops"):
+        Digraph(np.array([[1, 0], [1, 0]], dtype=bool)).without_loops()
 
 
 def test_digraph_lists_from_arcs_need_equal_out_degrees():

@@ -374,3 +374,23 @@ def test_vertex_signatures_either_side_of_the_uint16_switch(mult, width, monkeyp
     nodes, search.nodes = search.nodes, 0
     monkeypatch.setattr(isotest._PartitionSearch, "_refine", refine_partition_int64)
     assert np.array_equal(search.search(()), f) and search.nodes == nodes
+
+
+def test_refinement_renumbers_both_sides_as_the_oracle():
+    """On permuted copies of random 6-vertex colorings `_refine` gives the
+    int64 oracle's partitions; on unrelated ones, whose cells differ between
+    the sides, both say None."""
+    rng = np.random.default_rng(5)
+    for copy in (True, False) * 25:
+        c1, c2 = ((rng.random((6, 6)) < 0.4).astype(np.int32) for _ in range(2))
+        if copy:
+            perm = rng.permutation(6)
+            c2[np.ix_(perm, perm)] = c1
+        np.fill_diagonal(c1, 2)
+        np.fill_diagonal(c2, 2)
+        search = isotest._PartitionSearch(c1, c2, 100)
+        got = search._refine(*search._seeded(()))
+        want = refine_partition_int64(search, *search._seeded(()))
+        assert (got is None) == (want is None) == (not copy)
+        if copy:
+            assert got[2] == want[2] and all(map(np.array_equal, got[:2], want[:2]))

@@ -47,3 +47,25 @@ def test_every_definition_has_a_caller(module):
 
 def test_every_export_is_bound():
     assert [name for name in ddwl.__all__ if not hasattr(ddwl, name)] == []
+
+
+def _flagless_unique_calls(path: Path):
+    """Line numbers of `np.unique(...)` calls that pass no `return_*` flag."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "unique"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in ("np", "numpy")
+            and not any((k.arg or "").startswith("return_") for k in node.keywords)
+        ):
+            yield node.lineno
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.stem)
+def test_no_flagless_np_unique(module):
+    """numpy 2's `np.unique` with no `return_*` flag asks `np.ma.is_masked`,
+    which imports numpy.ma (10 to 17 ms) on the first call in a process: use
+    a flagged call, a bincount or a sorted-neighbour mask instead."""
+    assert list(_flagless_unique_calls(module)) == [], module.name

@@ -19,7 +19,7 @@ from ddwl.srings import (
     verify_consts,
     verify_transversal,
 )
-from reference import difference_multiset, shift_within_a_product
+from reference import consts_mismatches, corrupt_rho, difference_multiset, shift_within_a_product
 
 
 def brute_tensor_q3(cons):
@@ -114,21 +114,21 @@ def test_an_unproven_ring_is_counted_only_on_one_point_cells(cons3):
 
 
 def _swap_two_images_of_a_power(cons, monkeypatch):
-    power, rho = cons._m_powers(cons.k_generator())[1], cons.rho_perm
-
-    def swapped(a, b):
-        perm = rho(a, b)
-        if (a, b) == power:
-            perm[[1, 2]] = perm[[2, 1]]
-        return perm
-
-    monkeypatch.setattr(cons, "rho_perm", swapped)
+    corrupt_rho(cons, monkeypatch, cons._m_powers(cons.k_generator())[1])
 
 
 def _move_the_identity(cons, monkeypatch):
-    ks = list(cons.build_K())
-    ks[1] = replace(ks[1], perm=ks[1].perm[::-1].copy())
-    cons._K = ks
+    """The closed form of one power reversed: a bijection that moves e."""
+    power, rho = cons._m_powers(cons.k_generator())[1], cons.rho_perm
+
+    def reversed_power(a, b):
+        perms = rho(a, b)
+        for perm, pair in zip(np.atleast_2d(perms), zip(np.ravel(a), np.ravel(b))):
+            if pair == power:
+                perm[:] = perm[::-1].copy()
+        return perms
+
+    monkeypatch.setattr(cons, "rho_perm", reversed_power)
 
 
 @pytest.mark.parametrize(
@@ -136,12 +136,15 @@ def _move_the_identity(cons, monkeypatch):
     [
         _swap_two_images_of_a_power,
         _move_the_identity,
-        lambda cons, monkeypatch: setattr(cons, "_K", cons.build_K()[:2]),
+        # M(0, 1) has order at most 2 (q - 1): its powers are a truncated K
+        lambda cons, monkeypatch: monkeypatch.setattr(cons, "k_generator", lambda: (0, 1)),
     ],
     ids=["perm_swapped", "identity_moved", "truncated"],
 )
 def test_a_forged_k_makes_from_construction_raise(forge, monkeypatch):
-    """No ring, so no one-point count, comes from a K that is not proven."""
+    """No ring, so no one-point count, comes from a K that is not proven:
+    `k_orbits` reads the generator `build_K` proves, so each forgery is of
+    what that proof reads."""
     cons = Construction(5)
     forge(cons, monkeypatch)
     monkeypatch.setattr("ddwl.srings._cell_counts", None)
@@ -176,6 +179,34 @@ def test_closed_forms(q, request):
     report = verify_consts(ring, tensor)
     assert report.ok
     assert report.checked == q * q * (q + 1)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13])
+def test_closed_forms_match_the_scalar_oracle(q, contexts, cons13):
+    """The closed-form array against `reference.expected_const`, one constant
+    at a time: on the true tensor, and with one entry off by one of each
+    kind (a Y cell, Z#, the psi singleton, and a k in {i, -i} with j = -i),
+    the same checked count and the same mismatches in the same order."""
+    cons = cons13 if q == 13 else contexts[q].cons
+    ring = SRing.from_construction(cons)
+    tensor = structure_constants(ring)
+    report = verify_consts(ring, tensor)
+    assert report.ok and report.checked == q * q * (q + 1) and consts_mismatches(ring, tensor) == []
+    psi = cons.psi(1, 1)
+    other = next(k for k in range(q) if k != psi)
+    entries = [  # (i, j, cell of k)
+        (1, 1, ring.y_cell(other)),
+        (1, 1, ring.center_cell),
+        (1, 1, ring.y_cell(psi)),
+        (1, cons.chi(1), ring.y_cell(1)),
+    ]
+    for i, j, z in entries:
+        c = tensor.c.copy()
+        c[ring.y_cell(i), ring.y_cell(j), z] += 1
+        forged = replace(tensor, c=c)
+        report = verify_consts(ring, forged)
+        assert report.checked == q * q * (q + 1)
+        assert len(report.mismatches) == 1 and report.mismatches == consts_mismatches(ring, forged)
 
 
 def test_closed_form_spot_values(cons3, ring3, tensor3, cons5, ring5, tensor5):

@@ -4,6 +4,10 @@ computation with itself."""
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,6 +64,14 @@ def _forge_k_element(cons):
     cons._K = ks
 
 
+def _swap_between_cells(cons, mp):
+    """Swaps the least points of Y_0 and Y_1 in the analytic cell list: the
+    cells still partition the group, but they are not the orbits of K."""
+    cells = [cell.copy() for cell in cons.cells()]
+    cells[1][0], cells[2][0] = cells[2][0], cells[1][0]
+    cons._cells = cells
+
+
 def _bump_tensor(cons, mp):
     build = srings.structure_constants
 
@@ -107,8 +119,8 @@ CORRUPTIONS = {
         cons.table, "mult", cons.table.mult[[0, 2, 1, *range(3, cons.n)]]
     ),
     "k_automorphisms": _relabel,
-    # k_orbits itself raises when the orbits of too small a K miss the cells
-    "orbit_partition": lambda cons, mp: setattr(cons, "_K", cons.build_K()[:2]),
+    # k_orbits itself raises when the cycles of K's generator miss the cells
+    "orbit_partition": _swap_between_cells,
     "psi_group": _perturb_delta,
     "dds_transversal": lambda cons, mp: setattr(cons.table, "inv", np.arange(cons.n)),
     "structure_constants": _perturb_delta,
@@ -239,6 +251,38 @@ def test_moved_arc_fails_k_automorphisms(monkeypatch):
     assert result.status == "fail" and "error" not in result.data, result.data
 
 
+def _swap_images_inside_a_cell(cons):
+    """Swaps the images of two points of Y_0 under one listed element."""
+    ks = list(cons.build_K())
+    u, v = cons.build_Y(0)[:2]
+    perm = ks[3].perm.copy()
+    perm[[u, v]] = perm[[v, u]]
+    ks[3] = dataclasses.replace(ks[3], perm=perm)
+    cons._K = ks
+
+
+def _swap_two_listed_perms(cons):
+    ks = list(cons.build_K())
+    a, b = ks[3], ks[4]
+    ks[3], ks[4] = dataclasses.replace(a, perm=b.perm), dataclasses.replace(b, perm=a.perm)
+    cons._K = ks
+
+
+@pytest.mark.parametrize("forge", [_swap_images_inside_a_cell, _swap_two_listed_perms])
+def test_a_forged_k_list_leaves_the_orbits_and_fails_k_automorphisms(forge, monkeypatch):
+    """The orbits come from K's proven generator, not from the kept list:
+    a list forged after the proof leaves them as they are, and the list
+    check, which compares each listed element with its power of the
+    generator, fails."""
+    want = [orbit.tobytes() for orbit in Construction(5).k_orbits()]
+    cons = Construction(5)
+    forge(cons)
+    assert [orbit.tobytes() for orbit in cons.k_orbits()] == want
+    monkeypatch.setattr(suite, "Construction", lambda q, max_vertices: cons)
+    result = _run_one("k_automorphisms", monkeypatch, 5)
+    assert result.status == "fail" and "error" not in result.data, result.data
+
+
 @pytest.mark.parametrize("q", [3, 5])
 @pytest.mark.parametrize("corrupt", [False, True])
 def test_k_automorphisms_agrees_with_every_element_on_every_label(q, corrupt, monkeypatch):
@@ -277,9 +321,9 @@ def test_list_checks_read_no_adjacency_matrix(name, monkeypatch):
 
 
 def test_run_suite_proves_each_digraph_once(monkeypatch):
-    """`Context` builds each label's Cay(X_i) once and `ddd_parameters` each
-    loopless companion once, so the full q = 7 suite proves translations 8
-    times: once for each of the 4 generator labels, looped and loopless."""
+    """`Context` builds each label's Cay(X_i) once and `ddd_parameters`
+    derives each loopless companion from it with the proof kept, so the full
+    q = 7 suite proves translations 4 times, once per generator label."""
     proven, translations = [], Digraph.translations
 
     def counting(g):
@@ -289,7 +333,7 @@ def test_run_suite_proves_each_digraph_once(monkeypatch):
 
     monkeypatch.setattr(Digraph, "translations", property(counting))
     assert suite.run_suite(7, "full").ok
-    assert len(proven) == len({g.label for g in proven}) == 8
+    assert len(proven) == len({g.label for g in proven}) == 4
 
 
 def test_context_holds_only_the_looped_digraphs():
@@ -382,3 +426,37 @@ def test_spent_automorphism_search_cap_is_undetermined(monkeypatch):
     monkeypatch.setattr(srings, "_AUTOMORPHISM_SEARCH_CAP", 4)   # rank q + 2 = 5 at q = 3
     result = _run_one("algebraic_automorphisms", monkeypatch)
     assert result.status == "undetermined" and "error" not in result.data, result.data
+
+
+# The q = 5 suite, then the calls of perfbench's family plan at q = 5.
+_PLANS_AT_Q5 = """
+import sys
+import numpy as np
+from ddwl import coherent, isotest, suite
+from ddwl.construction import Construction
+assert suite.run_suite(5, "full").ok
+cons = Construction(5)
+gens = cons.generators_I()
+cons.k_orbits()
+graphs = [cons.build_cayley(i) for i in gens]
+closures = [coherent.wl_close(g) for g in graphs]
+for cc in closures:
+    coherent.as_sring_partition(cc, cons.table)
+assert isotest.iso_class_count(graphs, closures).exact
+relabeled = graphs[0].relabeled(np.random.default_rng(1).permutation(cons.n))
+cc = coherent.wl_close(relabeled)
+assert isotest.are_isomorphic(graphs[0], relabeled, closures[0], cc).isomorphic
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_the_plans_never_import_numpy_ma():
+    """`np.unique` with no return flag imports numpy.ma, 10 to 17 ms on its
+    first call in a process; the suite and the family calls make none."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _PLANS_AT_Q5], env=env, capture_output=True, text=True, timeout=600
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.split() == ["False"]
