@@ -2,14 +2,15 @@
 
 Runs the refinement engine on one family digraph, recovers the cell
 partition from the identity row, compares the intersection tensor with the
-group-ring convolution tensor, and enumerates the tensor-preserving cell
-bijections.
+group-ring convolution tensor, and checks that the cell bijections induced
+by the power maps of the index group preserve it.
 """
+
+from math import gcd
 
 from ddwl import (
     Construction,
     SRing,
-    algebraic_automorphisms,
     as_sring_partition,
     structure_constants,
     tau_hat,
@@ -41,11 +42,12 @@ def main():
     print(f"the singleton coupling: c[Y_1, Y_2, Y_{k}] = "
           f"{tensor.c[ring.y_cell(1), ring.y_cell(2), ring.y_cell(k)]}\n")
 
-    autos = algebraic_automorphisms(tensor)
-    print(f"tensor-preserving cell bijections: {len(autos)}")
-    sigma = tau_hat(ring, m=5)
-    print(f"power-map bijection (m=5) transports the tensor: "
-          f"{verify_algebraic_map(tensor, tensor, sigma)}")
+    exponents = [m for m in range(1, q + 1) if gcd(m, q + 1) == 1]
+    print(f"power-map cell bijections (m coprime to q + 1): {len(exponents)}")
+    for m in exponents:
+        sigma = tau_hat(ring, m)
+        print(f"  m={m}: {sigma.tolist()} transports the tensor: "
+              f"{verify_algebraic_map(tensor, tensor, sigma)}")
 
     print(f"\nrefinement cannot tell the family apart: "
           f"wl_equivalent = {wl_equivalent(g, cons.build_cayley(gens[1]))}")

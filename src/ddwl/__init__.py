@@ -17,7 +17,6 @@ from .heisenberg import GroupTable
 from .isotest import are_isomorphic, automorphism_order, iso_class_count
 from .srings import (
     SRing,
-    algebraic_automorphisms,
     structure_constants,
     tau_hat,
     verify_consts,
@@ -35,7 +34,6 @@ __all__ = [
     "INFINITY",
     "SRing",
     "__version__",
-    "algebraic_automorphisms",
     "are_isomorphic",
     "as_sring_partition",
     "automorphism_order",

@@ -1,5 +1,5 @@
 """Group-ring structure over H3(q): basic-set partitions, structure constants
-by convolution, closed-form checks, and algebraic automorphisms.
+by convolution, closed-form checks, and the power-map algebraic automorphisms.
 
 The partition {e}, Y_0, ..., Y_{q-1}, Z# of the group (cells in that fixed
 order) spans a subring of the group ring: the product of two cell indicator
@@ -26,8 +26,8 @@ scheme (one fiber, cell sizes as valencies, inverse cells as converse) by
 the routines that check every closure, `coherent.tensor_identities_hold`
 and `coherent.verify_algebraic_map`.  A cell bijection sigma is an algebraic
 automorphism when it preserves the whole tensor.  The power maps i -> i**m
-of the extended index group induce such bijections (tau_hat); backtracking
-enumeration finds all of them.
+of the extended index group, m coprime to q + 1, induce such bijections
+(tau_hat); each is checked by `coherent.verify_algebraic_map`.
 """
 
 from __future__ import annotations
@@ -41,14 +41,7 @@ from .construction import INFINITY, Construction
 from .isotest import NODE_BUDGET_DEFAULT, BudgetExceeded, _PartitionSearch
 
 
-_AUTOMORPHISM_SEARCH_CAP = 32  # largest tensor rank `algebraic_automorphisms` searches
-
-
 class NotAnSRing(ValueError):
-    pass
-
-
-class SearchCapExceeded(RuntimeError):
     pass
 
 
@@ -317,48 +310,6 @@ def tau_hat(ring: SRing, m: int) -> np.ndarray:
         sigma[ring.y_cell(i)] = ring.y_cell(int(image))
     sigma[ring.center_cell] = ring.center_cell  # infinity is fixed by any power map
     return sigma
-
-
-def algebraic_automorphisms(t: StructureConstantTensor) -> list[np.ndarray]:
-    """All cell bijections preserving the tensor, by backtracking.
-
-    Pruning: images must preserve cell sizes and the inverse pairing, and
-    every fully assigned triple must transport its constant.
-    """
-    r, cap = t.rank, _AUTOMORPHISM_SEARCH_CAP
-    if r > cap:
-        raise SearchCapExceeded(f"rank {r} exceeds the search cap {cap}")
-    c, sizes, inv = t.c, t.valencies, t.converse
-    sigma = np.full(r, -1, dtype=np.int64)
-    used = np.zeros(r, dtype=bool)
-    found: list[np.ndarray] = []
-
-    def consistent() -> bool:
-        assigned = np.flatnonzero(sigma >= 0)
-        im = sigma[assigned]
-        sub = c[np.ix_(assigned, assigned, assigned)]
-        moved = c[np.ix_(im, im, im)]
-        return bool(np.array_equal(sub, moved))
-
-    def extend(pos: int):
-        if pos == r:
-            found.append(sigma.copy())
-            return
-        for image in range(r):
-            if used[image] or sizes[image] != sizes[pos]:
-                continue
-            inv_pos = inv[pos]
-            if sigma[inv_pos] >= 0 and sigma[inv_pos] != inv[image]:
-                continue
-            sigma[pos] = image
-            used[image] = True
-            if consistent():
-                extend(pos + 1)
-            sigma[pos] = -1
-            used[image] = False
-
-    extend(0)
-    return found
 
 
 def is_group_closed(perms: list[np.ndarray]) -> bool:

@@ -17,6 +17,10 @@ vertex at a time, that `designs.desiso_maps` is compared against.
 scalar or a batched call.  `expected_const` is one closed form of a
 structure constant at a time, and `consts_mismatches` the loop over all of
 them that `srings.verify_consts` replaced by arrays.
+`algebraic_automorphisms` enumerates every cell bijection that preserves a
+convolution tensor by backtracking, the search that criterion 9's list of
+power maps `srings.tau_hat`, each checked by `coherent.verify_algebraic_map`,
+replaced.
 `difference_multiset` counts the products u * v over two sets at every
 point of the group, the full count that `srings` replaced by one point per
 cell.  `on_every_row` runs the dense side of an oracle test
@@ -313,3 +317,43 @@ def consts_mismatches(ring, tensor) -> list[dict]:
                 if got != want:
                     out.append({"i": i, "j": j, "k": k, "expected": want, "got": got})
     return out
+
+
+def algebraic_automorphisms(t) -> list[np.ndarray]:
+    """All cell bijections preserving the tensor, by backtracking.
+
+    Pruning: images must preserve cell sizes and the inverse pairing, and
+    every fully assigned triple must transport its constant.
+    """
+    r = t.rank
+    c, sizes, inv = t.c, t.valencies, t.converse
+    sigma = np.full(r, -1, dtype=np.int64)
+    used = np.zeros(r, dtype=bool)
+    found: list[np.ndarray] = []
+
+    def consistent() -> bool:
+        assigned = np.flatnonzero(sigma >= 0)
+        im = sigma[assigned]
+        sub = c[np.ix_(assigned, assigned, assigned)]
+        moved = c[np.ix_(im, im, im)]
+        return bool(np.array_equal(sub, moved))
+
+    def extend(pos: int):
+        if pos == r:
+            found.append(sigma.copy())
+            return
+        for image in range(r):
+            if used[image] or sizes[image] != sizes[pos]:
+                continue
+            inv_pos = inv[pos]
+            if sigma[inv_pos] >= 0 and sigma[inv_pos] != inv[image]:
+                continue
+            sigma[pos] = image
+            used[image] = True
+            if consistent():
+                extend(pos + 1)
+            sigma[pos] = -1
+            used[image] = False
+
+    extend(0)
+    return found

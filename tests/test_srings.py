@@ -11,7 +11,6 @@ from ddwl.srings import (
     NotAnSRing,
     SRing,
     _cell_counts,
-    algebraic_automorphisms,
     is_group_closed,
     is_induced,
     structure_constants,
@@ -19,7 +18,13 @@ from ddwl.srings import (
     verify_consts,
     verify_transversal,
 )
-from reference import consts_mismatches, corrupt_rho, difference_multiset, shift_within_a_product
+from reference import (
+    algebraic_automorphisms,
+    consts_mismatches,
+    corrupt_rho,
+    difference_multiset,
+    shift_within_a_product,
+)
 
 
 def brute_tensor_q3(cons):
@@ -315,12 +320,15 @@ def test_algebraic_automorphisms_q3(tensor3):
         assert a[tensor3.rank - 1] == tensor3.rank - 1   # the center cell too
 
 
-def test_algebraic_automorphism_cap(tensor3, monkeypatch):
-    from ddwl import srings
-
-    monkeypatch.setattr(srings, "_AUTOMORPHISM_SEARCH_CAP", 2)
-    with pytest.raises(srings.SearchCapExceeded):
-        algebraic_automorphisms(tensor3)
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13])
+def test_the_search_finds_exactly_the_power_maps(q, contexts, cons13):
+    """Oracle: every tensor-preserving cell bijection, found by backtracking,
+    is a power map tau_hat_m with m coprime to q + 1, and every such map is
+    found: the phi(q + 1) maps that criterion 9 checks are the whole group."""
+    ring = _ring(q, contexts, cons13)
+    searched = {a.tobytes() for a in algebraic_automorphisms(structure_constants(ring))}
+    powers = {tau_hat(ring, m).tobytes() for m in range(1, q + 1) if np.gcd(m, q + 1) == 1}
+    assert searched == powers and len(powers) == euler_phi(q + 1)
 
 
 def test_tau_hat(cons3, ring3, tensor3):
@@ -377,9 +385,9 @@ def test_induced_identity(ring3):
     assert res.status == "induced"
 
 
-def test_induced_with_tiny_budget_is_undetermined(ring3, tensor3):
-    autos = algebraic_automorphisms(tensor3)
-    moving = next(a for a in autos if a.tolist() != list(range(5)))
+def test_induced_with_tiny_budget_is_undetermined(ring3):
+    moving = tau_hat(ring3, 3)
+    assert moving.tolist() != list(range(5))
     res = is_induced(ring3, moving, node_budget=1)
     assert res.status == "undetermined"
 

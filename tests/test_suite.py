@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -72,16 +73,22 @@ def _swap_between_cells(cons, mp):
     cons._cells = cells
 
 
-def _bump_tensor(cons, mp):
-    build = srings.structure_constants
+def _bump_constant(x, y, z):
+    """Adds one to the convolution constant c[X, Y, Z] at cells x, y and z
+    ({e} is cell 0, Y_i cell 1 + i)."""
 
-    def bumped(ring):
-        t = build(ring)
-        c = t.c.copy()
-        c[0, 0, 0] += 1
-        return dataclasses.replace(t, c=c)
+    def corrupt(cons, mp):
+        build = srings.structure_constants
 
-    mp.setattr(srings, "structure_constants", bumped)
+        def bumped(ring):
+            t = build(ring)
+            c = t.c.copy()
+            c[x, y, z] += 1
+            return dataclasses.replace(t, c=c)
+
+        mp.setattr(srings, "structure_constants", bumped)
+
+    return corrupt
 
 
 def _count_e_times_e_on_the_center(cons, mp):
@@ -124,7 +131,7 @@ CORRUPTIONS = {
     "psi_group": _perturb_delta,
     "dds_transversal": lambda cons, mp: setattr(cons.table, "inv", np.arange(cons.n)),
     "structure_constants": _perturb_delta,
-    "tensor_identities": _bump_tensor,
+    "tensor_identities": _bump_constant(0, 0, 0),
     "ddd_parameters": _relabel,
     "wl_closure": _join_next_orbit,
     "wl_equivalence": lambda cons, mp: _wrap_cayley(
@@ -412,6 +419,16 @@ def test_size_table():
     }
 
 
+def test_readme_registry_table_matches_the_registry():
+    """README's table of `ddwl verify` checks names the registry's checks and
+    criteria, in registry order."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = text.split("| check | criterion | full suite | fast suite |\n|---|---|---|---|\n")[1]
+    rows = [line.split("|")[1:3] for line in table.split("\n\n")[0].splitlines()]
+    got = [(name.strip().strip("`"), criterion.strip()) for name, criterion in rows]
+    assert got == [(c.name, c.criterion) for c in suite.REGISTRY]
+
+
 def test_run_suite_takes_any_q(monkeypatch):
     """The registry says where each check runs, and the command line's
     DDWL_MAX_Q is the one cap on q: `run_suite` builds the q it is given."""
@@ -420,12 +437,70 @@ def test_run_suite_takes_any_q(monkeypatch):
     assert report.ok and [c.name for c in report.checks] == ["field_axioms"]
 
 
-def test_spent_automorphism_search_cap_is_undetermined(monkeypatch):
-    """A closure rank above the algebraic-automorphism search cap is a spent
-    budget, as a spent node budget is for `automorphism_order`."""
-    monkeypatch.setattr(srings, "_AUTOMORPHISM_SEARCH_CAP", 4)   # rank q + 2 = 5 at q = 3
-    result = _run_one("algebraic_automorphisms", monkeypatch)
-    assert result.status == "undetermined" and "error" not in result.data, result.data
+@pytest.mark.parametrize("conjugate", [False, True], ids=["composed", "conjugated"])
+@pytest.mark.parametrize("q", [3, 5])
+def test_tau_hat_composed_with_a_y_swap_fails_criterion_9(q, conjugate, monkeypatch):
+    """Each power map after the transposition s of Y_0 and Y_1 is still a cell
+    bijection, but no algebraic automorphism.  Conjugated by s, the maps are
+    still phi(q + 1) distinct ones closed under composition, so only the
+    tensor check can refuse them."""
+    tau = srings.tau_hat
+
+    def swapped(ring, m):
+        swap = np.arange(ring.r)
+        swap[[ring.y_cell(0), ring.y_cell(1)]] = ring.y_cell(1), ring.y_cell(0)
+        sigma = tau(ring, m)[swap]
+        return swap[sigma] if conjugate else sigma
+
+    monkeypatch.setattr(srings, "tau_hat", swapped)
+    result = _run_one("algebraic_automorphisms", monkeypatch, q)
+    assert result.status == "fail" and "error" not in result.data, result.data
+
+
+def test_one_map_for_every_exponent_fails_criterion_9(monkeypatch):
+    """phi(q + 1) copies of the identity each transport the tensor and close
+    under composition, but they are one map, not phi(q + 1)."""
+    monkeypatch.setattr(srings, "tau_hat", lambda ring, m: np.arange(ring.r))
+    result = _run_one("algebraic_automorphisms", monkeypatch, 5)
+    assert result.status == "fail" and "error" not in result.data, result.data
+
+
+@pytest.mark.parametrize(
+    "cell, name, status",
+    [
+        (2, "algebraic_automorphisms", "fail"),
+        (1, "algebraic_automorphisms", "pass"),
+        (1, "structure_constants", "fail"),
+    ],
+)
+def test_a_bumped_constant_fails_criterion_9_where_a_tau_hat_moves_it(
+    cell, name, status, monkeypatch
+):
+    """c[Y, Y, Y] + 1 at q = 5.  For Y_1 (cell 2), tau_hat_5 (i -> -i) carries
+    the triple to (Y_4, Y_4, Y_4), whose constant was not bumped.  For Y_0
+    (cell 1): label 0 has order 2 in the index group, so every power map with
+    odd m, hence every tau_hat, fixes the triple and transports the bumped
+    tensor; the closed forms catch it instead."""
+    _bump_constant(cell, cell, cell)(None, monkeypatch)
+    result = _run_one(name, monkeypatch, 5)
+    assert result.status == status and "error" not in result.data, result.data
+
+
+def test_k_automorphisms_holds_no_second_copy_of_k():
+    """With K and the digraphs built, the list check walks the powers of the
+    generator one at a time: its traced peak stays below one K list."""
+    ctx = suite.Context(13)
+    ks = ctx.cons.build_K()
+    for i in ctx.cons.generators_I():
+        ctx.digraph(i)
+    tracemalloc.start()
+    try:
+        status, _ = suite._k_automorphisms(ctx, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == "pass"
+    assert peak < sum(k.perm.nbytes for k in ks)
 
 
 # The q = 5 suite, then the calls of perfbench's family plan at q = 5.
