@@ -35,8 +35,6 @@ that group single out the digraph labels i for which the family is studied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .arith import prime_power
@@ -63,16 +61,6 @@ class _Infinity:
 INFINITY = _Infinity()
 
 
-@dataclass(frozen=True)
-class KAutomorphism:
-    alpha: int
-    beta: int
-    perm: np.ndarray  # vertex permutation of length q**3
-
-    def __repr__(self) -> str:
-        return f"KAutomorphism(alpha={self.alpha}, beta={self.beta})"
-
-
 class Construction:
     """All of the above for one odd prime power q, with heavy parts cached."""
 
@@ -94,7 +82,8 @@ class Construction:
         # cell products Y_i * Y_j lands at the cell labelled psi(i, j).
         self.delta = f.inv(f.mul(f.from_int(16), self.epsilon))
         self._generator: tuple[int, int] | None = None
-        self._K: list[KAutomorphism] | None = None
+        self._K: list[tuple[int, int]] | None = None
+        self._least: np.ndarray | None = None
         self._orbits: list[np.ndarray] | None = None
         self._cells: list[np.ndarray] | None = None
         self._X: dict[int, np.ndarray] = {}
@@ -143,15 +132,19 @@ class Construction:
             self._generator = gen
         return self._generator
 
-    def build_K(self) -> list[KAutomorphism]:
-        """All q**2 - 1 automorphisms in (a, b) order: K = <rho(M(a0, b0))>.
+    def build_K(self) -> list[tuple[int, int]]:
+        """The q**2 - 1 labels (a, b) of K = <rho(M(a0, b0))>, sorted, from
+        one walk of the generator's powers that proves K, checks its order
+        and finds its orbits; no power is kept.
 
         g = rho(M(a0, b0)) for (a0, b0) = `k_generator()` must be a bijection with
         g(u h) == g(u) g(h) for all u and each h = s(e) of a right translation s,
         proven u -> u h, whose orbit of e is H3(q): the h generate, so by induction
         on word length g is a homomorphism (O(n l)), and its powers automorphisms.
-        The k-th must equal `rho_perm` of M(a0, b0)**k (O(n) each); q**2 - 1 of
-        them, evaluated `_POWERS_PER_CALL` at a time."""
+        The k-th must equal `rho_perm` of M(a0, b0)**k (O(n) each), evaluated
+        `_POWERS_PER_CALL` at a time, and be the identity exactly when
+        M(a0, b0)**k is (1, 0), so g has order q**2 - 1.  The walk keeps
+        least[v], the least g**k(v) over all k: the least point of v's orbit."""
         if self._K is not None:
             return self._K
         mult, gen = self.table.mult, self.k_generator()
@@ -162,32 +155,30 @@ class Construction:
             raise RuntimeError("the right translations are not u -> u * h for h generating H3(q)")
         if not all(np.array_equal(g[s], mult[g, g[s[0]]]) for s in steps):
             raise RuntimeError(f"rho{gen} is not a homomorphism")
-        powers, perms, perm = self._m_powers(gen), {}, g
+        powers, identity = self._m_powers(gen), np.arange(self.n, dtype=g.dtype)
         if len(set(powers)) != self.q**2 - 1:
             raise RuntimeError(f"M{gen} has {len(set(powers))} powers, not q**2 - 1")
+        least, perm = identity.copy(), g
         for start in range(0, len(powers), _POWERS_PER_CALL):
             chunk = powers[start : start + _POWERS_PER_CALL]
             for m, closed in zip(chunk, self.rho_perm(*np.array(chunk).T)):
                 if not np.array_equal(perm, closed):
                     raise RuntimeError(f"rho{m} is not the matching power of rho{gen}")
-                perms[m], perm = perm, g[perm]
-        self._K = [KAutomorphism(a, b, perms[a, b]) for a, b in sorted(perms)]
+                if np.array_equal(perm, identity) != (m == (1, 0)):
+                    raise RuntimeError(f"rho{gen} does not have order q**2 - 1")
+                np.minimum(least, perm, out=least)
+                perm = g[perm]
+        self._least, self._K = least, sorted(powers)
         return self._K
 
     def k_orbits(self) -> list[np.ndarray]:
-        """Orbit partition of K on the group; exactly q + 2 cells: the cycles
-        of the generator g that `build_K` proves, never the kept list.
-        least[v] is the least of v, g(v), ..., g**(2**t - 1)(v); once doubling
-        the window changes nothing, each least is that of the whole cycle."""
+        """Orbit partition of K on the group; exactly q + 2 cells: the
+        vertices grouped by the least point of their orbit, which `build_K`'s
+        walk keeps, and checked against the analytic `cells()`."""
         if self._orbits is not None:
             return self._orbits
         self.build_K()
-        least, power = np.arange(self.n), self.rho_perm(*self.k_generator())
-        while True:
-            doubled = np.minimum(least, least[power])
-            if np.array_equal(doubled, least):
-                break
-            least, power = doubled, power[power]
+        least = self._least
         orbits = [np.flatnonzero(least == r) for r in np.flatnonzero(least == np.arange(self.n))]
         got = {arr.tobytes() for arr in orbits}
         want = {arr.tobytes() for arr in self.cells()}

@@ -8,8 +8,9 @@ sums expands over cells with nonnegative integer coefficients
     c[X][Y][Z] = #{(x, y) in X x Y : x*y = z},   independent of z in Z.
 
 The independence is proven, not counted.  `SRing.from_construction` takes
-the cells that `Construction.k_orbits` proves to be the orbits of K, a
-group of automorphisms (`Construction.build_K`); an automorphism k fixing
+the cells that `Construction.k_orbits` proves to be the orbits of K, the
+cyclic group of automorphisms whose generator's powers `Construction.build_K`
+proves and walks once for those orbits; an automorphism k fixing
 every cell carries the pairs (x, y) with x*y = z one to one onto those
 with x*y = k(z), so a count over cells is constant on each orbit, the
 orbit lemma behind Schur rings (Wielandt, Finite Permutation Groups, ch.

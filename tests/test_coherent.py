@@ -1141,7 +1141,7 @@ def test_orbits_of_k_are_the_cells(q, request):
     _assert_orbits([gen], cons.n)
     least = sorted(int(c.min()) for c in cons.cells())
     assert coherent._orbits([gen], cons.n).reps.tolist() == least
-    _assert_orbits([k.perm for k in cons.build_K()], cons.n)
+    _assert_orbits([cons.rho_perm(a, b) for a, b in cons.build_K()], cons.n)
     _assert_orbits([], cons.n)
 
 

@@ -4,9 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ddwl import construction
+from ddwl import construction, suite
 from ddwl.arith import euler_phi
-from ddwl.coherent import NotInvariant, code_dtype
+from ddwl.coherent import NotInvariant, code_dtype, orbit_mask
 from ddwl.construction import INFINITY, Construction
 from ddwl.digraph import Digraph
 from reference import MatrixM, cayley_arcs_densely, corrupt_rho, from_text, rho_apply
@@ -64,13 +64,14 @@ def test_vertex_cap(monkeypatch):
 @pytest.mark.parametrize("q", [3, 5, 9])
 def test_build_k_size_and_homomorphism(q):
     cons = Construction(q)
-    ks = cons.build_K()
-    assert len(ks) == q * q - 1
+    labels = cons.build_K()
+    assert len(labels) == q * q - 1
     # rho is multiplicative as a matrix action: composition stays inside K
-    perms = {k.perm.tobytes() for k in ks}
+    ks = [cons.rho_perm(a, b) for a, b in labels]
+    perms = {k.tobytes() for k in ks}
     for a in ks[:5]:
         for b in ks[:5]:
-            assert a.perm[b.perm].tobytes() in perms
+            assert a[b].tobytes() in perms
 
 
 def _build_k_per_element(cons):
@@ -91,9 +92,11 @@ def _build_k_per_element(cons):
 @pytest.mark.parametrize("q", [3, 5, 7, 9])
 def test_build_k_matches_the_per_element_proof(q, request):
     cons = request.getfixturevalue(f"cons{q}")
-    got = [(k.alpha, k.beta, k.perm.dtype, k.perm.tobytes()) for k in cons.build_K()]
+    labels = cons.build_K()
+    assert all(type(a) is int and type(b) is int for a, b in labels)
+    perms = (cons.rho_perm(a, b) for a, b in labels)
+    got = [(a, b, perm.dtype, perm.tobytes()) for (a, b), perm in zip(labels, perms)]
     assert got == _build_k_per_element(cons)
-    assert all(type(k.alpha) is int and type(k.beta) is int for k in cons.build_K())
 
 
 def test_build_k_rejects_a_wrong_closed_form_for_a_power(monkeypatch):
@@ -114,7 +117,7 @@ def test_build_k_checks_every_chunk_of_closed_forms(position, monkeypatch):
     sizes, rho = [], cons.rho_perm
     monkeypatch.setattr(cons, "rho_perm", lambda a, b: sizes.append(np.size(a)) or rho(a, b))
     assert len(cons.build_K()) == 24 and sizes == [1, 16, 8]
-    cons._K = None
+    cons = Construction(5)
     corrupt_rho(cons, monkeypatch, powers[position])
     with pytest.raises(RuntimeError, match=re.escape(f"rho{powers[position]} is not the matching")):
         cons.build_K()
@@ -189,6 +192,37 @@ def test_build_k_peak_stays_below_one_n2_array():
     assert peak < 4 * cons.n**2
 
 
+def test_build_k_keeps_no_permutation_list():
+    """After the walk, what `build_K` leaves behind is far below one list
+    of the q**2 - 1 int32 permutations (1.48 MB at q = 13)."""
+    cons = Construction(13, max_vertices=13**3)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        labels = cons.build_K()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < len(labels) * cons.n * 4 // 10
+
+
+def test_build_k_rejects_a_generator_of_the_wrong_order(monkeypatch):
+    """The identity for every (a, b) is a homomorphism and matches every
+    closed form, so only the order check sees that g**k is the identity
+    before M(a0, b0)**k is (1, 0); criterion 8 then fails."""
+    cons = Construction(5)
+    identity = np.arange(cons.n)
+    monkeypatch.setattr(cons, "rho_perm", lambda a, b: np.tile(identity, np.shape(a) + (1,)))
+    with pytest.raises(RuntimeError, match=r"does not have order q\*\*2 - 1"):
+        cons.build_K()
+    assert cons._K is None
+    only = [c for c in suite.REGISTRY if c.name == "k_automorphisms"]
+    monkeypatch.setattr(suite, "REGISTRY", only)
+    monkeypatch.setattr(suite, "Construction", lambda q, max_vertices: cons)
+    (result,) = suite.run_suite(5).checks
+    assert result.status == "fail" and "does not have order" in result.data["error"], result.data
+
+
 def _matmul(f, x, y):
     """The product of two 2x2 matrices over GF(q), given as rows of indices."""
     return tuple(
@@ -230,11 +264,11 @@ def test_k_generator_needs_a_nonsquare():
 
 
 def test_k_composition_closure_exhaustive_q3(cons3):
-    ks = cons3.build_K()
-    perms = {k.perm.tobytes() for k in ks}
+    ks = [cons3.rho_perm(a, b) for a, b in cons3.build_K()]
+    perms = {k.tobytes() for k in ks}
     for a in ks:
         for b in ks:
-            assert a.perm[b.perm].tobytes() in perms
+            assert a[b].tobytes() in perms
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9])
@@ -246,6 +280,21 @@ def test_k_orbits_match_analytic_cells(q):
     assert sizes == [1, q - 1] + [q * q - 1] * q
     e_orbit = [o for o in orbits if len(o) == 1]
     assert e_orbit[0][0] == 0
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13])
+def test_k_orbits_are_the_orbits_of_the_generator(q):
+    """Oracle: the orbits that a breadth-first search under K's generator
+    finds from each vertex not yet reached, in order of least point."""
+    cons = Construction(q, max_vertices=q**3)
+    gen = [cons.rho_perm(*cons.k_generator())]
+    seen, want = np.zeros(cons.n, dtype=bool), []
+    for v in range(cons.n):
+        if not seen[v]:
+            mask = orbit_mask(v, gen, cons.n)
+            seen |= mask
+            want.append(np.flatnonzero(mask).tolist())
+    assert [orbit.tolist() for orbit in cons.k_orbits()] == want
 
 
 def test_orbit_of_simple_element_is_y0(cons3):
