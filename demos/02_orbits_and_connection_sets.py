@@ -10,7 +10,11 @@ import numpy as np
 
 from ddwl import Construction
 from ddwl.arith import euler_phi
-from ddwl.construction import INFINITY
+
+
+def index_name(cons, k):
+    """An element of the index group as printed: inf for the index q."""
+    return "inf" if k == cons.q else int(k)
 
 
 def main():
@@ -29,9 +33,10 @@ def main():
         print(f"X_{i}: size {len(x)}, meets every coset once: {bool((counts == 1).all())}")
 
     print("\nthe index group law on GF(5) + {inf}:")
-    print(f"  psi(1, inf) = {cons.psi(1, INFINITY)}")
-    print(f"  psi(1, 4)   = {cons.psi(1, 4)}   (4 = -1, the inverse of 1)")
-    print(f"  psi(1, 1)   = {cons.psi(1, 1)}")
+    psi = cons.psi_table()   # inf is the index q = 5
+    print(f"  psi(1, inf) = {index_name(cons, psi[1, cons.q])}")
+    print(f"  psi(1, 4)   = {index_name(cons, psi[1, 4])}   (4 = -1, the inverse of 1)")
+    print(f"  psi(1, 1)   = {index_name(cons, psi[1, 1])}")
     orders = {i: cons.psi_order(i) for i in range(5)}
     print(f"  element orders: {orders}")
     gens = cons.generators_I()

@@ -38,7 +38,7 @@ def main():
     report = verify_consts(ring, tensor)
     print(f"closed-form check: {report.checked} constants, "
           f"{len(report.mismatches)} mismatches")
-    k = cons.psi(1, 2)
+    k = int(cons.psi_table()[1, 2])   # finite: 2 != -1
     print(f"the singleton coupling: c[Y_1, Y_2, Y_{k}] = "
           f"{tensor.c[ring.y_cell(1), ring.y_cell(2), ring.y_cell(k)]}\n")
 

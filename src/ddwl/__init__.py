@@ -9,7 +9,7 @@ from .coherent import (
     wl_close,
     wl_equivalent,
 )
-from .construction import INFINITY, Construction
+from .construction import Construction
 from .designs import desiso_maps, verify_ddd, verify_design_iso
 from .digraph import Digraph
 from .gf import Field, FieldSpec, field_create
@@ -31,7 +31,6 @@ __all__ = [
     "Field",
     "FieldSpec",
     "GroupTable",
-    "INFINITY",
     "SRing",
     "__version__",
     "are_isomorphic",

@@ -1,5 +1,5 @@
 """Connection sets and Cayley digraphs over H3(q), plus the companion
-cyclic group law on GF(q) extended by an infinity point.
+cyclic group law on GF(q) extended by an infinity point, the index q.
 
 Fix a nonsquare eps in GF(q).  The 2x2 matrices
 
@@ -24,13 +24,14 @@ digraph on arcs (g, x*g), x in X_i, is the divisible design digraph studied
 here (it has a loop at every vertex; the loopless companion is available
 via include_identity=False).
 
-On the index set GF(q) + {inf} the operation
+On the index set GF(q) + {inf}, with inf the index q, the operation
 
     psi(i, j) = (i*j + delta) / (i + j),   delta = 1/(16*eps)
 
-(with the obvious conventions at inf and at j = -i) is a cyclic group of
-order q + 1 with identity inf and inverse chi(i) = -i.  The generators of
-that group single out the digraph labels i for which the family is studied.
+(with psi(i, q) = psi(q, i) = i, and psi(i, -i) = q) is a cyclic group of
+order q + 1 with identity q and inverse chi(i) = -i.  `psi_table` holds it as
+one (q + 1) x (q + 1) array.  The generators of that group single out the
+digraph labels i for which the family is studied.
 """
 
 from __future__ import annotations
@@ -47,18 +48,6 @@ MAX_VERTICES_DEFAULT = 1331  # 11**3; the largest group the tables will hold
 # closed forms per `rho_perm` call in `build_K`: all q**2 - 1 at once held
 # (q**2 - 1, n) arrays and raised the q = 13 peak RSS by 2.8 MB
 _POWERS_PER_CALL = 16
-
-
-class _Infinity:
-    """The identity of the extended index group; a dedicated tag, not a field value."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "inf"
-
-
-INFINITY = _Infinity()
 
 
 class Construction:
@@ -245,53 +234,54 @@ class Construction:
     # -- the extended index group ------------------------------------------
 
     def chi(self, i):
-        if i is INFINITY:
-            return INFINITY
-        return int(self.field.neg(i))
-
-    def psi(self, i, j):
-        if i is INFINITY:
-            return j if j is not INFINITY else INFINITY
-        if j is INFINITY:
-            return i
-        f = self.field
-        if j == f.neg(i):
-            return INFINITY
-        num = f.add(f.mul(i, j), self.delta)
-        return int(f.mul(num, f.inv(f.add(i, j))))
+        """The inverse -i of an index or index array i, by field negation;
+        the identity q is its own."""
+        inverse = np.append(self.field.neg_t, self.q)[i]
+        return inverse if np.ndim(inverse) else int(inverse)
 
     def psi_table(self) -> np.ndarray:
-        """psi(i, j) for every i and j in GF(q), as a q x q array holding -1
-        where psi is inf (j = -i)."""
-        f = self.field
-        i, j = np.indices((self.q, self.q), dtype=np.int32)
+        """psi[i, j] for every pair of indices in [0, q], as a (q + 1) x (q + 1)
+        array: row and column q, the identity, are [0, q], and psi[i, -i] = q.
+        Computed from delta on each call."""
+        f, q = self.field, self.q
+        i, j = np.indices((q, q), dtype=np.int32)
         total = f.add(i, j)
         num = f.add(f.mul(i, j), self.delta)
-        return np.where(total == 0, -1, f.mul(num, f.inv_t[total]))
+        table = np.empty((q + 1, q + 1), dtype=np.int32)
+        table[:q, :q] = np.where(total == 0, q, f.mul(num, f.inv_t[total]))
+        table[q] = table[:, q] = np.arange(q + 1)
+        return table
 
-    def psi_pow(self, i, m: int):
-        if m < 0:
+    def psi_pow(self, i, m):
+        """i**m by square and multiply on one `psi_table()`; the index i and
+        the exponent m broadcast as arrays."""
+        m = np.asarray(m)
+        if (m < 0).any():
             raise ValueError("exponent must be nonnegative")
-        result, base = INFINITY, i
-        while m:
-            if m & 1:
-                result = self.psi(result, base)
-            base = self.psi(base, base)
-            m >>= 1
-        return result
+        table = self.psi_table()
+        result = np.full(np.broadcast(i, m).shape, self.q, dtype=table.dtype)
+        base = np.asarray(i)
+        while m.any():
+            result = np.where(m % 2 == 1, table[result, base], result)
+            base, m = table[base, base], m >> 1
+        return result if result.ndim else int(result)
 
     def psi_order(self, i) -> int:
-        order, acc = 1, i
-        while acc is not INFINITY:
-            acc = self.psi(acc, i)
+        table, order, acc = self.psi_table(), 1, i
+        while acc != self.q:
+            acc = table[acc, i]
             order += 1
             if order > self.q + 2:
                 raise RuntimeError("order exceeded group size")  # psi is broken
         return order
 
     def generators_I(self) -> list[int]:
-        """Indices of full order q + 1, ascending; there are phi(q+1) of them."""
-        return [i for i in range(self.q) if self.psi_order(i) == self.q + 1]
+        """Indices of full order q + 1, ascending; there are phi(q+1) of them:
+        the finite x whose powers x**k, k = 1, ..., q + 1, from one `psi_pow`
+        call, first reach the identity q at k = q + 1."""
+        powers = self.psi_pow(np.arange(self.q)[:, None], np.arange(1, self.q + 2))
+        full = (powers[:, :-1] != self.q).all(axis=1) & (powers[:, -1] == self.q)
+        return np.flatnonzero(full).tolist()
 
     def __repr__(self) -> str:
         return f"Construction(q={self.q}, eps={self.epsilon}, delta={self.delta})"

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .construction import INFINITY, Construction
+from .construction import Construction
 from .isotest import NODE_BUDGET_DEFAULT, BudgetExceeded, _PartitionSearch
 
 
@@ -215,7 +215,7 @@ def _expected_consts(cons: Construction) -> np.ndarray:
     rules = [
         (opposite & ((k == i) | (k == neg_i)), np.where(i == 0, q - 2, q - 1)),
         (opposite, q),
-        (k == cons.psi_table()[:, :, None], 1),
+        (k == cons.psi_table()[:q, :q, None], 1),
         ((i != j) & own, q),
         (own, q - 1),
     ]
@@ -297,19 +297,18 @@ def verify_transversal(ring: SRing, i: int) -> TransversalReport:
 
 def tau_hat(ring: SRing, m: int) -> np.ndarray:
     """Cell bijection induced by the power map i -> i**m of the extended
-    index group; requires gcd(m, q+1) = 1.  The center cell plays the role
-    of the infinity label."""
+    index group, read from one `psi_pow` over every finite index; requires
+    gcd(m, q+1) = 1.  The center cell plays the role of the identity q."""
     cons = ring.cons
     if math.gcd(m, cons.q + 1) != 1:
         raise ValueError(f"gcd({m}, {cons.q + 1}) != 1")
+    finite = np.arange(cons.q)
+    image = cons.psi_pow(finite, m)
+    if (image == cons.q).any():
+        raise RuntimeError("power map moved a finite index to the identity q")
     sigma = np.empty(ring.r, dtype=np.int64)
-    sigma[0] = 0
-    for i in range(cons.q):
-        image = cons.psi_pow(i, m)
-        if image is INFINITY:
-            raise RuntimeError("power map moved a finite index to infinity")
-        sigma[ring.y_cell(i)] = ring.y_cell(int(image))
-    sigma[ring.center_cell] = ring.center_cell  # infinity is fixed by any power map
+    sigma[0], sigma[ring.center_cell] = 0, ring.center_cell  # q is fixed by any power map
+    sigma[ring.y_cell(finite)] = ring.y_cell(image)
     return sigma
 
 

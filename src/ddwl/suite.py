@@ -17,7 +17,7 @@ import numpy as np
 
 from . import coherent, designs, isotest, srings
 from .arith import euler_phi
-from .construction import INFINITY, Construction
+from .construction import Construction
 from .digraph import Digraph
 
 __version__ = "0.1.0"
@@ -171,13 +171,17 @@ def _orbit_partition(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
 
 
 def _psi_group(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
-    """psi is a cyclic group law of order q + 1 with phi(q + 1) generators"""
-    cons, q, psi = ctx.cons, ctx.q, ctx.cons.psi
-    els = [INFINITY] + list(range(q))
-    ok = all(psi(INFINITY, i) == i == psi(i, INFINITY) for i in els)
-    ok &= all(psi(i, cons.chi(i)) is INFINITY for i in els)
-    ok &= all(psi(i, j) in els for i in els for j in els)
-    ok &= all(psi(psi(i, j), k) == psi(i, psi(j, k)) for i in els for j in els for k in els)
+    """psi is a cyclic group law of order q + 1 with phi(q + 1) generators,
+    proven on the `psi_table()` that criteria 4, 6, 9 and 11 read by
+    whole-array checks: entries in [0, q], row and column q the identity,
+    table[x, chi(x)] = q, and table[table[x, y], z] = table[x, table[y, z]]
+    for every triple, as `table[table]` against `table[e[:, None, None], table]`."""
+    cons, q = ctx.cons, ctx.q
+    table, e = cons.psi_table(), np.arange(q + 1)
+    ok = bool(((table >= 0) & (table <= q)).all())
+    ok = ok and np.array_equal(table[q], e) and np.array_equal(table[:, q], e)
+    ok = ok and bool((table[e, cons.chi(e)] == q).all())
+    ok = ok and np.array_equal(table[table], table[e[:, None, None], table])
     gens = cons.generators_I()
     ok &= len(gens) == euler_phi(q + 1) and all(cons.psi_order(i) == q + 1 for i in gens)
     return ("pass" if ok else "fail"), {"order": q + 1, "generators": gens}
@@ -286,14 +290,17 @@ def _tau_hat_transport(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
     """tau-hat transports the closure tensor and arc colors, every ordered pair"""
     cons, q1 = ctx.cons, ctx.q + 1
     gens = cons.generators_I()
+    # images[a, b] = gens[a]**exponents[b], all from one table
+    exponents = np.array([m for m in range(1, q1) if math.gcd(m, q1) == 1])
+    images = cons.psi_pow(np.array(gens)[:, None], exponents)
     arc_colors = {
         i: coherent.invariants(ctx.digraph(i), ctx.closure(i))["arc_colors"] for i in gens
     }
     data = {}
-    for i in gens:
+    for a, i in enumerate(gens):
         for j in (j for j in gens if j != i):
-            # the color bijection induced by a power map sending i to j
-            m = next(m for m in range(1, q1) if np.gcd(m, q1) == 1 and cons.psi_pow(i, m) == j)
+            # the color bijection induced by the least power map sending i to j
+            m = int(exponents[images[a] == j][0])
             sigma_cells = srings.tau_hat(ctx.ring, m)
             # sigma sends the color of cell k in closure i to that of cell sigma_cells[k] in j
             sigma = ctx.cell_colors(j)[sigma_cells][np.argsort(ctx.cell_colors(i))]
@@ -337,7 +344,7 @@ def _design_isomorphism(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
 
 def _one_point_extension(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
     """extension fibers, one-color valency-1 relations, regular on Y_0, identities"""
-    cons, t = ctx.cons, ctx.cons.table
+    cons, t, psi = ctx.cons, ctx.cons.table, ctx.cons.psi_table()
     ext = ctx.extension(cons.generators_I()[0])
     got = {np.sort(f).astype(np.int64).tobytes() for f in ext.fibers}
     fibers_ok = got == {c.tobytes() for c in cons.cells()}
@@ -350,7 +357,7 @@ def _one_point_extension(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
         # the distinguished valency-1 relation: pairs whose quotient lands in
         # the cell labelled by psi(j, 0); it must be exactly one color class
         quot = t.mult[np.ix_(yj, t.inv[y0])]   # quot[b, a] = yj_b * y0_a**-1
-        rel = np.isin(quot, cons.build_Y(cons.psi(j, 0))).T
+        rel = np.isin(quot, cons.build_Y(int(psi[j, 0]))).T
         colors = np.flatnonzero(np.bincount(block[rel]))
         valency_ok &= bool(
             (srt == srt[0]).all() and len(colors) == 1

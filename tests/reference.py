@@ -14,9 +14,12 @@ replaced.  `MatrixM` and `rho_apply` are the automorphism map on one
 is compared against; `desiso_apply` is the pair of design maps on one
 vertex at a time, that `designs.desiso_maps` is compared against.
 `corrupt_rho` spoils one closed form of `Construction.rho_perm`, in a
-scalar or a batched call.  `expected_const` is one closed form of a
-structure constant at a time, and `consts_mismatches` the loop over all of
-them that `srings.verify_consts` replaced by arrays.
+scalar or a batched call.  `psi` is the index group law on one pair at a
+time, with its own point `INF` and a case for it, that
+`Construction.psi_table` (inf as the index q) is compared against.
+`expected_const` is one closed form of a structure constant at a time,
+and `consts_mismatches` the loop over all of them that
+`srings.verify_consts` replaced by arrays.
 `algebraic_automorphisms` enumerates every cell bijection that preserves a
 convolution tensor by backtracking, the search that criterion 9's list of
 power maps `srings.tau_hat`, each checked by `coherent.verify_algebraic_map`,
@@ -284,6 +287,23 @@ def corrupt_rho(cons, monkeypatch, which: tuple[int, int]) -> None:
     monkeypatch.setattr(cons, "rho_perm", corrupted)
 
 
+INF = "inf"   # the point at infinity of `psi`; `Construction.psi_table` calls it q
+
+
+def psi(cons, i, j):
+    """(i*j + delta) / (i + j) on GF(q) + {INF}: INF is the identity, and
+    j = -i gives INF."""
+    if i == INF:
+        return j
+    if j == INF:
+        return i
+    f = cons.field
+    if j == f.neg(i):
+        return INF
+    num = f.add(f.mul(i, j), cons.delta)
+    return int(f.mul(num, f.inv(f.add(i, j))))
+
+
 def expected_const(cons, i: int, j: int, k) -> int:
     """Closed form for the coefficient of cell k (a Y index or 'Z#') in Y_i * Y_j."""
     q = cons.q
@@ -295,7 +315,7 @@ def expected_const(cons, i: int, j: int, k) -> int:
         if k not in (i, neg_i):
             return q
         return q - 2 if i == 0 else q - 1
-    if k == cons.psi(i, j):
+    if k == psi(cons, i, j):
         return 1
     if i != j and k in (i, j):
         return q

@@ -188,6 +188,8 @@ def test_wl_tensor_export(tmp_path, capsys):
 WL_SHA256 = {
     "3 1": "abb1b44d57a3437e37236aa4fe21b32d53b58e1d8961ca4dcd997d39df6488b4",
     "5 1": "8a80e8b804768e2f94ee6ba0310a61d46e2628183a4599deb987c5b297a376dd",
+    "5 2": "bf56a4e1661beecba38f8bdaf2cfbbe73fa60e989d5a7cbb352b79936916cacd",
+    "5 2 --loopless": "d68632b6f49e071e792336e505c628bc5eb330ccfcd7cb1b42baa7022593e9db",
     "7 2": "ce613a76c24edb62ec7dd95a8b849c44955ea6d76164b35fdcf160781e7395be",
     "7 2 --loopless": "7ed0fce9a8f6d3cb2899d5c8edc9dd612e7e17681b55faa4574f186f1fb1d40d",
     "9 1": "6e6c81cbfd239b6eacead82a670cd9316c14250392161346fa47355893858bc6",
@@ -266,13 +268,15 @@ VERIFY_SHA256 = {
     (7, "full"): "e350ff6cacc1b224cdad3416c4023f68f6278581513f5b9d63de435dd026430a",
     (9, "fast"): "5351c51ec1f39c501fd32ed2857e7ef09c87bd050cca75d19be9819959c35800",
     (11, "fast"): "8c08b77d870374b763569244e99ccef04e0a27bbc586cbd832449b5334b661b0",
+    (13, "fast"): "b2bca36d40a9b0ebf6b5371a2944fd06b1dd62aee476bef21cc4718c0ce0506c",
 }
 
 
 @pytest.mark.parametrize("q, suite_name", sorted(VERIFY_SHA256))
-def test_verify_report_pinned(q, suite_name, tmp_path, capsys):
-    """`ddwl verify q --suite <suite> --no-timings` byte for byte, past the
-    committed reports: every verdict and every reported count."""
+def test_verify_report_pinned(q, suite_name, tmp_path, monkeypatch, capsys):
+    """`DDWL_MAX_Q=13 ddwl verify q --suite <suite> --no-timings` byte for
+    byte, past the committed reports: every verdict and every reported count."""
+    monkeypatch.setenv("DDWL_MAX_Q", "13")
     out = tmp_path / "r.json"
     args = ["verify", str(q), "--suite", suite_name, "--no-timings", "--out", str(out)]
     assert main(args) == 0
@@ -291,6 +295,15 @@ def test_design_command(tmp_path, capsys):
         "pairs_checked": 15625,
         "q": 5,
     }
+    capsys.readouterr()
+
+
+def test_design_command_pinned(tmp_path, capsys):
+    """`ddwl design 11 3` byte for byte."""
+    out = tmp_path / "d.json"
+    assert main(["design", "11", "3", "--out", str(out)]) == 0
+    want = "f6b6fecb30d2a9ce2d3d16f0dadd90e0412e705d87c104f17548145625425137"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == want
     capsys.readouterr()
 
 

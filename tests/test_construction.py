@@ -7,9 +7,17 @@ import pytest
 from ddwl import construction, suite
 from ddwl.arith import euler_phi
 from ddwl.coherent import NotInvariant, code_dtype, orbit_mask
-from ddwl.construction import INFINITY, Construction
+from ddwl.construction import Construction
 from ddwl.digraph import Digraph
-from reference import MatrixM, cayley_arcs_densely, corrupt_rho, from_text, rho_apply
+from reference import (
+    INF,
+    MatrixM,
+    cayley_arcs_densely,
+    corrupt_rho,
+    from_text,
+    psi,
+    rho_apply,
+)
 
 
 def test_rho_identity_matrix_is_identity_map(cons3):
@@ -368,30 +376,41 @@ def test_cayley_arc_rule(cons3):
 
 
 def test_psi_special_cases(cons3):
-    assert cons3.psi(1, INFINITY) == 1
-    assert cons3.psi(INFINITY, 2) == 2
-    assert cons3.psi(INFINITY, INFINITY) is INFINITY
-    assert cons3.psi(1, 2) is INFINITY       # j = -i
-    assert cons3.psi(1, 1) == 0              # (1 + 2) / 2 in GF(3)
-    assert cons3.chi(INFINITY) is INFINITY
+    """The identity, inf, is the index q = 3."""
+    table = cons3.psi_table()
+    assert table[1, 3] == 1
+    assert table[3, 2] == 2
+    assert table[3, 3] == 3
+    assert table[1, 2] == 3                  # j = -i
+    assert table[1, 1] == 0                  # (1 + 2) / 2 in GF(3)
+    assert cons3.chi(3) == 3
     assert cons3.chi(1) == 2
+    assert cons3.chi(np.arange(4)).tolist() == [0, 2, 1, 3]
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13])
+def test_psi_table_matches_the_scalar_oracle(q, contexts, cons13):
+    """`psi_table` against `reference.psi`, with its own point INF and its
+    cases for it, on every pair: inf is the index q."""
+    cons = cons13 if q == 13 else contexts[q].cons
+    els = list(range(q)) + [INF]
+    want = [[q if v == INF else v for v in (psi(cons, i, j) for j in els)] for i in els]
+    assert cons.psi_table().tolist() == want
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9])
 def test_psi_group_axioms_exhaustive(q):
     cons = Construction(q)
-    els = [INFINITY] + list(range(q))
+    table, els = cons.psi_table(), range(q + 1)
     for i in els:
-        assert cons.psi(i, INFINITY) == i or cons.psi(i, INFINITY) is i
-        assert cons.psi(INFINITY, i) == i or cons.psi(INFINITY, i) is i
-        assert cons.psi(i, cons.chi(i)) is INFINITY
+        assert table[i, q] == i == table[q, i]
+        assert table[i, cons.chi(i)] == q
         for j in els:
-            assert cons.psi(i, j) == cons.psi(j, i) or cons.psi(i, j) is cons.psi(j, i)
+            assert table[i, j] == table[j, i]
             for k in els:
-                assert cons.psi(cons.psi(i, j), k) == cons.psi(i, cons.psi(j, k))
+                assert table[table[i, j], k] == table[i, table[j, k]]
     # closure: results stay inside the carrier set
-    values = {cons.psi(i, j) for i in els for j in els}
-    assert all(v is INFINITY or 0 <= v < q for v in values)
+    assert set(table.ravel().tolist()) <= set(els)
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9])
@@ -400,17 +419,33 @@ def test_generators(q):
     gens = cons.generators_I()
     assert len(gens) == euler_phi(q + 1)
     assert gens == sorted(gens)
-    assert all(cons.psi_order(i) == q + 1 for i in gens)
+    assert gens == [i for i in range(q) if cons.psi_order(i) == q + 1]
     # the generator list never contains the identity element
-    assert INFINITY not in gens
-    assert cons.psi_order(INFINITY) == 1
+    assert q not in gens
+    assert cons.psi_order(q) == 1
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_psi_pow_broadcasts_against_repeated_products(q):
+    """`psi_pow` on every index and every exponent m <= q + 2 in one call,
+    against m products by the table one at a time."""
+    cons = Construction(q)
+    table, els = cons.psi_table(), np.arange(q + 1)
+    got = cons.psi_pow(els[:, None], np.arange(q + 3))
+    for i in els:
+        acc = q
+        for m in range(q + 3):
+            assert got[i, m] == acc and cons.psi_pow(int(i), m) == acc
+            acc = table[acc, i]
+    with pytest.raises(ValueError, match="nonnegative"):
+        cons.psi_pow(1, -1)
 
 
 def test_generators_small_cases(cons3, cons7):
-    # powers of 1 in GF(3): 1, 0, 2, inf -> order 4
-    seq = [1]
-    while seq[-1] is not INFINITY:
-        seq.append(cons3.psi(seq[-1], 1))
+    # powers of 1 in GF(3): 1, 0, 2, inf (the index 3) -> order 4
+    table, seq = cons3.psi_table(), [1]
+    while seq[-1] != 3:
+        seq.append(table[seq[-1], 1])
     assert len(seq) == 4
     assert cons3.generators_I() == [1, 2]
     assert len(cons7.generators_I()) == 4

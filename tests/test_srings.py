@@ -197,7 +197,7 @@ def test_closed_forms_match_the_scalar_oracle(q, contexts, cons13):
     tensor = structure_constants(ring)
     report = verify_consts(ring, tensor)
     assert report.ok and report.checked == q * q * (q + 1) and consts_mismatches(ring, tensor) == []
-    psi = cons.psi(1, 1)
+    psi = int(cons.psi_table()[1, 1])
     other = next(k for k in range(q) if k != psi)
     entries = [  # (i, j, cell of k)
         (1, 1, ring.y_cell(other)),
@@ -216,7 +216,7 @@ def test_closed_forms_match_the_scalar_oracle(q, contexts, cons13):
 
 def test_closed_form_spot_values(cons3, ring3, tensor3, cons5, ring5, tensor5):
     # coupling case: c[Y_1, Y_1, Y_psi(1,1)] = 1
-    k = cons3.psi(1, 1)
+    k = cons3.psi_table()[1, 1]
     assert tensor3.c[ring3.y_cell(1), ring3.y_cell(1), ring3.y_cell(k)] == 1
     # center cases
     assert tensor3.c[ring3.y_cell(1), ring3.y_cell(2), ring3.center_cell] == 0

@@ -187,6 +187,30 @@ def test_triangle_only_shift_fails_tensor_identities_by_verdict(q, monkeypatch):
     assert result.status == "fail" and "error" not in result.data, result.data
 
 
+def _swap_in_a_psi_row(cons, mp):
+    """Swaps psi[1, 0] and psi[1, 1], two finite entries of a finite row, in
+    every table `cons.psi_table` returns: no group law, and a singleton
+    coupling c[Y_1, Y_j, Y_psi(1, j)] = 1 moved for j = 0 and 1."""
+    build = cons.psi_table
+
+    def swapped():
+        table = build()
+        table[1, [0, 1]] = table[1, [1, 0]]
+        return table
+
+    mp.setattr(cons, "psi_table", swapped)
+
+
+@pytest.mark.parametrize("name", ["psi_group", "structure_constants"])
+def test_a_swapped_psi_row_fails_criteria_3_and_4(name, monkeypatch):
+    """Criterion 3 proves the very table criterion 4's closed forms read."""
+    cons = Construction(3)
+    _swap_in_a_psi_row(cons, monkeypatch)
+    monkeypatch.setattr(suite, "Construction", lambda q, max_vertices: cons)
+    result = _run_one(name, monkeypatch)
+    assert result.status == "fail" and "error" not in result.data, result.data
+
+
 def test_run_suite_refuses_an_unknown_suite():
     with pytest.raises(ValueError, match="suite must be"):
         suite.run_suite(3, "bogus")
