@@ -1,7 +1,10 @@
 """Small number-theoretic helpers: prime-power shape (n is prime exactly
-when it is (n, 1)) and Euler phi."""
+when it is (n, 1)) and Euler phi; and the one width rule for arrays of
+vertices and codes, `code_dtype`."""
 
 from __future__ import annotations
+
+import numpy as np
 
 
 def prime_power(n: int) -> tuple[int, int] | None:
@@ -34,3 +37,15 @@ def euler_phi(n: int) -> int:
     if m > 1:
         result -= result // m
     return result
+
+
+def code_dtype(limit: int) -> np.dtype:
+    """The width that holds the values 0..limit-1: uint16 while
+    limit <= 2**16, uint32 while limit <= 2**32, int64 beyond.  On
+    nonnegative values each orders rows as int64 does.  Vertex arrays (the
+    product table, the out-neighbour lists) use code_dtype(n), and the
+    refinement and search keys code_dtype of their code count."""
+    for dtype in (np.uint16, np.uint32):
+        if limit <= np.iinfo(dtype).max + 1:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)

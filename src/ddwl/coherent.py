@@ -82,6 +82,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .arith import code_dtype
 from .digraph import Digraph
 from .heisenberg import GroupTable
 
@@ -229,16 +230,6 @@ def _initial_coloring(g: Digraph) -> np.ndarray:
     d = np.arange(n)
     color[d, d] = np.where(g.arcs.diagonal(), ids[0], ids[1])
     return color
-
-
-def code_dtype(limit: int) -> np.dtype:
-    """The width that holds the signature codes 0..limit-1: uint16 while
-    limit <= 2**16, uint32 while limit <= 2**32, int64 beyond.  On
-    nonnegative codes each orders rows as int64 does."""
-    for dtype in (np.uint16, np.uint32):
-        if limit <= np.iinfo(dtype).max + 1:
-            return np.dtype(dtype)
-    return np.dtype(np.int64)
 
 
 def sorted_unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -44,7 +44,9 @@ from .digraph import Digraph
 from .gf import field_create
 from .heisenberg import GroupTable
 
-MAX_VERTICES_DEFAULT = 1331  # 11**3; the largest group the tables will hold
+# 11**3; the default cap on n, not a limit of the tables: `mult` holds n**2
+# vertices at `code_dtype(n)`, 3.5 MB here and 5.1 GB at q = 37
+MAX_VERTICES_DEFAULT = 1331
 # closed forms per `rho_perm` call in `build_K`: all q**2 - 1 at once held
 # (q**2 - 1, n) arrays and raised the q = 13 peak RSS by 2.8 MB
 _POWERS_PER_CALL = 16
@@ -214,8 +216,9 @@ class Construction:
     def build_cayley(self, i: int, include_identity: bool = True) -> Digraph:
         """Cayley digraph with arcs (g, x*g); loops at every vertex iff e is kept.
         It holds the (n, |X|) out-neighbour lists X*g, column g of the rows
-        of `mult` at the connection set, sorted, at `coherent.code_dtype(n)`;
-        its n x n `arcs` are built on first read."""
+        of `mult` at the connection set, gathered at the table's width
+        `code_dtype(n)`, which is the lists' width, and sorted; its n x n
+        `arcs` are built on first read."""
         conn = self.build_X(i) if include_identity else self.build_Y(i)
         suffix = "" if include_identity else ", loopless"
         return Digraph.from_out(

@@ -3,7 +3,7 @@ as out-neighbour lists, with a plain-text export format.
 
 A digraph built from lists (`Digraph.from_out`, as `build_cayley` builds the
 family) holds an (n, k) array whose row u lists the k out-neighbours of u in
-ascending order, at `coherent.code_dtype(n)`: uint16 while n <= 2**16 (every
+ascending order, at `arith.code_dtype(n)`: uint16 while n <= 2**16 (every
 family digraph to q = 37), uint32 beyond.  Its users only index, compare and
 count the lists, so the width changes no value.  Its n x n `arcs` matrix is
 scattered from the lists on first read and kept.  A digraph built from
@@ -19,6 +19,8 @@ giving the adjacency matrix row by row.  It is bit-exact across platforms.
 from __future__ import annotations
 
 import numpy as np
+
+from .arith import code_dtype
 
 
 class Digraph:
@@ -38,9 +40,7 @@ class Digraph:
     def from_out(cls, out, label: str = "", translations: tuple = ()) -> "Digraph":
         """The digraph whose vertex u dominates the vertices out[u], for an
         (n, k) integer array with entries in [0, n); the rows are kept sorted,
-        at the narrowest width that holds 0..n-1 (`coherent.code_dtype`)."""
-        from .coherent import code_dtype  # coherent imports this module
-
+        at the narrowest width that holds 0..n-1 (`arith.code_dtype`)."""
         out = np.asarray(out)
         if out.ndim != 2 or out.dtype.kind not in "iu":
             raise ValueError("out must be a two-dimensional integer array")
@@ -103,12 +103,12 @@ class Digraph:
 
     @property
     def out(self) -> np.ndarray:
-        """The (n, k) out-neighbour lists at `coherent.code_dtype(n)`, each
+        """The (n, k) out-neighbour lists at `arith.code_dtype(n)`, each
         row ascending; derived from `arcs` once.  NotInvariant unless every
         out-degree is the same, as it is under a transitive group of
         automorphisms."""
         if self._out is None:
-            from .coherent import NotInvariant, code_dtype  # coherent imports this module
+            from .coherent import NotInvariant  # coherent imports this module
 
             degrees = self._arcs.sum(axis=1)
             k = int(degrees.max(initial=0))

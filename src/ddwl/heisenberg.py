@@ -14,17 +14,26 @@ this package:
 
     vertex(x, y, z) = index(x) * q**2 + index(y) * q + index(z)
 
-`element_to_json` reads the triple back.  GroupTable precomputes the
-q**3 x q**3 multiplication table, read off the q x q field tables over the
-axes (x1, y1, z1, x2, y2, z2) with no other n**2-sized scratch, plus
-inverses, center and coset ids, so adjacency matrices are bit-exact across
-runs.
+`element_to_json` reads the triple back.  GroupTable holds the inverses,
+center and coset ids, and the q**3 x q**3 multiplication table `mult`,
+built on first read, so a check that reads only the field builds no n**2
+array.  `mult` holds vertices at `arith.code_dtype(n)`, the width of every
+vertex array: uint16 while n <= 2**16 (every q <= 37), uint32 beyond.  It
+is read off the q x q field tables over the axes (x1, y1, z1, x2, y2, z2):
+the coset part (x1 + x2)*q**2 + (y1 + y2)*q and the z part
+z1 + z2 + x1*y2, each of q**4 entries, are added straight into the narrow
+table, so no other n**2-sized array exists.  Its readers only index,
+compare and gather, so the width changes no value, and adjacency matrices
+are bit-exact across runs.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
+from .arith import code_dtype
 from .gf import Field
 
 
@@ -39,13 +48,21 @@ class GroupTable:
         self.identity = 0
 
         self.ix, self.iy, self.iz = np.indices((q, q, q), dtype=np.int32).reshape(3, n)
-        add, mul = field.add_t, field.mul_t
-        x1, y1, z1, x2, y2, z2 = np.ix_(*[np.arange(q)] * 6)  # lookups of <= q**4 entries
-        z = add[add[z1, z2], mul[x1, y2]]
-        self.mult = self._pack(add[x1, x2], add[y1, y2], z).reshape(n, n)
         self.inv = self.inverse(np.arange(n))
         self.center_mask = (self.ix == 0) & (self.iy == 0)
         self.coset_ids = self.ix * q + self.iy
+
+    @cached_property
+    def mult(self) -> np.ndarray:
+        """mult[u, v] = u * v, an (n, n) array at `code_dtype(n)`, built on
+        first read and kept."""
+        q, n, add, mul = self.q, self.n, self.field.add_t, self.field.mul_t
+        x1, y1, z1, x2, y2, z2 = np.ix_(*[np.arange(q)] * 6)  # lookups of <= q**4 entries
+        table = np.empty((n, n), dtype=code_dtype(n))
+        coset = (add[x1, x2] * q + add[y1, y2]) * q
+        # int32 sums below n, cast to the table's width one buffer at a time
+        np.add(coset, add[add[z1, z2], mul[x1, y2]], out=table.reshape((q,) * 6), casting="unsafe")
+        return table
 
     def _pack(self, ix, iy, iz) -> np.ndarray:
         """Vertex indices (x*q + y)*q + z of int32 index arrays, in int32: q**3 < 2**31."""

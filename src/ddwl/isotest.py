@@ -14,7 +14,7 @@ Per node the refinement recolors a vertex x by the multiset over all w of
 (cell(w), color(x, w)), color(w, x) being a function of color(x, w) in a
 stable coloring; only vertices in splittable cells are recomputed.  Their
 codes cell(w) * mult + color(x, w) lie below ncells * mult and are sorted at
-the width `coherent.code_dtype` gives for it (uint16 while it is at most
+the width `arith.code_dtype` gives for it (uint16 while it is at most
 2**16), whose order is int64 order.  Candidate
 leaves are verified color-exactly, and every emitted isomorphism witness and
 searched automorphism generator arc-exactly (`coherent.carries`) before use,
@@ -37,8 +37,9 @@ from itertools import combinations
 
 import numpy as np
 
+from .arith import code_dtype
 from .coherent import CoherentConfiguration, carries, invariants, orbit_mask
-from .coherent import code_dtype, sorted_unique_rows, wl_close
+from .coherent import sorted_unique_rows, wl_close
 from .digraph import Digraph
 
 NODE_BUDGET_DEFAULT = 10_000_000

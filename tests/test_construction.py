@@ -202,8 +202,10 @@ def test_build_k_peak_stays_below_one_n2_array():
 
 def test_build_k_keeps_no_permutation_list():
     """After the walk, what `build_K` leaves behind is far below one list
-    of the q**2 - 1 int32 permutations (1.48 MB at q = 13)."""
+    of the q**2 - 1 int32 permutations (1.48 MB at q = 13).  The product
+    table, which `build_K` reads and the table keeps, is built first."""
     cons = Construction(13, max_vertices=13**3)
+    cons.table.mult
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]

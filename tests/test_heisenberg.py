@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from ddwl.arith import code_dtype
 from ddwl.gf import field_create
 from ddwl.heisenberg import GroupTable
 
@@ -157,7 +158,7 @@ def test_table_matches_closed_form(p, l):
     f = field_create(p, l)
     t = GroupTable(f)  # the vertex cap is Construction's, so any q builds
     q, n = t.q, t.n
-    assert t.mult.dtype == np.int32 and t.mult.shape == (n, n)
+    assert t.mult.dtype == code_dtype(n) and t.mult.shape == (n, n)
     for start in range(0, n, q * q):  # one x1 slab at a time keeps the oracle small
         rows = np.arange(start, start + q * q)
         assert np.array_equal(t.mult[rows], closed_form_rows(t, rows))
@@ -177,15 +178,34 @@ def test_pack_is_int32_and_exact():
     assert packed.dtype == np.int32 and packed.tolist() == [0, 729**3 - 1]
 
 
-def test_table_build_holds_no_other_n2_scratch():
-    f = field_create(3, 2)
+def _traced_build_peak(f):
+    """The traced peak of building GroupTable(f) and reading its `mult`,
+    which is built on first read."""
     tracemalloc.start()
     try:
         t = GroupTable(f)
-        peak = tracemalloc.get_traced_memory()[1]
+        t.mult
+        return t, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_table_build_holds_no_other_n2_scratch():
+    t, peak = _traced_build_peak(field_create(3, 2))
     assert peak < 1.5 * t.mult.nbytes
+
+
+def test_table_is_built_on_first_read():
+    t = GroupTable(field_create(5, 1))
+    assert "mult" not in vars(t)
+    assert t.mult is t.mult
+
+
+def test_table_build_at_q13_holds_one_narrow_table():
+    """1.5 n**2 uint16 entries (14.5 MB) bound the q = 13 build: an n**2
+    int32 array, kept or as scratch, is 19.3 MB."""
+    t, peak = _traced_build_peak(field_create(13, 1))
+    assert peak < 1.5 * t.n**2 * 2
 
 
 @pytest.mark.parametrize("p,l", [(3, 1), (5, 1), (7, 1), (3, 2)])

@@ -511,3 +511,50 @@ def test_the_plans_never_import_numpy_ma():
     )
     assert done.returncode == 0, done.stderr[-2000:]
     assert done.stdout.split() == ["False"]
+
+
+def test_field_checks_at_q37_build_no_product_table():
+    """Criteria 12 and 3 read only the field, so `Context(37)` answers them
+    without the n**2 product table (5.1 GB at uint16) and far below it."""
+    tracemalloc.start()
+    try:
+        ctx = suite.Context(37)
+        statuses = [suite._field_axioms(ctx, True)[0], suite._psi_group(ctx, True)[0]]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert statuses == ["pass", "pass"]
+    assert "mult" not in vars(ctx.cons.table)
+    assert peak < 32 * 2**20
+
+
+def _table_readers(wide):
+    """What the product table's readers compute at q = 9 (l = 2), as bytes,
+    with `mult` at its own width or as an int64 copy."""
+    ctx = suite.Context(9)
+    cons, t = ctx.cons, ctx.cons.table
+    if wide:
+        t.mult = t.mult.astype(np.int64)
+    ring = ctx.ring
+    tensor = srings.structure_constants(ring)
+    lists = [
+        cons.build_cayley(i, loops).out
+        for i in range(cons.q)
+        for loops in (True, False)
+    ]
+    coloring = ring.scheme_coloring()
+    return {
+        "structure_constants": [tensor.c.tobytes(), tensor.c.dtype.str],
+        "transversals": [repr(srings.verify_transversal(ring, i)) for i in range(cons.q)],
+        "cayley_lists": [(out.tobytes(), out.dtype.str) for out in lists],
+        "scheme_coloring": [coloring.tobytes(), coloring.dtype.str],
+        "one_point_extension": json.dumps(suite._one_point_extension(ctx, True)),
+    }
+
+
+def test_the_table_readers_do_not_depend_on_its_width():
+    """Every reader of `mult` only indexes, compares and gathers: each result
+    is the same bytes from the narrow table and from an int64 copy."""
+    narrow, wide = _table_readers(False), _table_readers(True)
+    for name, value in narrow.items():
+        assert value == wide[name], name
