@@ -70,10 +70,14 @@ of color t the same key, so that key is the multiset of codes
 (color(u, w), color(w, v)) shared by all pairs of color t: the intersection
 numbers of t, proven well defined for every pair.  Once sorted rows,
 scatters and bincounts have checked the valencies, the tensor is read off
-those keys in code order, then t, which is (r, s, t) order.  The checks on
-a tensor compare moved rows with it by the int64 key (r * rank + s) * rank + t;
-they read only rank, valencies, converse, fiber ids and tensor rows, so they
-check an S-ring's convolution tensor (one fiber) as they check a closure.
+those keys in code order, then t, which is (r, s, t) order.  Its rows are
+held at `tensor_dtype(rank, n)`, the width of every color and count.
+The checks on a tensor widen to int64 only to multiply: the key
+(r * rank + s) * rank + t by which they compare moved rows with it, and
+the weights val[t] * count; they hold at most two int64 arrays of tensor
+length at once.  They read only rank, valencies, converse, fiber ids and
+tensor rows, so they check an S-ring's convolution tensor (one fiber) as
+they check a closure.
 """
 
 from __future__ import annotations
@@ -97,7 +101,7 @@ _PRODUCT_MAX_RANK = 10
 _BLOCK_ELEMENT_BUDGET = 500_000  # scratch elements per block; larger blocks measured slower
 _COMPARE_BYTES = 1 << 16  # sorted rows gathered per pass of `sorted_unique_rows`
 _FINGERPRINT_MULTIPLIER = 0x9E3779B97F4A7C15  # odd: 2**64 / golden ratio
-_TAKE_ELEMENTS = 1 << 16  # list entries cast to intp per block of `carries_out`
+_TAKE_ELEMENTS = 1 << 16  # entries per block of `carries_out` and of the tensor comparison
 
 
 class NotInvariant(ValueError):
@@ -127,11 +131,13 @@ class Orbits(NamedTuple):
 class CoherentConfiguration:
     """Stable pair coloring with fibers, valencies and intersection numbers.
 
-    The tensor is kept sparse: an (m, 4) int64 array of rows (r, s, t, count),
-    in (r, s, t) order and stored column by column, where count is the number
+    The tensor is kept sparse: an (m, 4) array of rows (r, s, t, count), in
+    (r, s, t) order and stored column by column, where count is the number
     of middle vertices w with color(u, w) = r, color(w, v) = s for any pair
-    (u, v) of color t.  It is read off the signature keys of the round that
-    confirmed stability.
+    (u, v) of color t.  Its dtype is `tensor_dtype(rank, n)`, which holds
+    every color and every count (uint16 while rank <= 2**16), so it depends
+    on (rank, n) alone.  It is read off the signature keys of the
+    round that confirmed stability.
     """
 
     def __init__(self, color: np.ndarray, rounds: int, keys: np.ndarray):
@@ -379,17 +385,28 @@ def _stable_coloring(
         color, rank = orbits.expand(new), rank2
 
 
+def tensor_dtype(rank: int, n: int) -> np.dtype:
+    """The one width of a tensor's (r, s, t, count) rows on n vertices:
+    `code_dtype(max(rank, n + 1))` holds every color and every count."""
+    return code_dtype(max(rank, n + 1))
+
+
 def _tensor_from_keys(keys: np.ndarray, n: int, rank: int) -> np.ndarray:
-    """The (r, s, t, count) rows of the intersection tensor, in (r, s, t) order.
+    """The (r, s, t, count) rows of the intersection tensor, in (r, s, t)
+    order, at `tensor_dtype(rank, n)`.
 
     In the confirming round every pair of color t received key t, so key t
     holds the code multiset of all of them: code r * rank + s counts the w
     with color(u, w) = r and color(w, v) = s.  Code order, then t, is
     (r, s, t) order: that of count mode's counts read transposed, and of
-    sort mode's t-major run heads after one stable sort by code.
+    sort mode's t-major run heads after one stable sort by code.  Sort mode
+    holds at most two int64 arrays of tensor length, the run starts and one
+    sort order: t and the counts are narrowed as each is made, and the
+    starts are freed before the sort.
     """
+    narrow = tensor_dtype(rank, n)
     if rank * rank <= _MODE_A_MAX_CODES:
-        counts = n - keys.view(">u2").reshape(rank, -1)[:, 1:].T.astype(np.int64)  # [code, t]
+        counts = n - keys.view(">u2").reshape(rank, -1)[:, 1:].T  # [code, t]
         code, t = np.nonzero(counts)
         count = counts[code, t]
     else:
@@ -399,41 +416,69 @@ def _tensor_from_keys(keys: np.ndarray, n: int, rank: int) -> np.ndarray:
         runs = np.ones((rank, n), dtype=bool)     # each sorted row split into runs of equal codes
         runs[:, 1:] = codes[:, 1:] != codes[:, :-1]
         starts = np.flatnonzero(runs)
-        count, t = np.diff(starts, append=rank * n), starts // n
-        code = flat[starts + t + 1].astype(wide)  # only the run heads are read
-        del runs, starts  # freed, as is `order`, before the result is allocated
-        if wide == np.uint32:  # two stable radix passes of 16 bits: low half, then high
-            order = np.argsort(code.astype(np.uint16), kind="stable")
-            order = order[np.argsort((code[order] >> 16).astype(np.uint16), kind="stable")]
-        else:
-            order = np.argsort(code, kind="stable")
-        code, t, count = code[order], t[order], count[order]
-        del order
-    rows = np.empty((len(code), 4), dtype=np.int64, order="F")  # contiguous columns
-    np.divmod(code, rank, out=(rows[:, 0], rows[:, 1]))
+        del runs
+        # t and the run lengths go straight to the narrow width, with no
+        # int64 temporary beside the starts
+        t = np.floor_divide(starts, n, out=np.empty(len(starts), narrow), casting="unsafe")
+        count = np.empty_like(t)
+        np.subtract(starts[1:], starts[:-1], out=count[:-1], casting="unsafe")
+        count[-1] = rank * n - starts[-1]
+        starts += t  # the run heads' places in flat, past each row's old color
+        starts += 1
+        code = flat[starts]  # only the run heads are read
+        del starts
+        code = code.astype(wide)
+        # one stable sort by code at the code width, in two radix passes of
+        # 16 bits (low half, then high) for uint32 codes; the columns are
+        # permuted after each pass, so one int64 order is held at a time
+        for shift in (0, 16) if wide == np.uint32 else (None,):
+            digits = code if shift is None else (code >> shift).astype(np.uint16)
+            order = np.argsort(digits, kind="stable")
+            del digits
+            code, t, count = code[order], t[order], count[order]
+            del order
+    rows = np.empty((len(code), 4), dtype=narrow, order="F")  # contiguous columns
+    np.divmod(code, rank, out=(rows[:, 0], rows[:, 1]), casting="unsafe")
     rows[:, 2], rows[:, 3] = t, count
     return rows
 
 
 def _tensor_key(r: np.ndarray, s: np.ndarray, t: np.ndarray, rank: int) -> np.ndarray:
     """The int64 key (r * rank + s) * rank + t of each triple, in (r, s, t)
-    order: `_matches_tensor` compares moved triples with a tensor by it."""
+    order: `_tensor_order` compares moved triples with a tensor by it.  The
+    columns may be of any unsigned or int64 width: r is widened to int64
+    before the first product, so uint16 columns at rank >= 256 do not wrap,
+    and the key is the one int64 array made."""
     if rank**3 >= 2**63:
         raise ValueError("tensor order supports ranks with rank**3 < 2**63")
-    return (r * rank + s) * rank + t
+    key = r.astype(np.int64)
+    key *= rank
+    key += s
+    key *= rank
+    key += t
+    return key
 
 
-def _matches_tensor(cc: CoherentConfiguration, r, s, t, weight, tensor_weight) -> bool:
-    """True iff the triples (r, s, t) are the rows of cc.tensor in some order,
-    the triple that lands on row i with weight tensor_weight[i].  False for a
-    tensor whose keys do not strictly increase, such as one holding a triple
-    twice."""
-    ref = _tensor_key(*cc.tensor[:, :3].T, cc.rank)
-    if len(r) != len(ref) or (ref[1:] <= ref[:-1]).any():
-        return False
-    key = _tensor_key(r, s, t, cc.rank)
+def _tensor_order(cc: CoherentConfiguration, r, s, t) -> np.ndarray | None:
+    """The order that sorts the triples (r, s, t) onto the rows of
+    cc.tensor: triple order[i] is row i.  None unless they are those rows in
+    some order and the tensor's keys strictly increase, so a tensor holding
+    a triple twice is refused.  The triples' keys and the order are the two
+    int64 arrays of tensor length; the tensor's keys are made for blocks of
+    `_TAKE_ELEMENTS` rows."""
+    tensor, rank = cc.tensor, cc.rank
+    if len(r) != len(tensor):
+        return None
+    key = _tensor_key(r, s, t, rank)
     order = np.argsort(key)
-    return bool(np.array_equal(key[order], ref) and np.array_equal(weight[order], tensor_weight))
+    last = -1  # the previous block's last key; every key is at least 0
+    for start in range(0, len(order), _TAKE_ELEMENTS):
+        stop = start + _TAKE_ELEMENTS
+        ref = _tensor_key(*tensor[start:stop, :3].T, rank)
+        if (np.diff(ref, prepend=last) <= 0).any() or not np.array_equal(key[order[start:stop]], ref):
+            return None
+        last = ref[-1]
+    return order
 
 
 # -- public operations ---------------------------------------------------------
@@ -639,26 +684,49 @@ def verify_algebraic_map(
     permutation of the colors.  Either side may be an S-ring's tensor."""
     if cc1.rank != cc2.rank:
         raise ValueError("rank mismatch")
-    sigma = as_permutation(sigma, cc1.rank).astype(np.int64)
     r, s, t, c = cc1.tensor.T
-    return _matches_tensor(cc2, sigma[r], sigma[s], sigma[t], c, cc2.tensor[:, 3])
+    sigma = as_permutation(sigma, cc1.rank).astype(r.dtype)  # colors fit the tensor's width
+    order = _tensor_order(cc2, sigma[r], sigma[s], sigma[t])
+    return order is not None and bool(np.array_equal(c[order], cc2.tensor[:, 3]))
 
 
 def tensor_identities_hold(cc: CoherentConfiguration) -> bool:
     """Fiber compatibility, mass conservation and the triangle identity on
-    the sorted tensor rows, of a closure or of an S-ring's tensor."""
-    val, left, right = cc.valencies, cc.left_fiber, cc.right_fiber
+    the sorted tensor rows, of a closure or of an S-ring's tensor.  The
+    colors, fiber ids and valencies are gathered at the tensor's width, and
+    in int64 only where they multiply a count."""
     r, s, t, c = cc.tensor.T
+    val = cc.valencies
+    left, right, converse = (a.astype(r.dtype) for a in (cc.left_fiber, cc.right_fiber, cc.converse))
     if (right[r] != left[s]).any() or (left[r] != left[t]).any() or (right[s] != right[t]).any():
         return False
-    # sum over t of p^t_rs * val[t] = val[r] * val[s], for every (r, s) meeting in a fiber
-    group = np.flatnonzero(np.r_[True, (r[1:] != r[:-1]) | (s[1:] != s[:-1])])
-    weight = c * val[t]
-    sums = np.add.reduceat(weight, group)
+    # sum over t of p^t_rs * val[t] = val[r] * val[s], for every (r, s) meeting
+    # in a fiber; the sums agree (r, s) by (r, s) exactly when their running
+    # sums agree at the last row of each (r, s)
+    last = np.r_[(r[1:] != r[:-1]) | (s[1:] != s[:-1]), True]
     meeting = np.bincount(right) @ np.bincount(left)  # every fiber id is some color's
-    if len(group) != meeting or not np.array_equal(sums, val[r[group]] * val[s[group]]):
+    if np.count_nonzero(last) != meeting:
         return False
+    weight = val[t]
+    weight *= c
+    got = np.cumsum(weight, out=weight)[last]
+    del weight
+    want = val[r[last]]
+    want *= val.astype(r.dtype)[s[last]]
+    if not np.array_equal(got, np.cumsum(want, out=want)):
+        return False
+    del got, want
     # val[t] p^t_rs = val[r] p^r_{t s'} with s' the converse of s: the map
     # (r, s, t) -> (t, s', r) is an involution, so it permutes the rows and
-    # keeps the weight val[t] p^t_rs of each
-    return _matches_tensor(cc, t, cc.converse[s], r, weight, weight)
+    # keeps the weight val[t] p^t_rs of each.  Row order[j] lands on row j,
+    # so its weight is val[r_j] * c[order[j]] (its t is r_j); row j's is
+    # val[t_j] * c_j
+    order = _tensor_order(cc, t, converse[s], r)
+    if order is None:
+        return False
+    moved = val[r]
+    moved *= c[order]
+    del order
+    weight = val[t]
+    weight *= c
+    return bool(np.array_equal(moved, weight))

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .coherent import tensor_dtype
 from .construction import Construction
 from .isotest import NODE_BUDGET_DEFAULT, BudgetExceeded, _PartitionSearch
 
@@ -66,10 +67,12 @@ class StructureConstantTensor:
     @property
     def tensor(self) -> np.ndarray:
         """The sorted (r, s, t, count) rows of the nonzero p^Z_XY = c[Y, X, Z]:
-        w u^-1 in X and v w^-1 in Y multiply to v u^-1 in Z."""
+        w u^-1 in X and v w^-1 in Y multiply to v u^-1 in Z.  They are held
+        at a closure's width, n the group order, the sum of the cell sizes."""
         p = self.c.transpose(1, 0, 2)
         rows = np.argwhere(p)
-        return np.column_stack([rows, p[tuple(rows.T)]])
+        narrow = tensor_dtype(self.rank, int(self.valencies.sum()))
+        return np.column_stack([rows, p[tuple(rows.T)]]).astype(narrow)
 
     def to_json(self, q: int) -> dict:
         entries = [

@@ -8,6 +8,7 @@ invocation, same report (timings can be suppressed for byte-identical output).
 from __future__ import annotations
 
 import math
+import resource
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -39,7 +40,8 @@ class RunReport:
     seed: int
     field_json: dict
     checks: list[CheckResult] = field(default_factory=list)
-    timings: dict = field(default_factory=dict)
+    timings: dict = field(default_factory=dict)  # seconds per check
+    peak_rss_mb: dict = field(default_factory=dict)  # the process peak RSS, MB, once each check ran
 
     @property
     def ok(self) -> bool:
@@ -58,8 +60,9 @@ class RunReport:
             ],
             "ok": self.ok,
         }
-        if include_timings:
+        if include_timings:  # the figures that vary from run to run
             out["timings"] = self.timings
+            out["peak_rss_mb"] = self.peak_rss_mb
         return out
 
 
@@ -459,7 +462,7 @@ REGISTRY = [
     Check("tau_hat_transport", "6", _tau_hat_transport, full=(7, 7), fast=NEVER),
     Check("algebraic_automorphisms", "9", _algebraic_automorphisms, full=(5, ANY), fast=(5, ANY)),
     Check("design_isomorphism", "10", _design_isomorphism),
-    Check("one_point_extension", "11", _one_point_extension, full=(7, 7), fast=(7, 7)),
+    Check("one_point_extension", "11", _one_point_extension, full=(9, 9), fast=(7, 7)),
     Check("iso_classes", "7", _iso_classes, full=(7, 7), fast=NEVER),
     Check("reverse_pair_isomorphism", "7", _reverse_pair_isomorphism, full=(7, 7), fast=NEVER),
     Check("automorphism_order", "8", _automorphism_order, full=(5, 5), fast=NEVER),
@@ -470,7 +473,7 @@ def run_suite(q: int, suite="full", seed=DEFAULT_SEED) -> RunReport:
     if suite not in ("full", "fast"):
         raise ValueError("suite must be 'full' or 'fast'")
     ctx = Context(q, seed)
-    checks, timings = [], {}
+    checks, timings, peaks = [], {}, {}
     for check in REGISTRY:
         variant = check.variant(q, suite)
         if variant is None:
@@ -482,4 +485,5 @@ def run_suite(q: int, suite="full", seed=DEFAULT_SEED) -> RunReport:
             status, data = "fail", {"error": f"{type(exc).__name__}: {exc}"}
         checks.append(CheckResult(check.name, status, data))
         timings[check.name] = round(time.perf_counter() - t0, 3)
-    return RunReport(q, suite, seed, ctx.cons.field.to_json(), checks, timings)
+        peaks[check.name] = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+    return RunReport(q, suite, seed, ctx.cons.field.to_json(), checks, timings, peaks)

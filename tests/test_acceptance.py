@@ -41,13 +41,15 @@ TEST_NAMES = {
 
 # wall-clock ceilings, in seconds, on the slow checks; the closures and the
 # one-point extension must stay on the orbit-row engine (dense: about 70 s
-# for the q = 9 closures and 36 s for the q = 7 extension)
+# for the q = 9 closures and 36 s for the q = 7 extension; the orbit-row
+# q = 9 extension and its identities take about 2 s)
 TIME_LIMITS = {
     ("ddd_parameters", 7): 60.0,
     ("wl_equivalence", 7): 60.0,
     ("iso_classes", 7): 600.0,
     ("wl_closure", 9): 30.0,
     ("one_point_extension", 7): 60.0,
+    ("one_point_extension", 9): 30.0,
 }
 
 

@@ -405,7 +405,8 @@ def _assert_round_equals_int64(got, color, rank, rows):
 def test_extension_rounds_equal_the_int64_keys(q, width, contexts, monkeypatch):
     """Every sort-mode round of each one-point extension, and the tensor read
     off its confirming round, equal those of int64 keys; the q = 3 extension
-    (rank 95) keys in uint16, the q = 5 one (rank 657) in uint32."""
+    (rank 95) keys in uint16, the q = 5 one (rank 657) in uint32, and both
+    tensors are held in uint16, the width of their ranks and counts."""
     ctx = contexts[q]
     refine, confirming = coherent._refine_round, []
 
@@ -425,8 +426,8 @@ def test_extension_rounds_equal_the_int64_keys(q, width, contexts, monkeypatch):
         assert got.tobytes() == ext.tensor.tobytes()
         wide_keys = refine_round_int64(ext.color, rank, np.arange(n))[2]
         want = tensor_from_int64_keys(wide_keys, n, rank)
-        assert (got.dtype, got.shape) == (want.dtype, want.shape)
-        assert got.tobytes() == want.tobytes()
+        assert got.dtype == coherent.tensor_dtype(rank, n) == np.uint16
+        assert got.shape == want.shape and got.astype(np.int64).tobytes() == want.tobytes()
 
 
 def _coloring(n, rank, seed):
@@ -450,7 +451,8 @@ def test_pair_keys_either_side_of_the_uint16_switch(rank, width):
 @pytest.mark.parametrize("rank", [256, 257])
 def test_tensor_from_keys_either_side_of_the_uint16_switch(rank):
     """Rows of sorted codes up to rank**2 - 1, read at the width that holds
-    them, give the tensor rows of the same keys held as int64."""
+    them, give the tensor rows of the same keys held as int64, stored in
+    uint16 on either side of the codes' switch."""
     n, rng = 12, np.random.default_rng(rank)
     rows = np.empty((rank, n + 1), dtype=np.int64)
     rows[:, 0] = np.arange(rank)
@@ -460,7 +462,8 @@ def test_tensor_from_keys_either_side_of_the_uint16_switch(rank):
     keys = rows.astype(wide).view(f"V{(n + 1) * wide.itemsize}").ravel()
     got = coherent._tensor_from_keys(keys, n, rank)
     want = tensor_from_int64_keys(rows.astype(">i8").view(f"V{8 * (n + 1)}").ravel(), n, rank)
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert got.dtype == coherent.tensor_dtype(rank, n) == np.uint16
+    assert got.shape == want.shape and got.astype(np.int64).tobytes() == want.tobytes()
 
 
 EXTENSION_TENSOR_SHA256 = {
@@ -472,20 +475,24 @@ EXTENSION_TENSOR_SHA256 = {
 @pytest.mark.parametrize("q", sorted(EXTENSION_TENSOR_SHA256))
 def test_extension_tensor_pinned(contexts, q):
     """The sort-mode tensor of the one-point extension at the first generator
-    label (rank 657 at q = 5, 2459 at q = 7) byte for byte: every row, in order."""
+    label (rank 657 at q = 5, 2459 at q = 7) byte for byte: every row, in
+    order, widened to int64; it is held at the width of its rank and counts."""
     ctx = contexts[q]
-    tensor = ctx.extension(ctx.cons.generators_I()[0]).tensor
-    assert tensor.dtype == np.int64 and tensor.flags.f_contiguous
-    assert hashlib.sha256(tensor.tobytes()).hexdigest() == EXTENSION_TENSOR_SHA256[q]
+    ext = ctx.extension(ctx.cons.generators_I()[0])
+    tensor = ext.tensor
+    assert tensor.dtype == coherent.tensor_dtype(ext.rank, ext.n) == np.uint16
+    assert tensor.flags.f_contiguous
+    wide = tensor.astype(np.int64)
+    assert hashlib.sha256(wide.tobytes()).hexdigest() == EXTENSION_TENSOR_SHA256[q]
 
 
 def test_q7_extension_peak_stays_below_the_int64_keys(contexts):
-    """The q = 7 extension (rank 2459) keys its sort-mode rounds in uint32 and
-    takes its tensor's (r, s, t) order from the confirming keys, freeing the
-    run starts and the sort order before the result is allocated: its
-    tracemalloc peak, 48.2 MB with numpy 2.4, stays below 50.0 MB.  Either
-    of those 6.7 MB int64 arrays held on, or an int64 key and argsort over
-    the 840,751 tensor rows, fails it."""
+    """The q = 7 extension (rank 2459) keys its sort-mode rounds in uint32,
+    takes its tensor's (r, s, t) order from the confirming keys and holds
+    the 840,751 tensor rows in uint16 (6.7 MB): its tracemalloc peak, 24.6 MB
+    with numpy 2.4, stays below 27.0 MB.  The same rows in int64 take
+    26.9 MB alone, so an int64 tensor fails it, as do the run lengths and t
+    made through int64 temporaries (48.2 MB before the tensor was narrowed)."""
     ctx = contexts[7]
     i = ctx.cons.generators_I()[0]
     ctx.closure(i)
@@ -495,7 +502,78 @@ def test_q7_extension_peak_stays_below_the_int64_keys(contexts):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 50.0e6
+    assert peak < 27.0e6
+
+
+def test_q9_extension_and_its_identities_peak_below_an_int64_tensor(contexts):
+    """Criterion 11's work at q = 9: the extension (rank 6653, 4,842,839
+    tensor rows, 38.7 MB in uint16) and `tensor_identities_hold` on it.  The
+    build holds at most two int64 arrays of tensor length and the check as
+    many, for a tracemalloc peak of 140.1 MB with numpy 2.4, below 150 MB.
+    The same rows in int64 take 155.0 MB alone, so an int64 tensor fails it
+    (the int64 build and check peaked near 300 MB)."""
+    ctx = contexts[9]
+    i = ctx.cons.generators_I()[0]
+    ctx.closure(i)
+    tracemalloc.start()
+    try:
+        ext = ctx.extension(i)
+        assert (ext.rank, len(ext.tensor)) == (6653, 4842839)
+        assert tensor_identities_hold(ext)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 150.0e6
+
+
+def _int64_tensor_of_codes(codes, rank):
+    """tests/reference's int64 tensor of sorted code rows, codes[t] those of color t."""
+    n = codes.shape[1]
+    rows = np.empty((rank, n + 1), dtype=">i8")
+    rows[:, 0], rows[:, 1:] = np.arange(rank), codes
+    return tensor_from_int64_keys(rows.view(f"V{8 * (n + 1)}").ravel(), n, rank)
+
+
+@pytest.mark.parametrize(
+    "rank, width", [(2**16 - 1, np.uint16), (2**16, np.uint16), (2**16 + 1, np.uint32)]
+)
+def test_tensor_width_either_side_of_rank_2_16(rank, width):
+    """Synthetic sort-mode keys on n = 2 columns: every color t holds the
+    code of (rank - 1, rank - 1) once, and codes near 0 or rank**2 - 1.  The
+    rows are held at the width that holds rank - 1: uint16 to rank 2**16,
+    uint32 beyond, equal to the int64 oracle's at each rank."""
+    n, rng = 2, np.random.default_rng(rank)
+    codes = np.empty((rank, n), dtype=np.int64)
+    codes[:, 0] = rng.integers(0, 3, size=rank)
+    codes[:, 1] = rank * rank - 1
+    codes[::3, 0] = rank * rank - 2
+    codes.sort(axis=1)
+    wide = coherent.code_dtype(rank * rank).newbyteorder(">")
+    keys = np.column_stack([np.arange(rank), codes]).astype(wide)
+    got = coherent._tensor_from_keys(keys.view(f"V{(n + 1) * wide.itemsize}").ravel(), n, rank)
+    assert got.dtype == coherent.tensor_dtype(rank, n) == width
+    assert got[:, :3].max() == rank - 1
+    want = _int64_tensor_of_codes(codes, rank)
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_tensor_width_at_n_plus_1_2_16():
+    """At n = 2**16 - 1 a count reaches n = 65535, the largest uint16: the
+    count-mode keys of a rank-3 coloring give uint16 rows equal to the int64
+    oracle's, read off the same multisets written as sorted codes."""
+    n, rank = 2**16 - 1, 3
+    counts = np.zeros((rank, rank * rank), dtype=np.int64)  # [t, code]
+    counts[0, 0] = n                      # every w counted once by code 0
+    counts[1, [1, 5, 8]] = [1, n - 2, 1]
+    counts[2, [2, 7]] = [n - 1, 1]
+    keys = np.empty((rank, rank * rank + 1), dtype=">u2")
+    keys[:, 0], keys[:, 1:] = np.arange(rank), n - counts
+    got = coherent._tensor_from_keys(keys.view(f"V{2 * (rank * rank + 1)}").ravel(), n, rank)
+    assert got.dtype == coherent.tensor_dtype(rank, n) == np.uint16
+    assert got[:, 3].max() == n
+    codes = np.array([np.repeat(np.arange(rank * rank), row) for row in counts])
+    want = _int64_tensor_of_codes(codes, rank)
+    assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def _with_tensor(cc, tensor):
@@ -543,8 +621,9 @@ def test_tensor_identities_reject_corrupted_tensors(cons3, closures3):
         (a, b) for a in range(len(key)) for b in range(a + 1, len(key))
         if key[a] == key[b] and c[b] >= 2
     )
-    shifted = cc.tensor.copy()
-    shifted[[a, b], 3] += [1, -1]
+    shifted = cc.tensor.copy()  # at the tensor's own dtype
+    shifted[a, 3] += 1
+    shifted[b, 3] -= 1
     for good in (cc, ext):
         assert tensor_identities_hold(good) and _identities_by_loop(good)
     for base, tensor in [
@@ -754,12 +833,13 @@ def test_orbit_extension_q7_pinned(contexts):
     ctx = contexts[7]
     ext = ctx.extension(ctx.cons.generators_I()[0])
     assert (ext.rank, ext.rounds) == (2459, 4)
-    assert (ext.color.dtype, ext.tensor.dtype) == (np.int32, np.int64)
+    assert (ext.color.dtype, ext.tensor.dtype) == (np.int32, np.uint16)
+    assert ext.tensor.dtype == coherent.tensor_dtype(ext.rank, ext.n)
     assert all(column.flags.c_contiguous for column in ext.tensor.T)
     assert hashlib.sha256(ext.color.tobytes()).hexdigest() == (
         "1e740de7bc1cff5629771773474f8ce9867e512acfe24c973d6764e42d48dfc1"
     )
-    assert hashlib.sha256(ext.tensor.tobytes()).hexdigest() == (
+    assert hashlib.sha256(ext.tensor.astype(np.int64).tobytes()).hexdigest() == (
         "01feee0df187023bc55f9983da42846c11f95e9945e3dd842d3741d25f3b0ac5"
     )
     pins = {
@@ -1350,3 +1430,19 @@ def test_tensor_key_rank_guard():
     assert np.argsort(coherent._tensor_key(*rows[:, :3].T, rank)).tolist() == [1, 2, 0]
     with pytest.raises(ValueError, match=r"rank\*\*3 < 2\*\*63"):
         coherent._tensor_key(*np.empty((3, 0), dtype=np.int64), 2**21)
+
+
+@pytest.mark.parametrize("rank", [256, 300, 2**16])
+def test_tensor_key_widens_uint16_columns(rank):
+    """From rank 256 on, r * rank overflows uint16; `_tensor_key` widens the
+    columns first, so the keys of uint16 columns are the int64 keys and sort
+    as the rows do in lexicographic order."""
+    rows = np.array(
+        [[rank - 1] * 3, [0, rank - 1, 0], [1, 0, 0], [rank - 1, 0, rank - 1], [0, 0, 1]],
+        dtype=np.uint16 if rank <= 2**16 else np.uint32,
+    )
+    key = coherent._tensor_key(*rows.T, rank)
+    want = [(r * rank + s) * rank + t for r, s, t in rows.tolist()]
+    assert key.dtype == np.int64 and key.tolist() == want
+    assert key[0] == rank**3 - 1
+    assert np.argsort(key).tolist() == np.lexsort(rows.T[::-1]).tolist()

@@ -251,6 +251,7 @@ def test_tensor_rows_are_those_of_the_cayley_scheme(cells, cons3, ring3):
     cc = orbit_close(ring.scheme_coloring(), [])
     assert np.array_equal(cc.color, ring.scheme_coloring())  # stable, names kept
     assert np.array_equal(tensor.tensor, cc.tensor)
+    assert tensor.tensor.dtype == cc.tensor.dtype == np.uint16  # one width rule for both
     assert tensor_identities_hold(tensor)
 
 

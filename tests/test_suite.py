@@ -381,9 +381,12 @@ def test_size_table():
     assert list(plan(5, "full")) == [c.name for c in suite.REGISTRY]
     assert set(plan(5, "full")) - set(plan(7, "full")) == {"automorphism_order"}
     assert set(plan(7, "full")) - set(plan(9, "full")) == {
-        "wl_equivalence", "tau_hat_transport", "one_point_extension", "iso_classes",
-        "reverse_pair_isomorphism",
+        "wl_equivalence", "tau_hat_transport", "iso_classes", "reverse_pair_isomorphism",
     }
+    # criterion 11 runs to q = 9 in the full suite, to q = 7 in the fast one
+    assert plan(9, "full")["one_point_extension"] == "exhaustive"
+    assert "one_point_extension" not in plan(11, "full")
+    assert set(plan(9, "full")) - set(plan(9, "fast")) == {"one_point_extension"}
     assert set(plan(5, "full")) - set(plan(5, "fast")) == {
         "wl_equivalence", "tau_hat_transport", "iso_classes", "reverse_pair_isomorphism",
         "automorphism_order",
@@ -403,6 +406,22 @@ def test_readme_registry_table_matches_the_registry():
     rows = [line.split("|")[1:3] for line in table.split("\n\n")[0].splitlines()]
     got = [(name.strip().strip("`"), criterion.strip()) for name, criterion in rows]
     assert got == [(c.name, c.criterion) for c in suite.REGISTRY]
+
+
+def test_peak_memory_is_reported_with_the_timings_only():
+    """Each check's process high-water mark, in MB, appears beside its
+    seconds, which stay floats; without timings neither appears."""
+    report = suite.run_suite(3, "fast")
+    names = [c.name for c in report.checks]
+    assert list(report.timings) == list(report.peak_rss_mb) == names
+    assert all(type(report.timings[name]) is float for name in names)
+    peaks = list(report.peak_rss_mb.values())
+    assert all(type(mb) is float and mb > 0 for mb in peaks) and peaks == sorted(peaks)
+    timed = report.to_json()
+    assert (timed["timings"], timed["peak_rss_mb"]) == (report.timings, report.peak_rss_mb)
+    untimed = report.to_json(include_timings=False)
+    assert "timings" not in untimed and "peak_rss_mb" not in untimed
+    assert untimed == {k: v for k, v in timed.items() if k not in ("timings", "peak_rss_mb")}
 
 
 def test_run_suite_takes_any_q(monkeypatch):
