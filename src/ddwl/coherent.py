@@ -399,26 +399,25 @@ def _tensor_from_keys(keys: np.ndarray, n: int, rank: int) -> np.ndarray:
     holds the code multiset of all of them: code r * rank + s counts the w
     with color(u, w) = r and color(w, v) = s.  Code order, then t, is
     (r, s, t) order: that of count mode's counts read transposed, and of
-    sort mode's t-major run heads after one stable sort by code.  Sort mode
-    holds at most two int64 arrays of tensor length, the run starts and one
-    sort order: t and the counts are narrowed as each is made, and the
-    starts are freed before the sort.
+    sort mode's t-major run heads after a stable sort by s, then by r, at
+    the rows' width.  Sort mode holds at most two int64 arrays of tensor
+    length, the run starts and then one sort order: t and the run lengths
+    are narrowed as each is made, and the starts are freed before the rows
+    are allocated.
     """
     narrow = tensor_dtype(rank, n)
-    if rank * rank <= _MODE_A_MAX_CODES:
+    count_mode = rank * rank <= _MODE_A_MAX_CODES
+    if count_mode:
         counts = n - keys.view(">u2").reshape(rank, -1)[:, 1:].T  # [code, t]
         code, t = np.nonzero(counts)
         count = counts[code, t]
     else:
-        wide = code_dtype(rank * rank)
-        flat = keys.view(wide.newbyteorder(">"))  # row t: old color, codes
+        flat = keys.view(code_dtype(rank * rank).newbyteorder(">"))  # row t: old color, codes
         codes = flat.reshape(rank, n + 1)[:, 1:]
         runs = np.ones((rank, n), dtype=bool)     # each sorted row split into runs of equal codes
         runs[:, 1:] = codes[:, 1:] != codes[:, :-1]
         starts = np.flatnonzero(runs)
         del runs
-        # t and the run lengths go straight to the narrow width, with no
-        # int64 temporary beside the starts
         t = np.floor_divide(starts, n, out=np.empty(len(starts), narrow), casting="unsafe")
         count = np.empty_like(t)
         np.subtract(starts[1:], starts[:-1], out=count[:-1], casting="unsafe")
@@ -427,19 +426,17 @@ def _tensor_from_keys(keys: np.ndarray, n: int, rank: int) -> np.ndarray:
         starts += 1
         code = flat[starts]  # only the run heads are read
         del starts
-        code = code.astype(wide)
-        # one stable sort by code at the code width, in two radix passes of
-        # 16 bits (low half, then high) for uint32 codes; the columns are
-        # permuted after each pass, so one int64 order is held at a time
-        for shift in (0, 16) if wide == np.uint32 else (None,):
-            digits = code if shift is None else (code >> shift).astype(np.uint16)
-            order = np.argsort(digits, kind="stable")
-            del digits
-            code, t, count = code[order], t[order], count[order]
-            del order
     rows = np.empty((len(code), 4), dtype=narrow, order="F")  # contiguous columns
     np.divmod(code, rank, out=(rows[:, 0], rows[:, 1]), casting="unsafe")
     rows[:, 2], rows[:, 3] = t, count
+    del code, t, count
+    if not count_mode:
+        # stable by s, then by r: equal (r, s) keep their t order
+        for k in (1, 0):
+            order = np.argsort(rows[:, k], kind="stable")
+            for column in rows.T:
+                column[:] = column[order]
+            del order
     return rows
 
 
@@ -701,21 +698,22 @@ def tensor_identities_hold(cc: CoherentConfiguration) -> bool:
     if (right[r] != left[s]).any() or (left[r] != left[t]).any() or (right[s] != right[t]).any():
         return False
     # sum over t of p^t_rs * val[t] = val[r] * val[s], for every (r, s) meeting
-    # in a fiber; the sums agree (r, s) by (r, s) exactly when their running
-    # sums agree at the last row of each (r, s)
+    # in a fiber: with val[r] * val[s] taken off at the last row of each
+    # (r, s), the running sum of the weights is 0 at each such row iff all hold
     last = np.r_[(r[1:] != r[:-1]) | (s[1:] != s[:-1]), True]
     meeting = np.bincount(right) @ np.bincount(left)  # every fiber id is some color's
     if np.count_nonzero(last) != meeting:
         return False
-    weight = val[t]
-    weight *= c
-    got = np.cumsum(weight, out=weight)[last]
-    del weight
-    want = val[r[last]]
-    want *= val.astype(r.dtype)[s[last]]
-    if not np.array_equal(got, np.cumsum(want, out=want)):
+    excess = val[t]
+    excess *= c
+    taken = val[r]
+    taken *= val.astype(r.dtype)[s]
+    taken *= last
+    excess -= taken
+    del taken
+    if np.any(np.cumsum(excess, out=excess), where=last):
         return False
-    del got, want
+    del excess, last
     # val[t] p^t_rs = val[r] p^r_{t s'} with s' the converse of s: the map
     # (r, s, t) -> (t, s', r) is an involution, so it permutes the rows and
     # keeps the weight val[t] p^t_rs of each.  Row order[j] lands on row j,

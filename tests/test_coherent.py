@@ -489,10 +489,10 @@ def test_extension_tensor_pinned(contexts, q):
 def test_q7_extension_peak_stays_below_the_int64_keys(contexts):
     """The q = 7 extension (rank 2459) keys its sort-mode rounds in uint32,
     takes its tensor's (r, s, t) order from the confirming keys and holds
-    the 840,751 tensor rows in uint16 (6.7 MB): its tracemalloc peak, 24.6 MB
-    with numpy 2.4, stays below 27.0 MB.  The same rows in int64 take
-    26.9 MB alone, so an int64 tensor fails it, as do the run lengths and t
-    made through int64 temporaries (48.2 MB before the tensor was narrowed)."""
+    the 840,751 tensor rows in uint16 (6.7 MB): its tracemalloc peak, 22.8 MB
+    with numpy 2.4, stays below 25.0 MB.  The same rows in int64 take
+    26.9 MB alone, so an int64 tensor fails it (its int64 build peaked at
+    48.2 MB)."""
     ctx = contexts[7]
     i = ctx.cons.generators_I()[0]
     ctx.closure(i)
@@ -502,14 +502,14 @@ def test_q7_extension_peak_stays_below_the_int64_keys(contexts):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 27.0e6
+    assert peak < 25.0e6
 
 
 def test_q9_extension_and_its_identities_peak_below_an_int64_tensor(contexts):
     """Criterion 11's work at q = 9: the extension (rank 6653, 4,842,839
     tensor rows, 38.7 MB in uint16) and `tensor_identities_hold` on it.  The
     build holds at most two int64 arrays of tensor length and the check as
-    many, for a tracemalloc peak of 140.1 MB with numpy 2.4, below 150 MB.
+    many, for a tracemalloc peak of 133.2 MB with numpy 2.4, below 145 MB.
     The same rows in int64 take 155.0 MB alone, so an int64 tensor fails it
     (the int64 build and check peaked near 300 MB)."""
     ctx = contexts[9]
@@ -523,7 +523,7 @@ def test_q9_extension_and_its_identities_peak_below_an_int64_tensor(contexts):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 150.0e6
+    assert peak < 145.0e6
 
 
 def _int64_tensor_of_codes(codes, rank):
