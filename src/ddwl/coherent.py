@@ -61,9 +61,10 @@ round on every row.  That round, the dense engine, is the trivial group:
 every vertex is its own representative and there are no steps.
 `wl_close` refines from a digraph's translations, proven once on its
 out-neighbour lists by `Digraph.translations` (a Cayley digraph's right
-translations: one row; none for any other digraph), and `orbit_extension`
-runs `orbit_close`, which proves its generators on the coloring, from a
-group fixing the individualized vertex (none for `one_point_extension`).
+translations: one row; none for any other digraph), and
+`one_point_extension` runs `orbit_close`, which proves its generators on
+the coloring, from the generators it is given, which must fix the
+individualized vertex (none by default).
 
 Intersection numbers.  The round that confirms stability gives every pair
 of color t the same key, so that key is the multiset of codes
@@ -72,12 +73,12 @@ numbers of t, proven well defined for every pair.  Once sorted rows,
 scatters and bincounts have checked the valencies, the tensor is read off
 those keys in code order, then t, which is (r, s, t) order.  Its rows are
 held at `tensor_dtype(rank, n)`, the width of every color and count.
-The checks on a tensor widen to int64 only to multiply: the key
-(r * rank + s) * rank + t by which they compare moved rows with it, and
-the weights val[t] * count; they hold at most two int64 arrays of tensor
-length at once.  They read only rank, valencies, converse, fiber ids and
-tensor rows, so they check an S-ring's convolution tensor (one fiber) as
-they check a closure.
+Every ordering of tensor rows is one stable `np.lexsort` of those narrow
+columns: the sort-mode build's, and the one by which the checks lay moved
+rows onto a tensor's, so no rank is too large to order.  The checks widen
+to int64 only to multiply, in the weights val[t] * count.  They read only
+rank, valencies, converse, fiber ids and tensor rows, so they check an
+S-ring's convolution tensor (one fiber) as they check a closure.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ _PRODUCT_MAX_RANK = 10
 _BLOCK_ELEMENT_BUDGET = 500_000  # scratch elements per block; larger blocks measured slower
 _COMPARE_BYTES = 1 << 16  # sorted rows gathered per pass of `sorted_unique_rows`
 _FINGERPRINT_MULTIPLIER = 0x9E3779B97F4A7C15  # odd: 2**64 / golden ratio
-_TAKE_ELEMENTS = 1 << 16  # entries per block of `carries_out` and of the tensor comparison
+_TAKE_ELEMENTS = 1 << 16  # entries per block of `carries_out`
 
 
 class NotInvariant(ValueError):
@@ -399,11 +400,11 @@ def _tensor_from_keys(keys: np.ndarray, n: int, rank: int) -> np.ndarray:
     holds the code multiset of all of them: code r * rank + s counts the w
     with color(u, w) = r and color(w, v) = s.  Code order, then t, is
     (r, s, t) order: that of count mode's counts read transposed, and of
-    sort mode's t-major run heads after a stable sort by s, then by r, at
-    the rows' width.  Sort mode holds at most two int64 arrays of tensor
-    length, the run starts and then one sort order: t and the run lengths
-    are narrowed as each is made, and the starts are freed before the rows
-    are allocated.
+    sort mode's t-major run heads after one stable lexsort by (r, s), which
+    keeps their t order.  Sort mode holds one intp array of tensor length
+    at a time, the run starts and then the sort order: t and the run
+    lengths are narrowed as each is made, the starts are freed before the
+    rows are allocated, and the order permutes the columns in place.
     """
     narrow = tensor_dtype(rank, n)
     count_mode = rank * rank <= _MODE_A_MAX_CODES
@@ -431,50 +432,27 @@ def _tensor_from_keys(keys: np.ndarray, n: int, rank: int) -> np.ndarray:
     rows[:, 2], rows[:, 3] = t, count
     del code, t, count
     if not count_mode:
-        # stable by s, then by r: equal (r, s) keep their t order
-        for k in (1, 0):
-            order = np.argsort(rows[:, k], kind="stable")
-            for column in rows.T:
-                column[:] = column[order]
-            del order
+        order = np.lexsort((rows[:, 1], rows[:, 0]))  # stable: equal (r, s) keep their t order
+        for column in rows.T:
+            column[:] = column[order]
     return rows
-
-
-def _tensor_key(r: np.ndarray, s: np.ndarray, t: np.ndarray, rank: int) -> np.ndarray:
-    """The int64 key (r * rank + s) * rank + t of each triple, in (r, s, t)
-    order: `_tensor_order` compares moved triples with a tensor by it.  The
-    columns may be of any unsigned or int64 width: r is widened to int64
-    before the first product, so uint16 columns at rank >= 256 do not wrap,
-    and the key is the one int64 array made."""
-    if rank**3 >= 2**63:
-        raise ValueError("tensor order supports ranks with rank**3 < 2**63")
-    key = r.astype(np.int64)
-    key *= rank
-    key += s
-    key *= rank
-    key += t
-    return key
 
 
 def _tensor_order(cc: CoherentConfiguration, r, s, t) -> np.ndarray | None:
     """The order that sorts the triples (r, s, t) onto the rows of
-    cc.tensor: triple order[i] is row i.  None unless they are those rows in
-    some order and the tensor's keys strictly increase, so a tensor holding
-    a triple twice is refused.  The triples' keys and the order are the two
-    int64 arrays of tensor length; the tensor's keys are made for blocks of
-    `_TAKE_ELEMENTS` rows."""
-    tensor, rank = cc.tensor, cc.rank
-    if len(r) != len(tensor):
+    cc.tensor: triple order[i] is row i.  None unless they are those rows
+    in some order and no row of the tensor repeats the one before it, so a
+    tensor holding a triple twice is refused.  The order is one lexsort of
+    the narrow columns, the one intp array of tensor length; each moved
+    column is gathered in it and compared with the tensor's.  Sorted
+    triples equal to the rows prove the rows sorted, so with no repeat they
+    strictly increase."""
+    tensor = cc.tensor
+    if len(r) != len(tensor) or (tensor[1:, :3] == tensor[:-1, :3]).all(axis=1).any():
         return None
-    key = _tensor_key(r, s, t, rank)
-    order = np.argsort(key)
-    last = -1  # the previous block's last key; every key is at least 0
-    for start in range(0, len(order), _TAKE_ELEMENTS):
-        stop = start + _TAKE_ELEMENTS
-        ref = _tensor_key(*tensor[start:stop, :3].T, rank)
-        if (np.diff(ref, prepend=last) <= 0).any() or not np.array_equal(key[order[start:stop]], ref):
-            return None
-        last = ref[-1]
+    order = np.lexsort((t, s, r))
+    if not all(np.array_equal(moved[order], column) for moved, column in zip((r, s, t), tensor.T)):
+        return None
     return order
 
 
@@ -607,37 +585,23 @@ def _orbit_refine(color0: np.ndarray, perms: list[np.ndarray]) -> CoherentConfig
     return cc
 
 
-def _individualized(cc: CoherentConfiguration, v: int) -> np.ndarray:
-    """cc's coloring with (v, v) in a fresh color, renumbered: v's old
-    diagonal color is gone when {v} was a fiber already."""
+def one_point_extension(cc: CoherentConfiguration, v: int, gens=()) -> CoherentConfiguration:
+    """Re-refine with vertex v given a fresh diagonal color; {v} becomes a
+    fiber.  The individualized coloring is renumbered, as v's old diagonal
+    color is gone when {v} was a fiber already, and refined from one row per
+    orbit of the group gens generate: for a family closure and v = e, K's
+    generator gives one row per K-orbit.  Each generator must fix v and be
+    an automorphism of cc, as `orbit_close` checks on the individualized
+    coloring; else NotInvariant."""
     seeded = cc.color.copy()
     seeded[v, v] = cc.rank
-    return _renumber(seeded)[0]
-
-
-def _checked_extension(
-    cc: CoherentConfiguration, v: int, out: CoherentConfiguration
-) -> CoherentConfiguration:
+    seeded = _renumber(seeded)[0]
+    out = orbit_close(seeded, gens)
     if not out.refines(cc):
         raise RuntimeError("extension does not refine the base configuration")
     if not any(len(f) == 1 and f[0] == v for f in out.fibers):
         raise RuntimeError("extension did not isolate the chosen vertex")
     return out
-
-
-def one_point_extension(cc: CoherentConfiguration, v: int) -> CoherentConfiguration:
-    """Re-refine with vertex v given a fresh diagonal color; {v} becomes a fiber."""
-    return orbit_extension(cc, v, [])
-
-
-def orbit_extension(
-    cc: CoherentConfiguration, v: int, gens: list[np.ndarray]
-) -> CoherentConfiguration:
-    """one_point_extension(cc, v), refined from one row per orbit of the group
-    gens generate: for a family closure and v = e, K's generator gives one
-    row per K-orbit.  Each generator must fix v and be an automorphism of cc,
-    as `orbit_close` checks on the individualized coloring; else NotInvariant."""
-    return _checked_extension(cc, v, orbit_close(_individualized(cc, v), gens))
 
 
 def as_sring_partition(cc: CoherentConfiguration, table: GroupTable) -> list[np.ndarray]:

@@ -111,7 +111,7 @@ class Context:
         """The one-point extension at e of closure i, one row per K-orbit."""
         cons = self.cons
         gen = cons.rho_perm(*cons.k_generator())
-        return coherent.orbit_extension(self.closure(i), cons.table.identity, [gen])
+        return coherent.one_point_extension(self.closure(i), cons.table.identity, [gen])
 
 
 def _field_axioms(ctx: Context, exhaustive: bool) -> tuple[str, dict]:

@@ -34,7 +34,10 @@ triangle identity sees it.  `refine_round_int64`,
 `tensor_from_int64_keys` and `refine_partition_int64` code the sort-mode
 pair signatures, read their tensor and code the vertex signatures of the
 isomorphism search in int64, as the engines did before they chose the
-narrowest width that holds the codes.
+narrowest width that holds the codes; `tensor_key` is the int64 key of
+(r, s, t) by which the tensor checks ordered rows before they lexsorted
+the narrow columns.  `individualized` is the coloring that
+`one_point_extension` refines.
 """
 
 from dataclasses import dataclass, replace
@@ -143,6 +146,30 @@ def tensor_from_int64_keys(keys, n: int, rank: int) -> np.ndarray:
         code, count = np.unique(codes[t], return_counts=True)
         rows += [(c // rank, c % rank, t, k) for c, k in zip(code.tolist(), count.tolist())]
     return np.array(sorted(rows), dtype=np.int64).reshape(-1, 4)
+
+
+def tensor_key(r, s, t, rank: int) -> np.ndarray:
+    """The int64 key (r * rank + s) * rank + t of each triple, whose argsort
+    is (r, s, t) order: the order `coherent._tensor_order` took before it
+    lexsorted the narrow columns.  r is widened to int64 before the first
+    product, so uint16 columns at rank >= 256 do not wrap; a rank with
+    rank**3 >= 2**63 is refused before anything is allocated."""
+    if rank**3 >= 2**63:
+        raise ValueError("tensor keys support ranks with rank**3 < 2**63")
+    key = np.asarray(r).astype(np.int64)
+    key *= rank
+    key += s
+    key *= rank
+    key += t
+    return key
+
+
+def individualized(cc, v: int) -> np.ndarray:
+    """cc's coloring with (v, v) in a fresh color, renumbered, as
+    `coherent.one_point_extension` refines it."""
+    seeded = cc.color.copy()
+    seeded[v, v] = cc.rank
+    return coherent._renumber(seeded)[0]
 
 
 def refine_partition_int64(search, pi1, pi2, ncells):

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import itertools
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,12 +27,14 @@ from reference import (
     complete,
     dense_tensor,
     directed_cycle,
+    individualized,
     move_one_arc,
     on_every_row,
     orbit_by_sets,
     random_digraph,
     refine_round_int64,
     tensor_from_int64_keys,
+    tensor_key,
 )
 
 
@@ -508,8 +511,9 @@ def test_q7_extension_peak_stays_below_the_int64_keys(contexts):
 def test_q9_extension_and_its_identities_peak_below_an_int64_tensor(contexts):
     """Criterion 11's work at q = 9: the extension (rank 6653, 4,842,839
     tensor rows, 38.7 MB in uint16) and `tensor_identities_hold` on it.  The
-    build holds at most two int64 arrays of tensor length and the check as
-    many, for a tracemalloc peak of 133.2 MB with numpy 2.4, below 145 MB.
+    build holds one intp array of tensor length at a time and the check at
+    most two int64 ones, for a tracemalloc peak of 133.2 MB with numpy 2.4,
+    below 145 MB.
     The same rows in int64 take 155.0 MB alone, so an int64 tensor fails it
     (the int64 build and check peaked near 300 MB)."""
     ctx = contexts[9]
@@ -645,18 +649,26 @@ def test_verify_algebraic_map_rejects_corrupted_tensors(cons3, closures3):
 
 
 @pytest.mark.parametrize("first", [1, 2], ids=["count-1-first", "count-2-first"])
-def test_tensor_checks_reject_a_triple_held_twice(closures3, first):
-    """The entry (1, 4, 1, 3) split into counts 1 and 2 keeps every mass sum;
-    both checks refuse the split, in either row order."""
+def test_tensor_checks_reject_a_triple_held_twice(closures3, contexts, first):
+    """An entry of count c split into counts `first` and c - first keeps
+    every mass sum; both checks refuse the split, in either row order.  The
+    entries: (1, 4, 1, 3) of a count-mode closure, and the first of count 3
+    or more in the q = 5 extension, a sort-mode tensor of 81,407 rows."""
     cc = closures3[1]
     k = int(np.flatnonzero((cc.tensor[:, :3] == [1, 4, 1]).all(axis=1))[0])
     assert cc.tensor[k].tolist() == [1, 4, 1, 3]
-    split = [[1, 4, 1, first], [1, 4, 1, 3 - first]]
-    bad = _with_tensor(cc, np.insert(np.delete(cc.tensor, k, axis=0), k, split, axis=0))
-    identity = np.arange(cc.rank)
-    assert not tensor_identities_hold(bad)
-    assert not verify_algebraic_map(bad, bad, identity)
-    assert not verify_algebraic_map(cc, bad, identity)
+    ctx = contexts[5]
+    ext = ctx.extension(ctx.cons.generators_I()[0])
+    assert len(ext.tensor) == 81407 and ext.rank**2 > coherent._MODE_A_MAX_CODES
+    for base, k in [(cc, k), (ext, int(np.flatnonzero(ext.tensor[:, 3] >= 3)[0]))]:
+        *triple, c = base.tensor[k].tolist()
+        split = [triple + [first], triple + [c - first]]
+        bad = _with_tensor(base, np.insert(np.delete(base.tensor, k, axis=0), k, split, axis=0))
+        identity = np.arange(base.rank)
+        assert tensor_identities_hold(base)
+        assert not tensor_identities_hold(bad)
+        assert not verify_algebraic_map(bad, bad, identity)
+        assert not verify_algebraic_map(base, bad, identity)
 
 
 @pytest.mark.parametrize("q", [3, 5])
@@ -820,7 +832,7 @@ def test_orbit_extension_matches_dense(q, request):
     gen = cons.rho_perm(*cons.k_generator())
     for i in cons.generators_I() if q == 3 else cons.generators_I()[:1]:
         g = cons.build_cayley(i)
-        orbit = coherent.orbit_extension(wl_close(g), cons.table.identity, [gen])
+        orbit = one_point_extension(wl_close(g), cons.table.identity, [gen])
         dense = on_every_row(
             lambda: one_point_extension(wl_close(_plain(g)), cons.table.identity)
         )
@@ -967,7 +979,8 @@ def test_wl_close_refuses_a_translation_that_is_not_a_permutation(cons3, spoil):
 def test_translations_are_proven_once_on_the_lists(cons3, monkeypatch):
     """`verify_ddd` and then `wl_close` on one family digraph prove its
     translations once, by `carries_out`; the closure never calls `carries`,
-    which still proves the generator of `orbit_extension` on its coloring."""
+    which still proves the generator of a K-orbit `one_point_extension` on
+    its coloring."""
     dense = {i: on_every_row(lambda: wl_close(_plain(cons3.build_cayley(i)))) for i in range(3)}
     calls, carries_out = [], coherent.carries_out
     monkeypatch.setattr(coherent, "carries_out", lambda *a: calls.append(a) or carries_out(*a))
@@ -984,7 +997,7 @@ def test_translations_are_proven_once_on_the_lists(cons3, monkeypatch):
         _assert_same_closure(wl_close(cons3.build_cayley(i)), dense[i])
     gen = cons3.rho_perm(*cons3.k_generator())
     with pytest.raises(AssertionError, match="carries was called"):
-        coherent.orbit_extension(cc, cons3.table.identity, [gen])
+        one_point_extension(cc, cons3.table.identity, [gen])
 
 
 def test_orbit_close_rejects_a_forged_generator(cons3):
@@ -1014,11 +1027,11 @@ def test_orbit_extension_rejects_a_colour_moving_automorphism(cons3, closures3):
     assert not np.array_equal(cc.color[0][sigma], cc.color[0])
     gen = cons3.rho_perm(*cons3.k_generator())
     with pytest.raises(coherent.NotInvariant):
-        coherent.orbit_extension(cc, t.identity, [gen, sigma])
+        one_point_extension(cc, t.identity, [gen, sigma])
     translation = t.mult[:, 9]   # u -> u * (1, 0, 0)
     assert np.array_equal(cc.color[np.ix_(translation, translation)], cc.color)
     with pytest.raises(coherent.NotInvariant):
-        coherent.orbit_extension(cc, t.identity, [gen, translation])
+        one_point_extension(cc, t.identity, [gen, translation])
 
 
 @pytest.mark.parametrize("q", [3, 5])
@@ -1030,11 +1043,11 @@ def test_orbit_extension_from_a_subgroup_of_k(q, request, monkeypatch):
     gen = cons.rho_perm(*cons.k_generator())
     cc = wl_close(cons.build_cayley(cons.generators_I()[0]))
     seen = _spy_orbits(monkeypatch)
-    orbit = coherent.orbit_extension(cc, cons.table.identity, [gen[gen]])
+    orbit = one_point_extension(cc, cons.table.identity, [gen[gen]])
     _assert_same_closure(orbit, one_point_extension(cc, cons.table.identity))
     forest, trivial = seen
     assert np.array_equal(trivial.reps, np.arange(cons.n)) and trivial.steps == []
-    root = _assert_forest(forest, coherent._individualized(cc, cons.table.identity), [gen[gen]])
+    root = _assert_forest(forest, individualized(cc, cons.table.identity), [gen[gen]])
     for i in range(q):
         _, halves = np.unique(root[cons.build_Y(i)], return_counts=True)
         assert halves.tolist() == [(q * q - 1) // 2] * 2
@@ -1073,7 +1086,7 @@ def test_fixes_coloring_equals_the_dense_oracle_on_an_individualized_closure(q, 
     cons = request.getfixturevalue(f"cons{q}")
     perms = _candidate_perms(cons)
     for cc in request.getfixturevalue(f"closures{q}").values():
-        color = coherent._individualized(cc, cons.table.identity)
+        color = individualized(cc, cons.table.identity)
         got = [coherent.carries(color, color, [s]) for s in perms]
         assert got == [carries_densely(color, color, s) for s in perms]
         assert got[len(perms) - 3] and not got[0]   # K's generator fixes e; a translation moves it
@@ -1336,7 +1349,7 @@ def test_structure_matches_loop_on_closures_and_extensions(q, request):
             cc = wl_close(cons.build_cayley(i, include_identity=loops))
             _assert_structure_matches_loop(cc)
             _assert_structure_matches_loop(
-                coherent.orbit_extension(cc, cons.table.identity, [gen])
+                one_point_extension(cc, cons.table.identity, [gen])
             )
 
 
@@ -1394,14 +1407,15 @@ def test_structure_raises_as_the_loop_on_generated_colorings(monkeypatch):
 
 
 def _assert_in_lexsort_order(cc):
-    """cc.tensor holds each (r, s, t) once, in lexicographic order, which is
-    the order of `_tensor_key`."""
+    """cc.tensor holds each (r, s, t) once, in the order of the int64 oracle
+    `tensor_key`, and `_tensor_order` lays its shuffled rows onto it in that
+    order."""
     rows = cc.tensor[np.random.default_rng(5).permutation(len(cc.tensor))]
-    want = rows[np.lexsort(rows.T[::-1])]
-    assert np.array_equal(want, cc.tensor)
-    key = coherent._tensor_key(*rows[:, :3].T, cc.rank)
-    assert np.array_equal(rows[np.argsort(key)], want)
+    key = tensor_key(*rows[:, :3].T, cc.rank)
     assert len(np.unique(key)) == len(key)
+    want = np.argsort(key)
+    assert np.array_equal(rows[want], cc.tensor)
+    assert np.array_equal(coherent._tensor_order(cc, *rows[:, :3].T), want)
 
 
 @_DENSE_REFINEMENTS
@@ -1414,7 +1428,7 @@ def test_tensor_key_order_matches_lexsort(cons3, maker, encoding):
 def test_suite_tensors_are_in_lexsort_order(contexts, q, engine, encoding):
     """The tensors of the engines the suite runs, on every generator label:
     the orbit-row closures (count mode, read transposed) and the K-orbit
-    extensions (sort mode, one stable sort of the run heads by code)."""
+    extensions (sort mode, one stable lexsort of the run heads by (r, s))."""
     ctx = contexts[q]
     for i in ctx.cons.generators_I():
         cc = getattr(ctx, engine)(i)
@@ -1423,26 +1437,54 @@ def test_suite_tensors_are_in_lexsort_order(contexts, q, engine, encoding):
 
 
 def test_tensor_key_rank_guard():
-    """rank**3 keys fit int64 up to rank 2**21 - 1, whose largest key sorts
-    last; from 2**21 the order refuses, before it allocates anything."""
+    """The oracle's rank**3 keys fit int64 up to rank 2**21 - 1, whose
+    largest key sorts last; from 2**21 it refuses, before it allocates
+    anything.  `_tensor_order` has no such bound: see
+    `test_verify_algebraic_map_decides_rank_2_21`."""
     rank = 2**21 - 1
     rows = np.array([[rank - 1] * 3 + [1], [0, 0, 1, 1], [rank - 1, rank - 1, 0, 1]])
-    assert np.argsort(coherent._tensor_key(*rows[:, :3].T, rank)).tolist() == [1, 2, 0]
+    assert np.argsort(tensor_key(*rows[:, :3].T, rank)).tolist() == [1, 2, 0]
     with pytest.raises(ValueError, match=r"rank\*\*3 < 2\*\*63"):
-        coherent._tensor_key(*np.empty((3, 0), dtype=np.int64), 2**21)
+        tensor_key(*np.empty((3, 0), dtype=np.int64), 2**21)
 
 
 @pytest.mark.parametrize("rank", [256, 300, 2**16])
 def test_tensor_key_widens_uint16_columns(rank):
-    """From rank 256 on, r * rank overflows uint16; `_tensor_key` widens the
-    columns first, so the keys of uint16 columns are the int64 keys and sort
-    as the rows do in lexicographic order."""
+    """From rank 256 on, r * rank overflows uint16; the oracle widens the
+    columns first, so its keys are the int64 keys, and `_tensor_order` on
+    uint16 and on uint32 columns returns their order."""
     rows = np.array(
         [[rank - 1] * 3, [0, rank - 1, 0], [1, 0, 0], [rank - 1, 0, rank - 1], [0, 0, 1]],
-        dtype=np.uint16 if rank <= 2**16 else np.uint32,
+        dtype=np.uint16,
     )
-    key = coherent._tensor_key(*rows.T, rank)
-    want = [(r * rank + s) * rank + t for r, s, t in rows.tolist()]
-    assert key.dtype == np.int64 and key.tolist() == want
+    key = tensor_key(*rows.T, rank)
+    assert key.dtype == np.int64 and key.tolist() == [
+        (r * rank + s) * rank + t for r, s, t in rows.tolist()
+    ]
     assert key[0] == rank**3 - 1
-    assert np.argsort(key).tolist() == np.lexsort(rows.T[::-1]).tolist()
+    want = np.argsort(key)
+    for dtype in (np.uint16, np.uint32):
+        columns = rows.astype(dtype).T
+        tensor = np.asfortranarray(np.column_stack([rows[want], np.ones(len(rows))]), dtype=dtype)
+        order = coherent._tensor_order(SimpleNamespace(tensor=tensor), *columns)
+        assert order.tolist() == want.tolist()
+
+
+def test_verify_algebraic_map_decides_rank_2_21():
+    """At rank 2**21 the int64 keys (r * rank + s) * rank + t would reach
+    2**63; the lexsorted columns order any rank, so a synthetic uint32
+    tensor at that rank is decided: the identity transports it, and the
+    swaps of colors 5 and 6 and of colors 7 and 8, which move the r and the
+    t of the row (5, top, 7) onto a non-row, do not."""
+    rank = 2**21
+    top = rank - 1
+    tensor = np.asfortranarray(
+        [[0, 0, 0, 1], [5, top, 7, 2], [top, top, top, 3]], dtype=coherent.tensor_dtype(rank, 27)
+    )
+    assert tensor.dtype == np.uint32
+    cc = SimpleNamespace(rank=rank, tensor=tensor)
+    assert verify_algebraic_map(cc, cc, np.arange(rank))
+    for a, b in [(5, 6), (7, 8)]:
+        sigma = np.arange(rank)
+        sigma[[a, b]] = [b, a]
+        assert not verify_algebraic_map(cc, cc, sigma)
