@@ -1465,7 +1465,7 @@ def test_tensor_key_widens_uint16_columns(rank):
     want = np.argsort(key)
     for dtype in (np.uint16, np.uint32):
         columns = rows.astype(dtype).T
-        tensor = np.asfortranarray(np.column_stack([rows[want], np.ones(len(rows))]), dtype=dtype)
+        tensor = np.asfortranarray(np.column_stack([rows[want], np.ones_like(rows[:, 0])]), dtype=dtype)
         order = coherent._tensor_order(SimpleNamespace(tensor=tensor), *columns)
         assert order.tolist() == want.tolist()
 
