@@ -1,6 +1,6 @@
 """Small number-theoretic helpers: prime-power shape (n is prime exactly
-when it is (n, 1)) and Euler phi; and the one width rule for arrays of
-vertices and codes, `code_dtype`."""
+when it is (n, 1)) and Euler phi; and the width rules: `code_dtype` for
+arrays of vertices and codes, `tensor_dtype` for intersection-tensor rows."""
 
 from __future__ import annotations
 
@@ -49,3 +49,9 @@ def code_dtype(limit: int) -> np.dtype:
         if limit <= np.iinfo(dtype).max + 1:
             return np.dtype(dtype)
     return np.dtype(np.int64)
+
+
+def tensor_dtype(rank: int, n: int) -> np.dtype:
+    """The one width of a tensor's (r, s, t, count) rows on n vertices:
+    `code_dtype(max(rank, n + 1))` holds every color and every count."""
+    return code_dtype(max(rank, n + 1))

@@ -52,19 +52,19 @@ unsigned order is int64 order, so the width changes no name.
 Orbit rows.  Given generators of a group of automorphisms of the initial
 coloring, a round computes the keys of one representative row per vertex
 orbit (its least vertex) only and copies every other row down one
-breadth-first forest over the generators: the vertices w = s(u) first
-reached from u by a generator s take row u moved by s, as color(s(u), s(v))
-= color(u, v).  The stable coloring is invariant under the group,
-so every color class meets a representative row; the key set, hence the
-canonical names, the rank, the rounds and the tensor, are those of a
-round on every row.  That round, the dense engine, is the trivial group:
-every vertex is its own representative and there are no steps.
-`wl_close` refines from a digraph's translations, proven once on its
-out-neighbour lists by `Digraph.translations` (a Cayley digraph's right
-translations: one row; none for any other digraph), and
-`one_point_extension` runs `orbit_close`, which proves its generators on
-the coloring, from the generators it is given, which must fix the
-individualized vertex (none by default).
+breadth-first forest over the generators (`digraph.breadth_first`, the walk
+behind `digraph.orbit_mask`): the vertices w = s(u) first reached from u by
+a generator s take row u moved by s, as color(s(u), s(v)) = color(u, v).
+The stable coloring is invariant under the group, so every color class meets
+a representative row; the key set, hence the canonical names, the rank, the
+rounds and the tensor, are those of a round on every row.  That round, the
+dense engine, is the trivial group: every vertex is its own representative
+and there are no steps.  `wl_close` refines from a digraph's translations,
+proven once on its out-neighbour lists by `Digraph.translations` (a Cayley
+digraph's right translations: one row; none for any other digraph), and
+`one_point_extension` runs `orbit_close`, which proves its generators on the
+coloring (`digraph.carries`), from the generators it is given, which must
+fix the individualized vertex (none by default).
 
 Intersection numbers.  The round that confirms stability gives every pair
 of color t the same key, so that key is the multiset of codes
@@ -72,7 +72,7 @@ of color t the same key, so that key is the multiset of codes
 numbers of t, proven well defined for every pair.  Once sorted rows,
 scatters and bincounts have checked the valencies, the tensor is read off
 those keys in code order, then t, which is (r, s, t) order.  Its rows are
-held at `tensor_dtype(rank, n)`, the width of every color and count.
+held at `arith.tensor_dtype(rank, n)`, the width of every color and count.
 Every ordering of tensor rows is one stable `np.lexsort` of those narrow
 columns: the sort-mode build's, and the one by which the checks lay moved
 rows onto a tensor's, so no rank is too large to order.  The checks widen
@@ -87,8 +87,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import code_dtype
-from .digraph import Digraph
+from .arith import code_dtype, tensor_dtype
+from .digraph import Digraph, NotInvariant, as_permutation, breadth_first, carries
 from .heisenberg import GroupTable
 
 _MODE_A_MAX_CODES = 8192       # count mode while rank**2 stays at most this
@@ -102,11 +102,6 @@ _PRODUCT_MAX_RANK = 10
 _BLOCK_ELEMENT_BUDGET = 500_000  # scratch elements per block; larger blocks measured slower
 _COMPARE_BYTES = 1 << 16  # sorted rows gathered per pass of `sorted_unique_rows`
 _FINGERPRINT_MULTIPLIER = 0x9E3779B97F4A7C15  # odd: 2**64 / golden ratio
-_TAKE_ELEMENTS = 1 << 16  # entries per block of `carries_out`
-
-
-class NotInvariant(ValueError):
-    """Group data that does not describe automorphisms of the coloring it is given with."""
 
 
 class Orbits(NamedTuple):
@@ -386,12 +381,6 @@ def _stable_coloring(
         color, rank = orbits.expand(new), rank2
 
 
-def tensor_dtype(rank: int, n: int) -> np.dtype:
-    """The one width of a tensor's (r, s, t, count) rows on n vertices:
-    `code_dtype(max(rank, n + 1))` holds every color and every count."""
-    return code_dtype(max(rank, n + 1))
-
-
 def _tensor_from_keys(keys: np.ndarray, n: int, rank: int) -> np.ndarray:
     """The (r, s, t, count) rows of the intersection tensor, in (r, s, t)
     order, at `tensor_dtype(rank, n)`.
@@ -469,79 +458,6 @@ def wl_close(g: Digraph) -> CoherentConfiguration:
     return _orbit_refine(_initial_coloring(g), list(g.translations))
 
 
-def as_permutation(s, n: int) -> np.ndarray:
-    """s as an integer array of shape (n,) holding 0..n-1 once each; else NotInvariant."""
-    s = np.asarray(s)
-    if s.shape != (n,) or s.dtype.kind not in "iu" or not np.array_equal(np.sort(s), np.arange(n)):
-        raise NotInvariant(f"a map is not a permutation of 0..{n - 1}")
-    return s
-
-
-def carries(c1: np.ndarray, c2: np.ndarray, perms: list[np.ndarray]) -> bool:
-    """True iff c2[s(u), s(v)] == c1[u, v] for all pairs and every vertex
-    permutation s in perms (see `as_permutation`), compared on the whole
-    moved matrix."""
-    return all(np.array_equal(c2[s][:, s], c1) for s in perms)  # faster than np.ix_
-
-
-def carries_out(out1: np.ndarray, out2: np.ndarray, perms: list[np.ndarray]) -> bool:
-    """True iff every vertex permutation s in perms (see `as_permutation`)
-    carries the digraph with out-neighbour lists out1 onto the one with
-    out2: sort(s[out1[u]]) == out2[s(u)] for every u.  Lists of another
-    shape hold another number of arcs.  Each row of both (n, k) lists must
-    strictly ascend, else NotInvariant; then s maps the n k arcs of out1 one
-    to one into the n k arcs of out2, hence onto them.
-
-    The lists are read in blocks of rows of about `_TAKE_ELEMENTS` entries:
-    each block is cast to intp once and serves every permutation, as
-    `np.take` gathers from an intp index without widening it, while a
-    narrow index is widened whole on every gather.  The images are gathered
-    from s held in out1's dtype, which must hold n - 1, as a `Digraph`'s
-    `code_dtype(n)` (uint16 to n = 2**16) does, and sorted in it."""
-    if out1.shape != out2.shape:
-        return False
-    for out in (out1,) if out2 is out1 else (out1, out2):
-        if not (out[:, 1:] > out[:, :-1]).all():
-            raise NotInvariant("an out-neighbour list repeats a vertex or is out of order")
-    narrow = [np.asarray(s, dtype=out1.dtype) for s in perms]
-    rows = max(1, _TAKE_ELEMENTS // max(1, out1.shape[1]))
-    for start in range(0, len(out1), rows):
-        block = out1[start : start + rows].astype(np.intp)
-        for s, images in zip(perms, narrow):
-            moved = np.take(images, block)
-            moved.sort(axis=1)
-            if not np.array_equal(moved, out2[s[start : start + rows]]):
-                return False
-    return True
-
-
-def _breadth_first(roots, perms: list[np.ndarray], n: int) -> tuple[np.ndarray, list]:
-    """The vertices reached from roots by the permutations perms, a boolean
-    mask over [0, n), and the breadth-first forest: the steps (w, u, s), one
-    layer at a time, list the vertices w = s(u) first reached from u by s in
-    perms (distinct, as one permutation sends distinct vertices apart)."""
-    reached, frontier, steps = np.zeros(n, dtype=bool), np.asarray(roots), []
-    reached[frontier] = True
-    while perms and frontier.size:
-        layer = []
-        for s in perms:
-            images = s[frontier]
-            new = ~reached[images]
-            w = images[new]
-            reached[w] = True
-            layer.append(w)
-            if w.size:
-                steps.append((w, frontier[new], s))
-        frontier = np.concatenate(layer)
-    return reached, steps
-
-
-def orbit_mask(v: int, perms: list[np.ndarray], n: int) -> np.ndarray:
-    """The orbit of vertex v under the group perms generate, as a boolean
-    mask over [0, n)."""
-    return _breadth_first([v], perms, n)[0]
-
-
 def _orbits(perms: list[np.ndarray], n: int) -> Orbits:
     """The least vertex of each orbit of the group perms generate and the
     breadth-first forest from all of them.  Every vertex starts labelled by
@@ -559,7 +475,7 @@ def _orbits(perms: list[np.ndarray], n: int) -> Orbits:
         new = new[new]
         if np.array_equal(new, label):
             reps = np.flatnonzero(label == np.arange(n))
-            return Orbits(reps, _breadth_first(reps, perms, n)[1])
+            return Orbits(reps, breadth_first(reps, perms, n)[1])
         label = new
 
 

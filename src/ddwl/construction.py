@@ -39,8 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from .arith import prime_power
-from .coherent import as_permutation, orbit_mask
-from .digraph import Digraph
+from .digraph import Digraph, as_permutation, orbit_mask
 from .gf import field_create
 from .heisenberg import GroupTable
 

@@ -12,7 +12,7 @@ holds on all n**2 pairs (g0, g) once f and h are permutations and, for every
 g0, f maps the block X_0 g0 one to one onto the block X_i h(g0): then
 g in X_0 g0 gives f(g) in X_i h(g0), and f(g) in X_i h(g0) = f(X_0 g0) gives
 g in X_0 g0, f being injective.  `verify_design_iso` checks the blocks with
-`coherent.carries_out`, the check that proves a digraph's translations.
+`digraph.carries_out`, the check that proves a digraph's translations.
 The closed form below only derives f and h.
 With g = (al, be, ga) and g0 = (al0, be0, ga0), g lies in X_i g0 iff
 
@@ -33,9 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import NotInvariant, as_permutation, carries_out
 from .construction import Construction
-from .digraph import Digraph
+from .digraph import Digraph, NotInvariant, as_permutation, carries_out
 
 
 @dataclass
@@ -245,7 +244,7 @@ def verify_design_iso(cons: Construction, i: int) -> DesignIsoReport:
     """The criterion over all n**2 pairs (g0, g), on the block lists: sorted
     X_0 g0 and X_i g, the out-neighbour lists of `build_cayley(0)` (kept by
     `Construction.blocks0`) and `build_cayley(i)`.
-    Design 0's lists are carried by f (`coherent.carries_out`) onto design
+    Design 0's lists are carried by f (`digraph.carries_out`) onto design
     i's reindexed by h f**-1: for every g0, the sorted f[X_0 g0] equals
     X_i h(g0).  A resized X_i is a list of another shape; a repeated point,
     or an f or h that is no permutation, raises NotInvariant and fails the

@@ -11,6 +11,13 @@ scattered from the lists on first read and kept.  A digraph built from
 every out-degree equal.  The translations a digraph claims are proven on its
 lists on first read of `translations`.
 
+Vertex maps are proven here for every module: `as_permutation` proves a
+map a permutation, `carries` proves permutations carry one pair coloring
+onto another, and `carries_out` one digraph onto another on their lists, in
+blocks of `_TAKE_ELEMENTS` entries; a failed proof raises `NotInvariant`.
+`breadth_first` walks the group the permutations generate, from roots:
+`orbit_mask` and `coherent`'s orbit rows read its mask and its forest.
+
 The text format is: first line n, then n lines of n characters '0'/'1'
 giving the adjacency matrix row by row.  It is bit-exact across platforms.
 `ddwl build` writes it; the tests read it back.
@@ -21,6 +28,12 @@ from __future__ import annotations
 import numpy as np
 
 from .arith import code_dtype
+
+_TAKE_ELEMENTS = 1 << 16  # entries per block of `carries_out`
+
+
+class NotInvariant(ValueError):
+    """Group data that does not describe automorphisms of the coloring it is given with."""
 
 
 class Digraph:
@@ -62,13 +75,11 @@ class Digraph:
     @property
     def translations(self) -> tuple:
         """The claimed translations, proven on first read and kept: each is a
-        permutation (`coherent.as_permutation`) that maps the out-neighbour
-        lists onto themselves (`coherent.carries_out`), and together they
-        reach every vertex from 0 (`coherent.orbit_mask`), so they generate
-        a transitive group of automorphisms; else NotInvariant."""
+        permutation (`as_permutation`) that maps the out-neighbour lists
+        onto themselves (`carries_out`), and together they reach every
+        vertex from 0 (`orbit_mask`), so they generate a transitive group of
+        automorphisms; else NotInvariant."""
         if self._translations is None:
-            from .coherent import NotInvariant, as_permutation, carries_out, orbit_mask
-
             perms = tuple(as_permutation(s, self.n) for s in self._claimed)
             if perms and not carries_out(self.out, self.out, perms):
                 raise NotInvariant("a translation maps an arc to a non-arc")
@@ -82,8 +93,6 @@ class Digraph:
         translations proven on this one (proving them first): an
         automorphism maps loops to loops, so it maps the other arcs onto the
         other arcs.  NotInvariant unless every vertex or none has a loop."""
-        from .coherent import NotInvariant  # coherent imports this module
-
         proven, out = self.translations, self.out
         keep = out != np.arange(self.n)[:, None]
         if np.count_nonzero(~keep) not in (0, self.n):
@@ -108,8 +117,6 @@ class Digraph:
         out-degree is the same, as it is under a transitive group of
         automorphisms."""
         if self._out is None:
-            from .coherent import NotInvariant  # coherent imports this module
-
             degrees = self._arcs.sum(axis=1)
             k = int(degrees.max(initial=0))
             if (degrees != k).any():
@@ -130,10 +137,8 @@ class Digraph:
         return not both.any()
 
     def relabeled(self, perm: np.ndarray) -> "Digraph":
-        """Rename vertex u to perm[u]; `coherent.as_permutation` proves perm
-        (its NotInvariant is a ValueError)."""
-        from .coherent import as_permutation  # coherent imports this module
-
+        """Rename vertex u to perm[u]; `as_permutation` proves perm (its
+        NotInvariant is a ValueError)."""
         perm = as_permutation(perm, self.n)
         a = np.empty_like(self.arcs)
         a[np.ix_(perm, perm)] = self.arcs
@@ -144,3 +149,79 @@ class Digraph:
         chars = np.where(self.arcs, "1", "0")
         lines.extend("".join(row) for row in chars)
         return "\n".join(lines) + "\n"
+
+
+# -- proofs of vertex maps ------------------------------------------------------
+
+
+def as_permutation(s, n: int) -> np.ndarray:
+    """s as an integer array of shape (n,) holding 0..n-1 once each; else NotInvariant."""
+    s = np.asarray(s)
+    if s.shape != (n,) or s.dtype.kind not in "iu" or not np.array_equal(np.sort(s), np.arange(n)):
+        raise NotInvariant(f"a map is not a permutation of 0..{n - 1}")
+    return s
+
+
+def carries(c1: np.ndarray, c2: np.ndarray, perms: list[np.ndarray]) -> bool:
+    """True iff c2[s(u), s(v)] == c1[u, v] for all pairs and every vertex
+    permutation s in perms (see `as_permutation`), compared on the whole
+    moved matrix."""
+    return all(np.array_equal(c2[s][:, s], c1) for s in perms)  # faster than np.ix_
+
+
+def carries_out(out1: np.ndarray, out2: np.ndarray, perms: list[np.ndarray]) -> bool:
+    """True iff every vertex permutation s in perms (see `as_permutation`)
+    carries the digraph with out-neighbour lists out1 onto the one with
+    out2: sort(s[out1[u]]) == out2[s(u)] for every u.  Lists of another
+    shape hold another number of arcs.  Each row of both (n, k) lists must
+    strictly ascend, else NotInvariant; then s maps the n k arcs of out1 one
+    to one into the n k arcs of out2, hence onto them.
+
+    The lists are read in blocks of rows of about `_TAKE_ELEMENTS` entries:
+    each block is cast to intp once and serves every permutation, as
+    `np.take` gathers from an intp index without widening it, while a
+    narrow index is widened whole on every gather.  The images are gathered
+    from s held in out1's dtype, which must hold n - 1, as a `Digraph`'s
+    `code_dtype(n)` (uint16 to n = 2**16) does, and sorted in it."""
+    if out1.shape != out2.shape:
+        return False
+    for out in (out1,) if out2 is out1 else (out1, out2):
+        if not (out[:, 1:] > out[:, :-1]).all():
+            raise NotInvariant("an out-neighbour list repeats a vertex or is out of order")
+    narrow = [np.asarray(s, dtype=out1.dtype) for s in perms]
+    rows = max(1, _TAKE_ELEMENTS // max(1, out1.shape[1]))
+    for start in range(0, len(out1), rows):
+        block = out1[start : start + rows].astype(np.intp)
+        for s, images in zip(perms, narrow):
+            moved = np.take(images, block)
+            moved.sort(axis=1)
+            if not np.array_equal(moved, out2[s[start : start + rows]]):
+                return False
+    return True
+
+
+def breadth_first(roots, perms: list[np.ndarray], n: int) -> tuple[np.ndarray, list]:
+    """The vertices reached from roots by the permutations perms, a boolean
+    mask over [0, n), and the breadth-first forest: the steps (w, u, s), one
+    layer at a time, list the vertices w = s(u) first reached from u by s in
+    perms (distinct, as one permutation sends distinct vertices apart)."""
+    reached, frontier, steps = np.zeros(n, dtype=bool), np.asarray(roots), []
+    reached[frontier] = True
+    while perms and frontier.size:
+        layer = []
+        for s in perms:
+            images = s[frontier]
+            new = ~reached[images]
+            w = images[new]
+            reached[w] = True
+            layer.append(w)
+            if w.size:
+                steps.append((w, frontier[new], s))
+        frontier = np.concatenate(layer)
+    return reached, steps
+
+
+def orbit_mask(v: int, perms: list[np.ndarray], n: int) -> np.ndarray:
+    """The orbit of vertex v under the group perms generate, as a boolean
+    mask over [0, n)."""
+    return breadth_first([v], perms, n)[0]

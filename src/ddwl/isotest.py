@@ -15,14 +15,16 @@ Per node the refinement recolors a vertex x by the multiset over all w of
 stable coloring; only vertices in splittable cells are recomputed.  Their
 codes cell(w) * mult + color(x, w) lie below ncells * mult and are sorted at
 the width `arith.code_dtype` gives for it (uint16 while it is at most
-2**16), whose order is int64 order.  Candidate
-leaves are verified color-exactly, and every emitted isomorphism witness and
-searched automorphism generator arc-exactly (`coherent.carries`) before use,
-so the engine never reports a false positive;
-negatives come from exhausted search.  An isomorphism search prunes its
-first branching node by the generators cc2 records (g2's translations,
-when it carries them), else by Aut(g2), searched for only
-once a root candidate has failed: a candidate's orbit then fails with it.
+2**16), whose order is int64 order.  Candidate leaves are verified
+color-exactly, and every emitted isomorphism witness and searched
+automorphism generator arc-exactly (`digraph.carries`) before use, so the
+engine never reports a false positive; negatives come from exhausted search.
+An isomorphism search prunes its first branching node by the generators cc2
+records (g2's translations, when it carries them), else by Aut(g2), searched
+for only once a root candidate has failed: a candidate's orbit then fails
+with it.  Every search gives up after `NODE_BUDGET` nodes (BudgetExceeded).
+`is_induced` runs it between an S-ring's scheme coloring and that coloring
+recolored by a cell bijection sigma.
 
 Automorphism group orders use the orbit-stabilizer chain: the order is the
 orbit length of the first individualized vertex times the order of its
@@ -38,11 +40,10 @@ from itertools import combinations
 import numpy as np
 
 from .arith import code_dtype
-from .coherent import CoherentConfiguration, carries, invariants, orbit_mask
-from .coherent import sorted_unique_rows, wl_close
-from .digraph import Digraph
+from .coherent import CoherentConfiguration, invariants, sorted_unique_rows, wl_close
+from .digraph import Digraph, carries, orbit_mask
 
-NODE_BUDGET_DEFAULT = 10_000_000
+NODE_BUDGET = 10_000_000  # search nodes per `_PartitionSearch`, read when one is made
 
 
 class BudgetExceeded(RuntimeError):
@@ -75,12 +76,12 @@ class _PartitionSearch:
     """Backtracking search for color-preserving bijections between two
     pair-colored vertex sets with a common canonical palette."""
 
-    def __init__(self, c1: np.ndarray, c2: np.ndarray, node_budget: int):
+    def __init__(self, c1: np.ndarray, c2: np.ndarray):
         if c1.shape != c2.shape or c1.shape[0] != c1.shape[1]:
             raise ValueError("colorings must be square and of equal order")
         self.c1, self.c2 = c1, c2  # searched as given; `_refine` codes at its own width
         self.n = c1.shape[0]
-        self.budget = node_budget
+        self.budget = NODE_BUDGET
         self.nodes = 0
         self.mult = max(int(c1.max()), int(c2.max())) + 1
 
@@ -191,7 +192,6 @@ def are_isomorphic(
     g2: Digraph,
     cc1: CoherentConfiguration | None = None,
     cc2: CoherentConfiguration | None = None,
-    node_budget: int = NODE_BUDGET_DEFAULT,
 ) -> IsoCertificate:
     """Exact isomorphism test with a verified witness either way."""
     if g1.n != g2.n:
@@ -210,8 +210,8 @@ def are_isomorphic(
             },
             detail=f"canonical closure invariants differ: {keys}",
         )
-    search = _PartitionSearch(cc1.color, cc2.color, node_budget)
-    aut_gens = cache(lambda: cc2.generators or automorphism_generators(g2, cc2, node_budget)[1])
+    search = _PartitionSearch(cc1.color, cc2.color)
+    aut_gens = cache(lambda: cc2.generators or automorphism_generators(g2, cc2)[1])
     try:
         f = search.search((), prune=lambda v: orbit_mask(v, aut_gens(), g2.n))
     except BudgetExceeded:
@@ -233,14 +233,13 @@ def are_isomorphic(
 def automorphism_generators(
     g: Digraph,
     cc: CoherentConfiguration | None = None,
-    node_budget: int = NODE_BUDGET_DEFAULT,
     fixed: tuple[int, ...] = (),
 ) -> tuple[int, list[np.ndarray]]:
     """Order of the automorphism group (of the stabilizer of the fixed
     vertices, when given) and generators, each checked arc by arc; raises
     BudgetExceeded when the search cap is hit."""
     cc = cc if cc is not None else wl_close(g)
-    search = _PartitionSearch(cc.color, cc.color, node_budget)
+    search = _PartitionSearch(cc.color, cc.color)
 
     def rec(forced: tuple[tuple[int, int], ...]) -> tuple[int, list[np.ndarray]]:
         state = search._refine(*search._seeded(forced))
@@ -272,11 +271,10 @@ def automorphism_generators(
 def automorphism_order(
     g: Digraph,
     cc: CoherentConfiguration | None = None,
-    node_budget: int = NODE_BUDGET_DEFAULT,
     fixed: tuple[int, ...] = (),
 ) -> int:
     """The order that `automorphism_generators` finds."""
-    return automorphism_generators(g, cc, node_budget, fixed)[0]
+    return automorphism_generators(g, cc, fixed)[0]
 
 
 # -- class counting ------------------------------------------------------------------
@@ -294,7 +292,6 @@ class IsoClassResult:
 def iso_class_count(
     graphs: list[Digraph],
     ccs: list[CoherentConfiguration] | None = None,
-    node_budget: int = NODE_BUDGET_DEFAULT,
 ) -> IsoClassResult:
     """Number of isomorphism classes.  Each graph is tested against one
     representative per class found so far and joins the first class it is
@@ -309,7 +306,7 @@ def iso_class_count(
     certificates: dict = {}
     for j, g in enumerate(graphs):
         for r in reps:
-            cert = are_isomorphic(graphs[r], g, ccs[r], ccs[j], node_budget)
+            cert = are_isomorphic(graphs[r], g, ccs[r], ccs[j])
             certificates[(r, j)] = cert
             if cert.isomorphic:
                 rep_of.append(r)
@@ -332,3 +329,28 @@ def iso_class_count(
         if all(certificates[(a, b)].kind == "non-isomorphic" for a in reps if a < b)
     ]
     return IsoClassResult(len(distinct), len(distinct) == len(reps), pair_results, certificates)
+
+
+# -- inducedness ---------------------------------------------------------------------
+
+
+@dataclass
+class InducednessResult:
+    status: str                 # "induced" | "not_induced" | "undetermined"
+    mapping: np.ndarray | None = None
+
+
+def is_induced(ring, sigma) -> InducednessResult:
+    """Search for a vertex bijection f with cell(f(v) f(u)^-1) = sigma(cell(v u^-1))
+    on the scheme coloring of ring, an `srings.SRing`.  A timeout is reported
+    as undetermined, never as a negative answer."""
+    scheme = ring.scheme_coloring()
+    recolored = np.asarray(sigma, dtype=np.int32)[scheme]
+    search = _PartitionSearch(recolored, scheme)
+    try:
+        f = search.search(())
+    except BudgetExceeded:
+        return InducednessResult("undetermined")
+    if f is None:
+        return InducednessResult("not_induced")
+    return InducednessResult("induced", mapping=f)

@@ -28,7 +28,8 @@ the routines that check every closure, `coherent.tensor_identities_hold`
 and `coherent.verify_algebraic_map`.  A cell bijection sigma is an algebraic
 automorphism when it preserves the whole tensor.  The power maps i -> i**m
 of the extended index group, m coprime to q + 1, induce such bijections
-(tau_hat); each is checked by `coherent.verify_algebraic_map`.
+(tau_hat); each is checked by `coherent.verify_algebraic_map`, and
+`isotest.is_induced` searches for a vertex bijection that induces it.
 """
 
 from __future__ import annotations
@@ -38,9 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coherent import tensor_dtype
+from .arith import tensor_dtype
 from .construction import Construction
-from .isotest import NODE_BUDGET_DEFAULT, BudgetExceeded, _PartitionSearch
 
 
 class NotAnSRing(ValueError):
@@ -322,26 +322,3 @@ def is_group_closed(perms: list[np.ndarray]) -> bool:
             if a[b].tobytes() not in keys:
                 return False
     return True
-
-
-@dataclass
-class InducednessResult:
-    status: str                 # "induced" | "not_induced" | "undetermined"
-    mapping: np.ndarray | None = None
-
-
-def is_induced(ring: SRing, sigma, node_budget: int = NODE_BUDGET_DEFAULT) -> InducednessResult:
-    """Search for a vertex bijection f with cell(f(v) f(u)^-1) = sigma(cell(v u^-1)).
-
-    A timeout is reported as undetermined, never as a negative answer.
-    """
-    scheme = ring.scheme_coloring()
-    recolored = np.asarray(sigma, dtype=np.int32)[scheme]
-    search = _PartitionSearch(recolored, scheme, node_budget)
-    try:
-        f = search.search(())
-    except BudgetExceeded:
-        return InducednessResult("undetermined")
-    if f is None:
-        return InducednessResult("not_induced")
-    return InducednessResult("induced", mapping=f)

@@ -19,7 +19,7 @@ import numpy as np
 from . import coherent, designs, isotest, srings
 from .arith import euler_phi
 from .construction import Construction
-from .digraph import Digraph
+from .digraph import Digraph, as_permutation, carries_out
 
 __version__ = "0.1.0"
 
@@ -163,7 +163,7 @@ def _k_automorphisms(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
     # a power of a digraph automorphism is one too, so only g meets the arcs
     gens = cons.generators_I()
     ok = len(labels) == cons.q**2 - 1
-    ok &= all(coherent.carries_out(o, o, [g]) for o in (ctx.digraph(i).out for i in gens))
+    ok &= all(carries_out(o, o, [g]) for o in (ctx.digraph(i).out for i in gens))
     return ("pass" if ok else "fail"), {"k_order": len(labels), "graph_checks": len(gens)}
 
 
@@ -325,7 +325,7 @@ def _algebraic_automorphisms(ctx: Context, exhaustive: bool) -> tuple[str, dict]
     ok &= srings.is_group_closed(autos)
     data = {"count": len(autos), "phi_bound": want}
     if exhaustive:
-        found = [srings.is_induced(ctx.ring, sigma).status for sigma in autos]
+        found = [isotest.is_induced(ctx.ring, sigma).status for sigma in autos]
         data.update(induced=found.count("induced"), induced_bound=2 * ctx.cons.field.l)
         if ok and "undetermined" in found:
             return "undetermined", data
@@ -405,8 +405,8 @@ def _reverse_pair_isomorphism(ctx: Context, exhaustive: bool) -> tuple[str, dict
     j = cons.chi(i)
     g1, g2 = ctx.digraph(i), ctx.digraph(j)
     cert = isotest.are_isomorphic(g1, g2, ctx.closure(i), ctx.closure(j))
-    sigma = coherent.as_permutation(t._pack(t.ix, f.neg(t.iy), f.neg(t.iz)), cons.n)
-    witnessed = cert.isomorphic and coherent.carries_out(g1.out, g2.out, [sigma])
+    sigma = as_permutation(t._pack(t.ix, f.neg(t.iy), f.neg(t.iz)), cons.n)
+    witnessed = cert.isomorphic and carries_out(g1.out, g2.out, [sigma])
     status = "undetermined" if cert.kind == "undetermined" else ("pass" if witnessed else "fail")
     return status, {"i": i, "chi_i": j, "result": cert.kind}
 

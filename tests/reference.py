@@ -4,11 +4,11 @@
 `move_one_arc` spoils a Cayley digraph that keeps its translations.
 `cayley_arcs_densely` is the n x n scatter that `build_cayley`'s
 out-neighbour lists replaced.
-`carries_densely` is the n x n comparison that `coherent.carries`
+`carries_densely` is the n x n comparison that `digraph.carries`
 replaced, and `design_iso_densely` the n x n comparison of moved adjacency
 matrices that `designs.verify_design_iso` decides on block lists with
-`coherent.carries_out`, and still makes for a failure's witness;
-`orbit_by_sets` is the set-based closure that `coherent.orbit_mask`
+`digraph.carries_out`, and still makes for a failure's witness;
+`orbit_by_sets` is the set-based closure that `digraph.orbit_mask`
 replaced.  `MatrixM` and `rho_apply` are the automorphism map on one
 (x, y, z) triple of field indices at a time, that `Construction.rho_perm`
 is compared against; `desiso_apply` is the pair of design maps on one

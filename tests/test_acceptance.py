@@ -13,7 +13,7 @@ import pytest
 
 from ddwl.coherent import wl_close
 from ddwl.designs import desiso_maps
-from ddwl.srings import is_induced
+from ddwl.isotest import is_induced
 from ddwl.suite import REGISTRY
 from reference import algebraic_automorphisms, directed_cycle, random_digraph
 

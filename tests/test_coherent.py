@@ -9,7 +9,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from ddwl import coherent
+from ddwl import arith, coherent, digraph
 from ddwl.coherent import (
     as_sring_partition,
     one_point_extension,
@@ -386,7 +386,7 @@ def test_sorted_unique_rows_where_every_fingerprint_collides(dtype, compare_byte
      (2**32 + 1, np.int64), (2**40, np.int64)],
 )
 def test_code_dtype_is_the_narrowest_width_holding_the_codes(limit, width):
-    assert coherent.code_dtype(limit) == np.dtype(width)
+    assert arith.code_dtype(limit) == np.dtype(width)
 
 
 def _assert_round_equals_int64(got, color, rank, rows):
@@ -396,7 +396,7 @@ def _assert_round_equals_int64(got, color, rank, rows):
     new, rank2, keys = got
     want_new, want_rank, want_keys = refine_round_int64(color, rank, rows)
     n = len(color)
-    wide = coherent.code_dtype(rank * rank).newbyteorder(">")
+    wide = arith.code_dtype(rank * rank).newbyteorder(">")
     assert keys.dtype == np.dtype(f"V{(n + 1) * wide.itemsize}")
     assert (new.dtype, rank2) == (want_new.dtype, want_rank)
     assert new.tobytes() == want_new.tobytes()
@@ -423,13 +423,13 @@ def test_extension_rounds_equal_the_int64_keys(q, width, contexts, monkeypatch):
     monkeypatch.setattr(coherent, "_refine_round", checked)
     for i in ctx.cons.generators_I():
         ext = ctx.extension(i)
-        assert coherent.code_dtype(ext.rank**2) == width and confirming[2] == ext.rank
+        assert arith.code_dtype(ext.rank**2) == width and confirming[2] == ext.rank
         keys, n, rank = confirming
         got = coherent._tensor_from_keys(keys, n, rank)
         assert got.tobytes() == ext.tensor.tobytes()
         wide_keys = refine_round_int64(ext.color, rank, np.arange(n))[2]
         want = tensor_from_int64_keys(wide_keys, n, rank)
-        assert got.dtype == coherent.tensor_dtype(rank, n) == np.uint16
+        assert got.dtype == arith.tensor_dtype(rank, n) == np.uint16
         assert got.shape == want.shape and got.astype(np.int64).tobytes() == want.tobytes()
 
 
@@ -461,11 +461,11 @@ def test_tensor_from_keys_either_side_of_the_uint16_switch(rank):
     rows[:, 0] = np.arange(rank)
     rows[:, 1:] = np.sort(rng.integers(rank * rank - 40, rank * rank, size=(rank, n)), axis=1)
     rows[::2, 1:] = np.sort(rng.integers(0, 3, size=(len(rows[::2]), n)), axis=1)
-    wide = coherent.code_dtype(rank * rank).newbyteorder(">")
+    wide = arith.code_dtype(rank * rank).newbyteorder(">")
     keys = rows.astype(wide).view(f"V{(n + 1) * wide.itemsize}").ravel()
     got = coherent._tensor_from_keys(keys, n, rank)
     want = tensor_from_int64_keys(rows.astype(">i8").view(f"V{8 * (n + 1)}").ravel(), n, rank)
-    assert got.dtype == coherent.tensor_dtype(rank, n) == np.uint16
+    assert got.dtype == arith.tensor_dtype(rank, n) == np.uint16
     assert got.shape == want.shape and got.astype(np.int64).tobytes() == want.tobytes()
 
 
@@ -483,7 +483,7 @@ def test_extension_tensor_pinned(contexts, q):
     ctx = contexts[q]
     ext = ctx.extension(ctx.cons.generators_I()[0])
     tensor = ext.tensor
-    assert tensor.dtype == coherent.tensor_dtype(ext.rank, ext.n) == np.uint16
+    assert tensor.dtype == arith.tensor_dtype(ext.rank, ext.n) == np.uint16
     assert tensor.flags.f_contiguous
     wide = tensor.astype(np.int64)
     assert hashlib.sha256(wide.tobytes()).hexdigest() == EXTENSION_TENSOR_SHA256[q]
@@ -552,10 +552,10 @@ def test_tensor_width_either_side_of_rank_2_16(rank, width):
     codes[:, 1] = rank * rank - 1
     codes[::3, 0] = rank * rank - 2
     codes.sort(axis=1)
-    wide = coherent.code_dtype(rank * rank).newbyteorder(">")
+    wide = arith.code_dtype(rank * rank).newbyteorder(">")
     keys = np.column_stack([np.arange(rank), codes]).astype(wide)
     got = coherent._tensor_from_keys(keys.view(f"V{(n + 1) * wide.itemsize}").ravel(), n, rank)
-    assert got.dtype == coherent.tensor_dtype(rank, n) == width
+    assert got.dtype == arith.tensor_dtype(rank, n) == width
     assert got[:, :3].max() == rank - 1
     want = _int64_tensor_of_codes(codes, rank)
     assert got.shape == want.shape and np.array_equal(got, want)
@@ -573,7 +573,7 @@ def test_tensor_width_at_n_plus_1_2_16():
     keys = np.empty((rank, rank * rank + 1), dtype=">u2")
     keys[:, 0], keys[:, 1:] = np.arange(rank), n - counts
     got = coherent._tensor_from_keys(keys.view(f"V{2 * (rank * rank + 1)}").ravel(), n, rank)
-    assert got.dtype == coherent.tensor_dtype(rank, n) == np.uint16
+    assert got.dtype == arith.tensor_dtype(rank, n) == np.uint16
     assert got[:, 3].max() == n
     codes = np.array([np.repeat(np.arange(rank * rank), row) for row in counts])
     want = _int64_tensor_of_codes(codes, rank)
@@ -846,7 +846,7 @@ def test_orbit_extension_q7_pinned(contexts):
     ext = ctx.extension(ctx.cons.generators_I()[0])
     assert (ext.rank, ext.rounds) == (2459, 4)
     assert (ext.color.dtype, ext.tensor.dtype) == (np.int32, np.uint16)
-    assert ext.tensor.dtype == coherent.tensor_dtype(ext.rank, ext.n)
+    assert ext.tensor.dtype == arith.tensor_dtype(ext.rank, ext.n)
     assert all(column.flags.c_contiguous for column in ext.tensor.T)
     assert hashlib.sha256(ext.color.tobytes()).hexdigest() == (
         "1e740de7bc1cff5629771773474f8ce9867e512acfe24c973d6764e42d48dfc1"
@@ -972,7 +972,7 @@ def test_wl_close_refuses_a_translation_that_is_not_a_permutation(cons3, spoil):
     g = cons3.build_cayley(1)
     steps = list(g.translations)
     steps[0] = spoil(steps[0])
-    with pytest.raises(coherent.NotInvariant, match="permutation"):
+    with pytest.raises(digraph.NotInvariant, match="permutation"):
         wl_close(Digraph(g.arcs, translations=tuple(steps)))
 
 
@@ -982,8 +982,8 @@ def test_translations_are_proven_once_on_the_lists(cons3, monkeypatch):
     which still proves the generator of a K-orbit `one_point_extension` on
     its coloring."""
     dense = {i: on_every_row(lambda: wl_close(_plain(cons3.build_cayley(i)))) for i in range(3)}
-    calls, carries_out = [], coherent.carries_out
-    monkeypatch.setattr(coherent, "carries_out", lambda *a: calls.append(a) or carries_out(*a))
+    calls, carries_out = [], digraph.carries_out
+    monkeypatch.setattr(digraph, "carries_out", lambda *a: calls.append(a) or carries_out(*a))
     g = cons3.build_cayley(1)
     verify_ddd(g, cons3.table.coset_ids, (0, 3))
     cc = wl_close(g)
@@ -1009,11 +1009,11 @@ def test_orbit_close_rejects_a_forged_generator(cons3):
     assert not np.array_equal(color0[np.ix_(forged, forged)], color0)
     translations = [cons3.table.mult[:, 9], cons3.table.mult[:, 3]]  # by (1, 0, 0), (0, 1, 0)
     coherent.orbit_close(color0, translations)
-    with pytest.raises(coherent.NotInvariant):
+    with pytest.raises(digraph.NotInvariant):
         coherent.orbit_close(color0, translations + [forged])
     # a relabeled family digraph is not Cayley over the table
     relabeled = g.relabeled(np.random.default_rng(0).permutation(g.n))
-    with pytest.raises(coherent.NotInvariant):
+    with pytest.raises(digraph.NotInvariant):
         wl_close(Digraph(relabeled.arcs, translations=cons3.table.right_translations()))
 
 
@@ -1026,11 +1026,11 @@ def test_orbit_extension_rejects_a_colour_moving_automorphism(cons3, closures3):
     cc = closures3[1]
     assert not np.array_equal(cc.color[0][sigma], cc.color[0])
     gen = cons3.rho_perm(*cons3.k_generator())
-    with pytest.raises(coherent.NotInvariant):
+    with pytest.raises(digraph.NotInvariant):
         one_point_extension(cc, t.identity, [gen, sigma])
     translation = t.mult[:, 9]   # u -> u * (1, 0, 0)
     assert np.array_equal(cc.color[np.ix_(translation, translation)], cc.color)
-    with pytest.raises(coherent.NotInvariant):
+    with pytest.raises(digraph.NotInvariant):
         one_point_extension(cc, t.identity, [gen, translation])
 
 
@@ -1074,7 +1074,7 @@ def test_fixes_coloring_equals_the_dense_oracle_on_every_label(q, request):
         g = cons.build_cayley(i)
         colorings = [g.arcs] + ([~g.arcs, coherent._initial_coloring(g)] if q <= 9 else [])
         for color in colorings:
-            got = [coherent.carries(color, color, [s]) for s in perms]
+            got = [digraph.carries(color, color, [s]) for s in perms]
             assert got == [carries_densely(color, color, s) for s in perms]
             assert got[: len(perms) - 2] == [True] * (len(perms) - 2) and not got[-1]
 
@@ -1087,7 +1087,7 @@ def test_fixes_coloring_equals_the_dense_oracle_on_an_individualized_closure(q, 
     perms = _candidate_perms(cons)
     for cc in request.getfixturevalue(f"closures{q}").values():
         color = individualized(cc, cons.table.identity)
-        got = [coherent.carries(color, color, [s]) for s in perms]
+        got = [digraph.carries(color, color, [s]) for s in perms]
         assert got == [carries_densely(color, color, s) for s in perms]
         assert got[len(perms) - 3] and not got[0]   # K's generator fixes e; a translation moves it
 
@@ -1109,7 +1109,7 @@ def test_carries_equals_the_dense_oracle_between_two_digraphs(q, contexts):
     grown[0, np.flatnonzero(~grown[0])[0]] = True
     ident = np.arange(g1.n)
     cases = [(c1, c2, p) for c1, c2 in pairs] + [(g1.arcs, grown, ident)]
-    got = [coherent.carries(c1, c2, [s]) for c1, c2, s in cases]
+    got = [digraph.carries(c1, c2, [s]) for c1, c2, s in cases]
     assert got == [carries_densely(c1, c2, s) for c1, c2, s in cases] == [True, True, False, False]
     assert grown[g1.arcs].all()
 
@@ -1122,7 +1122,7 @@ def test_carries_on_a_discrete_coloring_gathers_densely():
     c2 = np.empty_like(c1)
     c2[np.ix_(p, p)] = c1
     perms = [p, np.arange(n), p[::-1]]
-    got = [coherent.carries(c1, c2, [s]) for s in perms]
+    got = [digraph.carries(c1, c2, [s]) for s in perms]
     assert got == [carries_densely(c1, c2, s) for s in perms] == [True, False, False]
 
 
@@ -1140,12 +1140,12 @@ def test_carries_out_equals_carries_on_the_arcs(q, request):
             g = cons.build_cayley(i, include_identity=loops)
             moved = move_one_arc(g)
             for a, b in ((g, g), (moved, moved), (g, moved)):
-                got = [coherent.carries_out(a.out, b.out, [s]) for s in perms]
-                assert got == [coherent.carries(a.arcs, b.arcs, [s]) for s in perms]
+                got = [digraph.carries_out(a.out, b.out, [s]) for s in perms]
+                assert got == [digraph.carries(a.arcs, b.arcs, [s]) for s in perms]
                 c1, c2 = coherent._initial_coloring(a), coherent._initial_coloring(b)
-                assert got == [coherent.carries(c1, c2, [s]) for s in perms]
-            assert coherent.carries_out(g.out, g.out, perms[:-3])   # translations, K
-            assert not coherent.carries_out(g.out, moved.out, perms[-1:])
+                assert got == [digraph.carries(c1, c2, [s]) for s in perms]
+            assert digraph.carries_out(g.out, g.out, perms[:-3])   # translations, K
+            assert not digraph.carries_out(g.out, moved.out, perms[-1:])
 
 
 @pytest.mark.parametrize("q", [5, 7])
@@ -1163,12 +1163,12 @@ def test_carries_out_gives_the_same_verdicts_on_uint16_and_int32_lists(q, reques
         for a, b in ((g.out, g.out), (moved.out, moved.out), (g.out, moved.out)):
             a32, b32 = a.astype(np.int32), b.astype(np.int32)
             verdicts = [
-                [coherent.carries_out(x, y, [s]) for s in perms]
+                [digraph.carries_out(x, y, [s]) for s in perms]
                 for x, y in ((a, b), (a32, b), (a, b32), (a32, b32))
             ]
             assert all(v == verdicts[0] for v in verdicts)
-        assert coherent.carries_out(g.out, g.out, perms[:-3])   # translations, K
-        assert not coherent.carries_out(g.out, moved.out, perms[-1:])
+        assert digraph.carries_out(g.out, g.out, perms[:-3])   # translations, K
+        assert not digraph.carries_out(g.out, moved.out, perms[-1:])
 
 
 @pytest.mark.parametrize("where", ["middle_block", "last_row"])
@@ -1178,7 +1178,7 @@ def test_carries_out_reads_every_block(where, cons13):
     either side, by the identity and by the translations, on uint16 and
     int32 lists alike, and the unmoved lists are carried."""
     out = cons13.build_cayley(1).out
-    rows = coherent._TAKE_ELEMENTS // out.shape[1]
+    rows = digraph._TAKE_ELEMENTS // out.shape[1]
     blocks = -(-len(out) // rows)
     assert blocks >= 3
     u = rows * (blocks // 2) if where == "middle_block" else len(out) - 1
@@ -1188,10 +1188,10 @@ def test_carries_out_reads_every_block(where, cons13):
     ident, steps = [np.arange(cons13.n)], list(cons13.table.right_translations())
     for dtype in (np.uint16, np.int32):
         a, b = out.astype(dtype), moved.astype(dtype)
-        assert coherent.carries_out(a, a, ident + steps) and coherent.carries_out(b, b, ident)
+        assert digraph.carries_out(a, a, ident + steps) and digraph.carries_out(b, b, ident)
         for perms in (ident, steps):
-            assert not coherent.carries_out(a, b, perms)
-            assert not coherent.carries_out(b, a, perms)
+            assert not digraph.carries_out(a, b, perms)
+            assert not digraph.carries_out(b, a, perms)
 
 
 def test_carries_out_refuses_a_list_that_repeats_a_vertex(cons3):
@@ -1200,9 +1200,9 @@ def test_carries_out_refuses_a_list_that_repeats_a_vertex(cons3):
     repeated = g.out.copy()
     repeated[0, 1] = repeated[0, 0]
     for a, b in ((repeated, g.out), (g.out, repeated), (repeated, repeated)):
-        with pytest.raises(coherent.NotInvariant, match="repeats a vertex"):
-            coherent.carries_out(a, b, ident)
-    assert not coherent.carries_out(g.out, g.out[:, 1:], ident)
+        with pytest.raises(digraph.NotInvariant, match="repeats a vertex"):
+            digraph.carries_out(a, b, ident)
+    assert not digraph.carries_out(g.out, g.out[:, 1:], ident)
 
 
 @pytest.mark.parametrize("q", [5, 7])
@@ -1210,7 +1210,7 @@ def test_orbit_mask_of_k_generator_gives_the_cells(q, request):
     cons = request.getfixturevalue(f"cons{q}")
     gen = [cons.rho_perm(*cons.k_generator())]
     for cell in cons.cells():
-        mask = coherent.orbit_mask(int(cell[0]), gen, cons.n)
+        mask = digraph.orbit_mask(int(cell[0]), gen, cons.n)
         assert np.array_equal(np.flatnonzero(mask), cell)
         assert set(np.flatnonzero(mask).tolist()) == orbit_by_sets(int(cell[0]), gen)
 
@@ -1221,7 +1221,7 @@ def _assert_orbits(perms, n):
     orbits = coherent._orbits(perms, n)
     minima = sorted({min(orbit_by_sets(v, perms)) for v in range(n)})
     assert orbits.reps.dtype == np.int64 and orbits.reps.tolist() == minima
-    want = coherent._breadth_first(np.array(minima), perms, n)[1]
+    want = digraph.breadth_first(np.array(minima), perms, n)[1]
     assert len(orbits.steps) == len(want)
     for got, step in zip(orbits.steps, want):
         assert all(np.array_equal(x, y) for x, y in zip(got, step))
@@ -1258,11 +1258,11 @@ def test_orbit_mask_of_the_x_translations_is_one_row(q, request):
     """The steps u -> u * (t**k, 0, 0) reach the q vertices (a, 0, 0) from e."""
     cons = request.getfixturevalue(f"cons{q}")
     steps = list(cons.table.right_translations())
-    mask = coherent.orbit_mask(cons.table.identity, steps[::2], cons.n)
+    mask = digraph.orbit_mask(cons.table.identity, steps[::2], cons.n)
     assert np.count_nonzero(mask) == q
     assert (cons.table.iy[mask] == 0).all() and (cons.table.iz[mask] == 0).all()
-    assert coherent.orbit_mask(cons.table.identity, steps, cons.n).all()
-    assert np.flatnonzero(coherent.orbit_mask(3, [], cons.n)).tolist() == [3]
+    assert digraph.orbit_mask(cons.table.identity, steps, cons.n).all()
+    assert np.flatnonzero(digraph.orbit_mask(3, [], cons.n)).tolist() == [3]
 
 
 # -- fiber structure and tensor order against the retired loops --------------------
@@ -1479,7 +1479,7 @@ def test_verify_algebraic_map_decides_rank_2_21():
     rank = 2**21
     top = rank - 1
     tensor = np.asfortranarray(
-        [[0, 0, 0, 1], [5, top, 7, 2], [top, top, top, 3]], dtype=coherent.tensor_dtype(rank, 27)
+        [[0, 0, 0, 1], [5, top, 7, 2], [top, top, top, 3]], dtype=arith.tensor_dtype(rank, 27)
     )
     assert tensor.dtype == np.uint32
     cc = SimpleNamespace(rank=rank, tensor=tensor)

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from ddwl import construction, suite
-from ddwl.arith import euler_phi
-from ddwl.coherent import NotInvariant, code_dtype, orbit_mask
+from ddwl.arith import code_dtype, euler_phi
 from ddwl.construction import Construction
-from ddwl.digraph import Digraph
+from ddwl.digraph import Digraph, NotInvariant, orbit_mask
 from reference import (
     INF,
     MatrixM,
@@ -484,7 +483,7 @@ def test_without_loops_is_the_loopless_cayley_digraph_proven_once(q, request, mo
         want = cons.build_cayley(i, include_identity=False).out
         assert loopless.out.dtype == want.dtype and np.array_equal(loopless.out, want)
         with monkeypatch.context() as m:
-            m.setattr("ddwl.coherent.carries_out", None)
+            m.setattr("ddwl.digraph.carries_out", None)
             assert loopless.translations is g.translations and len(g.translations) > 0
 
 

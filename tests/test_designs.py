@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from ddwl import designs
-from ddwl.coherent import NotInvariant
 from ddwl.construction import Construction
 from ddwl.designs import desiso_maps, verify_ddd, verify_design_iso
-from ddwl.digraph import Digraph
+from ddwl.digraph import Digraph, NotInvariant
 from reference import design_iso_densely, desiso_apply, move_one_arc
 
 

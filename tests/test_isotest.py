@@ -178,27 +178,29 @@ def test_automorphisms_searched_only_after_a_root_candidate_fails(
     assert len(calls) == 1 and calls[0] is rook
 
 
-def test_budget_exhaustion(cons3, closures3):
+def test_budget_exhaustion(cons3, closures3, monkeypatch):
+    monkeypatch.setattr(isotest, "NODE_BUDGET", 1)
     g1, g2 = cons3.build_cayley(1), cons3.build_cayley(2)
-    cert = are_isomorphic(g1, g2, closures3[1], closures3[2], node_budget=1)
+    cert = are_isomorphic(g1, g2, closures3[1], closures3[2])
     assert cert.kind == "undetermined"
     with pytest.raises(BudgetExceeded):
-        automorphism_order(g1, closures3[1], node_budget=1)
+        automorphism_order(g1, closures3[1])
 
 
 @pytest.mark.parametrize("budget", [1, 2, 3])
-def test_undetermined_certificate_stays_within_budget(cons3, closures3, budget):
+def test_undetermined_certificate_stays_within_budget(cons3, closures3, budget, monkeypatch):
     """The budget is tested before a node is counted: an undetermined answer
     reports at most `budget` nodes, and a search that needs exactly `budget`
     nodes completes."""
     c6 = directed_cycle(6).arcs
     hexagon = Digraph(c6 | c6.T)
     relabeled = hexagon.relabeled(np.array([3, 1, 2, 0, 4, 5]))
-    cert = are_isomorphic(hexagon, relabeled, node_budget=budget)
+    monkeypatch.setattr(isotest, "NODE_BUDGET", budget)
+    cert = are_isomorphic(hexagon, relabeled)
     assert cert.kind == ("isomorphic" if budget == 3 else "undetermined")
     assert cert.nodes == budget
     g1, g2 = cons3.build_cayley(1), cons3.build_cayley(2)
-    cert = are_isomorphic(g1, g2, closures3[1], closures3[2], node_budget=budget)
+    cert = are_isomorphic(g1, g2, closures3[1], closures3[2])
     assert cert.kind == "undetermined" and 1 <= cert.nodes <= budget
 
 
@@ -219,10 +221,11 @@ def test_iso_class_count_q3(cons3, closures3):
     assert res.count == 1
 
 
-def test_iso_class_count_lower_bound_on_budget_exhaustion(cons3, closures3):
+def test_iso_class_count_lower_bound_on_budget_exhaustion(cons3, closures3, monkeypatch):
     gens = cons3.generators_I()
     graphs = [cons3.build_cayley(i) for i in gens]
-    res = iso_class_count(graphs, [closures3[i] for i in gens], node_budget=1)
+    monkeypatch.setattr(isotest, "NODE_BUDGET", 1)
+    res = iso_class_count(graphs, [closures3[i] for i in gens])
     assert not res.exact
     assert res.count == 1  # a lower bound, not a class count
     assert all(v == "undetermined" for v in res.pair_results.values())
@@ -295,7 +298,7 @@ def test_iso_class_count_empty():
     assert (res.count, res.exact, res.pair_results, res.certificates) == (0, True, {}, {})
 
 
-def test_certificate_json(cons3, closures3):
+def test_certificate_json(cons3, closures3, monkeypatch):
     cert = are_isomorphic(cons3.build_cayley(1), cons3.build_cayley(1))
     payload = cert.to_json()
     assert payload["type"] == "isomorphic"
@@ -308,7 +311,8 @@ def test_certificate_json(cons3, closures3):
     assert payload["nodes"] == 0
     assert payload["detail"].startswith("canonical closure invariants differ")
     g = directed_cycle(6)
-    cert = are_isomorphic(g, g.relabeled(np.array([1, 0, 2, 3, 4, 5])), node_budget=1)
+    monkeypatch.setattr(isotest, "NODE_BUDGET", 1)
+    cert = are_isomorphic(g, g.relabeled(np.array([1, 0, 2, 3, 4, 5])))
     payload = cert.to_json()
     assert payload == {"type": "undetermined", "nodes": cert.nodes, "detail": cert.detail}
     assert cert.nodes == 1 and cert.detail == "node budget exhausted"
@@ -363,7 +367,8 @@ def test_vertex_signatures_either_side_of_the_uint16_switch(mult, width, monkeyp
     perm = np.random.default_rng(mult).permutation(6)
     c2 = np.empty_like(c1)
     c2[np.ix_(perm, perm)] = c1
-    search = isotest._PartitionSearch(c1, c2, 100)
+    monkeypatch.setattr(isotest, "NODE_BUDGET", 100)
+    search = isotest._PartitionSearch(c1, c2)
     widths = _spy_widths(monkeypatch)
     pi1, pi2, ncells = search._refine(*search._seeded(()))
     assert widths[0] == np.dtype(width) and pi1[0] != pi1[4]
@@ -376,11 +381,12 @@ def test_vertex_signatures_either_side_of_the_uint16_switch(mult, width, monkeyp
     assert np.array_equal(search.search(()), f) and search.nodes == nodes
 
 
-def test_refinement_renumbers_both_sides_as_the_oracle():
+def test_refinement_renumbers_both_sides_as_the_oracle(monkeypatch):
     """On permuted copies of random 6-vertex colorings `_refine` gives the
     int64 oracle's partitions; on unrelated ones, whose cells differ between
     the sides, both say None."""
     rng = np.random.default_rng(5)
+    monkeypatch.setattr(isotest, "NODE_BUDGET", 100)
     for copy in (True, False) * 25:
         c1, c2 = ((rng.random((6, 6)) < 0.4).astype(np.int32) for _ in range(2))
         if copy:
@@ -388,7 +394,7 @@ def test_refinement_renumbers_both_sides_as_the_oracle():
             c2[np.ix_(perm, perm)] = c1
         np.fill_diagonal(c1, 2)
         np.fill_diagonal(c2, 2)
-        search = isotest._PartitionSearch(c1, c2, 100)
+        search = isotest._PartitionSearch(c1, c2)
         got = search._refine(*search._seeded(()))
         want = refine_partition_int64(search, *search._seeded(()))
         assert (got is None) == (want is None) == (not copy)

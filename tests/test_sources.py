@@ -69,3 +69,62 @@ def test_no_flagless_np_unique(module):
     which imports numpy.ma (10 to 17 ms) on the first call in a process: use
     a flagged call, a bincount or a sorted-neighbour mask instead."""
     assert list(_flagless_unique_calls(module)) == [], module.name
+
+
+PACKAGE = sorted((ROOT / "src" / "ddwl").glob("*.py"))
+ALGEBRA = ("gf", "heisenberg", "digraph", "construction", "designs", "srings")
+ALGEBRA_MODULES = [p for p in PACKAGE if p.stem in ALGEBRA]
+
+
+def _package_imports(path: Path):
+    """(line, sibling module, imported names, inside a function) of every
+    import of a ddwl module in path, relative or absolute: `from .m import a`
+    gives ("m", ["a"]), `from . import m` and `import ddwl.m` give ("m", [])."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+    def visit(node, in_function):
+        for child in ast.iter_child_nodes(node):
+            inner = in_function or isinstance(child, functions)
+            if isinstance(child, ast.ImportFrom) and (
+                child.level or child.module.startswith("ddwl")
+            ):
+                module = (child.module or "").removeprefix("ddwl").lstrip(".")
+                names = [a.name for a in child.names]
+                for m, imported in [(module, names)] if module else [(n, []) for n in names]:
+                    yield child.lineno, m, imported, inner
+            elif isinstance(child, ast.Import):
+                for a in child.names:
+                    if a.name.startswith("ddwl."):
+                        yield child.lineno, a.name.removeprefix("ddwl."), [], inner
+            yield from visit(child, inner)
+
+    yield from visit(ast.parse(path.read_text()), False)
+
+
+@pytest.mark.parametrize("module", PACKAGE, ids=lambda p: p.stem)
+def test_no_function_level_package_imports(module):
+    """Sibling modules are imported at module level, so no import cycle
+    hides in a function."""
+    assert [line for line, _, _, inner in _package_imports(module) if inner] == [], module.name
+
+
+@pytest.mark.parametrize("module", PACKAGE, ids=lambda p: p.stem)
+def test_no_private_name_is_imported(module):
+    """No module takes another module's private name (dunders such as
+    `__version__` are public)."""
+    private = [
+        (line, name)
+        for line, _, names, _ in _package_imports(module)
+        for name in names
+        if name.startswith("_") and not name.endswith("__")
+    ]
+    assert private == [], module.name
+
+
+@pytest.mark.parametrize("module", ALGEBRA_MODULES, ids=lambda p: p.stem)
+def test_the_algebra_layer_imports_no_refinement_or_search(module):
+    """Fields, the group, the digraphs, the construction, the designs and
+    the S-rings import neither the refinement engine `coherent` nor the
+    search `isotest`."""
+    imported = [(line, m) for line, m, _, _ in _package_imports(module)]
+    assert [(line, m) for line, m in imported if m in ("coherent", "isotest")] == [], module.name

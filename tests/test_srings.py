@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ddwl import isotest
 from ddwl.arith import euler_phi
 from ddwl.coherent import orbit_close, tensor_identities_hold, verify_algebraic_map
 from ddwl.construction import Construction
@@ -12,7 +13,6 @@ from ddwl.srings import (
     SRing,
     _cell_counts,
     is_group_closed,
-    is_induced,
     structure_constants,
     tau_hat,
     verify_consts,
@@ -382,14 +382,15 @@ def test_constants_report_json(ring3, tensor3):
 
 
 def test_induced_identity(ring3):
-    res = is_induced(ring3, np.arange(5))
+    res = isotest.is_induced(ring3, np.arange(5))
     assert res.status == "induced"
 
 
-def test_induced_with_tiny_budget_is_undetermined(ring3):
+def test_induced_with_tiny_budget_is_undetermined(ring3, monkeypatch):
     moving = tau_hat(ring3, 3)
     assert moving.tolist() != list(range(5))
-    res = is_induced(ring3, moving, node_budget=1)
+    monkeypatch.setattr(isotest, "NODE_BUDGET", 1)
+    res = isotest.is_induced(ring3, moving)
     assert res.status == "undetermined"
 
 
