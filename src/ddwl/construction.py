@@ -11,7 +11,9 @@ GF(q**2)*), and each induces an automorphism rho(M(a, b)) of H3(q):
     (x, y, z) |-> (a*x + eps*b*y,  b*x + a*y,  F_ab(x, y, z))
     F_ab(x, y, z) = a*b*(x**2/2 + eps*y**2/2) + eps*b**2*x*y + (a**2 - eps*b**2)*z
 
-so K = <rho(M(a0, b0))> for any M(a0, b0) of order q**2 - 1.
+so K = <rho(M(a0, b0))> for any M(a0, b0) of order q**2 - 1.  Conjugation
+by diag(1, 1, -1), sigma(x, y, z) = (x, -y, -z), is one more automorphism:
+it maps each X_i onto X_chi(i) (both below), so Cay(X_i) onto Cay(X_chi(i)).
 
 The orbits of the resulting group K on H3(q) are {e}, the nontrivial center,
 and q sets Y_i (one per i in GF(q)), where
@@ -101,6 +103,12 @@ class Construction:
             f.add(f.mul(s_x2, f.mul(x, x)), f.mul(s_y2, f.mul(y, y))), f.mul(s_xy, f.mul(x, y))
         )
         return t.coset_affine(x2, y2, quad, norm[..., 0, 0])
+
+    def sigma_perm(self) -> np.ndarray:
+        """Vertex permutation of sigma(x, y, z) = (x, -y, -z), with
+        gamma_{-i}(a, -b) = -gamma_i(a, b), so sigma(X_i) = X_chi(i)."""
+        t, f = self.table, self.field
+        return t.vertex(t.ix, f.neg(t.iy), f.neg(t.iz))
 
     def _m_powers(self, m: tuple[int, int]) -> list[tuple[int, int]]:
         """M(a, b), M(a, b)**2, ... up to the identity (1, 0), in field arithmetic."""
@@ -204,7 +212,7 @@ class Construction:
             raise ValueError(f"label i = {i} is outside [0, {self.q})")
         if i not in self._X:
             a, b = np.indices((self.q, self.q), dtype=np.int32).reshape(2, -1)
-            self._X[i] = np.sort(self.table._pack(a, b, self.gamma(i, a, b))).astype(np.int64)
+            self._X[i] = np.sort(self.table.vertex(a, b, self.gamma(i, a, b))).astype(np.int64)
         return self._X[i]
 
     def build_Y(self, i: int) -> np.ndarray:

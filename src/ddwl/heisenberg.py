@@ -9,8 +9,8 @@ product gives
 The group has q**3 elements, its center Z = {(0, 0, z)} has q elements, and
 the right coset of Z containing g is determined by the pair (x, y).
 
-An element is its vertex index, which GroupTable fixes for every digraph in
-this package:
+An element is its vertex index, which `GroupTable.vertex` fixes for every
+digraph in this package, and no other module computes:
 
     vertex(x, y, z) = index(x) * q**2 + index(y) * q + index(z)
 
@@ -64,7 +64,7 @@ class GroupTable:
         np.add(coset, add[add[z1, z2], mul[x1, y2]], out=table.reshape((q,) * 6), casting="unsafe")
         return table
 
-    def _pack(self, ix, iy, iz) -> np.ndarray:
+    def vertex(self, ix, iy, iz) -> np.ndarray:
         """Vertex indices (x*q + y)*q + z of int32 index arrays, in int32: q**3 < 2**31."""
         q = self.q
         return (ix * q + iy) * q + iz
@@ -73,7 +73,7 @@ class GroupTable:
         """The vertices of the inverses of the vertices v, from the closed form
         (x, y, z)**-1 = (-x, -y, x*y - z), never from `inv`."""
         f, x, y, z = self.field, self.ix[v], self.iy[v], self.iz[v]
-        return self._pack(f.neg(x), f.neg(y), f.sub(f.mul(x, y), z))
+        return self.vertex(f.neg(x), f.neg(y), f.sub(f.mul(x, y), z))
 
     def coset_affine(self, x2, y2, shift, scale) -> np.ndarray:
         """The vertex of (x2, y2, shift + scale*z) for every vertex (x, y, z),
@@ -86,7 +86,7 @@ class GroupTable:
         cosets = lead + (q * q, 1)
         z = f.mul(np.reshape(scale, lead + (1, 1)), np.arange(q, dtype=np.int32))
         z2 = f.add(np.reshape(shift, cosets), z)
-        vertices = self._pack(np.reshape(x2, cosets), np.reshape(y2, cosets), z2)
+        vertices = self.vertex(np.reshape(x2, cosets), np.reshape(y2, cosets), z2)
         return vertices.reshape(lead + (-1,))
 
     def right_translations(self) -> tuple[np.ndarray, ...]:
@@ -98,8 +98,8 @@ class GroupTable:
         out = []
         for k in range(f.l):
             tk = f.p**k  # the index of t**k
-            out.append(self._pack(f.add(self.ix, tk), self.iy, self.iz))
-            out.append(self._pack(self.ix, f.add(self.iy, tk), f.add(self.iz, f.mul(self.ix, tk))))
+            out.append(self.vertex(f.add(self.ix, tk), self.iy, self.iz))
+            out.append(self.vertex(self.ix, f.add(self.iy, tk), f.add(self.iz, f.mul(self.ix, tk))))
         return tuple(out)
 
     def element_to_json(self, v: int) -> list[int]:

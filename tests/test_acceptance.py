@@ -162,8 +162,7 @@ def test_criterion_07_reverse_pair_witness(q, contexts, acceptance_log):
     """sigma(x, y, z) = (x, -y, -z) is a group automorphism with
     sigma(X_i) = X_chi(i), hence an isomorphism Cay(X_i) -> Cay(X_chi(i))."""
     cons = contexts[q].cons
-    t, f = cons.table, cons.field
-    sigma = t._pack(t.ix, f.neg(t.iy), f.neg(t.iz))
+    t, sigma = cons.table, cons.sigma_perm()
     assert np.array_equal(sigma[t.mult], t.mult[np.ix_(sigma, sigma)])
     for i in cons.generators_I():
         g1, g2 = cons.build_cayley(i), cons.build_cayley(cons.chi(i))

@@ -264,11 +264,11 @@ def test_python_m_ddwl_runs_the_command_line(argv, capsys):
 
 
 VERIFY_SHA256 = {
-    (5, "fast"): "225fed53e5e725c7d699754d7b2f7261b652b7e219e7b346286229f1a2504ba3",
+    (5, "fast"): "2e8c124b6070f2dc510b9d0a0482290409c8f5daace9bee802078c1300b03f66",
     (7, "full"): "e350ff6cacc1b224cdad3416c4023f68f6278581513f5b9d63de435dd026430a",
-    (9, "fast"): "5351c51ec1f39c501fd32ed2857e7ef09c87bd050cca75d19be9819959c35800",
-    (11, "fast"): "8c08b77d870374b763569244e99ccef04e0a27bbc586cbd832449b5334b661b0",
-    (13, "fast"): "b2bca36d40a9b0ebf6b5371a2944fd06b1dd62aee476bef21cc4718c0ce0506c",
+    (9, "fast"): "dce0dce284f21d5fb48c725b28359a07fca91ba59e51c6fd90243ada86cd4201",
+    (11, "fast"): "e06e4cbce2181c2d9f7196217632b3ff87df1abeddfdc3928a75de716173eb10",
+    (13, "fast"): "7ac3bc1e4e5b9b63eacf3ace0279de18f6239cbf17a9ca3de9241624c6a9ee9b",
 }
 
 

@@ -1021,8 +1021,7 @@ def test_orbit_extension_rejects_a_colour_moving_automorphism(cons3, closures3):
     """sigma(x, y, z) = (x, -y, -z) is a group automorphism that maps X_i onto
     X_chi(i), so it moves the colours of row e of the closure of i; a right
     translation is an automorphism of the closure that moves e."""
-    t, f = cons3.table, cons3.field
-    sigma = t._pack(t.ix, f.neg(t.iy), f.neg(t.iz))
+    t, sigma = cons3.table, cons3.sigma_perm()
     cc = closures3[1]
     assert not np.array_equal(cc.color[0][sigma], cc.color[0])
     gen = cons3.rho_perm(*cons3.k_generator())

@@ -169,12 +169,13 @@ def test_table_matches_closed_form(p, l):
 
 
 def test_pack_is_int32_and_exact():
+    """`vertex` packs index triples into vertices, in int32."""
     t = GroupTable(field_create(3, 2))
-    packed = t._pack(t.ix, t.iy, t.iz)
+    packed = t.vertex(t.ix, t.iy, t.iz)
     assert packed.dtype == np.int32 and np.array_equal(packed, np.arange(t.n))
     # the largest supported field: q**3 - 1 = 729**3 - 1 still fits in int32
     top = np.array([0, 728], dtype=np.int32)
-    packed = GroupTable._pack(SimpleNamespace(q=729), top, top, top)
+    packed = GroupTable.vertex(SimpleNamespace(q=729), top, top, top)
     assert packed.dtype == np.int32 and packed.tolist() == [0, 729**3 - 1]
 
 

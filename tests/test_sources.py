@@ -128,3 +128,43 @@ def test_the_algebra_layer_imports_no_refinement_or_search(module):
     search `isotest`."""
     imported = [(line, m) for line, m, _, _ in _package_imports(module)]
     assert [(line, m) for line, m in imported if m in ("coherent", "isotest")] == [], module.name
+
+
+def _bound_names(tree) -> set[str]:
+    """Every name a module binds: its functions, classes, assigned names
+    (fields among them) and assigned attributes."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+    return names
+
+
+def _foreign_private_reads(path: Path):
+    """(line, expression) of every read of an underscore attribute, dunders
+    aside, on an object other than `self` or `cls`, whose name path does not
+    bind itself."""
+    tree = ast.parse(path.read_text())
+    own = _bound_names(tree)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr.startswith("_")
+            and not node.attr.endswith("__")
+            and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+            and node.attr not in own
+        ):
+            yield node.lineno, ast.unparse(node)
+
+
+@pytest.mark.parametrize("module", PACKAGE, ids=lambda p: p.stem)
+def test_no_private_attribute_of_another_module_is_read(module):
+    """A module reads an underscore attribute of another object only where
+    it defines that name itself, as `digraph` reads `g._arcs` of the
+    `Digraph` it builds: the vertex layout, say, is `GroupTable.vertex`,
+    public, not a private helper reached into from outside `heisenberg`."""
+    assert list(_foreign_private_reads(module)) == [], module.name

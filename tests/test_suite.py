@@ -138,7 +138,7 @@ CORRUPTIONS = {
     "design_isomorphism": _roll_design_map,
     "one_point_extension": _join_next_orbit,
     "iso_classes": lambda cons, mp: mp.setattr(suite, "euler_phi", lambda n: 100),
-    # Cay(X_i) against itself: the search finds the identity, sigma moves X_i
+    # Cay(X_i) against itself: sigma moves X_i onto X_chi(i), not onto X_i
     "reverse_pair_isomorphism": lambda cons, mp: setattr(cons, "chi", lambda i: i),
     "automorphism_order": _join_next_orbit,
 }
@@ -331,14 +331,64 @@ def test_context_holds_only_the_looped_digraphs():
         assert g.out.shape == (125, 25) and (g.out == np.arange(125)[:, None]).any(axis=1).all()
 
 
-@pytest.mark.parametrize("kind", ["non-isomorphic", "undetermined"])
-def test_reverse_pair_takes_the_search_answer(kind, monkeypatch):
-    monkeypatch.setattr(
-        isotest, "are_isomorphic", lambda g1, g2, *args: isotest.IsoCertificate(kind)
-    )
-    result = _run_one("reverse_pair_isomorphism", monkeypatch)
-    assert result.status == {"non-isomorphic": "fail", "undetermined": "undetermined"}[kind]
-    assert result.data["result"] == kind
+class _NoSearch:
+    """Stands in for the `isotest` module: any read of it raises."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"isotest.{name} was read")
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_reverse_pair_is_decided_by_sigma_alone(q, monkeypatch):
+    """The row reads neither the search nor a closure: sigma, proven a
+    permutation and checked on the out-lists, is its whole verdict.  A read
+    of either would raise and fail the row."""
+
+    def refuse(*args):
+        raise AssertionError("the search or a closure was read")
+
+    monkeypatch.setattr(isotest, "are_isomorphic", refuse)
+    monkeypatch.setattr(suite, "isotest", _NoSearch())
+    monkeypatch.setattr(suite.Context, "closure", refuse)
+    result = _run_one("reverse_pair_isomorphism", monkeypatch, q)
+    assert (result.status, result.data["result"]) == ("pass", "isomorphic"), result.data
+
+
+@pytest.mark.parametrize("q", [3, 5])
+@pytest.mark.parametrize("forgery", ["transposition", "y-only"])
+def test_reverse_pair_fails_a_forged_witness(forgery, q, monkeypatch):
+    """sigma composed with the transposition of vertices 0 and 1, and
+    (x, y, z) -> (x, -y, z), which maps no X_i onto any X_j, are
+    permutations that carry no arcs: the row fails by its verdict."""
+    cons = Construction(q)
+    t, f = cons.table, cons.field
+    if forgery == "transposition":
+        forged = cons.sigma_perm()
+        forged[[0, 1]] = forged[[1, 0]]
+    else:
+        forged = t.vertex(t.ix, f.neg(t.iy), t.iz)
+        images = {frozenset(forged[cons.build_X(i)].tolist()) for i in range(q)}
+        assert images.isdisjoint(frozenset(cons.build_X(j).tolist()) for j in range(q))
+    monkeypatch.setattr(cons, "sigma_perm", lambda: forged)
+    monkeypatch.setattr(suite, "Construction", lambda q, max_vertices: cons)
+    result = _run_one("reverse_pair_isomorphism", monkeypatch, q)
+    assert result.status == "fail" and "error" not in result.data, result.data
+    assert result.data["result"] != "isomorphic"
+
+
+@pytest.mark.parametrize("q, searches", [(3, 1), (5, 1), (7, 4)])
+def test_the_suite_searches_no_pair_twice(q, searches, monkeypatch):
+    """Only `iso_classes` asks the isomorphism search, once per pair it has
+    to decide: one pair at q = 3 and 5, four of the six at q = 7."""
+    pairs, search = [], isotest.are_isomorphic
+
+    def spy(g1, g2, *args):
+        pairs.append((g1.label, g2.label))
+        return search(g1, g2, *args)
+
+    monkeypatch.setattr(isotest, "are_isomorphic", spy)
+    assert suite.run_suite(q).ok
+    assert len(pairs) == len(set(pairs)) == searches
 
 
 @pytest.mark.parametrize("name", ["f", "h"])
@@ -381,15 +431,14 @@ def test_size_table():
     assert list(plan(5, "full")) == [c.name for c in suite.REGISTRY]
     assert set(plan(5, "full")) - set(plan(7, "full")) == {"automorphism_order"}
     assert set(plan(7, "full")) - set(plan(9, "full")) == {
-        "wl_equivalence", "tau_hat_transport", "iso_classes", "reverse_pair_isomorphism",
+        "wl_equivalence", "tau_hat_transport", "iso_classes",
     }
     # criterion 11 runs to q = 9 in the full suite, to q = 7 in the fast one
     assert plan(9, "full")["one_point_extension"] == "exhaustive"
     assert "one_point_extension" not in plan(11, "full")
     assert set(plan(9, "full")) - set(plan(9, "fast")) == {"one_point_extension"}
     assert set(plan(5, "full")) - set(plan(5, "fast")) == {
-        "wl_equivalence", "tau_hat_transport", "iso_classes", "reverse_pair_isomorphism",
-        "automorphism_order",
+        "wl_equivalence", "tau_hat_transport", "iso_classes", "automorphism_order",
     }
     sampled = {"wl_closure", "group_axioms"}
     assert {n for n, v in plan(5, "fast").items() if v == "sampled"} == sampled
@@ -400,12 +449,16 @@ def test_size_table():
 
 def test_readme_registry_table_matches_the_registry():
     """README's table of `ddwl verify` checks names the registry's checks and
-    criteria, in registry order."""
+    criteria, in registry order, and its fast-suite cell reads "not run"
+    exactly for the checks the fast suite never runs."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    table = text.split("| check | criterion | full suite | fast suite |\n|---|---|---|---|\n")[1]
-    rows = [line.split("|")[1:3] for line in table.split("\n\n")[0].splitlines()]
-    got = [(name.strip().strip("`"), criterion.strip()) for name, criterion in rows]
+    after = text.split("`ddwl verify` runs the checks of one registry")[1]
+    table = after.split("| check | criterion | full suite | fast suite |\n|---|---|---|---|\n")[1]
+    rows = [line.split("|")[1:5] for line in table.split("\n\n")[0].splitlines()]
+    got = [(name.strip().strip("`"), criterion.strip()) for name, criterion, _, _ in rows]
     assert got == [(c.name, c.criterion) for c in suite.REGISTRY]
+    not_run = [fast.strip() == "not run" for _, _, _, fast in rows]
+    assert not_run == [c.fast == suite.NEVER for c in suite.REGISTRY]
 
 
 def test_peak_memory_is_reported_with_the_timings_only():
