@@ -89,8 +89,7 @@ class Construction:
         evaluated on the q x q grid (`GroupTable.coset_affine`).  For index
         arrays a and b of shape (m,), the (m, n) permutations of the pairs."""
         f, t = self.field, self.table
-        eps = self.epsilon
-        x, y = np.indices((self.q, self.q), dtype=np.int32)
+        eps, (x, y) = self.epsilon, t.grid
         a, b = (np.reshape(v, np.shape(v) + (1, 1)) for v in (a, b))
         x2 = f.add(f.mul(a, x), f.mul(eps, f.mul(b, y)))
         y2 = f.add(f.mul(b, x), f.mul(a, y))
@@ -105,10 +104,10 @@ class Construction:
         return t.coset_affine(x2, y2, quad, norm[..., 0, 0])
 
     def sigma_perm(self) -> np.ndarray:
-        """Vertex permutation of sigma(x, y, z) = (x, -y, -z), with
-        gamma_{-i}(a, -b) = -gamma_i(a, b), so sigma(X_i) = X_chi(i)."""
-        t, f = self.table, self.field
-        return t.vertex(t.ix, f.neg(t.iy), f.neg(t.iz))
+        """sigma(x, y, z) = (x, -y, -z), on the coset grid (x, -y), shift 0 and
+        scale -1; gamma_{-i}(a, -b) = -gamma_i(a, b), so sigma(X_i) = X_chi(i)."""
+        t, f, (x, y) = self.table, self.field, self.table.grid
+        return t.coset_affine(x, f.neg(y), 0, f.neg(f.one))
 
     def _m_powers(self, m: tuple[int, int]) -> list[tuple[int, int]]:
         """M(a, b), M(a, b)**2, ... up to the identity (1, 0), in field arithmetic."""
@@ -194,8 +193,7 @@ class Construction:
 
     def punctured_center(self) -> np.ndarray:
         """The q - 1 central vertices other than the identity."""
-        t = self.table
-        return np.flatnonzero(t.center_mask & (np.arange(self.n) != 0)).astype(np.int64)
+        return np.flatnonzero(self.table.center_mask)[1:].astype(np.int64)  # e = 0 first
 
     # -- connection sets and digraphs --------------------------------------
 
@@ -211,7 +209,7 @@ class Construction:
         if not 0 <= i < self.q:
             raise ValueError(f"label i = {i} is outside [0, {self.q})")
         if i not in self._X:
-            a, b = np.indices((self.q, self.q), dtype=np.int32).reshape(2, -1)
+            a, b = self.table.grid.reshape(2, -1)
             self._X[i] = np.sort(self.table.vertex(a, b, self.gamma(i, a, b))).astype(np.int64)
         return self._X[i]
 

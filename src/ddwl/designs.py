@@ -189,7 +189,7 @@ def desiso_maps(cons: Construction, i: int) -> DesignIsoMaps:
     t = cons.table
     eps = cons.epsilon
     four = f_.from_int(4)
-    al, be = np.indices((cons.q, cons.q), dtype=np.int32)
+    al, be = t.grid
 
     norm = f_.sub(f_.mul(al, al), f_.mul(eps, f_.mul(be, be)))
     f_map = t.coset_affine(al, be, f_.mul(norm, i), f_.one)

@@ -16,11 +16,11 @@ with x*y = k(z), so a count over cells is constant on each orbit, the
 orbit lemma behind Schur rings (Wielandt, Finite Permutation Groups, ch.
 IV; Muzychuk & Ponomarenko, Europ. J. Combin. 30, 2009).  So every count
 is made at the least point z of each cell, as #{y : z*y**-1 in X, y in Y}
-with y**-1 from the closed form: one row of the multiplication table per
-cell.  A ring without that proof is counted only where each cell is one
-point; any other cell raises NotAnSRing.  The transversal check counts
-X_i * X_i^-1 the same way: K fixes X_i and X_i^-1 setwise, so the product
-is constant on each cell too.
+with z*y**-1 from the closed form `GroupTable.quotients`, not from the
+`inv` that the checks test.  A ring without that proof is counted only
+where each cell is one point; any other cell raises NotAnSRing.  The
+transversal check counts X_i * X_i^-1 the same way: K fixes X_i and
+X_i^-1 setwise, so the product is constant on each cell too.
 
 The tensor is checked as the intersection tensor of the partition's Cayley
 scheme (one fiber, cell sizes as valencies, inverse cells as converse) by
@@ -113,6 +113,7 @@ class SRing:
             raise NotAnSRing("cells do not cover the group")
         self.cell_of = cell_of
         self.reps = np.array([members.min() for members in self.cells])   # the least of each cell
+        self.rep_quotients = self.table.quotients(self.reps)   # row Z: v -> z * v**-1
         self.sizes = np.array([len(c) for c in self.cells], dtype=np.int64)
 
         if self.cells[self.cell_of[cons.table.identity]].size != 1:
@@ -157,14 +158,15 @@ def _cell_counts(ring: SRing, left: list[np.ndarray], right: list[np.ndarray]) -
 
     The counts are constant on each cell of a ring whose cells are proven
     K-orbits, and trivially on a cell of one point; a ring with neither
-    raises NotAnSRing.  u = z * v**-1, with v**-1 from the closed form: one
-    gather from `mult` per cell and v, and one bincount."""
+    raises NotAnSRing.  u = z * v**-1 is one gather from `rep_quotients`,
+    the closed-form rows `GroupTable.quotients` at the cells' least points,
+    and one bincount."""
     if not ring.cells_are_k_orbits and (ring.sizes > 1).any():
         raise NotAnSRing("the cells are not proven K-orbits, so no count on them is constant")
     label, right_label = (_union_labels(ring, sets) for sets in (left, right))
     na, nb = len(left), len(right)
-    t, v = ring.table, np.concatenate(right)
-    u = t.mult[ring.reps[:, None], t.inverse(v)]    # row Z: z * v**-1
+    v = np.concatenate(right)
+    u = ring.rep_quotients[:, v]    # row Z: z * v**-1
     key = (np.arange(ring.r)[:, None] * (na + 1) + label[u]) * nb + right_label[v]
     counts = np.bincount(key.ravel(), minlength=ring.r * (na + 1) * nb)
     return counts.reshape(ring.r, na + 1, nb)[:, :na]
@@ -286,10 +288,7 @@ def verify_transversal(ring: SRing, i: int) -> TransversalReport:
     cons = ring.cons
     x = cons.build_X(i)
     x_inv = ring.table.inv[x]
-    center_rest = cons.punctured_center()
-    outside = np.ones(cons.n, dtype=bool)
-    outside[0] = False
-    outside[center_rest] = False
+    center_rest, outside = cons.punctured_center(), ~ring.table.center_mask
 
     def split(left, right):  # at the identity, on Z - e, elsewhere
         conv = _cell_counts(ring, [left], [right])[:, 0, 0][ring.cell_of]

@@ -361,9 +361,9 @@ def _one_point_extension(ctx: Context, exhaustive: bool) -> tuple[str, dict]:
         block = ext.color[np.ix_(y0, yj)]
         srt = np.sort(block, axis=1)   # equal sorted rows: equal color counts
         # the distinguished valency-1 relation: pairs whose quotient lands in
-        # the cell labelled by psi(j, 0); it must be exactly one color class
+        # the cell labelled by psi(j, 0) = delta/j; it must be exactly one color class
         quot = t.mult[np.ix_(yj, t.inv[y0])]   # quot[b, a] = yj_b * y0_a**-1
-        rel = np.isin(quot, cons.build_Y(int(psi[j, 0]))).T
+        rel = (ctx.ring.cell_of[quot] == ctx.ring.y_cell(int(psi[j, 0]))).T
         colors = np.flatnonzero(np.bincount(block[rel]))
         valency_ok &= bool(
             (srt == srt[0]).all() and len(colors) == 1

@@ -38,6 +38,10 @@ narrowest width that holds the codes; `tensor_key` is the int64 key of
 (r, s, t) by which the tensor checks ordered rows before they lexsorted
 the narrow columns.  `individualized` is the coloring that
 `one_point_extension` refines.
+`coordinates` is the (x, y, z) index triple of every vertex, the layout
+that only `heisenberg` decodes in the program; `unitriangular` and
+`field_matmul` are the 3x3 matrices of such triples and their products over
+the field, the oracle of every map `GroupTable.coset_affine` evaluates.
 """
 
 from dataclasses import dataclass, replace
@@ -238,6 +242,30 @@ def random_digraph(n: int, p: float, seed: int) -> Digraph:
     a = rng.random((n, n)) < p
     np.fill_diagonal(a, False)
     return Digraph(a, label=f"random({n}, {p}, seed={seed})")
+
+
+def coordinates(q: int) -> np.ndarray:
+    """The (3, q**3) int32 field indices (x, y, z) of every vertex, by
+    base-q digits of the vertex index."""
+    return np.indices((q, q, q), dtype=np.int32).reshape(3, -1)
+
+
+def unitriangular(f, x, y, z) -> np.ndarray:
+    """The matrices (1, x, z; 0, 1, y; 0, 0, 1) of field indices, stacked over
+    the shape of x, y and z."""
+    x, y, z = np.broadcast_arrays(x, y, z)
+    m = np.zeros(x.shape + (3, 3), dtype=np.int32)
+    m[..., [0, 1, 2], [0, 1, 2]] = f.one
+    m[..., 0, 1], m[..., 1, 2], m[..., 0, 2] = x, y, z
+    return m
+
+
+def field_matmul(f, a, b):
+    """The matrix product of stacks of 3x3 matrices of field indices."""
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int32)
+    for k in range(3):
+        out = f.add(out, f.mul(a[..., :, k, None], b[..., None, k, :]))
+    return out
 
 
 @dataclass(frozen=True)

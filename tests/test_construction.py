@@ -12,10 +12,13 @@ from reference import (
     INF,
     MatrixM,
     cayley_arcs_densely,
+    coordinates,
     corrupt_rho,
+    field_matmul,
     from_text,
     psi,
     rho_apply,
+    unitriangular,
 )
 
 
@@ -51,14 +54,6 @@ def test_rho_perm_agrees_with_typed_map(cons3, cons5, cons9):
         assert np.array_equal(batch, np.stack([cons.rho_perm(a, b) for a, b in pairs]))
 
 
-def _field_matmul(f, a, b):
-    """The matrix product of stacks of 3x3 matrices of field indices."""
-    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int32)
-    for k in range(3):
-        out = f.add(out, f.mul(a[..., :, k, None], b[..., None, k, :]))
-    return out
-
-
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13])
 def test_sigma_perm_is_conjugation_by_diag_1_1_minus_1(q):
     """`sigma_perm()` sends the unitriangular matrix M of every vertex to
@@ -67,11 +62,9 @@ def test_sigma_perm_is_conjugation_by_diag_1_1_minus_1(q):
     and it maps X_i onto X_chi(i) as sets for every i in [0, q)."""
     cons = Construction(q, max_vertices=q**3)
     t, f, sigma = cons.table, cons.field, cons.sigma_perm()
-    m = np.zeros((cons.n, 3, 3), dtype=np.int32)
-    m[:, [0, 1, 2], [0, 1, 2]] = f.one
-    m[:, 0, 1], m[:, 1, 2], m[:, 0, 2] = t.ix, t.iy, t.iz
+    m = unitriangular(f, *coordinates(q))
     d = np.diag([f.one, f.one, f.neg(f.one)]).astype(np.int32)
-    image = _field_matmul(f, _field_matmul(f, d, m), d)
+    image = field_matmul(f, field_matmul(f, d, m), d)
     assert np.array_equal(image[:, [0, 1, 2], [0, 1, 2]], np.ones((cons.n, 3)))
     assert not image[:, [1, 2, 2], [0, 0, 1]].any()
     x, y, z = (image[:, r, c].astype(np.int64) for r, c in ((0, 1), (1, 2), (0, 2)))

@@ -268,10 +268,9 @@ def test_det_nonzero_for_all_i(q, request):
     for i in range(q):
         maps = desiso_maps(cons, i)
         assert maps.det_nonzero
-        # f keeps the first two coordinates of every point
+        # f keeps the first two coordinates of every point: its center coset
         t = cons.table
-        assert (t.ix[maps.f] == t.ix).all()
-        assert (t.iy[maps.f] == t.iy).all()
+        assert (t.coset_ids[maps.f] == t.coset_ids).all()
         # both maps are bijections
         assert np.array_equal(np.sort(maps.f), np.arange(cons.n))
         assert np.array_equal(np.sort(maps.h), np.arange(cons.n))

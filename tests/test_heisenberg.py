@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from ddwl.arith import code_dtype
+from ddwl.construction import Construction
 from ddwl.gf import field_create
 from ddwl.heisenberg import GroupTable
+from reference import coordinates, field_matmul, unitriangular
 
 
 def vertex(q, x, y, z):
@@ -146,8 +148,9 @@ def closed_form_rows(t, rows):
     """Oracle: rows of the table by the n**2-broadcast closed form through
     Field.add / Field.mul and int64 packing."""
     f, q = t.field, t.q
-    xu, yu, zu = t.ix[rows, None], t.iy[rows, None], t.iz[rows, None]
-    xv, yv, zv = t.ix[None, :], t.iy[None, :], t.iz[None, :]
+    ix, iy, iz = coordinates(q)
+    xu, yu, zu = ix[rows, None], iy[rows, None], iz[rows, None]
+    xv, yv, zv = ix[None, :], iy[None, :], iz[None, :]
     zz = f.add(f.add(zu, zv), f.mul(xu, yv))
     x, y = f.add(xu, xv).astype(np.int64), f.add(yu, yv).astype(np.int64)
     return x * q * q + y * q + zz
@@ -162,16 +165,17 @@ def test_table_matches_closed_form(p, l):
     for start in range(0, n, q * q):  # one x1 slab at a time keeps the oracle small
         rows = np.arange(start, start + q * q)
         assert np.array_equal(t.mult[rows], closed_form_rows(t, rows))
-    neg_x, neg_y = f.neg(t.ix).astype(np.int64), f.neg(t.iy).astype(np.int64)
-    want_inv = neg_x * q * q + neg_y * q + f.sub(f.mul(t.ix, t.iy), t.iz)
+    ix, iy, iz = coordinates(q)
+    neg_x, neg_y = f.neg(ix).astype(np.int64), f.neg(iy).astype(np.int64)
+    want_inv = neg_x * q * q + neg_y * q + f.sub(f.mul(ix, iy), iz)
     assert t.inv.dtype == np.int32 and np.array_equal(t.inv, want_inv)
-    assert np.array_equal(t.coset_ids, t.ix.astype(np.int64) * q + t.iy)
+    assert np.array_equal(t.coset_ids, ix.astype(np.int64) * q + iy)
 
 
 def test_pack_is_int32_and_exact():
     """`vertex` packs index triples into vertices, in int32."""
     t = GroupTable(field_create(3, 2))
-    packed = t.vertex(t.ix, t.iy, t.iz)
+    packed = t.vertex(*coordinates(t.q))
     assert packed.dtype == np.int32 and np.array_equal(packed, np.arange(t.n))
     # the largest supported field: q**3 - 1 = 729**3 - 1 still fits in int32
     top = np.array([0, 728], dtype=np.int32)
@@ -220,3 +224,46 @@ def test_right_translations_are_mult_columns(p, l):
     assert len(got) == 2 * l
     for s, h in zip(got, hs):
         assert s.dtype == np.int32 and np.array_equal(s, t.mult[:, h])
+
+
+def _vertices_of(q, m):
+    """The vertices of a stack of unitriangular matrices, asserting that
+    they are unitriangular."""
+    assert (m[..., [0, 1, 2], [0, 1, 2]] == 1).all() and not m[..., [1, 2, 2], [0, 0, 1]].any()
+    return (m[..., 0, 1].astype(np.int64) * q + m[..., 1, 2]) * q + m[..., 0, 2]
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 27])
+def test_grid_maps_are_matrix_products(q):
+    """The maps that `coset_affine` evaluates on the coset grid, as 3x3
+    matrix products over the field at every vertex: the right translations
+    multiply by the matrices of (t**k, 0, 0) and then (0, t**k, 0), `inv`
+    is the matrix inverse, the row of z in `quotients` times v is z, and
+    sigma is conjugation by diag(1, 1, -1).
+    q = 27 has l = 3; no `mult` is read (it would be 775 MB there).  The
+    coset ids, the center and `element_to_json` match the coordinates."""
+    cons = Construction(q, max_vertices=q**3)
+    t, f = cons.table, cons.field
+    x, y, z = coordinates(q)
+    m = unitriangular(f, x, y, z)
+    hs = [h for k in range(f.l) for h in ((f.p**k, 0, 0), (0, f.p**k, 0))]
+    steps = t.right_translations()
+    assert len(steps) == len(hs) == 2 * f.l
+    for s, h in zip(steps, hs):
+        want = _vertices_of(q, field_matmul(f, m, unitriangular(f, *h)))
+        assert s.dtype == np.int32 and np.array_equal(s, want)
+    identity = np.broadcast_to(unitriangular(f, 0, 0, 0), m.shape)
+    assert t.inv.dtype == np.int32 and np.array_equal(field_matmul(f, m, m[t.inv]), identity)
+    points = np.array([0, 1, q, q * q + 1, t.n - 1])
+    quot = t.quotients(points)   # quot[k, v] * v = points[k]
+    assert quot.dtype == np.int32 and np.array_equal(quot[0], t.inv)
+    want = np.broadcast_to(m[points][:, None], quot.shape + (3, 3))
+    assert np.array_equal(field_matmul(f, m[quot], m), want)
+    d = np.diag([f.one, f.one, f.neg(f.one)]).astype(np.int32)
+    sigma = cons.sigma_perm()
+    want = _vertices_of(q, field_matmul(f, field_matmul(f, d, m), d))
+    assert sigma.dtype == np.int32 and np.array_equal(sigma, want)
+    assert t.coset_ids.dtype == np.int32 and np.array_equal(t.coset_ids, x * q + y)
+    assert np.array_equal(t.center_mask, (x == 0) & (y == 0))
+    assert [t.element_to_json(v) for v in range(t.n)] == np.stack([x, y, z], axis=1).tolist()
+    assert "mult" not in vars(t)

@@ -168,3 +168,41 @@ def test_no_private_attribute_of_another_module_is_read(module):
     `Digraph` it builds: the vertex layout, say, is `GroupTable.vertex`,
     public, not a private helper reached into from outside `heisenberg`."""
     assert list(_foreign_private_reads(module)) == [], module.name
+
+
+# every map of H3(q) is one `coset_affine` description; build_X packs a set
+VERTEX_PACKERS = {("heisenberg", "coset_affine"), ("construction", "build_X")}
+
+
+def _vertex_calls(path: Path):
+    """(innermost enclosing function, line) of every `.vertex(...)` call."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, functions) else function
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr == "vertex"
+            ):
+                yield inner, child.lineno
+            yield from visit(child, inner)
+
+    yield from visit(ast.parse(path.read_text()), None)
+
+
+def test_only_heisenberg_decodes_the_vertex_layout():
+    """Vertices are packed by `GroupTable.vertex` in `coset_affine`, which
+    makes every map, and in `Construction.build_X`, which makes a set; no
+    module reads per-vertex coordinate arrays `.ix`, `.iy` or `.iz`."""
+    calls = [(p.stem, function, line) for p in PACKAGE for function, line in _vertex_calls(p)]
+    assert [c for c in calls if c[:2] not in VERTEX_PACKERS] == []
+    assert {c[:2] for c in calls} == VERTEX_PACKERS
+    coordinates = [
+        (p.stem, node.lineno, ast.unparse(node))
+        for p in PACKAGE
+        for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in ("ix", "iy", "iz")
+    ]
+    assert coordinates == []

@@ -366,7 +366,8 @@ def test_reverse_pair_fails_a_forged_witness(forgery, q, monkeypatch):
         forged = cons.sigma_perm()
         forged[[0, 1]] = forged[[1, 0]]
     else:
-        forged = t.vertex(t.ix, f.neg(t.iy), t.iz)
+        x, y = t.grid
+        forged = t.coset_affine(x, f.neg(y), 0, f.one)
         images = {frozenset(forged[cons.build_X(i)].tolist()) for i in range(q)}
         assert images.isdisjoint(frozenset(cons.build_X(j).tolist()) for j in range(q))
     monkeypatch.setattr(cons, "sigma_perm", lambda: forged)
