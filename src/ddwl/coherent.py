@@ -34,12 +34,15 @@ color(w, v) = s} = (A_r A_s)[u, v], A_r the 0/1 matrix of color r: the
 coherent-algebra form of 2-WL (Weisfeiler & Leman 1968).  A round that
 refines every row at rank at most `_PRODUCT_MAX_RANK` computes the counts
 by one float64 product per block: the 0/1 rows of the A_r times a right
-operand that packs the digits n - count(r, s), base n + 1, as many to a
-word as keep it below 2**53, big-endian and in code order.  Every partial
-sum is then a nonnegative integer below 2**53, exact in any summation
-order, and the words order the keys as the digits do; the distinct keys
-are unpacked to those of the other count-mode kernel, one bincount of the
-codes, which orbit-row rounds and higher ranks use.  Each key is one
+operand that packs the digits most - count(r, s), base most + 1, as many
+to a word as keep it below 2**53, big-endian and in code order.  Here most
+is the largest number of times one color occurs in one column, so
+count(r, s) <= #{w : color(w, v) = s} <= most bounds every digit.  Every
+partial sum is then a nonnegative integer below 2**53, exact in any
+summation order, and the words order the keys as the digits do; the
+distinct keys are unpacked, with n - most added back to each digit, to
+those of the other count-mode kernel, one bincount of the codes, which
+orbit-row rounds and higher ranks use.  Each key is one
 fixed-width big-endian byte string, whose bytewise order is the numeric
 order above; `sorted_unique_rows` orders the keys of a block, and the same
 helper orders the vertex signatures of `isotest`.
@@ -54,7 +57,8 @@ coloring, a round computes the keys of one representative row per vertex
 orbit (its least vertex) only and copies every other row down one
 breadth-first forest over the generators (`digraph.breadth_first`, the walk
 behind `digraph.orbit_mask`): the vertices w = s(u) first reached from u by
-a generator s take row u moved by s, as color(s(u), s(v)) = color(u, v).
+a generator s take row u moved by s, as color(s(u), s(v)) = color(u, v),
+gathered as row u at s**-1, each inverse made once per forest.
 The stable coloring is invariant under the group, so every color class meets
 a representative row; the key set, hence the canonical names, the rank, the
 rounds and the tensor, are those of a round on every row.  That round, the
@@ -94,9 +98,10 @@ from .heisenberg import GroupTable
 _MODE_A_MAX_CODES = 8192       # count mode while rank**2 stays at most this
 # Count mode by packed-digit products on full-matrix rounds up to this rank.
 # On a 2-core x86-64 VM with one BLAS thread, one round on a random n = 343
-# coloring (nearly every key distinct) took 175 ms by products and 309 ms by
-# bincount at rank 6, 407 against 438 ms at rank 10, but 781 against 587 ms
-# at rank 14; the dense q = 7 closure's rank-9 round took 0.08 against 0.19 s.
+# coloring (nearly every key distinct) took 117-155 ms by products and
+# 218-268 ms by bincount at rank 6, 271-292 against 268-319 ms at rank 10,
+# but 446-473 against 338-410 ms at rank 14 (best of 5, three runs); the
+# seeded relabelled q = 7 closure's rank-9 round took 0.024 against 0.16 s.
 # Orbit-row rounds keep the bincount: one row would pay for all n**2 pairs.
 _PRODUCT_MAX_RANK = 10
 _BLOCK_ELEMENT_BUDGET = 500_000  # scratch elements per block; larger blocks measured slower
@@ -112,15 +117,22 @@ class Orbits(NamedTuple):
 
     reps: np.ndarray  # (r,) the least vertex of each orbit, ascending
     steps: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    inverses: tuple[np.ndarray, ...] = ()  # each step's s**-1, made once per generator
 
     def expand(self, rows: np.ndarray) -> np.ndarray:
-        """rows[k] as row reps[k], then color[s(u), s(v)] = color[u, v] for each step."""
+        """rows[k] as row reps[k], then for each step row w = s(u) as row u
+        gathered at s**-1, color[s(u), v] = color[u, s**-1(v)], a block of
+        at most `_BLOCK_ELEMENT_BUDGET` entries at a time."""
         if not self.steps:
             return rows  # every vertex is a representative
-        color = np.empty((rows.shape[1],) * 2, dtype=rows.dtype)
+        n = rows.shape[1]
+        color = np.empty((n, n), dtype=rows.dtype)
         color[self.reps] = rows
-        for w, u, s in self.steps:
-            color[w[:, None], s] = color[u]
+        block = max(1, _BLOCK_ELEMENT_BUDGET // n)
+        for (w, u, _), inverse in zip(self.steps, self.inverses, strict=True):
+            for start in range(0, len(w), block):
+                part = slice(start, start + block)
+                color[w[part]] = np.take(color[u[part]], inverse, axis=1)
         return color
 
 
@@ -240,11 +252,15 @@ def sorted_unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     scalar; `.view(">u2")` or `.view(">u4")` reads it back), and the index
     of each input row among them: `np.unique` of the V{width} rows.
 
-    Only the run heads are sorted as byte strings.  The rows are ordered by
+    Only the run heads are sorted as byte strings.  The rows are grouped by
     a fingerprint, the sum mod 2**64 of their words times odd weights (so
-    rows one word apart never collide), and cut into runs wherever two
-    neighbours differ byte for byte; `np.unique` of the heads orders them
-    and merges equal heads that a collision put in separate runs."""
+    rows one word apart never collide), in runs of equal fingerprints in
+    whatever order the argsort leaves ties.  Each row is compared, in input
+    order, with its run's head; when every one equals it, the runs are the
+    distinct rows.  Else a fingerprint collided, and the runs are cut
+    wherever two neighbours in the sorted order differ byte for byte.
+    `np.unique` of the heads orders them and merges equal heads that a
+    collision put in separate runs, so no tie order changes the result."""
     rows = np.ascontiguousarray(rows)
     m, nbytes = len(rows), rows.shape[1] * rows.itemsize
     words = rows.view(f"u{next(s for s in (8, 4, 2, 1) if nbytes % s == 0)}")
@@ -252,20 +268,31 @@ def sorted_unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     weights *= np.uint64(_FINGERPRINT_MULTIPLIER)
     # einsum widens the words to uint64 in buffered pieces, never the whole array
     fingerprint = np.einsum("ij,j->i", words, weights)
-    order = np.argsort(fingerprint, kind="stable")
+    order = np.argsort(fingerprint)
     fingerprint = fingerprint[order]
     head = np.ones(m, dtype=bool)
     np.not_equal(fingerprint[1:], fingerprint[:-1], out=head[1:])
     step = max(1, _COMPARE_BYTES // nbytes)  # rows compared per gather
-    for start in range(1, m, step):
-        ordered = words[order[start - 1 : start + step]]
-        head[start : start + step] |= (ordered[1:] != ordered[:-1]).any(axis=1)
-    heads = rows[order[head]].astype(rows.dtype.newbyteorder(">"), copy=False)
+    run, first = _runs(order, head)
+    if any(
+        (words[start : start + step] != words[first[run[start : start + step]]]).any()
+        for start in range(0, m, step)
+    ):
+        for start in range(1, m, step):
+            ordered = words[order[start - 1 : start + step]]
+            head[start : start + step] |= (ordered[1:] != ordered[:-1]).any(axis=1)
+        run, first = _runs(order, head)
+    heads = rows[first].astype(rows.dtype.newbyteorder(">"), copy=False)
     keys, inverse = np.unique(heads.view(f"V{nbytes}").ravel(), return_inverse=True)
-    inverse = inverse[np.cumsum(head) - 1]  # of each sorted row
-    out = np.empty_like(inverse)  # the one array kept, made once the scratch is freed
-    out[order] = inverse
-    return keys, out
+    return keys, inverse[run]
+
+
+def _runs(order: np.ndarray, head: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For runs of the sorted rows, head[k] marking where one starts: the run
+    of each input row, and the input index of each run's first row."""
+    run = np.empty(len(order), dtype=np.intp)
+    run[order] = np.cumsum(head) - 1
+    return run, order[head]
 
 
 def _refine_round(
@@ -284,13 +311,20 @@ def _refine_round(
     # cw[v, w] = color(w, v): a block's codes are (u, v, w), sorted along w in place
     cw = None if count_mode else np.ascontiguousarray(color.T, dtype=wide)
     if products:
-        # the digits n - count(r, s) <= n, base n + 1, `width` to a float64 word
-        # so that a word stays below 2**53; digit s of r lies in word s // width
-        base, width = n + 1, 1
+        # most, the largest number of times one color occurs in one column (one
+        # bincount of v * rank + color(w, v)), bounds every count(r, s) at (u, v)
+        # by #{w : color(w, v) = s}: the digits most - count(r, s), base most + 1,
+        # `width` to a float64 word so that a word stays below 2**53; digit s of
+        # r lies in word s // width
+        column = np.arange(n, dtype=np.int32) * np.int32(rank)
+        most = int(np.bincount((color + column).ravel()).max())
+        base, width = most + 1, 1
         while width < rank and base ** (width + 1) <= 2**53:
             width += 1
         nwords = -(-rank // width)
-        per_row = 4 * n * rank * nwords  # float64 products and int64 key words, 8 bytes each
+        # float64 products and int64 key words, 8 bytes each, counted twice: the
+        # half-size block holds the dense q = 7 closure's traced peak at 6.1 MB
+        per_row = 8 * n * rank * nwords
     else:
         per_row = n * max(n, ncodes) if count_mode else n * n
     block = max(1, min(m, _BLOCK_ELEMENT_BUDGET // max(1, per_row)))
@@ -302,7 +336,7 @@ def _refine_round(
         place = np.zeros((rank, nwords))
         after = np.minimum(width, rank - s // width * width) - 1 - s % width
         place[s, s // width] = base**after
-        top = n * place.sum(axis=0)  # word j with every digit n: all counts 0
+        top = most * place.sum(axis=0)  # word j with every digit most: all counts 0
         right = place[color].reshape(n, n * nwords)  # [w, (v, j)] = place[color(w, v), j]
         left = np.empty((block, rank, n))  # reused per block
         prod = np.empty((block * rank, n * nwords))  # reused per block
@@ -352,7 +386,8 @@ def _refine_round(
     new = np.concatenate([merged[start:][inv] for start, (_, inv) in zip(starts, pieces)])
     if products:
         # the distinct keys in the bincount kernel's layout: old color, then n - count
-        # of code r * rank + s, peeled off word j = s // width of r, last digit first
+        # of code r * rank + s, the digit most - count peeled off word j = s // width
+        # of r, last digit first, plus n - most
         words = keys.view(">i8").reshape(len(keys), 1 + rank * nwords)
         flat = np.empty((len(keys), ncodes + 1), dtype=">u2")
         flat[:, 0] = words[:, 0]
@@ -361,6 +396,7 @@ def _refine_round(
         rest = np.ascontiguousarray(rest, dtype=np.int64)  # [j, key, r]
         for i in reversed(range(rank)):
             rest[i // width], digits[:, :, i] = np.divmod(rest[i // width], base)
+        digits += np.uint16(n - most)
         keys = flat.view(f"V{2 * (ncodes + 1)}").ravel()
     return new.astype(np.int32).reshape(m, n), len(keys), keys
 
@@ -475,7 +511,9 @@ def _orbits(perms: list[np.ndarray], n: int) -> Orbits:
         new = new[new]
         if np.array_equal(new, label):
             reps = np.flatnonzero(label == np.arange(n))
-            return Orbits(reps, breadth_first(reps, perms, n)[1])
+            steps = breadth_first(reps, perms, n)[1]
+            inverse = {id(s): np.argsort(s) for s in perms}  # the steps hold perms' arrays
+            return Orbits(reps, steps, tuple(inverse[id(s)] for _, _, s in steps))
         label = new
 
 

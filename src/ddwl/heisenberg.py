@@ -52,6 +52,7 @@ class GroupTable:
         self.grid = np.indices((q, q), dtype=np.int32)  # (x, y) of coset x*q + y
         self.grid.setflags(write=False)
         self.inv = self.quotients([self.identity])[0]
+        self._right: tuple[np.ndarray, ...] | None = None
         self.center_mask = np.arange(n) < q
         self.coset_ids = np.arange(n, dtype=np.int32) // q
 
@@ -98,11 +99,17 @@ class GroupTable:
         """The vertex permutations u -> u * h for h = (t**k, 0, 0) and then
         (0, t**k, 0), k < l, with t the field's generator over GF(p), from the
         closed form (x, y, z) * (hx, hy, 0) = (x + hx, y + hy, z + x * hy).
-        The 2l elements h generate H3(q), so the translations act transitively."""
-        f, (x, y) = self.field, self.grid
-        powers = [f.p**k for k in range(f.l)]  # the indices of t**k
-        maps = [m for tk in powers for m in ((f.add(x, tk), y, 0), (x, f.add(y, tk), f.mul(x, tk)))]
-        return tuple(self.coset_affine(*m, f.one) for m in maps)
+        The 2l elements h generate H3(q), so the translations act transitively.
+        Built on the first call and kept read-only, like `grid`: every caller
+        gets the same tuple."""
+        if self._right is None:
+            f, (x, y) = self.field, self.grid
+            powers = [f.p**k for k in range(f.l)]  # the indices of t**k
+            maps = [m for tk in powers for m in ((f.add(x, tk), y, 0), (x, f.add(y, tk), f.mul(x, tk)))]
+            self._right = tuple(self.coset_affine(*m, f.one) for m in maps)
+            for s in self._right:
+                s.setflags(write=False)
+        return self._right
 
     def element_to_json(self, v: int) -> list[int]:
         return [*divmod(int(v) // self.q, self.q), int(v) % self.q]

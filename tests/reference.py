@@ -37,7 +37,9 @@ isomorphism search in int64, as the engines did before they chose the
 narrowest width that holds the codes; `tensor_key` is the int64 key of
 (r, s, t) by which the tensor checks ordered rows before they lexsorted
 the narrow columns.  `individualized` is the coloring that
-`one_point_extension` refines.
+`one_point_extension` refines.  `expand_by_scatter` is the 2-D scatter
+color[s(u), s(v)] = color[u, v] by which `coherent.Orbits.expand` filled
+the rows down an orbit forest before it gathered each row at s**-1.
 `coordinates` is the (x, y, z) index triple of every vertex, the layout
 that only `heisenberg` decodes in the program; `unitriangular` and
 `field_matmul` are the 3x3 matrices of such triples and their products over
@@ -122,6 +124,18 @@ def on_every_row(make):
     for n, orbits in seen:
         assert np.array_equal(orbits.reps, np.arange(n)) and orbits.steps == []
     return out
+
+
+def expand_by_scatter(orbits, rows):
+    """rows[k] as row orbits.reps[k], then color[s(u), s(v)] = color[u, v]
+    for each step (w, u, s) of the forest, one 2-D scatter per step."""
+    if not orbits.steps:
+        return rows
+    color = np.empty((rows.shape[1],) * 2, dtype=rows.dtype)
+    color[orbits.reps] = rows
+    for w, u, s in orbits.steps:
+        color[w[:, None], s] = color[u]
+    return color
 
 
 def refine_round_int64(color, rank: int, rows):

@@ -28,6 +28,7 @@ from reference import (
     coordinates,
     dense_tensor,
     directed_cycle,
+    expand_by_scatter,
     individualized,
     move_one_arc,
     on_every_row,
@@ -215,23 +216,52 @@ def test_product_rounds_equal_the_bincount_kernel_on_every_label(q, loops, reque
     assert len(by_products) >= q
 
 
-def test_dense_q7_closure_peak_stays_below_9_mb(cons7):
-    """The seeded relabelled copy the benchmark refines: its product rounds
-    hold the packed-digit right operand of n * n * ceil(rank / width) float64
-    words (1.9 MB at rank 9) and one block of products and key words, a
-    tracemalloc peak of 7.8 MB with numpy 2.4.  A float32 one-hot of
-    n * n * rank entries in their place (4.2 MB at rank 9; a 9.9 MB peak)
-    fails 9 MB."""
-    g = cons7.build_cayley(cons7.generators_I()[0]).relabeled(
+def _seeded_dense_q7(cons7) -> Digraph:
+    """The seeded relabelled copy the benchmark refines on the dense engine."""
+    return cons7.build_cayley(cons7.generators_I()[0]).relabeled(
         np.random.default_rng(1).permutation(cons7.n)
     )
+
+
+def test_dense_q7_closure_peak_stays_below_7_mb(cons7):
+    """The seeded relabelled copy the benchmark refines: its product rounds
+    hold the packed-digit right operand of n * n * ceil(rank / width) float64
+    words (0.9 MB at rank 9, one word per colour) and one block of products
+    and key words, a tracemalloc peak of 6.1 MB with numpy 2.4; the bound
+    leaves 0.9 MB of margin.  Digits in base n + 1 (two words per colour at
+    rank 9; a 7.8 MB peak) fail 7 MB, as does a float32 one-hot of
+    n * n * rank entries in their place (4.2 MB at rank 9; a 9.9 MB peak)."""
+    g = _seeded_dense_q7(cons7)
     tracemalloc.start()
     try:
         assert wl_close(g).rank == 9
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 9.0e6
+    assert peak < 7.0e6
+
+
+def test_dense_q7_rounds_pack_one_word_per_colour(cons7, monkeypatch):
+    """Every round of the seeded relabelled q = 7 closure runs on products,
+    and each key row it sorts holds the old color and one int64 word per
+    colour r: rank digits in base most + 1 fit one word."""
+    refine, unique, rounds = coherent._refine_round, coherent.sorted_unique_rows, []
+
+    def spy_refine(color, rank, rows):
+        rounds.append((rank, len(rows), set()))
+        return refine(color, rank, rows)
+
+    def spy_unique(rows):
+        rounds[-1][2].add((rows.dtype, rows.shape[1]))
+        return unique(rows)
+
+    monkeypatch.setattr(coherent, "_refine_round", spy_refine)
+    monkeypatch.setattr(coherent, "sorted_unique_rows", spy_unique)
+    assert wl_close(_seeded_dense_q7(cons7)).rank == 9
+    assert len(rounds) == 4
+    for rank, m, layouts in rounds:
+        assert m == cons7.n and rank <= coherent._PRODUCT_MAX_RANK
+        assert layouts == {(np.dtype(np.int64), 1 + rank)}
 
 
 def test_q13_closure_peak_stays_below_seven_colour_matrices(cons13):
@@ -263,13 +293,18 @@ def test_q13_closure_refines_its_initial_coloring_without_a_copy(cons13):
     assert peak < 6 * g.n**2 * 4
 
 
-def _digits_per_word(n: int) -> int:
-    """The most digits 0..n, base n + 1, one float64 word holds exactly:
-    the largest w with (n + 1)**w <= 2**53."""
+def _digits_per_word(most: int) -> int:
+    """The most digits 0..most, base most + 1, one float64 word holds
+    exactly: the largest w with (most + 1)**w <= 2**53."""
     w = 0
-    while (n + 1) ** (w + 1) <= 2**53:
+    while (most + 1) ** (w + 1) <= 2**53:
         w += 1
     return w
+
+
+def _most(color: np.ndarray) -> int:
+    """The largest number of times one color occurs in one column."""
+    return max(int(np.bincount(column).max()) for column in color.T)
 
 
 @pytest.mark.parametrize("budget", [None, 1], ids=["default-blocks", "one-row-blocks"])
@@ -280,9 +315,10 @@ def _digits_per_word(n: int) -> int:
 def test_product_rounds_equal_the_bincount_kernel_on_small_inputs(case, budget, monkeypatch):
     """The directed 9-cycle, and random colorings whose rank is the product
     limit (the first round runs on products) and one more (it does not).
-    At the product limit, one round on either side of the least n that
-    packs 6 digits per word, not 7: each r's codes fill one word of exactly
-    that many digits and one of fewer."""
+    At the product limit, one round on either side of the least column
+    count `most` whose base most + 1 packs 6 digits per word, not 7: color
+    0 fills the first `most` entries of column 0 of n = 200, so each r's
+    codes fill one word of exactly that many digits and one of fewer."""
     if budget is not None:
         monkeypatch.setattr(coherent, "_BLOCK_ELEMENT_BUDGET", budget)
     limit = coherent._PRODUCT_MAX_RANK
@@ -291,13 +327,15 @@ def test_product_rounds_equal_the_bincount_kernel_on_small_inputs(case, budget, 
         assert wl_close(directed_cycle(9)).rank == 9
         assert by_products and max(by_products) == 9
     elif case.startswith("width-switch"):
-        switch = next(n for n in range(1, 2**16) if _digits_per_word(n) < 7)
-        n = switch - (case == "width-switch-below")
-        width = _digits_per_word(n)
+        switch = next(m for m in range(1, 2**16) if _digits_per_word(m) < 7)
+        most = switch - (case == "width-switch-below")
+        width = _digits_per_word(most)
         assert (_digits_per_word(switch - 1), _digits_per_word(switch)) == (7, 6)
         assert limit // width == 1 and 0 < limit % width  # one full word, one shorter
-        color = np.random.default_rng(n).integers(0, limit, size=(n, n), dtype=np.int32)
-        color.flat[:limit] = np.arange(limit)   # every color occurs
+        n = 200
+        color = np.random.default_rng(most).integers(1, limit, size=(n, n), dtype=np.int32)
+        color[:most, 0] = 0   # every other color occurs in every column far less often
+        assert _most(color) == most and len(np.unique(color)) == limit
         coherent._refine_round(color, limit, np.arange(n))
         assert by_products == [limit]
     else:
@@ -376,6 +414,52 @@ def test_sorted_unique_rows_where_every_fingerprint_collides(dtype, compare_byte
     a, b = np.array([[0, 2, 1], [0, 1, 2]], dtype=dtype)
     _assert_as_np_unique(np.array([a, b, a], dtype=dtype))
     _assert_as_np_unique(_rows(dtype, 400, 3, 3)[np.random.default_rng(5).permutation(400)])
+
+
+def test_sorted_unique_rows_where_only_a_late_block_collides(monkeypatch):
+    """Two-word rows (a, b) fingerprint to K * (a + 3b) mod 2**64, so (3, 0)
+    and (0, 1) collide.  With four rows compared per gather, the first
+    three blocks of rows each equal their run's head and only the last
+    block finds the collision; the neighbour pass then cuts the runs, and
+    the result is still np.unique of the rows."""
+    monkeypatch.setattr(coherent, "_COMPARE_BYTES", 4 * 16)
+    runs, calls = coherent._runs, []
+
+    def spy(order, head):
+        calls.append(len(order))
+        return runs(order, head)
+
+    monkeypatch.setattr(coherent, "_runs", spy)
+    early = np.random.default_rng(8).integers(100, 10**6, size=(12, 2))
+    early[5] = early[1]   # an equal pair in its own run
+    late = np.array([[3, 0], [0, 1], [3, 0], [5, 5]])
+    sums = (early[:, 0] + 3 * early[:, 1]).tolist()
+    assert len(set(sums)) == 11 and min(sums) > 5 + 3 * 5   # no collision before the last block
+    for rows, want_calls in ((early, 1), (np.concatenate([early, late]), 2)):
+        calls.clear()
+        _assert_as_np_unique(rows)
+        assert len(calls) == want_calls   # a second pass only after a collision
+
+
+@pytest.mark.parametrize("multiplier", [coherent._FINGERPRINT_MULTIPLIER, 0], ids=["default", "all-collide"])
+@pytest.mark.parametrize(
+    "rows",
+    [
+        pytest.param(_rows(">u2", 3000, 10, 3), id="u2"),
+        pytest.param(_rows(">i8", 500, 4, 2), id="i8"),
+        pytest.param(np.full((40, 3), 7, dtype=">u2"), id="all-equal"),
+    ],
+)
+def test_sorted_unique_rows_does_not_depend_on_the_input_order(rows, multiplier, monkeypatch):
+    """Permuting the rows permutes the inverse and leaves the keys and both
+    dtypes as they were, however the argsort breaks fingerprint ties."""
+    monkeypatch.setattr(coherent, "_FINGERPRINT_MULTIPLIER", multiplier)
+    keys, inv = coherent.sorted_unique_rows(rows)
+    perm = np.random.default_rng(len(rows)).permutation(len(rows))
+    moved_keys, moved_inv = coherent.sorted_unique_rows(rows[perm])
+    assert (moved_keys.dtype, moved_inv.dtype) == (keys.dtype, inv.dtype)
+    assert moved_keys.tobytes() == keys.tobytes()
+    assert np.array_equal(moved_inv, inv[perm])
 
 
 # -- signature code widths ------------------------------------------------------------
@@ -1222,9 +1306,11 @@ def _assert_orbits(perms, n):
     minima = sorted({min(orbit_by_sets(v, perms)) for v in range(n)})
     assert orbits.reps.dtype == np.int64 and orbits.reps.tolist() == minima
     want = digraph.breadth_first(np.array(minima), perms, n)[1]
-    assert len(orbits.steps) == len(want)
-    for got, step in zip(orbits.steps, want):
+    assert len(orbits.steps) == len(want) == len(orbits.inverses)
+    for got, step, inverse in zip(orbits.steps, want, orbits.inverses):
         assert all(np.array_equal(x, y) for x, y in zip(got, step))
+        assert np.array_equal(inverse[step[2]], np.arange(n))
+    assert len({id(inverse) for inverse in orbits.inverses}) <= len(perms)  # one per generator
 
 
 @pytest.mark.parametrize("q", [3, 5])
@@ -1251,6 +1337,51 @@ def test_orbits_of_random_permutation_groups(seed):
         s[moved] = np.roll(moved, int(rng.integers(1, 4)))
         perms.append(s)
     _assert_orbits(perms, n)
+
+
+def _assert_expands_as_the_scatter(orbits, rows, expand=coherent.Orbits.expand):
+    got, want = expand(orbits, rows), expand_by_scatter(orbits, rows)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape) and got.tobytes() == want.tobytes()
+    return got
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_expand_equals_the_scatter_on_the_translation_forests(q, request):
+    """Row e copied down the forest of the right translations, byte for
+    byte as the scatter copies it; the data need not be invariant, as each
+    vertex is written once, by its own step."""
+    cons = request.getfixturevalue(f"cons{q}")
+    orbits = coherent._orbits(list(cons.table.right_translations()), cons.n)
+    assert orbits.reps.tolist() == [cons.table.identity] and orbits.steps
+    rows = np.random.default_rng(q).integers(0, 2**31 - 1, size=(1, cons.n), dtype=np.int32)
+    _assert_expands_as_the_scatter(orbits, rows)
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_expand_equals_the_scatter_on_the_k_forest_of_an_extension(q, request, monkeypatch):
+    """Every expansion of `one_point_extension(cc, e, gens=[k])`, from one
+    row per K-orbit, equals the scatter on the rows the round made."""
+    cons = request.getfixturevalue(f"cons{q}")
+    cc = request.getfixturevalue(f"closures{q}")[cons.generators_I()[0]]
+    expand, seen = coherent.Orbits.expand, []
+
+    def both(orbits, rows):
+        seen.append(len(orbits.reps))
+        return _assert_expands_as_the_scatter(orbits, rows, expand)
+
+    monkeypatch.setattr(coherent.Orbits, "expand", both)
+    one_point_extension(cc, cons.table.identity, [cons.rho_perm(*cons.k_generator())])
+    assert seen and set(seen) == {q + 2}   # the K-orbits: not one row
+
+
+def test_expand_equals_the_scatter_across_row_blocks(cons5, monkeypatch):
+    """With a budget of three rows a block, steps of more rows are copied in
+    several blocks, the last one shorter."""
+    monkeypatch.setattr(coherent, "_BLOCK_ELEMENT_BUDGET", 3 * cons5.n)
+    orbits = coherent._orbits(list(cons5.table.right_translations()), cons5.n)
+    assert any(len(w) > 3 and len(w) % 3 for w, _, _ in orbits.steps)
+    rows = np.random.default_rng(5).integers(0, 9, size=(1, cons5.n), dtype=np.int32)
+    _assert_expands_as_the_scatter(orbits, rows)
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9])

@@ -16,6 +16,7 @@ from reference import (
     corrupt_rho,
     field_matmul,
     from_text,
+    move_one_arc,
     psi,
     rho_apply,
     unitriangular,
@@ -568,6 +569,24 @@ def test_only_cayley_digraphs_carry_translations(cons3, cons9):
             assert "translations" not in repr(g)
             relabeled = g.relabeled(np.arange(cons.n)[::-1])
             assert relabeled.translations == () and from_text(g.to_text()).translations == ()
+
+
+def test_every_cayley_digraph_is_handed_the_tables_one_tuple_of_translations():
+    """The table builds its right translations once, read-only, and every
+    `build_cayley` digraph claims that same tuple; each still proves it on
+    its own lists, so a digraph with one arc moved refuses it."""
+    cons = Construction(5)
+    want = cons.table.right_translations()
+    assert cons.table.right_translations() is want
+    assert not any(s.flags.writeable for s in want)
+    with pytest.raises(ValueError, match="read-only"):
+        want[0][0] = want[0][1]
+    graphs = [cons.build_cayley(i, include_identity=loops) for i in range(cons.q) for loops in (True, False)]
+    assert all(g._claimed is want for g in graphs)
+    for g in graphs[:2]:   # the proven arrays are the claimed ones
+        assert len(g.translations) == len(want) and all(a is b for a, b in zip(g.translations, want))
+    with pytest.raises(NotInvariant, match="maps an arc to a non-arc"):
+        move_one_arc(graphs[0]).translations
 
 
 def test_translation_proof_peak_stays_below_three_uint16_lists(cons13):
