@@ -41,7 +41,7 @@ from __future__ import annotations
 import numpy as np
 
 from .arith import prime_power
-from .digraph import Digraph, as_permutation, orbit_mask
+from .digraph import Digraph, as_permutation
 from .gf import field_create
 from .heisenberg import GroupTable
 
@@ -136,8 +136,9 @@ class Construction:
 
         g = rho(M(a0, b0)) for (a0, b0) = `k_generator()` must be a bijection with
         g(u h) == g(u) g(h) for all u and each h = s(e) of a right translation s,
-        proven u -> u h, whose orbit of e is H3(q): the h generate, so by induction
-        on word length g is a homomorphism (O(n l)), and its powers automorphisms.
+        proven u -> u h, whose orbit of e is H3(q) (`GroupTable.translations_generate`):
+        the h generate, so by induction on word length g is a homomorphism
+        (O(n l)), and its powers automorphisms.
         The k-th must equal `rho_perm` of M(a0, b0)**k (O(n) each), evaluated
         `_POWERS_PER_CALL` at a time, and be the identity exactly when
         M(a0, b0)**k is (1, 0), so g has order q**2 - 1.  The walk keeps
@@ -147,8 +148,7 @@ class Construction:
         mult, gen = self.table.mult, self.k_generator()
         g = as_permutation(self.rho_perm(*gen), self.n)
         steps = self.table.right_translations()
-        translations = all(np.array_equal(s, mult[:, s[0]]) for s in steps)
-        if not (translations and orbit_mask(0, steps, self.n).all()):
+        if not self.table.translations_generate():
             raise RuntimeError("the right translations are not u -> u * h for h generating H3(q)")
         if not all(np.array_equal(g[s], mult[g, g[s[0]]]) for s in steps):
             raise RuntimeError(f"rho{gen} is not a homomorphism")

@@ -36,6 +36,8 @@ import numpy as np
 from .construction import Construction
 from .digraph import Digraph, NotInvariant, as_permutation, carries_out
 
+_TAKE_ELEMENTS = 1 << 14  # list entries per np.take block of verify_ddd's row-0 counts
+
 
 @dataclass
 class DDDReport:
@@ -109,7 +111,12 @@ def verify_ddd(g: Digraph, class_ids: np.ndarray, expected: tuple[int, int]) -> 
         from0 = np.zeros(g.n, dtype=bool)
         from0[out[0]] = True  # the out-neighbours of 0
         # (1, n) rows, so the witness below reads them as it reads matrices
-        common_out = from0[out].sum(axis=1)[None, :]
+        # np.take in blocks of rows: it widens a narrow index to intp whole
+        # (3 MB for the lists at q = 13), but gathers twice as fast as from0[out]
+        rows = max(1, _TAKE_ELEMENTS // max(1, out.shape[1]))
+        common_out = np.concatenate(
+            [np.count_nonzero(np.take(from0, out[s : s + rows]), axis=1) for s in range(0, g.n, rows)]
+        )[None, :]
         common_in = np.bincount(out[to0].ravel(), minlength=g.n)[None, :]
         same = (class_ids == class_ids[0])[None, :]
         upper = (np.arange(g.n) > 0)[None, :]

@@ -38,6 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .arith import code_dtype
+from .digraph import orbit_mask
 from .gf import Field
 
 
@@ -110,6 +111,15 @@ class GroupTable:
             for s in self._right:
                 s.setflags(write=False)
         return self._right
+
+    def translations_generate(self) -> bool:
+        """True iff each s of `right_translations()` is u -> u * h on `mult`,
+        its column h = s(e), and together they reach every vertex from e:
+        every element is then a left-nested product (...(e h1) h2 ...) hk of
+        the 2l elements h, so they generate the table's magma."""
+        steps = self.right_translations()
+        columns = all(np.array_equal(s, self.mult[:, s[self.identity]]) for s in steps)
+        return columns and bool(orbit_mask(self.identity, steps, self.n).all())
 
     def element_to_json(self, v: int) -> list[int]:
         return [*divmod(int(v) // self.q, self.q), int(v) % self.q]

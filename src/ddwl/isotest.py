@@ -29,6 +29,10 @@ recolored by a cell bijection sigma.
 Automorphism group orders use the orbit-stabilizer chain: the order is the
 orbit length of the first individualized vertex times the order of its
 stabilizer, with found generators closing orbits to skip searches.
+`leaf_cells` counts the cells at the root of that chain for given fixed
+vertices, the refinement alone: a caller that proves the rest of the chain
+(a transitive group, a subgroup filling the next cell) reads the order off
+a discrete root with no search.
 """
 
 from __future__ import annotations
@@ -137,6 +141,14 @@ class _PartitionSearch:
             pi1[u] = pi2[v] = self.ncells_0 + k
         return pi1, pi2, self.ncells_0 + len(forced)
 
+    def fixed_leaf(self, fixed: tuple[int, ...]) -> tuple[np.ndarray, int]:
+        """The partition, and its cell count, that refinement of a coloring
+        against itself reaches with each vertex of fixed in a cell of its own."""
+        state = self._refine(*self._seeded(tuple((w, w) for w in fixed)))
+        if state is None:
+            raise RuntimeError("self-refinement disagreed with itself")  # engine bug
+        return state[0], state[2]
+
     def search(self, forced: tuple[tuple[int, int], ...], prune=None):
         """A bijection f with c2[f(u), f(v)] = c1[u, v] respecting the forced
         pairs, or None when none exists.
@@ -241,17 +253,15 @@ def automorphism_generators(
     cc = cc if cc is not None else wl_close(g)
     search = _PartitionSearch(cc.color, cc.color)
 
-    def rec(forced: tuple[tuple[int, int], ...]) -> tuple[int, list[np.ndarray]]:
-        state = search._refine(*search._seeded(forced))
-        if state is None:
-            raise RuntimeError("self-refinement disagreed with itself")  # engine bug
-        pi1, _, ncells = state
+    def rec(points: tuple[int, ...]) -> tuple[int, list[np.ndarray]]:
+        pi1, ncells = search.fixed_leaf(points)
         target = _target_cell(pi1, ncells)
         if target is None:
             return 1, []
         members = np.flatnonzero(pi1 == target)
         u = int(members[0])
-        sub_order, gens = rec(forced + ((u, u),))
+        sub_order, gens = rec(points + (u,))
+        forced = tuple((w, w) for w in points)
         orbit = orbit_mask(u, gens, search.n)
         for v in members[1:]:
             if orbit[v]:
@@ -262,7 +272,7 @@ def automorphism_generators(
                 orbit = orbit_mask(u, gens, search.n)
         return int(np.count_nonzero(orbit[members])) * sub_order, gens
 
-    order, gens = rec(tuple((w, w) for w in fixed))
+    order, gens = rec(tuple(fixed))
     if not carries(g.arcs, g.arcs, gens):
         raise RuntimeError("generator failed the arc-exact check")  # engine bug
     return order, gens
@@ -275,6 +285,16 @@ def automorphism_order(
 ) -> int:
     """The order that `automorphism_generators` finds."""
     return automorphism_generators(g, cc, fixed)[0]
+
+
+def leaf_cells(cc: CoherentConfiguration, fixed: tuple[int, ...]) -> int:
+    """The number of cells that vertex refinement over cc's colors reaches
+    with each vertex of fixed individualized and no branching: the root of
+    the search `automorphism_generators(g, cc, fixed)` runs.  Every
+    automorphism of cc that fixes those vertices keeps each cell of every
+    refinement step, so at n cells (a discrete leaf) the identity is the only
+    one: the stabilizer of fixed in Aut(cc), which holds Aut(g), is trivial."""
+    return _PartitionSearch(cc.color, cc.color).fixed_leaf(tuple(fixed))[1]
 
 
 # -- class counting ------------------------------------------------------------------

@@ -264,11 +264,11 @@ def test_python_m_ddwl_runs_the_command_line(argv, capsys):
 
 
 VERIFY_SHA256 = {
-    (5, "fast"): "2e8c124b6070f2dc510b9d0a0482290409c8f5daace9bee802078c1300b03f66",
-    (7, "full"): "e350ff6cacc1b224cdad3416c4023f68f6278581513f5b9d63de435dd026430a",
-    (9, "fast"): "dce0dce284f21d5fb48c725b28359a07fca91ba59e51c6fd90243ada86cd4201",
-    (11, "fast"): "e06e4cbce2181c2d9f7196217632b3ff87df1abeddfdc3928a75de716173eb10",
-    (13, "fast"): "7ac3bc1e4e5b9b63eacf3ace0279de18f6239cbf17a9ca3de9241624c6a9ee9b",
+    (5, "fast"): "0d3e256604c35003539b0d7fe0f5ea8396810c46470493e541869ac0c9096432",
+    (7, "full"): "79c5fd128175e4edbbf874baf49c5a654de8fa47e24aab0fb7fac66fc884f6a0",
+    (9, "fast"): "e90fd3f253d1c24785c0cfb3b1b0dd2a7bf104ac5f42c128911f5dfeb67eac34",
+    (11, "fast"): "bd2c31223f9d1e5e49da26c9b4ae435b2c0ed0053109ecf08633d754abbe11d3",
+    (13, "fast"): "2488cb77a084d2e71cda72b023c446d47b389669c448f3f4003f83a68c808789",
 }
 
 

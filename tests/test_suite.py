@@ -4,6 +4,7 @@ computation with itself."""
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -392,6 +393,227 @@ def test_the_suite_searches_no_pair_twice(q, searches, monkeypatch):
     assert len(pairs) == len(set(pairs)) == searches
 
 
+# -- criterion 12 by Light's test ---------------------------------------------
+
+
+def _associative(mult):
+    """The n**3 oracle: (a b) c = a (b c) for every triple, as `mult[mult]`
+    against `mult[:, mult]`."""
+    return np.array_equal(mult[mult], mult[:, mult])
+
+
+def _move_one_product(cons):
+    """A copy of cons's table with mult[a, b] moved to another vertex, for a
+    and b in the last row and column but one, neither e, central nor an h of
+    a right translation, and b not a**-1."""
+    t, q = cons.table, cons.q
+    a, b = t.n - 1, t.n - 2
+    hs = {int(s[t.identity]) for s in t.right_translations()}
+    assert {a, b}.isdisjoint(hs | set(range(q))) and t.inv[a] != b
+    mult = t.mult.copy()
+    mult[a, b] = (int(mult[a, b]) + 1) % t.n
+    return mult
+
+
+@pytest.mark.parametrize("rows", [0, 3], ids=["default-blocks", "three-row-blocks"])
+def test_one_wrong_product_fails_lights_test(rows, monkeypatch):
+    """One moved product at q = 5, in the last row: the identities, the
+    inverses, the center and the translations' columns all still hold, so
+    only Light's 2l n**2 products see it, in the last of the blocks as in
+    one block.  The n**3 oracle agrees on the table before and after."""
+    cons = Construction(5)
+    t = cons.table
+    if rows:
+        monkeypatch.setattr(suite, "_LIGHT_BLOCK_ELEMENTS", rows * t.n)
+    steps = t.right_translations()
+    assert suite._light_associative(t.mult, steps) and _associative(t.mult)
+    mult = _move_one_product(cons)
+    assert not suite._light_associative(mult, steps) and not _associative(mult)
+    t.mult = mult
+    assert t.translations_generate()
+    monkeypatch.setattr(suite, "Construction", lambda q, max_vertices: cons)
+    result = _run_one("group_axioms", monkeypatch, 5)
+    assert result.status == "fail" and "error" not in result.data, result.data
+    assert result.data["sampled_triples"] == 125**3
+
+
+def test_one_translation_fails_the_generation_premise(monkeypatch):
+    """The first right translation alone is a column of `mult`, and its
+    products hold, but it reaches only q vertices from e: the premise of
+    Light's test fails, and the row with it, by its verdict."""
+    cons = Construction(5)
+    first = cons.table.right_translations()[:1]
+    assert suite._light_associative(cons.table.mult, first)
+    monkeypatch.setattr(cons.table, "right_translations", lambda: first)
+    assert not cons.table.translations_generate()
+    monkeypatch.setattr(suite, "Construction", lambda q, max_vertices: cons)
+    result = _run_one("group_axioms", monkeypatch, 5)
+    assert result.status == "fail" and "error" not in result.data, result.data
+
+
+def _imported(argv):
+    """The modules a fresh interpreter running argv imports, read from
+    `python -X importtime`."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", *argv],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    lines = [line for line in done.stderr.splitlines() if line.startswith("import time:")]
+    return {line.rsplit("|", 1)[1].strip() for line in lines}
+
+
+def test_verify_5_never_imports_numpy_random():
+    """numpy 2 loads numpy.random on first use; `python -m ddwl verify 5`
+    samples nothing, so it never does.  The sampled branch does."""
+    verify = _imported(["-m", "ddwl", "verify", "5", "--no-timings"])
+    assert "numpy.random" not in verify and {"numpy", "ddwl.suite"} <= verify
+    sampled = "from ddwl import suite; suite._group_axioms(suite.Context(3), False)"
+    assert "numpy.random" in _imported(["-c", sampled])
+
+
+# -- criterion 8 by the discrete leaf ---------------------------------------------
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_the_leaf_order_equals_the_search_on_every_label(q):
+    """With e and min Y_i individualized the leaf is discrete on every
+    generator label, and n |K| is the order the search finds."""
+    ctx = suite.Context(q)
+    for i in ctx.cons.generators_I():
+        order, cells = suite._leaf_order(ctx, i)
+        assert cells == ctx.cons.n
+        assert order == isotest.automorphism_order(ctx.digraph(i), ctx.closure(i)), i
+        assert order == q**3 * (q * q - 1)
+
+
+def _spy_on_the_search(monkeypatch):
+    """The calls the row makes to `isotest.automorphism_order`, each still
+    answered by the search."""
+    calls, search = [], isotest.automorphism_order
+
+    def spy(g, cc):
+        calls.append(g.label)
+        return search(g, cc)
+
+    monkeypatch.setattr(isotest, "automorphism_order", spy)
+    return calls
+
+
+def _assert_searched(q, cons, monkeypatch, cells):
+    calls = _spy_on_the_search(monkeypatch)
+    monkeypatch.setattr(suite, "Construction", lambda q, max_vertices: cons)
+    result = _run_one("automorphism_order", monkeypatch, q)
+    assert result.status == "pass", result.data
+    assert (result.data["decided_by"], result.data["leaf_cells"]) == ("search", cells)
+    assert result.data["order"] == result.data["expected"] and len(calls) == 1
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_a_central_point_leaves_q_squared_cells_and_the_search_decides(q, monkeypatch):
+    """Negative control: e with a central z0 in place of y0 leaves q**2
+    cells (e alone leaves q + 2), so the row runs the search."""
+    cons = Construction(q)
+    ctx = suite.Context(q)
+    cc, e, z0 = ctx.closure(cons.generators_I()[0]), cons.table.identity, q - 1
+    assert cons.table.center_mask[z0] and z0 != e
+    assert isotest.leaf_cells(cc, (e, z0)) == q * q
+    assert isotest.leaf_cells(cc, (e,)) == q + 2
+    monkeypatch.setattr(cons, "build_Y", lambda i: np.array([z0]))
+    _assert_searched(q, cons, monkeypatch, q * q)
+
+
+def _forge_k_generator(cons, change):
+    """Hands the row K's generator changed by change, once K is proven."""
+    cons.build_K()
+    forged = change(cons, cons.rho_perm(*cons.k_generator()))
+    cons.rho_perm = lambda a, b: forged
+
+
+def _transpose_1_and_2(cons, g):
+    g[[1, 2]] = g[[2, 1]]
+    return g
+
+
+def _one_cell_short(cons, mp):
+    count = isotest.leaf_cells
+    mp.setattr(isotest, "leaf_cells", lambda cc, fixed: count(cc, fixed) - 1)
+
+
+PREMISES = {
+    # no automorphism: `carries_out` refuses it
+    "transposed-k": lambda cons, mp: _forge_k_generator(cons, _transpose_1_and_2),
+    # an automorphism, after a right translation, that moves e: not in Aut_e
+    "k-moving-e": lambda cons, mp: _forge_k_generator(
+        cons, lambda cons, g: cons.table.right_translations()[0][g]
+    ),
+    # |K| one short of y0's color class
+    "short-k": lambda cons, mp: setattr(cons, "build_K", lambda k=cons.build_K(): k[1:]),
+    # the same arcs with no translations: a dense closure, no transitive group
+    "no-translations": lambda cons, mp: _wrap_cayley(cons, lambda i, g: Digraph(g.arcs)),
+    # a leaf reported one cell short of discrete
+    "coarse-leaf": _one_cell_short,
+}
+
+
+@pytest.mark.parametrize("premise", list(PREMISES))
+@pytest.mark.parametrize("q", [3, 5])
+def test_a_failed_premise_makes_the_row_search(q, premise, monkeypatch):
+    """Each premise of the leaf broken in turn, the others holding: the row
+    then asks the search, which finds the order."""
+    cons = Construction(q)
+    PREMISES[premise](cons, monkeypatch)
+    _assert_searched(q, cons, monkeypatch, q**3 - (premise == "coarse-leaf"))
+
+
+# -- criterion 9's witnesses ------------------------------------------------------
+
+
+def _coprime(q):
+    return [m for m in range(1, q + 1) if math.gcd(m, q + 1) == 1]
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_the_witnesses_give_every_tau_hat_the_search_status(q):
+    ctx = suite.Context(q)
+    for m in _coprime(q):
+        sigma = srings.tau_hat(ctx.ring, m)
+        assert suite._induced_status(ctx, sigma) == isotest.is_induced(ctx.ring, sigma).status, m
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_a_forged_sigma_is_no_witness_and_the_search_decides(q, monkeypatch):
+    """sigma with vertices 0 and 1 swapped carries no recolored scheme
+    coloring: the row searches tau-hat_q alone and counts what it did."""
+    cons = Construction(q)
+    forged = cons.sigma_perm()
+    forged[[0, 1]] = forged[[1, 0]]
+    monkeypatch.setattr(cons, "sigma_perm", lambda: forged)
+    asked, search = [], isotest.is_induced
+
+    def spy(ring, sigma):
+        asked.append(sigma.tolist())
+        return search(ring, sigma)
+
+    monkeypatch.setattr(isotest, "is_induced", spy)
+    monkeypatch.setattr(suite, "Construction", lambda q, max_vertices: cons)
+    result = _run_one("algebraic_automorphisms", monkeypatch, q)
+    assert result.status == "pass" and result.data["induced"] == 2, result.data
+    assert asked == [srings.tau_hat(suite.Context(q).ring, q).tolist()]
+
+
+def test_the_witnesses_decide_tau_hat_1_and_7_at_q7_with_no_search(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(isotest._PartitionSearch, "search", refuse)
+    ctx = suite.Context(7)
+    for m in (1, 7):
+        assert suite._induced_status(ctx, srings.tau_hat(ctx.ring, m)) == "induced", m
+
+
 @pytest.mark.parametrize("name", ["f", "h"])
 def test_design_isomorphism_names_the_failing_pair(name, monkeypatch):
     cons = Construction(3)
@@ -430,18 +652,26 @@ def test_size_table():
         return {c.name: c.variant(q, s) for c in suite.REGISTRY if c.variant(q, s)}
 
     assert list(plan(5, "full")) == [c.name for c in suite.REGISTRY]
-    assert set(plan(5, "full")) - set(plan(7, "full")) == {"automorphism_order"}
+    assert set(plan(5, "full")) - set(plan(7, "full")) == set()
     assert set(plan(7, "full")) - set(plan(9, "full")) == {
         "wl_equivalence", "tau_hat_transport", "iso_classes",
     }
     # criterion 11 runs to q = 9 in the full suite, to q = 7 in the fast one
     assert plan(9, "full")["one_point_extension"] == "exhaustive"
     assert "one_point_extension" not in plan(11, "full")
-    assert set(plan(9, "full")) - set(plan(9, "fast")) == {"one_point_extension"}
+    assert set(plan(9, "full")) - set(plan(9, "fast")) == {
+        "one_point_extension", "automorphism_order",
+    }
     assert set(plan(5, "full")) - set(plan(5, "fast")) == {
         "wl_equivalence", "tau_hat_transport", "iso_classes", "automorphism_order",
     }
-    sampled = {"wl_closure", "group_axioms"}
+    # criterion 8's |Aut| runs to q = 9 in the full suite, exhaustive throughout
+    assert plan(9, "full")["automorphism_order"] == "exhaustive"
+    assert "automorphism_order" not in plan(11, "full")
+    # Light's test decides associativity to q = 13, in both suites
+    assert plan(13, "fast")["group_axioms"] == plan(13, "full")["group_axioms"] == "exhaustive"
+    assert plan(17, "fast")["group_axioms"] == plan(17, "full")["group_axioms"] == "sampled"
+    sampled = {"wl_closure"}
     assert {n for n, v in plan(5, "fast").items() if v == "sampled"} == sampled
     assert {n for n, v in plan(9, "full").items() if v == "sampled"} == sampled | {
         "algebraic_automorphisms"
