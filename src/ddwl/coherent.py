@@ -20,37 +20,34 @@ what makes tensor and multiset comparisons across graphs meaningful, and
 why WL-equivalence is decided by comparing the closures of the two graphs,
 each refined on its own.
 
-Two interchangeable signature encodings realise the same order:
+One key layout and two kernels.  A key is the old color, then the sorted
+code vector, codes r * rank + s, in one fixed-width big-endian byte string,
+whose bytewise order is the order above; `sorted_unique_rows` orders the
+keys of a block, and the same helper orders the vertex signatures of
+`isotest`.  The codes are held at the width `code_dtype` gives for rank**2,
+and the vertex signatures of `isotest` for ncells * mult: uint16 while the
+codes fit 2**16, uint32 while they fit 2**32, int64 beyond.  On nonnegative
+codes unsigned order is int64 order, so the width changes no name.  Work is
+blocked over rows to bound scratch memory.
 
-  * count mode (small color count): the vector of code multiplicities,
-    stored as (n - count) so that lexicographic comparison of the encoded
-    rows equals sorted-vector comparison of the multisets;
-  * sort mode (large color count): the sorted code vector itself.
-
-A round uses one mode throughout, chosen from the current rank, and work is
-blocked over rows to bound scratch memory.  In count mode the count of code
-r * rank + s at (u, v) is the intersection number #{w : color(u, w) = r,
-color(w, v) = s} = (A_r A_s)[u, v], A_r the 0/1 matrix of color r: the
-coherent-algebra form of 2-WL (Weisfeiler & Leman 1968).  A round that
-refines every row at rank at most `_PRODUCT_MAX_RANK` computes the counts
-by one float64 product per block: the 0/1 rows of the A_r times a right
-operand that packs the digits most - count(r, s), base most + 1, as many
-to a word as keep it below 2**53, big-endian and in code order.  Here most
-is the largest number of times one color occurs in one column, so
-count(r, s) <= #{w : color(w, v) = s} <= most bounds every digit.  Every
-partial sum is then a nonnegative integer below 2**53, exact in any
-summation order, and the words order the keys as the digits do; the
-distinct keys are unpacked, with n - most added back to each digit, to
-those of the other count-mode kernel, one bincount of the codes, which
-orbit-row rounds and higher ranks use.  Each key is one
-fixed-width big-endian byte string, whose bytewise order is the numeric
-order above; `sorted_unique_rows` orders the keys of a block, and the same
-helper orders the vertex signatures of `isotest`.
-Count-mode keys hold n - counts <= n < 2**16 as uint16.  Sort-mode keys
-hold codes below rank**2, and the vertex signatures of `isotest` codes below
-ncells * mult, at the width `code_dtype` gives: uint16 while the codes fit
-2**16, uint32 while they fit 2**32, int64 beyond.  On nonnegative codes
-unsigned order is int64 order, so the width changes no name.
+The sort kernel writes each block's codes and sorts them along w.  A round
+that refines every row at rank at most `_PRODUCT_MAX_RANK` runs the product
+kernel instead.  There the count of code r * rank + s at (u, v) is the
+intersection number #{w : color(u, w) = r, color(w, v) = s} =
+(A_r A_s)[u, v], A_r the 0/1 matrix of color r: the coherent-algebra form of
+2-WL (Weisfeiler & Leman 1968).  One float64 product per block gives the
+counts: the 0/1 rows of the A_r times a right operand that packs the digits
+most - count(r, s), base most + 1, as many to a word as keep it below 2**53,
+big-endian and in code order.  Here most is the largest number of times one
+color occurs in one column, so count(r, s) <= #{w : color(w, v) = s} <= most
+bounds every digit.  Every partial sum is then a nonnegative integer below
+2**53, exact in any summation order.  The packed words order the multisets
+as their sorted code vectors do: where two multisets first differ, at code
+c, the one with more c's has the smaller digit most - count and the smaller
+sorted vector, which holds c where the other holds a larger code.  So the
+words name the colors as sorted codes would.  Only the confirming round's
+keys, one per color, are unpacked to the sort layout: each code repeated
+count times.
 
 Orbit rows.  Given generators of a group of automorphisms of the initial
 coloring, a round computes the keys of one representative row per vertex
@@ -78,7 +75,7 @@ scatters and bincounts have checked the valencies, the tensor is read off
 those keys in code order, then t, which is (r, s, t) order.  Its rows are
 held at `arith.tensor_dtype(rank, n)`, the width of every color and count.
 Every ordering of tensor rows is one stable `np.lexsort` of those narrow
-columns: the sort-mode build's, and the one by which the checks lay moved
+columns: the build's, and the one by which the checks lay moved
 rows onto a tensor's, so no rank is too large to order.  The checks widen
 to int64 only to multiply, in the weights val[t] * count.  They read only
 rank, valencies, converse, fiber ids and tensor rows, so they check an
@@ -95,14 +92,13 @@ from .arith import code_dtype, tensor_dtype
 from .digraph import Digraph, NotInvariant, as_permutation, breadth_first, carries
 from .heisenberg import GroupTable
 
-_MODE_A_MAX_CODES = 8192       # count mode while rank**2 stays at most this
-# Count mode by packed-digit products on full-matrix rounds up to this rank.
-# On a 2-core x86-64 VM with one BLAS thread, one round on a random n = 343
-# coloring (nearly every key distinct) took 117-155 ms by products and
-# 218-268 ms by bincount at rank 6, 271-292 against 268-319 ms at rank 10,
-# but 446-473 against 338-410 ms at rank 14 (best of 5, three runs); the
-# seeded relabelled q = 7 closure's rank-9 round took 0.024 against 0.16 s.
-# Orbit-row rounds keep the bincount: one row would pay for all n**2 pairs.
+# The product kernel on full-matrix rounds up to this rank.  On a 2-core
+# x86-64 VM with one BLAS thread, one round on a random n = 343 coloring
+# (nearly every key distinct) took 69-72 ms by products and 273-289 ms by
+# the sort kernel at rank 6, and 126-129 against 255-265 ms at rank 10
+# (best of 5, three runs); each round of the seeded relabelled q = 7
+# closure took 10-19 against 72-80 ms (best of 7).  Orbit-row rounds sort:
+# one row would pay for an operand of all n**2 pairs.
 _PRODUCT_MAX_RANK = 10
 _BLOCK_ELEMENT_BUDGET = 500_000  # scratch elements per block; larger blocks measured slower
 _COMPARE_BYTES = 1 << 16  # sorted rows gathered per pass of `sorted_unique_rows`
@@ -297,19 +293,18 @@ def _runs(order: np.ndarray, head: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _refine_round(
     color: np.ndarray, rank: int, rows: np.ndarray
-) -> tuple[np.ndarray, int, np.ndarray]:
-    """One recoloring of the given ascending rows, as a (len(rows), n) matrix;
-    also returns the sorted signature keys, key i naming new color i."""
+) -> tuple[np.ndarray, int, np.ndarray | None]:
+    """One recoloring of the given ascending rows, as a (len(rows), n) matrix,
+    the new rank and the sorted keys in the sort layout, key i naming new
+    color i.  A product round returns keys only when it splits no color (the
+    confirming round); its other rounds name colors from packed words alone."""
     n = color.shape[0]
     if n >= 65536:
         raise ValueError("refinement supports fewer than 2**16 vertices")
     m = len(rows)
     ncodes = rank * rank
-    count_mode = ncodes <= _MODE_A_MAX_CODES
+    wide = code_dtype(ncodes)  # the codes r * rank + s
     products = m == n and rank <= _PRODUCT_MAX_RANK  # rows are then 0..n-1
-    wide = None if count_mode else code_dtype(ncodes)  # the codes r * rank + s
-    # cw[v, w] = color(w, v): a block's codes are (u, v, w), sorted along w in place
-    cw = None if count_mode else np.ascontiguousarray(color.T, dtype=wide)
     if products:
         # most, the largest number of times one color occurs in one column (one
         # bincount of v * rank + color(w, v)), bounds every count(r, s) at (u, v)
@@ -326,8 +321,10 @@ def _refine_round(
         # half-size block holds the dense q = 7 closure's traced peak at 6.1 MB
         per_row = 8 * n * rank * nwords
     else:
-        per_row = n * max(n, ncodes) if count_mode else n * n
-    block = max(1, min(m, _BLOCK_ELEMENT_BUDGET // max(1, per_row)))
+        # cw[v, w] = color(w, v): a block's codes are (u, v, w), sorted along w in place
+        cw = np.ascontiguousarray(color.T, dtype=wide)
+        per_row = n * n
+    block = max(1, min(m, _BLOCK_ELEMENT_BUDGET // per_row))
 
     pieces = []
     if products:
@@ -340,8 +337,9 @@ def _refine_round(
         right = place[color].reshape(n, n * nwords)  # [w, (v, j)] = place[color(w, v), j]
         left = np.empty((block, rank, n))  # reused per block
         prod = np.empty((block * rank, n * nwords))  # reused per block
-    elif count_mode:
-        scratch = np.empty((block, n, n), dtype=np.int32)  # reused per block
+    else:
+        scratch = np.empty((block, n, n), dtype=wide)  # reused per block
+        buffer = np.empty((block * n, n + 1), dtype=wide.newbyteorder(">"))  # reused per block
     for start in range(0, m, block):
         stop = min(m, start + block)
         nb = stop - start
@@ -360,45 +358,33 @@ def _refine_round(
                 out=keyrows[:, 1:].reshape(nb, n, rank, nwords),
                 casting="unsafe",
             )
-        elif count_mode:
-            keyrows = np.empty((nb * n, ncodes + 1), dtype=">u2")  # old < rank < 2**16
-            keyrows[:, 0] = mine.reshape(nb * n)
-            # nb * n * ncodes stays below the block budget, so int32 suffices
-            codes = np.add(mine[:, :, None] * np.int32(rank), color[None, :, :], out=scratch[:nb])
-            offs = (
-                np.arange(nb, dtype=np.int32)[:, None, None] * np.int32(n)
-                + np.arange(n, dtype=np.int32)[None, None, :]
-            ) * np.int32(ncodes)
-            codes += offs
-            counts = np.bincount(codes.ravel(), minlength=nb * n * ncodes)
-            counts = counts.reshape(nb * n, ncodes)
-            np.subtract(n, counts, out=keyrows[:, 1:], casting="unsafe")  # n - counts, in place
         else:
-            codes = mine.astype(wide)[:, None, :] * wide.type(rank) + cw[None, :, :]  # axis 2 = w
+            shifted = mine.astype(wide) * wide.type(rank)
+            codes = np.add(shifted[:, None, :], cw[None, :, :], out=scratch[:nb])  # axis 2 = w
             codes.sort(axis=2)
-            keyrows = np.empty((nb * n, n + 1), dtype=wide.newbyteorder(">"))
+            keyrows = buffer[: nb * n]
             keyrows[:, 0] = mine.reshape(nb * n)
             keyrows[:, 1:] = codes.reshape(nb * n, n)
         pieces.append(sorted_unique_rows(keyrows))
+    scratch = buffer = codes = keyrows = None  # the block buffers go before the merge
 
     keys, merged = np.unique(np.concatenate([local for local, _ in pieces]), return_inverse=True)
     starts = np.cumsum([0] + [len(local) for local, _ in pieces])
     new = np.concatenate([merged[start:][inv] for start, (_, inv) in zip(starts, pieces)])
-    if products:
-        # the distinct keys in the bincount kernel's layout: old color, then n - count
-        # of code r * rank + s, the digit most - count peeled off word j = s // width
-        # of r, last digit first, plus n - most
-        words = keys.view(">i8").reshape(len(keys), 1 + rank * nwords)
-        flat = np.empty((len(keys), ncodes + 1), dtype=">u2")
-        flat[:, 0] = words[:, 0]
-        digits = flat[:, 1:].reshape(len(keys), rank, rank)
-        rest = words[:, 1:].reshape(len(keys), rank, nwords).transpose(2, 0, 1)
-        rest = np.ascontiguousarray(rest, dtype=np.int64)  # [j, key, r]
-        for i in reversed(range(rank)):
-            rest[i // width], digits[:, :, i] = np.divmod(rest[i // width], base)
-        digits += np.uint16(n - most)
-        keys = flat.view(f"V{2 * (ncodes + 1)}").ravel()
-    return new.astype(np.int32).reshape(m, n), len(keys), keys
+    new = new.astype(np.int32).reshape(m, n)
+    if not products:
+        return new, len(keys), keys
+    if len(keys) != rank:
+        return new, len(keys), None
+    # the confirming round's keys, one per color, in the sort layout: count(r, s)
+    # is most less digit s of r, read off word s // width at its power, and code
+    # r * rank + s is repeated count(r, s) times
+    words = keys.view(">i8").reshape(rank, 1 + rank * nwords).astype(np.int64)
+    power = place[s, s // width].astype(np.int64)  # exact: each is below 2**53
+    digits = words[:, 1:].reshape(rank, rank, nwords)[:, :, s // width] // power % base
+    codes = np.repeat(np.tile(np.arange(ncodes), rank), (most - digits).ravel()).reshape(rank, n)
+    flat = np.column_stack([words[:, 0], codes]).astype(wide.newbyteorder(">"))
+    return new, rank, flat.view(f"V{(n + 1) * wide.itemsize}").ravel()
 
 
 def _stable_coloring(
@@ -422,44 +408,37 @@ def _tensor_from_keys(keys: np.ndarray, n: int, rank: int) -> np.ndarray:
     order, at `tensor_dtype(rank, n)`.
 
     In the confirming round every pair of color t received key t, so key t
-    holds the code multiset of all of them: code r * rank + s counts the w
-    with color(u, w) = r and color(w, v) = s.  Code order, then t, is
-    (r, s, t) order: that of count mode's counts read transposed, and of
-    sort mode's t-major run heads after one stable lexsort by (r, s), which
-    keeps their t order.  Sort mode holds one intp array of tensor length
-    at a time, the run starts and then the sort order: t and the run
-    lengths are narrowed as each is made, the starts are freed before the
-    rows are allocated, and the order permutes the columns in place.
+    holds the sorted code vector of all of them: code r * rank + s counts
+    the w with color(u, w) = r and color(w, v) = s.  Code order, then t, is
+    (r, s, t) order: that of the t-major run heads after one stable lexsort
+    by (r, s), which keeps their t order.  The build holds one intp array of
+    tensor length at a time, the run starts and then the sort order: t and
+    the run lengths are narrowed as each is made, the starts are freed
+    before the rows are allocated, and the order permutes the columns in
+    place.
     """
     narrow = tensor_dtype(rank, n)
-    count_mode = rank * rank <= _MODE_A_MAX_CODES
-    if count_mode:
-        counts = n - keys.view(">u2").reshape(rank, -1)[:, 1:].T  # [code, t]
-        code, t = np.nonzero(counts)
-        count = counts[code, t]
-    else:
-        flat = keys.view(code_dtype(rank * rank).newbyteorder(">"))  # row t: old color, codes
-        codes = flat.reshape(rank, n + 1)[:, 1:]
-        runs = np.ones((rank, n), dtype=bool)     # each sorted row split into runs of equal codes
-        runs[:, 1:] = codes[:, 1:] != codes[:, :-1]
-        starts = np.flatnonzero(runs)
-        del runs
-        t = np.floor_divide(starts, n, out=np.empty(len(starts), narrow), casting="unsafe")
-        count = np.empty_like(t)
-        np.subtract(starts[1:], starts[:-1], out=count[:-1], casting="unsafe")
-        count[-1] = rank * n - starts[-1]
-        starts += t  # the run heads' places in flat, past each row's old color
-        starts += 1
-        code = flat[starts]  # only the run heads are read
-        del starts
+    flat = keys.view(code_dtype(rank * rank).newbyteorder(">"))  # row t: old color, codes
+    codes = flat.reshape(rank, n + 1)[:, 1:]
+    runs = np.ones((rank, n), dtype=bool)     # each sorted row split into runs of equal codes
+    runs[:, 1:] = codes[:, 1:] != codes[:, :-1]
+    starts = np.flatnonzero(runs)
+    del runs
+    t = np.floor_divide(starts, n, out=np.empty(len(starts), narrow), casting="unsafe")
+    count = np.empty_like(t)
+    np.subtract(starts[1:], starts[:-1], out=count[:-1], casting="unsafe")
+    count[-1] = rank * n - starts[-1]
+    starts += t  # the run heads' places in flat, past each row's old color
+    starts += 1
+    code = flat[starts]  # only the run heads are read
+    del starts
     rows = np.empty((len(code), 4), dtype=narrow, order="F")  # contiguous columns
     np.divmod(code, rank, out=(rows[:, 0], rows[:, 1]), casting="unsafe")
     rows[:, 2], rows[:, 3] = t, count
     del code, t, count
-    if not count_mode:
-        order = np.lexsort((rows[:, 1], rows[:, 0]))  # stable: equal (r, s) keep their t order
-        for column in rows.T:
-            column[:] = column[order]
+    order = np.lexsort((rows[:, 1], rows[:, 0]))  # stable: equal (r, s) keep their t order
+    for column in rows.T:
+        column[:] = column[order]
     return rows
 
 

@@ -96,41 +96,45 @@ class _PartitionSearch:
     # -- partition refinement -------------------------------------------------
 
     def _refine(self, pi1, pi2, ncells):
-        """Refine both sides to joint stability; None when sides disagree."""
+        """Refine both sides to joint stability; None when sides disagree.
+        One coloring with equal seeds is one side: both sides' signature rows
+        are then the same rows, with the same distinct rows and names, so it is
+        refined once and the result mirrored."""
+        one = self.c1 is self.c2 and np.array_equal(pi1, pi2)
+        sides = [(self.c1, pi1)] if one else [(self.c1, pi1), (self.c2, pi2)]
         while True:
-            s1 = np.bincount(pi1, minlength=ncells)
-            s2 = np.bincount(pi2, minlength=ncells)
-            if not np.array_equal(s1, s2):
+            sizes = [np.bincount(pi, minlength=ncells) for _, pi in sides]
+            if not np.array_equal(sizes[0], sizes[-1]):
                 return None
-            splittable = s1 >= 2
+            splittable = sizes[0] >= 2
             if not splittable.any():
-                return pi1, pi2, ncells
-            active1 = np.flatnonzero(splittable[pi1])
-            active2 = np.flatnonzero(splittable[pi2])
-            # both sides' vertex signatures in one array: the cell, then the
+                break
+            actives = [np.flatnonzero(splittable[pi]) for _, pi in sides]
+            starts = np.cumsum([0] + [len(active) for active in actives])
+            # every side's vertex signatures in one array: the cell, then the
             # sorted codes cell(w) * mult + color(v, w) over all w, each below
             # ncells * mult
             wide = code_dtype(ncells * self.mult)
-            rows = np.empty((len(active1) + len(active2), self.n + 1), dtype=wide)
-            for c, pi, active, side in (
-                (self.c1, pi1, active1, rows[: len(active1)]),
-                (self.c2, pi2, active2, rows[len(active1):]),
-            ):
+            rows = np.empty((starts[-1], self.n + 1), dtype=wide)
+            for (c, pi), active, start in zip(sides, actives, starts):
+                side = rows[start : start + len(active)]
                 side[:, 0] = pi[active]
                 cells = (pi * self.mult).astype(wide)
                 np.add(cells, c[active], out=side[:, 1:], dtype=wide, casting="unsafe")
                 side[:, 1:].sort(axis=1)
             _, inverse = sorted_unique_rows(rows)
-            new1, new2 = pi1.copy(), pi2.copy()
-            new1[active1] = ncells + inverse[: len(active1)]
-            new2[active2] = ncells + inverse[len(active1):]
+            news = [pi.copy() for _, pi in sides]
+            present = np.zeros(ncells + len(rows), dtype=bool)
+            for new, active, start in zip(news, actives, starts):
+                new[active] = ncells + inverse[start : start + len(active)]
+                present[new] = True
             # renumber the cells that occur 0, 1, ... in order of their ids
-            present = np.zeros(ncells + len(active1) + len(active2), dtype=bool)
-            present[new1] = present[new2] = True
             names = np.cumsum(present) - 1
             if names[-1] + 1 == ncells:
-                return pi1, pi2, ncells
-            pi1, pi2, ncells = names[new1], names[new2], int(names[-1]) + 1
+                break
+            sides = [(c, names[new]) for (c, _), new in zip(sides, news)]
+            ncells = int(names[-1]) + 1
+        return sides[0][1], sides[-1][1], ncells
 
     # -- search ----------------------------------------------------------------
 

@@ -31,7 +31,7 @@ and asserts that every refinement in it refined every row.  `dense_tensor`
 spreads a closure's sparse tensor rows over a rank**3 array;
 `shift_within_a_product` spoils a convolution tensor so that only the
 triangle identity sees it.  `refine_round_int64`,
-`tensor_from_int64_keys` and `refine_partition_int64` code the sort-mode
+`tensor_from_int64_keys` and `refine_partition_int64` code the sort-layout
 pair signatures, read their tensor and code the vertex signatures of the
 isomorphism search in int64, as the engines did before they chose the
 narrowest width that holds the codes; `tensor_key` is the int64 key of
@@ -139,7 +139,7 @@ def expand_by_scatter(orbits, rows):
 
 
 def refine_round_int64(color, rank: int, rows):
-    """One sort-mode recoloring of the given rows: each pair (u, v) keyed by
+    """One sort-kernel recoloring of the given rows: each pair (u, v) keyed by
     the big-endian int64 row of its old color and its sorted codes
     color(u, w) * rank + color(w, v), one np.unique over all of them.  The
     new colors, the rank and the keys, as `coherent._refine_round` returns."""
@@ -156,7 +156,7 @@ def refine_round_int64(color, rank: int, rows):
 
 def tensor_from_int64_keys(keys, n: int, rank: int) -> np.ndarray:
     """The (r, s, t, count) rows in (r, s, t) order, read off the int64
-    sort-mode keys of a confirming round: key t holds its old color t and
+    sort-layout keys of a confirming round: key t holds its old color t and
     the sorted codes r * rank + s of one pair of color t."""
     codes = keys.view(">i8").reshape(rank, n + 1)[:, 1:].astype(np.int64)
     rows = []

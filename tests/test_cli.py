@@ -159,7 +159,7 @@ def test_verify_honours_env_cap(tmp_path, monkeypatch, capsys):
     [
         pytest.param(3, "full", id="full"),
         pytest.param(3, "fast", id="fast"),
-        # sort-mode keys (extension rank 657) and non-trivial isomorphism searches
+        # uint32 keys (extension rank 657) and non-trivial isomorphism searches
         pytest.param(5, "full", id="q5-full"),
     ],
 )

@@ -136,26 +136,63 @@ def _plain(g):
     return Digraph(g.arcs)
 
 
+# each with the kernel of its confirming round: products at rank up to the
+# limit (every row is refined), the sort kernel above it
 _DENSE_REFINEMENTS = pytest.mark.parametrize(
     "maker, encoding",
     [
-        (lambda cons: wl_close(_plain(cons.build_cayley(1))), "count"),
-        (lambda cons: wl_close(_plain(cons.build_cayley(1, include_identity=False))), "count"),
+        (lambda cons: wl_close(_plain(cons.build_cayley(1))), "products"),
+        (lambda cons: wl_close(_plain(cons.build_cayley(1, include_identity=False))), "products"),
         (lambda cons: one_point_extension(wl_close(_plain(cons.build_cayley(1))), 0), "sort"),
         (lambda cons: wl_close(random_digraph(40, 0.3, seed=3)), "sort"),
-        (lambda cons: wl_close(directed_cycle(9)), "count"),
+        (lambda cons: wl_close(directed_cycle(9)), "products"),
     ],
     ids=["closure", "loopless-closure", "extension", "random", "cycle"],
 )
 
 
+def _spy_key_rows(monkeypatch) -> list[tuple[int, int, int, set]]:
+    """Record each later refinement round as (rank, rows refined, n, the
+    (dtype, width) of every block of key rows it sorts)."""
+    refine, unique, rounds = coherent._refine_round, coherent.sorted_unique_rows, []
+
+    def spy_refine(color, rank, rows):
+        rounds.append((rank, len(rows), len(color), set()))
+        return refine(color, rank, rows)
+
+    def spy_unique(rows):
+        rounds[-1][3].add((rows.dtype, rows.shape[1]))
+        return unique(rows)
+
+    monkeypatch.setattr(coherent, "_refine_round", spy_refine)
+    monkeypatch.setattr(coherent, "sorted_unique_rows", spy_unique)
+    return rounds
+
+
+def _sort_layout(rank: int, n: int) -> set:
+    """The key rows of a sort-kernel round: the old color and n sorted codes,
+    big-endian at the width that holds rank**2."""
+    return {(arith.code_dtype(rank * rank).newbyteorder(">"), n + 1)}
+
+
+def _kernel(rank: int, n: int, layouts: set) -> str:
+    """The kernel whose key rows a round sorted: the sort layout, or the
+    product kernel's int64 words."""
+    if layouts == _sort_layout(rank, n):
+        return "sort"
+    assert {dtype for dtype, _ in layouts} == {np.dtype(np.int64)}
+    return "products"
+
+
 @_DENSE_REFINEMENTS
-def test_tensor_brute_force_oracle(cons3, maker, encoding):
+def test_tensor_brute_force_oracle(cons3, maker, encoding, monkeypatch):
     """Every pair (u, v) of color t has #{w : c(u, w) = r, c(w, v) = s}
     equal to the stored p^t_rs, counted from the color matrix alone."""
+    rounds = _spy_key_rows(monkeypatch)
     cc = maker(cons3)
-    count_mode = cc.rank**2 <= coherent._MODE_A_MAX_CODES
-    assert encoding == ("count" if count_mode else "sort")
+    rank, m, n, layouts = rounds[-1]
+    assert (rank, m, n) == (cc.rank, cc.n, cc.n)
+    assert encoding == _kernel(rank, n, layouts)
     by_t = cc.tensor[np.argsort(cc.tensor[:, 2], kind="stable")]
     rows = np.split(by_t[:, [0, 1, 3]], np.flatnonzero(np.diff(by_t[:, 2])) + 1)
     assert len(rows) == cc.rank
@@ -178,42 +215,55 @@ def test_refinement_is_independent_of_the_block_size(cons3, maker, encoding, mon
     _assert_same_coloring(got, want)
 
 
-def _compare_kernels(monkeypatch) -> list[int]:
+def _compare_kernels(monkeypatch) -> tuple[list[int], list[int]]:
     """Run every later refinement round twice, on the kernel `_refine_round`
-    picks and with `_PRODUCT_MAX_RANK = 0`, which forces the bincount kernel,
-    and assert the two return the same bytes.  The list returned fills with
-    the ranks of the rounds that ran on matrix products."""
+    picks and with `_PRODUCT_MAX_RANK = 0`, which forces the sort kernel,
+    and assert the two return the same colors and rank, and on a confirming
+    round the same key bytes; a product round that splits a color returns
+    no keys.  The lists returned fill with the ranks of the rounds that ran
+    on matrix products, and of those that confirmed stability."""
     refine, limit = coherent._refine_round, coherent._PRODUCT_MAX_RANK
     by_products: list[int] = []
+    confirmed: list[int] = []
+
+    def _same(a, b):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes()
 
     def both(color, rank, rows):
         got = refine(color, rank, rows)
         monkeypatch.setattr(coherent, "_PRODUCT_MAX_RANK", 0)
         want = refine(color, rank, rows)
         monkeypatch.setattr(coherent, "_PRODUCT_MAX_RANK", limit)
+        on_products = len(rows) == len(color) and rank <= limit
         assert got[1] == want[1]
-        for a, b in ((got[0], want[0]), (got[2], want[2])):
-            assert (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes()
-        if len(rows) == len(color) and rank <= limit:
+        _same(got[0], want[0])
+        if got[1] == rank:
+            _same(got[2], want[2])
+        else:
+            assert (got[2] is None) == on_products and want[2] is not None
+        if on_products:
             by_products.append(rank)
+            if got[1] == rank:
+                confirmed.append(rank)
         return got
 
     monkeypatch.setattr(coherent, "_refine_round", both)
-    return by_products
+    return by_products, confirmed
 
 
 @pytest.mark.parametrize("loops", [True, False], ids=["looped", "loopless"])
 @pytest.mark.parametrize("q", [3, 5, 7])
 def test_product_rounds_equal_the_bincount_kernel_on_every_label(q, loops, request, monkeypatch):
     """Relabelled plain copies refine densely, so every round of rank up to
-    the limit runs on products and is held to the bincount kernel."""
+    the limit runs on products and is held to the sort kernel, whose keys
+    every label's confirming round equals byte for byte."""
     cons = request.getfixturevalue(f"cons{q}")
     perm = np.random.default_rng(q).permutation(cons.n)
-    by_products = _compare_kernels(monkeypatch)
+    by_products, confirmed = _compare_kernels(monkeypatch)
     for i in range(q):
         g = cons.build_cayley(i, include_identity=loops).relabeled(perm)
         assert wl_close(g).generators == []
-    assert len(by_products) >= q
+    assert len(by_products) >= q and len(confirmed) == q
 
 
 def _seeded_dense_q7(cons7) -> Digraph:
@@ -245,23 +295,33 @@ def test_dense_q7_rounds_pack_one_word_per_colour(cons7, monkeypatch):
     """Every round of the seeded relabelled q = 7 closure runs on products,
     and each key row it sorts holds the old color and one int64 word per
     colour r: rank digits in base most + 1 fit one word."""
-    refine, unique, rounds = coherent._refine_round, coherent.sorted_unique_rows, []
-
-    def spy_refine(color, rank, rows):
-        rounds.append((rank, len(rows), set()))
-        return refine(color, rank, rows)
-
-    def spy_unique(rows):
-        rounds[-1][2].add((rows.dtype, rows.shape[1]))
-        return unique(rows)
-
-    monkeypatch.setattr(coherent, "_refine_round", spy_refine)
-    monkeypatch.setattr(coherent, "sorted_unique_rows", spy_unique)
+    rounds = _spy_key_rows(monkeypatch)
     assert wl_close(_seeded_dense_q7(cons7)).rank == 9
     assert len(rounds) == 4
-    for rank, m, layouts in rounds:
+    for rank, m, _, layouts in rounds:
         assert m == cons7.n and rank <= coherent._PRODUCT_MAX_RANK
         assert layouts == {(np.dtype(np.int64), 1 + rank)}
+
+
+@pytest.mark.parametrize("engine, q", [("extension", 5), ("closure", 7)])
+def test_orbit_row_rounds_key_in_the_sort_layout(contexts, engine, q, monkeypatch):
+    """Every orbit-row round keys its rows as the old color and n sorted
+    codes at the width of rank**2, whatever rank**2 is: the q = 5
+    extension's rounds at ranks 8, 20, 205 and 657 (rank**2 from 64 to
+    431,649), and the q = 7 closures' at ranks 3, 4, 6 and 9, on every
+    generator label."""
+    ctx = contexts[q]
+    refine = {"extension": ctx.extension, "closure": lambda i: wl_close(ctx.digraph(i))}[engine]
+    ranks = set()
+    for i in ctx.cons.generators_I():
+        ctx.closure(i)
+        rounds = _spy_key_rows(monkeypatch)
+        refine(i)
+        monkeypatch.undo()
+        for rank, m, n, layouts in rounds:
+            assert m < n and layouts == _sort_layout(rank, n)
+            ranks.add(rank)
+    assert ranks == ({8, 20, 205, 657} if engine == "extension" else {3, 4, 6, 9})
 
 
 def test_q13_closure_peak_stays_below_seven_colour_matrices(cons13):
@@ -322,10 +382,10 @@ def test_product_rounds_equal_the_bincount_kernel_on_small_inputs(case, budget, 
     if budget is not None:
         monkeypatch.setattr(coherent, "_BLOCK_ELEMENT_BUDGET", budget)
     limit = coherent._PRODUCT_MAX_RANK
-    by_products = _compare_kernels(monkeypatch)
+    by_products, confirmed = _compare_kernels(monkeypatch)
     if case == "cycle":
         assert wl_close(directed_cycle(9)).rank == 9
-        assert by_products and max(by_products) == 9
+        assert by_products and max(by_products) == 9 and confirmed == [9]
     elif case.startswith("width-switch"):
         switch = next(m for m in range(1, 2**16) if _digits_per_word(m) < 7)
         most = switch - (case == "width-switch-below")
@@ -475,7 +535,7 @@ def test_code_dtype_is_the_narrowest_width_holding_the_codes(limit, width):
 
 
 def _assert_round_equals_int64(got, color, rank, rows):
-    """got, a sort-mode `_refine_round(color, rank, rows)`, equals the int64
+    """got, a sort-kernel `_refine_round(color, rank, rows)`, equals the int64
     key builder: the same new colors and rank, and keys at the width that
     holds rank**2 which widen to the int64 keys row for row."""
     new, rank2, keys = got
@@ -491,18 +551,19 @@ def _assert_round_equals_int64(got, color, rank, rows):
 
 @pytest.mark.parametrize("q, width", [(3, np.uint16), (5, np.uint32)])
 def test_extension_rounds_equal_the_int64_keys(q, width, contexts, monkeypatch):
-    """Every sort-mode round of each one-point extension, and the tensor read
-    off its confirming round, equal those of int64 keys; the q = 3 extension
-    (rank 95) keys in uint16, the q = 5 one (rank 657) in uint32, and both
-    tensors are held in uint16, the width of their ranks and counts."""
+    """Every round of each one-point extension, from the first (rank 6 at
+    q = 3, 8 at q = 5), and the tensor read off its confirming round, equal
+    those of int64 keys; the q = 3 extension (rank 95) keys in uint16, the
+    q = 5 one (rank 657) in uint32, and both tensors are held in uint16, the
+    width of their ranks and counts."""
     ctx = contexts[q]
-    refine, confirming = coherent._refine_round, []
+    refine, confirming, ranks = coherent._refine_round, [], set()
 
     def checked(color, rank, rows):
         got = refine(color, rank, rows)
-        if rank * rank > coherent._MODE_A_MAX_CODES:
-            _assert_round_equals_int64(got, color, rank, rows)
-            confirming[:] = [got[2], len(color), rank]
+        _assert_round_equals_int64(got, color, rank, rows)
+        confirming[:] = [got[2], len(color), rank]
+        ranks.add(rank)
         return got
 
     monkeypatch.setattr(coherent, "_refine_round", checked)
@@ -516,6 +577,7 @@ def test_extension_rounds_equal_the_int64_keys(q, width, contexts, monkeypatch):
         want = tensor_from_int64_keys(wide_keys, n, rank)
         assert got.dtype == arith.tensor_dtype(rank, n) == np.uint16
         assert got.shape == want.shape and got.astype(np.int64).tobytes() == want.tobytes()
+    assert ranks == ({6, 14, 59, 95} if q == 3 else {8, 20, 205, 657})
 
 
 def _coloring(n, rank, seed):
@@ -562,7 +624,7 @@ EXTENSION_TENSOR_SHA256 = {
 
 @pytest.mark.parametrize("q", sorted(EXTENSION_TENSOR_SHA256))
 def test_extension_tensor_pinned(contexts, q):
-    """The sort-mode tensor of the one-point extension at the first generator
+    """The tensor of the one-point extension at the first generator
     label (rank 657 at q = 5, 2459 at q = 7) byte for byte: every row, in
     order, widened to int64; it is held at the width of its rank and counts."""
     ctx = contexts[q]
@@ -575,7 +637,7 @@ def test_extension_tensor_pinned(contexts, q):
 
 
 def test_q7_extension_peak_stays_below_the_int64_keys(contexts):
-    """The q = 7 extension (rank 2459) keys its sort-mode rounds in uint32,
+    """The q = 7 extension (rank 2459) keys its last rounds in uint32,
     takes its tensor's (r, s, t) order from the confirming keys and holds
     the 840,751 tensor rows in uint16 (6.7 MB): its tracemalloc peak, 22.8 MB
     with numpy 2.4, stays below 25.0 MB.  The same rows in int64 take
@@ -627,7 +689,7 @@ def _int64_tensor_of_codes(codes, rank):
     "rank, width", [(2**16 - 1, np.uint16), (2**16, np.uint16), (2**16 + 1, np.uint32)]
 )
 def test_tensor_width_either_side_of_rank_2_16(rank, width):
-    """Synthetic sort-mode keys on n = 2 columns: every color t holds the
+    """Synthetic keys on n = 2 columns: every color t holds the
     code of (rank - 1, rank - 1) once, and codes near 0 or rank**2 - 1.  The
     rows are held at the width that holds rank - 1: uint16 to rank 2**16,
     uint32 beyond, equal to the int64 oracle's at each rank."""
@@ -648,19 +710,18 @@ def test_tensor_width_either_side_of_rank_2_16(rank, width):
 
 def test_tensor_width_at_n_plus_1_2_16():
     """At n = 2**16 - 1 a count reaches n = 65535, the largest uint16: the
-    count-mode keys of a rank-3 coloring give uint16 rows equal to the int64
-    oracle's, read off the same multisets written as sorted codes."""
+    keys of a rank-3 coloring, one code held n times, give uint16 rows equal
+    to the int64 oracle's."""
     n, rank = 2**16 - 1, 3
     counts = np.zeros((rank, rank * rank), dtype=np.int64)  # [t, code]
     counts[0, 0] = n                      # every w counted once by code 0
     counts[1, [1, 5, 8]] = [1, n - 2, 1]
     counts[2, [2, 7]] = [n - 1, 1]
-    keys = np.empty((rank, rank * rank + 1), dtype=">u2")
-    keys[:, 0], keys[:, 1:] = np.arange(rank), n - counts
-    got = coherent._tensor_from_keys(keys.view(f"V{2 * (rank * rank + 1)}").ravel(), n, rank)
+    codes = np.array([np.repeat(np.arange(rank * rank), row) for row in counts])
+    keys = np.column_stack([np.arange(rank), codes]).astype(">u2")
+    got = coherent._tensor_from_keys(keys.view(f"V{2 * (n + 1)}").ravel(), n, rank)
     assert got.dtype == arith.tensor_dtype(rank, n) == np.uint16
     assert got[:, 3].max() == n
-    codes = np.array([np.repeat(np.arange(rank * rank), row) for row in counts])
     want = _int64_tensor_of_codes(codes, rank)
     assert got.shape == want.shape and np.array_equal(got, want)
 
@@ -737,14 +798,15 @@ def test_verify_algebraic_map_rejects_corrupted_tensors(cons3, closures3):
 def test_tensor_checks_reject_a_triple_held_twice(closures3, contexts, first):
     """An entry of count c split into counts `first` and c - first keeps
     every mass sum; both checks refuse the split, in either row order.  The
-    entries: (1, 4, 1, 3) of a count-mode closure, and the first of count 3
-    or more in the q = 5 extension, a sort-mode tensor of 81,407 rows."""
+    entries: (1, 4, 1, 3) of the q = 3 closure (rank 5), and the first of
+    count 3 or more in the q = 5 extension, a rank-657 tensor of 81,407
+    rows."""
     cc = closures3[1]
     k = int(np.flatnonzero((cc.tensor[:, :3] == [1, 4, 1]).all(axis=1))[0])
     assert cc.tensor[k].tolist() == [1, 4, 1, 3]
     ctx = contexts[5]
     ext = ctx.extension(ctx.cons.generators_I()[0])
-    assert len(ext.tensor) == 81407 and ext.rank**2 > coherent._MODE_A_MAX_CODES
+    assert len(ext.tensor) == 81407 and (cc.rank, ext.rank) == (5, 657)
     for base, k in [(cc, k), (ext, int(np.flatnonzero(ext.tensor[:, 3] >= 3)[0]))]:
         *triple, c = base.tensor[k].tolist()
         split = [triple + [first], triple + [c - first]]
@@ -985,9 +1047,11 @@ def test_cayley_close_matches_dense_on_generated_connection_sets(
         _assert_same_closure(orbit, on_every_row(lambda: wl_close(Digraph(arcs))))
 
     check()
-    # a Cayley closure has rank at most n, so only q = 5 reaches sort mode
-    modes = {r * r <= coherent._MODE_A_MAX_CODES for r in ranks}
-    assert modes == ({True} if q == 3 else {True, False})
+    # ranks on both sides of the product limit: the dense side confirms
+    # stability on products up to it and on the sort kernel above it, up to
+    # rank n, the most a Cayley closure has
+    kernels = {r <= coherent._PRODUCT_MAX_RANK for r in ranks}
+    assert kernels == {True, False} and max(ranks) == cons.n
 
 
 def _spy_orbits(monkeypatch):
@@ -1555,16 +1619,21 @@ def test_tensor_key_order_matches_lexsort(cons3, maker, encoding):
     _assert_in_lexsort_order(maker(cons3))
 
 
-@pytest.mark.parametrize("engine, encoding", [("closure", "count"), ("extension", "sort")])
+@pytest.mark.parametrize("engine", ["closure", "extension"])
 @pytest.mark.parametrize("q", [3, 5])
-def test_suite_tensors_are_in_lexsort_order(contexts, q, engine, encoding):
+def test_suite_tensors_are_in_lexsort_order(contexts, q, engine, monkeypatch):
     """The tensors of the engines the suite runs, on every generator label:
-    the orbit-row closures (count mode, read transposed) and the K-orbit
-    extensions (sort mode, one stable lexsort of the run heads by (r, s))."""
+    the orbit-row closures and the K-orbit extensions, each read off
+    sort-layout keys by one stable lexsort of the run heads by (r, s)."""
     ctx = contexts[q]
+    refine = {"extension": ctx.extension, "closure": lambda i: wl_close(ctx.digraph(i))}[engine]
     for i in ctx.cons.generators_I():
-        cc = getattr(ctx, engine)(i)
-        assert encoding == ("count" if cc.rank**2 <= coherent._MODE_A_MAX_CODES else "sort")
+        ctx.closure(i)
+        rounds = _spy_key_rows(monkeypatch)
+        cc = refine(i)
+        monkeypatch.undo()
+        rank, m, n, layouts = rounds[-1]
+        assert rank == cc.rank and m < n and layouts == _sort_layout(rank, n)
         _assert_in_lexsort_order(cc)
 
 

@@ -400,3 +400,35 @@ def test_refinement_renumbers_both_sides_as_the_oracle(monkeypatch):
         assert (got is None) == (want is None) == (not copy)
         if copy:
             assert got[2] == want[2] and all(map(np.array_equal, got[:2], want[:2]))
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_one_sided_leaf_equals_the_two_sided_refinement(q, contexts, monkeypatch):
+    """A coloring refined against itself is refined once: the leaf with e
+    and y0 = min Y_i fixed, with e alone, and with nothing fixed, sorts at
+    most n signature rows per round, half of what `_refine` sorts on both
+    sides (the second side a copy, refined as a coloring of its own); the
+    partitions and cell counts are the two-sided ones, and leaf_cells': n
+    cells, q + 2 and 1."""
+    ctx = contexts[q]
+    i = ctx.cons.generators_I()[0]
+    cc = ctx.closure(i)
+    e, y0 = ctx.cons.table.identity, int(ctx.cons.build_Y(i)[0])
+    unique, sorted_rows = isotest.sorted_unique_rows, []
+
+    def spy(rows):
+        sorted_rows.append(len(rows))
+        return unique(rows)
+
+    monkeypatch.setattr(isotest, "sorted_unique_rows", spy)
+    for fixed, cells in (((e, y0), cc.n), ((e,), q + 2), ((), 1)):
+        sorted_rows.clear()
+        pi, ncells = isotest._PartitionSearch(cc.color, cc.color).fixed_leaf(fixed)
+        one = list(sorted_rows)
+        assert one and max(one) <= cc.n
+        sorted_rows.clear()
+        two = isotest._PartitionSearch(cc.color, cc.color.copy())
+        pi1, pi2, want = two._refine(*two._seeded(tuple((w, w) for w in fixed)))
+        assert sorted_rows == [2 * rows for rows in one]
+        assert ncells == want and np.array_equal(pi, pi1) and np.array_equal(pi, pi2)
+        assert isotest.leaf_cells(cc, fixed) == ncells == cells

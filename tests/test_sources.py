@@ -206,3 +206,23 @@ def test_only_heisenberg_decodes_the_vertex_layout():
         if isinstance(node, ast.Attribute) and node.attr in ("ix", "iy", "iz")
     ]
     assert coordinates == []
+
+
+def test_refinement_has_one_key_layout():
+    """`coherent` keys every round in one layout: it defines no count-mode
+    limit, and `_refine_round` calls `np.bincount` once, for the column
+    count `most` that bounds the product kernel's digits."""
+    tree = ast.parse((ROOT / "src" / "ddwl" / "coherent.py").read_text())
+    assert "_MODE_A_MAX_CODES" not in _bound_names(tree)
+    refine = next(
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_refine_round"
+    )
+    bincounts = [
+        node.lineno
+        for node in ast.walk(refine)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "bincount"
+    ]
+    assert len(bincounts) == 1

@@ -656,9 +656,10 @@ def test_size_table():
     assert set(plan(7, "full")) - set(plan(9, "full")) == {
         "wl_equivalence", "tau_hat_transport", "iso_classes",
     }
-    # criterion 11 runs to q = 9 in the full suite, to q = 7 in the fast one
+    # criterion 11 runs to q = 11 in the full suite, to q = 7 in the fast one
     assert plan(9, "full")["one_point_extension"] == "exhaustive"
-    assert "one_point_extension" not in plan(11, "full")
+    assert plan(11, "full")["one_point_extension"] == "exhaustive"
+    assert "one_point_extension" not in plan(13, "full")
     assert set(plan(9, "full")) - set(plan(9, "fast")) == {
         "one_point_extension", "automorphism_order",
     }
