@@ -43,7 +43,7 @@ def main():
     print(f"  generators I = {gens}, |I| = phi({cons.q + 1}) = {euler_phi(cons.q + 1)}")
 
     g = cons.build_cayley(gens[0])
-    print(f"\n{g.label}: {g.n} vertices, out-degree {set(g.out_degrees().tolist())}, "
+    print(f"\n{g.label}: {g.n} vertices, out-degree {{{g.out.shape[1]}}}, "
           f"loop at every vertex: {bool(g.arcs.diagonal().all())}")
 
 

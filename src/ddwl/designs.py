@@ -1,6 +1,8 @@
 """Divisible-design verification: common-neighbor counts against the center
 cosets, and the explicit isomorphism between the neighbourhood designs of
-X_0 and X_i.
+X_0 and X_i.  The counts are read off row 0 of a Cayley digraph's
+out-neighbour lists, by its proven translations (`verify_ddd`); a digraph
+without them is refused.
 
 The neighbourhood design of Cay(H3(q), X_i) has one block per group element
 g0, its out-neighbourhood X_i * g0: row g0 of the digraph's out-neighbour
@@ -81,97 +83,76 @@ def verify_ddd(g: Digraph, class_ids: np.ndarray, expected: tuple[int, int]) -> 
     common dominated vertices (w with arcs from both) is tallied separately
     for same-class and cross-class pairs; the report keeps the distribution
     of observed values and a witness pair, the first deviation from the
-    expected (lambda1, lambda2) in row-major order.
+    expected (lambda1, lambda2) in row-major order.  The classes are the
+    distinct values of class_ids, of any order or dtype.
 
-    A digraph that carries `translations` is counted from row 0 of its
-    (n, k) out-neighbour lists, in O(n k) memory: `Digraph.translations`
-    proves on first read that they generate a transitive group of
-    automorphisms, and once each is shown here to permute the classes, the
-    pairs (u, v) and (0, v') with v' the image of v under an element sending
-    u to 0 have the same counts and class relation.  So each value in row 0
-    of A.A^T and A^T.A, over v != 0, stands for n/2 unordered pairs, and the
-    first deviating pair lies in row 0.  Row 0 of A.A^T counts, for each v,
-    the out-neighbours of v that 0 dominates; row 0 of A^T.A counts each v
-    once for every in-neighbour of 0 that dominates it.  A plain digraph
-    takes the dense oracle: float32 matmuls, exact because every partial sum
-    is an integer <= n < 2**24; a larger n raises.
+    The counts come from row 0 of g's (n, k) out-neighbour lists, in O(n k)
+    memory, so g must carry `translations`; else ValueError.
+    `Digraph.translations` proves on first read that they generate a
+    transitive group of automorphisms, and once each is shown here to
+    permute the classes, the pairs (u, v) and (0, v') with v' the image of v
+    under an element sending u to 0 have the same counts and class relation.
+    So each value in row 0 of A.A^T and A^T.A, over v != 0, stands for n/2
+    unordered pairs, and the first deviating pair lies in row 0.  Row 0 of
+    A.A^T counts, for each v, the out-neighbours of v that 0 dominates; row
+    0 of A^T.A counts each v once for every in-neighbour of 0 that
+    dominates it.
     """
-    if g.n >= 2**24:
-        raise ValueError(f"n = {g.n} >= 2**24: float32 counts would not be exact")
     class_ids = np.asarray(class_ids)
     if class_ids.shape != (g.n,):
         raise ValueError(f"class_ids has shape {class_ids.shape}; the digraph has {g.n} vertices")
-    if g.translations:
-        _, labels = np.unique(class_ids, return_inverse=True)
-        m = int(labels.max()) + 1
-        if any(np.count_nonzero(np.bincount(labels * m + labels[s])) != m for s in g.translations):
-            raise NotInvariant("a translation does not permute the classes")
-        out = g.out
-        to0 = (out == 0).any(axis=1)  # the in-neighbours of 0
-        from0 = np.zeros(g.n, dtype=bool)
-        from0[out[0]] = True  # the out-neighbours of 0
-        # (1, n) rows, so the witness below reads them as it reads matrices
-        # np.take in blocks of rows: it widens a narrow index to intp whole
-        # (3 MB for the lists at q = 13), but gathers twice as fast as from0[out]
-        rows = max(1, _TAKE_ELEMENTS // max(1, out.shape[1]))
-        common_out = np.concatenate(
-            [np.count_nonzero(np.take(from0, out[s : s + rows]), axis=1) for s in range(0, g.n, rows)]
-        )[None, :]
-        common_in = np.bincount(out[to0].ravel(), minlength=g.n)[None, :]
-        same = (class_ids == class_ids[0])[None, :]
-        upper = (np.arange(g.n) > 0)[None, :]
-        out_degrees, in_degrees = {out.shape[1]}, {int(to0.sum())}
-        asymmetric = not (from0 & to0)[1:].any()
-        loopless = not from0[0]
-        weight = g.n  # ordered pairs per entry, two per unordered pair
-    else:
-        a = g.arcs
-        af = a.astype(np.float32)
-        common_out = (af @ af.T).astype(np.int32)
-        common_in = (af.T @ af).astype(np.int32)
-        same = class_ids[:, None] == class_ids[None, :]
-        upper = np.triu(np.ones((g.n, g.n), dtype=bool), k=1)
-        out_degrees = set(g.out_degrees().tolist())
-        in_degrees = set(g.in_degrees().tolist())
-        asymmetric = g.is_asymmetric()
-        loopless = not a.diagonal().any()
-        weight = 2  # each entry is one unordered pair
-    same_upper, cross_upper = same & upper, ~same & upper
+    if not g.translations:
+        raise ValueError("verify_ddd counts from row 0, which needs the lists' proven translations")
+    _, labels = np.unique(class_ids, return_inverse=True)
+    class_sizes = np.bincount(labels)
+    m = len(class_sizes)
+    if any(np.count_nonzero(np.bincount(labels * m + labels[s])) != m for s in g.translations):
+        raise NotInvariant("a translation does not permute the classes")
+    out = g.out
+    to0 = (out == 0).any(axis=1)  # the in-neighbours of 0
+    from0 = np.zeros(g.n, dtype=bool)
+    from0[out[0]] = True  # the out-neighbours of 0
+    # np.take in blocks of rows: it widens a narrow index to intp whole
+    # (3 MB for the lists at q = 13), but gathers twice as fast as from0[out]
+    rows = max(1, _TAKE_ELEMENTS // max(1, out.shape[1]))
+    common_out = np.concatenate(
+        [np.count_nonzero(np.take(from0, out[s : s + rows]), axis=1) for s in range(0, g.n, rows)]
+    )
+    common_in = np.bincount(out[to0].ravel(), minlength=g.n)
+    same = labels == labels[0]
+    upper = np.arange(g.n) > 0
 
-    def dist(matrix, mask):
-        counts, odd = np.divmod(np.bincount(matrix[mask]) * weight, 2)
+    def dist(counts, mask):
+        # n ordered pairs per entry, two per unordered pair
+        pairs, odd = np.divmod(np.bincount(counts[mask]) * g.n, 2)
         if odd.any():
             raise RuntimeError("row 0 stands for a fractional number of unordered pairs")
-        return {int(v): int(counts[v]) for v in np.flatnonzero(counts)}
+        return {int(v): int(pairs[v]) for v in np.flatnonzero(pairs)}
 
-    class_sizes = np.bincount(class_ids)
     report = DDDReport(
         v=g.n,
-        m=int(np.count_nonzero(class_sizes)),
+        m=m,
         n_class=int(class_sizes.max()),
-        out_degrees=out_degrees,
-        in_degrees=in_degrees,
-        asymmetric=asymmetric,
-        loopless=loopless,
-        same_in=dist(common_in, same_upper),
-        same_out=dist(common_out, same_upper),
-        cross_in=dist(common_in, cross_upper),
-        cross_out=dist(common_out, cross_upper),
+        out_degrees={out.shape[1]},
+        in_degrees={int(to0.sum())},
+        asymmetric=not (from0 & to0)[1:].any(),
+        loopless=not from0[0],
+        same_in=dist(common_in, same & upper),
+        same_out=dist(common_out, same & upper),
+        cross_in=dist(common_in, ~same & upper),
+        cross_out=dist(common_out, ~same & upper),
         expected=expected,
     )
-    if not report.counts_match:
-        lam1, lam2 = expected
-        bad = (((common_in != lam1) | (common_out != lam1)) & same_upper) | (
-            ((common_in != lam2) | (common_out != lam2)) & cross_upper
-        )
-        if bad.any():
-            al, be = (int(x) for x in np.unravel_index(np.argmax(bad), bad.shape))
-            report.witness = {
-                "pair": [al, be],
-                "same_class": bool(same[al, be]),
-                "common_in": int(common_in[al, be]),
-                "common_out": int(common_out[al, be]),
-            }
+    want = np.where(same, *expected)
+    bad = np.flatnonzero(((common_in != want) | (common_out != want)) & upper)
+    if bad.size:
+        v = int(bad[0])
+        report.witness = {
+            "pair": [0, v],
+            "same_class": bool(same[v]),
+            "common_in": int(common_in[v]),
+            "common_out": int(common_out[v]),
+        }
     return report
 
 

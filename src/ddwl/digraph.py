@@ -1,15 +1,16 @@
-"""Digraphs on a fixed vertex set [0, n), held as a dense adjacency matrix or
-as out-neighbour lists, with a plain-text export format.
+"""Digraphs on a fixed vertex set [0, n), held as out-neighbour lists or,
+for irregular digraphs and relabelled copies, as a dense adjacency matrix,
+with a plain-text export format.
 
 A digraph built from lists (`Digraph.from_out`, as `build_cayley` builds the
 family) holds an (n, k) array whose row u lists the k out-neighbours of u in
 ascending order, at `arith.code_dtype(n)`: uint16 while n <= 2**16 (every
 family digraph to q = 37), uint32 beyond.  Its users only index, compare and
 count the lists, so the width changes no value.  Its n x n `arcs` matrix is
-scattered from the lists on first read and kept.  A digraph built from
-`arcs` derives the lists from the matrix on first read of `out`, which needs
-every out-degree equal.  The translations a digraph claims are proven on its
-lists on first read of `translations`.
+scattered from the lists on first read and kept.  Only lists carry
+translations, proven on first read of `translations`; a digraph built from
+`arcs` has neither lists nor translations, and reading its `out` raises
+ValueError.
 
 Vertex maps are proven here for every module: `as_permutation` proves a
 map a permutation, `carries` proves permutations carry one pair coloring
@@ -37,17 +38,18 @@ class NotInvariant(ValueError):
 
 
 class Digraph:
-    """A digraph on [0, n).  The claimed `translations` (a Cayley digraph's
-    right translations, given only by `build_cayley`) are proven once, on
-    first read of `translations`: `designs.verify_ddd` counts from one row
-    and `coherent.wl_close` refines one row from them."""
+    """A digraph on [0, n).  The `translations` claimed with its lists (a
+    Cayley digraph's right translations, as `build_cayley` gives them) are
+    proven once, on first read of `translations`: `designs.verify_ddd`
+    counts from one row and `coherent.wl_close` refines one row from them.
+    `Digraph(arcs)`, an n x n matrix, claims none."""
 
-    def __init__(self, arcs, label: str = "", translations: tuple = ()):
+    def __init__(self, arcs, label: str = ""):
         a = np.asarray(arcs, dtype=bool)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("arcs must be a square matrix")
         self._arcs, self._out = a, None
-        self.label, self._claimed, self._translations = label, translations, None
+        self.label, self._claimed, self._translations = label, (), None
 
     @classmethod
     def from_out(cls, out, label: str = "", translations: tuple = ()) -> "Digraph":
@@ -113,32 +115,15 @@ class Digraph:
     @property
     def out(self) -> np.ndarray:
         """The (n, k) out-neighbour lists at `arith.code_dtype(n)`, each
-        row ascending; derived from `arcs` once.  NotInvariant unless every
-        out-degree is the same, as it is under a transitive group of
-        automorphisms."""
+        row ascending; a digraph built from `arcs` has none."""
         if self._out is None:
-            degrees = self._arcs.sum(axis=1)
-            k = int(degrees.max(initial=0))
-            if (degrees != k).any():
-                raise NotInvariant("the out-degrees differ, so no group acts transitively")
-            self._out = np.nonzero(self._arcs)[1].astype(code_dtype(self.n)).reshape(self.n, k)
+            raise ValueError("a digraph built from arcs has no out-neighbour lists")
         return self._out
 
-    def out_degrees(self) -> np.ndarray:
-        return self.arcs.sum(axis=1)
-
-    def in_degrees(self) -> np.ndarray:
-        return self.arcs.sum(axis=0)
-
-    def is_asymmetric(self) -> bool:
-        """No 2-cycles between distinct vertices; loops are ignored."""
-        both = self.arcs & self.arcs.T
-        np.fill_diagonal(both, False)
-        return not both.any()
-
     def relabeled(self, perm: np.ndarray) -> "Digraph":
-        """Rename vertex u to perm[u]; `as_permutation` proves perm (its
-        NotInvariant is a ValueError)."""
+        """Rename vertex u to perm[u], as a `Digraph(arcs)` that claims no
+        translations; `as_permutation` proves perm (its NotInvariant is a
+        ValueError)."""
         perm = as_permutation(perm, self.n)
         a = np.empty_like(self.arcs)
         a[np.ix_(perm, perm)] = self.arcs

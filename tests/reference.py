@@ -1,7 +1,8 @@
 """Constructors and scalar references that only the tests use.
 
 `from_text` reads the 0/1 text format that `ddwl build` writes;
-`move_one_arc` spoils a Cayley digraph that keeps its translations.
+`move_one_arc` spoils a Cayley digraph that keeps its translations, and
+`relabeled_out` gives the lists of a relabelled copy.
 `cayley_arcs_densely` is the n x n scatter that `build_cayley`'s
 out-neighbour lists replaced.
 `carries_densely` is the n x n comparison that `digraph.carries`
@@ -70,11 +71,19 @@ def from_text(text: str) -> Digraph:
 
 def move_one_arc(g: Digraph) -> Digraph:
     """g with its arc (0, v), v the second out-neighbour of 0, moved to
-    (0, w), w the first vertex 0 does not dominate; the translations kept."""
-    arcs = g.arcs.copy()
-    v, w = np.flatnonzero(arcs[0])[1], np.flatnonzero(~arcs[0])[0]
-    arcs[0, v], arcs[0, w] = False, True
-    return Digraph(arcs, label=g.label, translations=g.translations)
+    (0, w), w the first vertex 0 does not dominate; the lists keep their
+    shape and the translations are kept."""
+    out = g.out.copy()
+    out[0, 1] = np.setdiff1d(np.arange(g.n), out[0])[0]
+    return Digraph.from_out(out, label=g.label, translations=g.translations)
+
+
+def relabeled_out(g: Digraph, perm: np.ndarray) -> np.ndarray:
+    """The out-neighbour lists of g with vertex u renamed perm[u], the lists
+    of `g.relabeled(perm)`."""
+    out = np.empty_like(g.out)
+    out[perm] = perm[g.out]
+    return out
 
 
 def cayley_arcs_densely(cons, i: int, include_identity: bool = True) -> np.ndarray:

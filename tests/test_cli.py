@@ -19,7 +19,7 @@ def test_build_writes_text_digraph(tmp_path, capsys):
     assert main(["build", "3", "1", "--out", str(out)]) == 0
     g = from_text(out.read_text())
     assert g.n == 27
-    assert set(g.out_degrees().tolist()) == {9}
+    assert set(g.arcs.sum(axis=1).tolist()) == {9}
     legend = capsys.readouterr().out
     assert "index(x, y, z)" in legend
 
@@ -29,7 +29,7 @@ def test_build_q9(tmp_path, capsys):
     assert main(["build", "9", "2", "--out", str(out)]) == 0
     g = from_text(out.read_text())
     assert g.n == 729
-    assert set(g.out_degrees().tolist()) == {81}
+    assert set(g.arcs.sum(axis=1).tolist()) == {81}
     legend = capsys.readouterr().out
     assert '"modulus": [1, 0]' in legend  # t**2 + 1
 

@@ -1,6 +1,5 @@
 import dataclasses
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -55,29 +54,60 @@ def test_verify_ddd_nonconstant_witness_fields(cons3):
 
 
 def _ddd_oracle(arcs, class_ids, expected):
-    """Distributions and first deviating pair from int64 matmuls."""
-    a = arcs.astype(np.int64)
-    common = {"out": a @ a.T, "in": a.T @ a}
-    n = len(a)
+    """Every `DDDReport` field, in field order, from int64 counts over all
+    n**2 pairs: the distributions over the unordered pairs in ascending value
+    order, and the witness at the first deviating pair in row-major order.
+    The counts are float64 products cast to int64, exact as every partial
+    sum is an integer at most n; the int64 matmuls took 7 s per q = 11
+    digraph on a 2-core x86-64 VM."""
+    f = arcs.astype(np.float64)
+    common = {"in": (f.T @ f).astype(np.int64), "out": (f @ f.T).astype(np.int64)}
+    n = len(arcs)
     same = class_ids[:, None] == class_ids[None, :]
     upper = np.triu(np.ones((n, n), dtype=bool), k=1)
-    dists = {}
+    sizes = np.unique(class_ids, return_counts=True)[1]
+    both = arcs & arcs.T
+    report = {
+        "v": n,
+        "m": len(sizes),
+        "n_class": int(sizes.max()),
+        "out_degrees": set(arcs.sum(axis=1).tolist()),
+        "in_degrees": set(arcs.sum(axis=0).tolist()),
+        "asymmetric": not (both & ~np.eye(n, dtype=bool)).any(),
+        "loopless": not arcs.diagonal().any(),
+    }
     for kind, mask in (("same", same & upper), ("cross", ~same & upper)):
-        for d, m in common.items():
-            vals, counts = np.unique(m[mask], return_counts=True)
-            dists[f"{kind}_{d}"] = [(int(v), int(c)) for v, c in zip(vals, counts)]
-    want = np.where(same, expected[0], expected[1])
-    bad = ((common["in"] != want) | (common["out"] != want)) & upper
-    first = [int(x) for x in np.argwhere(bad)[0]] if bad.any() else None
-    return dists, first
+        for d in ("in", "out"):
+            vals, counts = np.unique(common[d][mask], return_counts=True)
+            report[f"{kind}_{d}"] = dict(zip(vals.tolist(), counts.tolist()))
+    report["expected"] = expected
+    want = np.where(same, *expected)
+    bad = np.argwhere(((common["in"] != want) | (common["out"] != want)) & upper)
+    report["witness"] = None
+    if len(bad):
+        u, v = (int(x) for x in bad[0])
+        report["witness"] = {
+            "pair": [u, v],
+            "same_class": bool(same[u, v]),
+            "common_in": int(common["in"][u, v]),
+            "common_out": int(common["out"][u, v]),
+        }
+    return report
+
+
+def _ordered(value):
+    """A report field with the order of every dict made visible."""
+    if isinstance(value, dict):
+        return [(k, _ordered(v)) for k, v in value.items()]
+    return value
 
 
 def _assert_ddd_matches_oracle(g, class_ids, expected):
+    """The row-0 report equals the int64 oracle field for field, in dict order."""
+    assert g.translations
     rep = verify_ddd(g, class_ids, expected)
-    dists, first = _ddd_oracle(g.arcs, np.asarray(class_ids), expected)
-    for name, items in dists.items():
-        assert list(getattr(rep, name).items()) == items, name
-    assert (rep.witness["pair"] if rep.witness else None) == first
+    want = _ddd_oracle(g.arcs, np.asarray(class_ids), expected)
+    assert _ordered(vars(rep)) == _ordered(want)
     return rep
 
 
@@ -90,39 +120,13 @@ def test_verify_ddd_matches_int64_oracle_on_cayley(q, loops, request):
     assert rep.counts_match == loops
 
 
-@pytest.mark.parametrize("q", [3, 5, 7])
-@pytest.mark.parametrize("loops", [True, False], ids=["looped", "loopless"])
-def test_verify_ddd_dense_path_matches_int64_oracle_on_cayley(q, loops, request):
-    """The same digraphs without their translations take the dense path."""
-    cons = request.getfixturevalue(f"cons{q}")
-    g = Digraph(cons.build_cayley(cons.generators_I()[0], include_identity=loops).arcs)
-    assert g.translations == ()
-    rep = _assert_ddd_matches_oracle(g, cons.table.coset_ids, (0, q))
-    assert rep.counts_match == loops
-
-
-def _ordered(value):
-    """A report field with the order of every dict made visible."""
-    if isinstance(value, dict):
-        return [(k, _ordered(v)) for k, v in value.items()]
-    return value
-
-
-def _assert_one_row_equals_dense(g, class_ids, expected):
-    assert g.translations
-    one_row = verify_ddd(g, class_ids, expected)
-    dense = verify_ddd(Digraph(g.arcs, label=g.label), class_ids, expected)
-    assert _ordered(vars(one_row)) == _ordered(vars(dense))
-    return one_row
-
-
 @pytest.mark.parametrize("q", [3, 5, 7, 9])
 def test_verify_ddd_one_row_equals_dense_on_every_label(q, request):
     cons = request.getfixturevalue(f"cons{q}")
     for i in range(q):
         for loops in (True, False):
             g = cons.build_cayley(i, include_identity=loops)
-            rep = _assert_one_row_equals_dense(g, cons.table.coset_ids, (0, q))
+            rep = _assert_ddd_matches_oracle(g, cons.table.coset_ids, (0, q))
             assert rep.counts_match == loops and (rep.witness is None) == loops
 
 
@@ -131,7 +135,7 @@ def test_verify_ddd_one_row_equals_dense_on_generators_q11(contexts):
     for i in cons.generators_I():
         for loops in (True, False):
             g = cons.build_cayley(i, include_identity=loops)
-            _assert_one_row_equals_dense(g, cons.table.coset_ids, (0, 11))
+            _assert_ddd_matches_oracle(g, cons.table.coset_ids, (0, 11))
 
 
 @pytest.mark.parametrize("loops", [True, False], ids=["looped", "loopless"])
@@ -141,7 +145,29 @@ def test_verify_ddd_one_row_equals_dense_across_take_blocks(cons5, loops, monkey
     g = cons5.build_cayley(1, include_identity=loops)
     monkeypatch.setattr(designs, "_TAKE_ELEMENTS", 3 * g.out.shape[1])
     assert g.n % 3
-    _assert_one_row_equals_dense(g, cons5.table.coset_ids, (0, 5))
+    _assert_ddd_matches_oracle(g, cons5.table.coset_ids, (0, 5))
+
+
+@pytest.mark.parametrize(
+    "relabel", [lambda ids: ids - 5, lambda ids: ids.astype(float)], ids=["shifted", "float"]
+)
+def test_verify_ddd_counts_classes_of_any_ids(cons3, relabel):
+    """Class ids shifted below 0, or held as floats, name the same classes:
+    the report is that of the coset ids, the class sizes included."""
+    g, ids = cons3.build_cayley(1, include_identity=False), cons3.table.coset_ids
+    want = verify_ddd(g, ids, (0, 3))
+    got = verify_ddd(g, relabel(ids.astype(np.int64)), (0, 3))
+    assert _ordered(vars(got)) == _ordered(vars(want))
+    assert (want.m, want.n_class) == (9, 3)
+
+
+def test_verify_ddd_refuses_a_digraph_without_translations(cons3):
+    """The counts come from row 0 alone: a digraph built from arcs, and lists
+    that claim no translations, are refused by name."""
+    g = cons3.build_cayley(1)
+    for plain in (Digraph(g.arcs), Digraph.from_out(g.out)):
+        with pytest.raises(ValueError, match="needs the lists' proven translations"):
+            verify_ddd(plain, cons3.table.coset_ids, (0, 3))
 
 
 def test_verify_ddd_refuses_a_moved_arc(cons5):
@@ -153,7 +179,7 @@ def test_verify_ddd_refuses_translations_that_are_not_transitive(cons5):
     g = cons5.build_cayley(1)
     y_step = cons5.table.right_translations()[1]   # u -> u * (0, 1, 0)
     with pytest.raises(NotInvariant, match="transitively"):
-        verify_ddd(Digraph(g.arcs, translations=(y_step,)), cons5.table.coset_ids, (0, 5))
+        verify_ddd(Digraph.from_out(g.out, translations=(y_step,)), cons5.table.coset_ids, (0, 5))
 
 
 def test_verify_ddd_refuses_classes_the_translations_do_not_permute(cons5):
@@ -161,17 +187,6 @@ def test_verify_ddd_refuses_classes_the_translations_do_not_permute(cons5):
     class_ids = np.random.default_rng(0).integers(0, 25, cons5.n)
     with pytest.raises(NotInvariant, match="classes"):
         verify_ddd(g, class_ids, (0, 5))
-
-
-def test_verify_ddd_refuses_translations_on_unequal_out_degrees(cons5):
-    """One arc added at vertex 0: a transitive group of automorphisms would
-    make every out-degree equal, so the claimed translations are refused
-    before any list is read."""
-    g = cons5.build_cayley(1)
-    arcs = g.arcs.copy()
-    arcs[0, np.flatnonzero(~arcs[0])[0]] = True
-    with pytest.raises(NotInvariant, match="out-degrees differ"):
-        verify_ddd(Digraph(arcs, translations=g.translations), cons5.table.coset_ids, (0, 5))
 
 
 @pytest.mark.parametrize("loops", [True, False], ids=["looped", "loopless"])
@@ -213,27 +228,26 @@ def test_verify_ddd_refuses_a_translation_that_is_not_a_permutation(cons5, spoil
     steps = list(g.translations)
     steps[0] = spoil(steps[0])
     with pytest.raises(NotInvariant, match="permutation"):
-        verify_ddd(Digraph(g.arcs, translations=tuple(steps)), cons5.table.coset_ids, (0, 5))
+        verify_ddd(Digraph.from_out(g.out, translations=tuple(steps)), cons5.table.coset_ids, (0, 5))
 
 
 @pytest.mark.parametrize("q", [3, 5, 7])
 def test_verify_ddd_one_row_fails_a_swapped_connection_element(q, request):
     """Cay(H, X') for X' = X_i with one element swapped for a vertex outside
-    it is still Cayley, so the proofs pass; the counts fail, with the dense
-    path's witness."""
+    it is still Cayley, so the proofs pass; the counts fail, with the int64
+    oracle's witness."""
     cons = request.getfixturevalue(f"cons{q}")
     i = cons.generators_I()[0]
     conn = cons.build_X(i).copy()
     conn[1] = np.setdiff1d(np.arange(cons.n), conn)[0]
-    arcs = np.zeros((cons.n, cons.n), dtype=bool)
-    arcs[np.arange(cons.n), cons.table.mult[conn]] = True
-    g = Digraph(arcs, translations=cons.table.right_translations())
-    rep = _assert_one_row_equals_dense(g, cons.table.coset_ids, (0, q))
+    g = Digraph.from_out(cons.table.mult[conn].T, translations=cons.table.right_translations())
+    rep = _assert_ddd_matches_oracle(g, cons.table.coset_ids, (0, q))
     assert not rep.counts_match and rep.witness is not None
 
 
 @pytest.mark.parametrize("plain", [False, True], ids=["one-row", "dense"])
 def test_verify_ddd_refuses_class_ids_of_the_wrong_length(cons3, plain):
+    """The shape is checked first, before an arcs-built digraph is refused."""
     g = cons3.build_cayley(1)
     g = Digraph(g.arcs) if plain else g
     with pytest.raises(ValueError, match=r"shape \(5,\); the digraph has 27 vertices"):
@@ -241,18 +255,16 @@ def test_verify_ddd_refuses_class_ids_of_the_wrong_length(cons3, plain):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_verify_ddd_matches_int64_oracle_on_random_digraphs(seed):
+def test_verify_ddd_matches_int64_oracle_on_random_digraphs(seed, contexts):
+    """Cayley digraphs over H3(3) and H3(5) on random connection sets, loops
+    or none, against coset classes, one class, or every vertex its own
+    class: each partition is permuted by the right translations."""
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 60))
-    g = Digraph(rng.random((n, n)) < rng.uniform(0.05, 0.9))
-    class_ids = rng.integers(0, int(rng.integers(1, 8)), n)
+    cons = contexts[int(rng.choice([3, 5]))].cons
+    conn = np.flatnonzero(rng.random(cons.n) < rng.uniform(0.05, 0.9))
+    class_ids = [cons.table.coset_ids, np.zeros(cons.n, dtype=int), np.arange(cons.n)][seed % 3]
+    g = Digraph.from_out(cons.table.mult[conn].T, translations=cons.table.right_translations())
     _assert_ddd_matches_oracle(g, class_ids, (0, 1))
-
-
-def test_verify_ddd_refuses_n_beyond_exact_float32():
-    # a stub: the guard must fire before any n x n array is built
-    with pytest.raises(ValueError, match="2\\*\\*24"):
-        verify_ddd(SimpleNamespace(n=2**24), None, (0, 1))
 
 
 def test_vanishing_determinant_is_reported_not_raised():

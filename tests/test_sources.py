@@ -9,11 +9,14 @@ constructors and oracles that only the tests use live under tests/.
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
 import ddwl
+from ddwl import gf
+from ddwl.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(p for p in (ROOT / "src" / "ddwl").glob("*.py") if p.name != "__init__.py")
@@ -226,3 +229,77 @@ def test_refinement_has_one_key_layout():
         and node.func.attr == "bincount"
     ]
     assert len(bincounts) == 1
+
+
+# -- what the command line reaches ---------------------------------------------
+
+REACH_COMMANDS = [
+    ["verify", "3"],
+    ["verify", "5"],
+    ["verify", "3", "--suite", "fast"],
+    ["iso", "3"],
+    ["wl", "3", "1"],
+    ["wl", "3", "1", "--loopless"],
+    ["design", "3", "1"],
+    ["build", "3", "1"],
+    ["build", "9", "1"],   # GF(9): `gf._poly_mod` runs only at l >= 2
+]
+
+# every function and method no command above calls, and who calls it
+UNREACHED = {
+    "coherent.wl_equivalent": "perfbench LAYERS and demo 04",
+    "digraph.Digraph.__init__": "perfbench family-q7's relabelled copy",
+    "digraph.Digraph.relabeled": "perfbench family-q7",
+    "isotest.automorphism_generators": "criterion 8's fallback and the leaf's oracle, LAYERS, demo 05",
+    "isotest.automorphism_order": "criterion 8's fallback and the leaf's oracle, LAYERS, demo 05",
+    "isotest.is_induced": "criterion 9's fallback",
+    "srings.ConstsReport.ok": "perfbench's algebra plan",
+    "coherent.CoherentConfiguration.__repr__": "a __repr__, for people",
+    "construction.Construction.__repr__": "a __repr__, for people",
+    "digraph.Digraph.__repr__": "a __repr__, for people",
+    "gf.Field.__repr__": "a __repr__, for people",
+    "heisenberg.GroupTable.__repr__": "a __repr__, for people",
+    "srings.SRing.__repr__": "a __repr__, for people",
+}
+
+
+def _functions(path: Path):
+    """(module.qualname, first line) of every function and method in path;
+    nested closures count with the function that holds them, and the first
+    line is the first decorator's, as a code object's `co_firstlineno` is."""
+
+    def first(node):
+        return min([node.lineno] + [d.lineno for d in node.decorator_list])
+
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield f"{path.stem}.{node.name}", first(node)
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{path.stem}.{node.name}.{item.name}", first(item)
+
+
+def test_every_function_is_reached_by_a_command_or_named(tmp_path, capsys):
+    """Runs the commands in this process under `sys.setprofile` and asserts
+    that each function and method of src/ddwl was called, or is named in
+    `UNREACHED` with its caller outside the command line."""
+    home = Path(ddwl.__file__).parent   # where the traced code objects come from
+    names = {(str(home / p.name), line): name for p in PACKAGE for name, line in _functions(p)}
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    gf._field_cached.cache_clear()   # fields other tests built are cached
+    before = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for k, command in enumerate(REACH_COMMANDS):
+            out = ["--tensor-out" if command[0] == "wl" else "--out", str(tmp_path / f"{k}.out")]
+            assert main(command + out) == 0, command
+    finally:
+        sys.setprofile(before)
+    capsys.readouterr()
+    assert sorted(name for key, name in names.items() if key not in called) == sorted(UNREACHED)

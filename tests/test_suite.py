@@ -18,7 +18,7 @@ from ddwl import designs, isotest, srings, suite
 from ddwl.cli import main
 from ddwl.construction import Construction
 from ddwl.digraph import Digraph
-from reference import move_one_arc, shift_within_a_product
+from reference import move_one_arc, relabeled_out, shift_within_a_product
 
 
 def _wrap_cayley(cons, change):
@@ -27,8 +27,9 @@ def _wrap_cayley(cons, change):
 
 
 def _relabel(cons, mp):
+    """Relabels the digraphs' lists, which then claim no translations."""
     perm = np.random.default_rng(0).permutation(cons.n)
-    _wrap_cayley(cons, lambda i, g: g.relabeled(perm))
+    _wrap_cayley(cons, lambda i, g: Digraph.from_out(relabeled_out(g, perm)))
 
 
 def _relabel_keeping_translations(cons, mp):
@@ -36,7 +37,7 @@ def _relabel_keeping_translations(cons, mp):
     which are then no automorphisms of the digraphs they are attached to."""
     perm = np.random.default_rng(0).permutation(cons.n)
     _wrap_cayley(
-        cons, lambda i, g: Digraph(g.relabeled(perm).arcs, translations=g.translations)
+        cons, lambda i, g: Digraph.from_out(relabeled_out(g, perm), translations=g.translations)
     )
 
 
@@ -51,8 +52,8 @@ def _join_next_orbit(cons, mp):
     build = cons.build_cayley
     _wrap_cayley(
         cons,
-        lambda i, g: Digraph(
-            g.arcs | build((i + 1) % cons.q, False).arcs, translations=g.translations
+        lambda i, g: Digraph.from_out(
+            np.hstack([g.out, build((i + 1) % cons.q, False).out]), translations=g.translations
         ),
     )
 
@@ -124,13 +125,11 @@ CORRUPTIONS = {
     "dds_transversal": lambda cons, mp: setattr(cons.table, "inv", np.arange(cons.n)),
     "structure_constants": _perturb_delta,
     "tensor_identities": _bump_constant(0, 0, 0),
-    "ddd_parameters": _relabel,
+    # a Cayley digraph on X_i and Y_(i+1): proven translations, wrong counts
+    "ddd_parameters": _join_next_orbit,
     "wl_closure": _join_next_orbit,
     "wl_equivalence": lambda cons, mp: _wrap_cayley(
-        cons,
-        lambda i, g: g if i == 1 else Digraph(
-            g.arcs & ~np.eye(cons.n, dtype=bool), translations=g.translations
-        ),
+        cons, lambda i, g: g if i == 1 else g.without_loops()
     ),
     "tau_hat_transport": lambda cons, mp: mp.setattr(
         srings, "tau_hat", lambda ring, m: np.arange(ring.r)
@@ -248,6 +247,17 @@ def test_plain_relabeled_digraph_fails_wl_closure(monkeypatch):
     monkeypatch.setattr(suite, "Construction", lambda q, max_vertices: cons)
     result = _run_one("wl_closure", monkeypatch)
     assert result.status == "fail" and "error" not in result.data, result.data
+
+
+def test_plain_relabeled_digraph_fails_ddd_parameters_loudly(monkeypatch):
+    """Lists without translations give `verify_ddd` no row 0 to count from:
+    the check reports the refusal."""
+    cons = Construction(3)
+    _relabel(cons, monkeypatch)
+    monkeypatch.setattr(suite, "Construction", lambda q, max_vertices: cons)
+    result = _run_one("ddd_parameters", monkeypatch)
+    assert result.status == "fail"
+    assert result.data["error"].startswith("ValueError: verify_ddd counts from row 0"), result.data
 
 
 def test_moved_arc_fails_ddd_parameters_loudly(tmp_path, monkeypatch, capsys):
