@@ -45,9 +45,13 @@ bounds every digit.  Every partial sum is then a nonnegative integer below
 as their sorted code vectors do: where two multisets first differ, at code
 c, the one with more c's has the smaller digit most - count and the smaller
 sorted vector, which holds c where the other holds a larger code.  So the
-words name the colors as sorted codes would.  Only the confirming round's
-keys, one per color, are unpacked to the sort layout: each code repeated
-count times.
+words name the colors as sorted codes would.  Two kinds of color r need
+no product.  A color on the diagonal alone has products right[u] at row u
+where color(u, u) = r, and 0 elsewhere.  The most frequent other color's
+words are what the column totals of the right operand leave after the
+other colors' words, exact in int64.  The bincount that gives most counts
+both.  Only the confirming round's keys, one per color, are unpacked to
+the sort layout: each code repeated count times.
 
 Orbit rows.  Given generators of a group of automorphisms of the initial
 coloring, a round computes the keys of one representative row per vertex
@@ -312,7 +316,17 @@ def _refine_round(
         # `width` to a float64 word so that a word stays below 2**53; digit s of
         # r lies in word s // width
         column = np.arange(n, dtype=np.int32) * np.int32(rank)
-        most = int(np.bincount((color + column).ravel()).max())
+        counts = np.bincount((color + column).ravel(), minlength=n * rank).reshape(n, rank)
+        most = int(counts.max())
+        # off[r], the times r occurs off the diagonal: the colors with none need
+        # no product, nor does the most frequent other one, `rest`
+        diag = color.diagonal()
+        counts[np.arange(n), diag] -= 1
+        off = counts.sum(axis=0)
+        rest = int(np.argmax(off))
+        others = np.arange(rank) != rest
+        diagonal_only = (off == 0) & others
+        multiplied = np.flatnonzero((off > 0) & others).astype(np.int32)
         base, width = most + 1, 1
         while width < rank and base ** (width + 1) <= 2**53:
             width += 1
@@ -335,8 +349,12 @@ def _refine_round(
         place[s, s // width] = base**after
         top = most * place.sum(axis=0)  # word j with every digit most: all counts 0
         right = place[color].reshape(n, n * nwords)  # [w, (v, j)] = place[color(w, v), j]
-        left = np.empty((block, rank, n))  # reused per block
-        prod = np.empty((block * rank, n * nwords))  # reused per block
+        # the products of all colors at (u, v) sum to right's column total at v
+        total = right.sum(axis=0).reshape(n, nwords)
+        own = right.reshape(n, n, nwords)  # [u, v, j]: row u of right, for the diagonal colors
+        left = np.empty((block, len(multiplied), n))  # reused per block
+        prod = np.empty((block * len(multiplied), n * nwords))  # reused per block
+        buffer = np.empty((block * n, 1 + rank * nwords), dtype=np.int64)  # reused per block
     else:
         scratch = np.empty((block, n, n), dtype=wide)  # reused per block
         buffer = np.empty((block * n, n + 1), dtype=wide.newbyteorder(">"))  # reused per block
@@ -344,26 +362,34 @@ def _refine_round(
         stop = min(m, start + block)
         nb = stop - start
         mine = color[rows[start:stop]]
+        keyrows = buffer[: nb * n]
+        keyrows[:, 0] = mine.reshape(nb * n)
         if products:
             # left[(u, r), w] = [color(u, w) = r], so [(u, r), (v, j)] packs the counts
             # (A_r A_s)[u, v] of word j, exact as every partial sum is an integer
-            # below 2**53; top - packed counts, moved to [u, v, r, j]
-            np.equal(mine[:, None, :], np.arange(rank, dtype=np.int32)[:, None], out=left[:nb])
-            packed = np.matmul(left[:nb].reshape(nb * rank, n), right, out=prod[: nb * rank])
-            keyrows = np.empty((nb * n, 1 + rank * nwords), dtype=np.int64)
-            keyrows[:, 0] = mine.reshape(nb * n)
-            np.subtract(
-                top,
-                packed.reshape(nb, rank, n, nwords).transpose(0, 2, 1, 3),
-                out=keyrows[:, 1:].reshape(nb, n, rank, nwords),
-                casting="unsafe",
-            )
+            # below 2**53; top - packed counts, written to words[u, v, r, j]
+            k = len(multiplied)
+            np.equal(mine[:, None, :], multiplied[:, None], out=left[:nb])
+            packed = np.matmul(left[:nb].reshape(nb * k, n), right, out=prod[: nb * k])
+            packed = packed.reshape(nb, k, n, nwords)
+            words = keyrows[:, 1:].reshape(nb, n, rank, nwords)
+            # rest's products: the column totals less the others', each an integer
+            # below 2**53, so exact in float64
+            remaining = np.subtract(total, packed.sum(axis=1))
+            for r in np.flatnonzero(diagonal_only):
+                # on the diagonal alone: row u's products are right[u] where
+                # color(u, u) = r, 0 elsewhere
+                alone = (diag[start:stop] == r)[:, None, None] * own[start:stop]
+                np.subtract(top, alone, out=words[:, :, r], casting="unsafe")
+                remaining -= alone
+            np.subtract(top, remaining, out=words[:, :, rest], casting="unsafe")
+            np.subtract(top, packed, out=packed)
+            for i, r in enumerate(multiplied):
+                words[:, :, r] = packed[:, i]
         else:
             shifted = mine.astype(wide) * wide.type(rank)
             codes = np.add(shifted[:, None, :], cw[None, :, :], out=scratch[:nb])  # axis 2 = w
             codes.sort(axis=2)
-            keyrows = buffer[: nb * n]
-            keyrows[:, 0] = mine.reshape(nb * n)
             keyrows[:, 1:] = codes.reshape(nb * n, n)
         pieces.append(sorted_unique_rows(keyrows))
     scratch = buffer = codes = keyrows = None  # the block buffers go before the merge

@@ -15,7 +15,10 @@ Per node the refinement recolors a vertex x by the multiset over all w of
 stable coloring; only vertices in splittable cells are recomputed.  Their
 codes cell(w) * mult + color(x, w) lie below ncells * mult and are sorted at
 the width `arith.code_dtype` gives for it (uint16 while it is at most
-2**16), whose order is int64 order.  Candidate leaves are verified
+2**16), whose order is int64 order.  A child (u -> v) of a stable node
+reads its first round off column u (v) alone, refining from the new
+singleton cell (McKay & Piperno 2014), with the names of a full round.
+Candidate leaves are verified
 color-exactly, and every emitted isomorphism witness and searched
 automorphism generator arc-exactly (`digraph.carries`) before use, so the
 engine never reports a false positive; negatives come from exhausted search.
@@ -123,17 +126,11 @@ class _PartitionSearch:
                 np.add(cells, c[active], out=side[:, 1:], dtype=wide, casting="unsafe")
                 side[:, 1:].sort(axis=1)
             _, inverse = sorted_unique_rows(rows)
-            news = [pi.copy() for _, pi in sides]
-            present = np.zeros(ncells + len(rows), dtype=bool)
-            for new, active, start in zip(news, actives, starts):
-                new[active] = ncells + inverse[start : start + len(active)]
-                present[new] = True
-            # renumber the cells that occur 0, 1, ... in order of their ids
-            names = np.cumsum(present) - 1
-            if names[-1] + 1 == ncells:
+            news, named = _named([pi for _, pi in sides], actives, inverse, ncells)
+            if named == ncells:
                 break
-            sides = [(c, names[new]) for (c, _), new in zip(sides, news)]
-            ncells = int(names[-1]) + 1
+            sides = [(c, new) for (c, _), new in zip(sides, news)]
+            ncells = named
         return sides[0][1], sides[-1][1], ncells
 
     # -- search ----------------------------------------------------------------
@@ -163,13 +160,41 @@ class _PartitionSearch:
         with an automorphism of the second coloring moves v anywhere in its
         orbit, so the orbit fails with v).  Only sound with no forced pairs.
         """
-        return self._descend(*self._seeded(forced), prune)
+        self._count_node()
+        return self._descend(self._refine(*self._seeded(forced)), prune)
 
-    def _descend(self, pi1, pi2, ncells, prune=None):
+    def _count_node(self):
         if self.nodes >= self.budget:
             raise BudgetExceeded(f"node budget {self.budget} exhausted")
         self.nodes += 1
-        state = self._refine(pi1, pi2, ncells)
+
+    def _child(self, pi1, pi2, ncells, u, v):
+        """`_refine` of the stable partitions pi1, pi2 with u and v moved to
+        the fresh cell ncells, its first round read off column u (column v).
+
+        Stability gives every vertex x of a cell, on either side, the same
+        multiset of codes cell(w) * mult + color(x, w).  Moving u changes
+        only the code of w = u, from cell(u) * mult + c to ncells * mult + c,
+        c = color(x, u): a larger c drops a larger old code and leaves the
+        smaller sorted vector.  So the first round sorts x by the key
+        (cell(x), mult - 1 - c), and refinement goes on only if it split a cell."""
+        b1, b2 = pi1.copy(), pi2.copy()
+        b1[u] = b2[v] = ncells
+        ncells += 1
+        splittable = np.bincount(b1, minlength=ncells) >= 2
+        sides = [(self.c1, b1, u), (self.c2, b2, v)]
+        actives = [np.flatnonzero(splittable[pi]) for _, pi, _ in sides]
+        keys = np.concatenate([
+            pi[active] * self.mult + (self.mult - 1 - c[active, w])
+            for (c, pi, w), active in zip(sides, actives)
+        ])
+        _, inverse = np.unique(keys, return_inverse=True)
+        news, named = _named([b1, b2], actives, inverse, ncells)
+        return (b1, b2, ncells) if named == ncells else self._refine(*news, named)
+
+    def _descend(self, state, prune=None):
+        """Search below a node refined to `state`, a stable (pi1, pi2,
+        ncells), or None when the sides disagreed."""
         if state is None:
             return None
         pi1, pi2, ncells = state
@@ -183,15 +208,30 @@ class _PartitionSearch:
         for v in np.flatnonzero(pi2 == target).tolist():
             if ruled_out[v]:
                 continue
-            b1, b2 = pi1.copy(), pi2.copy()
-            b1[u] = ncells
-            b2[v] = ncells
-            f = self._descend(b1, b2, ncells + 1)  # prune only the outermost branching
+            self._count_node()
+            # prune only the outermost branching
+            f = self._descend(self._child(pi1, pi2, ncells, u, v))
             if f is not None:
                 return f
             if prune is not None:
                 ruled_out |= prune(v)
         return None
+
+
+def _named(pis, actives, inverse, ncells):
+    """One refinement round's partitions and cell count: the active vertices
+    of each side in turn take cell ncells + their row's index in inverse,
+    then the cells that occur are renumbered 0, 1, ... in order of their
+    ids, so singleton cells keep their order, first."""
+    news = [pi.copy() for pi in pis]
+    present = np.zeros(ncells + len(inverse), dtype=bool)
+    start = 0
+    for new, active in zip(news, actives):
+        new[active] = ncells + inverse[start : start + len(active)]
+        present[new] = True
+        start += len(active)
+    names = np.cumsum(present) - 1
+    return [names[new] for new in news], int(names[-1]) + 1
 
 
 def _target_cell(pi: np.ndarray, ncells: int) -> int | None:

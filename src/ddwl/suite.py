@@ -531,7 +531,7 @@ REGISTRY = [
     Check("algebraic_automorphisms", "9", _algebraic_automorphisms, full=(5, ANY), fast=(5, ANY)),
     Check("design_isomorphism", "10", _design_isomorphism),
     Check("one_point_extension", "11", _one_point_extension, full=(11, 11), fast=(7, 7)),
-    Check("iso_classes", "7", _iso_classes, full=(7, 7), fast=NEVER),
+    Check("iso_classes", "7", _iso_classes, full=(11, 11), fast=NEVER),
     Check("reverse_pair_isomorphism", "7", _reverse_pair_isomorphism),
     Check("automorphism_order", "8", _automorphism_order, full=(9, 9), fast=NEVER),
 ]

@@ -35,9 +35,11 @@ triangle identity sees it.  `refine_round_int64`,
 `tensor_from_int64_keys` and `refine_partition_int64` code the sort-layout
 pair signatures, read their tensor and code the vertex signatures of the
 isomorphism search in int64, as the engines did before they chose the
-narrowest width that holds the codes; `tensor_key` is the int64 key of
-(r, s, t) by which the tensor checks ordered rows before they lexsorted
-the narrow columns.  `individualized` is the coloring that
+narrowest width that holds the codes; `child_by_refinement` is the search
+child refined in full from u and v in a fresh cell, before its first round
+was read off one column; `tensor_key` is the int64 key of (r, s, t) by
+which the tensor checks ordered rows before they lexsorted the narrow
+columns.  `individualized` is the coloring that
 `one_point_extension` refines.  `expand_by_scatter` is the 2-D scatter
 color[s(u), s(v)] = color[u, v] by which `coherent.Orbits.expand` filled
 the rows down an orbit forest before it gathered each row at s**-1.
@@ -224,6 +226,15 @@ def refine_partition_int64(search, pi1, pi2, ncells):
         if len(vals) == ncells:
             return pi1, pi2, ncells
         pi1, pi2, ncells = np.searchsorted(vals, new1), np.searchsorted(vals, new2), len(vals)
+
+
+def child_by_refinement(search, pi1, pi2, ncells, u, v):
+    """The child (u -> v) of a stable search node as `_PartitionSearch`
+    built it before it read the first round off one column: u and v in the
+    fresh cell ncells, then `_refine` from there."""
+    b1, b2 = pi1.copy(), pi2.copy()
+    b1[u] = b2[v] = ncells
+    return search._refine(b1, b2, ncells + 1)
 
 
 def orbit_by_sets(v: int, perms: list[np.ndarray]) -> set[int]:

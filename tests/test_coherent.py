@@ -254,7 +254,7 @@ def _compare_kernels(monkeypatch) -> tuple[list[int], list[int]]:
 
 @pytest.mark.parametrize("loops", [True, False], ids=["looped", "loopless"])
 @pytest.mark.parametrize("q", [3, 5, 7])
-def test_product_rounds_equal_the_bincount_kernel_on_every_label(q, loops, request, monkeypatch):
+def test_product_rounds_equal_the_sort_kernel_on_every_label(q, loops, request, monkeypatch):
     """Relabelled plain copies refine densely, so every round of rank up to
     the limit runs on products and is held to the sort kernel, whose keys
     every label's confirming round equals byte for byte."""
@@ -295,13 +295,17 @@ def test_dense_q7_closure_peak_stays_below_7_mb(cons7):
 def test_dense_q7_rounds_pack_one_word_per_colour(cons7, monkeypatch):
     """Every round of the seeded relabelled q = 7 closure runs on products,
     and each key row it sorts holds the old color and one int64 word per
-    colour r: rank digits in base most + 1 fit one word."""
+    colour r: rank digits in base most + 1 fit one word.  At ranks 3, 4, 6
+    and 9 the rounds multiply 1, 2, 4 and 7 colours: the diagonal's and the
+    most frequent other colour's words need no product."""
     rounds = _spy_key_rows(monkeypatch)
+    multiplied = _spy_multiplied(monkeypatch)
     assert wl_close(_seeded_dense_q7(cons7)).rank == 9
     assert len(rounds) == 4
     for rank, m, _, layouts in rounds:
         assert m == cons7.n and rank <= coherent._PRODUCT_MAX_RANK
         assert layouts == {(np.dtype(np.int64), 1 + rank)}
+    assert [rank for rank, *_ in rounds] == [3, 4, 6, 9] and multiplied == [1, 2, 4, 7]
 
 
 @pytest.mark.parametrize("engine, q", [("extension", 5), ("closure", 7)])
@@ -368,23 +372,69 @@ def _most(color: np.ndarray) -> int:
     return max(int(np.bincount(column).max()) for column in color.T)
 
 
+def _spy_multiplied(monkeypatch) -> list[int]:
+    """The number of colors each product round multiplies: the rows of its
+    left operands, over all blocks, divided by n."""
+    refine, matmul, counts = coherent._refine_round, np.matmul, []
+
+    def spy_refine(color, rank, rows):
+        counts.append(0)
+        out = refine(color, rank, rows)
+        counts[-1] //= len(color)
+        return out
+
+    def spy_matmul(a, b, out=None):
+        counts[-1] += a.shape[0]
+        return matmul(a, b, out=out)
+
+    monkeypatch.setattr(coherent, "_refine_round", spy_refine)
+    monkeypatch.setattr(np, "matmul", spy_matmul)
+    return counts
+
+
 @pytest.mark.parametrize("budget", [None, 1], ids=["default-blocks", "one-row-blocks"])
 @pytest.mark.parametrize(
     "case",
-    ["cycle", "random-at-limit", "random-above-limit", "width-switch-below", "width-switch-at"],
+    [
+        "cycle", "random-at-limit", "random-above-limit", "width-switch-below", "width-switch-at",
+        "some-loops", "complete", "one-vertex", "color-on-and-off-the-diagonal",
+    ],
 )
-def test_product_rounds_equal_the_bincount_kernel_on_small_inputs(case, budget, monkeypatch):
+def test_product_rounds_equal_the_sort_kernel_on_small_inputs(case, budget, monkeypatch):
     """The directed 9-cycle, and random colorings whose rank is the product
     limit (the first round runs on products) and one more (it does not).
     At the product limit, one round on either side of the least column
     count `most` whose base most + 1 packs 6 digits per word, not 7: color
     0 fills the first `most` entries of column 0 of n = 200, so each r's
-    codes fill one word of exactly that many digits and one of fewer."""
+    codes fill one word of exactly that many digits and one of fewer.
+    The colors that need no product: a digraph with loops at some vertices
+    only (two colors on the diagonal alone), digraphs with nothing left to
+    multiply (complete, one vertex), and an `orbit_close` coloring with one
+    color on the diagonal alone and one both on and off it."""
     if budget is not None:
         monkeypatch.setattr(coherent, "_BLOCK_ELEMENT_BUDGET", budget)
     limit = coherent._PRODUCT_MAX_RANK
     by_products, confirmed = _compare_kernels(monkeypatch)
-    if case == "cycle":
+    multiplied = _spy_multiplied(monkeypatch)
+    if case == "some-loops":
+        arcs = complete(6).arcs
+        arcs[np.diag_indices(6)] = np.arange(6) < 3
+        assert wl_close(Digraph(arcs)).rank == 6
+        # rank 3 (two loop colors and the arcs) multiplies none, rank 6 three
+        assert by_products == [3, 6] and confirmed == [6] and multiplied == [0, 3]
+    elif case in ("complete", "one-vertex"):
+        n = 6 if case == "complete" else 1
+        assert wl_close(complete(n)).rank == min(n, 2)
+        assert by_products == confirmed == [min(n, 2)] and multiplied == [0]
+    elif case == "color-on-and-off-the-diagonal":
+        # color 0 at u - v = 0 or 3 mod 6 and on the even vertices' diagonal,
+        # color 1 on the odd vertices' diagonal alone, color 2 elsewhere
+        u = np.arange(6)
+        color = np.where((u[:, None] - u) % 3 == 0, 0, 2).astype(np.int32)
+        color[u, u] = u % 2
+        assert coherent.orbit_close(color, []).rank == 8
+        assert by_products == [3, 8] and confirmed == [8] and multiplied[0] == 1
+    elif case == "cycle":
         assert wl_close(directed_cycle(9)).rank == 9
         assert by_products and max(by_products) == 9 and confirmed == [9]
     elif case.startswith("width-switch"):

@@ -245,7 +245,7 @@ def test_verify_ddd_one_row_fails_a_swapped_connection_element(q, request):
     assert not rep.counts_match and rep.witness is not None
 
 
-@pytest.mark.parametrize("plain", [False, True], ids=["one-row", "dense"])
+@pytest.mark.parametrize("plain", [False, True], ids=["one-row", "arcs"])
 def test_verify_ddd_refuses_class_ids_of_the_wrong_length(cons3, plain):
     """The shape is checked first, before an arcs-built digraph is refused."""
     g = cons3.build_cayley(1)

@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 
 import numpy as np
@@ -13,8 +14,14 @@ from ddwl.isotest import (
     automorphism_order,
     iso_class_count,
 )
-from ddwl.srings import SRing
-from reference import complete, directed_cycle, random_digraph, refine_partition_int64
+from ddwl.srings import SRing, tau_hat
+from reference import (
+    child_by_refinement,
+    complete,
+    directed_cycle,
+    random_digraph,
+    refine_partition_int64,
+)
 
 
 def test_self_isomorphism(cons3, closures3):
@@ -432,3 +439,73 @@ def test_one_sided_leaf_equals_the_two_sided_refinement(q, contexts, monkeypatch
         assert sorted_rows == [2 * rows for rows in one]
         assert ncells == want and np.array_equal(pi, pi1) and np.array_equal(pi, pi2)
         assert isotest.leaf_cells(cc, fixed) == ncells == cells
+
+
+# -- search children -----------------------------------------------------------------
+
+
+def _spy_children(monkeypatch) -> list:
+    """Hold every child a search makes to `reference.child_by_refinement`:
+    the same partitions and cell count, or None on both.  The list returned
+    fills with each child's outcome: "None", "stable" (the first round split
+    nothing) or "refined"."""
+    child, outcomes = isotest._PartitionSearch._child, []
+
+    def both(search, pi1, pi2, ncells, u, v):
+        got = child(search, pi1, pi2, ncells, u, v)
+        want = child_by_refinement(search, pi1, pi2, ncells, u, v)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got[2] == want[2] and all(map(np.array_equal, got[:2], want[:2]))
+            outcomes.append("stable" if got[2] == ncells + 1 else "refined")
+        else:
+            outcomes.append("None")
+        return got
+
+    monkeypatch.setattr(isotest._PartitionSearch, "_child", both)
+    return outcomes
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_search_children_equal_the_full_refinement(q, contexts, monkeypatch):
+    """Every child of every label's class count, of labels against a
+    relabelled copy, of an automorphism group's search and of inducedness
+    searches equals the child refined in full from u and v in a fresh cell;
+    from q = 5 on some children's sides disagree (None).  At q = 7 the
+    relabelled copies are the generator labels' and only tau-hat 1 and 7 are
+    searched for inducedness: label 0's relabelled search makes 1,349
+    children, and tau-hat 3 and 5's exhaustive searches take seconds."""
+    ctx = contexts[q]
+    outcomes = _spy_children(monkeypatch)
+    graphs = [ctx.cons.build_cayley(i) for i in range(q)]
+    closures = [wl_close(g) for g in graphs]
+    assert iso_class_count(graphs, closures).exact
+    perm = np.random.default_rng(q).permutation(ctx.cons.n)
+    for i in range(q) if q < 7 else ctx.cons.generators_I():
+        assert are_isomorphic(graphs[i], graphs[i].relabeled(perm), closures[i]).isomorphic
+    i = ctx.cons.generators_I()[0]
+    assert automorphism_order(ctx.digraph(i), ctx.closure(i)) == q**3 * (q**2 - 1)
+    powers = [m for m in range(1, q + 1) if math.gcd(m, q + 1) == 1]
+    for m in powers if q < 7 else [1, q]:
+        status = isotest.is_induced(ctx.ring, tau_hat(ctx.ring, m)).status
+        assert status in ("induced", "not_induced")
+    assert set(outcomes) == ({"refined"} if q == 3 else {"None", "refined"})
+
+
+def test_search_children_equal_the_full_refinement_on_small_digraphs(
+    shrikhande_and_rook, monkeypatch
+):
+    """Children whose first round splits nothing ("stable": every other
+    vertex sees u in one color) and children whose sides disagree, on
+    complete digraphs, a directed cycle, WL-equivalent non-isomorphic
+    strongly regular graphs and random digraphs, equal the full refinement."""
+    outcomes = _spy_children(monkeypatch)
+    assert automorphism_order(complete(5)) == 120
+    assert automorphism_order(directed_cycle(9)) == 9
+    shrikhande, rook = shrikhande_and_rook
+    assert are_isomorphic(shrikhande, rook).kind == "non-isomorphic"
+    for seed in range(4):
+        g = random_digraph(12, 0.4, seed)
+        perm = np.random.default_rng(seed).permutation(12)
+        assert are_isomorphic(g, g.relabeled(perm)).isomorphic
+    assert set(outcomes) == {"None", "stable", "refined"}

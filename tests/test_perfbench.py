@@ -43,3 +43,16 @@ def test_traced_verify_plan_reaches_the_coherent_layers(monkeypatch):
     assert outcome.failed() == []
     names = {span[0] for span in tracer.spans}
     assert {"coherent.wl_close", "coherent.one_point_extension"} <= names
+
+
+def test_family_q7_seed_1_search_nodes(monkeypatch):
+    """family-q7's plan at seed 1 passes every verdict, and its searches
+    keep their node counts: 8, 8, 4 and 4 for the class count's four tested
+    pairs, 4 for the relabelled copy."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    workloads = _harness_module("workloads")
+    outcome = workloads.family_plan(7, 1, workloads.expectations(7))
+    assert outcome.failed() == []
+    nodes = [v for k, v in outcome.counts.items() if k.startswith("iso_class_count[")]
+    assert nodes == [8, 8, 4, 4]
+    assert outcome.seeded_counts["relabeled.nodes"] == 4

@@ -664,14 +664,17 @@ def test_size_table():
     assert list(plan(5, "full")) == [c.name for c in suite.REGISTRY]
     assert set(plan(5, "full")) - set(plan(7, "full")) == set()
     assert set(plan(7, "full")) - set(plan(9, "full")) == {
-        "wl_equivalence", "tau_hat_transport", "iso_classes",
+        "wl_equivalence", "tau_hat_transport",
     }
+    # criterion 7's class count runs to q = 11 in the full suite, exhaustive throughout
+    assert plan(11, "full")["iso_classes"] == "exhaustive"
+    assert "iso_classes" not in plan(13, "full")
     # criterion 11 runs to q = 11 in the full suite, to q = 7 in the fast one
     assert plan(9, "full")["one_point_extension"] == "exhaustive"
     assert plan(11, "full")["one_point_extension"] == "exhaustive"
     assert "one_point_extension" not in plan(13, "full")
     assert set(plan(9, "full")) - set(plan(9, "fast")) == {
-        "one_point_extension", "automorphism_order",
+        "one_point_extension", "automorphism_order", "iso_classes",
     }
     assert set(plan(5, "full")) - set(plan(5, "fast")) == {
         "wl_equivalence", "tau_hat_transport", "iso_classes", "automorphism_order",
@@ -687,6 +690,24 @@ def test_size_table():
     assert {n for n, v in plan(9, "full").items() if v == "sampled"} == sampled | {
         "algebraic_automorphisms"
     }
+
+
+@pytest.mark.parametrize(
+    "q, classes",
+    [(7, {(2, 5), (3, 4)}), (9, {(1, 2, 4, 8)}), (11, {(3, 8), (4, 7)})],
+    ids=["q7", "q9", "q11"],
+)
+def test_iso_classes_partition_the_generator_labels(q, classes, contexts):
+    """Criterion 7's classes, every pair decided: {2, 5} | {3, 4} at q = 7,
+    one class at q = 9 and {3, 8} | {4, 7} at q = 11, as README states."""
+    status, data = suite._iso_classes(contexts[q], True)
+    assert status == "pass" and data["exact"] and data["classes"] == len(classes)
+    labels, pairs = data["labels"], data["pairs"]
+
+    def joined(a, b):
+        return a == b or pairs[f"{min(a, b)},{max(a, b)}"].startswith("isomorphic")
+
+    assert {tuple(b for b in labels if joined(a, b)) for a in labels} == classes
 
 
 def test_readme_registry_table_matches_the_registry():
